@@ -1,22 +1,19 @@
-"""Timing comparison of the jitted and pure-numpy integration paths.
+"""Wall time of one closed-loop integration on a ring with chords.
 
 Builds a ring-with-chords oscillator network with saturating-integrator
-edge controllers, integrates it once with the compiled kernels and once
-with COUPLEDNET_FORCE_NUMPY=1, and reports wall times.  The first jit
-run includes compilation, so one warmup run is done before timing.
+edge controllers, integrates it once and reports the wall time, the
+number of rhs evaluations and the time per rhs evaluation.
 
 Usage:
     python3 benchmarks/bench_integrate.py [--nodes 24] [--horizon 20]
-        [--repeat 3] [--method rk45]
+        [--method rk45]
 """
 
 import argparse
-import os
 import time
 
 import numpy as np
 
-from couplednet import _fastpath
 from couplednet.couplers import nonlinear_integrator, paper_psi, PSI_RANGE
 from couplednet.netgraph import build_graph
 from couplednet.plants import damped_oscillator_agent
@@ -52,19 +49,10 @@ def build_system(nodes: int, seed: int = 3):
     return closed_loop(graph, agents, ctrls)
 
 
-def run_once(system, horizon, opts):
-    init = default_initial_state(system)
-    t0 = time.perf_counter()
-    traj = integrate(system, init, horizon, opts)
-    dt = time.perf_counter() - t0
-    return dt, traj
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--nodes", type=int, default=24)
     ap.add_argument("--horizon", type=float, default=20.0)
-    ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--method", choices=("rk45", "rk4"), default="rk45")
     args = ap.parse_args()
 
@@ -74,33 +62,13 @@ def main():
           f"{system.graph.edge_count} edges, state dim {system.state_dim}, "
           f"method {args.method}, horizon {args.horizon}")
 
-    if not _fastpath.HAS_NUMBA:
-        print("numba not installed; only the numpy path is available")
-
-    results = {}
-    for label, force in (("numpy", "1"), ("numba", "0")):
-        if label == "numba" and not _fastpath.HAS_NUMBA:
-            continue
-        os.environ["COUPLEDNET_FORCE_NUMPY"] = force
-        if label == "numba":
-            run_once(system, min(args.horizon, 1.0), opts)  # compile
-        times = []
-        ref = None
-        for _ in range(args.repeat):
-            dt, traj = run_once(system, args.horizon, opts)
-            times.append(dt)
-            ref = traj
-        results[label] = (min(times), ref)
-        print(f"{label:>6}: best of {args.repeat}: {min(times)*1e3:9.2f} ms "
-              f"({len(ref.times)} samples)")
-    os.environ.pop("COUPLEDNET_FORCE_NUMPY", None)
-
-    if len(results) == 2:
-        t_np, traj_np = results["numpy"]
-        t_nb, traj_nb = results["numba"]
-        dev = float(np.max(np.abs(traj_np.y - traj_nb.y)))
-        print(f"speedup numba vs numpy: {t_np / t_nb:.1f}x, "
-              f"max |y| deviation between paths: {dev:.2e}")
+    init = default_initial_state(system)
+    t0 = time.perf_counter()
+    traj = integrate(system, init, args.horizon, opts)
+    wall = time.perf_counter() - t0
+    nfev = traj.metadata["nfev"]
+    print(f"wall {wall * 1e3:.2f} ms, {nfev} rhs calls, "
+          f"{wall / nfev * 1e6:.1f} us per rhs call ({len(traj.times)} samples)")
 
 
 if __name__ == "__main__":

@@ -2,272 +2,216 @@
 
 Networks whose agents are affine ODEs (linear systems, oscillators or
 convex-gradient systems with quadratic potentials) and whose edge
-controllers are linear-synthesis or integrator types are packed into
-flat arrays and integrated by a single kernel. The kernel source is
-plain numpy; when numba is importable it is compiled with @njit, and
-setting the environment variable COUPLEDNET_FORCE_NUMPY=1 selects the
-uncompiled twin instead.
+controllers are linear-synthesis or integrator types (quadratic or
+paper_psi potentials) fold into one sparse affine map of the stacked
+state s (agents, then controllers):
+
+    s' = W [s ; paper_psi(s[psi_idx])] + c
+
+W carries the agent blocks A, B, C, the controllers' affine parts, the
+reconfiguration offsets and the wiring zeta = E^T y, u = -E mu. It is
+stored as a COO triple, so one rhs call is a gather, a multiply and a
+bincount. The adaptive loop is Dormand-Prince 5(4) with the FSAL
+property and its continuous extension for recording (Hairer, Norsett &
+Wanner, Solving ODEs I, sections II.5-II.6).
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .couplers import ControllerKind, ControllerModel, paper_psi
+from .errors import NonFiniteState, StepUnderflow
 from .plants import AgentKind, AgentModel
 from .relations import FunctionKind, as_quadratic
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
+@dataclass(frozen=True)
+class PackedSystem:
+    """Closed loop folded into sparse affine maps of v = [s ; paper_psi(s[psi_idx])].
 
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
+    (row, col, w) and c give the state derivative; (sig_row, sig_col,
+    sig_w) and sig_c give the stacked signals [y ; mu]; E is the lifted
+    incidence operator that turns them into zeta and u.
+    """
 
-        return deco if not (args and callable(args[0])) else args[0]
-
-
-def use_numba() -> bool:
-    return HAS_NUMBA and os.environ.get("COUPLEDNET_FORCE_NUMPY", "") != "1"
-
-
-# controller kind codes inside the kernel
-_CTRL_LINEAR = 0
-_CTRL_PSI = 1
-_CTRL_QUAD = 2
-
-
-_LOG2 = math.log(2.0)
+    dim: int
+    psi_idx: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    w: np.ndarray
+    c: np.ndarray
+    sig_row: np.ndarray
+    sig_col: np.ndarray
+    sig_w: np.ndarray
+    sig_c: np.ndarray
+    E: np.ndarray
 
 
 def _packed_rhs(s, pk):
-    (P, A, Bm, Cm, weff, E, ET, kinds, alpha, beta, off, Pq, qq, d) = pk
-    xa = s[:P]
-    eta = s[P:]
-    y = Cm @ xa
-    zeta = ET @ y
-    m = kinds.shape[0]
-    mu = np.empty(m * d)
-    deta = np.empty(m * d)
-    for e in range(m):
-        b0 = e * d
-        if kinds[e] == _CTRL_LINEAR:
-            for c in range(d):
-                i = b0 + c
-                deta[i] = -eta[i] + (zeta[i] - alpha[i]) - off[i]
-                mu[i] = eta[i] + beta[i]
-        elif kinds[e] == _CTRL_PSI:
-            for c in range(d):
-                i = b0 + c
-                deta[i] = zeta[i] - alpha[i]
-                xv = eta[i]
-                # log((exp(x)+1)/2) via log1p, stable on both tails
-                if xv > 0.0:
-                    ell = xv + math.log1p(math.exp(-xv)) - _LOG2
-                else:
-                    ell = math.log1p(math.exp(xv)) - _LOG2
-                big = ell * ell
-                if xv > 0.0:
-                    mu[i] = math.asin(big / (big + 1.0)) + beta[i]
-                elif xv < 0.0:
-                    mu[i] = math.asin(-big / (big + 1.0)) + beta[i]
-                else:
-                    mu[i] = beta[i]
+    """State derivative at s: the folded map applied to [s ; paper_psi(s[psi_idx])]."""
+    v = np.concatenate((s, paper_psi(s[pk.psi_idx])))
+    return np.bincount(pk.row, pk.w * v[pk.col], minlength=pk.dim) + pk.c
+
+
+@dataclass(frozen=True)
+class StepStats:
+    """Work done by one integration, after scipy's solve_ivp result.
+
+    nfev counts rhs evaluations, accepted and rejected count steps, and
+    h_min is the smallest accepted step.
+    """
+
+    nfev: int
+    accepted: int
+    rejected: int
+    h_min: float
+
+
+# Dormand-Prince 5(4): rows 1-5 of _DP build stages 2-6, row 6 holds the
+# 5th-order weights (stage 7 is the rhs there, reused as the next stage 1),
+# row 7 the error weights b5 - b4. The continuous extension's weights are
+# b_j(theta) = sum_k _DP_P[j, k] theta^(k+1). Both are written one row per
+# line but built flat: converting a nested list makes numpy allocate a
+# transient buffer that, at import time, adds about 128 KB to peak RSS.
+_DP = np.array([
+    0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0, 0.0,
+    19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0,
+    0.0, 0.0, 0.0,
+    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+    -5103.0 / 18656.0, 0.0, 0.0,
+    35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+    11.0 / 84.0, 0.0,
+    71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
+    22.0 / 525.0, -1.0 / 40.0,
+]).reshape(8, 7)
+_DP_P = np.array([
+    1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
+    -12715105075.0 / 11282082432.0,
+    0.0, 0.0, 0.0, 0.0,
+    0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
+    87487479700.0 / 32700410799.0,
+    0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
+    -10690763975.0 / 1880347072.0,
+    0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
+    701980252875.0 / 199316789632.0,
+    0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
+    -1453857185.0 / 822651844.0,
+    0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
+    69997945.0 / 29380423.0,
+]).reshape(7, 4)
+
+
+def _initial_records(out, s0, t0, rec_times):
+    """Fill the records at t0; returns the index of the first one after it."""
+    idx = int(np.searchsorted(rec_times, t0 + 1e-12 * (1.0 + abs(t0)), side="right"))
+    out[:idx] = s0
+    return idx
+
+
+def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0):
+    """Adaptive Dormand-Prince 5(4) recording the state at each rec_times entry.
+
+    Records inside a step come from the 4th-order continuous extension;
+    the last step lands exactly on rec_times[-1]. Returns (states, StepStats).
+
+    Raises
+    ------
+    StepUnderflow
+        The step shrank below the resolvable width.
+    NonFiniteState
+        The error estimate became non-finite.
+    """
+    dim = s0.shape[0]
+    nrec = rec_times.shape[0]
+    out = np.empty((nrec, dim))
+    s = s0.copy()
+    t = float(t0)
+    idx = _initial_records(out, s, t, rec_times)
+    t_end = float(rec_times[-1]) if nrec else t
+    K = np.empty((7, dim))
+    K[0] = rhs(s)
+    abs_s = np.abs(s)
+    nfev, accepted, rejected, h_min = 1, 0, 0, math.inf
+    h = h0
+    while t < t_end:
+        if h < 1e-13 * (1.0 + abs(t)):
+            raise StepUnderflow("adaptive step size underflow")
+        last = t + h >= t_end - 1e-14 * (1.0 + abs(t_end))
+        h_use = t_end - t if last else h
+        hdp = h_use * _DP
+        for i in range(1, 6):
+            K[i] = rhs(s + hdp[i, :i] @ K[:i])
+        s5 = s + hdp[6, :6] @ K[:6]
+        K[6] = rhs(s5)
+        nfev += 6
+        abs_s5 = np.abs(s5)
+        q = (hdp[7] @ K) / (atol + rtol * np.maximum(abs_s, abs_s5))
+        errn = math.sqrt(q @ q / dim)
+        if not math.isfinite(errn):
+            raise NonFiniteState("state became non-finite during integration")
+        if errn <= 1.0:
+            t_new = t_end if last else t + h_use
+            if idx < nrec and rec_times[idx] <= t_new:
+                stop = int(np.searchsorted(rec_times, t_new, side="right"))
+                theta = (rec_times[idx:stop] - t) / h_use
+                weights = (theta[:, None] ** np.arange(1, 5)) @ _DP_P.T
+                out[idx:stop] = s + h_use * (weights @ K)
+                idx = stop
+            if last:
+                out[-1] = s5
+            accepted += 1
+            h_min = min(h_min, h_use)
+            t = t_new
+            s, abs_s = s5, abs_s5
+            K[0] = K[6]
         else:
-            for c in range(d):
-                i = b0 + c
-                deta[i] = zeta[i] - alpha[i]
-                acc = qq[e, c]
-                for c2 in range(d):
-                    acc += Pq[e, c, c2] * eta[b0 + c2]
-                mu[i] = acc + beta[i]
-    u = -(E @ mu)
-    out = np.empty(s.shape[0])
-    out[:P] = A @ xa + Bm @ u + weff
-    out[P:] = deta
-    return out
+            rejected += 1
+        factor = 5.0 if errn == 0.0 else min(5.0, max(0.2, 0.9 * errn ** -0.2))
+        h = h_use * factor
+    return out, StepStats(nfev, accepted, rejected, h_min)
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = (
-    (0.2,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)
-_DP_E = (
-    71.0 / 57600.0,
-    0.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
+def _rk4_loop(rhs, s0, t0, rec_times, dt):
+    """Fixed-step classical Runge-Kutta, landing exactly on rec_times.
 
-
-def _rk45_loop(rhs, pk, s0, t0, rec_times, rtol, atol, h0):
-    """Adaptive integration recording the state at each rec_times entry.
-
-    Returns (out, status): status 0 ok, 1 step underflow, 2 non-finite.
+    Returns (states, StepStats); raises NonFiniteState on a non-finite
+    recorded state.
     """
     dim = s0.shape[0]
     nrec = rec_times.shape[0]
     out = np.empty((nrec, dim))
     s = s0.copy()
     t = t0
-    idx = 0
-    if nrec > 0 and abs(rec_times[0] - t0) <= 1e-12 * (1.0 + abs(t0)):
-        out[0] = s
-        idx = 1
-    h = h0
-    while idx < nrec:
-        target = rec_times[idx]
-        hit = False
-        h_use = h
-        if t + h_use >= target - 1e-14 * (1.0 + abs(target)):
-            h_use = target - t
-            hit = True
-        if h_use < 1e-14 * (1.0 + abs(t)):
-            # degenerate gap: record and move on
-            out[idx] = s
-            idx += 1
-            t = target
-            continue
-
-        k1 = rhs(s, pk)
-        k2 = rhs(s + h_use * (_DP_A[0][0] * k1), pk)
-        k3 = rhs(s + h_use * (_DP_A[1][0] * k1 + _DP_A[1][1] * k2), pk)
-        k4 = rhs(s + h_use * (_DP_A[2][0] * k1 + _DP_A[2][1] * k2 + _DP_A[2][2] * k3), pk)
-        k5 = rhs(
-            s
-            + h_use
-            * (_DP_A[3][0] * k1 + _DP_A[3][1] * k2 + _DP_A[3][2] * k3 + _DP_A[3][3] * k4),
-            pk,
-        )
-        k6 = rhs(
-            s
-            + h_use
-            * (
-                _DP_A[4][0] * k1
-                + _DP_A[4][1] * k2
-                + _DP_A[4][2] * k3
-                + _DP_A[4][3] * k4
-                + _DP_A[4][4] * k5
-            ),
-            pk,
-        )
-        s5 = s + h_use * (
-            _DP_A[5][0] * k1
-            + _DP_A[5][2] * k3
-            + _DP_A[5][3] * k4
-            + _DP_A[5][4] * k5
-            + _DP_A[5][5] * k6
-        )
-        k7 = rhs(s5, pk)
-        errv = h_use * (
-            _DP_E[0] * k1
-            + _DP_E[2] * k3
-            + _DP_E[3] * k4
-            + _DP_E[4] * k5
-            + _DP_E[5] * k6
-            + _DP_E[6] * k7
-        )
-        errn = 0.0
-        for j in range(dim):
-            sc = atol + rtol * max(abs(s[j]), abs(s5[j]))
-            q = errv[j] / sc
-            errn += q * q
-        errn = math.sqrt(errn / dim)
-        if not math.isfinite(errn):
-            return out, 2
-        if errn <= 1.0:
-            t = t + h_use
-            s = s5
-            if hit:
-                out[idx] = s
-                idx += 1
-        if errn == 0.0:
-            factor = 5.0
-        else:
-            factor = 0.9 * errn ** (-0.2)
-            if factor < 0.2:
-                factor = 0.2
-            elif factor > 5.0:
-                factor = 5.0
-        h = h_use * factor
-        if h < 1e-13 * (1.0 + abs(t)):
-            return out, 1
-    return out, 0
-
-
-def _rk4_loop(rhs, pk, s0, t0, rec_times, dt):
-    """Fixed-step classical Runge-Kutta, landing exactly on rec_times."""
-    dim = s0.shape[0]
-    nrec = rec_times.shape[0]
-    out = np.empty((nrec, dim))
-    s = s0.copy()
-    t = t0
-    idx = 0
-    if nrec > 0 and abs(rec_times[0] - t0) <= 1e-12 * (1.0 + abs(t0)):
-        out[0] = s
-        idx = 1
-    while idx < nrec:
-        target = rec_times[idx]
-        gap = target - t
+    start = _initial_records(out, s, t, rec_times)
+    steps, h_min = 0, math.inf
+    for idx in range(start, nrec):
+        gap = rec_times[idx] - t
         nsub = int(max(1.0, math.ceil(gap / dt - 1e-9)))
         h = gap / nsub
         for _ in range(nsub):
-            k1 = rhs(s, pk)
-            k2 = rhs(s + 0.5 * h * k1, pk)
-            k3 = rhs(s + 0.5 * h * k2, pk)
-            k4 = rhs(s + h * k3, pk)
+            k1 = rhs(s)
+            k2 = rhs(s + 0.5 * h * k1)
+            k3 = rhs(s + 0.5 * h * k2)
+            k4 = rhs(s + h * k3)
             s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = target
-        for j in range(dim):
-            if not math.isfinite(s[j]):
-                return out, 2
+        steps += nsub
+        h_min = min(h_min, h)
+        t = rec_times[idx]
+        if not np.isfinite(s).all():
+            raise NonFiniteState("state became non-finite during integration")
         out[idx] = s
-        idx += 1
-    return out, 0
-
-
-if HAS_NUMBA:
-    _packed_rhs_jit = njit(cache=False)(_packed_rhs)
-    _rk45_loop_jit = njit(cache=False)(_rk45_loop)
-    _rk4_loop_jit = njit(cache=False)(_rk4_loop)
-else:  # pragma: no cover
-    _packed_rhs_jit = _packed_rhs
-    _rk45_loop_jit = _rk45_loop
-    _rk4_loop_jit = _rk4_loop
+    return out, StepStats(4 * steps, steps, 0, float(h_min))
 
 
 # ---------------------------------------------------------------------------
 # packing
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PackedSystem:
-    """Flat-array closed loop consumed by the kernels."""
-
-    pk: tuple
-    agent_dim: int
-    ctrl_dim: int
-    kinds: np.ndarray
-    beta: np.ndarray
-    Pq: np.ndarray
-    qq: np.ndarray
 
 
 def _pack_agent(agent: AgentModel):
@@ -285,11 +229,15 @@ def _pack_agent(agent: AgentModel):
             if quad is None:
                 return None
             damping, shift = quad[0], quad[1]
-        A = np.block([[np.zeros((d, d)), agent.M], [-agent.M.T, -damping]])
-        B = np.vstack([np.zeros((d, d)), agent.B])
-        C = np.hstack([np.eye(d), np.zeros((d, d))])
-        w = np.concatenate([np.zeros(d), agent.w - shift])
-        return A, B, C, w
+        A = np.zeros((2 * d, 2 * d))
+        A[:d, d:] = agent.M
+        A[d:, :d] = -agent.M.T
+        A[d:, d:] = -damping
+        B = np.zeros((2 * d, d))
+        B[d:] = agent.B
+        w = np.zeros(2 * d)
+        w[d:] = agent.w - shift
+        return A, B, np.eye(d, 2 * d), w
     if agent.kind is AgentKind.CONVEX_GRADIENT:
         if agent.rho is not None:
             return None
@@ -302,7 +250,12 @@ def _pack_agent(agent: AgentModel):
 
 
 def _pack_controller(ctrl: ControllerModel, d: int):
-    """(kind, alpha, beta, offset, Pq, qq) or None when not packable."""
+    """Affine form of one edge controller, or None when not packable.
+
+    Returns (L, leak, mu0, eta0): mu = L eta + mu0 (L is None for a
+    paper_psi potential, where mu = paper_psi(eta) + mu0) and
+    eta' = zeta + eta0, minus eta when leak is set.
+    """
     alpha = np.zeros(d)
     beta = np.zeros(d)
     while ctrl.kind is ControllerKind.RECONFIGURED:
@@ -310,24 +263,39 @@ def _pack_controller(ctrl: ControllerModel, d: int):
         beta = beta + ctrl.beta
         ctrl = ctrl.inner
     if ctrl.kind is ControllerKind.LINEAR_SYNTHESIS:
-        return _CTRL_LINEAR, alpha, beta, ctrl.offset, np.zeros((d, d)), np.zeros(d)
+        return np.eye(d), True, beta, -alpha - ctrl.offset
     if ctrl.kind is ControllerKind.NONLINEAR_INTEGRATOR:
         pot = ctrl.potential
         if pot.kind is FunctionKind.SCALAR_SEPARABLE and pot.phi is paper_psi:
-            return _CTRL_PSI, alpha, beta, np.zeros(d), np.zeros((d, d)), np.zeros(d)
+            return None, False, beta, -alpha
         quad = as_quadratic(pot)
         if quad is not None:
-            return _CTRL_QUAD, alpha, beta, np.zeros(d), quad[0], quad[1]
+            return quad[0], False, quad[1] + beta, -alpha
     return None
 
 
-def try_pack(op_lifted: np.ndarray, agents, controllers) -> PackedSystem | None:
-    """Pack the closed loop into kernel arrays; None if any piece resists."""
+def _coo(blocks):
+    """COO arrays of the (row0, col0, dense block) placements, zeros dropped."""
+    groups = {}
+    for r0, c0, blk in blocks:
+        groups.setdefault(blk.shape, []).append((r0, c0, blk))
+    rows, cols, vals = [], [], []
+    for (h, w), items in groups.items():
+        vals_k = np.stack([b for _, _, b in items])
+        r0 = np.array([r for r, _, _ in items])[:, None, None]
+        c0 = np.array([c for _, c, _ in items])[:, None, None]
+        rows.append(np.broadcast_to(r0 + np.arange(h)[:, None], vals_k.shape).ravel())
+        cols.append(np.broadcast_to(c0 + np.arange(w), vals_k.shape).ravel())
+        vals.append(vals_k.ravel())
+    row, col, val = (np.concatenate(a) for a in (rows, cols, vals))
+    keep = val != 0.0
+    return row[keep], col[keep], val[keep]
+
+
+def try_pack(op, agents, controllers) -> PackedSystem | None:
+    """Fold the closed loop into sparse affine maps; None if any piece resists."""
     agents = list(agents)
-    controllers = list(controllers)
-    d = agents[0].io_dim
-    n = len(agents)
-    m = len(controllers)
+    d = op.dim
     parts = [_pack_agent(a) for a in agents]
     if any(p is None for p in parts):
         return None
@@ -335,74 +303,56 @@ def try_pack(op_lifted: np.ndarray, agents, controllers) -> PackedSystem | None:
     if any(c is None for c in cparts):
         return None
 
-    P = sum(a.state_dim for a in agents)
-    A = np.zeros((P, P))
-    Bm = np.zeros((P, n * d))
-    Cm = np.zeros((n * d, P))
-    w = np.zeros(P)
-    z = np.zeros(n * d)
-    ofs = 0
-    for i, (agent, (Ai, Bi, Ci, wi)) in enumerate(zip(agents, parts)):
-        p = agent.state_dim
-        A[ofs : ofs + p, ofs : ofs + p] = Ai
-        Bm[ofs : ofs + p, i * d : (i + 1) * d] = Bi
-        Cm[i * d : (i + 1) * d, ofs : ofs + p] = Ci
-        w[ofs : ofs + p] = wi
-        z[i * d : (i + 1) * d] = agent.leader_offset
-        ofs += p
-    weff = w + Bm @ z
+    ofs = np.cumsum([0] + [a.state_dim for a in agents])
+    P = int(ofs[-1])
+    m = len(cparts)
+    dim = P + m * d
+    psi_edges = [e for e, part in enumerate(cparts) if part[0] is None]
+    psi_idx = (P + d * np.array(psi_edges, dtype=np.int64)[:, None] + np.arange(d)).ravel()
+    psi_col = {e: dim + k * d for k, e in enumerate(psi_edges)}
+    eye = np.eye(d)
 
-    kinds = np.empty(m, dtype=np.int64)
-    alpha = np.zeros(m * d)
-    beta = np.zeros(m * d)
-    off = np.zeros(m * d)
-    Pq = np.zeros((m, d, d))
-    qq = np.zeros((m, d))
-    for e, (kind, a_e, b_e, o_e, P_e, q_e) in enumerate(cparts):
-        kinds[e] = kind
-        alpha[e * d : (e + 1) * d] = a_e
-        beta[e * d : (e + 1) * d] = b_e
-        off[e * d : (e + 1) * d] = o_e
-        Pq[e] = P_e
-        qq[e] = q_e
+    # signals: y_i = C_i x_i; mu_e = L_e eta_e (or paper_psi(eta_e)) + mu0_e
+    sig = [(i * d, ofs[i], C) for i, (_, _, C, _) in enumerate(parts)]
+    mu0 = np.zeros(m * d)
+    c = np.zeros(dim)
+    rhs = [(ofs[i], ofs[i], A) for i, (A, _, _, _) in enumerate(parts)]
+    for e, (L, leak, mu0_e, eta0_e) in enumerate(cparts):
+        r = P + e * d
+        mu0[e * d:(e + 1) * d] = mu0_e
+        c[r:r + d] = eta0_e
+        if leak:
+            rhs.append((r, r, -eye))
+        if L is None:
+            sig.append((op.node_size + e * d, psi_col[e], eye))
+        else:
+            sig.append((op.node_size + e * d, r, L))
+        # u_i = -sum_e E[i, e] mu_e drives agent i; zeta_e = sum_i E[i, e] y_i
+        for i, sign in zip(op.graph.edges[e], (-1.0, 1.0)):
+            B, C = parts[i][1], parts[i][2]
+            if L is None:
+                rhs.append((ofs[i], psi_col[e], -sign * B))
+            else:
+                rhs.append((ofs[i], r, -sign * (B @ L)))
+            rhs.append((r, ofs[i], sign * C))
 
-    E = np.ascontiguousarray(op_lifted)
-    pk = (P, A, Bm, Cm, weff, E, np.ascontiguousarray(E.T), kinds, alpha, beta, off, Pq, qq, d)
-    return PackedSystem(pk=pk, agent_dim=P, ctrl_dim=m * d, kinds=kinds, beta=beta, Pq=Pq, qq=qq)
+    u0 = -(op.lifted @ mu0)
+    for i, (agent, (_, B, _, w)) in enumerate(zip(agents, parts)):
+        c[ofs[i]:ofs[i + 1]] = w + B @ (agent.leader_offset + u0[i * d:(i + 1) * d])
+
+    row, col, w = _coo(rhs)
+    sig_row, sig_col, sig_w = _coo(sig)
+    return PackedSystem(dim=dim, psi_idx=psi_idx, row=row, col=col, w=w, c=c,
+                        sig_row=sig_row, sig_col=sig_col, sig_w=sig_w,
+                        sig_c=np.concatenate([np.zeros(op.node_size), mu0]),
+                        E=op.lifted)
 
 
 def packed_signals(packed: PackedSystem, states: np.ndarray):
     """(u, y, zeta, mu) arrays for recorded packed states (rows = samples)."""
-    (P, A, Bm, Cm, weff, E, ET, kinds, alpha, beta, off, Pq, qq, d) = packed.pk
-    xa = states[:, :P]
-    eta = states[:, P:]
-    y = xa @ Cm.T
-    zeta = y @ ET.T
-    mu = np.empty_like(eta)
-    for e in range(kinds.shape[0]):
-        sl = slice(e * d, (e + 1) * d)
-        if kinds[e] == _CTRL_LINEAR:
-            mu[:, sl] = eta[:, sl] + beta[sl]
-        elif kinds[e] == _CTRL_PSI:
-            mu[:, sl] = paper_psi(eta[:, sl]) + beta[sl]
-        else:
-            mu[:, sl] = eta[:, sl] @ Pq[e].T + qq[e] + beta[sl]
-    u = -(mu @ E.T)
-    return u, y, zeta, mu
-
-
-def run_rk45(packed_or_rhs, s0, t0, rec_times, rtol, atol, h0, pk=None):
-    """Dispatch to the compiled or plain kernel."""
-    if isinstance(packed_or_rhs, PackedSystem):
-        if use_numba():
-            return _rk45_loop_jit(_packed_rhs_jit, packed_or_rhs.pk, s0, t0, rec_times, rtol, atol, h0)
-        return _rk45_loop(_packed_rhs, packed_or_rhs.pk, s0, t0, rec_times, rtol, atol, h0)
-    return _rk45_loop(packed_or_rhs, pk if pk is not None else (), s0, t0, rec_times, rtol, atol, h0)
-
-
-def run_rk4(packed_or_rhs, s0, t0, rec_times, dt, pk=None):
-    if isinstance(packed_or_rhs, PackedSystem):
-        if use_numba():
-            return _rk4_loop_jit(_packed_rhs_jit, packed_or_rhs.pk, s0, t0, rec_times, dt)
-        return _rk4_loop(_packed_rhs, packed_or_rhs.pk, s0, t0, rec_times, dt)
-    return _rk4_loop(packed_or_rhs, pk if pk is not None else (), s0, t0, rec_times, dt)
+    v = np.hstack([states, paper_psi(states[:, packed.psi_idx])])
+    sig = np.tile(packed.sig_c, (v.shape[0], 1))
+    np.add.at(sig, (slice(None), packed.sig_row), v[:, packed.sig_col] * packed.sig_w)
+    ny = packed.E.shape[0]
+    y, mu = sig[:, :ny], sig[:, ny:]
+    return -(mu @ packed.E.T), y, y @ packed.E, mu

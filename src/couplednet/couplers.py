@@ -205,20 +205,33 @@ def controller_has_feedthrough(c: ControllerModel) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_LOG2 = math.log(2.0)
+
+
 def paper_psi(x):
     """Monotone saturating scalar map arcsin(L(x) sgn(x) / (L(x) + 1)).
 
     Here L(x) = log((exp(x) + 1) / 2) squared, evaluated through
-    logaddexp so large arguments do not overflow. The map is zero at
-    zero, strictly increasing, and its range is the open interval
-    (PSI_RANGE[0], PSI_RANGE[1]). Arrays are handled coordinatewise.
+    logaddexp(x, 0) = max(x, 0) + log1p(exp(-|x|)) so large arguments
+    do not overflow. Beyond |x| of about 708 that exp underflows to
+    zero, which is the exact limit, so the underflow is not reported.
+    Scalars take the same formula through libm, as numpy's logaddexp
+    does, which is faster on one value and agrees bit for bit. The map
+    is zero at zero, strictly increasing, and its range is the open
+    interval (PSI_RANGE[0], PSI_RANGE[1]). Arrays are handled
+    coordinatewise.
     """
     x = np.asarray(x, dtype=float)
-    ell = np.logaddexp(x, 0.0) - math.log(2.0)
+    if x.ndim == 0:
+        t = float(x)
+        ell = max(t, 0.0) + math.log1p(math.exp(-abs(t))) - _LOG2
+    else:
+        with np.errstate(under="ignore"):
+            ell = np.logaddexp(x, 0.0) - _LOG2
     big_l = ell * ell
-    val = np.arcsin(big_l * np.sign(x) / (big_l + 1.0))
+    val = np.arcsin(np.copysign(big_l, x) / (big_l + 1.0))
     return float(val) if val.ndim == 0 else val
 
 
-_L_LIMIT = math.log(2.0) ** 2
+_L_LIMIT = _LOG2 ** 2
 PSI_RANGE = (-math.asin(_L_LIMIT / (_L_LIMIT + 1.0)), math.pi / 2.0)

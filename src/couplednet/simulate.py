@@ -7,7 +7,7 @@ compares the settled output against steady-state certificates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ from .errors import (
     NoConvergence,
     NonFiniteState,
     SingularMatrix,
-    StepUnderflow,
     UnsupportedKind,
 )
 from .netgraph import DirectedGraph, IncidenceOperator, incidence
@@ -135,7 +134,7 @@ def closed_loop(graph: DirectedGraph, agents: Sequence[AgentModel],
         ofs += c.state_dim
     packed = None
     if graph.edge_count > 0 and not a_ft and not c_ft:
-        packed = _fastpath.try_pack(op.lifted, agents, controllers)
+        packed = _fastpath.try_pack(op, agents, controllers)
     return ClosedLoopSystem(
         graph=graph, op=op, agents=agents, controllers=controllers,
         io_dim=d, agent_dim=agent_dim, ctrl_dim=ofs,
@@ -307,35 +306,31 @@ def integrate(system: ClosedLoopSystem, init, T: float,
     rec = _record_grid(t0, T, rec_every)
 
     if system.packed is not None:
-        target = system.packed
-        pk = None
-        rhs_fn = target
-    else:
-        def rhs_fn(s, _pk):
-            return step_rhs(system, s)
+        packed = system.packed
 
-        target = rhs_fn
-        pk = ()
+        # looked up on the module per call, so a wrapper installed there
+        # (a call counter, a profiler) sees every evaluation
+        def rhs_fn(s):
+            return _fastpath._packed_rhs(s, packed)
+    else:
+        def rhs_fn(s):
+            return step_rhs(system, s)
 
     if opts.method == "rk45":
         h0 = min(1e-3, T / 100.0)
-        states, status = _fastpath.run_rk45(
-            target, s0, t0, rec, opts.tol, opts.tol, h0, pk=pk)
+        states, stats = _fastpath._rk45_loop(
+            rhs_fn, s0, t0, rec, opts.tol, opts.tol, h0)
     elif opts.method == "rk4":
-        states, status = _fastpath.run_rk4(target, s0, t0, rec, opts.dt, pk=pk)
+        states, stats = _fastpath._rk4_loop(rhs_fn, s0, t0, rec, opts.dt)
     else:
         raise UnsupportedKind(f"unknown integration method {opts.method!r}")
-    if status == 1:
-        raise StepUnderflow("adaptive step size underflow")
-    if status == 2:
-        raise NonFiniteState("state became non-finite during integration")
     if not np.all(np.isfinite(states)):
         raise NonFiniteState("state became non-finite during integration")
 
     u, y, zeta, mu = _signals_batch(system, states)
     meta = {"method": opts.method, "tol": opts.tol, "dt": opts.dt,
             "record_every": float(rec[1] - rec[0]),
-            "fast_path": system.packed is not None and _fastpath.use_numba()}
+            "fast_path": system.packed is not None, **asdict(stats)}
     return Trajectory(system=system, times=rec, states=states,
                       u=u, y=y, zeta=zeta, mu=mu, metadata=meta)
 
@@ -371,6 +366,10 @@ def integrate_schedule(segments, init,
         [getattr(p, name) if k == 0 else getattr(p, name)[1:]
          for k, p in enumerate(pieces)])
     meta = dict(pieces[0].metadata)
+    meta["fast_path"] = all(p.metadata["fast_path"] for p in pieces)
+    for key in ("nfev", "accepted", "rejected"):
+        meta[key] = sum(p.metadata[key] for p in pieces)
+    meta["h_min"] = min(p.metadata["h_min"] for p in pieces)
     meta["segments"] = bounds
     return Trajectory(system=last_sys, times=times, states=cat("states"),
                       u=cat("u"), y=cat("y"), zeta=cat("zeta"), mu=cat("mu"),

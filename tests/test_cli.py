@@ -1,5 +1,4 @@
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -182,10 +181,9 @@ def test_console_script_round_trip(tmp_path):
     if exe is None:
         pytest.skip("console script not installed")
     cfg = write_doc(tmp_path, hand_doc())
-    env = dict(os.environ, COUPLEDNET_FORCE_NUMPY="1")
     res = subprocess.run([exe, "predict", "--config", cfg,
                           "--out", str(tmp_path)],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True)
     assert res.returncode == 0
     assert "duality_gap" in res.stdout
     assert (tmp_path / "certificate.json").exists()

@@ -70,7 +70,7 @@ def test_reconfigured_steady_state_relation():
 
 
 def test_paper_psi_vector_and_scalar_agree():
-    xs = np.array([-3.0, -1.0, 0.0, 0.4, 2.0])
+    xs = np.array([-800.0, -40.0, -3.0, -1.0, 0.0, 0.4, 2.0, 40.0, 800.0])
     vec = C.paper_psi(xs)
     sc = np.array([C.paper_psi(float(t)) for t in xs])
     assert np.array_equal(vec, sc)
@@ -80,6 +80,16 @@ def test_paper_psi_monotone_dense_grid():
     xs = np.linspace(-10.0, 10.0, 10_001)
     ps = C.paper_psi(xs)
     assert (np.diff(ps) >= 0.0).all()
+
+
+def test_paper_psi_zero_increasing_and_quiet_at_800():
+    assert C.paper_psi(0.0) == 0.0
+    assert (np.diff(C.paper_psi(np.linspace(-25.0, 25.0, 5_001))) > 0.0).all()
+    with np.errstate(all="raise"):
+        tails = C.paper_psi(np.array([-800.0, 800.0]))
+        assert math.isfinite(C.paper_psi(-800.0))
+        assert math.isfinite(C.paper_psi(800.0))
+    assert np.isfinite(tails).all()
 
 
 def test_custom_controller_feedthrough_flag():

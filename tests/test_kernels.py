@@ -1,7 +1,6 @@
 import dataclasses
 
 import numpy as np
-import pytest
 
 from couplednet import _fastpath
 from couplednet.couplers import (PSI_RANGE, custom_controller,
@@ -12,10 +11,8 @@ from couplednet.plants import (convex_gradient_agent, custom_agent,
                                damped_oscillator_agent, linear_agent)
 from couplednet.relations import quadratic, scalar_separable
 from couplednet.simulate import (IntegrateOptions, closed_loop,
-                                 default_initial_state, integrate)
-
-needs_numba = pytest.mark.skipif(not _fastpath.HAS_NUMBA,
-                                 reason="numba not installed")
+                                 default_initial_state, integrate,
+                                 integrate_schedule, step_rhs)
 
 
 def mixed_system():
@@ -40,35 +37,64 @@ def test_mixed_system_packs():
     assert mixed_system().packed is not None
 
 
-@needs_numba
-def test_rk45_numba_numpy_twins_agree(monkeypatch):
+def test_packed_rhs_matches_step_rhs():
+    system = mixed_system()
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        s = rng.normal(scale=2.0, size=system.state_dim)
+        ref = step_rhs(system, s)
+        fast = _fastpath._packed_rhs(s, system.packed)
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_packed_run_reports_fast_path_and_stats():
     system = mixed_system()
     s0 = default_initial_state(system)
-    monkeypatch.delenv("COUPLEDNET_FORCE_NUMPY", raising=False)
-    jit = integrate(system, s0, 5.0, IntegrateOptions(tol=1e-8))
-    assert jit.metadata["fast_path"] is True
-    monkeypatch.setenv("COUPLEDNET_FORCE_NUMPY", "1")
-    plain = integrate(system, s0, 5.0, IntegrateOptions(tol=1e-8))
-    assert plain.metadata["fast_path"] is False
-    assert np.array_equal(jit.states, plain.states)
-    assert np.array_equal(jit.y, plain.y)
-    assert np.array_equal(jit.mu, plain.mu)
+    traj = integrate(system, s0, 5.0, IntegrateOptions(tol=1e-8))
+    meta = traj.metadata
+    assert meta["fast_path"] is True
+    assert meta["nfev"] == 6 * (meta["accepted"] + meta["rejected"]) + 1
+    assert 0.0 < meta["h_min"] <= 5.0
+    rk4 = integrate(system, s0, 3.0, IntegrateOptions(method="rk4", dt=0.01,
+                                                      record_every=0.5))
+    assert rk4.metadata["nfev"] == 4 * rk4.metadata["accepted"]
+    both = integrate_schedule([(system, 5.0), (system, 5.0)], s0,
+                              IntegrateOptions(tol=1e-8))
+    second = integrate(system, traj.states[-1], 5.0, IntegrateOptions(tol=1e-8),
+                       t0=5.0)
+    assert both.metadata["nfev"] == meta["nfev"] + second.metadata["nfev"]
+    assert both.metadata["h_min"] == min(meta["h_min"], second.metadata["h_min"])
 
 
-@needs_numba
-def test_rk4_numba_numpy_twins_agree(monkeypatch):
+def test_dense_output_keeps_steps_independent_of_records():
     system = mixed_system()
     s0 = default_initial_state(system)
-    opts = IntegrateOptions(method="rk4", dt=0.01, record_every=0.5)
-    monkeypatch.delenv("COUPLEDNET_FORCE_NUMPY", raising=False)
-    jit = integrate(system, s0, 3.0, opts)
-    monkeypatch.setenv("COUPLEDNET_FORCE_NUMPY", "1")
-    plain = integrate(system, s0, 3.0, opts)
-    assert np.array_equal(jit.states, plain.states)
+    fine = integrate(system, s0, 10.0, IntegrateOptions(tol=1e-8))
+    coarse = integrate(system, s0, 10.0,
+                       IntegrateOptions(tol=1e-8, record_every=5.0))
+    assert len(fine.times) == 501 and len(coarse.times) == 3
+    assert np.max(np.abs(fine.states[-1] - coarse.states[-1])) <= 1e-9
+    assert fine.metadata["nfev"] <= 1.05 * coarse.metadata["nfev"]
+    assert np.allclose(fine.states[250], coarse.states[1], rtol=0.0, atol=1e-9)
 
 
-def test_packed_matches_generic_path(monkeypatch):
-    monkeypatch.setenv("COUPLEDNET_FORCE_NUMPY", "1")
+def test_uneven_record_times_match_runs_ending_there():
+    system = mixed_system()
+    s0 = default_initial_state(system)
+    rec = np.array([0.0, 1e-4, 0.013, 0.4, 0.41, 1.7, 1.7001, 3.0])
+
+    def rhs(s):
+        return _fastpath._packed_rhs(s, system.packed)
+
+    states, _ = _fastpath._rk45_loop(rhs, s0, 0.0, rec, 1e-10, 1e-10, 1e-3)
+    assert np.array_equal(states[0], s0)
+    for k in range(1, len(rec)):
+        ref = integrate(system, s0, rec[k], IntegrateOptions(
+            tol=1e-10, record_every=rec[k] / 2)).states[-1]
+        assert np.allclose(states[k], ref, rtol=0.0, atol=1e-8), rec[k]
+
+
+def test_packed_matches_generic_path():
     system = mixed_system()
     generic = dataclasses.replace(system, packed=None)
     s0 = default_initial_state(system)
@@ -80,8 +106,7 @@ def test_packed_matches_generic_path(monkeypatch):
     assert np.allclose(fast.mu, slow.mu, atol=1e-6)
 
 
-def test_packed_matches_generic_rk4(monkeypatch):
-    monkeypatch.setenv("COUPLEDNET_FORCE_NUMPY", "1")
+def test_packed_matches_generic_rk4():
     system = mixed_system()
     generic = dataclasses.replace(system, packed=None)
     s0 = default_initial_state(system)
@@ -144,10 +169,3 @@ def test_generic_fallback_still_integrates(monkeypatch):
                      IntegrateOptions(tol=1e-8))
     assert traj.metadata["fast_path"] is False
     assert np.isfinite(traj.states).all()
-
-
-def test_use_numba_flag(monkeypatch):
-    monkeypatch.setenv("COUPLEDNET_FORCE_NUMPY", "1")
-    assert _fastpath.use_numba() is False
-    monkeypatch.delenv("COUPLEDNET_FORCE_NUMPY")
-    assert _fastpath.use_numba() is _fastpath.HAS_NUMBA
