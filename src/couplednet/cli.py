@@ -126,15 +126,7 @@ def _load(config_path, seed):
 
 
 def _solve_options(cfg) -> SolveOptions:
-    sec = cfg.solver
-    kw = {}
-    if "tol" in sec:
-        kw["tol"] = float(sec["tol"])
-    if "max_iter" in sec:
-        kw["max_iter"] = int(sec["max_iter"])
-    if "step" in sec and sec["step"] is not None:
-        kw["step"] = float(sec["step"])
-    return SolveOptions(**kw)
+    return SolveOptions(tol=float(cfg.solver.get("tol", SolveOptions.tol)))
 
 
 def _integrate_options(cfg) -> IntegrateOptions:

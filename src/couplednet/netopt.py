@@ -29,24 +29,21 @@ from .errors import (
     EmptySelection,
     Infeasible,
     InfiniteValue,
-    NoConvergence,
     Unbounded,
     UnsupportedKind,
 )
 from .netgraph import DirectedGraph, IncidenceOperator, incidence
 from .plants import AgentModel, ss_relation
 from .relations import (
+    FunctionKind,
     IntegralFunction,
     RelationKind,
     VectorRelation,
-    as_quadratic,
+    _block_diag,
     conjugate_function,
     forward,
-    grad_of,
-    indicator_offsets,
     inverse,
     pair_residual,
-    prox,
     quadratic,
     stacked,
     stacked_relation,
@@ -226,7 +223,14 @@ def duality_gap(problem: NetworkProblem, u, mu, y, zeta) -> float:
 
 @dataclass
 class SolveOptions:
-    step: Optional[float] = None
+    """Solver settings.
+
+    tol decides feasibility of the pinned coordinates and whether a
+    flat direction carries a slope (both relative). max_iter is unused:
+    the solve is exact; the field is still accepted so existing callers
+    that pass it keep working.
+    """
+
     max_iter: int = 50_000
     tol: float = 1e-9
 
@@ -254,241 +258,104 @@ class SolveTrace:
                 writer.writerow(row)
 
 
-def _lmax(P: np.ndarray) -> float:
-    if P.size == 0:
-        return 0.0
-    return float(np.max(np.linalg.eigvalsh(0.5 * (P + P.T))))
+def _qp_parts(f: IntegralFunction):
+    """Split f into x'Px/2 + q'x (up to a constant) plus pins x[J] = a[J].
 
-
-def _quad_descent(H, lin, x0, opts: SolveOptions, obj, trace: SolveTrace):
-    """Fixed-step 1/L descent on x'Hx/2 + lin'x from x0.
-
-    Flat directions (null space of H) keep their x0 component; a
-    nonzero slope along a flat direction means the objective is
-    unbounded below. Returns (x, null_basis).
+    Returns (P, q, pinned, a) with pinned a boolean mask over the
+    coordinates; a is meaningful only where pinned is set. Covers the
+    quadratic, indicator-of-zero, shifted and stacked kinds.
     """
+    if f.kind is FunctionKind.QUADRATIC:
+        return f.P, f.q, np.zeros(f.dim, dtype=bool), np.zeros(f.dim)
+    if f.kind is FunctionKind.INDICATOR_ZERO:
+        return np.zeros((f.dim, f.dim)), np.zeros(f.dim), np.ones(f.dim, dtype=bool), np.zeros(f.dim)
+    if f.kind is FunctionKind.SHIFTED:
+        # inner(x - shift) + linear'x
+        P, q, pinned, a = _qp_parts(f.inner)
+        return P, q - P @ f.shift + f.linear, pinned, a + f.shift
+    if f.kind is FunctionKind.STACKED:
+        P, q, pinned, a = zip(*(_qp_parts(ch) for ch in f.children))
+        return _block_diag(P), np.concatenate(q), np.concatenate(pinned), np.concatenate(a)
+    raise UnsupportedKind(f"no quadratic form with pins for kind {f.kind}")
+
+
+def _solve_composite(f, g, L, x0, tol: float, objective):
+    """Minimize f(x) + g(L x) exactly, f and g quadratic with pins.
+
+    This is x'Hx/2 + lin'x subject to A x = b, with H = P_f + L'P_g L and
+    the pins of f and of g (as rows of L) stacked into A x = b. One SVD of
+    A gives the min-norm particular solution and a null-space basis Z;
+    one eigh of Z'HZ solves the reduced problem. Pins that no x meets
+    raise Infeasible. Flat reduced directions keep the start value's
+    component (noted "anchored"); a slope along one raises Unbounded.
+    Returns (x, trace) with one trace row: the objective and the norm of
+    the reduced gradient at x.
+    """
+    trace = SolveTrace(method="equality-qp")
+    Pf, qf, pf, af = _qp_parts(f)
+    Pg, qg, pg, ag = _qp_parts(g)
+    H = Pf + L.T @ Pg @ L
     H = 0.5 * (H + H.T)
-    x = np.asarray(x0, dtype=float).copy()
-    if H.size == 0:
-        return x, np.zeros((x.size, 0))
-    vals, vecs = np.linalg.eigh(H)
-    L = float(vals.max(initial=0.0))
-    null = vecs[:, vals <= 1e-12 * max(L, 1.0)]
-    if null.shape[1]:
-        slope = null.T @ lin
-        if np.linalg.norm(slope) > max(opts.tol, 1e-10):
+    lin = qf + L.T @ qg
+    A = np.vstack([np.eye(x0.size)[pf], L[pg]])
+    b = np.concatenate([af[pf], ag[pg]])
+    if A.shape[0]:
+        u, s, vt = np.linalg.svd(A)
+        rank = int(np.sum(s > 1e-12 * s.max(initial=0.0)))
+        x_p = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
+        if np.linalg.norm(A @ x_p - b) > tol * (1.0 + np.linalg.norm(b)):
+            raise Infeasible("no point meets the pinned coordinates")
+        Z = vt[rank:].T
+    else:
+        x_p, Z = np.zeros(x0.size), np.eye(x0.size)
+    vals, V = np.linalg.eigh(Z.T @ H @ Z)
+    W = Z @ V
+    slope = W.T @ (H @ x_p + lin)
+    flat = vals <= 1e-12 * max(vals.max(initial=0.0), 1.0)
+    if flat.any():
+        if np.linalg.norm(slope[flat]) > tol * (1.0 + np.linalg.norm(slope)):
             raise Unbounded("flat direction with nonzero slope")
         trace.notes.append("anchored")
-    if L <= 1e-14:
-        trace.record(0, obj(x), float(np.linalg.norm(lin)))
-        return x, null
-    step = opts.step if opts.step is not None else 1.0 / L
-    stride = max(1, opts.max_iter // 500)
-    for it in range(opts.max_iter):
-        g = H @ x + lin
-        gn = float(np.linalg.norm(g))
-        if it % stride == 0:
-            trace.record(it, obj(x), gn)
-        if gn <= opts.tol:
-            trace.record(it, obj(x), gn)
-            return x, null
-        x = x - step * g
-        if not np.all(np.isfinite(x)):
-            raise NoConvergence("iterates diverged")
-    g = H @ x + lin
-    gn = float(np.linalg.norm(g))
-    trace.record(opts.max_iter, obj(x), gn)
-    if gn > opts.tol:
-        raise NoConvergence(f"gradient norm {gn:.3e} above tol {opts.tol:.1e}")
-    return x, null
-
-
-def _subgradient_descent(subgrad, x0, opts: SolveOptions, obj, trace: SolveTrace):
-    x = np.asarray(x0, dtype=float).copy()
-    best_x, best_obj = x.copy(), obj(x)
-    g0 = float(np.linalg.norm(subgrad(x)))
-    c = opts.step if opts.step is not None else 1.0 / (1.0 + g0)
-    trace.notes.append(f"c={c:.6g}")
-    stride = max(1, opts.max_iter // 500)
-    for it in range(1, opts.max_iter + 1):
-        g = subgrad(x)
-        gn = float(np.linalg.norm(g))
-        if gn <= opts.tol:
-            return x
-        x = x - (c / math.sqrt(it)) * g
-        ox = obj(x)
-        if ox < best_obj:
-            best_obj, best_x = ox, x.copy()
-        if it % stride == 0:
-            trace.record(it, ox, gn)
-    return best_x
-
-
-def _quad_grad(f: IntegralFunction):
-    part = as_quadratic(f)
-    if part is None:
-        return None
-    P, q, _ = part
-    return P, q
+    c = W.T @ (x0 - x_p)
+    c[~flat] = -slope[~flat] / vals[~flat]
+    x = x_p + W @ c
+    trace.record(1, objective(x), float(np.linalg.norm(W.T @ (H @ x + lin))))
+    return x, trace
 
 
 def solve_opp(problem: NetworkProblem, init_y=None, opts: Optional[SolveOptions] = None):
     """Solve the potential problem: minimize K*(y) + Gamma(E' y).
 
-    Returns (y, zeta, trace) with zeta = E' y and the first-order
-    residual (distance of 0 to the inclusion) below opts.tol.
-
-    Indicator-type Gamma is handled exactly in the reduced variable
-    over the feasible subspace; smooth quadratic parts use fixed-step
-    descent at 1/L; anything else falls back to diminishing-step
-    subgradient descent with minimum-norm subgradients. When the
-    minimizer set is a translate family the iteration's start value
-    fixes the free component and the trace notes "anchored".
+    Returns (y, zeta, trace) with zeta = E' y. K* and Gamma are
+    quadratic with pinned blocks (affine nodes, integrator edges), so
+    the problem is an equality-constrained QP solved exactly. When the
+    minimizers form a translate family, init_y fixes the free component
+    and the trace notes "anchored".
     """
     opts = opts or SolveOptions()
     E = problem.op.lifted
-    nsize = problem.node_size
-    y0 = np.zeros(nsize) if init_y is None else np.asarray(init_y, dtype=float).ravel()
-    if y0.size != nsize:
+    y0 = np.zeros(problem.node_size) if init_y is None else np.asarray(init_y, dtype=float).ravel()
+    if y0.size != problem.node_size:
         raise DimensionMismatch("init_y has wrong length")
-    trace = SolveTrace()
-
-    ind = indicator_offsets(problem.Gamma)
-    if ind is not None:
-        alpha, beta, const = ind
-        # feasible set is E' y = alpha; the linear term of Gamma is
-        # constant on it, so only K* drives the reduced problem
-        y_p, *_ = np.linalg.lstsq(E.T, alpha, rcond=None)
-        if np.linalg.norm(E.T @ y_p - alpha) > 1e-9 * (1.0 + np.linalg.norm(alpha)):
-            raise Infeasible("edge offsets are not relative outputs of any y")
-        Z = problem.op.agreement_basis()
-        t0 = Z.T @ (y0 - y_p)
-        quad = _quad_grad(problem.Kstar)
-        trace.method = "reduced-gradient"
-
-        def obj_t(t):
-            return value(problem.Kstar, y_p + Z @ t)
-
-        if quad is not None:
-            P, q = quad
-            t, null = _quad_descent(Z.T @ P @ Z, Z.T @ (P @ y_p + q), t0, opts, obj_t, trace)
-            if null.shape[1]:
-                # pin the first node's coordinates to the start value
-                # along the flat directions
-                d = problem.op.dim
-                rows = (Z @ null)[:d, :]
-                target = y0[:d] - (y_p + Z @ t)[:d]
-                coef, *_ = np.linalg.lstsq(rows, target, rcond=None)
-                t = t + null @ coef
-        else:
-
-            def grad_t(t):
-                return Z.T @ grad_of(problem.Kstar, y_p + Z @ t)
-
-            t = _subgradient_descent(grad_t, t0, opts, obj_t, trace)
-            trace.method = "reduced-subgradient"
-        y = y_p + Z @ t
-        return y, E.T @ y, trace
-
-    quad_k = _quad_grad(problem.Kstar)
-    quad_g = _quad_grad(problem.Gamma)
-    if quad_k is not None and quad_g is not None:
-        Pk, qk = quad_k
-        Pg, qg = quad_g
-        H = Pk + E @ Pg @ E.T
-        lin = qk + E @ qg
-        trace.method = "gradient"
-        y, _ = _quad_descent(H, lin, y0, opts, lambda yv: opp_objective(problem, yv), trace)
-        return y, E.T @ y, trace
-
-    if quad_g is not None:
-        # smooth edge part, nonsmooth node part with a prox
-        Pg, qg = quad_g
-        H = E @ Pg @ E.T
-        L = max(_lmax(H), 1e-12)
-        step = opts.step if opts.step is not None else 1.0 / L
-        y = y0.copy()
-        trace.method = "prox-gradient"
-        stride = max(1, opts.max_iter // 500)
-        for it in range(opts.max_iter):
-            g_smooth = H @ y + E @ qg
-            y_next = prox(problem.Kstar, y - step * g_smooth, step)
-            move = float(np.linalg.norm(y_next - y)) / step
-            if it % stride == 0:
-                trace.record(it, opp_objective(problem, y_next), move)
-            y = y_next
-            if move <= opts.tol:
-                return y, E.T @ y, trace
-        raise NoConvergence("proximal gradient did not reach tolerance")
-
-    def subgrad_y(yv):
-        gk = grad_of(problem.Kstar, yv)
-        gg = grad_of(problem.Gamma, E.T @ yv)
-        return gk + E @ gg
-
-    trace.method = "subgradient"
-    y = _subgradient_descent(subgrad_y, y0, opts, lambda yv: opp_objective(problem, yv), trace)
-    res = inclusion_residual(problem, y)
-    if not (res <= max(opts.tol, 1e-6) * 10):
-        raise NoConvergence(f"inclusion residual {res:.3e} after subgradient descent")
+    y, trace = _solve_composite(problem.Kstar, problem.Gamma, E.T, y0, opts.tol,
+                                lambda yv: opp_objective(problem, yv))
     return y, E.T @ y, trace
 
 
 def solve_ofp(problem: NetworkProblem, init_mu=None, opts: Optional[SolveOptions] = None):
     """Solve the flow problem: minimize K(-E mu) + Gamma*(mu).
 
-    Returns (u, mu, trace) with u = -E mu. The cycle-space component
-    of mu stays at its start value whenever the objective is flat
-    along it (noted as "anchored").
+    Returns (u, mu, trace) with u = -E mu, by the same exact solve as
+    solve_opp. The cycle-space component of mu stays at its start value
+    whenever the objective is flat along it (noted as "anchored").
     """
     opts = opts or SolveOptions()
     E = problem.op.lifted
-    msize = problem.edge_size
-    mu0 = np.zeros(msize) if init_mu is None else np.asarray(init_mu, dtype=float).ravel()
-    if mu0.size != msize:
+    mu0 = np.zeros(problem.edge_size) if init_mu is None else np.asarray(init_mu, dtype=float).ravel()
+    if mu0.size != problem.edge_size:
         raise DimensionMismatch("init_mu has wrong length")
-    trace = SolveTrace()
-
-    quad_k = _quad_grad(problem.K)
-    quad_g = _quad_grad(problem.Gammastar)
-    if quad_k is not None and quad_g is not None:
-        Pk, qk = quad_k
-        Pg, qg = quad_g
-        H = E.T @ Pk @ E + Pg
-        lin = -E.T @ qk + qg
-        trace.method = "gradient"
-        mu, _ = _quad_descent(H, lin, mu0, opts, lambda m: ofp_objective(problem, m), trace)
-        return -E @ mu, mu, trace
-
-    if quad_k is not None:
-        Pk, qk = quad_k
-        H = E.T @ Pk @ E
-        L = max(_lmax(H), 1e-12)
-        step = opts.step if opts.step is not None else 1.0 / L
-        mu = mu0.copy()
-        trace.method = "prox-gradient"
-        stride = max(1, opts.max_iter // 500)
-        for it in range(opts.max_iter):
-            g_smooth = H @ mu - E.T @ qk
-            mu_next = prox(problem.Gammastar, mu - step * g_smooth, step)
-            move = float(np.linalg.norm(mu_next - mu)) / step
-            if it % stride == 0:
-                trace.record(it, ofp_objective(problem, mu_next), move)
-            mu = mu_next
-            if move <= opts.tol:
-                return -E @ mu, mu, trace
-        raise NoConvergence("proximal gradient did not reach tolerance")
-
-    def subgrad_mu(m):
-        gk = grad_of(problem.K, -E @ m)
-        gg = grad_of(problem.Gammastar, m)
-        return -E.T @ gk + gg
-
-    trace.method = "subgradient"
-    mu = _subgradient_descent(subgrad_mu, mu0, opts, lambda m: ofp_objective(problem, m), trace)
-    res = flow_residual(problem, mu)
-    if not (res <= max(opts.tol, 1e-6) * 10):
-        raise NoConvergence(f"flow residual {res:.3e} after subgradient descent")
+    mu, trace = _solve_composite(problem.Gammastar, problem.K, -E, mu0, opts.tol,
+                                 lambda m: ofp_objective(problem, m))
     return -E @ mu, mu, trace
 
 

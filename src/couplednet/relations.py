@@ -439,34 +439,6 @@ def _block_diag(mats) -> np.ndarray:
     return out
 
 
-def indicator_offsets(f: IntegralFunction):
-    """Match f(x) = I0(x - alpha) + beta'x + const; return (alpha, beta, const) or None."""
-    if f.kind is FunctionKind.INDICATOR_ZERO:
-        return np.zeros(f.dim), np.zeros(f.dim), 0.0
-    if f.kind is FunctionKind.SHIFTED:
-        part = indicator_offsets(f.inner)
-        if part is None:
-            return None
-        alpha, beta, const = part
-        # inner(x - shift): indicator sits at shift + alpha; inner linear
-        # term beta'(x - shift) folds into the constant
-        return (
-            alpha + f.shift,
-            beta + f.linear,
-            const + f.constant - float(beta @ f.shift),
-        )
-    if f.kind is FunctionKind.STACKED:
-        parts = [indicator_offsets(ch) for ch in f.children]
-        if any(p is None for p in parts):
-            return None
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            float(sum(p[2] for p in parts)),
-        )
-    return None
-
-
 def _psd_pinv(P: np.ndarray, tol: float = 1e-10):
     """Eigen-decomposition pseudo-inverse for symmetric PSD matrices."""
     vals, vecs = np.linalg.eigh(0.5 * (P + P.T))

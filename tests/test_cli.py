@@ -171,9 +171,26 @@ def test_unreadable_config_path(tmp_path):
     assert run_cli("predict", "--config", missing) == 1
 
 
-def test_solver_budget_exhaustion_is_numeric_error(tmp_path):
-    cfg = write_doc(tmp_path, hand_doc(solver={"max_iter": 1, "tol": 1e-14}))
-    assert run_cli("predict", "--config", cfg, "--out", str(tmp_path)) == 3
+def test_predict_refuses_unbalanced_integrator_cycle(tmp_path, capsys):
+    integ = {"type": "integrator",
+             "potential": {"kind": "quadratic", "P": [[1.0]]}}
+    doc = hand_doc(
+        graph={"nodes": 3, "edges": [[0, 1], [1, 2], [2, 0]]},
+        agents=[{"type": "linear", "A": [[-1.0]], "B": [[1.0]], "C": [[1.0]]}] * 3,
+        controllers=[{"type": "reconfigured", "inner": integ,
+                      "alpha": [1.0], "beta": [0.0]}] * 3)
+    cfg = write_doc(tmp_path, doc)
+    assert run_cli("predict", "--config", cfg, "--out", str(tmp_path)) == 2
+    assert "Infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_simulation_is_numeric_error(tmp_path, capsys):
+    # fixed steps far beyond the stability limit blow the state up
+    cfg = write_doc(tmp_path, hand_doc(
+        simulation={"method": "rk4", "dt": 10.0, "horizon": 5000.0}))
+    assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path)) == 3
+    assert "NonFiniteState" in capsys.readouterr().err
 
 
 def test_console_script_round_trip(tmp_path):
