@@ -66,6 +66,8 @@ EXIT_CONFIG = 1
 EXIT_MATH = 2
 EXIT_NUMERIC = 3
 
+_CERT_TOL = 1e-6  # residual bound a predicted steady state must meet
+
 _MATH_ERRORS = (Infeasible, NotForcible, EmptyInverse, EmptySelection,
                 RelationNotEvaluable, Unbounded, OutsideDomain)
 _NUMERIC_ERRORS = (NoConvergence, SolverFailure, StepUnderflow,
@@ -154,13 +156,24 @@ def cli():
 @click.option("--out", default=".", type=click.Path(), help="Output directory.")
 @click.option("--seed", default=None, type=int, help="Override config seed.")
 def cmd_predict(config_path, out, seed):
-    """Solve for the steady state and write the certificate."""
+    """Solve for the steady state and write the certificate.
+
+    An optimum whose certificate fails is refused (exit 2).
+    """
 
     def run():
         cfg = _load(config_path, seed)
         problem = assemble(cfg.graph, cfg.agents, cfg.controllers)
         y, zeta, trace = solve_opp(problem, opts=_solve_options(cfg))
         cert = recover_certificate(problem, y, zeta)
+        if not cert.valid(_CERT_TOL):
+            # e.g. a saturating integrator asked for an effort outside
+            # its output range: the optimum is no steady state
+            raise Infeasible(
+                "optimum fails its certificate: residuals "
+                f"consistency {cert.residual_consistency:.3e}, "
+                f"relations {cert.residual_relations:.3e}, "
+                f"inclusion {cert.residual_inclusion:.3e}")
         gap = duality_gap(problem, cert.u, cert.mu, cert.y, cert.zeta)
         outdir = _outdir(out)
         trace.write_csv(os.path.join(outdir, "opp_trace.csv"))

@@ -39,7 +39,8 @@ from .relations import (
     IntegralFunction,
     RelationKind,
     VectorRelation,
-    _block_diag,
+    as_quadratic,
+    block_diag,
     conjugate_function,
     forward,
     inverse,
@@ -262,11 +263,13 @@ def _qp_parts(f: IntegralFunction):
     """Split f into x'Px/2 + q'x (up to a constant) plus pins x[J] = a[J].
 
     Returns (P, q, pinned, a) with pinned a boolean mask over the
-    coordinates; a is meaningful only where pinned is set. Covers the
-    quadratic, indicator-of-zero, shifted and stacked kinds.
+    coordinates; a is meaningful only where pinned is set. Pin-free
+    parts go through as_quadratic; pins come from indicator-of-zero
+    kinds, possibly shifted or stacked.
     """
-    if f.kind is FunctionKind.QUADRATIC:
-        return f.P, f.q, np.zeros(f.dim, dtype=bool), np.zeros(f.dim)
+    quad = as_quadratic(f)
+    if quad is not None:
+        return quad[0], quad[1], np.zeros(f.dim, dtype=bool), np.zeros(f.dim)
     if f.kind is FunctionKind.INDICATOR_ZERO:
         return np.zeros((f.dim, f.dim)), np.zeros(f.dim), np.ones(f.dim, dtype=bool), np.zeros(f.dim)
     if f.kind is FunctionKind.SHIFTED:
@@ -275,7 +278,7 @@ def _qp_parts(f: IntegralFunction):
         return P, q - P @ f.shift + f.linear, pinned, a + f.shift
     if f.kind is FunctionKind.STACKED:
         P, q, pinned, a = zip(*(_qp_parts(ch) for ch in f.children))
-        return _block_diag(P), np.concatenate(q), np.concatenate(pinned), np.concatenate(a)
+        return block_diag(P), np.concatenate(q), np.concatenate(pinned), np.concatenate(a)
     raise UnsupportedKind(f"no quadratic form with pins for kind {f.kind}")
 
 

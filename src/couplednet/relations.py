@@ -413,7 +413,7 @@ def as_quadratic(f: IntegralFunction):
         parts = [as_quadratic(ch) for ch in f.children]
         if any(p is None for p in parts):
             return None
-        P = _block_diag([p[0] for p in parts])
+        P = block_diag([p[0] for p in parts])
         q = np.concatenate([p[1] for p in parts])
         c = float(sum(p[2] for p in parts))
         return P, q, c
@@ -429,7 +429,8 @@ def as_quadratic(f: IntegralFunction):
     return None
 
 
-def _block_diag(mats) -> np.ndarray:
+def block_diag(mats) -> np.ndarray:
+    """Square blocks placed along the diagonal of one dense matrix."""
     dims = [m.shape[0] for m in mats]
     out = np.zeros((sum(dims), sum(dims)))
     ofs = 0

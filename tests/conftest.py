@@ -1,6 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from couplednet.couplers import linear_synthesis
 from couplednet.netgraph import build_graph
 from couplednet.plants import linear_agent
 
@@ -40,6 +44,19 @@ def meicmp_linear_agent(rng, d, anchor=None):
     w = np.zeros(d) if anchor is None else R @ np.linalg.solve(B.T, anchor)
     # w chosen so that y = anchor at u = 0: y = B'R^-1(Bu + w)
     return linear_agent(-R, B, B.T, w=w)
+
+
+def mixed_network(seed):
+    """3 oscillator nodes, d = 2, on a triangle: edge 0 a saturating
+    integrator, edges 1 and 2 linear synthesis with random offsets."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_integrate.py"
+    spec = importlib.util.spec_from_file_location("bench_integrate", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    small = bench.build_system(3, seed=seed)
+    offsets = np.random.default_rng(seed).normal(0.0, 0.5, size=(2, 2))
+    ctrls = [small.controllers[0]] + [linear_synthesis(off) for off in offsets]
+    return build_graph(3, small.graph.edges[:3]), small.agents, ctrls
 
 
 @pytest.fixture

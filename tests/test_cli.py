@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from couplednet.cli import main
-from couplednet.config import SCHEMA, parse_config
+from couplednet.config import (SCHEMA, agent_to_spec, controller_to_spec,
+                               parse_config)
+
+from conftest import mixed_network
 
 
 def run_cli(*args):
@@ -182,6 +185,19 @@ def test_predict_refuses_unbalanced_integrator_cycle(tmp_path, capsys):
     cfg = write_doc(tmp_path, doc)
     assert run_cli("predict", "--config", cfg, "--out", str(tmp_path)) == 2
     assert "Infeasible" in capsys.readouterr().err
+
+
+def test_predict_refuses_saturated_integrator(tmp_path, capsys):
+    # the unconstrained optimum asks the saturating integrator for an
+    # effort outside its output range, so there is no steady state
+    g, agents, ctrls = mixed_network(seed=3)
+    doc = hand_doc(graph={"nodes": 3, "edges": [list(e) for e in g.edges]},
+                   agents=[agent_to_spec(a) for a in agents],
+                   controllers=[controller_to_spec(c) for c in ctrls])
+    cfg = write_doc(tmp_path, doc)
+    assert run_cli("predict", "--config", cfg, "--out", str(tmp_path)) == 2
+    assert "Infeasible" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

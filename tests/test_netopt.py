@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,13 +14,13 @@ from couplednet.netopt import (SolveOptions, assemble, duality_gap,
                                problem_from_relations, recover_certificate,
                                solve_ofp, solve_opp, verify_steady_state)
 from couplednet.plants import linear_agent
-from couplednet.relations import (affine_relation, quadratic,
+from couplednet.relations import (affine_relation, function_sum, quadratic,
                                   scalar_separable)
 from couplednet.simulate import (IntegrateOptions, closed_loop,
                                  compare_prediction, default_initial_state,
                                  detect_convergence, integrate)
 
-from conftest import meicmp_linear_agent, rand_connected_graph
+from conftest import meicmp_linear_agent, mixed_network, rand_connected_graph
 
 
 def hand_problem():
@@ -115,10 +112,15 @@ def test_problem_from_relations():
     g = build_graph(2, [(0, 1)])
     op = incidence(g, 1)
     node_rels = [affine_relation(np.eye(1)), affine_relation(np.eye(1), [2.0])]
-    prob = problem_from_relations(op, node_rels, [quadratic(np.eye(1))])
-    y, zeta, _ = solve_opp(prob)
-    # minimize y0^2/2 + (y1-2)^2/2 + (y1-y0)^2/2: y = (2/3, 4/3)
-    assert np.allclose(y, [2.0 / 3.0, 4.0 / 3.0], atol=1e-8)
+    half = quadratic(0.5 * np.eye(1))
+    # a sum of quadratics is the same quadratic edge function
+    for edge in (quadratic(np.eye(1)), function_sum([half, half])):
+        prob = problem_from_relations(op, node_rels, [edge])
+        y, zeta, _ = solve_opp(prob)
+        # minimize y0^2/2 + (y1-2)^2/2 + (y1-y0)^2/2: y = (2/3, 4/3)
+        assert np.allclose(y, [2.0 / 3.0, 4.0 / 3.0], atol=1e-8)
+        u, _, _ = solve_ofp(prob)
+        assert np.allclose(u, y - [0.0, 2.0], atol=1e-8)  # y = u + offset
 
 
 def test_solve_opp_bad_init():
@@ -157,19 +159,6 @@ def test_random_networks_zero_gap(seed, n, d):
     for _ in range(5):
         assert opp_objective(prob, y + 0.1 * rng.normal(size=y.size)) >= base - 1e-9
     assert flow_residual(prob, cert.mu) <= 1e-6
-
-
-def mixed_network(seed):
-    """3 oscillator nodes, d = 2, on a triangle: edge 0 a saturating
-    integrator, edges 1 and 2 linear synthesis with random offsets."""
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_integrate.py"
-    spec = importlib.util.spec_from_file_location("bench_integrate", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    small = bench.build_system(3, seed=seed)
-    offsets = np.random.default_rng(seed).normal(0.0, 0.5, size=(2, 2))
-    ctrls = [small.controllers[0]] + [linear_synthesis(off) for off in offsets]
-    return build_graph(3, small.graph.edges[:3]), small.agents, ctrls
 
 
 def test_mixed_controller_network_predicts_and_settles():
