@@ -4,7 +4,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -401,22 +400,14 @@ def _classify_controller(ctrl):
 @click.option("--seed", default=None, type=int)
 @click.option("--samples", default=10_000, type=int,
               help="Cycles per randomized check.")
-@click.option("--jobs", default=1, type=int,
-              help="Parallel workers for independent randomized checks.")
-def cmd_check_cm(config_path, out, seed, samples, jobs):
+def cmd_check_cm(config_path, out, seed, samples):
     """Classify every agent and controller for cyclic monotonicity."""
 
     def run():
         cfg = _load(config_path, seed)
         rng_seed = cfg.seed
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(_classify_agent, a, samples, rng_seed + i)
-                           for i, a in enumerate(cfg.agents)]
-                agent_rows = [f.result() for f in futures]
-        else:
-            agent_rows = [_classify_agent(a, samples, rng_seed + i)
-                          for i, a in enumerate(cfg.agents)]
+        agent_rows = [_classify_agent(a, samples, rng_seed + i)
+                      for i, a in enumerate(cfg.agents)]
         ctrl_rows = [_classify_controller(c) for c in cfg.controllers]
         outdir = _outdir(out)
         _write_json(os.path.join(outdir, "cm_report.json"),

@@ -46,6 +46,7 @@ from .relations import (
     inverse,
     pair_residual,
     quadratic,
+    solve_affine,
     stacked,
     stacked_relation,
     value,
@@ -182,26 +183,34 @@ def ofp_objective(problem: NetworkProblem, mu) -> float:
     return value(problem.K, -problem.op.lifted @ mu) + value(problem.Gammastar, mu)
 
 
+def _zero_distance(first, second, M) -> float:
+    """Distance of 0 to the set first + M second (inf if either is empty).
+
+    That is the least-squares residual of [A, M B] x = -(a + M b) for
+    first = a + span(A) and second = b + span(B).
+    """
+    if first.is_empty or second.is_empty:
+        return math.inf
+    C = np.hstack([first.directions, M @ second.directions])
+    r = first.basepoint + M @ second.basepoint
+    x, *_ = np.linalg.lstsq(C, -r, rcond=None)
+    return float(np.linalg.norm(C @ x + r))
+
+
 def inclusion_residual(problem: NetworkProblem, y) -> float:
     """Distance of 0 to the set k^-1(y) + E gamma(E' y)."""
     y = np.asarray(y, dtype=float).ravel()
-    du = inverse(problem.node_relation, y)
-    dmu = forward(problem.edge_relation, problem.op.lifted.T @ y)
-    if du.is_empty or dmu.is_empty:
-        return math.inf
-    return du.minkowski(dmu.linear_image(problem.op.lifted)).distance(np.zeros(problem.node_size))
+    E = problem.op.lifted
+    return _zero_distance(inverse(problem.node_relation, y),
+                          forward(problem.edge_relation, E.T @ y), E)
 
 
 def flow_residual(problem: NetworkProblem, mu) -> float:
     """Distance of 0 to the set gamma^-1(mu) - E' k(-E mu)."""
     mu = np.asarray(mu, dtype=float).ravel()
     E = problem.op.lifted
-    dzeta = inverse(problem.edge_relation, mu)
-    dy = forward(problem.node_relation, -E @ mu)
-    if dzeta.is_empty or dy.is_empty:
-        return math.inf
-    neg = dy.linear_image(-E.T)
-    return dzeta.minkowski(neg).distance(np.zeros(problem.edge_size))
+    return _zero_distance(inverse(problem.edge_relation, mu),
+                          forward(problem.node_relation, -E @ mu), -E.T)
 
 
 def duality_gap(problem: NetworkProblem, u, mu, y, zeta) -> float:
@@ -286,11 +295,12 @@ def _solve_composite(f, g, L, x0, tol: float, objective):
     """Minimize f(x) + g(L x) exactly, f and g quadratic with pins.
 
     This is x'Hx/2 + lin'x subject to A x = b, with H = P_f + L'P_g L and
-    the pins of f and of g (as rows of L) stacked into A x = b. One SVD of
-    A gives the min-norm particular solution and a null-space basis Z;
-    one eigh of Z'HZ solves the reduced problem. Pins that no x meets
-    raise Infeasible. Flat reduced directions keep the start value's
-    component (noted "anchored"); a slope along one raises Unbounded.
+    the pins of f and of g (as rows of L) stacked into A x = b.
+    solve_affine gives the min-norm particular solution and an
+    orthonormal null-space basis Z; one eigh of Z'HZ solves the reduced
+    problem. Pins that no x meets raise Infeasible. Flat reduced
+    directions keep the start value's component (noted "anchored"); a
+    slope along one raises Unbounded.
     Returns (x, trace) with one trace row: the objective and the norm of
     the reduced gradient at x.
     """
@@ -302,15 +312,10 @@ def _solve_composite(f, g, L, x0, tol: float, objective):
     lin = qf + L.T @ qg
     A = np.vstack([np.eye(x0.size)[pf], L[pg]])
     b = np.concatenate([af[pf], ag[pg]])
-    if A.shape[0]:
-        u, s, vt = np.linalg.svd(A)
-        rank = int(np.sum(s > 1e-12 * s.max(initial=0.0)))
-        x_p = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
-        if np.linalg.norm(A @ x_p - b) > tol * (1.0 + np.linalg.norm(b)):
-            raise Infeasible("no point meets the pinned coordinates")
-        Z = vt[rank:].T
-    else:
-        x_p, Z = np.zeros(x0.size), np.eye(x0.size)
+    pins = solve_affine(A, b, tol)
+    if pins.is_empty:
+        raise Infeasible("no point meets the pinned coordinates")
+    x_p, Z = pins.basepoint, pins.directions
     vals, V = np.linalg.eigh(Z.T @ H @ Z)
     W = Z @ V
     slope = W.T @ (H @ x_p + lin)
@@ -393,20 +398,15 @@ class SteadyStateCertificate:
         )
 
 
-def _descriptor_parts(desc):
-    base = desc.basepoint
-    basis = desc.basis if desc.basis is not None else np.zeros((desc.dim, 0))
-    return base, basis
-
-
 def recover_certificate(problem: NetworkProblem, y, zeta, tol: float = 1e-6) -> SteadyStateCertificate:
     """Recover (u, mu) from an OPP solution (y, zeta).
 
     Selects u from k^-1(y) and mu from gamma(zeta) subject to
     u = -E mu, minimizing ||u||^2 + ||mu||^2 over the consistent
-    choices (a constrained least-squares over the descriptor
-    subspaces). Raises EmptySelection when no consistent pair exists
-    at tol.
+    choices. With u = a + A s and mu = b + B r (A, B orthonormal), the
+    consistent (s, r) are x0 + span(Z) from one solve_affine, and the
+    minimizer is x0 - Z Z'[A'a; B'b]. Raises EmptySelection when no
+    consistent pair exists at tol.
     """
     y = np.asarray(y, dtype=float).ravel()
     zeta = np.asarray(zeta, dtype=float).ravel()
@@ -415,35 +415,16 @@ def recover_certificate(problem: NetworkProblem, y, zeta, tol: float = 1e-6) -> 
     dmu = forward(problem.edge_relation, zeta)
     if du.is_empty or dmu.is_empty:
         raise EmptySelection("a relation has no element at the requested point")
-    a, A = _descriptor_parts(du)
-    b, B = _descriptor_parts(dmu)
-    # constraint: a + A s = -E (b + B r)
-    M = np.hstack([A, E @ B]) if A.size or B.size else np.zeros((a.size, 0))
-    rhs = -E @ b - a
-    if M.shape[1] == 0:
-        if np.linalg.norm(rhs) > tol * (1.0 + np.linalg.norm(a)):
-            raise EmptySelection("unique selections are inconsistent")
-        sr = np.zeros(0)
-    else:
-        sr, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        if np.linalg.norm(M @ sr - rhs) > tol * (1.0 + np.linalg.norm(rhs)):
-            raise EmptySelection("no consistent (u, mu) pair at tolerance")
-        # minimize ||u||^2 + ||mu||^2 over the solution family
-        u_mat, s_mat, vt = np.linalg.svd(M)
-        cutoff = 1e-12 * (s_mat[0] if s_mat.size else 1.0)
-        rank = int(np.sum(s_mat > cutoff))
-        null = vt[rank:].T
-        if null.shape[1]:
-            D = np.zeros((a.size + b.size, M.shape[1]))
-            D[: a.size, : A.shape[1]] = A
-            D[a.size :, A.shape[1] :] = B
-            c0 = np.concatenate([a, b]) + D @ sr
-            zshift, *_ = np.linalg.lstsq(D @ null, -c0, rcond=None)
-            sr = sr + null @ zshift
-    s = sr[: A.shape[1]]
-    r = sr[A.shape[1] :]
-    u = a + (A @ s if A.size else 0.0)
-    mu = b + (B @ r if B.size else 0.0)
+    a, A = du.basepoint, du.directions
+    b, B = dmu.basepoint, dmu.directions
+    # consistency: a + A s = -E (b + B r)
+    family = solve_affine(np.hstack([A, E @ B]), -E @ b - a, tol)
+    if family.is_empty:
+        raise EmptySelection("no consistent (u, mu) pair at tolerance")
+    Z = family.directions
+    sr = family.basepoint - Z @ (Z.T @ np.concatenate([A.T @ a, B.T @ b]))
+    u = a + A @ sr[: A.shape[1]]
+    mu = b + B @ sr[A.shape[1] :]
     res_cons = max(
         float(np.linalg.norm(zeta - E.T @ y)), float(np.linalg.norm(u + E @ mu))
     )

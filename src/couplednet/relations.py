@@ -92,11 +92,16 @@ class SetDescriptor:
         basepoint = np.asarray(basepoint, dtype=float).ravel()
         dim = basepoint.size
         q = _orthonormal_cols(np.asarray(basis, dtype=float).reshape(dim, -1))
+        return SetDescriptor._spanned(basepoint, q)
+
+    @staticmethod
+    def _spanned(basepoint: np.ndarray, q: np.ndarray) -> "SetDescriptor":
+        """basepoint + span(q) for q with orthonormal columns already."""
         if q.shape[1] == 0:
             return SetDescriptor.point(basepoint)
-        if q.shape[1] == dim:
-            return SetDescriptor.everything(dim)
-        return SetDescriptor(SetKind.AFFINE, dim, basepoint=basepoint, basis=q)
+        if q.shape[1] == basepoint.size:
+            return SetDescriptor.everything(basepoint.size)
+        return SetDescriptor(SetKind.AFFINE, basepoint.size, basepoint=basepoint, basis=q)
 
     # -- predicates ----------------------------------------------------
     @property
@@ -106,6 +111,11 @@ class SetDescriptor:
     @property
     def is_point(self) -> bool:
         return self.kind is SetKind.POINT
+
+    @property
+    def directions(self) -> np.ndarray:
+        """Orthonormal basis of the direction space, (dim, 0) if there is none."""
+        return self.basis if self.basis is not None else np.zeros((self.dim, 0))
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         return self.distance(x) <= tol
@@ -141,30 +151,15 @@ class SetDescriptor:
             return self
         if self.kind is SetKind.POINT:
             return SetDescriptor.point(self.basepoint + v)
-        return SetDescriptor.affine(self.basepoint + v, self.basis)
-
-    def linear_image(self, mat) -> "SetDescriptor":
-        """Image {mat @ x : x in set}."""
-        mat = np.asarray(mat, dtype=float)
-        if self.kind is SetKind.EMPTY:
-            return SetDescriptor.empty(mat.shape[0])
-        b = mat @ self.basepoint
-        if self.kind is SetKind.POINT:
-            return SetDescriptor.point(b)
-        return SetDescriptor.affine(b, mat @ self.basis)
+        return SetDescriptor(SetKind.AFFINE, self.dim, self.basepoint + v, self.basis)
 
     def minkowski(self, other: "SetDescriptor") -> "SetDescriptor":
         if self.dim != other.dim:
             raise DimensionMismatch("minkowski sum of mismatched dimensions")
         if self.is_empty or other.is_empty:
             return SetDescriptor.empty(self.dim)
-        b = self.basepoint + other.basepoint
-        blocks = [
-            d.basis for d in (self, other) if d.basis is not None and d.basis.size
-        ]
-        if not blocks:
-            return SetDescriptor.point(b)
-        return SetDescriptor.affine(b, np.hstack(blocks))
+        return SetDescriptor.affine(self.basepoint + other.basepoint,
+                                    np.hstack([self.directions, other.directions]))
 
     @staticmethod
     def product(parts: list["SetDescriptor"]) -> "SetDescriptor":
@@ -173,33 +168,27 @@ class SetDescriptor:
         if any(p.is_empty for p in parts):
             return SetDescriptor.empty(dim)
         base = np.concatenate([p.basepoint for p in parts])
-        cols = []
-        offset = 0
-        for p in parts:
-            if p.basis is not None and p.basis.size:
-                block = np.zeros((dim, p.basis.shape[1]))
-                block[offset : offset + p.dim, :] = p.basis
-                cols.append(block)
-            offset += p.dim
-        if not cols:
-            return SetDescriptor.point(base)
-        return SetDescriptor.affine(base, np.hstack(cols))
+        # orthonormal blocks on the diagonal stay orthonormal
+        return SetDescriptor._spanned(base, block_diag([p.directions for p in parts]))
 
 
-def _solve_affine(mat: np.ndarray, rhs: np.ndarray, tol: float = 1e-8) -> SetDescriptor:
-    """Solution set of mat @ x = rhs as a descriptor (Empty if inconsistent)."""
+def solve_affine(mat, rhs, tol: float = 1e-8) -> SetDescriptor:
+    """Solution set of mat @ x = rhs as a descriptor (Empty if inconsistent).
+
+    One SVD gives the minimum-norm solution, as basepoint, and an
+    orthonormal basis of the null space of mat. The system counts as
+    inconsistent when that solution misses rhs by more than
+    tol * (1 + ||rhs||).
+    """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     rhs = np.asarray(rhs, dtype=float).ravel()
-    x0, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    # all of vt is needed only when it has fewer rows than columns
+    u, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    rank = int(np.sum(s > 1e-12 * s.max(initial=0.0)))
+    x0 = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
     if np.linalg.norm(mat @ x0 - rhs) > tol * (1.0 + np.linalg.norm(rhs)):
         return SetDescriptor.empty(mat.shape[1])
-    u, s, vt = np.linalg.svd(mat)
-    cutoff = 1e-12 * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > cutoff))
-    null = vt[rank:].T
-    if null.shape[1] == 0:
-        return SetDescriptor.point(x0)
-    return SetDescriptor.affine(x0, null)
+    return SetDescriptor._spanned(x0, vt[rank:].T)
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +419,12 @@ def as_quadratic(f: IntegralFunction):
 
 
 def block_diag(mats) -> np.ndarray:
-    """Square blocks placed along the diagonal of one dense matrix."""
-    dims = [m.shape[0] for m in mats]
-    out = np.zeros((sum(dims), sum(dims)))
-    ofs = 0
-    for m, k in zip(mats, dims):
-        out[ofs : ofs + k, ofs : ofs + k] = m
-        ofs += k
+    """Blocks placed along the diagonal of one dense matrix."""
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
+    row = col = 0
+    for m in mats:
+        out[row : row + m.shape[0], col : col + m.shape[1]] = m
+        row, col = row + m.shape[0], col + m.shape[1]
     return out
 
 
@@ -745,7 +733,7 @@ def _grad_solve(chi: IntegralFunction, y: np.ndarray) -> SetDescriptor:
     quad = as_quadratic(chi)
     if quad is not None:
         P, q, _ = quad
-        return _solve_affine(P, y - q)
+        return solve_affine(P, y - q)
     if chi.kind is FunctionKind.SCALAR_SEPARABLE:
         roots = []
         for yj in y:
@@ -772,7 +760,7 @@ def inverse(rel: VectorRelation, y) -> SetDescriptor:
     """The set of steady inputs producing steady output y (Empty if none)."""
     y = _check_rel_dim(rel, y)
     if rel.kind is RelationKind.AFFINE:
-        return _solve_affine(rel.S, y - rel.v)
+        return solve_affine(rel.S, y - rel.v)
     if rel.kind is RelationKind.GRADIENT_OF_CONVEX:
         return _grad_solve(rel.chi, y)
     if rel.kind is RelationKind.INTEGRATOR:

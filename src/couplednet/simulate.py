@@ -595,13 +595,10 @@ def export_csv(traj: Trajectory, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k in range(len(traj.times)):
-            row = [repr(float(traj.times[k]))]
-            row += [repr(float(v)) for v in traj.y[k]]
-            row += [repr(float(v)) for v in traj.u[k]]
-            row += [repr(float(v)) for v in traj.zeta[k]]
-            row += [repr(float(v)) for v in traj.mu[k]]
-            writer.writerow(row)
+        # csv writes each Python float as its shortest round-tripping repr;
+        # converting row by row keeps one row of Python floats alive at a time
+        data = np.column_stack([traj.times, traj.y, traj.u, traj.zeta, traj.mu])
+        writer.writerows(row.tolist() for row in data)
 
 
 def run_summary(traj: Trajectory, window: Optional[float] = None,

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .netopt import NetworkProblem
-from .relations import FunctionKind, SetDescriptor, as_quadratic, inverse, value
+from .relations import FunctionKind, SetDescriptor, as_quadratic, inverse, solve_affine, value
 
 # strict-convexity probe parameters
 PROBE_MARGIN = 1e-6
@@ -56,15 +56,10 @@ def _witness(descs, target: np.ndarray, tol: float):
     """Pick u_i in each descriptor with sum_i u_i = target, or None."""
     d = target.size
     cat = SetDescriptor.product(list(descs))
-    base = cat.basepoint
-    basis = cat.basis if cat.basis is not None else np.zeros((cat.dim, 0))
+    base, basis = cat.basepoint, cat.directions
     summer = np.kron(np.ones((1, len(descs))), np.eye(d))
-    rhs = target - summer @ base
-    if basis.shape[1]:
-        s, *_ = np.linalg.lstsq(summer @ basis, rhs, rcond=None)
-        u = base + basis @ s
-    else:
-        u = base
+    s, *_ = np.linalg.lstsq(summer @ basis, target - summer @ base, rcond=None)
+    u = base + basis @ s
     if np.linalg.norm(summer @ u - target) > tol * (1.0 + np.linalg.norm(target)):
         return None
     return u
@@ -286,25 +281,14 @@ def g_map(problem: NetworkProblem, y, tol: float = 1e-8) -> np.ndarray:
     E = problem.op.lifted
     descs = _inverse_descriptors(problem, y)
     cat = SetDescriptor.product(descs)
-    a = cat.basepoint
-    Q = cat.basis if cat.basis is not None else np.zeros((cat.dim, 0))
     # -E mu = a + Q s: solve for (mu, s), then minimize ||mu|| over the family
-    C = np.hstack([E, Q])
-    rhs = -a
-    x0, *_ = np.linalg.lstsq(C, rhs, rcond=None)
-    if np.linalg.norm(C @ x0 - rhs) > max(tol, 1e-8) * (1.0 + np.linalg.norm(a)):
+    family = solve_affine(np.hstack([E, cat.directions]), -cat.basepoint, max(tol, 1e-8))
+    if family.is_empty:
         raise NotForcible("y is not forcible, no consistent flow exists")
-    _, svals, vt = np.linalg.svd(C)
-    cutoff = 1e-12 * (svals[0] if svals.size else 1.0)
-    rank = int(np.sum(svals > cutoff))
-    null = vt[rank:].T
-    msize = problem.edge_size
-    mu = x0[:msize]
-    if null.shape[1]:
-        nm = null[:msize]
-        coef, *_ = np.linalg.lstsq(nm, -mu, rcond=None)
-        mu = mu + nm @ coef
-    return mu
+    mu = family.basepoint[: problem.edge_size]
+    nm = family.directions[: problem.edge_size]
+    coef, *_ = np.linalg.lstsq(nm, -mu, rcond=None)
+    return mu + nm @ coef
 
 
 def reconfiguration_offsets(problem: NetworkProblem, y0, y_star, tol: float = 1e-8):

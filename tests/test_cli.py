@@ -137,13 +137,6 @@ def test_check_cm_exact_and_randomized(tmp_path, capsys):
     assert report["agents"][1]["exact"] is False
 
 
-def test_check_cm_parallel_jobs(tmp_path):
-    cfg = write_doc(tmp_path, hand_doc())
-    code = run_cli("check-cm", "--config", cfg, "--out", str(tmp_path),
-                   "--jobs", "2")
-    assert code == 0
-
-
 def test_verify_accepts_true_candidate(tmp_path, capsys):
     doc = hand_doc(candidate={"u": [0.8, -0.8], "y": [0.8, 2.6],
                               "zeta": [1.8], "mu": [0.8]})

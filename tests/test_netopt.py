@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from couplednet.couplers import (PSI_RANGE, linear_synthesis,
                                  nonlinear_integrator, paper_psi,
                                  reconfigured)
-from couplednet.errors import DimensionMismatch, Infeasible, Unbounded
+from couplednet.errors import (DimensionMismatch, EmptySelection, Infeasible,
+                               Unbounded)
 from couplednet.netgraph import build_graph, incidence
 from couplednet.netopt import (SolveOptions, assemble, duality_gap,
                                flow_residual, inclusion_residual,
@@ -14,13 +15,15 @@ from couplednet.netopt import (SolveOptions, assemble, duality_gap,
                                problem_from_relations, recover_certificate,
                                solve_ofp, solve_opp, verify_steady_state)
 from couplednet.plants import linear_agent
-from couplednet.relations import (affine_relation, function_sum, quadratic,
-                                  scalar_separable)
+from couplednet.relations import (affine_relation, function_sum,
+                                  indicator_zero, quadratic, scalar_separable,
+                                  shifted, stacked)
 from couplednet.simulate import (IntegrateOptions, closed_loop,
                                  compare_prediction, default_initial_state,
                                  detect_convergence, integrate)
 
-from conftest import meicmp_linear_agent, mixed_network, rand_connected_graph
+from conftest import (meicmp_linear_agent, mixed_network, rand_connected_graph,
+                      rand_spd)
 
 
 def hand_problem():
@@ -237,3 +240,87 @@ def test_pinned_output_node():
     # y0 is pinned at 1; y1 minimizes y1^2/2 + (y1 - 1)^2/2
     assert np.allclose(y, [1.0, 0.5], atol=1e-12)
     assert recover_certificate(prob, y, zeta).valid(1e-6)
+
+
+def integrator_pair(potential):
+    """The hand network's two agents joined by one integrator edge."""
+    g = build_graph(2, [(0, 1)])
+    agents = [linear_agent([[-1.0]], [[1.0]], [[1.0]]),
+              linear_agent([[-2.0]], [[1.0]], [[1.0]], w=[6.0])]
+    return assemble(g, agents, [nonlinear_integrator(potential)])
+
+
+def cyclic_integrator_problem():
+    """Five nodes, d = 2, on two integrator triangles (0, 1, 2) and
+    (2, 3, 4) plus a quadratic chord (0, 3). Node 4 has zero gain (its
+    output is pinned, its input free). Edge 2 integrates its first
+    coordinate only, is quadratic in its second and carries a tilt, so
+    its effort set is a line whose stored basepoint is not its
+    min-norm point."""
+    rng = np.random.default_rng(3)
+    g = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (0, 3)])
+    node_rels = [affine_relation(rand_spd(rng, 2), rng.normal(size=2)) for _ in range(4)]
+    node_rels.append(affine_relation(np.zeros((2, 2)), rng.normal(size=2)))
+    edge_fns = [indicator_zero(2) for _ in range(6)]
+    edge_fns[2] = shifted(stacked([indicator_zero(1), quadratic(np.eye(1))]), linear=[0.7, 0.0])
+    edge_fns.append(quadratic(rand_spd(rng, 2), rng.normal(size=2)))
+    return problem_from_relations(incidence(g, 2), node_rels, edge_fns)
+
+
+def test_certificate_is_min_norm_kkt_solution():
+    prob = cyclic_integrator_problem()
+    y, zeta, _ = solve_opp(prob)
+    cert = recover_certificate(prob, y, zeta)
+    assert cert.valid(1e-9)
+    # independent KKT solve: minimize ||u||^2 + ||mu||^2 over x = (u, mu)
+    # subject to u = k^-1(y) on nodes 0-3, mu = grad Gamma_e(zeta_e) on the
+    # quadratic coordinates (edge 6, second coordinate of edge 2) and
+    # u + E mu = 0; the integrator efforts are free around both triangles
+    E = prob.op.lifted
+    N, M = E.shape
+    fixed = [np.linalg.solve(rel.S, y[2 * i:2 * i + 2] - rel.v)
+             for i, rel in enumerate(prob.node_relations[:4])]
+    chord = prob.Gamma.children[6]
+    fixed += [zeta[5:6], chord.P @ zeta[12:14] + chord.q]
+    C = np.vstack([np.eye(N + M)[list(range(8)) + [N + 5, N + 12, N + 13]],
+                   np.hstack([np.eye(N), E])])
+    h = np.concatenate(fixed + [np.zeros(N)])
+    kkt = np.block([[2.0 * np.eye(N + M), C.T], [C, np.zeros((C.shape[0], C.shape[0]))]])
+    sol, *_ = np.linalg.lstsq(kkt, np.concatenate([np.zeros(N + M), h]), rcond=None)
+    assert np.allclose(cert.u, sol[:N], rtol=0.0, atol=1e-10)
+    assert np.allclose(cert.mu, sol[N:N + M], rtol=0.0, atol=1e-10)
+
+
+def test_certificate_refuses_empty_and_inconsistent_selections():
+    # the integrator edge sees E'y != 0: gamma(zeta) is empty
+    prob = integrator_pair(quadratic(np.eye(1)))
+    with pytest.raises(EmptySelection):
+        recover_certificate(prob, [1.0, 2.0], [1.0])
+    # every selection is a single point and u != -E mu off the optimum
+    prob = hand_problem()
+    y = np.array([1.0, 2.0])
+    with pytest.raises(EmptySelection):
+        recover_certificate(prob, y, prob.op.lifted.T @ y)
+
+
+def test_residuals_hand_values_off_steady_state():
+    prob = hand_problem()
+    # k^-1(y) = (y0, 2(y1 - 3)), gamma(E'y) = y1 - y0 - 1 = 0 at y = (1, 2),
+    # so the set is the single point (1, -2)
+    assert inclusion_residual(prob, [1.0, 2.0]) == pytest.approx(np.sqrt(5.0), abs=1e-12)
+    # gamma^-1(mu) - E'k(-E mu) = (mu + 1) - (3 - 1.5 mu) = 3 at mu = 2
+    assert flow_residual(prob, [2.0]) == pytest.approx(3.0, abs=1e-12)
+    assert flow_residual(prob, [0.8]) == pytest.approx(0.0, abs=1e-12)
+    # an integrator edge adds the line span(E): from the point (1, -4) at
+    # y = (1, 1) the distance of 0 to (1, -4) + span((-1, 1)) is 3/sqrt(2)
+    prob = integrator_pair(quadratic(np.eye(1)))
+    assert inclusion_residual(prob, [1.0, 1.0]) == pytest.approx(3.0 / np.sqrt(2.0), abs=1e-12)
+    assert inclusion_residual(prob, [2.0, 2.0]) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_residuals_infinite_off_integrator_domain():
+    prob = integrator_pair(scalar_separable(paper_psi, 1, PSI_RANGE))
+    # the integrator edge sees E'y = 1, outside its domain {0}
+    assert inclusion_residual(prob, [1.0, 2.0]) == np.inf
+    # an effort outside the integrator's output range has no preimage
+    assert flow_residual(prob, [2.0 * PSI_RANGE[1]]) == np.inf

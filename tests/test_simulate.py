@@ -271,8 +271,8 @@ def test_export_csv_format(tmp_path):
     assert lines[0] == "t,y[0.0],y[1.0],u[0.0],u[1.0],zeta[0.0],mu[0.0]"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (len(traj.times), 7)
-    assert np.allclose(data[:, 0], traj.times)
-    assert np.allclose(data[:, 1:3], traj.y)
+    assert np.array_equal(data, np.column_stack(
+        [traj.times, traj.y, traj.u, traj.zeta, traj.mu]))
 
 
 def test_run_summary_mentions_convergence():
