@@ -256,12 +256,7 @@ def _pack_controller(ctrl: ControllerModel, d: int):
     paper_psi potential, where mu = paper_psi(eta) + mu0) and
     eta' = zeta + eta0, minus eta when leak is set.
     """
-    alpha = np.zeros(d)
-    beta = np.zeros(d)
-    while ctrl.kind is ControllerKind.RECONFIGURED:
-        alpha = alpha + ctrl.alpha
-        beta = beta + ctrl.beta
-        ctrl = ctrl.inner
+    alpha, beta = ctrl.alpha, ctrl.beta
     if ctrl.kind is ControllerKind.LINEAR_SYNTHESIS:
         return np.eye(d), True, beta, -alpha - ctrl.offset
     if ctrl.kind is ControllerKind.NONLINEAR_INTEGRATOR:

@@ -17,7 +17,6 @@ from .errors import (
     EmptySelection,
     Infeasible,
     InfiniteValue,
-    LeastSquaresFailure,
     NoConvergence,
     NonFiniteState,
     NotForcible,
@@ -71,7 +70,7 @@ _MATH_ERRORS = (Infeasible, NotForcible, EmptyInverse, EmptySelection,
                 RelationNotEvaluable, Unbounded, OutsideDomain)
 _NUMERIC_ERRORS = (NoConvergence, SolverFailure, StepUnderflow,
                    NonFiniteState, RadiusNotFound, SingularMatrix,
-                   LeastSquaresFailure, InfiniteValue)
+                   InfiniteValue)
 
 
 def _guard(fn) -> int:
@@ -380,14 +379,11 @@ def _classify_agent(agent, samples, seed):
 
 def _classify_controller(ctrl):
     kind = ctrl.kind
-    inner = ctrl
-    while inner.kind is ControllerKind.RECONFIGURED:
-        inner = inner.inner
-    if inner.kind is ControllerKind.NONLINEAR_INTEGRATOR:
+    if kind is ControllerKind.NONLINEAR_INTEGRATOR:
         return {"verdict": "yes",
                 "reason": "integrator relation: domain {0}, any cycle sum is 0",
                 "exact": True}
-    if inner.kind is ControllerKind.LINEAR_SYNTHESIS:
+    if kind is ControllerKind.LINEAR_SYNTHESIS:
         return {"verdict": "yes-strict",
                 "reason": "affine relation with S = I (positive definite)",
                 "exact": True}

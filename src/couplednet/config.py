@@ -178,13 +178,13 @@ def controller_to_spec(ctrl: ControllerModel) -> dict:
         out = {"type": "integrator", "potential": function_to_spec(ctrl.potential)}
     elif ctrl.kind is ControllerKind.LINEAR_SYNTHESIS:
         out = {"type": "linear_synthesis", "offset": ctrl.offset.tolist()}
-    elif ctrl.kind is ControllerKind.RECONFIGURED:
-        out = {"type": "reconfigured", "inner": controller_to_spec(ctrl.inner),
-               "alpha": ctrl.alpha.tolist(), "beta": ctrl.beta.tolist()}
     else:
         raise ConfigInvalid("controller has no JSON form")
-    if ctrl.kind is not ControllerKind.RECONFIGURED and np.any(ctrl.initial_state != 0.0):
+    if np.any(ctrl.initial_state != 0.0):
         out["initial_state"] = ctrl.initial_state.tolist()
+    if ctrl.has_offsets:
+        out = {"type": "reconfigured", "inner": out,
+               "alpha": ctrl.alpha.tolist(), "beta": ctrl.beta.tolist()}
     return out
 
 

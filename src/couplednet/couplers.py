@@ -1,14 +1,15 @@
 """Edge controller dynamics and their steady-state relations.
 
 Controllers live on edges of the coupling graph, take the relative
-output zeta_e as input, and emit the coupling signal mu_e. Three
+output zeta_e as input, and emit the coupling signal mu_e. Two
 concrete kinds cover the constructions used by the solvers, plus a
-Custom kind for raw callbacks.
+Custom kind for raw callbacks. Every kind carries the reconfiguration
+offsets alpha and beta.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -32,7 +33,6 @@ from .relations import (
 class ControllerKind(Enum):
     NONLINEAR_INTEGRATOR = "nonlinear_integrator"
     LINEAR_SYNTHESIS = "linear_synthesis"
-    RECONFIGURED = "reconfigured"
     CUSTOM = "custom"
 
 
@@ -50,24 +50,32 @@ class ControllerModel:
     LinearSynthesis
         d eta/dt = -eta + zeta - offset, mu = eta. The offset is the
         vector xi_e + zeta*_e produced by the synthesis procedure.
-    Reconfigured
-        wrapper around an inner controller: d eta/dt =
-        phi(eta, zeta - alpha), mu = psi(eta, zeta - alpha) + beta.
     Custom
         raw callbacks phi(eta, zeta), out(eta, zeta).
+
+    Each kind's dynamics phi(eta, zeta) and output psi(eta, zeta) run
+    as d eta/dt = phi(eta, zeta - alpha), mu = psi(eta, zeta - alpha)
+    + beta; alpha and beta default to zero.
     """
 
     io_dim: int
     kind: ControllerKind
     potential: Optional[IntegralFunction] = None
     offset: Optional[np.ndarray] = None
-    inner: Optional["ControllerModel"] = None
-    alpha: Optional[np.ndarray] = None
-    beta: Optional[np.ndarray] = None
     phi: Optional[Callable] = None
     out: Optional[Callable] = None
     state_dim: int = 0
     initial_state: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    alpha: Optional[np.ndarray] = None
+    beta: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _vec(self.alpha, self.io_dim, "alpha"))
+        object.__setattr__(self, "beta", _vec(self.beta, self.io_dim, "beta"))
+
+    @property
+    def has_offsets(self) -> bool:
+        return bool(np.any(self.alpha) or np.any(self.beta))
 
 
 def _vec(v, size, what) -> np.ndarray:
@@ -102,17 +110,11 @@ def linear_synthesis(offset, initial_state=None) -> ControllerModel:
     )
 
 
-def reconfigured(inner: ControllerModel, alpha, beta) -> ControllerModel:
-    d = inner.io_dim
-    return ControllerModel(
-        io_dim=d,
-        kind=ControllerKind.RECONFIGURED,
-        inner=inner,
-        alpha=_vec(alpha, d, "alpha"),
-        beta=_vec(beta, d, "beta"),
-        state_dim=inner.state_dim,
-        initial_state=inner.initial_state,
-    )
+def reconfigured(c: ControllerModel, alpha, beta) -> ControllerModel:
+    """c with alpha added to its input offset and beta to its output offset."""
+    d = c.io_dim
+    return replace(c, alpha=c.alpha + _vec(alpha, d, "alpha"),
+                   beta=c.beta + _vec(beta, d, "beta"))
 
 
 def custom_controller(io_dim, state_dim, phi, out, initial_state=None) -> ControllerModel:
@@ -129,13 +131,11 @@ def custom_controller(io_dim, state_dim, phi, out, initial_state=None) -> Contro
 def controller_rhs(c: ControllerModel, eta, zeta) -> np.ndarray:
     """Controller state derivative at state eta and edge input zeta."""
     eta = _vec(eta, c.state_dim, "eta")
-    zeta = _vec(zeta, c.io_dim, "zeta")
+    zeta = _vec(zeta, c.io_dim, "zeta") - c.alpha
     if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
-        return zeta.copy()
+        return zeta
     if c.kind is ControllerKind.LINEAR_SYNTHESIS:
-        return -eta + zeta - c.offset
-    if c.kind is ControllerKind.RECONFIGURED:
-        return controller_rhs(c.inner, eta, zeta - c.alpha)
+        return zeta - eta - c.offset
     if c.kind is ControllerKind.CUSTOM:
         return np.asarray(c.phi(eta, zeta), dtype=float).ravel()
     raise UnsupportedKind(str(c.kind))
@@ -144,15 +144,13 @@ def controller_rhs(c: ControllerModel, eta, zeta) -> np.ndarray:
 def controller_output(c: ControllerModel, eta, zeta) -> np.ndarray:
     """Coupling signal mu at state eta and edge input zeta."""
     eta = _vec(eta, c.state_dim, "eta")
-    zeta = _vec(zeta, c.io_dim, "zeta")
     if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
-        return grad_of(c.potential, eta)
+        return grad_of(c.potential, eta) + c.beta
     if c.kind is ControllerKind.LINEAR_SYNTHESIS:
-        return eta.copy()
-    if c.kind is ControllerKind.RECONFIGURED:
-        return controller_output(c.inner, eta, zeta - c.alpha) + c.beta
+        return eta + c.beta
     if c.kind is ControllerKind.CUSTOM:
-        return np.asarray(c.out(eta, zeta), dtype=float).ravel()
+        zeta = _vec(zeta, c.io_dim, "zeta") - c.alpha
+        return np.asarray(c.out(eta, zeta), dtype=float).ravel() + c.beta
     raise UnsupportedKind(str(c.kind))
 
 
@@ -168,35 +166,35 @@ def controller_ss_relation(c: ControllerModel) -> VectorRelation:
 
     NonlinearIntegrator: steady state forces zeta = 0 with mu anywhere
     in the closure of the range of grad potential. LinearSynthesis:
-    mu = zeta - offset. Reconfigured: the inner relation with input
-    shifted by alpha and output by beta.
+    mu = zeta - offset. Nonzero offsets shift the input by alpha and
+    the output by beta.
     """
     if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
         lo, hi = _potential_output_interval(c.potential)
-        return integrator_relation(c.io_dim, lo, hi)
-    if c.kind is ControllerKind.LINEAR_SYNTHESIS:
-        return affine_relation(np.eye(c.io_dim), -c.offset)
-    if c.kind is ControllerKind.RECONFIGURED:
-        return shifted_relation(
-            controller_ss_relation(c.inner), input_offset=c.alpha, output_offset=c.beta
-        )
-    raise UnsupportedKind("custom controllers carry no derived relation")
+        rel = integrator_relation(c.io_dim, lo, hi)
+    elif c.kind is ControllerKind.LINEAR_SYNTHESIS:
+        rel = affine_relation(np.eye(c.io_dim), -c.offset)
+    else:
+        raise UnsupportedKind("custom controllers carry no derived relation")
+    if c.has_offsets:
+        return shifted_relation(rel, input_offset=c.alpha, output_offset=c.beta)
+    return rel
 
 
 def controller_integral_fn(c: ControllerModel) -> IntegralFunction:
     """The convex integral function whose subdifferential extends the relation."""
     if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
-        return indicator_zero(c.io_dim)
-    if c.kind is ControllerKind.LINEAR_SYNTHESIS:
-        return quadratic(np.eye(c.io_dim), -c.offset)
-    if c.kind is ControllerKind.RECONFIGURED:
-        return shifted(controller_integral_fn(c.inner), shift=c.alpha, linear=c.beta)
-    raise UnsupportedKind("custom controllers carry no derived integral function")
+        fn = indicator_zero(c.io_dim)
+    elif c.kind is ControllerKind.LINEAR_SYNTHESIS:
+        fn = quadratic(np.eye(c.io_dim), -c.offset)
+    else:
+        raise UnsupportedKind("custom controllers carry no derived integral function")
+    if c.has_offsets:
+        return shifted(fn, shift=c.alpha, linear=c.beta)
+    return fn
 
 
 def controller_has_feedthrough(c: ControllerModel) -> bool:
-    if c.kind is ControllerKind.RECONFIGURED:
-        return controller_has_feedthrough(c.inner)
     return c.kind is ControllerKind.CUSTOM
 
 

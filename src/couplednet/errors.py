@@ -86,10 +86,6 @@ class NotForcible(CoupledNetError):
     pass
 
 
-class LeastSquaresFailure(CoupledNetError):
-    pass
-
-
 # simulation
 class AlgebraicLoop(CoupledNetError):
     pass

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, Disconnected, IndexOutOfRange, SelfLoop
+from .relations import solve_affine
 
 
 @dataclass(frozen=True)
@@ -74,14 +75,7 @@ class IncidenceOperator:
 
     def cycle_basis(self) -> np.ndarray:
         """Orthonormal basis of Ker(lifted), shape (m*d, r)."""
-        return _null_space(self.lifted)
-
-
-def _null_space(mat: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    u, s, vt = np.linalg.svd(mat, full_matrices=True)
-    cutoff = rtol * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:].T.copy()
+        return solve_affine(self.lifted, np.zeros(self.node_size)).directions
 
 
 def build_graph(node_count: int, edges) -> DirectedGraph:

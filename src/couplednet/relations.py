@@ -359,13 +359,13 @@ def value(f: IntegralFunction, x) -> float:
 
 
 def subgradient(f: IntegralFunction, x) -> SetDescriptor:
-    """Subdifferential of f at x as a set descriptor."""
+    """Subdifferential of f at x as a set descriptor (Empty outside dom f)."""
     x = _check_dim(f, x)
     if f.kind is FunctionKind.QUADRATIC:
         return SetDescriptor.point(f.P @ x + f.q)
     if f.kind is FunctionKind.INDICATOR_ZERO:
         if np.max(np.abs(x), initial=0.0) > ZERO_ATOL:
-            raise OutsideDomain("indicator subdifferential queried off the origin")
+            return SetDescriptor.empty(f.dim)
         return SetDescriptor.everything(f.dim)
     if f.kind is FunctionKind.SCALAR_SEPARABLE:
         return SetDescriptor.point(np.array([f.phi(float(t)) for t in x]))

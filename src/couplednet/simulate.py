@@ -539,15 +539,11 @@ def storage_candidate(system: ClosedLoopSystem, certificate) -> Callable:
     ctrl_terms = []
     base = system.agent_dim
     for e, c in enumerate(system.controllers):
-        mu_e = mu_bar[e * d:(e + 1) * d]
-        inner = c
-        while inner.kind is ControllerKind.RECONFIGURED:
-            mu_e = mu_e - inner.beta
-            inner = inner.inner
+        mu_e = mu_bar[e * d:(e + 1) * d] - c.beta
         sl = system.ctrl_slices[e]
         lo, hi = base + sl.start, base + sl.stop
-        if inner.kind is ControllerKind.NONLINEAR_INTEGRATOR:
-            pot = inner.potential
+        if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
+            pot = c.potential
             from .relations import gradient_relation, inverse
 
             desc = inverse(gradient_relation(pot), mu_e)
@@ -562,7 +558,7 @@ def storage_candidate(system: ClosedLoopSystem, certificate) -> Callable:
                 eta = s[lo:hi]
                 return float(value(pot, eta) - pot_bar - mu_e @ (eta - eta_bar))
 
-        elif inner.kind is ControllerKind.LINEAR_SYNTHESIS:
+        elif c.kind is ControllerKind.LINEAR_SYNTHESIS:
 
             def term(s, lo=lo, hi=hi, mu_e=mu_e):
                 de = s[lo:hi] - mu_e
@@ -570,7 +566,7 @@ def storage_candidate(system: ClosedLoopSystem, certificate) -> Callable:
 
         else:
             raise UnsupportedKind(
-                f"no built-in storage for controller kind {inner.kind.name}")
+                f"no built-in storage for controller kind {c.kind.name}")
         ctrl_terms.append(term)
 
     def candidate(state: np.ndarray) -> float:

@@ -13,13 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .couplers import ControllerModel, linear_synthesis, reconfigured
-from .errors import (
-    EmptyInverse,
-    LeastSquaresFailure,
-    NotForcible,
-    UnsupportedKind,
-)
+from .couplers import linear_synthesis, reconfigured
+from .errors import EmptyInverse, NotForcible, UnsupportedKind
 from .netopt import NetworkProblem
 from .relations import FunctionKind, SetDescriptor, as_quadratic, inverse, solve_affine, value
 
@@ -52,25 +47,26 @@ def _sum_descriptor(descs) -> SetDescriptor:
     return out
 
 
-def _witness(descs, target: np.ndarray, tol: float):
-    """Pick u_i in each descriptor with sum_i u_i = target, or None."""
-    d = target.size
-    cat = SetDescriptor.product(list(descs))
-    base, basis = cat.basepoint, cat.directions
-    summer = np.kron(np.ones((1, len(descs))), np.eye(d))
-    s, *_ = np.linalg.lstsq(summer @ basis, target - summer @ base, rcond=None)
-    u = base + basis @ s
-    if np.linalg.norm(summer @ u - target) > tol * (1.0 + np.linalg.norm(target)):
-        return None
-    return u
+def _min_flow(problem: NetworkProblem, descs, tol: float) -> np.ndarray:
+    """Minimum-norm mu with -E mu in the product of the node descriptors."""
+    E = problem.op.lifted
+    cat = SetDescriptor.product(descs)
+    # -E mu = a + Q s: solve for (mu, s), then minimize ||mu|| over the family
+    family = solve_affine(np.hstack([E, cat.directions]), -cat.basepoint, max(tol, 1e-8))
+    if family.is_empty:
+        raise NotForcible("y is not forcible, no consistent flow exists")
+    mu = family.basepoint[: problem.edge_size]
+    nm = family.directions[: problem.edge_size]
+    coef, *_ = np.linalg.lstsq(nm, -mu, rcond=None)
+    return mu + nm @ coef
 
 
 @dataclass(frozen=True)
 class ForcibilityReport:
     """Outcome of the forcibility test 0 in sum_i k_i^-1(y*_i).
 
-    residual is the distance of 0 to the set sum; witness is a
-    per-node selection summing to zero when forcible.
+    residual is the distance of 0 to the set sum; witness is the
+    per-node selection -E mu, for the minimum-norm flow mu, when forcible.
     """
 
     forcible: bool
@@ -89,10 +85,11 @@ def check_forcible(problem: NetworkProblem, y_star, tol: float = 1e-8) -> Forcib
     residual = total.distance(np.zeros(d))
     if residual > tol:
         return ForcibilityReport(False, None, residual)
-    witness = _witness(descs, np.zeros(d), max(tol, 1e-10))
-    if witness is None:
+    try:
+        mu = _min_flow(problem, descs, tol)
+    except NotForcible:
         return ForcibilityReport(False, None, residual)
-    return ForcibilityReport(True, witness, residual)
+    return ForcibilityReport(True, -(problem.op.lifted @ mu), residual)
 
 
 @dataclass(frozen=True)
@@ -109,18 +106,6 @@ class SynthesisResult:
     beta: Optional[np.ndarray] = None
     leader_input: Optional[np.ndarray] = None
     leader: Optional[int] = None
-
-
-def _solve_xi(problem: NetworkProblem, u_witness: np.ndarray, tol: float) -> np.ndarray:
-    """Minimum-norm xi with E xi = u_witness (the coupling that realizes u)."""
-    E = problem.op.lifted
-    xi, *_ = np.linalg.lstsq(E, u_witness, rcond=None)
-    defect = np.linalg.norm(E @ xi - u_witness)
-    if not np.all(np.isfinite(xi)):
-        raise LeastSquaresFailure("least squares for xi produced non-finite values")
-    if defect > max(tol, 1e-8) * (1.0 + np.linalg.norm(u_witness)):
-        raise NotForcible("witness has a component outside the cut space")
-    return xi
 
 
 def _agreement_shift(problem: NetworkProblem, y_star, tol: float) -> np.ndarray:
@@ -161,41 +146,34 @@ def synthesize_linear(
     mode retargets to the nearest agreement shift y* + beta (x) 1 that
     is forcible, guaranteeing the relative output E'y* either way.
     The controllers integrate eta' = -eta + zeta - (xi + zeta*) with
-    mu = eta, where xi is the minimum-norm solution of E xi = u for a
-    witness u summing to zero blockwise.
+    mu = eta, where xi = -g(y*) for the minimum-norm flow g (see g_map);
+    with a leader, the leader's inverse set is first moved by -z.
     """
     y_star = np.asarray(y_star, dtype=float).ravel()
-    E = problem.op.lifted
     d = problem.op.dim
-    zeta_star = E.T @ y_star
+    zeta_star = problem.op.lifted.T @ y_star
     leader_z = None
     y_target = y_star
 
     fr = check_forcible(problem, y_star, tol)
-    if fr.forcible:
-        witness = fr.witness
-    elif leader is not None:
-        leader_z = leader_input(problem, y_star, leader, tol)
-        descs = _inverse_descriptors(problem, y_star)
-        witness = _witness(descs, leader_z, max(tol, 1e-10))
-        if witness is None:
-            raise NotForcible("leader input does not reconcile the witness sum")
-        witness = witness.copy()
-        witness[leader * d : (leader + 1) * d] -= leader_z
-    elif mode == "relative":
-        beta = _agreement_shift(problem, y_star, tol)
-        y_target = y_star + np.kron(np.ones(problem.op.node_count), beta)
-        fr2 = check_forcible(problem, y_target, max(tol, 1e-6))
-        if not fr2.forcible:
-            raise NotForcible(
-                f"no agreement shift of y* is forcible (residual {fr2.residual:.3e})"
-            )
-        witness = fr2.witness
-        fr = fr2
-    else:
-        raise NotForcible(f"y* is not forcible (residual {fr.residual:.3e})")
+    if not fr.forcible:
+        if leader is not None:
+            leader_z = leader_input(problem, y_star, leader, tol)
+        elif mode == "relative":
+            beta = _agreement_shift(problem, y_star, tol)
+            y_target = y_star + np.kron(np.ones(problem.op.node_count), beta)
+            fr = check_forcible(problem, y_target, max(tol, 1e-6))
+            if not fr.forcible:
+                raise NotForcible(
+                    f"no agreement shift of y* is forcible (residual {fr.residual:.3e})"
+                )
+        else:
+            raise NotForcible(f"y* is not forcible (residual {fr.residual:.3e})")
 
-    xi = _solve_xi(problem, witness, tol)
+    descs = _inverse_descriptors(problem, y_target)
+    if leader_z is not None:
+        descs[leader] = descs[leader].translate(-leader_z)
+    xi = -_min_flow(problem, descs, tol)
     m = problem.op.edge_count
     offsets = [xi[e * d : (e + 1) * d] + zeta_star[e * d : (e + 1) * d] for e in range(m)]
     controllers = tuple(linear_synthesis(o) for o in offsets)
@@ -277,18 +255,7 @@ def check_uniqueness_conditions(problem: NetworkProblem, y_star, tol: float = 1e
 
 def g_map(problem: NetworkProblem, y, tol: float = 1e-8) -> np.ndarray:
     """Minimum-norm mu with -E mu in k^-1(y); the reconfiguration selection."""
-    y = np.asarray(y, dtype=float).ravel()
-    E = problem.op.lifted
-    descs = _inverse_descriptors(problem, y)
-    cat = SetDescriptor.product(descs)
-    # -E mu = a + Q s: solve for (mu, s), then minimize ||mu|| over the family
-    family = solve_affine(np.hstack([E, cat.directions]), -cat.basepoint, max(tol, 1e-8))
-    if family.is_empty:
-        raise NotForcible("y is not forcible, no consistent flow exists")
-    mu = family.basepoint[: problem.edge_size]
-    nm = family.directions[: problem.edge_size]
-    coef, *_ = np.linalg.lstsq(nm, -mu, rcond=None)
-    return mu + nm @ coef
+    return _min_flow(problem, _inverse_descriptors(problem, y), tol)
 
 
 def reconfiguration_offsets(problem: NetworkProblem, y0, y_star, tol: float = 1e-8):

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from couplednet.config import (SCHEMA, emit_config, load_config, parse_config)
-from couplednet.couplers import ControllerKind, linear_synthesis
+from couplednet.config import (SCHEMA, controller_to_spec, emit_config,
+                               load_config, parse_config)
+from couplednet.couplers import ControllerKind, linear_synthesis, reconfigured
 from couplednet.errors import ConfigInvalid
 from couplednet.plants import AgentKind
 
@@ -97,7 +98,9 @@ def test_parse_full_doc_models():
     ckinds = [c.kind for c in cfg.controllers]
     assert ckinds == [ControllerKind.NONLINEAR_INTEGRATOR,
                       ControllerKind.LINEAR_SYNTHESIS,
-                      ControllerKind.RECONFIGURED]
+                      ControllerKind.NONLINEAR_INTEGRATOR]
+    assert np.array_equal(cfg.controllers[2].alpha, [0.1, 0.0])
+    assert np.array_equal(cfg.controllers[2].beta, [0.0, -0.1])
     assert np.allclose(cfg.controllers[1].initial_state, [0.5, 0.0])
     assert cfg.objective.durations == (10.0, 20.0)
     assert cfg.objective.leader == 0
@@ -120,6 +123,19 @@ def test_emit_with_replacement_controllers():
     cfg = parse_config(base_doc())
     doc = emit_config(cfg, controllers=[linear_synthesis([2.5])])
     assert doc["controllers"][0]["offset"] == [2.5]
+
+
+def test_reconfigured_controller_spec_round_trip():
+    ctrl = reconfigured(linear_synthesis([2.5], initial_state=[0.5]), [0.3], [-0.4])
+    spec = controller_to_spec(ctrl)
+    assert spec["type"] == "reconfigured"
+    doc = base_doc()
+    doc["controllers"] = [json.loads(json.dumps(spec))]
+    back = parse_config(doc).controllers[0]
+    assert back.kind is ControllerKind.LINEAR_SYNTHESIS
+    for name in ("offset", "initial_state", "alpha", "beta"):
+        assert np.array_equal(getattr(back, name), getattr(ctrl, name))
+    assert "alpha" not in controller_to_spec(linear_synthesis([2.5]))
 
 
 def test_emit_extra_section():

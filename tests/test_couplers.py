@@ -69,6 +69,35 @@ def test_reconfigured_steady_state_relation():
     assert np.allclose(R.forward(rel, [3.0, 3.0]).min_norm(), [4.0, 4.0])
 
 
+def test_nested_reconfigured_sums_offsets():
+    a1, b1 = np.array([0.5, -0.2]), np.array([0.1, 0.3])
+    a2, b2 = np.array([-0.1, 0.4]), np.array([0.2, -0.6])
+    eta, zeta = np.array([1.0, -1.0]), np.array([0.7, 0.2])
+    for base in (C.nonlinear_integrator(psi_pot()), C.linear_synthesis([0.3, -0.2])):
+        nested = C.reconfigured(C.reconfigured(base, a1, b1), a2, b2)
+        summed = C.reconfigured(base, a1 + a2, b1 + b2)
+        assert nested.kind is base.kind
+        assert np.allclose(C.controller_rhs(nested, eta, zeta),
+                           C.controller_rhs(summed, eta, zeta), atol=1e-15)
+        assert np.allclose(C.controller_output(nested, eta, zeta),
+                           C.controller_output(summed, eta, zeta), atol=1e-15)
+        rel_n, rel_s = C.controller_ss_relation(nested), C.controller_ss_relation(summed)
+        for x in (zeta, a1 + a2, np.array([0.05, -0.1])):
+            for op in (R.forward, R.inverse):
+                got, want = op(rel_n, x), op(rel_s, x)
+                assert got.kind is want.kind
+                if not want.is_empty:
+                    assert np.allclose(got.min_norm(), want.min_norm(), atol=1e-15)
+
+
+def test_plain_controllers_have_zero_offsets():
+    ic = C.nonlinear_integrator(psi_pot())
+    assert np.array_equal(ic.alpha, [0.0, 0.0]) and np.array_equal(ic.beta, [0.0, 0.0])
+    assert not ic.has_offsets
+    assert C.controller_ss_relation(ic).kind is R.RelationKind.INTEGRATOR
+    assert C.controller_integral_fn(ic).kind is R.FunctionKind.INDICATOR_ZERO
+
+
 def test_paper_psi_vector_and_scalar_agree():
     xs = np.array([-800.0, -40.0, -3.0, -1.0, 0.0, 0.4, 2.0, 40.0, 800.0])
     vec = C.paper_psi(xs)

@@ -47,6 +47,25 @@ def test_packed_rhs_matches_step_rhs():
         assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_nested_offsets_pack_like_summed_offsets():
+    base = mixed_system()
+    a1, b1 = np.array([0.3, -0.1]), np.array([0.2, 0.05])
+    a2, b2 = np.array([-0.05, 0.2]), np.array([-0.4, 0.1])
+    nested = closed_loop(base.graph, base.agents, [
+        reconfigured(reconfigured(c, a1, b1), a2, b2) for c in base.controllers])
+    summed = closed_loop(base.graph, base.agents, [
+        reconfigured(c, a1 + a2, b1 + b2) for c in base.controllers])
+    assert nested.packed is not None
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        s = rng.normal(scale=2.0, size=base.state_dim)
+        ref = step_rhs(summed, s)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(step_rhs(nested, s) - ref)) <= 1e-12 * scale
+        fast = _fastpath._packed_rhs(s, nested.packed)
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * scale
+
+
 def test_packed_run_reports_fast_path_and_stats():
     system = mixed_system()
     s0 = default_initial_state(system)

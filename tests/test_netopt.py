@@ -126,6 +126,20 @@ def test_problem_from_relations():
         assert np.allclose(u, y - [0.0, 2.0], atol=1e-8)  # y = u + offset
 
 
+def test_indicator_edge_residuals_off_domain():
+    # an indicator_zero edge reads as an integrator: zeta = 1 is off its domain
+    g = build_graph(2, [(0, 1)])
+    node_rels = [affine_relation(np.eye(1)), affine_relation(np.eye(1))]
+    from_rels = problem_from_relations(incidence(g, 1), node_rels, [indicator_zero(1)])
+    agents = [linear_agent([[-1.0]], [[1.0]], [[1.0]])] * 2
+    assembled = assemble(g, agents, [nonlinear_integrator(quadratic(np.eye(1)))])
+    for prob in (from_rels, assembled):
+        assert inclusion_residual(prob, [0.0, 1.0]) == np.inf
+        rep = verify_steady_state(prob, ([0.0, 0.0], [0.0, 1.0], [1.0], [0.0]))
+        assert not rep.valid
+        assert rep.residuals["relation_edges"] == 1.0
+
+
 def test_solve_opp_bad_init():
     prob = hand_problem()
     with pytest.raises(DimensionMismatch):

@@ -105,6 +105,14 @@ def test_prox_indicator_projects_to_zero():
     assert np.allclose(R.prox(f, [3.0, -1.0], 0.7), 0.0)
 
 
+def test_indicator_subgradient_empty_off_origin():
+    f = R.indicator_zero(2)
+    assert R.subgradient(f, [0.0, 0.0]).kind is R.SetKind.EVERYTHING
+    assert R.subgradient(f, [1.0, 0.0]).is_empty
+    with pytest.raises(OutsideDomain):
+        R.grad_of(f, [1.0, 0.0])
+
+
 def test_as_quadratic_roundtrip():
     f = R.quadratic(P2, Q2, 0.25)
     P, q, c = R.as_quadratic(f)

@@ -66,6 +66,25 @@ def test_absolute_synthesis_closes_loop():
     assert np.abs(conv.y_ss - res.y_target).max() <= 1e-3
 
 
+def test_zero_gain_path_xi_is_minus_g_map():
+    # nodes 0 and 1 output their w whatever the input, so k_i^-1 = R there
+    # and only the flow into node 2 is fixed: the min-norm flow is (0, -0.5)
+    g = build_graph(3, [(0, 1), (1, 2)])
+    agents = [linear_agent([[-1.0]], [[0.0]], [[1.0]], w=[1.0]),
+              linear_agent([[-1.0]], [[0.0]], [[1.0]], w=[2.0]),
+              linear_agent([[-1.0]], [[1.0]], [[1.0]])]
+    prob = assemble(g, agents, [nonlinear_integrator(quadratic(np.eye(1)))] * 2)
+    y_star = np.array([1.0, 2.0, 0.5])
+    res = synthesize_linear(prob, y_star)
+    assert np.allclose(g_map(prob, y_star), [0.0, -0.5], atol=1e-12)
+    assert np.allclose(res.xi, -g_map(prob, y_star), atol=1e-12)
+    mu = -res.xi
+    rep = verify_steady_state(
+        assemble(g, agents, res.controllers),
+        (-prob.op.lifted @ mu, y_star, res.zeta_star, mu))
+    assert rep.valid
+
+
 def test_relative_mode_shifts_to_forcible():
     _, _, prob = mirrored_pair()
     res = synthesize_linear(prob, [1.0, 0.0], mode="relative")
