@@ -394,7 +394,7 @@ def _classify_controller(ctrl):
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", default=".", type=click.Path())
 @click.option("--seed", default=None, type=int)
-@click.option("--samples", default=10_000, type=int,
+@click.option("--samples", default=10_000, type=click.IntRange(min=1),
               help="Cycles per randomized check.")
 def cmd_check_cm(config_path, out, seed, samples):
     """Classify every agent and controller for cyclic monotonicity."""

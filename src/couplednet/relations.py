@@ -257,6 +257,12 @@ def indicator_zero(dim: int) -> IntegralFunction:
 
 
 def scalar_separable(phi, dim: int, phi_range=None) -> IntegralFunction:
+    """f(x) = sum_j integral_0^{x_j} phi(s) ds.
+
+    phi must be monotone nondecreasing and act elementwise on numpy
+    arrays as well as on floats: check_cm applies it to a whole array of
+    sampled points at once.
+    """
     return IntegralFunction(
         dim=dim,
         kind=FunctionKind.SCALAR_SEPARABLE,
@@ -829,7 +835,13 @@ def cyclic_sum(pairs) -> float:
 
 @dataclass(frozen=True)
 class Sampler:
-    """Uniform box sampler for cyclic-monotonicity falsification."""
+    """Uniform box sampler for cyclic-monotonicity falsification.
+
+    The box [low, high]^dim applies to the input side of each affine or
+    gradient leaf of a relation. An inverted relation is sampled through
+    its inner relation, with the two sides swapped; a shifted one moves
+    its inner relation's points on both sides.
+    """
 
     low: float = -3.0
     high: float = 3.0
@@ -847,6 +859,48 @@ class CmResult:
         return self.passed
 
 
+# Cycles drawn and summed together by check_cm.
+_CM_CHUNK = 1024
+
+
+def _row_grad(f: IntegralFunction, x: np.ndarray) -> np.ndarray:
+    """Gradient of f at each row of x; only kinds with a closed form."""
+    if f.kind is FunctionKind.QUADRATIC:
+        return x @ f.P.T + f.q
+    if f.kind is FunctionKind.SCALAR_SEPARABLE:
+        return np.asarray(f.phi(x), dtype=float)
+    if f.kind is FunctionKind.SHIFTED:
+        return _row_grad(f.inner, x - f.shift) + f.linear
+    if f.kind is FunctionKind.STACKED:
+        return np.concatenate([_row_grad(ch, xb.T) for ch, xb in _blocks(f, x.T)], axis=1)
+    if f.kind is FunctionKind.SUM:
+        return sum(_row_grad(ch, x) for ch in f.children)
+    raise RelationNotEvaluable(f"no closed-form gradient to sample for kind {f.kind}")
+
+
+def _graph_points(rel: VectorRelation, rng, n: int, sampler: Sampler):
+    """n points (u, y) of the graph of rel, as two (n, dim) arrays."""
+    if rel.kind is RelationKind.AFFINE:
+        u = rng.uniform(sampler.low, sampler.high, size=(n, rel.dim))
+        return u, u @ rel.S.T + rel.v
+    if rel.kind is RelationKind.GRADIENT_OF_CONVEX:
+        u = rng.uniform(sampler.low, sampler.high, size=(n, rel.dim))
+        return u, _row_grad(rel.chi, u)
+    if rel.kind is RelationKind.INTEGRATOR:
+        return np.zeros((n, rel.dim)), np.zeros((n, rel.dim))
+    if rel.kind is RelationKind.SHIFTED:
+        u, y = _graph_points(rel.inner, rng, n, sampler)
+        return u + rel.input_offset, y + rel.output_offset
+    if rel.kind is RelationKind.INVERTED:
+        u, y = _graph_points(rel.inner, rng, n, sampler)
+        return y, u
+    if rel.kind is RelationKind.STACKED:
+        parts = [_graph_points(ch, rng, n, sampler) for ch in rel.children]
+        return (np.concatenate([u for u, _ in parts], axis=1),
+                np.concatenate([y for _, y in parts], axis=1))
+    raise UnsupportedKind(str(rel.kind))
+
+
 def check_cm(
     rel: VectorRelation,
     sampler: Sampler = Sampler(),
@@ -857,29 +911,38 @@ def check_cm(
     """Randomized cyclic-monotonicity falsifier.
 
     Pass means no counterexample was found at the stated budget, not a
-    proof. Set-valued outputs are collapsed by the recorded rule
-    (minimum-norm element); inputs with empty forward sets are
-    resampled.
+    proof. Cycles are built from points of the relation's graph, not
+    from its inputs: the sampler's box applies to the input side of
+    each affine or gradient leaf, an inverted relation is sampled
+    through its inner relation (a relation is cyclically monotone
+    exactly when its inverse is), and a shifted one moves its inner
+    relation's points on both sides. Gradients need a closed form, so
+    an indicator part raises RelationNotEvaluable. Cycles are drawn and
+    summed in chunks; the first one whose sum, recomputed by
+    cyclic_sum, is below -tol is the witness, and cycles_checked is its
+    position in draw order.
     """
     rng = np.random.default_rng(sampler.seed)
-
-    def sample_pair():
-        for _ in range(64):
-            u = rng.uniform(sampler.low, sampler.high, size=rel.dim)
-            if rel.kind is RelationKind.INTEGRATOR:
-                u = np.zeros(rel.dim)
-            desc = forward(rel, u)
-            if desc.is_empty:
-                continue
-            return u, desc.min_norm()
-        raise RelationNotEvaluable("could not sample a feasible input")
-
     checked = 0
-    for _ in range(cycles):
-        length = int(rng.integers(2, max_cycle_len + 1))
-        pairs = tuple(sample_pair() for _ in range(length))
-        s = cyclic_sum(pairs)
-        checked += 1
-        if s < -tol:
-            return CmResult(False, witness=pairs, witness_sum=s, cycles_checked=checked)
+    while checked < cycles:
+        count = min(_CM_CHUNK, cycles - checked)
+        lengths = rng.integers(2, max_cycle_len + 1, size=count)
+        sums = np.empty(count)
+        batches = {}
+        for length in range(2, max_cycle_len + 1):
+            where = np.flatnonzero(lengths == length)
+            u, y = _graph_points(rel, rng, length * where.size, sampler)
+            u = u.reshape(where.size, length, rel.dim)
+            y = y.reshape(where.size, length, rel.dim)
+            sums[where] = np.einsum("cld,cld->c", y, u - np.roll(u, 1, axis=1))
+            batches[length] = (where, u, y)
+        for pos in np.flatnonzero(sums < -tol):
+            where, u, y = batches[lengths[pos]]
+            k = int(np.searchsorted(where, pos))
+            pairs = tuple((ui.copy(), yi.copy()) for ui, yi in zip(u[k], y[k]))
+            s = cyclic_sum(pairs)
+            if s < -tol:
+                return CmResult(False, witness=pairs, witness_sum=s,
+                                cycles_checked=checked + int(pos) + 1)
+        checked += count
     return CmResult(True, cycles_checked=checked)

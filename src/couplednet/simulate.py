@@ -578,8 +578,6 @@ def storage_candidate(system: ClosedLoopSystem, certificate) -> Callable:
 
 def export_csv(traj: Trajectory, path) -> None:
     """Write `t, y[node.coord]..., u[...], zeta[edge.coord]..., mu[...]`."""
-    import csv
-
     d = traj.system.io_dim
     n = traj.system.graph.node_count
     m = traj.system.graph.edge_count
@@ -589,12 +587,12 @@ def export_csv(traj: Trajectory, path) -> None:
     header += [f"zeta[{e}.{c}]" for e in range(m) for c in range(d)]
     header += [f"mu[{e}.{c}]" for e in range(m) for c in range(d)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # csv writes each Python float as its shortest round-tripping repr;
-        # converting row by row keeps one row of Python floats alive at a time
+        fh.write(",".join(header) + "\r\n")
+        # each Python float as its shortest round-tripping repr, as the csv
+        # module writes it; converting row by row keeps one row of Python
+        # floats alive at a time
         data = np.column_stack([traj.times, traj.y, traj.u, traj.zeta, traj.mu])
-        writer.writerows(row.tolist() for row in data)
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in data)
 
 
 def run_summary(traj: Trajectory, window: Optional[float] = None,

@@ -137,6 +137,31 @@ def test_check_cm_exact_and_randomized(tmp_path, capsys):
     assert report["agents"][1]["exact"] is False
 
 
+def test_check_cm_paper_psi_agent(tmp_path, capsys):
+    doc = {
+        "schema": SCHEMA,
+        "graph": {"nodes": 2, "edges": [[0, 1]]},
+        "agents": [
+            {"type": "linear", "A": [[-1.0, 0.0], [0.0, -1.0]],
+             "B": [[1.0, 0.0], [0.0, 1.0]], "C": [[1.0, 0.0], [0.0, 1.0]]},
+            {"type": "convex_gradient", "psi": {"kind": "paper_psi", "dim": 2}},
+        ],
+        "controllers": [{"type": "linear_synthesis", "offset": [1.0, 0.0]}],
+    }
+    cfg = write_doc(tmp_path, doc)
+    code = run_cli("check-cm", "--config", cfg, "--out", str(tmp_path))
+    assert code == 0
+    assert "agent 1: yes" in capsys.readouterr().out
+
+
+def test_check_cm_zero_samples_is_usage_error(tmp_path):
+    cfg = write_doc(tmp_path, hand_doc())
+    code = run_cli("check-cm", "--config", cfg, "--out", str(tmp_path),
+                   "--samples", "0")
+    assert code != 0
+    assert not (tmp_path / "cm_report.json").exists()
+
+
 def test_verify_accepts_true_candidate(tmp_path, capsys):
     doc = hand_doc(candidate={"u": [0.8, -0.8], "y": [0.8, 2.6],
                               "zeta": [1.8], "mu": [0.8]})

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from couplednet import plants
 from couplednet import relations as R
 from couplednet.couplers import PSI_RANGE, paper_psi
 from couplednet.errors import (DimensionMismatch, EmptyList, OutsideDomain,
@@ -243,6 +244,58 @@ def test_check_cm_refutes_skew():
     rel = R.affine_relation(np.array([[0.0, -1.0], [1.0, 0.0]]))
     res = R.check_cm(rel, R.Sampler(seed=2), cycles=2000)
     assert not res.passed
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_check_cm_passes_paper_psi_agent(seed):
+    psi = R.scalar_separable(paper_psi, 2, PSI_RANGE)
+    rel = plants.ss_relation(plants.convex_gradient_agent(psi))
+    res = R.check_cm(rel, R.Sampler(seed=seed))
+    assert res.passed
+    assert res.cycles_checked == 10_000
+
+
+def test_check_cm_refutes_stack_with_witness_on_graph():
+    # the inverse of grad of a separable paper_psi, beside an indefinite map
+    inv_grad = R.inverted_relation(
+        R.gradient_relation(R.scalar_separable(paper_psi, 1, PSI_RANGE)))
+    rel = R.stacked_relation([inv_grad, R.affine_relation(np.diag([1.0, -1.0]))])
+    res = R.check_cm(rel, R.Sampler(seed=7), cycles=2000)
+    assert not res.passed
+    for u, y in res.witness:
+        assert R.pair_residual(rel, u, y) <= 1e-9
+    assert res.witness_sum == R.cyclic_sum(res.witness)
+    assert res.witness_sum < -1e-9
+
+
+def test_check_cm_is_deterministic_per_seed():
+    rel = R.affine_relation(np.array([[0.5, -1.0], [1.0, 0.5]]))
+    first = R.check_cm(rel, R.Sampler(seed=11), cycles=3000)
+    second = R.check_cm(rel, R.Sampler(seed=11), cycles=3000)
+    assert not first.passed
+    assert first.cycles_checked == second.cycles_checked
+    assert first.witness_sum == second.witness_sum
+    assert len(first.witness) == len(second.witness)
+    for (u1, y1), (u2, y2) in zip(first.witness, second.witness):
+        assert np.array_equal(u1, u2) and np.array_equal(y1, y2)
+
+
+def test_check_cm_shifted_relations():
+    rng = np.random.default_rng(8)
+    offsets = dict(input_offset=[1.5, -2.0], output_offset=[0.3, 4.0])
+    spd = R.shifted_relation(R.affine_relation(rand_spd(rng, 2, 0.5, 3.0)), **offsets)
+    res = R.check_cm(spd, R.Sampler(seed=3), cycles=2000)
+    assert res.passed and res.cycles_checked == 2000
+    indef = R.shifted_relation(R.affine_relation(np.diag([2.0, -0.5])), **offsets)
+    res = R.check_cm(indef, R.Sampler(seed=3), cycles=2000)
+    assert not res.passed
+    for u, y in res.witness:
+        assert R.pair_residual(indef, u, y) <= 1e-9
+
+
+def test_check_cm_gradient_of_indicator_not_evaluable():
+    with pytest.raises(RelationNotEvaluable):
+        R.check_cm(R.gradient_relation(R.indicator_zero(2)), R.Sampler(seed=0))
 
 
 def test_conjugate_value_unbounded():

@@ -275,6 +275,31 @@ def test_export_csv_format(tmp_path):
         [traj.times, traj.y, traj.u, traj.zeta, traj.mu]))
 
 
+def test_export_csv_bytes_match_csv_writer(tmp_path):
+    import csv
+    import dataclasses
+
+    _, _, _, system = pair_system()
+    traj = integrate(system, default_initial_state(system), 1.0,
+                     IntegrateOptions())
+    rows = len(traj.times)
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300,
+                        -1e300, 1e-300, -2.5e-300, 5e-324, 1 / 3, -7.0])
+    fill = np.resize(special, (rows, 6))
+    traj = dataclasses.replace(traj, y=fill[:, 0:2], u=fill[:, 2:4],
+                               zeta=fill[:, 4:5], mu=fill[:, 5:6])
+    path = tmp_path / "traj.csv"
+    export_csv(traj, path)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "y[0.0]", "y[1.0]", "u[0.0]", "u[1.0]",
+                         "zeta[0.0]", "mu[0.0]"])
+        writer.writerows(np.column_stack(
+            [traj.times, traj.y, traj.u, traj.zeta, traj.mu]).tolist())
+    assert path.read_bytes() == ref.read_bytes()
+
+
 def test_run_summary_mentions_convergence():
     _, _, _, system = pair_system()
     traj = integrate(system, default_initial_state(system), 40.0,
