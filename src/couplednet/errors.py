@@ -39,10 +39,6 @@ class Unbounded(CoupledNetError):
     pass
 
 
-class SolverFailure(CoupledNetError):
-    pass
-
-
 # plants
 class SingularMatrix(CoupledNetError):
     """A matrix that must be invertible (A, M, ...) is singular."""

@@ -193,8 +193,7 @@ def _zero_distance(first, second, M) -> float:
         return math.inf
     C = np.hstack([first.directions, M @ second.directions])
     r = first.basepoint + M @ second.basepoint
-    x, *_ = np.linalg.lstsq(C, -r, rcond=None)
-    return float(np.linalg.norm(C @ x + r))
+    return float(np.linalg.norm(C @ solve_affine(C, -r, math.inf).basepoint + r))
 
 
 def inclusion_residual(problem: NetworkProblem, y) -> float:
@@ -291,7 +290,7 @@ def _qp_parts(f: IntegralFunction):
     raise UnsupportedKind(f"no quadratic form with pins for kind {f.kind}")
 
 
-def _solve_composite(f, g, L, x0, tol: float, objective):
+def solve_composite(f, g, L, x0, tol: float, objective):
     """Minimize f(x) + g(L x) exactly, f and g quadratic with pins.
 
     This is x'Hx/2 + lin'x subject to A x = b, with H = P_f + L'P_g L and
@@ -345,8 +344,8 @@ def solve_opp(problem: NetworkProblem, init_y=None, opts: Optional[SolveOptions]
     y0 = np.zeros(problem.node_size) if init_y is None else np.asarray(init_y, dtype=float).ravel()
     if y0.size != problem.node_size:
         raise DimensionMismatch("init_y has wrong length")
-    y, trace = _solve_composite(problem.Kstar, problem.Gamma, E.T, y0, opts.tol,
-                                lambda yv: opp_objective(problem, yv))
+    y, trace = solve_composite(problem.Kstar, problem.Gamma, E.T, y0, opts.tol,
+                               lambda yv: opp_objective(problem, yv))
     return y, E.T @ y, trace
 
 
@@ -362,8 +361,8 @@ def solve_ofp(problem: NetworkProblem, init_mu=None, opts: Optional[SolveOptions
     mu0 = np.zeros(problem.edge_size) if init_mu is None else np.asarray(init_mu, dtype=float).ravel()
     if mu0.size != problem.edge_size:
         raise DimensionMismatch("init_mu has wrong length")
-    mu, trace = _solve_composite(problem.Gammastar, problem.K, -E, mu0, opts.tol,
-                                 lambda m: ofp_objective(problem, m))
+    mu, trace = solve_composite(problem.Gammastar, problem.K, -E, mu0, opts.tol,
+                                lambda m: ofp_objective(problem, m))
     return -E @ mu, mu, trace
 
 
@@ -379,7 +378,7 @@ class SteadyStateCertificate:
     residual_consistency covers zeta = E' y and u = -E mu;
     residual_relations covers (u, y) against the node relation and
     (zeta, mu) against the edge relation; residual_inclusion is the
-    distance of 0 to k^-1(y) + E gamma(E' y).
+    distance of 0 to k^-1(y) + E gamma(zeta).
     """
 
     u: np.ndarray
@@ -405,8 +404,9 @@ def recover_certificate(problem: NetworkProblem, y, zeta, tol: float = 1e-6) -> 
     u = -E mu, minimizing ||u||^2 + ||mu||^2 over the consistent
     choices. With u = a + A s and mu = b + B r (A, B orthonormal), the
     consistent (s, r) are x0 + span(Z) from one solve_affine, and the
-    minimizer is x0 - Z Z'[A'a; B'b]. Raises EmptySelection when no
-    consistent pair exists at tol.
+    minimizer is x0 - Z Z'[A'a; B'b]. The least-squares residual at x0
+    is residual_inclusion. Raises EmptySelection when no consistent pair
+    exists at tol.
     """
     y = np.asarray(y, dtype=float).ravel()
     zeta = np.asarray(zeta, dtype=float).ravel()
@@ -418,7 +418,8 @@ def recover_certificate(problem: NetworkProblem, y, zeta, tol: float = 1e-6) -> 
     a, A = du.basepoint, du.directions
     b, B = dmu.basepoint, dmu.directions
     # consistency: a + A s = -E (b + B r)
-    family = solve_affine(np.hstack([A, E @ B]), -E @ b - a, tol)
+    M, rhs = np.hstack([A, E @ B]), -E @ b - a
+    family = solve_affine(M, rhs, tol)
     if family.is_empty:
         raise EmptySelection("no consistent (u, mu) pair at tolerance")
     Z = family.directions
@@ -439,7 +440,7 @@ def recover_certificate(problem: NetworkProblem, y, zeta, tol: float = 1e-6) -> 
         mu=mu,
         residual_consistency=res_cons,
         residual_relations=res_rel,
-        residual_inclusion=inclusion_residual(problem, y),
+        residual_inclusion=float(np.linalg.norm(M @ family.basepoint - rhs)),
     )
 
 

@@ -375,15 +375,15 @@ def _sphere_directions(n: int, count: int) -> np.ndarray:
     return g / norms
 
 
-def solve_equilibrium(model: AgentModel, u, tol: float = 1e-10, max_iter: int = 200) -> EquilibriumResult:
+def solve_equilibrium(model: AgentModel, u, tol: float = 1e-10) -> EquilibriumResult:
     """Find the equilibrium of a convex-gradient agent at constant input u.
 
     The search first certifies a ball radius rho by geometric growth:
     at 64 * state_dim quasi-random points x on the sphere of radius rho
     the inner product <x, grad psi(x) - B u - w> must be nonnegative
     (tolerance -1e-10), which for skew J forces a zero of the defect
-    inside the ball. Root-finding then runs from the origin, with a
-    damped-Newton fallback on finite differences.
+    inside the ball. Root-finding (scipy's hybr) then runs from the
+    origin.
 
     Parameters
     ----------
@@ -393,8 +393,6 @@ def solve_equilibrium(model: AgentModel, u, tol: float = 1e-10, max_iter: int = 
         Constant input (leader offset added automatically).
     tol : float
         Required residual norm at the returned point.
-    max_iter : int
-        Iteration budget of the damped-Newton fallback.
 
     Returns
     -------
@@ -433,39 +431,10 @@ def solve_equilibrium(model: AgentModel, u, tol: float = 1e-10, max_iter: int = 
     from scipy import optimize
 
     sol = optimize.root(defect, np.zeros(n), method="hybr", tol=tol)
-    x0 = sol.x
-    res = float(np.linalg.norm(defect(x0)))
+    res = float(np.linalg.norm(defect(sol.x)))
     if res > tol:
-        # damped Newton on the defect with finite-difference Jacobian
-        x0 = np.zeros(n)
-        for _ in range(max_iter):
-            g = defect(x0)
-            res = float(np.linalg.norm(g))
-            if res <= tol:
-                break
-            eps = 1e-7
-            jac = np.empty((n, n))
-            for j in range(n):
-                step = np.zeros(n)
-                step[j] = eps
-                jac[:, j] = (defect(x0 + step) - g) / eps
-            try:
-                direction = np.linalg.solve(jac, -g)
-            except np.linalg.LinAlgError:
-                direction = -g
-            t = 1.0
-            for _ in range(40):
-                trial = x0 + t * direction
-                if np.linalg.norm(defect(trial)) < res:
-                    x0 = trial
-                    break
-                t *= 0.5
-            else:
-                break
-        res = float(np.linalg.norm(defect(x0)))
-        if res > tol:
-            raise NoConvergence(f"equilibrium residual {res:.3e} above {tol:.1e}")
-    return EquilibriumResult(x0=x0, residual=res, ball_radius=certified)
+        raise NoConvergence(f"equilibrium residual {res:.3e} above {tol:.1e}")
+    return EquilibriumResult(x0=sol.x, residual=res, ball_radius=certified)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Three layers live here:
 * SetDescriptor, a closed family of sets (empty / point / affine
   subspace / everything) used for all set-valued evaluations;
 * IntegralFunction, extended-real convex functions with values,
-  subgradients, conjugates, and proximal maps;
+  subgradients and conjugates;
 * VectorRelation, possibly set-valued input-output relations on R^d
   with forward and inverse evaluation, plus cyclic-monotonicity
   testing.
@@ -24,7 +24,6 @@ from .errors import (
     EmptyList,
     OutsideDomain,
     RelationNotEvaluable,
-    SolverFailure,
     Unbounded,
     UnsupportedKind,
 )
@@ -475,7 +474,8 @@ def conjugate_value(f: IntegralFunction, y, opts: Optional[dict] = None) -> floa
 
     Closed forms are used for quadratic (PSD) and indicator kinds and
     anything reducible to them; scalar-separable kinds solve phi(s) = y_j
-    per coordinate. When a dict is passed as opts, the key "path" is set
+    per coordinate. Other kinds (a sum with a non-quadratic part) raise
+    UnsupportedKind. When a dict is passed as opts, the key "path" is set
     to "closed-form" or "numeric".
     """
     y = _check_dim(f, y)
@@ -517,62 +517,7 @@ def conjugate_value(f: IntegralFunction, y, opts: Optional[dict] = None) -> floa
             total += yj * s - _simpson_adaptive(f.phi, 0.0, s)
         return float(total)
 
-    # generic bounded numerical minimization of f(x) - y'x
-    report("numeric")
-    from scipy import optimize
-
-    res = optimize.minimize(
-        lambda x: value(f, x) - y @ x,
-        np.zeros(f.dim),
-        jac=lambda x: grad_of(f, x) - y,
-        method="BFGS",
-        options={"gtol": 1e-10, "maxiter": 500},
-    )
-    if not np.isfinite(res.fun):
-        raise Unbounded("inner problem of the conjugate diverged")
-    if np.linalg.norm(res.x) > 1e8:
-        raise Unbounded("conjugate minimizer escaped to infinity")
-    if not res.success and np.linalg.norm(res.jac) > 1e-6:
-        raise SolverFailure(f"conjugate inner solve failed: {res.message}")
-    return float(-res.fun)
-
-
-def prox(f: IntegralFunction, x, step: float) -> np.ndarray:
-    """argmin_z f(z) + ||z - x||^2 / (2 step)."""
-    if step <= 0:
-        raise SolverFailure("prox step must be positive")
-    x = _check_dim(f, x)
-    if f.kind is FunctionKind.INDICATOR_ZERO:
-        return np.zeros(f.dim)
-    if f.kind is FunctionKind.STACKED:
-        return np.concatenate([prox(ch, xb, step) for ch, xb in _blocks(f, x)])
-    if f.kind is FunctionKind.SHIFTED:
-        return f.shift + prox(f.inner, x - f.shift - step * f.linear, step)
-    quad = as_quadratic(f)
-    if quad is not None:
-        P, q, _ = quad
-        return np.linalg.solve(np.eye(f.dim) + step * P, x - step * q)
-    if f.kind is FunctionKind.SCALAR_SEPARABLE:
-        out = np.empty(f.dim)
-        for j, xj in enumerate(x):
-            root = _bracket_root(lambda s: s + step * f.phi(s), float(xj))
-            if root is None:
-                raise SolverFailure("prox bisection failed to bracket")
-            out[j] = root
-        return out
-    # generic smooth fallback
-    from scipy import optimize
-
-    res = optimize.minimize(
-        lambda z: value(f, z) + np.sum((z - x) ** 2) / (2.0 * step),
-        x.copy(),
-        jac=lambda z: grad_of(f, z) + (z - x) / step,
-        method="BFGS",
-        options={"gtol": 1e-12, "maxiter": 500},
-    )
-    if not res.success and np.linalg.norm(res.jac) > 1e-8:
-        raise SolverFailure(f"prox solve failed: {res.message}")
-    return res.x
+    raise UnsupportedKind(f"no closed-form conjugate value for kind {f.kind}")
 
 
 def conjugate_function(f: IntegralFunction) -> IntegralFunction:
@@ -748,18 +693,7 @@ def _grad_solve(chi: IntegralFunction, y: np.ndarray) -> SetDescriptor:
                 return SetDescriptor.empty(chi.dim)
             roots.append(s)
         return SetDescriptor.point(np.array(roots))
-    from scipy import optimize
-
-    res = optimize.minimize(
-        lambda x: value(chi, x) - y @ x,
-        np.zeros(chi.dim),
-        jac=lambda x: grad_of(chi, x) - y,
-        method="BFGS",
-        options={"gtol": 1e-11, "maxiter": 500},
-    )
-    if np.linalg.norm(grad_of(chi, res.x) - y) > 1e-7:
-        return SetDescriptor.empty(chi.dim)
-    return SetDescriptor.point(res.x)
+    raise UnsupportedKind(f"no closed-form gradient inverse for kind {chi.kind}")
 
 
 def inverse(rel: VectorRelation, y) -> SetDescriptor:
@@ -920,8 +854,13 @@ def check_cm(
     an indicator part raises RelationNotEvaluable. Cycles are drawn and
     summed in chunks; the first one whose sum, recomputed by
     cyclic_sum, is below -tol is the witness, and cycles_checked is its
-    position in draw order.
+    position in draw order. A budget of no cycles, or cycles shorter
+    than two pairs, raises EmptyList.
     """
+    if cycles < 1:
+        raise EmptyList(f"check_cm needs at least one cycle, got {cycles}")
+    if max_cycle_len < 2:
+        raise EmptyList(f"cycles need at least two pairs, got max_cycle_len={max_cycle_len}")
     rng = np.random.default_rng(sampler.seed)
     checked = 0
     while checked < cycles:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .couplers import linear_synthesis, reconfigured
 from .errors import EmptyInverse, NotForcible, UnsupportedKind
-from .netopt import NetworkProblem
-from .relations import FunctionKind, SetDescriptor, as_quadratic, inverse, solve_affine, value
+from .netopt import NetworkProblem, solve_composite
+from .relations import FunctionKind, SetDescriptor, inverse, quadratic, shifted, solve_affine, value
 
 # strict-convexity probe parameters
 PROBE_MARGIN = 1e-6
@@ -48,17 +48,18 @@ def _sum_descriptor(descs) -> SetDescriptor:
 
 
 def _min_flow(problem: NetworkProblem, descs, tol: float) -> np.ndarray:
-    """Minimum-norm mu with -E mu in the product of the node descriptors."""
+    """Minimum-norm mu with -E mu in the product of the node descriptors.
+
+    For the product a + span(Q), Q orthonormal, that is the min-norm
+    solution of (I - QQ')E mu = -(I - QQ')a.
+    """
     E = problem.op.lifted
     cat = SetDescriptor.product(descs)
-    # -E mu = a + Q s: solve for (mu, s), then minimize ||mu|| over the family
-    family = solve_affine(np.hstack([E, cat.directions]), -cat.basepoint, max(tol, 1e-8))
-    if family.is_empty:
+    Q, a = cat.directions, cat.basepoint
+    flows = solve_affine(E - Q @ (Q.T @ E), Q @ (Q.T @ a) - a, max(tol, 1e-8))
+    if flows.is_empty:
         raise NotForcible("y is not forcible, no consistent flow exists")
-    mu = family.basepoint[: problem.edge_size]
-    nm = family.directions[: problem.edge_size]
-    coef, *_ = np.linalg.lstsq(nm, -mu, rcond=None)
-    return mu + nm @ coef
+    return flows.basepoint
 
 
 @dataclass(frozen=True)
@@ -109,28 +110,14 @@ class SynthesisResult:
 
 
 def _agreement_shift(problem: NetworkProblem, y_star, tol: float) -> np.ndarray:
-    """beta minimizing A(beta) = sum_i K*_i(y*_i + beta); needs a quadratic K*."""
-    quad = as_quadratic(problem.Kstar)
+    """beta minimizing A(beta) = sum_i K*_i(y*_i + beta), by one exact solve."""
     d = problem.op.dim
-    n = problem.op.node_count
     y_star = np.asarray(y_star, dtype=float).ravel()
-    lift = np.kron(np.ones((n, 1)), np.eye(d))
-    if quad is not None:
-        P, q, _ = quad
-        H = lift.T @ P @ lift
-        rhs = -lift.T @ (P @ y_star + q)
-        beta, *_ = np.linalg.lstsq(H, rhs, rcond=None)
-        return beta
-    # derivative-free descent fallback over the d-dimensional shift
-    from scipy import optimize
-
-    res = optimize.minimize(
-        lambda b: value(problem.Kstar, y_star + lift @ b),
-        np.zeros(d),
-        method="Nelder-Mead",
-        options={"xatol": tol, "fatol": tol, "maxiter": 2000},
-    )
-    return res.x
+    lift = np.kron(np.ones((problem.op.node_count, 1)), np.eye(d))
+    beta, _ = solve_composite(quadratic(np.zeros((d, d))), shifted(problem.Kstar, shift=-y_star),
+                              lift, np.zeros(d), tol,
+                              lambda b: value(problem.Kstar, y_star + lift @ b))
+    return beta
 
 
 def synthesize_linear(

@@ -120,6 +120,23 @@ def test_synthesize_with_leader(tmp_path, capsys):
     assert offs[0] is not None
 
 
+def test_synthesize_leader_report_says_equation_holds(tmp_path, capsys):
+    cfg = write_doc(tmp_path, hand_doc())
+    code = run_cli("synthesize", "--config", cfg, "--out", str(tmp_path),
+                   "--target", "[1.0, -1.0]", "--leader", "0")
+    assert code == 0
+    assert "steady-state equation holds = True" in capsys.readouterr().out
+
+
+def test_synthesize_leader_out_of_range_is_config_error(tmp_path, capsys):
+    cfg = write_doc(tmp_path, hand_doc())
+    code = run_cli("synthesize", "--config", cfg, "--out", str(tmp_path),
+                   "--target", "[2.0, 2.0]", "--leader", "5")
+    assert code == 1
+    assert "--leader" in capsys.readouterr().err
+    assert not (tmp_path / "patch.json").exists()
+
+
 def test_check_cm_exact_and_randomized(tmp_path, capsys):
     doc = hand_doc()
     doc["agents"][1] = {"type": "convex_gradient",

@@ -212,6 +212,7 @@ def test_random_mixed_controller_networks_agree(seed, n, d):
     y, zeta, _ = solve_opp(prob)
     cert = recover_certificate(prob, y, zeta)
     assert cert.valid(1e-6)
+    assert cert.residual_inclusion == pytest.approx(inclusion_residual(prob, y), abs=1e-12)
     assert abs(duality_gap(prob, cert.u, cert.mu, cert.y, cert.zeta)) <= 1e-8
     u, _, _ = solve_ofp(prob)
     assert np.allclose(u, cert.u, atol=1e-8)

@@ -9,7 +9,7 @@ from couplednet import plants
 from couplednet import relations as R
 from couplednet.couplers import PSI_RANGE, paper_psi
 from couplednet.errors import (DimensionMismatch, EmptyList, OutsideDomain,
-                               RelationNotEvaluable)
+                               RelationNotEvaluable, UnsupportedKind)
 
 from conftest import rand_spd
 
@@ -91,19 +91,6 @@ def test_value_dimension_check():
     f = R.quadratic(P2)
     with pytest.raises(DimensionMismatch):
         R.value(f, [1.0, 2.0, 3.0])
-
-
-def test_prox_quadratic_closed_form():
-    f = R.quadratic(P2, Q2)
-    x = np.array([1.0, 2.0])
-    t = 0.5
-    expect = np.linalg.solve(np.eye(2) + t * P2, x - t * Q2)
-    assert np.allclose(R.prox(f, x, t), expect, atol=1e-10)
-
-
-def test_prox_indicator_projects_to_zero():
-    f = R.indicator_zero(2)
-    assert np.allclose(R.prox(f, [3.0, -1.0], 0.7), 0.0)
 
 
 def test_indicator_subgradient_empty_off_origin():
@@ -296,6 +283,22 @@ def test_check_cm_shifted_relations():
 def test_check_cm_gradient_of_indicator_not_evaluable():
     with pytest.raises(RelationNotEvaluable):
         R.check_cm(R.gradient_relation(R.indicator_zero(2)), R.Sampler(seed=0))
+
+
+@pytest.mark.parametrize("budget", [dict(cycles=0), dict(cycles=-5),
+                                    dict(max_cycle_len=1)])
+def test_check_cm_rejects_empty_budget(budget):
+    rel = R.affine_relation(np.diag([1.0, -1.0]))
+    with pytest.raises(EmptyList):
+        R.check_cm(rel, R.Sampler(seed=0), **budget)
+
+
+def test_sum_with_nonquadratic_part_has_no_closed_form():
+    f = R.function_sum([R.quadratic(np.eye(2)), R.scalar_separable(lambda t: t**3, 2)])
+    with pytest.raises(UnsupportedKind):
+        R.conjugate_value(f, [1.0, 2.0])
+    with pytest.raises(UnsupportedKind):
+        R.inverse(R.gradient_relation(f), [1.0, 2.0])
 
 
 def test_conjugate_value_unbounded():
