@@ -50,7 +50,6 @@ from .simulate import (
 )
 from .synthesis import (
     apply_leader,
-    check_forcible,
     check_uniqueness_conditions,
     leader_input,
     reconfiguration_offsets,
@@ -326,7 +325,6 @@ def cmd_synthesize(config_path, out, seed, target, mode, leader):
         if leader is not None and not (0 <= leader < n):
             raise ConfigInvalid(f"--leader must be a node index in [0, {n})")
         problem = assemble(cfg.graph, cfg.agents, cfg.controllers)
-        forci = check_forcible(problem, y_star)
         result = synthesize_linear(problem, y_star, mode=mode, leader=leader)
         agents_out = cfg.agents
         if leader is not None and result.leader_input is not None:
@@ -341,7 +339,8 @@ def cmd_synthesize(config_path, out, seed, target, mode, leader):
         _write_json(os.path.join(outdir, "patch.json"), patch)
         lines = [
             f"mode = {result.mode}",
-            f"forcible = {forci.forcible} (residual {forci.residual:.3e})",
+            f"forcible = {result.forcibility.forcible} "
+            f"(residual {result.forcibility.residual:.3e})",
             f"steady-state equation holds = {uniq.stationarity_residual <= 1e-8}",
             f"edge potentials strictly convex = {uniq.outer_strict}",
             f"node potential sum strictly convex near target = {uniq.inner_strict}",

@@ -13,7 +13,7 @@ Three layers live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -108,16 +108,9 @@ class SetDescriptor:
         return self.kind is SetKind.EMPTY
 
     @property
-    def is_point(self) -> bool:
-        return self.kind is SetKind.POINT
-
-    @property
     def directions(self) -> np.ndarray:
         """Orthonormal basis of the direction space, (dim, 0) if there is none."""
         return self.basis if self.basis is not None else np.zeros((self.dim, 0))
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return self.distance(x) <= tol
 
     def distance(self, x) -> float:
         """Euclidean distance from x to the set (inf for the empty set)."""
@@ -145,12 +138,9 @@ class SetDescriptor:
 
     # -- algebra --------------------------------------------------------
     def translate(self, v) -> "SetDescriptor":
-        v = np.asarray(v, dtype=float).ravel()
         if self.kind is SetKind.EMPTY or self.kind is SetKind.EVERYTHING:
             return self
-        if self.kind is SetKind.POINT:
-            return SetDescriptor.point(self.basepoint + v)
-        return SetDescriptor(SetKind.AFFINE, self.dim, self.basepoint + v, self.basis)
+        return replace(self, basepoint=self.basepoint + np.asarray(v, dtype=float).ravel())
 
     def minkowski(self, other: "SetDescriptor") -> "SetDescriptor":
         if self.dim != other.dim:
@@ -304,7 +294,8 @@ def shifted(inner: IntegralFunction, shift=None, linear=None, constant: float = 
     )
 
 
-def _blocks(f: IntegralFunction, x: np.ndarray):
+def _blocks(f, x: np.ndarray):
+    """Each child of a stacked function or relation with its slice of x."""
     offset = 0
     for ch in f.children:
         yield ch, x[offset : offset + ch.dim]
@@ -338,7 +329,7 @@ def _simpson_adaptive(phi, a: float, b: float, tol: float = 1e-8, depth: int = 3
     return recurse(a, b, fa, fm, fb, whole, tol, depth)
 
 
-def _check_dim(f: IntegralFunction, x) -> np.ndarray:
+def _check_dim(f, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.size != f.dim:
         raise DimensionMismatch(f"expected dimension {f.dim}, got {x.size}")
@@ -639,23 +630,9 @@ def shifted_relation(inner: VectorRelation, input_offset=None, output_offset=Non
     )
 
 
-def _rel_blocks(rel: VectorRelation, x: np.ndarray):
-    offset = 0
-    for ch in rel.children:
-        yield ch, x[offset : offset + ch.dim]
-        offset += ch.dim
-
-
-def _check_rel_dim(rel: VectorRelation, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != rel.dim:
-        raise DimensionMismatch(f"expected dimension {rel.dim}, got {x.size}")
-    return x
-
-
 def forward(rel: VectorRelation, u) -> SetDescriptor:
     """The set of steady outputs for steady input u (Empty if none)."""
-    u = _check_rel_dim(rel, u)
+    u = _check_dim(rel, u)
     if rel.kind is RelationKind.AFFINE:
         return SetDescriptor.point(rel.S @ u + rel.v)
     if rel.kind is RelationKind.GRADIENT_OF_CONVEX:
@@ -665,7 +642,7 @@ def forward(rel: VectorRelation, u) -> SetDescriptor:
             return SetDescriptor.empty(rel.dim)
         return SetDescriptor.everything(rel.dim)
     if rel.kind is RelationKind.STACKED:
-        return SetDescriptor.product([forward(ch, ub) for ch, ub in _rel_blocks(rel, u)])
+        return SetDescriptor.product([forward(ch, ub) for ch, ub in _blocks(rel, u)])
     if rel.kind is RelationKind.SHIFTED:
         return forward(rel.inner, u - rel.input_offset).translate(rel.output_offset)
     if rel.kind is RelationKind.INVERTED:
@@ -698,7 +675,7 @@ def _grad_solve(chi: IntegralFunction, y: np.ndarray) -> SetDescriptor:
 
 def inverse(rel: VectorRelation, y) -> SetDescriptor:
     """The set of steady inputs producing steady output y (Empty if none)."""
-    y = _check_rel_dim(rel, y)
+    y = _check_dim(rel, y)
     if rel.kind is RelationKind.AFFINE:
         return solve_affine(rel.S, y - rel.v)
     if rel.kind is RelationKind.GRADIENT_OF_CONVEX:
@@ -708,7 +685,7 @@ def inverse(rel: VectorRelation, y) -> SetDescriptor:
             return SetDescriptor.empty(rel.dim)
         return SetDescriptor.point(np.zeros(rel.dim))
     if rel.kind is RelationKind.STACKED:
-        return SetDescriptor.product([inverse(ch, yb) for ch, yb in _rel_blocks(rel, y)])
+        return SetDescriptor.product([inverse(ch, yb) for ch, yb in _blocks(rel, y)])
     if rel.kind is RelationKind.SHIFTED:
         return inverse(rel.inner, y - rel.output_offset).translate(rel.input_offset)
     if rel.kind is RelationKind.INVERTED:
@@ -722,15 +699,15 @@ def pair_residual(rel: VectorRelation, u, y) -> float:
     Integrator kinds honor their output interval here even though
     forward() reports Everything.
     """
-    u = _check_rel_dim(rel, u)
-    y = _check_rel_dim(rel, y)
+    u = _check_dim(rel, u)
+    y = _check_dim(rel, y)
     if rel.kind is RelationKind.INTEGRATOR:
         excess = np.maximum(rel.out_lo - y, 0.0) + np.maximum(y - rel.out_hi, 0.0)
         return float(max(np.linalg.norm(u), np.linalg.norm(excess)))
     if rel.kind is RelationKind.STACKED:
         parts = [
             pair_residual(ch, ub, yb)
-            for (ch, ub), (_, yb) in zip(_rel_blocks(rel, u), _rel_blocks(rel, y))
+            for (ch, ub), (_, yb) in zip(_blocks(rel, u), _blocks(rel, y))
         ]
         return float(max(parts))
     if rel.kind is RelationKind.SHIFTED:

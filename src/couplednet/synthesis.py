@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .couplers import linear_synthesis, reconfigured
-from .errors import EmptyInverse, NotForcible, UnsupportedKind
+from .errors import EmptyInverse, IndexOutOfRange, NotForcible
 from .netopt import NetworkProblem, solve_composite
 from .relations import FunctionKind, SetDescriptor, inverse, quadratic, shifted, solve_affine, value
 
@@ -24,42 +24,43 @@ PROBE_DIRECTIONS = 32
 PROBE_RADIUS = 1e-2
 
 
-def _node_blocks(problem: NetworkProblem, y):
-    y = np.asarray(y, dtype=float).ravel()
-    d = problem.op.dim
-    return [y[i * d : (i + 1) * d] for i in range(problem.op.node_count)]
+def _lift(problem: NetworkProblem) -> np.ndarray:
+    """The agreement lift 1 (x) I_d, copying a d-vector to every node."""
+    return np.kron(np.ones((problem.op.node_count, 1)), np.eye(problem.op.dim))
 
 
-def _inverse_descriptors(problem: NetworkProblem, y) -> list[SetDescriptor]:
-    descs = []
-    for rel, yi in zip(problem.node_relations, _node_blocks(problem, y)):
-        desc = inverse(rel, yi)
-        if desc.is_empty:
-            raise EmptyInverse("a node relation has no input mapping to y*")
-        descs.append(desc)
-    return descs
+def _node_set(problem: NetworkProblem, y) -> SetDescriptor:
+    """k^-1(y), the product of the node inverse sets k_i^-1(y_i)."""
+    cat = inverse(problem.node_relation, y)
+    if cat.is_empty:
+        raise EmptyInverse("a node relation has no input mapping to y*")
+    return cat
 
 
-def _sum_descriptor(descs) -> SetDescriptor:
-    out = descs[0]
-    for d in descs[1:]:
-        out = out.minkowski(d)
-    return out
+def _min_flow(problem: NetworkProblem, cat: SetDescriptor, tol: float = 1e-8):
+    """(mu, z): min-norm flow with -E mu in cat, min-norm z in S = sum_i cat_i.
 
-
-def _min_flow(problem: NetworkProblem, descs, tol: float) -> np.ndarray:
-    """Minimum-norm mu with -E mu in the product of the node descriptors.
-
-    For the product a + span(Q), Q orthonormal, that is the min-norm
-    solution of (I - QQ')E mu = -(I - QQ')a.
+    Both come from the least-squares solve of (I - QQ')E mu = -(I - QQ')a
+    for cat = a + span(Q), Q orthonormal. The graph is connected, so
+    range(E) = {v : sum_i v_i = 0} and the residual is 1 (x) z/n; ||z|| is
+    the distance of 0 to S. mu is None when that residual exceeds
+    max(tol, 1e-8) * (1 + ||rhs||): no flow routes cat.
     """
     E = problem.op.lifted
-    cat = SetDescriptor.product(descs)
     Q, a = cat.directions, cat.basepoint
-    flows = solve_affine(E - Q @ (Q.T @ E), Q @ (Q.T @ a) - a, max(tol, 1e-8))
-    if flows.is_empty:
+    mat, rhs = E - Q @ (Q.T @ E), Q @ (Q.T @ a) - a
+    mu = solve_affine(mat, rhs, np.inf).basepoint
+    r = mat @ mu - rhs
+    z = r.reshape(problem.op.node_count, problem.op.dim).sum(axis=0)
+    if np.linalg.norm(r) > max(tol, 1e-8) * (1.0 + np.linalg.norm(rhs)):
+        mu = None
+    return mu, z
+
+
+def _routed(mu):
+    if mu is None:
         raise NotForcible("y is not forcible, no consistent flow exists")
-    return flows.basepoint
+    return mu
 
 
 @dataclass(frozen=True)
@@ -78,19 +79,16 @@ class ForcibilityReport:
         return self.forcible
 
 
-def check_forcible(problem: NetworkProblem, y_star, tol: float = 1e-8) -> ForcibilityReport:
-    """Test whether y* is forcible as a steady state by pure coupling."""
-    descs = _inverse_descriptors(problem, y_star)
-    d = problem.op.dim
-    total = _sum_descriptor(descs)
-    residual = total.distance(np.zeros(d))
-    if residual > tol:
-        return ForcibilityReport(False, None, residual)
-    try:
-        mu = _min_flow(problem, descs, tol)
-    except NotForcible:
+def _report(problem: NetworkProblem, mu, z, tol: float) -> ForcibilityReport:
+    residual = float(np.linalg.norm(z))
+    if residual > tol or mu is None:
         return ForcibilityReport(False, None, residual)
     return ForcibilityReport(True, -(problem.op.lifted @ mu), residual)
+
+
+def check_forcible(problem: NetworkProblem, y_star, tol: float = 1e-8) -> ForcibilityReport:
+    """Test whether y* is forcible as a steady state by pure coupling."""
+    return _report(problem, *_min_flow(problem, _node_set(problem, y_star), tol), tol)
 
 
 @dataclass(frozen=True)
@@ -103,17 +101,14 @@ class SynthesisResult:
     mode: str
     forcibility: ForcibilityReport
     y_target: np.ndarray
-    alpha: Optional[np.ndarray] = None
-    beta: Optional[np.ndarray] = None
     leader_input: Optional[np.ndarray] = None
     leader: Optional[int] = None
 
 
-def _agreement_shift(problem: NetworkProblem, y_star, tol: float) -> np.ndarray:
+def _agreement_shift(problem: NetworkProblem, y_star: np.ndarray, tol: float) -> np.ndarray:
     """beta minimizing A(beta) = sum_i K*_i(y*_i + beta), by one exact solve."""
     d = problem.op.dim
-    y_star = np.asarray(y_star, dtype=float).ravel()
-    lift = np.kron(np.ones((problem.op.node_count, 1)), np.eye(d))
+    lift = _lift(problem)
     beta, _ = solve_composite(quadratic(np.zeros((d, d))), shifted(problem.Kstar, shift=-y_star),
                               lift, np.zeros(d), tol,
                               lambda b: value(problem.Kstar, y_star + lift @ b))
@@ -137,30 +132,34 @@ def synthesize_linear(
     with a leader, the leader's inverse set is first moved by -z.
     """
     y_star = np.asarray(y_star, dtype=float).ravel()
-    d = problem.op.dim
+    n, d = problem.op.node_count, problem.op.dim
+    if leader is not None and not (0 <= leader < n):
+        raise IndexOutOfRange(f"node index {leader} out of range")
     zeta_star = problem.op.lifted.T @ y_star
     leader_z = None
     y_target = y_star
 
-    fr = check_forcible(problem, y_star, tol)
+    cat = _node_set(problem, y_star)
+    mu, z = _min_flow(problem, cat, tol)
+    fr = _report(problem, mu, z, tol)
     if not fr.forcible:
         if leader is not None:
-            leader_z = leader_input(problem, y_star, leader, tol)
+            leader_z = z
+            shift = np.kron(np.eye(n)[leader], -z)
+            mu, _ = _min_flow(problem, cat.translate(shift), tol)
         elif mode == "relative":
             beta = _agreement_shift(problem, y_star, tol)
-            y_target = y_star + np.kron(np.ones(problem.op.node_count), beta)
-            fr = check_forcible(problem, y_target, max(tol, 1e-6))
-            if not fr.forcible:
+            y_target = y_star + _lift(problem) @ beta
+            mu, z = _min_flow(problem, _node_set(problem, y_target), tol)
+            residual = np.linalg.norm(z)
+            if residual > max(tol, 1e-6):
                 raise NotForcible(
-                    f"no agreement shift of y* is forcible (residual {fr.residual:.3e})"
+                    f"no agreement shift of y* is forcible (residual {residual:.3e})"
                 )
         else:
             raise NotForcible(f"y* is not forcible (residual {fr.residual:.3e})")
 
-    descs = _inverse_descriptors(problem, y_target)
-    if leader_z is not None:
-        descs[leader] = descs[leader].translate(-leader_z)
-    xi = -_min_flow(problem, descs, tol)
+    xi = -_routed(mu)
     m = problem.op.edge_count
     offsets = [xi[e * d : (e + 1) * d] + zeta_star[e * d : (e + 1) * d] for e in range(m)]
     controllers = tuple(linear_synthesis(o) for o in offsets)
@@ -206,7 +205,7 @@ def _probe_strict(fn, x0: np.ndarray, rng: np.random.Generator) -> bool:
     return True
 
 
-def check_uniqueness_conditions(problem: NetworkProblem, y_star, tol: float = 1e-8) -> UniquenessReport:
+def check_uniqueness_conditions(problem: NetworkProblem, y_star) -> UniquenessReport:
     """Probe the conditions that make y* the unique optimum."""
     y_star = np.asarray(y_star, dtype=float).ravel()
     d = problem.op.dim
@@ -225,24 +224,20 @@ def check_uniqueness_conditions(problem: NetworkProblem, y_star, tol: float = 1e
             outer = False
             break
 
-    n = problem.op.node_count
-    lift = np.kron(np.ones((n, 1)), np.eye(d))
+    lift = _lift(problem)
 
     def a_fn(beta):
         return value(problem.Kstar, y_star + lift @ beta)
 
     inner = _probe_strict(a_fn, np.zeros(d), rng)
 
-    descs = _inverse_descriptors(problem, y_star)
-    stationarity = _sum_descriptor(descs).distance(np.zeros(d))
-    return UniquenessReport(
-        outer_strict=outer, inner_strict=inner, stationarity_residual=stationarity
-    )
+    z = _min_flow(problem, _node_set(problem, y_star))[1]
+    return UniquenessReport(outer, inner, float(np.linalg.norm(z)))
 
 
 def g_map(problem: NetworkProblem, y, tol: float = 1e-8) -> np.ndarray:
     """Minimum-norm mu with -E mu in k^-1(y); the reconfiguration selection."""
-    return _min_flow(problem, _inverse_descriptors(problem, y), tol)
+    return _routed(_min_flow(problem, _node_set(problem, y), tol)[0])
 
 
 def reconfiguration_offsets(problem: NetworkProblem, y0, y_star, tol: float = 1e-8):
@@ -268,9 +263,8 @@ def wrap_reconfigured(controllers, alpha, beta, d: int):
 def leader_input(problem: NetworkProblem, y_star, i0: int, tol: float = 1e-8) -> np.ndarray:
     """Constant input z at node i0 making y* forcible: z in sum_i k_i^-1(y*_i)."""
     if not (0 <= i0 < problem.op.node_count):
-        raise UnsupportedKind(f"node index {i0} out of range")
-    descs = _inverse_descriptors(problem, y_star)
-    return _sum_descriptor(descs).min_norm()
+        raise IndexOutOfRange(f"node index {i0} out of range")
+    return _min_flow(problem, _node_set(problem, y_star), tol)[1]
 
 
 def apply_leader(agents, i0: int, z) -> list:

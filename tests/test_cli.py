@@ -105,7 +105,10 @@ def test_synthesize_relative_mode(tmp_path, capsys):
     code = run_cli("synthesize", "--config", cfg, "--out", str(tmp_path),
                    "--target", "[1.0, -1.0]", "--mode", "relative")
     assert code == 0
-    assert "mode = relative" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "mode = relative" in out
+    # the forcible line reports y*, which relative mode had to shift
+    assert "forcible = False" in out
 
 
 def test_synthesize_with_leader(tmp_path, capsys):

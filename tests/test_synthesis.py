@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from couplednet.couplers import ControllerKind, nonlinear_integrator
-from couplednet.errors import NotForcible
+from couplednet.errors import IndexOutOfRange, NotForcible
 from couplednet.netgraph import build_graph
 from couplednet.netopt import assemble, verify_steady_state
 from couplednet.plants import linear_agent
-from couplednet.relations import quadratic
+from couplednet.relations import forward, quadratic
 from couplednet.simulate import (IntegrateOptions, closed_loop,
                                  default_initial_state, detect_convergence,
                                  integrate)
@@ -112,6 +113,16 @@ def test_leader_input_hand_value():
     assert np.allclose(leader_input(prob, np.array([1.0, 0.0]), 0), [1.0])
 
 
+def test_leader_index_out_of_range():
+    # a forcible target would otherwise never look at the leader index
+    _, _, prob = mirrored_pair()
+    for bad in (-1, 2):
+        with pytest.raises(IndexOutOfRange):
+            synthesize_linear(prob, [0.0, 0.0], leader=bad)
+        with pytest.raises(IndexOutOfRange):
+            leader_input(prob, np.array([1.0, 0.0]), bad)
+
+
 def test_unforcible_without_escape_raises():
     _, _, prob = mirrored_pair()
     with pytest.raises(NotForcible):
@@ -212,3 +223,61 @@ def test_reconfiguration_shift_law(seed, n):
     for i in range(n):
         assert inverse(prob.node_relations[i], y_star[i:i+1]).distance(
             u_star[i:i+1]) <= 1e-6
+
+
+def _sum_min_norm(agents, y_star, d):
+    """Min-norm element of S = sum_i k_i^-1(y*_i) from each agent's dc gain.
+
+    k_i(u) = G_i u + v_i, so k_i^-1(y_i) = G_i^+ (y_i - v_i) + null(G_i)
+    and S is the sum of those basepoints plus the span of the null spaces.
+    """
+    base, null = np.zeros(d), []
+    for i, a in enumerate(agents):
+        G = a.C @ np.linalg.solve(-a.A, a.B) + a.T
+        v = a.C @ np.linalg.solve(-a.A, a.w)
+        base += np.linalg.pinv(G) @ (y_star[i * d:(i + 1) * d] - v)
+        null.append(null_space(G))
+    N = np.hstack(null)
+    return base - N @ (np.linalg.pinv(N) @ base)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       n=st.integers(min_value=2, max_value=5),
+       d=st.integers(min_value=1, max_value=2),
+       forcible_target=st.booleans())
+def test_flow_solve_matches_pinv_sum(seed, n, d, forcible_target):
+    # zero-gain nodes output w whatever the input; the target pins them to w
+    rng = np.random.default_rng(seed)
+    g = rand_connected_graph(rng, n)
+    agents = [linear_agent(-np.eye(d), np.zeros((d, d)), np.eye(d), w=rng.normal(size=d))
+              if rng.random() < 0.25 else
+              meicmp_linear_agent(rng, d, anchor=rng.normal(size=d))
+              for _ in range(n)]
+    ctrls = [nonlinear_integrator(quadratic(np.eye(d)))] * g.edge_count
+    prob = assemble(g, agents, ctrls)
+    if forcible_target:
+        u = -prob.op.lifted @ rng.normal(size=g.edge_count * d)
+        y_star = np.concatenate([forward(prob.node_relations[i], u[i * d:(i + 1) * d])
+                                 .min_norm() for i in range(n)])
+    else:
+        y_star = rng.normal(size=n * d)
+        for i, a in enumerate(agents):
+            if not np.any(a.B):
+                y_star[i * d:(i + 1) * d] = a.w
+
+    z_ref = _sum_min_norm(agents, y_star, d)
+    scale = 1.0 + np.linalg.norm(z_ref)
+    rep = check_forcible(prob, y_star)
+    assert abs(rep.residual - np.linalg.norm(z_ref)) <= 1e-9 * scale
+    assert np.allclose(leader_input(prob, y_star, 0), z_ref, rtol=0.0, atol=1e-9 * scale)
+    stat = check_uniqueness_conditions(prob, y_star).stationarity_residual
+    assert abs(stat - np.linalg.norm(z_ref)) <= 1e-9 * scale
+
+    if rep.forcible:
+        assert np.array_equal(synthesize_linear(prob, y_star).xi, -g_map(prob, y_star))
+    else:
+        assert not forcible_target
+        res = synthesize_linear(prob, y_star, leader=0)
+        shifted = apply_leader(agents, 0, res.leader_input)
+        assert check_forcible(assemble(g, shifted, ctrls), y_star).forcible
