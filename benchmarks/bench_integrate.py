@@ -1,8 +1,9 @@
 """Wall time of one closed-loop integration on a ring with chords.
 
 Builds a ring-with-chords oscillator network with saturating-integrator
-edge controllers, integrates it once and reports the wall time, the
-number of rhs evaluations and the time per rhs evaluation.
+edge controllers, integrates it REPEAT times and reports the best and
+the median wall time, the number of rhs evaluations and the time per
+rhs evaluation.
 
 Usage:
     python3 benchmarks/bench_integrate.py [--nodes 24] [--horizon 20]
@@ -10,6 +11,7 @@ Usage:
 """
 
 import argparse
+import statistics
 import time
 
 import numpy as np
@@ -20,6 +22,8 @@ from couplednet.plants import damped_oscillator_agent
 from couplednet.relations import quadratic, scalar_separable
 from couplednet.simulate import (IntegrateOptions, closed_loop,
                                  default_initial_state, integrate)
+
+REPEAT = 3  # timed integrations; the best of at least three is reported
 
 
 def build_system(nodes: int, seed: int = 3):
@@ -63,12 +67,17 @@ def main():
           f"method {args.method}, horizon {args.horizon}")
 
     init = default_initial_state(system)
-    t0 = time.perf_counter()
-    traj = integrate(system, init, args.horizon, opts)
-    wall = time.perf_counter() - t0
+    walls = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        traj = integrate(system, init, args.horizon, opts)
+        walls.append(time.perf_counter() - t0)
     nfev = traj.metadata["nfev"]
-    print(f"wall {wall * 1e3:.2f} ms, {nfev} rhs calls, "
-          f"{wall / nfev * 1e6:.1f} us per rhs call ({len(traj.times)} samples)")
+    print(f"{nfev} rhs calls per run ({len(traj.times)} samples), "
+          f"{REPEAT} runs")
+    for label, wall in (("best", min(walls)), ("median", statistics.median(walls))):
+        print(f"{label:>6}: wall {wall * 1e3:.2f} ms, "
+              f"{wall / nfev * 1e6:.1f} us per rhs call")
 
 
 if __name__ == "__main__":

@@ -6,14 +6,15 @@ controllers are linear-synthesis or integrator types (quadratic or
 paper_psi potentials) fold into one sparse affine map of the stacked
 state s (agents, then controllers):
 
-    s' = W [s ; paper_psi(s[psi_idx])] + c
+    s' = W [s ; paper_psi(s[psi_idx]) ; 1]
 
 W carries the agent blocks A, B, C, the controllers' affine parts, the
-reconfiguration offsets and the wiring zeta = E^T y, u = -E mu. It is
-stored as a COO triple, so one rhs call is a gather, a multiply and a
-bincount. The adaptive loop is Dormand-Prince 5(4) with the FSAL
-property and its continuous extension for recording (Hairer, Norsett &
-Wanner, Solving ODEs I, sections II.5-II.6).
+reconfiguration offsets and the wiring zeta = E^T y, u = -E mu; its
+last column, on the constant 1, is the affine term c. It is stored as a
+COO triple, so one rhs call is a gather, a multiply and a bincount. The
+adaptive loop is Dormand-Prince 5(4) with the FSAL property and its
+continuous extension for recording (Hairer, Norsett & Wanner, Solving
+ODEs I, sections II.5-II.6).
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplers import ControllerKind, ControllerModel, paper_psi
+from .couplers import ControllerKind, ControllerModel, paper_psi, paper_psi_into
 from .errors import NonFiniteState, StepUnderflow
 from .plants import AgentKind, AgentModel
 from .relations import FunctionKind, as_quadratic
@@ -30,11 +31,13 @@ from .relations import FunctionKind, as_quadratic
 
 @dataclass(frozen=True)
 class PackedSystem:
-    """Closed loop folded into sparse affine maps of v = [s ; paper_psi(s[psi_idx])].
+    """Closed loop folded into sparse affine maps of v = [s ; paper_psi(s[psi_idx]) ; 1].
 
-    (row, col, w) and c give the state derivative; (sig_row, sig_col,
-    sig_w) and sig_c give the stacked signals [y ; mu]; E is the lifted
-    incidence operator that turns them into zeta and u.
+    (row, col, w) give the state derivative, the affine term c as the
+    entries on v's last, constant column, placed after all others;
+    (sig_row, sig_col, sig_w) and sig_c give the stacked signals
+    [y ; mu], which read no constant column; E is the lifted incidence
+    operator that turns them into zeta and u.
     """
 
     dim: int
@@ -42,7 +45,6 @@ class PackedSystem:
     row: np.ndarray
     col: np.ndarray
     w: np.ndarray
-    c: np.ndarray
     sig_row: np.ndarray
     sig_col: np.ndarray
     sig_w: np.ndarray
@@ -50,10 +52,29 @@ class PackedSystem:
     E: np.ndarray
 
 
-def _packed_rhs(s, pk):
-    """State derivative at s: the folded map applied to [s ; paper_psi(s[psi_idx])]."""
-    v = np.concatenate((s, paper_psi(s[pk.psi_idx])))
-    return np.bincount(pk.row, pk.w * v[pk.col], minlength=pk.dim) + pk.c
+def rhs_buffer(pk):
+    """Work vector v for _packed_rhs, its constant last entry set to 1."""
+    v = np.empty(pk.dim + pk.psi_idx.shape[0] + 1)
+    v[-1] = 1.0
+    return v
+
+
+def _packed_rhs(s, pk, v):
+    """State derivative at s: the folded map applied to v = [s ; paper_psi(s[psi_idx]) ; 1].
+
+    v is a buffer from rhs_buffer(pk), filled here and reusable across
+    calls. bincount adds each row's products in COO order, so c, stored
+    last, is added after the sum, bit for bit as a trailing `+ c` would.
+    No errstate is entered: paper_psi underflows harmlessly beyond
+    |eta| of about 708, and the integration loops below enter
+    np.errstate(under="ignore") once around all their calls.
+    """
+    dim = pk.dim
+    v[:dim] = s
+    paper_psi_into(s[pk.psi_idx], v[dim:-1])
+    p = v[pk.col]
+    np.multiply(p, pk.w, p)
+    return np.bincount(pk.row, p, minlength=dim)
 
 
 @dataclass(frozen=True)
@@ -119,6 +140,12 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0):
 
     Records inside a step come from the 4th-order continuous extension;
     the last step lands exactly on rec_times[-1]. Returns (states, StepStats).
+    np.errstate(under="ignore") is entered once here, around every rhs
+    call, so the packed kernel's paper_psi tails stay quiet under a
+    caller's raising errstate. Stages, the 5th-order state and the error
+    norm are computed into preallocated buffers by the same operations,
+    in the same order, as the plain `s + hdp[i, :i] @ K[:i]`, so they
+    agree with it bit for bit.
 
     Raises
     ------
@@ -135,45 +162,58 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0):
     idx = _initial_records(out, s, t, rec_times)
     t_end = float(rec_times[-1]) if nrec else t
     K = np.empty((7, dim))
-    K[0] = rhs(s)
-    abs_s = np.abs(s)
+    hdp = np.empty_like(_DP)  # h * _DP, refilled each step
+    stages = [(hdp[i, :i], K[:i]) for i in range(1, 6)]
+    b5, K5 = hdp[6, :6], K[:6]
+    stage, s5, abs_s5, scale, q = (np.empty(dim) for _ in range(5))
     nfev, accepted, rejected, h_min = 1, 0, 0, math.inf
     h = h0
-    while t < t_end:
-        if h < 1e-13 * (1.0 + abs(t)):
-            raise StepUnderflow("adaptive step size underflow")
-        last = t + h >= t_end - 1e-14 * (1.0 + abs(t_end))
-        h_use = t_end - t if last else h
-        hdp = h_use * _DP
-        for i in range(1, 6):
-            K[i] = rhs(s + hdp[i, :i] @ K[:i])
-        s5 = s + hdp[6, :6] @ K[:6]
-        K[6] = rhs(s5)
-        nfev += 6
-        abs_s5 = np.abs(s5)
-        q = (hdp[7] @ K) / (atol + rtol * np.maximum(abs_s, abs_s5))
-        errn = math.sqrt(q @ q / dim)
-        if not math.isfinite(errn):
-            raise NonFiniteState("state became non-finite during integration")
-        if errn <= 1.0:
-            t_new = t_end if last else t + h_use
-            if idx < nrec and rec_times[idx] <= t_new:
-                stop = int(np.searchsorted(rec_times, t_new, side="right"))
-                theta = (rec_times[idx:stop] - t) / h_use
-                weights = (theta[:, None] ** np.arange(1, 5)) @ _DP_P.T
-                out[idx:stop] = s + h_use * (weights @ K)
-                idx = stop
-            if last:
-                out[-1] = s5
-            accepted += 1
-            h_min = min(h_min, h_use)
-            t = t_new
-            s, abs_s = s5, abs_s5
-            K[0] = K[6]
-        else:
-            rejected += 1
-        factor = 5.0 if errn == 0.0 else min(5.0, max(0.2, 0.9 * errn ** -0.2))
-        h = h_use * factor
+    with np.errstate(under="ignore"):
+        K[0] = rhs(s)
+        abs_s = np.abs(s)
+        while t < t_end:
+            if h < 1e-13 * (1.0 + abs(t)):
+                raise StepUnderflow("adaptive step size underflow")
+            last = t + h >= t_end - 1e-14 * (1.0 + abs(t_end))
+            h_use = t_end - t if last else h
+            np.multiply(_DP, h_use, hdp)
+            for i, (a, k) in enumerate(stages, 1):
+                np.dot(a, k, stage)
+                np.add(s, stage, stage)
+                K[i] = rhs(stage)
+            np.dot(b5, K5, s5)
+            np.add(s, s5, s5)
+            K[6] = rhs(s5)
+            nfev += 6
+            np.abs(s5, abs_s5)
+            np.maximum(abs_s, abs_s5, out=scale)
+            np.multiply(scale, rtol, scale)
+            np.add(scale, atol, scale)
+            np.dot(hdp[7], K, q)
+            np.divide(q, scale, q)
+            errn = math.sqrt(np.dot(q, q) / dim)
+            if not math.isfinite(errn):
+                raise NonFiniteState("state became non-finite during integration")
+            if errn <= 1.0:
+                t_new = t_end if last else t + h_use
+                if idx < nrec and rec_times[idx] <= t_new:
+                    stop = int(np.searchsorted(rec_times, t_new, side="right"))
+                    theta = (rec_times[idx:stop] - t) / h_use
+                    weights = (theta[:, None] ** np.arange(1, 5)) @ _DP_P.T
+                    out[idx:stop] = s + h_use * (weights @ K)
+                    idx = stop
+                if last:
+                    out[-1] = s5
+                accepted += 1
+                h_min = min(h_min, h_use)
+                t = t_new
+                s, s5 = s5, s
+                abs_s, abs_s5 = abs_s5, abs_s
+                K[0] = K[6]
+            else:
+                rejected += 1
+            factor = 5.0 if errn == 0.0 else min(5.0, max(0.2, 0.9 * errn ** -0.2))
+            h = h_use * factor
     return out, StepStats(nfev, accepted, rejected, h_min)
 
 
@@ -181,7 +221,8 @@ def _rk4_loop(rhs, s0, t0, rec_times, dt):
     """Fixed-step classical Runge-Kutta, landing exactly on rec_times.
 
     Returns (states, StepStats); raises NonFiniteState on a non-finite
-    recorded state.
+    recorded state. np.errstate(under="ignore") is entered once here,
+    around every rhs call, as in _rk45_loop.
     """
     dim = s0.shape[0]
     nrec = rec_times.shape[0]
@@ -190,22 +231,23 @@ def _rk4_loop(rhs, s0, t0, rec_times, dt):
     t = t0
     start = _initial_records(out, s, t, rec_times)
     steps, h_min = 0, math.inf
-    for idx in range(start, nrec):
-        gap = rec_times[idx] - t
-        nsub = int(max(1.0, math.ceil(gap / dt - 1e-9)))
-        h = gap / nsub
-        for _ in range(nsub):
-            k1 = rhs(s)
-            k2 = rhs(s + 0.5 * h * k1)
-            k3 = rhs(s + 0.5 * h * k2)
-            k4 = rhs(s + h * k3)
-            s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        steps += nsub
-        h_min = min(h_min, h)
-        t = rec_times[idx]
-        if not np.isfinite(s).all():
-            raise NonFiniteState("state became non-finite during integration")
-        out[idx] = s
+    with np.errstate(under="ignore"):
+        for idx in range(start, nrec):
+            gap = rec_times[idx] - t
+            nsub = int(max(1.0, math.ceil(gap / dt - 1e-9)))
+            h = gap / nsub
+            for _ in range(nsub):
+                k1 = rhs(s)
+                k2 = rhs(s + 0.5 * h * k1)
+                k3 = rhs(s + 0.5 * h * k2)
+                k4 = rhs(s + h * k3)
+                s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            steps += nsub
+            h_min = min(h_min, h)
+            t = rec_times[idx]
+            if not np.isfinite(s).all():
+                raise NonFiniteState("state became non-finite during integration")
+            out[idx] = s
     return out, StepStats(4 * steps, steps, 0, float(h_min))
 
 
@@ -336,8 +378,12 @@ def try_pack(op, agents, controllers) -> PackedSystem | None:
         c[ofs[i]:ofs[i + 1]] = w + B @ (agent.leader_offset + u0[i * d:(i + 1) * d])
 
     row, col, w = _coo(rhs)
+    const = np.flatnonzero(c)  # c goes last, on v's constant column
+    row = np.concatenate((row, const))
+    col = np.concatenate((col, np.full(const.shape[0], dim + psi_idx.shape[0])))
+    w = np.concatenate((w, c[const]))
     sig_row, sig_col, sig_w = _coo(sig)
-    return PackedSystem(dim=dim, psi_idx=psi_idx, row=row, col=col, w=w, c=c,
+    return PackedSystem(dim=dim, psi_idx=psi_idx, row=row, col=col, w=w,
                         sig_row=sig_row, sig_col=sig_col, sig_w=sig_w,
                         sig_c=np.concatenate([np.zeros(op.node_size), mu0]),
                         E=op.lifted)

@@ -13,6 +13,7 @@ from .couplers import ControllerKind
 from .errors import (
     ConfigInvalid,
     CoupledNetError,
+    DimensionMismatch,
     EmptyInverse,
     EmptySelection,
     Infeasible,
@@ -129,15 +130,18 @@ def _solve_options(cfg) -> SolveOptions:
 def _integrate_options(cfg) -> IntegrateOptions:
     sec = cfg.simulation
     kw = {}
-    if "method" in sec:
-        kw["method"] = str(sec["method"])
-    if "tol" in sec:
-        kw["tol"] = float(sec["tol"])
-    if "dt" in sec:
-        kw["dt"] = float(sec["dt"])
-    if sec.get("record_every") is not None:
-        kw["record_every"] = float(sec["record_every"])
-    return IntegrateOptions(**kw)
+    try:
+        if "method" in sec:
+            kw["method"] = str(sec["method"])
+        if "tol" in sec:
+            kw["tol"] = float(sec["tol"])
+        if "dt" in sec:
+            kw["dt"] = float(sec["dt"])
+        if sec.get("record_every") is not None:
+            kw["record_every"] = float(sec["record_every"])
+        return IntegrateOptions(**kw)
+    except (TypeError, ValueError, UnsupportedKind, DimensionMismatch) as ex:
+        raise ConfigInvalid(f"simulation: {ex}") from None
 
 
 @click.group()

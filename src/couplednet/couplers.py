@@ -212,23 +212,51 @@ def paper_psi(x):
     Here L(x) = log((exp(x) + 1) / 2) squared, evaluated through
     logaddexp(x, 0) = max(x, 0) + log1p(exp(-|x|)) so large arguments
     do not overflow. Beyond |x| of about 708 that exp underflows to
-    zero, which is the exact limit, so the underflow is not reported.
-    Scalars take the same formula through libm, as numpy's logaddexp
-    does, which is faster on one value and agrees bit for bit. The map
-    is zero at zero, strictly increasing, and its range is the open
-    interval (PSI_RANGE[0], PSI_RANGE[1]). Arrays are handled
+    zero, which is the exact limit, so the underflow is not reported:
+    arrays go through `paper_psi_into` inside np.errstate(under="ignore"),
+    entered here. Scalars take the same formula through libm, as numpy's
+    logaddexp does, which is faster on one value and agrees bit for bit.
+    The map is zero at zero, strictly increasing, and its range is the
+    open interval (PSI_RANGE[0], PSI_RANGE[1]). Arrays are handled
     coordinatewise.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         t = float(x)
         ell = max(t, 0.0) + math.log1p(math.exp(-abs(t))) - _LOG2
-    else:
-        with np.errstate(under="ignore"):
-            ell = np.logaddexp(x, 0.0) - _LOG2
-    big_l = ell * ell
-    val = np.arcsin(np.copysign(big_l, x) / (big_l + 1.0))
-    return float(val) if val.ndim == 0 else val
+        return float(_psi_tail(ell * ell, x, None, None))
+    with np.errstate(under="ignore"):
+        return paper_psi_into(x.copy(), np.empty_like(x))  # it overwrites x
+
+
+def paper_psi_into(x, out):
+    """paper_psi of the float array x, written into out and returned.
+
+    x is overwritten. The operations are paper_psi's, in its order, so
+    the result agrees with it bit for bit. No errstate is entered here:
+    a caller that may run under a raising errstate enters
+    np.errstate(under="ignore") around the call, as paper_psi and the
+    integration loops in _fastpath do.
+    """
+    np.logaddexp(x, 0.0, out)
+    np.subtract(out, _LOG2, out)  # ell
+    np.multiply(out, out, out)  # L = ell ** 2
+    return _psi_tail(out, x, x, out)
+
+
+def _psi_tail(big_l, sign, num, out):
+    """arcsin(copysign(L, sign) / (L + 1)), the tail of both branches.
+
+    For arrays, num and out are buffers: num gets the quotient, and L,
+    which may sit in out, is overwritten by L + 1 and then the result.
+    The scalar branch passes a float L and None for both, and the
+    in-place operators then rebind plain scalars, which keeps one value
+    about as cheap as the inline expression.
+    """
+    num = np.copysign(big_l, sign, num)
+    big_l += 1.0
+    num /= big_l
+    return np.arcsin(num, out)
 
 
 _L_LIMIT = _LOG2 ** 2

@@ -213,12 +213,28 @@ def step_rhs(system: ClosedLoopSystem, full_state: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntegrateOptions:
-    """Integration controls: 'rk45' adapts to tol, 'rk4' steps by dt."""
+    """Integration controls: 'rk45' adapts to tol, 'rk4' steps by dt.
+
+    Raises
+    ------
+    UnsupportedKind
+        method is neither 'rk45' nor 'rk4'.
+    DimensionMismatch
+        tol, dt or record_every (when given) is not positive.
+    """
 
     method: str = "rk45"
     tol: float = 1e-8
     dt: float = 1e-2
     record_every: Optional[float] = None
+
+    def __post_init__(self):
+        if self.method not in ("rk45", "rk4"):
+            raise UnsupportedKind(f"unknown integration method {self.method!r}")
+        for name in ("tol", "dt", "record_every"):
+            val = getattr(self, name)
+            if val is not None and not val > 0.0:
+                raise DimensionMismatch(f"{name} must be positive, got {val}")
 
 
 @dataclass(frozen=True)
@@ -307,11 +323,13 @@ def integrate(system: ClosedLoopSystem, init, T: float,
 
     if system.packed is not None:
         packed = system.packed
+        v = _fastpath.rhs_buffer(packed)
 
         # looked up on the module per call, so a wrapper installed there
-        # (a call counter, a profiler) sees every evaluation
+        # (a call counter, a profiler) sees every evaluation; the buffer
+        # goes positionally, as such wrappers forward *args
         def rhs_fn(s):
-            return _fastpath._packed_rhs(s, packed)
+            return _fastpath._packed_rhs(s, packed, v)
     else:
         def rhs_fn(s):
             return step_rhs(system, s)
@@ -320,10 +338,8 @@ def integrate(system: ClosedLoopSystem, init, T: float,
         h0 = min(1e-3, T / 100.0)
         states, stats = _fastpath._rk45_loop(
             rhs_fn, s0, t0, rec, opts.tol, opts.tol, h0)
-    elif opts.method == "rk4":
-        states, stats = _fastpath._rk4_loop(rhs_fn, s0, t0, rec, opts.dt)
     else:
-        raise UnsupportedKind(f"unknown integration method {opts.method!r}")
+        states, stats = _fastpath._rk4_loop(rhs_fn, s0, t0, rec, opts.dt)
     if not np.all(np.isfinite(states)):
         raise NonFiniteState("state became non-finite during integration")
 

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .couplers import linear_synthesis, reconfigured
-from .errors import EmptyInverse, IndexOutOfRange, NotForcible
+from .errors import EmptyInverse, IndexOutOfRange, NotForcible, UnsupportedKind
 from .netopt import NetworkProblem, solve_composite
 from .relations import FunctionKind, SetDescriptor, inverse, quadratic, shifted, solve_affine, value
 
@@ -130,7 +130,16 @@ def synthesize_linear(
     The controllers integrate eta' = -eta + zeta - (xi + zeta*) with
     mu = eta, where xi = -g(y*) for the minimum-norm flow g (see g_map);
     with a leader, the leader's inverse set is first moved by -z.
+
+    Raises
+    ------
+    UnsupportedKind
+        mode is neither 'absolute' nor 'relative'.
+    IndexOutOfRange
+        leader is not a node index.
     """
+    if mode not in ("absolute", "relative"):
+        raise UnsupportedKind(f"unknown synthesis mode {mode!r}")
     y_star = np.asarray(y_star, dtype=float).ravel()
     n, d = problem.op.node_count, problem.op.dim
     if leader is not None and not (0 <= leader < n):

@@ -46,14 +46,19 @@ def meicmp_linear_agent(rng, d, anchor=None):
     return linear_agent(-R, B, B.T, w=w)
 
 
-def mixed_network(seed):
-    """3 oscillator nodes, d = 2, on a triangle: edge 0 a saturating
-    integrator, edges 1 and 2 linear synthesis with random offsets."""
+def bench_integrate():
+    """The benchmarks/bench_integrate.py module (not an importable package)."""
     path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_integrate.py"
     spec = importlib.util.spec_from_file_location("bench_integrate", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    small = bench.build_system(3, seed=seed)
+    return bench
+
+
+def mixed_network(seed):
+    """3 oscillator nodes, d = 2, on a triangle: edge 0 a saturating
+    integrator, edges 1 and 2 linear synthesis with random offsets."""
+    small = bench_integrate().build_system(3, seed=seed)
     offsets = np.random.default_rng(seed).normal(0.0, 0.5, size=(2, 2))
     ctrls = [small.controllers[0]] + [linear_synthesis(off) for off in offsets]
     return build_graph(3, small.graph.edges[:3]), small.agents, ctrls

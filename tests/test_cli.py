@@ -2,15 +2,19 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from couplednet import cli
 from couplednet.cli import main
 from couplednet.config import (SCHEMA, agent_to_spec, controller_to_spec,
                                parse_config)
 
 from conftest import mixed_network
+
+FORMATION = Path(__file__).resolve().parents[1] / "configs" / "formation.json"
 
 
 def run_cli(*args):
@@ -67,6 +71,26 @@ def test_simulate_plain_horizon(tmp_path, capsys):
 def test_simulate_requires_horizon(tmp_path):
     cfg = write_doc(tmp_path, hand_doc())
     assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path)) == 1
+
+
+@pytest.mark.parametrize("bad", [{"record_every": 0.0}, {"tol": -1.0},
+                                 {"dt": 0.0}, {"dt": "fast"},
+                                 {"method": "euler"}],
+                         ids=["record_every", "tol", "dt", "dt_text", "method"])
+def test_simulate_rejects_bad_options_before_planning(tmp_path, capsys,
+                                                      monkeypatch, bad):
+    doc = json.loads(FORMATION.read_text())
+    doc["simulation"].update(bad)
+    cfg = write_doc(tmp_path, doc)
+
+    def no_plan(cfg):
+        raise AssertionError("planned before checking the options")
+
+    monkeypatch.setattr(cli, "_plan_segments", no_plan)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 1
+    assert "config error: simulation:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_objective_schedule(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from couplednet import _fastpath
+from couplednet import _fastpath, cli
+from couplednet.config import load_config
 from couplednet.couplers import (PSI_RANGE, custom_controller,
                                  linear_synthesis, nonlinear_integrator,
                                  paper_psi, reconfigured)
@@ -13,6 +16,10 @@ from couplednet.relations import quadratic, scalar_separable
 from couplednet.simulate import (IntegrateOptions, closed_loop,
                                  default_initial_state, integrate,
                                  integrate_schedule, step_rhs)
+
+from conftest import bench_integrate
+
+FORMATION = Path(__file__).resolve().parents[1] / "configs" / "formation.json"
 
 
 def mixed_system():
@@ -39,12 +46,54 @@ def test_mixed_system_packs():
 
 def test_packed_rhs_matches_step_rhs():
     system = mixed_system()
+    v = _fastpath.rhs_buffer(system.packed)
     rng = np.random.default_rng(5)
     for _ in range(20):
         s = rng.normal(scale=2.0, size=system.state_dim)
         ref = step_rhs(system, s)
-        fast = _fastpath._packed_rhs(s, system.packed)
+        fast = _fastpath._packed_rhs(s, system.packed, v)
         assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def unfolded_rhs(s, pk):
+    """The packed rhs as bincount(row, w * [s ; paper_psi(s[psi_idx])]) + c,
+    with c read back from the map's constant column."""
+    body = pk.col < pk.dim + pk.psi_idx.shape[0]
+    c = np.bincount(pk.row[~body], pk.w[~body], minlength=pk.dim)
+    v = np.concatenate((s, paper_psi(s[pk.psi_idx])))
+    return np.bincount(pk.row[body], pk.w[body] * v[pk.col[body]], minlength=pk.dim) + c
+
+
+@pytest.mark.parametrize("network", ["formation", "ring16"])
+def test_packed_rhs_bits_match_unfolded_formula(network):
+    if network == "formation":
+        system = cli._plan_segments(load_config(str(FORMATION)))[0][0]
+    else:
+        system = bench_integrate().build_system(16)
+    pk = system.packed
+    assert pk.psi_idx.size and (pk.col == pk.dim + pk.psi_idx.size).any()
+    rng = np.random.default_rng(17)
+    v = _fastpath.rhs_buffer(pk)
+    for k in range(20):
+        s = rng.normal(scale=3.0, size=pk.dim)
+        s[pk.psi_idx] = rng.uniform(-1.0, 1.0, pk.psi_idx.size) * (3.0, 900.0)[k % 2]
+        ref = unfolded_rhs(s, pk).view(np.int64)
+        assert np.array_equal(_fastpath._packed_rhs(s, pk, v).view(np.int64), ref)
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_saturated_psi_integrates_under_raising_errstate(method):
+    # exp(-|eta|) underflows in paper_psi at |eta| = 800; the loops must
+    # keep that quiet while a caller raises on every floating-point error
+    system = mixed_system()
+    s0 = default_initial_state(system)
+    eta0 = system.agent_dim + system.ctrl_slices[0].start
+    assert list(system.packed.psi_idx) == [eta0, eta0 + 1]
+    s0[eta0:eta0 + 2] = [800.0, -800.0]
+    opts = IntegrateOptions(method=method, tol=1e-8, dt=0.01, record_every=0.5)
+    with np.errstate(all="raise"):
+        traj = integrate(system, s0, 2.0, opts)
+    assert np.isfinite(traj.states).all()
 
 
 def test_nested_offsets_pack_like_summed_offsets():
@@ -56,13 +105,14 @@ def test_nested_offsets_pack_like_summed_offsets():
     summed = closed_loop(base.graph, base.agents, [
         reconfigured(c, a1 + a2, b1 + b2) for c in base.controllers])
     assert nested.packed is not None
+    v = _fastpath.rhs_buffer(nested.packed)
     rng = np.random.default_rng(11)
     for _ in range(20):
         s = rng.normal(scale=2.0, size=base.state_dim)
         ref = step_rhs(summed, s)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(step_rhs(nested, s) - ref)) <= 1e-12 * scale
-        fast = _fastpath._packed_rhs(s, nested.packed)
+        fast = _fastpath._packed_rhs(s, nested.packed, v)
         assert np.max(np.abs(fast - ref)) <= 1e-12 * scale
 
 
@@ -101,9 +151,10 @@ def test_uneven_record_times_match_runs_ending_there():
     system = mixed_system()
     s0 = default_initial_state(system)
     rec = np.array([0.0, 1e-4, 0.013, 0.4, 0.41, 1.7, 1.7001, 3.0])
+    v = _fastpath.rhs_buffer(system.packed)
 
     def rhs(s):
-        return _fastpath._packed_rhs(s, system.packed)
+        return _fastpath._packed_rhs(s, system.packed, v)
 
     states, _ = _fastpath._rk45_loop(rhs, s0, 0.0, rec, 1e-10, 1e-10, 1e-3)
     assert np.array_equal(states[0], s0)

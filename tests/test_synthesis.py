@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from couplednet.couplers import ControllerKind, nonlinear_integrator
-from couplednet.errors import IndexOutOfRange, NotForcible
+from couplednet import synthesis
+from couplednet.errors import IndexOutOfRange, NotForcible, UnsupportedKind
 from couplednet.netgraph import build_graph
 from couplednet.netopt import assemble, verify_steady_state
 from couplednet.plants import linear_agent
@@ -121,6 +122,17 @@ def test_leader_index_out_of_range():
             synthesize_linear(prob, [0.0, 0.0], leader=bad)
         with pytest.raises(IndexOutOfRange):
             leader_input(prob, np.array([1.0, 0.0]), bad)
+
+
+def test_unknown_mode_raises_before_any_solve(monkeypatch):
+    _, _, prob = mirrored_pair()
+
+    def no_solve(*args):
+        raise AssertionError("solved before checking the mode")
+
+    monkeypatch.setattr(synthesis, "_min_flow", no_solve)
+    with pytest.raises(UnsupportedKind, match="relatve"):
+        synthesize_linear(prob, [0.0, 0.0], mode="relatve")
 
 
 def test_unforcible_without_escape_raises():
