@@ -79,10 +79,12 @@ def _packed_rhs(s, pk, v):
 
 @dataclass(frozen=True)
 class StepStats:
-    """Work done by one integration, after scipy's solve_ivp result.
+    """Work done by one integration of _rk45_loop or _rk4_loop.
 
-    nfev counts rhs evaluations, accepted and rejected count steps, and
-    h_min is the smallest accepted step.
+    nfev counts rhs evaluations, accepted counts the steps that advanced
+    time, rejected the RK45 steps retried after an error above
+    tolerance (always 0 for RK4), and h_min is the smallest accepted
+    step.
     """
 
     nfev: int

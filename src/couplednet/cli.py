@@ -22,7 +22,6 @@ from .errors import (
     NonFiniteState,
     NotForcible,
     OutsideDomain,
-    RadiusNotFound,
     RelationNotEvaluable,
     SingularMatrix,
     StepUnderflow,
@@ -68,7 +67,7 @@ _CERT_TOL = 1e-6  # residual bound a predicted steady state must meet
 _MATH_ERRORS = (Infeasible, NotForcible, EmptyInverse, EmptySelection,
                 RelationNotEvaluable, Unbounded, OutsideDomain)
 _NUMERIC_ERRORS = (NoConvergence, StepUnderflow, NonFiniteState,
-                   RadiusNotFound, SingularMatrix, InfiniteValue)
+                   SingularMatrix, InfiniteValue)
 
 
 def _guard(fn) -> int:
@@ -127,7 +126,8 @@ def _solve_options(cfg) -> SolveOptions:
     return SolveOptions(tol=float(cfg.solver.get("tol", SolveOptions.tol)))
 
 
-def _integrate_options(cfg) -> IntegrateOptions:
+def _integrate_options(cfg) -> tuple[IntegrateOptions, float]:
+    """Integrator options and the convergence tolerance, checked up front."""
     sec = cfg.simulation
     kw = {}
     try:
@@ -139,7 +139,10 @@ def _integrate_options(cfg) -> IntegrateOptions:
             kw["dt"] = float(sec["dt"])
         if sec.get("record_every") is not None:
             kw["record_every"] = float(sec["record_every"])
-        return IntegrateOptions(**kw)
+        conv_tol = float(sec.get("conv_tol", 1e-6))
+        if not conv_tol > 0.0:
+            raise DimensionMismatch(f"conv_tol must be positive, got {conv_tol}")
+        return IntegrateOptions(**kw), conv_tol
     except (TypeError, ValueError, UnsupportedKind, DimensionMismatch) as ex:
         raise ConfigInvalid(f"simulation: {ex}") from None
 
@@ -230,7 +233,7 @@ def cmd_simulate(config_path, out, seed):
 
     def run():
         cfg = _load(config_path, seed)
-        opts = _integrate_options(cfg)
+        opts, conv_tol = _integrate_options(cfg)
         outdir = _outdir(out)
         summary = []
         if cfg.objective is not None:
@@ -245,8 +248,7 @@ def cmd_simulate(config_path, out, seed):
                 t_hi = t_lo + T
                 mask = (traj.times >= t_lo) & (traj.times <= t_hi)
                 sub = _slice_traj(traj, mask, sysk)
-                conv = detect_convergence(sub, tol=float(
-                    cfg.simulation.get("conv_tol", 1e-6)))
+                conv = detect_convergence(sub, tol=conv_tol)
                 line = f"segment {k}: converged = {conv.converged}"
                 if conv.converged:
                     err = float(np.max(np.abs(conv.y_ss - y_star)))
@@ -266,8 +268,7 @@ def cmd_simulate(config_path, out, seed):
             init = (np.asarray(init, dtype=float)
                     if init is not None else default_initial_state(system))
             traj = integrate(system, init, horizon, opts)
-            conv = detect_convergence(traj, tol=float(
-                cfg.simulation.get("conv_tol", 1e-6)))
+            conv = detect_convergence(traj, tol=conv_tol)
             summary.append(f"converged = {conv.converged}")
             if conv.converged:
                 summary.append(f"y_ss = {_fmt_vec(conv.y_ss)}")
@@ -425,7 +426,8 @@ def cmd_check_cm(config_path, out, seed, samples):
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", default=".", type=click.Path())
 @click.option("--seed", default=None, type=int)
-@click.option("--tol", default=1e-6, type=float)
+@click.option("--tol", default=1e-6,
+              type=click.FloatRange(min=0.0, min_open=True))
 def cmd_verify(config_path, out, seed, tol):
     """Check a candidate steady state recorded in the config."""
 

@@ -48,10 +48,6 @@ class InvalidModel(CoupledNetError):
     pass
 
 
-class RadiusNotFound(CoupledNetError):
-    pass
-
-
 class NoConvergence(CoupledNetError):
     pass
 

@@ -7,7 +7,6 @@ oscillators. A Custom kind accepts raw callbacks for simulation only.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -18,7 +17,6 @@ from .errors import (
     DimensionMismatch,
     InvalidModel,
     NoConvergence,
-    RadiusNotFound,
     SingularMatrix,
     UnsupportedKind,
 )
@@ -353,37 +351,19 @@ class EquilibriumResult:
     """Equilibrium of a convex-gradient agent under constant input.
 
     x0 solves grad psi(x0) - J x0 = B u + w; residual is the Euclidean
-    norm of the defect at x0; ball_radius is the certified search
-    radius containing the equilibrium.
+    norm of the defect at x0.
     """
 
     x0: np.ndarray
     residual: float
-    ball_radius: float
-
-
-def _sphere_directions(n: int, count: int) -> np.ndarray:
-    """count quasi-random unit vectors in R^n (Sobol points through ndtri)."""
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    m = max(1, int(math.ceil(math.log2(max(count, 2)))))
-    pts = qmc.Sobol(d=n, scramble=True, seed=0).random_base2(m)[:count]
-    g = ndtri(np.clip(pts, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return g / norms
 
 
 def solve_equilibrium(model: AgentModel, u, tol: float = 1e-10) -> EquilibriumResult:
     """Find the equilibrium of a convex-gradient agent at constant input u.
 
-    The search first certifies a ball radius rho by geometric growth:
-    at 64 * state_dim quasi-random points x on the sphere of radius rho
-    the inner product <x, grad psi(x) - B u - w> must be nonnegative
-    (tolerance -1e-10), which for skew J forces a zero of the defect
-    inside the ball. Root-finding (scipy's hybr) then runs from the
-    origin.
+    Root-finding (scipy's hybr) runs from the origin on the defect
+    grad psi(x) - J x - B u - w; the returned point is guaranteed only
+    to have a defect norm of at most tol.
 
     Parameters
     ----------
@@ -400,9 +380,8 @@ def solve_equilibrium(model: AgentModel, u, tol: float = 1e-10) -> EquilibriumRe
 
     Raises
     ------
-    RadiusNotFound
-        If no radius up to the growth budget satisfies the boundary
-        condition.
+    UnsupportedKind
+        If the agent is not of the ConvexGradient kind.
     NoConvergence
         If root-finding stalls above tol.
     """
@@ -410,31 +389,17 @@ def solve_equilibrium(model: AgentModel, u, tol: float = 1e-10) -> EquilibriumRe
         raise UnsupportedKind("equilibrium search applies to convex-gradient agents")
     u = _as_vector(u, model.io_dim, "u")
     b = model.B @ (u + model.leader_offset) + model.w
-    n = model.state_dim
 
     def defect(x):
         return grad_of(model.psi, x) - model.J @ x - b
 
-    dirs = _sphere_directions(n, 64 * n)
-    radius = max(1.0, float(np.linalg.norm(b)))
-    certified = None
-    for _ in range(80):
-        pts = radius * dirs
-        vals = np.array([p @ (grad_of(model.psi, p) - b) for p in pts])
-        if np.min(vals) >= -1e-10:
-            certified = radius
-            break
-        radius *= 2.0
-    if certified is None:
-        raise RadiusNotFound("boundary condition never certified")
-
     from scipy import optimize
 
-    sol = optimize.root(defect, np.zeros(n), method="hybr", tol=tol)
+    sol = optimize.root(defect, np.zeros(model.state_dim), method="hybr", tol=tol)
     res = float(np.linalg.norm(defect(sol.x)))
     if res > tol:
         raise NoConvergence(f"equilibrium residual {res:.3e} above {tol:.1e}")
-    return EquilibriumResult(x0=sol.x, residual=res, ball_radius=certified)
+    return EquilibriumResult(x0=sol.x, residual=res)
 
 
 # ---------------------------------------------------------------------------

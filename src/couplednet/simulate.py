@@ -8,13 +8,12 @@ compares the settled output against steady-state certificates.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _fastpath
 from .couplers import (
-    ControllerKind,
     ControllerModel,
     controller_has_feedthrough,
     controller_output,
@@ -25,19 +24,10 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     NonFiniteState,
-    SingularMatrix,
     UnsupportedKind,
 )
 from .netgraph import DirectedGraph, IncidenceOperator, incidence
-from .plants import (
-    AgentKind,
-    AgentModel,
-    has_feedthrough,
-    output,
-    rhs,
-    solve_equilibrium,
-)
-from .relations import grad_of, value
+from .plants import AgentModel, has_feedthrough, output, rhs
 
 
 @dataclass(frozen=True)
@@ -496,102 +486,6 @@ def compare_prediction(traj: Trajectory, certificate, tol: float = 1e-3,
         y_ss=conv.y_ss, mu_ss=conv.mu_ss, t_conv=conv.t_conv)
 
 
-def storage_candidate(system: ClosedLoopSystem, certificate) -> Callable:
-    """Summed storage-function candidate pinned to a steady-state pair.
-
-    Linear and convex-gradient agents use half the squared state
-    distance to their constant-input equilibrium; oscillator agents use
-    the same quadratic distance in (q, p); integrator controllers use
-    the Bregman distance of their potential; linear-synthesis
-    controllers use the quadratic distance in eta.
-
-    For networks whose agents are output-strictly passive with these
-    storages (linear with symmetric negative-definite A, C = B^T and
-    symmetric positive-semidefinite feedthrough; convex-gradient with
-    full-state output), the sum is non-increasing along closed-loop
-    trajectories up to integrator tolerance. The oscillator term
-    certifies convergence under constant input only: the position
-    output is not passive above the natural frequencies, so in closed
-    loop the sum may rise transiently before decaying with the loop.
-
-    Raises
-    ------
-    UnsupportedKind
-        An agent or controller kind with no built-in storage form.
-    SingularMatrix
-        A linear agent whose A matrix admits no unique equilibrium.
-    """
-    d = system.io_dim
-    u_bar = np.asarray(certificate.u, dtype=float).ravel()
-    mu_bar = np.asarray(certificate.mu, dtype=float).ravel()
-
-    agent_terms = []
-    for i, a in enumerate(system.agents):
-        ui = u_bar[i * d:(i + 1) * d]
-        if a.kind is AgentKind.LINEAR:
-            try:
-                x_bar = np.linalg.solve(
-                    a.A, -(a.B @ (ui + a.leader_offset) + a.w))
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrix("A is singular") from exc
-        elif a.kind is AgentKind.DAMPED_OSCILLATOR:
-            grad0 = np.zeros(d) if a.psi is None else grad_of(a.psi, np.zeros(d))
-            q_bar = np.linalg.solve(
-                a.M.T, a.B @ (ui + a.leader_offset) + a.w - grad0)
-            x_bar = np.concatenate([q_bar, np.zeros(d)])
-        elif a.kind is AgentKind.CONVEX_GRADIENT:
-            x_bar = solve_equilibrium(a, ui).x0
-        else:
-            raise UnsupportedKind(
-                f"no built-in storage for agent kind {a.kind.name}")
-        sl = system.agent_slices[i]
-
-        def term(s, sl=sl, x_bar=x_bar):
-            dx = s[sl] - x_bar
-            return 0.5 * float(dx @ dx)
-
-        agent_terms.append(term)
-
-    ctrl_terms = []
-    base = system.agent_dim
-    for e, c in enumerate(system.controllers):
-        mu_e = mu_bar[e * d:(e + 1) * d] - c.beta
-        sl = system.ctrl_slices[e]
-        lo, hi = base + sl.start, base + sl.stop
-        if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
-            pot = c.potential
-            from .relations import gradient_relation, inverse
-
-            desc = inverse(gradient_relation(pot), mu_e)
-            if desc.is_empty:
-                raise UnsupportedKind(
-                    "certificate mu outside the controller potential range")
-            eta_bar = desc.min_norm()
-            pot_bar = value(pot, eta_bar)
-
-            def term(s, lo=lo, hi=hi, pot=pot, eta_bar=eta_bar,
-                     mu_e=mu_e, pot_bar=pot_bar):
-                eta = s[lo:hi]
-                return float(value(pot, eta) - pot_bar - mu_e @ (eta - eta_bar))
-
-        elif c.kind is ControllerKind.LINEAR_SYNTHESIS:
-
-            def term(s, lo=lo, hi=hi, mu_e=mu_e):
-                de = s[lo:hi] - mu_e
-                return 0.5 * float(de @ de)
-
-        else:
-            raise UnsupportedKind(
-                f"no built-in storage for controller kind {c.kind.name}")
-        ctrl_terms.append(term)
-
-    def candidate(state: np.ndarray) -> float:
-        s = np.asarray(state, dtype=float).ravel()
-        return sum(t(s) for t in agent_terms) + sum(t(s) for t in ctrl_terms)
-
-    return candidate
-
-
 def export_csv(traj: Trajectory, path) -> None:
     """Write `t, y[node.coord]..., u[...], zeta[edge.coord]..., mu[...]`."""
     d = traj.system.io_dim
@@ -610,23 +504,3 @@ def export_csv(traj: Trajectory, path) -> None:
         data = np.column_stack([traj.times, traj.y, traj.u, traj.zeta, traj.mu])
         fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in data)
 
-
-def run_summary(traj: Trajectory, window: Optional[float] = None,
-                tol: float = 1e-6, certificate=None) -> str:
-    """Structured-text record: converged flag, y_ss, residuals."""
-    conv = detect_convergence(traj, window=window, tol=tol)
-    lines = [f"converged = {conv.converged}",
-             f"t_end = {traj.times[-1]:.6g}",
-             f"variation = {conv.variation:.6e}"]
-    if conv.converged:
-        lines.append(f"t_conv = {conv.t_conv:.6g}")
-        lines.append("y_ss = " + np.array2string(conv.y_ss, precision=8))
-        if certificate is not None:
-            rep = compare_prediction(traj, certificate, window=window,
-                                     conv_tol=tol)
-            lines.append(f"y_error = {rep.y_error:.6e}")
-            lines.append(f"mu_error = {rep.mu_error:.6e}")
-            lines.append(f"y_error_aligned = {rep.y_error_aligned:.6e}")
-            lines.append(f"mu_error_aligned = {rep.mu_error_aligned:.6e}")
-            lines.append(f"prediction_pass = {rep.passed}")
-    return "\n".join(lines)

@@ -75,8 +75,10 @@ def test_simulate_requires_horizon(tmp_path):
 
 @pytest.mark.parametrize("bad", [{"record_every": 0.0}, {"tol": -1.0},
                                  {"dt": 0.0}, {"dt": "fast"},
-                                 {"method": "euler"}],
-                         ids=["record_every", "tol", "dt", "dt_text", "method"])
+                                 {"method": "euler"}, {"conv_tol": -1.0},
+                                 {"conv_tol": "tight"}],
+                         ids=["record_every", "tol", "dt", "dt_text", "method",
+                              "conv_tol", "conv_tol_text"])
 def test_simulate_rejects_bad_options_before_planning(tmp_path, capsys,
                                                       monkeypatch, bad):
     doc = json.loads(FORMATION.read_text())
@@ -225,6 +227,17 @@ def test_verify_rejects_wrong_candidate(tmp_path):
     assert code == 2
     report = json.loads((tmp_path / "verify.json").read_text())
     assert report["valid"] is False
+
+
+def test_verify_negative_tol_is_usage_error(tmp_path, capsys):
+    doc = hand_doc(candidate={"u": [0.8, -0.8], "y": [0.8, 2.6],
+                              "zeta": [1.8], "mu": [0.8]})
+    cfg = write_doc(tmp_path, doc)
+    code = run_cli("verify", "--config", cfg, "--out", str(tmp_path),
+                   "--tol", "-1")
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
 
 
 def test_missing_config_option_is_usage_error():

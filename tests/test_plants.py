@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import couplednet
 from couplednet import plants as P
 from couplednet import relations as R
-from couplednet.errors import DimensionMismatch, SingularMatrix
+from couplednet.errors import (DimensionMismatch, NoConvergence,
+                               SingularMatrix, UnsupportedKind)
 
 from conftest import meicmp_linear_agent, rand_spd
 
@@ -72,16 +79,46 @@ def test_meicmp_linear_random_construction(rng):
         assert P.is_meicmp_linear(a.A, a.B, a.C).verdict == "yes"
 
 
-def test_solve_equilibrium_convex_gradient():
+def _quartic_agent():
     psi = R.function_sum([R.quadratic(np.diag([2.0, 1.0])),
                           R.scalar_separable(lambda t: t ** 3, 2)])
-    J = np.array([[0.0, 0.5], [-0.5, 0.0]])
-    agent = P.convex_gradient_agent(psi, J=J)
+    return P.convex_gradient_agent(psi, J=np.array([[0.0, 0.5], [-0.5, 0.0]]))
+
+
+def test_solve_equilibrium_convex_gradient():
+    agent = _quartic_agent()
     u = np.array([1.0, -0.5])
     res = P.solve_equilibrium(agent, u)
     assert res.residual <= 1e-10
     assert np.allclose(P.rhs(agent, res.x0, u), 0.0, atol=1e-9)
-    assert res.ball_radius > 0
+
+
+def test_solve_equilibrium_rejects_linear_agent():
+    agent = P.linear_agent([[-1.0]], [[1.0]], [[1.0]])
+    with pytest.raises(UnsupportedKind):
+        P.solve_equilibrium(agent, [0.0])
+
+
+def test_solve_equilibrium_unreachable_tol_raises():
+    # hybr stops near 1e-16; no residual meets 1e-300
+    with pytest.raises(NoConvergence):
+        P.solve_equilibrium(_quartic_agent(), [1.0, -0.5], tol=1e-300)
+
+
+def test_solve_equilibrium_leaves_scipy_stats_unimported():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from couplednet import plants as P, relations as R\n"
+            "psi = R.function_sum([R.quadratic(np.diag([2.0, 1.0])),\n"
+            "                      R.scalar_separable(lambda t: t ** 3, 2)])\n"
+            "J = np.array([[0.0, 0.5], [-0.5, 0.0]])\n"
+            "P.solve_equilibrium(P.convex_gradient_agent(psi, J=J), [1.0, -0.5])\n"
+            "assert 'scipy.stats' not in sys.modules\n")
+    src = Path(couplednet.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 @settings(max_examples=15, deadline=None)

@@ -3,21 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from couplednet.couplers import (PSI_RANGE, custom_controller,
-                                 linear_synthesis, nonlinear_integrator,
-                                 paper_psi)
+from couplednet.couplers import (custom_controller, linear_synthesis,
+                                 nonlinear_integrator)
 from couplednet.errors import (AlgebraicLoop, DimensionMismatch,
                                NoConvergence, NonFiniteState)
 from couplednet.netgraph import build_graph
 from couplednet.netopt import assemble, recover_certificate, solve_opp
-from couplednet.plants import (custom_agent, damped_oscillator_agent,
-                               linear_agent, convex_gradient_agent)
-from couplednet.relations import quadratic, scalar_separable
+from couplednet.plants import custom_agent, linear_agent
+from couplednet.relations import quadratic
 from couplednet.simulate import (IntegrateOptions, closed_loop,
                                  compare_prediction, default_initial_state,
                                  detect_convergence, export_csv, integrate,
-                                 integrate_schedule, run_summary, step_rhs,
-                                 storage_candidate)
+                                 integrate_schedule, step_rhs)
 
 
 def solo(agent):
@@ -175,85 +172,6 @@ def test_nonfinite_rhs_raises():
         integrate(system, [1.0], 1.0, IntegrateOptions(method="rk4", dt=0.1))
 
 
-def test_storage_candidate_nonincreasing_linear():
-    g = build_graph(2, [(0, 1)])
-    agents = [linear_agent([[-1.0]], [[1.0]], [[1.0]]),
-              linear_agent([[-1.0]], [[1.0]], [[1.0]], w=[0.3])]
-    ctrls = [nonlinear_integrator(scalar_separable(paper_psi, 1, PSI_RANGE))]
-    prob = assemble(g, agents, ctrls)
-    y, zeta, _ = solve_opp(prob)
-    cert = recover_certificate(prob, y, zeta)
-    system = closed_loop(g, agents, ctrls)
-    V = storage_candidate(system, cert)
-    traj = integrate(system, default_initial_state(system), 20.0,
-                     IntegrateOptions(tol=1e-10))
-    vals = np.array([V(s) for s in traj.states])
-    assert (np.diff(vals) <= 1e-8).all()
-    assert vals[-1] < 1e-6 * vals[0]
-
-
-def test_storage_candidate_decreasing_oscillator_constant_input():
-    M = np.array([[2.0, 0.0], [0.0, 1.0]])
-    agent = damped_oscillator_agent(M, np.eye(2), psi=quadratic(3.0 * np.eye(2)),
-                                    anchor=[0.1, 0.0])
-    system = closed_loop(build_graph(1, []), [agent], [])
-
-    class Cert:
-        u = np.zeros(2)
-        mu = np.zeros(0)
-
-    V = storage_candidate(system, Cert())
-    traj = integrate(system, [1.0, -0.5, 0.3, 0.2], 20.0,
-                     IntegrateOptions(tol=1e-10))
-    vals = np.array([V(s) for s in traj.states])
-    assert (np.diff(vals) <= 1e-8).all()
-    assert vals[-1] < 1e-6 * vals[0]
-
-
-def test_storage_candidate_oscillator_closed_loop_decays():
-    g = build_graph(2, [(0, 1)])
-    M = np.array([[2.0, 0.0], [0.0, 1.0]])
-    agents = [damped_oscillator_agent(M, np.eye(2), psi=quadratic(3.0 * np.eye(2)),
-                                      anchor=[0.1, 0.0]),
-              damped_oscillator_agent(M, np.eye(2), psi=quadratic(3.0 * np.eye(2)),
-                                      anchor=[-0.1, 0.0])]
-    pot = scalar_separable(paper_psi, 2, PSI_RANGE)
-    ctrls = [nonlinear_integrator(pot)]
-    prob = assemble(g, agents, ctrls)
-    y, zeta, _ = solve_opp(prob)
-    cert = recover_certificate(prob, y, zeta)
-    system = closed_loop(g, agents, ctrls)
-    V = storage_candidate(system, cert)
-    traj = integrate(system, default_initial_state(system), 20.0,
-                     IntegrateOptions(tol=1e-10))
-    vals = np.array([V(s) for s in traj.states])
-    # position output is not passive above the eigenfrequencies, so the
-    # sum may rise during the transient; only eventual decay holds
-    half = len(vals) // 2
-    assert (np.diff(vals[half:]) <= 1e-6).all()
-    assert vals[-1] < 1e-2 * vals[0]
-
-
-def test_storage_candidate_nonincreasing_convex_gradient():
-    from couplednet.relations import function_sum
-    sep = scalar_separable(lambda t: t ** 3, 2)
-    psi = function_sum([quadratic(np.eye(2)), sep])
-    agent = convex_gradient_agent(psi, J=np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    system = closed_loop(build_graph(1, []), [agent], [])
-    from couplednet.plants import solve_equilibrium
-    eq = solve_equilibrium(agent, np.zeros(2))
-
-    class Cert:
-        u = np.zeros(2)
-        mu = np.zeros(0)
-
-    V = storage_candidate(system, Cert())
-    traj = integrate(system, [1.5, -0.5], 20.0, IntegrateOptions(tol=1e-10))
-    vals = np.array([V(s) for s in traj.states])
-    assert (np.diff(vals) <= 1e-6).all()
-    assert np.allclose(traj.states[-1], eq.x0, atol=1e-6)
-
-
 def test_step_rhs_vanishes_at_steady_state():
     g, agents, ctrls, system = pair_system()
     traj = integrate(system, default_initial_state(system), 60.0,
@@ -298,15 +216,6 @@ def test_export_csv_bytes_match_csv_writer(tmp_path):
         writer.writerows(np.column_stack(
             [traj.times, traj.y, traj.u, traj.zeta, traj.mu]).tolist())
     assert path.read_bytes() == ref.read_bytes()
-
-
-def test_run_summary_mentions_convergence():
-    _, _, _, system = pair_system()
-    traj = integrate(system, default_initial_state(system), 40.0,
-                     IntegrateOptions())
-    text = run_summary(traj)
-    assert "converged = True" in text
-    assert "y_ss" in text
 
 
 def test_metadata_records_fast_path_and_samples():
