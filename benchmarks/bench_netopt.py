@@ -1,0 +1,75 @@
+"""Wall time and peak memory of the network solves on a ring with chords.
+
+Builds bench_integrate's ring-with-chords network (saturating-integrator
+edges, d = 2) for each node count and times `assemble`, `solve_opp`,
+`recover_certificate` and `solve_ofp` on it, each the best of REPEAT
+calls. BLAS runs on one thread. The last column is the process's peak
+resident memory (ru_maxrss) after the sizes so far, which includes
+building the closed-loop system that `build_system` returns.
+
+Usage:
+    python3 benchmarks/bench_netopt.py [--nodes 256 1024] [--repeat 3]
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import resource  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+from couplednet.netopt import (assemble, recover_certificate, solve_ofp,  # noqa: E402
+                               solve_opp)
+
+import bench_integrate  # noqa: E402
+
+REPEAT = 3  # timed calls per stage; the best is reported
+STAGES = ("assemble", "solve_opp", "recover_certificate", "solve_ofp")
+
+
+def best(fn, repeat):
+    """(best wall time in s, last result) over repeat calls of fn."""
+    walls = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = fn()
+        walls.append(time.perf_counter() - t0)
+    return min(walls), out
+
+
+def run(nodes: int, repeat: int = REPEAT) -> dict:
+    """Best-of-repeat seconds per stage on build_system(nodes), and peak RSS in MB."""
+    system = bench_integrate.build_system(nodes)
+    args = (system.graph, system.agents, system.controllers)
+    times = {}
+    times["assemble"], problem = best(lambda: assemble(*args), repeat)
+    times["solve_opp"], (y, zeta, _) = best(lambda: solve_opp(problem), repeat)
+    times["recover_certificate"], cert = best(
+        lambda: recover_certificate(problem, y, zeta), repeat)
+    times["solve_ofp"], _ = best(lambda: solve_ofp(problem), repeat)
+    if not cert.valid(1e-6):
+        raise RuntimeError("certificate residuals above 1e-6")
+    # ru_maxrss is in kB on Linux
+    times["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return times
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--nodes", type=int, nargs="+", default=[256, 1024])
+    ap.add_argument("--repeat", type=int, default=REPEAT)
+    args = ap.parse_args(argv)
+    print(f"{'nodes':>6} " + " ".join(f"{s:>20}" for s in STAGES) + f" {'peak RSS':>10}")
+    for nodes in args.nodes:
+        t = run(nodes, args.repeat)
+        print(f"{nodes:>6} " + " ".join(f"{t[s] * 1e3:>17.1f} ms" for s in STAGES)
+              + f" {t['peak_rss_mb']:>7.1f} MB")
+        sys.stdout.flush()
+
+
+if __name__ == "__main__":
+    main()

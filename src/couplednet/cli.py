@@ -217,7 +217,7 @@ def _plan_segments(cfg):
         alpha, beta = reconfiguration_offsets(problem_k, y0, y_star)
         ctrls_k = wrap_reconfigured(cfg.controllers, alpha, beta, d)
         problem_w = assemble(cfg.graph, agents_k, ctrls_k)
-        zeta_star = problem_w.op.lifted.T @ y_star
+        zeta_star = problem_w.op.rmatvec(y_star)
         cert = recover_certificate(problem_w, y_star, zeta_star)
         system = closed_loop(cfg.graph, agents_k, ctrls_k)
         segments.append((system, T, cert, y_star))

@@ -3,11 +3,14 @@
 The diffusive coupling convention is fixed here once: for edge k = (i, j)
 the incidence matrix E has E[i, k] = -1 (tail) and E[j, k] = +1 (head),
 and the lifted operator is E kron I_d acting on stacked node vectors
-(node-major layout: coordinates of node 0, then node 1, ...).
+(node-major layout: coordinates of node 0, then node 1, ...). The
+operator applies the lift by indexing (matvec, rmatvec); the dense lift
+is built only when it is read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,13 +43,42 @@ class IncidenceOperator:
     ----------
     base : (n, m) ndarray with entries in {-1, 0, +1}
     dim : per-node signal dimension d
-    lifted : (n*d, m*d) ndarray, equal to kron(base, eye(d))
+    lifted : (n*d, m*d) ndarray, equal to kron(base, eye(d)); built on
+        first read
+    tail, head : (m*d,) int arrays; the stacked node coordinates that
+        edge coordinate k*d + c leaves and enters
     """
 
     graph: DirectedGraph
     base: np.ndarray
     dim: int
-    lifted: np.ndarray
+
+    @cached_property
+    def lifted(self) -> np.ndarray:
+        return np.kron(self.base, np.eye(self.dim))
+
+    @cached_property
+    def tail(self) -> np.ndarray:
+        return self._lift_index(0)
+
+    @cached_property
+    def head(self) -> np.ndarray:
+        return self._lift_index(1)
+
+    def _lift_index(self, end: int) -> np.ndarray:
+        nodes = np.array([e[end] for e in self.graph.edges], dtype=np.intp)
+        return (nodes[:, None] * self.dim + np.arange(self.dim)).ravel()
+
+    def matvec(self, mu) -> np.ndarray:
+        """E mu: the net edge signal entering each node coordinate."""
+        mu = _check_size(mu, self.edge_size, "stacked edge vector")
+        return (np.bincount(self.head, mu, self.node_size)
+                - np.bincount(self.tail, mu, self.node_size))
+
+    def rmatvec(self, y) -> np.ndarray:
+        """E' y: head minus tail output on each edge coordinate."""
+        y = _check_size(y, self.node_size, "stacked node vector")
+        return y[self.head] - y[self.tail]
 
     @property
     def node_count(self) -> int:
@@ -74,8 +106,12 @@ class IncidenceOperator:
         return np.kron(np.ones((n, 1)), np.eye(d)) / np.sqrt(n)
 
     def cycle_basis(self) -> np.ndarray:
-        """Orthonormal basis of Ker(lifted), shape (m*d, r)."""
-        return solve_affine(self.lifted, np.zeros(self.node_size)).directions
+        """Orthonormal basis of Ker(lifted), shape (m*d, r).
+
+        Equal to kron(C, I_d) for an orthonormal basis C of Ker(base).
+        """
+        cycles = solve_affine(self.base, np.zeros(self.node_count)).directions
+        return np.kron(cycles, np.eye(self.dim))
 
 
 def build_graph(node_count: int, edges) -> DirectedGraph:
@@ -123,17 +159,14 @@ def incidence(graph: DirectedGraph, d: int) -> IncidenceOperator:
     for k, (tail, head) in enumerate(graph.edges):
         base[tail, k] = -1.0
         base[head, k] = 1.0
-    lifted = np.kron(base, np.eye(d))
-    return IncidenceOperator(graph=graph, base=base, dim=d, lifted=lifted)
+    return IncidenceOperator(graph=graph, base=base, dim=d)
 
 
-def _check_node_vector(op: IncidenceOperator, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float).ravel()
-    if u.size != op.node_size:
-        raise DimensionMismatch(
-            f"expected stacked node vector of length {op.node_size}, got {u.size}"
-        )
-    return u
+def _check_size(v, size: int, what: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size != size:
+        raise DimensionMismatch(f"expected {what} of length {size}, got {v.size}")
+    return v
 
 
 def project_agreement(op: IncidenceOperator, u) -> np.ndarray:
@@ -141,7 +174,7 @@ def project_agreement(op: IncidenceOperator, u) -> np.ndarray:
 
     Equals the per-node mean of the d-blocks, copied to every node.
     """
-    u = _check_node_vector(op, u)
+    u = _check_size(u, op.node_size, "stacked node vector")
     blocks = u.reshape(op.node_count, op.dim)
     mean = blocks.mean(axis=0)
     return np.tile(mean, op.node_count)
@@ -149,6 +182,6 @@ def project_agreement(op: IncidenceOperator, u) -> np.ndarray:
 
 def in_cut_space(op: IncidenceOperator, u, tol: float = 1e-9) -> bool:
     """True iff the blockwise sum of the node vectors has norm <= tol."""
-    u = _check_node_vector(op, u)
+    u = _check_size(u, op.node_size, "stacked node vector")
     blocks = u.reshape(op.node_count, op.dim)
     return bool(np.linalg.norm(blocks.sum(axis=0)) <= tol)

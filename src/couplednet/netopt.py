@@ -38,6 +38,7 @@ from .relations import (
     FunctionKind,
     IntegralFunction,
     RelationKind,
+    SetKind,
     VectorRelation,
     as_quadratic,
     block_diag,
@@ -46,7 +47,6 @@ from .relations import (
     inverse,
     pair_residual,
     quadratic,
-    solve_affine,
     stacked,
     stacked_relation,
     value,
@@ -169,47 +169,218 @@ def problem_from_relations(op: IncidenceOperator, node_rels, edge_fns) -> Networ
 
 
 # ---------------------------------------------------------------------------
+# coordinate sets and graph flows
+# ---------------------------------------------------------------------------
+
+
+def coordinate_sets(rels, evaluate, x, d: int):
+    """Per-block sets evaluate(rel_i, x_i) as (base, free) arrays.
+
+    Every set the network relations produce is base + span(e_J) for a
+    set J of its own coordinates (a point, a pinned coordinate left
+    free, or everything); free marks J. Raises EmptySelection when a
+    set is empty and UnsupportedKind when one is not aligned with the
+    coordinates.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != len(rels) * d:
+        raise DimensionMismatch(f"expected dimension {len(rels) * d}, got {x.size}")
+    base = np.empty(x.size)
+    free = np.zeros(x.size, dtype=bool)
+    for i, rel in enumerate(rels):
+        blk = slice(i * d, (i + 1) * d)
+        s = evaluate(rel, x[blk])
+        if s.is_empty:
+            raise EmptySelection("a relation has no element at the requested point")
+        base[blk] = s.basepoint
+        if s.kind is SetKind.EVERYTHING:
+            free[blk] = True
+        elif s.kind is SetKind.AFFINE:
+            proj = s.directions @ s.directions.T
+            free[blk] = np.diag(proj) > 0.5
+            if np.abs(proj - np.diag(free[blk].astype(float))).max() > 1e-9:
+                raise UnsupportedKind("a relation's set is not aligned with its coordinates")
+    return base, free
+
+
+def _join(count: int, tails, heads, offsets, ground: int):
+    """Union-find over count vertices joined by y[head] - y[tail] = offset.
+
+    ground stays the root of its class. Returns (root, value, imbalance):
+    root[v] is the root of v's class, value[v] = y_v - y_root along the
+    spanning forest the joins grow, and imbalance holds (y_h - y_t) -
+    offset for every join that closed a cycle instead.
+    """
+    parent = list(range(count))
+    diff = [0.0] * count  # y_v - y_parent[v]
+
+    def find(v):
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        acc = 0.0
+        for w in reversed(path):
+            acc = diff[w] + acc
+            diff[w], parent[w] = acc, v
+        return v, acc
+
+    imbalance = []
+    for t, h, off in zip(tails.tolist(), heads.tolist(), offsets.tolist()):
+        rt, ot = find(t)
+        rh, oh = find(h)
+        if rt == rh:
+            imbalance.append((oh - ot) - off)
+        elif rh == ground:
+            parent[rt], diff[rt] = rh, oh - off - ot
+        else:
+            parent[rh], diff[rh] = rt, off + ot - oh
+    root, value = zip(*(find(v) for v in range(count)))
+    return np.array(root, dtype=np.intp), np.array(value), np.array(imbalance)
+
+
+def _classes(root: np.ndarray, count: int):
+    """(roots, cls): the distinct entries of root, all below count, in
+    ascending order, and the position of each entry among them."""
+    seen = np.zeros(count, dtype=bool)
+    seen[root] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[root]
+
+
+@dataclass(frozen=True)
+class Flow:
+    """A min-norm flow (see min_norm_flow).
+
+    mu is zero off the edge mask; residual is the least-squares residual
+    of the conservation equations; flat is the dimension of the flows on
+    the mask that route nothing (cycles, and paths between grounded
+    vertices).
+    """
+
+    mu: np.ndarray
+    residual: np.ndarray
+    flat: int
+
+
+def min_norm_flow(op: IncidenceOperator, edges, rhs, leak=None, grounded=None) -> Flow:
+    """Least-norm flow routing rhs over the masked edge coordinates.
+
+    The vertices are the stacked node coordinates. On every vertex v not
+    grounded, (E mu)_v - w_v = rhs_v, with mu zero off edges and a leak
+    w_v to ground allowed only on leak vertices; grounded vertices
+    carry no equation. Among the least-squares solutions this returns
+    the one of least ||mu||^2 + ||w||^2: mu = E'p for the potentials p
+    of the weighted Laplacian E diag(edges) E' + diag(leak), with p = 0
+    on grounded vertices. The coordinates share one n x n Laplacian per
+    distinct mask pattern. A class of vertices joined by edges with no
+    leak or grounded vertex makes it singular: the mean of rhs over the
+    class is not routed, and is the residual there.
+    """
+    n, d, m = op.node_count, op.dim, op.edge_count
+    edges = np.asarray(edges, dtype=bool).reshape(m, d)
+    rhs = np.asarray(rhs, dtype=float).reshape(n, d)
+    leak = np.zeros((n, d), dtype=bool) if leak is None else np.asarray(leak).reshape(n, d)
+    grounded = (np.zeros((n, d), dtype=bool) if grounded is None
+                else np.asarray(grounded).reshape(n, d))
+    tail, head = op.tail[::d] // d, op.head[::d] // d  # the base incidence's end nodes
+    p = np.zeros((n, d))
+    residual = np.zeros((n, d))
+    flat = 0
+    patterns = {}
+    for c in range(d):
+        key = (edges[:, c].tobytes(), leak[:, c].tobytes(), grounded[:, c].tobytes())
+        patterns.setdefault(key, []).append(c)
+    for cols in patterns.values():
+        c = cols[0]
+        on = np.flatnonzero(edges[:, c])
+        t, h = tail[on], head[on]
+        sinks = np.flatnonzero(leak[:, c] | grounded[:, c])
+        root = _join(n + 1, np.concatenate([t, np.full(sinks.size, n)]),
+                     np.concatenate([h, sinks]), np.zeros(on.size + sinks.size), n)[0][:n]
+        s = rhs[:, cols] * ~grounded[:, c, None]
+        floating = np.flatnonzero(root != n)
+        roots, cls = _classes(root[floating], n)
+        mean = (np.stack([np.bincount(cls, s[floating, j]) for j in range(len(cols))], axis=1)
+                / np.bincount(cls)[:, None])
+        s[floating] -= mean[cls]
+        residual[np.ix_(floating, cols)] = -mean[cls]
+        keep = ~grounded[:, c]
+        keep[roots] = False
+        lap = np.bincount(np.concatenate([t * n + t, h * n + h, t * n + h, h * n + t]),
+                          np.repeat([1.0, 1.0, -1.0, -1.0], on.size), n * n).reshape(n, n)
+        lap[np.diag_indices(n)] += leak[:, c]
+        if keep.any():
+            p[np.ix_(keep, cols)] = np.linalg.solve(lap[np.ix_(keep, keep)], s[keep])
+        flat += len(cols) * (on.size - int(keep.sum()))
+    mu = np.where(edges, p[head] - p[tail], 0.0)
+    return Flow(mu=mu.ravel(), residual=residual.ravel(), flat=flat)
+
+
+def _selection_flow(problem: NetworkProblem, y, zeta):
+    """Min-norm consistent (u, mu) with u in k^-1(y), mu in gamma(zeta).
+
+    Minimizes ||u||^2 + ||mu||^2 subject to u = -E mu: mu is fixed off
+    the free coordinates of gamma(zeta) and routed on them, and u is
+    fixed off the free coordinates of k^-1(y) and leaks to ground on
+    them, so this is one min_norm_flow. Returns (u, mu, residual,
+    scale), the residual of u + E mu and the norm of -E b - a for the
+    basepoints a of k^-1(y) and b of gamma(zeta).
+    """
+    op, d = problem.op, problem.op.dim
+    a, node_free = coordinate_sets(problem.node_relations, inverse, y, d)
+    b, edge_free = coordinate_sets(problem.edge_relations, forward, zeta, d)
+    mu = np.where(edge_free, 0.0, b)
+    rhs = -op.matvec(mu) - np.where(node_free, 0.0, a)
+    flow = min_norm_flow(op, edge_free, rhs, leak=node_free)
+    mu = mu + flow.mu
+    u = np.where(node_free, -op.matvec(mu), a)
+    return u, mu, flow.residual, float(np.linalg.norm(op.matvec(b) + a))
+
+
+# ---------------------------------------------------------------------------
 # objectives and residuals
 # ---------------------------------------------------------------------------
 
 
 def opp_objective(problem: NetworkProblem, y) -> float:
     y = np.asarray(y, dtype=float).ravel()
-    return value(problem.Kstar, y) + value(problem.Gamma, problem.op.lifted.T @ y)
+    return value(problem.Kstar, y) + value(problem.Gamma, problem.op.rmatvec(y))
 
 
 def ofp_objective(problem: NetworkProblem, mu) -> float:
     mu = np.asarray(mu, dtype=float).ravel()
-    return value(problem.K, -problem.op.lifted @ mu) + value(problem.Gammastar, mu)
-
-
-def _zero_distance(first, second, M) -> float:
-    """Distance of 0 to the set first + M second (inf if either is empty).
-
-    That is the least-squares residual of [A, M B] x = -(a + M b) for
-    first = a + span(A) and second = b + span(B).
-    """
-    if first.is_empty or second.is_empty:
-        return math.inf
-    C = np.hstack([first.directions, M @ second.directions])
-    r = first.basepoint + M @ second.basepoint
-    return float(np.linalg.norm(C @ solve_affine(C, -r, math.inf).basepoint + r))
+    return value(problem.K, -problem.op.matvec(mu)) + value(problem.Gammastar, mu)
 
 
 def inclusion_residual(problem: NetworkProblem, y) -> float:
-    """Distance of 0 to the set k^-1(y) + E gamma(E' y)."""
+    """Distance of 0 to the set k^-1(y) + E gamma(E' y).
+
+    That is the least-squares residual of the selection flow (inf if
+    either set is empty).
+    """
     y = np.asarray(y, dtype=float).ravel()
-    E = problem.op.lifted
-    return _zero_distance(inverse(problem.node_relation, y),
-                          forward(problem.edge_relation, E.T @ y), E)
+    try:
+        residual = _selection_flow(problem, y, problem.op.rmatvec(y))[2]
+    except EmptySelection:
+        return math.inf
+    return float(np.linalg.norm(residual))
 
 
 def flow_residual(problem: NetworkProblem, mu) -> float:
-    """Distance of 0 to the set gamma^-1(mu) - E' k(-E mu)."""
+    """Distance of 0 to the set gamma^-1(mu) - E' k(-E mu).
+
+    The node relations are affine, so k(-E mu) is a point and the
+    distance is the part of b - E' k(-E mu) off the free coordinates of
+    gamma^-1(mu) = b + span(e_J) (inf if a set is empty).
+    """
     mu = np.asarray(mu, dtype=float).ravel()
-    E = problem.op.lifted
-    return _zero_distance(inverse(problem.edge_relation, mu),
-                          forward(problem.node_relation, -E @ mu), -E.T)
+    op, d = problem.op, problem.op.dim
+    try:
+        b, free = coordinate_sets(problem.edge_relations, inverse, mu, d)
+        yk, _ = coordinate_sets(problem.node_relations, forward, -op.matvec(mu), d)
+    except EmptySelection:
+        return math.inf
+    return float(np.linalg.norm(np.where(free, 0.0, b - op.rmatvec(yk))))
 
 
 def duality_gap(problem: NetworkProblem, u, mu, y, zeta) -> float:
@@ -267,103 +438,190 @@ class SolveTrace:
                 writer.writerow(row)
 
 
-def _qp_parts(f: IntegralFunction):
-    """Split f into x'Px/2 + q'x (up to a constant) plus pins x[J] = a[J].
+def qp_parts(f: IntegralFunction, d: int):
+    """Split f into sum_b x_b'P_b x_b/2 + q'x (up to a constant) plus pins.
 
-    Returns (P, q, pinned, a) with pinned a boolean mask over the
-    coordinates; a is meaningful only where pinned is set. Pin-free
-    parts go through as_quadratic; pins come from indicator-of-zero
-    kinds, possibly shifted or stacked.
+    x is cut into count = f.dim // d consecutive d-blocks x_b. Returns
+    (P, q, pinned, a): P the (count, d, d) block Hessians, q the linear
+    term, pinned a boolean mask over the coordinates and a the pinned
+    values x[pinned] = a[pinned] (meaningful only where pinned is set).
+    Pin-free blocks go through as_quadratic; pins come from
+    indicator-of-zero kinds, possibly shifted or stacked.
     """
-    quad = as_quadratic(f)
-    if quad is not None:
-        return quad[0], quad[1], np.zeros(f.dim, dtype=bool), np.zeros(f.dim)
+    if f.dim % d:
+        raise UnsupportedKind(f"dimension {f.dim} is not a multiple of the block size {d}")
+    count = f.dim // d
     if f.kind is FunctionKind.INDICATOR_ZERO:
-        return np.zeros((f.dim, f.dim)), np.zeros(f.dim), np.ones(f.dim, dtype=bool), np.zeros(f.dim)
+        return (np.zeros((count, d, d)), np.zeros(f.dim), np.ones(f.dim, dtype=bool),
+                np.zeros(f.dim))
     if f.kind is FunctionKind.SHIFTED:
         # inner(x - shift) + linear'x
-        P, q, pinned, a = _qp_parts(f.inner)
-        return P, q - P @ f.shift + f.linear, pinned, a + f.shift
+        P, q, pinned, a = qp_parts(f.inner, d)
+        return P, q - _block_apply(P, f.shift) + f.linear, pinned, a + f.shift
     if f.kind is FunctionKind.STACKED:
-        P, q, pinned, a = zip(*(_qp_parts(ch) for ch in f.children))
-        return block_diag(P), np.concatenate(q), np.concatenate(pinned), np.concatenate(a)
-    raise UnsupportedKind(f"no quadratic form with pins for kind {f.kind}")
+        if all(ch.dim % d == 0 for ch in f.children):
+            parts = zip(*(qp_parts(ch, d) for ch in f.children))
+            return tuple(np.concatenate(part) for part in parts)
+        if count == 1:
+            P, q, pinned, a = zip(*(qp_parts(ch, ch.dim) for ch in f.children))
+            return (block_diag([p[0] for p in P])[None], np.concatenate(q),
+                    np.concatenate(pinned), np.concatenate(a))
+    quad = as_quadratic(f) if count == 1 else None
+    if quad is None:
+        raise UnsupportedKind(f"no quadratic form with pins for kind {f.kind}")
+    return quad[0][None], quad[1], np.zeros(d, dtype=bool), np.zeros(d)
 
 
-def solve_composite(f, g, L, x0, tol: float, objective):
-    """Minimize f(x) + g(L x) exactly, f and g quadratic with pins.
+def _block_apply(P: np.ndarray, x) -> np.ndarray:
+    """The block-diagonal matrix with blocks P applied to x."""
+    return np.einsum("kij,kj->ki", P, np.reshape(x, (len(P), -1))).ravel()
 
-    This is x'Hx/2 + lin'x subject to A x = b, with H = P_f + L'P_g L and
-    the pins of f and of g (as rows of L) stacked into A x = b.
-    solve_affine gives the min-norm particular solution and an
-    orthonormal null-space basis Z; one eigh of Z'HZ solves the reduced
-    problem. Pins that no x meets raise Infeasible. Flat reduced
-    directions keep the start value's component (noted "anchored"); a
-    slope along one raises Unbounded.
-    Returns (x, trace) with one trace row: the objective and the norm of
-    the reduced gradient at x.
+
+def solve_network_qp(op: IncidenceOperator, node, edge, y0, tol: float, objective):
+    """Minimize f(y) + g(E'y) exactly, f and g quadratic with pins.
+
+    node and edge are the qp_parts of f and g. The pins are coordinates
+    y_v = a_v (zero-gain nodes) and edge coordinates y_head - y_tail =
+    a_e (integrators); a union-find over the stacked node coordinates
+    joins them into classes. A spanning forest gives the particular
+    solution y_p, and pins that close a cycle without balancing (beyond
+    tol * (1 + ||a||)) raise Infeasible. Every class without a pinned
+    node coordinate moves as one: y = y_p + N c with N the class
+    indicators, scaled to unit columns. The reduced problem N'HN c =
+    -N'(H y_p + lin) for H = P_f + E P_g E' is assembled blockwise from
+    the node blocks summed per class and the edge blocks of the
+    contracted graph, and one eigh solves it. Flat reduced directions
+    keep the start value's component (noted "anchored"); a slope along
+    one raises Unbounded. Every coordinate of a class gets the same
+    float from c, so pinned differences with a zero offset are exact
+    zeros.
+    Returns (y, trace) with one trace row: the objective and the norm of
+    the reduced gradient at y.
     """
     trace = SolveTrace(method="equality-qp")
-    Pf, qf, pf, af = _qp_parts(f)
-    Pg, qg, pg, ag = _qp_parts(g)
-    H = Pf + L.T @ Pg @ L
-    H = 0.5 * (H + H.T)
-    lin = qf + L.T @ qg
-    A = np.vstack([np.eye(x0.size)[pf], L[pg]])
-    b = np.concatenate([af[pf], ag[pg]])
-    pins = solve_affine(A, b, tol)
-    if pins.is_empty:
+    Pf, qf, pf, af = node
+    Pg, qg, pg, ag = edge
+    size = op.node_size
+    pinned_nodes, pinned_edges = np.flatnonzero(pf), np.flatnonzero(pg)
+    offsets = np.concatenate([af[pinned_nodes], ag[pinned_edges]])
+    root, y_p, imbalance = _join(
+        size + 1,
+        np.concatenate([np.full(pinned_nodes.size, size), op.tail[pinned_edges]]),
+        np.concatenate([pinned_nodes, op.head[pinned_edges]]), offsets, size)
+    if np.linalg.norm(imbalance) > tol * (1.0 + np.linalg.norm(offsets)):
         raise Infeasible("no point meets the pinned coordinates")
-    x_p, Z = pins.basepoint, pins.directions
-    vals, V = np.linalg.eigh(Z.T @ H @ Z)
-    W = Z @ V
-    slope = W.T @ (H @ x_p + lin)
+    root, y_p = root[:size], y_p[:size]
+    free = root != size
+    roots, cls = _classes(root[free], size)
+    count = roots.size
+    label = np.full(size, count)  # count labels the pinned class, which does not move
+    label[free] = cls
+    scale = 1.0 / np.sqrt(np.bincount(label, minlength=count + 1)[:count])
+
+    def reduced(v):
+        return np.bincount(label, v, count + 1)[:count] * scale
+
+    def reduced_gradient(y):
+        g = _block_apply(Pf, y) + qf
+        return reduced(g + op.matvec(_block_apply(Pg, op.rmatvec(y)) + qg))
+
+    d = op.dim
+    rows, cols, weights = [], [], []
+    node_label = label.reshape(-1, d)
+    rows.append(np.broadcast_to(node_label[:, :, None], Pf.shape))
+    cols.append(np.broadcast_to(node_label[:, None, :], Pf.shape))
+    weights.append(Pf)
+    curved = np.flatnonzero(Pg.any(axis=(1, 2)))
+    if curved.size:
+        Pc = Pg[curved]
+        lh = label[op.head].reshape(-1, d)[curved]
+        lt = label[op.tail].reshape(-1, d)[curved]
+        for a_, b_, sign in ((lh, lh, 1.0), (lt, lt, 1.0), (lh, lt, -1.0), (lt, lh, -1.0)):
+            rows.append(np.broadcast_to(a_[:, :, None], Pc.shape))
+            cols.append(np.broadcast_to(b_[:, None, :], Pc.shape))
+            weights.append(sign * Pc)
+    rows, cols, weights = (np.concatenate([x.ravel() for x in xs]) for xs in (rows, cols, weights))
+    inside = (rows < count) & (cols < count)
+    R = np.bincount(rows[inside] * count + cols[inside], weights[inside],
+                    count * count).reshape(count, count) * np.outer(scale, scale)
+    vals, V = np.linalg.eigh(0.5 * (R + R.T))
+    slope = V.T @ reduced_gradient(y_p)
     flat = vals <= 1e-12 * max(vals.max(initial=0.0), 1.0)
     if flat.any():
         if np.linalg.norm(slope[flat]) > tol * (1.0 + np.linalg.norm(slope)):
             raise Unbounded("flat direction with nonzero slope")
         trace.notes.append("anchored")
-    c = W.T @ (x0 - x_p)
+    c = V.T @ reduced(y0 - y_p)
     c[~flat] = -slope[~flat] / vals[~flat]
-    x = x_p + W @ c
-    trace.record(1, objective(x), float(np.linalg.norm(W.T @ (H @ x + lin))))
-    return x, trace
+    y = y_p + np.append((V @ c) * scale, 0.0)[label]
+    trace.record(1, objective(y), float(np.linalg.norm(reduced_gradient(y))))
+    return y, trace
 
 
 def solve_opp(problem: NetworkProblem, init_y=None, opts: Optional[SolveOptions] = None):
     """Solve the potential problem: minimize K*(y) + Gamma(E' y).
 
     Returns (y, zeta, trace) with zeta = E' y. K* and Gamma are
-    quadratic with pinned blocks (affine nodes, integrator edges), so
-    the problem is an equality-constrained QP solved exactly. When the
-    minimizers form a translate family, init_y fixes the free component
-    and the trace notes "anchored".
+    quadratic with pinned blocks (zero-gain nodes, integrator edges), so
+    the problem is an equality-constrained QP solved exactly by
+    solve_network_qp. When the minimizers form a translate family,
+    init_y fixes the free component and the trace notes "anchored".
     """
     opts = opts or SolveOptions()
-    E = problem.op.lifted
     y0 = np.zeros(problem.node_size) if init_y is None else np.asarray(init_y, dtype=float).ravel()
     if y0.size != problem.node_size:
         raise DimensionMismatch("init_y has wrong length")
-    y, trace = solve_composite(problem.Kstar, problem.Gamma, E.T, y0, opts.tol,
-                               lambda yv: opp_objective(problem, yv))
-    return y, E.T @ y, trace
+    d = problem.op.dim
+    y, trace = solve_network_qp(problem.op, qp_parts(problem.Kstar, d),
+                                qp_parts(problem.Gamma, d), y0, opts.tol,
+                                lambda yv: opp_objective(problem, yv))
+    return y, problem.op.rmatvec(y), trace
 
 
 def solve_ofp(problem: NetworkProblem, init_mu=None, opts: Optional[SolveOptions] = None):
     """Solve the flow problem: minimize K(-E mu) + Gamma*(mu).
 
-    Returns (u, mu, trace) with u = -E mu, by the same exact solve as
-    solve_opp. The cycle-space component of mu stays at its start value
-    whenever the objective is flat along it (noted as "anchored").
+    Returns (u, mu, trace) with u = -E mu. The flow optima are the mu
+    with mu in gamma(zeta) and -E mu in k^-1(y) at any potential
+    optimum (y, zeta), so this solves the potential problem first: an
+    Infeasible one makes the flow problem Unbounded, and the reverse.
+    On the coordinates where Gamma is quadratic mu = grad Gamma(zeta).
+    On the pinned ones mu is init_mu plus the min-norm flow correction
+    that meets -E mu = grad K*(y) off the pinned nodes: the optimum
+    nearest init_mu, which keeps its cycle-space component (noted
+    "anchored" when such flat directions exist). The trace row holds the
+    objective and the norm of the gradient off the pins of Gamma*.
     """
     opts = opts or SolveOptions()
-    E = problem.op.lifted
-    mu0 = np.zeros(problem.edge_size) if init_mu is None else np.asarray(init_mu, dtype=float).ravel()
-    if mu0.size != problem.edge_size:
+    op, d = problem.op, problem.op.dim
+    mu = (np.zeros(problem.edge_size) if init_mu is None
+          else np.asarray(init_mu, dtype=float).ravel())
+    if mu.size != problem.edge_size:
         raise DimensionMismatch("init_mu has wrong length")
-    mu, trace = solve_composite(problem.Gammastar, problem.K, -E, mu0, opts.tol,
-                                lambda m: ofp_objective(problem, m))
-    return -E @ mu, mu, trace
+    node, edge = qp_parts(problem.Kstar, d), qp_parts(problem.Gamma, d)
+    (Pf, qf, pf, _), (Pg, qg, pg, _) = node, edge
+    try:
+        y, _ = solve_network_qp(op, node, edge, np.zeros(problem.node_size), opts.tol,
+                                lambda yv: 0.0)
+    except Infeasible:
+        raise Unbounded("flow objective decreases without bound: the potential "
+                        "problem's pins are inconsistent") from None
+    except Unbounded:
+        raise Infeasible("no flow has a finite objective: the potential problem "
+                         "is unbounded") from None
+    mu = np.where(pg, mu, _block_apply(Pg, op.rmatvec(y)) + qg)
+    rhs = -(_block_apply(Pf, y) + qf) - op.matvec(mu)
+    flow = min_norm_flow(op, pg, rhs, grounded=pf)
+    mu = mu + flow.mu
+    u = -op.matvec(mu)
+    trace = SolveTrace(method="equality-qp")
+    if flow.flat:
+        trace.notes.append("anchored")
+    Ps, qs, ps, _ = qp_parts(problem.Gammastar, d)
+    Pk, qk, _, _ = qp_parts(problem.K, d)
+    grad = _block_apply(Ps, mu) + qs - op.rmatvec(_block_apply(Pk, u) + qk)
+    trace.record(1, ofp_objective(problem, mu), float(np.linalg.norm(grad[~ps])))
+    return u, mu, trace
 
 
 # ---------------------------------------------------------------------------
@@ -402,32 +660,20 @@ def recover_certificate(problem: NetworkProblem, y, zeta, tol: float = 1e-6) -> 
 
     Selects u from k^-1(y) and mu from gamma(zeta) subject to
     u = -E mu, minimizing ||u||^2 + ||mu||^2 over the consistent
-    choices. With u = a + A s and mu = b + B r (A, B orthonormal), the
-    consistent (s, r) are x0 + span(Z) from one solve_affine, and the
-    minimizer is x0 - Z Z'[A'a; B'b]. The least-squares residual at x0
-    is residual_inclusion. Raises EmptySelection when no consistent pair
-    exists at tol.
+    choices, by one min-norm flow on the graph (see _selection_flow).
+    Its least-squares residual is residual_inclusion. Raises
+    EmptySelection when a set is empty or no consistent pair exists at
+    tol * (1 + ||E b + a||).
     """
     y = np.asarray(y, dtype=float).ravel()
     zeta = np.asarray(zeta, dtype=float).ravel()
-    E = problem.op.lifted
-    du = inverse(problem.node_relation, y)
-    dmu = forward(problem.edge_relation, zeta)
-    if du.is_empty or dmu.is_empty:
-        raise EmptySelection("a relation has no element at the requested point")
-    a, A = du.basepoint, du.directions
-    b, B = dmu.basepoint, dmu.directions
-    # consistency: a + A s = -E (b + B r)
-    M, rhs = np.hstack([A, E @ B]), -E @ b - a
-    family = solve_affine(M, rhs, tol)
-    if family.is_empty:
+    op = problem.op
+    u, mu, residual, scale = _selection_flow(problem, y, zeta)
+    residual = float(np.linalg.norm(residual))
+    if residual > tol * (1.0 + scale):
         raise EmptySelection("no consistent (u, mu) pair at tolerance")
-    Z = family.directions
-    sr = family.basepoint - Z @ (Z.T @ np.concatenate([A.T @ a, B.T @ b]))
-    u = a + A @ sr[: A.shape[1]]
-    mu = b + B @ sr[A.shape[1] :]
     res_cons = max(
-        float(np.linalg.norm(zeta - E.T @ y)), float(np.linalg.norm(u + E @ mu))
+        float(np.linalg.norm(zeta - op.rmatvec(y))), float(np.linalg.norm(u + op.matvec(mu)))
     )
     res_rel = max(
         pair_residual(problem.node_relation, u, y),
@@ -440,7 +686,7 @@ def recover_certificate(problem: NetworkProblem, y, zeta, tol: float = 1e-6) -> 
         mu=mu,
         residual_consistency=res_cons,
         residual_relations=res_rel,
-        residual_inclusion=float(np.linalg.norm(M @ family.basepoint - rhs)),
+        residual_inclusion=residual,
     )
 
 
@@ -456,10 +702,10 @@ class VerifyReport:
 def verify_steady_state(problem: NetworkProblem, candidate, tol: float = 1e-6) -> VerifyReport:
     """Check a 4-tuple (u, y, zeta, mu) against all steady-state conditions."""
     u, y, zeta, mu = (np.asarray(v, dtype=float).ravel() for v in candidate)
-    E = problem.op.lifted
+    op = problem.op
     residuals = {
-        "consistency_zeta": float(np.linalg.norm(zeta - E.T @ y)),
-        "consistency_u": float(np.linalg.norm(u + E @ mu)),
+        "consistency_zeta": float(np.linalg.norm(zeta - op.rmatvec(y))),
+        "consistency_u": float(np.linalg.norm(u + op.matvec(mu))),
         "relation_nodes": pair_residual(problem.node_relation, u, y),
         "relation_edges": pair_residual(problem.edge_relation, zeta, mu),
         "inclusion": inclusion_residual(problem, y),

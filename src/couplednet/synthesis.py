@@ -14,9 +14,9 @@ from typing import Optional
 import numpy as np
 
 from .couplers import linear_synthesis, reconfigured
-from .errors import EmptyInverse, IndexOutOfRange, NotForcible, UnsupportedKind
-from .netopt import NetworkProblem, solve_composite
-from .relations import FunctionKind, SetDescriptor, inverse, quadratic, shifted, solve_affine, value
+from .errors import EmptyInverse, EmptySelection, IndexOutOfRange, NotForcible, UnsupportedKind
+from .netopt import NetworkProblem, coordinate_sets, min_norm_flow, qp_parts, solve_network_qp
+from .relations import FunctionKind, indicator_zero, inverse, shifted, value
 
 # strict-convexity probe parameters
 PROBE_MARGIN = 1e-6
@@ -24,34 +24,36 @@ PROBE_DIRECTIONS = 32
 PROBE_RADIUS = 1e-2
 
 
-def _lift(problem: NetworkProblem) -> np.ndarray:
-    """The agreement lift 1 (x) I_d, copying a d-vector to every node."""
-    return np.kron(np.ones((problem.op.node_count, 1)), np.eye(problem.op.dim))
+def _node_set(problem: NetworkProblem, y):
+    """k^-1(y), the product of the node inverse sets k_i^-1(y_i).
+
+    Returned as (a, free): the set a + span(e_J) for the free
+    coordinates J (those of zero-gain nodes).
+    """
+    try:
+        return coordinate_sets(problem.node_relations, inverse, y, problem.op.dim)
+    except EmptySelection:
+        raise EmptyInverse("a node relation has no input mapping to y*") from None
 
 
-def _node_set(problem: NetworkProblem, y) -> SetDescriptor:
-    """k^-1(y), the product of the node inverse sets k_i^-1(y_i)."""
-    cat = inverse(problem.node_relation, y)
-    if cat.is_empty:
-        raise EmptyInverse("a node relation has no input mapping to y*")
-    return cat
-
-
-def _min_flow(problem: NetworkProblem, cat: SetDescriptor, tol: float = 1e-8):
+def _min_flow(problem: NetworkProblem, cat, tol: float = 1e-8):
     """(mu, z): min-norm flow with -E mu in cat, min-norm z in S = sum_i cat_i.
 
-    Both come from the least-squares solve of (I - QQ')E mu = -(I - QQ')a
-    for cat = a + span(Q), Q orthonormal. The graph is connected, so
-    range(E) = {v : sum_i v_i = 0} and the residual is 1 (x) z/n; ||z|| is
-    the distance of 0 to S. mu is None when that residual exceeds
+    For cat = a + span(e_J), mu routes -a into every node coordinate
+    off J over all edges, with the coordinates in J grounded: one
+    min_norm_flow. The graph is connected, so per coordinate its
+    residual r = E mu + a is the mean of a when no node is free there
+    and 0 otherwise, and z = sum_i r_i is the min-norm element of S;
+    ||z|| is the distance of 0 to S. mu is None when ||r|| exceeds
     max(tol, 1e-8) * (1 + ||rhs||): no flow routes cat.
     """
-    E = problem.op.lifted
-    Q, a = cat.directions, cat.basepoint
-    mat, rhs = E - Q @ (Q.T @ E), Q @ (Q.T @ a) - a
-    mu = solve_affine(mat, rhs, np.inf).basepoint
-    r = mat @ mu - rhs
+    a, free = cat
+    rhs = np.where(free, 0.0, -a)
+    flow = min_norm_flow(problem.op, np.ones(problem.edge_size, dtype=bool), rhs,
+                         grounded=free)
+    r = flow.residual
     z = r.reshape(problem.op.node_count, problem.op.dim).sum(axis=0)
+    mu = flow.mu
     if np.linalg.norm(r) > max(tol, 1e-8) * (1.0 + np.linalg.norm(rhs)):
         mu = None
     return mu, z
@@ -83,7 +85,7 @@ def _report(problem: NetworkProblem, mu, z, tol: float) -> ForcibilityReport:
     residual = float(np.linalg.norm(z))
     if residual > tol or mu is None:
         return ForcibilityReport(False, None, residual)
-    return ForcibilityReport(True, -(problem.op.lifted @ mu), residual)
+    return ForcibilityReport(True, -problem.op.matvec(mu), residual)
 
 
 def check_forcible(problem: NetworkProblem, y_star, tol: float = 1e-8) -> ForcibilityReport:
@@ -106,13 +108,16 @@ class SynthesisResult:
 
 
 def _agreement_shift(problem: NetworkProblem, y_star: np.ndarray, tol: float) -> np.ndarray:
-    """beta minimizing A(beta) = sum_i K*_i(y*_i + beta), by one exact solve."""
-    d = problem.op.dim
-    lift = _lift(problem)
-    beta, _ = solve_composite(quadratic(np.zeros((d, d))), shifted(problem.Kstar, shift=-y_star),
-                              lift, np.zeros(d), tol,
-                              lambda b: value(problem.Kstar, y_star + lift @ b))
-    return beta
+    """beta minimizing A(beta) = sum_i K*_i(y*_i + beta), by one exact solve.
+
+    That is the potential problem with every edge pinned to E'y*, whose
+    solutions are y* + 1 (x) beta on the connected graph.
+    """
+    op, d = problem.op, problem.op.dim
+    pins = shifted(indicator_zero(op.edge_size), shift=op.rmatvec(y_star))
+    y, _ = solve_network_qp(op, qp_parts(problem.Kstar, d), qp_parts(pins, d), y_star, tol,
+                            lambda yv: value(problem.Kstar, yv))
+    return (y - y_star).reshape(op.node_count, d).mean(axis=0)
 
 
 def synthesize_linear(
@@ -144,7 +149,7 @@ def synthesize_linear(
     n, d = problem.op.node_count, problem.op.dim
     if leader is not None and not (0 <= leader < n):
         raise IndexOutOfRange(f"node index {leader} out of range")
-    zeta_star = problem.op.lifted.T @ y_star
+    zeta_star = problem.op.rmatvec(y_star)
     leader_z = None
     y_target = y_star
 
@@ -155,10 +160,10 @@ def synthesize_linear(
         if leader is not None:
             leader_z = z
             shift = np.kron(np.eye(n)[leader], -z)
-            mu, _ = _min_flow(problem, cat.translate(shift), tol)
+            mu, _ = _min_flow(problem, (cat[0] + shift, cat[1]), tol)
         elif mode == "relative":
             beta = _agreement_shift(problem, y_star, tol)
-            y_target = y_star + _lift(problem) @ beta
+            y_target = y_star + np.tile(beta, n)
             mu, z = _min_flow(problem, _node_set(problem, y_target), tol)
             residual = np.linalg.norm(z)
             if residual > max(tol, 1e-6):
@@ -217,8 +222,8 @@ def _probe_strict(fn, x0: np.ndarray, rng: np.random.Generator) -> bool:
 def check_uniqueness_conditions(problem: NetworkProblem, y_star) -> UniquenessReport:
     """Probe the conditions that make y* the unique optimum."""
     y_star = np.asarray(y_star, dtype=float).ravel()
-    d = problem.op.dim
-    zeta_star = problem.op.lifted.T @ y_star
+    n, d = problem.op.node_count, problem.op.dim
+    zeta_star = problem.op.rmatvec(y_star)
     rng = np.random.default_rng(7)
 
     blocks = (
@@ -233,10 +238,8 @@ def check_uniqueness_conditions(problem: NetworkProblem, y_star) -> UniquenessRe
             outer = False
             break
 
-    lift = _lift(problem)
-
     def a_fn(beta):
-        return value(problem.Kstar, y_star + lift @ beta)
+        return value(problem.Kstar, y_star + np.tile(beta, n))
 
     inner = _probe_strict(a_fn, np.zeros(d), rng)
 
@@ -253,8 +256,7 @@ def reconfiguration_offsets(problem: NetworkProblem, y0, y_star, tol: float = 1e
     """(alpha, beta) retargeting controllers from steady output y0 to y*."""
     y0 = np.asarray(y0, dtype=float).ravel()
     y_star = np.asarray(y_star, dtype=float).ravel()
-    E = problem.op.lifted
-    alpha = E.T @ y_star - E.T @ y0
+    alpha = problem.op.rmatvec(y_star) - problem.op.rmatvec(y0)
     beta = g_map(problem, y_star, tol) - g_map(problem, y0, tol)
     return alpha, beta
 

@@ -7,6 +7,7 @@ from couplednet.errors import (Disconnected, DimensionMismatch, EmptyList,
                                IndexOutOfRange, SelfLoop)
 from couplednet.netgraph import (build_graph, in_cut_space, incidence,
                                  project_agreement)
+from couplednet.relations import solve_affine
 
 from conftest import rand_connected_graph
 
@@ -62,6 +63,7 @@ def test_incidence_matrix_diamond():
 def test_incidence_lift_is_kron():
     g = build_graph(3, [(0, 1), (1, 2)])
     op = incidence(g, 2)
+    assert "lifted" not in vars(op)  # built on first read
     assert op.lifted.shape == (6, 4)
     assert np.array_equal(op.lifted, np.kron(op.base, np.eye(2)))
 
@@ -132,3 +134,20 @@ def test_incidence_invariants(n, d, seed):
     assert np.allclose(project_agreement(op, p), p, atol=1e-12)
     assert np.allclose(op.lifted.T @ p, 0.0, atol=1e-12)
     assert in_cut_space(op, u - p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(min_value=2, max_value=7), d=st.integers(min_value=1, max_value=3),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_index_products_and_cycle_projector_match_the_lift(n, d, seed):
+    rng = np.random.default_rng(seed)
+    op = incidence(rand_connected_graph(rng, n), d)
+    y, mu = rng.normal(size=op.node_size), rng.normal(size=op.edge_size)
+    assert np.allclose(op.rmatvec(y), op.lifted.T @ y, rtol=0.0, atol=1e-12)
+    assert np.allclose(op.matvec(mu), op.lifted @ mu, rtol=0.0, atol=1e-12)
+    # kron(null(base), I_d) spans the same space as the SVD null space of the lift
+    svd = solve_affine(op.lifted, np.zeros(op.node_size)).directions
+    C = op.cycle_basis()
+    assert C.shape == svd.shape
+    assert np.allclose(C.T @ C, np.eye(C.shape[1]), rtol=0.0, atol=1e-12)
+    assert np.allclose(C @ C.T, svd @ svd.T, rtol=0.0, atol=1e-12)
