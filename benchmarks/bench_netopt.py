@@ -2,8 +2,8 @@
 
 Builds bench_integrate's ring-with-chords network (saturating-integrator
 edges, d = 2) for each node count and times `assemble`, `solve_opp`,
-`recover_certificate` and `solve_ofp` on it, each the best of REPEAT
-calls. BLAS runs on one thread. The last column is the process's peak
+`recover_certificate`, `solve_ofp` and `duality_gap` on it, each the
+best of REPEAT calls. BLAS runs on one thread. The last column is the process's peak
 resident memory (ru_maxrss) after the sizes so far, which includes
 building the closed-loop system that `build_system` returns.
 
@@ -21,13 +21,13 @@ import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 
-from couplednet.netopt import (assemble, recover_certificate, solve_ofp,  # noqa: E402
-                               solve_opp)
+from couplednet.netopt import (assemble, duality_gap, recover_certificate,  # noqa: E402
+                               solve_ofp, solve_opp)
 
 import bench_integrate  # noqa: E402
 
 REPEAT = 3  # timed calls per stage; the best is reported
-STAGES = ("assemble", "solve_opp", "recover_certificate", "solve_ofp")
+STAGES = ("assemble", "solve_opp", "recover_certificate", "solve_ofp", "duality_gap")
 
 
 def best(fn, repeat):
@@ -49,9 +49,12 @@ def run(nodes: int, repeat: int = REPEAT) -> dict:
     times["solve_opp"], (y, zeta, _) = best(lambda: solve_opp(problem), repeat)
     times["recover_certificate"], cert = best(
         lambda: recover_certificate(problem, y, zeta), repeat)
-    times["solve_ofp"], _ = best(lambda: solve_ofp(problem), repeat)
+    times["solve_ofp"], (u, mu, _) = best(lambda: solve_ofp(problem), repeat)
+    times["duality_gap"], gap = best(lambda: duality_gap(problem, u, mu, y, zeta), repeat)
     if not cert.valid(1e-6):
         raise RuntimeError("certificate residuals above 1e-6")
+    if abs(gap) > 1e-8:
+        raise RuntimeError(f"duality gap {gap:.3e} above 1e-8")
     # ru_maxrss is in kB on Linux
     times["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return times

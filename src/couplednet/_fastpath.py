@@ -25,6 +25,7 @@ import numpy as np
 
 from .couplers import ControllerKind, ControllerModel, paper_psi, paper_psi_into
 from .errors import NonFiniteState, StepUnderflow
+from .netgraph import IncidenceOperator
 from .plants import AgentKind, AgentModel
 from .relations import FunctionKind, as_quadratic
 
@@ -35,8 +36,8 @@ class PackedSystem:
 
     (row, col, w) give the state derivative, the affine term c as the
     entries on v's last, constant column, placed after all others;
-    (sig_row, sig_col, sig_w) and sig_c give the stacked signals
-    [y ; mu], which read no constant column; E is the lifted incidence
+    (sig_row, sig_col, sig_w) give the stacked signals [y ; mu], their
+    constant entries placed before all others; op is the incidence
     operator that turns them into zeta and u.
     """
 
@@ -48,8 +49,7 @@ class PackedSystem:
     sig_row: np.ndarray
     sig_col: np.ndarray
     sig_w: np.ndarray
-    sig_c: np.ndarray
-    E: np.ndarray
+    op: IncidenceOperator
 
 
 def rhs_buffer(pk):
@@ -375,27 +375,43 @@ def try_pack(op, agents, controllers) -> PackedSystem | None:
                 rhs.append((ofs[i], r, -sign * (B @ L)))
             rhs.append((r, ofs[i], sign * C))
 
-    u0 = -(op.lifted @ mu0)
+    u0 = -op.matvec(mu0)
     for i, (agent, (_, B, _, w)) in enumerate(zip(agents, parts)):
         c[ofs[i]:ofs[i + 1]] = w + B @ (agent.leader_offset + u0[i * d:(i + 1) * d])
 
+    one = dim + psi_idx.shape[0]  # v's constant column
     row, col, w = _coo(rhs)
-    const = np.flatnonzero(c)  # c goes last, on v's constant column
+    const = np.flatnonzero(c)  # c goes last
     row = np.concatenate((row, const))
-    col = np.concatenate((col, np.full(const.shape[0], dim + psi_idx.shape[0])))
+    col = np.concatenate((col, np.full(const.shape[0], one)))
     w = np.concatenate((w, c[const]))
     sig_row, sig_col, sig_w = _coo(sig)
+    const = np.flatnonzero(mu0)  # mu0 goes first: each signal adds its products onto it
+    sig_row = np.concatenate((op.node_size + const, sig_row))
+    sig_col = np.concatenate((np.full(const.shape[0], one), sig_col))
+    sig_w = np.concatenate((mu0[const], sig_w))
     return PackedSystem(dim=dim, psi_idx=psi_idx, row=row, col=col, w=w,
-                        sig_row=sig_row, sig_col=sig_col, sig_w=sig_w,
-                        sig_c=np.concatenate([np.zeros(op.node_size), mu0]),
-                        E=op.lifted)
+                        sig_row=sig_row, sig_col=sig_col, sig_w=sig_w, op=op)
 
 
 def packed_signals(packed: PackedSystem, states: np.ndarray):
-    """(u, y, zeta, mu) arrays for recorded packed states (rows = samples)."""
-    v = np.hstack([states, paper_psi(states[:, packed.psi_idx])])
-    sig = np.tile(packed.sig_c, (v.shape[0], 1))
-    np.add.at(sig, (slice(None), packed.sig_row), v[:, packed.sig_col] * packed.sig_w)
-    ny = packed.E.shape[0]
-    y, mu = sig[:, :ny], sig[:, ny:]
-    return -(mu @ packed.E.T), y, y @ packed.E, mu
+    """(u, y, zeta, mu) arrays for recorded packed states (rows = samples).
+
+    Each of [y ; mu] and E mu is one bincount over all records, whose
+    bins are (record, coordinate) pairs; zeta = E'y and u = -E mu come
+    from the operator's lifted tail and head indices, as its rmatvec
+    and matvec compute them.
+    """
+    op = packed.op
+    records = states.shape[0]
+    n, size = op.node_size, op.node_size + op.edge_size
+    v = np.hstack([states, paper_psi(states[:, packed.psi_idx]), np.ones((records, 1))])
+    rec = np.arange(records)[:, None]
+    sig = np.bincount((rec * size + packed.sig_row).ravel(),
+                      (v[:, packed.sig_col] * packed.sig_w).ravel(),
+                      records * size).reshape(records, size)
+    y, mu = sig[:, :n], sig[:, n:]
+    flat_mu = mu.ravel()
+    E_mu = (np.bincount((rec * n + op.head).ravel(), flat_mu, records * n)
+            - np.bincount((rec * n + op.tail).ravel(), flat_mu, records * n))
+    return -E_mu.reshape(records, n), y, y[:, op.head] - y[:, op.tail], mu

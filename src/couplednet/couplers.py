@@ -75,7 +75,7 @@ class ControllerModel:
 
     @property
     def has_offsets(self) -> bool:
-        return bool(np.any(self.alpha) or np.any(self.beta))
+        return bool(self.alpha.any() or self.beta.any())
 
 
 def _vec(v, size, what) -> np.ndarray:

@@ -33,16 +33,16 @@ from .errors import (
     UnsupportedKind,
 )
 from .netgraph import DirectedGraph, IncidenceOperator, incidence
-from .plants import AgentModel, ss_relation
+from .plants import ss_relations
 from .relations import (
     FunctionKind,
     IntegralFunction,
     RelationKind,
-    SetKind,
     VectorRelation,
     as_quadratic,
     block_diag,
     conjugate_function,
+    coordinate_sets,
     forward,
     inverse,
     pair_residual,
@@ -94,16 +94,23 @@ class NetworkProblem:
         return self.op.edge_size
 
 
-def _node_integral_fn(rel: VectorRelation) -> IntegralFunction:
-    """K_i with grad K_i = k_i, for affine k_i with symmetric PSD gain."""
-    if rel.kind is not RelationKind.AFFINE:
+def _node_integral_fns(rels) -> list:
+    """K_i with grad K_i = k_i, for affine k_i with symmetric PSD gains.
+
+    The gains are checked for symmetry together, by one batched norm.
+    """
+    if any(rel.kind is not RelationKind.AFFINE for rel in rels):
         raise UnsupportedKind(
             "node integral functions need an affine steady-state relation"
         )
-    S, v = rel.S, rel.v
-    if np.linalg.norm(S - S.T) > 1e-8 * (1.0 + np.linalg.norm(S)):
+    if len({rel.dim for rel in rels}) > 1:
+        raise DimensionMismatch("node relations must share one dimension")
+    S = np.stack([rel.S for rel in rels])
+    St = S.transpose(0, 2, 1)
+    if np.any(np.linalg.norm(S - St, axis=(1, 2))
+              > 1e-8 * (1.0 + np.linalg.norm(S, axis=(1, 2)))):
         raise UnsupportedKind("steady-state gain must be symmetric to integrate")
-    return quadratic(0.5 * (S + S.T), v)
+    return [quadratic(P, rel.v) for P, rel in zip(0.5 * (S + St), rels)]
 
 
 def assemble(graph: DirectedGraph, agents, controllers) -> NetworkProblem:
@@ -127,9 +134,9 @@ def assemble(graph: DirectedGraph, agents, controllers) -> NetworkProblem:
         raise DimensionMismatch("controllers must share the agents' io_dim")
 
     op = incidence(graph, d)
-    node_rels = tuple(ss_relation(a) for a in agents)
+    node_rels = ss_relations(agents)
     edge_rels = tuple(controller_ss_relation(c) for c in controllers)
-    K = stacked([_node_integral_fn(r) for r in node_rels])
+    K = stacked(_node_integral_fns(node_rels))
     Kstar = conjugate_function(K)
     Gamma = stacked([controller_integral_fn(c) for c in controllers])
     Gammastar = conjugate_function(Gamma)
@@ -150,7 +157,7 @@ def problem_from_relations(op: IncidenceOperator, node_rels, edge_fns) -> Networ
     """Assemble directly from node relations and edge integral functions."""
     node_rels = tuple(node_rels)
     edge_fns = list(edge_fns)
-    K = stacked([_node_integral_fn(r) for r in node_rels])
+    K = stacked(_node_integral_fns(node_rels))
     Gamma = stacked(edge_fns)
     from .relations import gradient_relation
 
@@ -171,36 +178,6 @@ def problem_from_relations(op: IncidenceOperator, node_rels, edge_fns) -> Networ
 # ---------------------------------------------------------------------------
 # coordinate sets and graph flows
 # ---------------------------------------------------------------------------
-
-
-def coordinate_sets(rels, evaluate, x, d: int):
-    """Per-block sets evaluate(rel_i, x_i) as (base, free) arrays.
-
-    Every set the network relations produce is base + span(e_J) for a
-    set J of its own coordinates (a point, a pinned coordinate left
-    free, or everything); free marks J. Raises EmptySelection when a
-    set is empty and UnsupportedKind when one is not aligned with the
-    coordinates.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != len(rels) * d:
-        raise DimensionMismatch(f"expected dimension {len(rels) * d}, got {x.size}")
-    base = np.empty(x.size)
-    free = np.zeros(x.size, dtype=bool)
-    for i, rel in enumerate(rels):
-        blk = slice(i * d, (i + 1) * d)
-        s = evaluate(rel, x[blk])
-        if s.is_empty:
-            raise EmptySelection("a relation has no element at the requested point")
-        base[blk] = s.basepoint
-        if s.kind is SetKind.EVERYTHING:
-            free[blk] = True
-        elif s.kind is SetKind.AFFINE:
-            proj = s.directions @ s.directions.T
-            free[blk] = np.diag(proj) > 0.5
-            if np.abs(proj - np.diag(free[blk].astype(float))).max() > 1e-9:
-                raise UnsupportedKind("a relation's set is not aligned with its coordinates")
-    return base, free
 
 
 def _join(count: int, tails, heads, offsets, ground: int):

@@ -40,16 +40,28 @@ class AgentKind(Enum):
 
 
 def _inv(mat: np.ndarray, what: str) -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.shape[0] != mat.shape[1]:
+    """Inverse of a square matrix, or of each of a stack (..., n, n).
+
+    Raises SingularMatrix when a matrix is singular or its condition
+    number, the ratio of its extreme singular values as np.linalg.cond
+    computes it, is above 1e13.
+    """
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim < 2:
+        mat = np.atleast_2d(mat)
+    if mat.shape[-1] != mat.shape[-2]:
         raise DimensionMismatch(f"{what} must be square")
     try:
         out = np.linalg.inv(mat)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"{what} is singular") from exc
-    if not np.all(np.isfinite(out)) or np.linalg.cond(mat) > 1e13:
-        raise SingularMatrix(f"{what} is numerically singular")
-    return out
+    if np.isfinite(out).all():
+        s = np.linalg.svd(mat, compute_uv=False)
+        with np.errstate(divide="ignore"):  # a zero singular value reads as inf
+            cond = s[..., 0] / s[..., -1]
+        if not (cond > 1e13).any():
+            return out
+    raise SingularMatrix(f"{what} is numerically singular")
 
 
 @dataclass(frozen=True)
@@ -218,27 +230,47 @@ def custom_agent(state_dim, io_dim, f, h, relation=None, w=None, leader_offset=N
 def linear_ss_relation(A, B, C, T=None, w=None) -> VectorRelation:
     """Affine relation y = (-C A^-1 B + T) u - C A^-1 w of a linear agent."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    Ainv = _inv(A, "A")
-    B = np.atleast_2d(np.asarray(B, dtype=float)).reshape(A.shape[0], -1)
-    C = np.atleast_2d(np.asarray(C, dtype=float)).reshape(-1, A.shape[0])
+    n = A.shape[0]
+    B = np.atleast_2d(np.asarray(B, dtype=float)).reshape(n, -1)
+    C = np.atleast_2d(np.asarray(C, dtype=float)).reshape(-1, n)
     d = B.shape[1]
-    S = -C @ Ainv @ B
-    if T is not None:
-        S = S + _as_matrix(T, d, d, "T")
-    v = -C @ Ainv @ _as_vector(w, A.shape[0], "w")
-    return affine_relation(S, v)
+    T = np.zeros((d, d)) if T is None else _as_matrix(T, d, d, "T")
+    return affine_relation(*_linear_gain(A, B, C, T, _as_vector(w, n, "w")))
+
+
+def _linear_gain(A, B, C, T, w):
+    """(S, v) of y = S u + v for linear agents; the arrays may be stacks."""
+    CA = -C @ _inv(A, "A")
+    return CA @ B + T, (CA @ w[..., None])[..., 0]
 
 
 def oscillator_ss_relation(M, B, psi=None, w=None) -> VectorRelation:
     """Affine relation y = (M')^-1 B u + (M')^-1 (w - grad psi(0))."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     d = M.shape[0]
-    Mt_inv = _inv(M.T, "M'")
-    B = _as_matrix(B, d, d, "B")
-    forcing = _as_vector(w, d, "w")
-    if psi is not None:
-        forcing = forcing - grad_of(psi, np.zeros(d))
-    return affine_relation(Mt_inv @ B, Mt_inv @ forcing)
+    return affine_relation(*_oscillator_gain(M, _as_matrix(B, d, d, "B"),
+                                             _forcing(psi, _as_vector(w, d, "w"))))
+
+
+def _forcing(psi, w):
+    """w - grad psi(0); grad psi(0) is q for a quadratic psi."""
+    if psi is None:
+        return w
+    quad = as_quadratic(psi)
+    return w - (quad[1] if quad is not None else grad_of(psi, np.zeros(w.size)))
+
+
+def _oscillator_gain(M, B, forcing):
+    """(S, v) of y = S u + v for oscillators; the arrays may be stacks."""
+    Mt_inv = _inv(np.swapaxes(M, -1, -2), "M'")
+    return Mt_inv @ B, (Mt_inv @ forcing[..., None])[..., 0]
+
+
+def _gradient_gain(P, J, B, C, R, w):
+    """(S, v) of y = S u + v for quadratic convex-gradient agents with
+    Hessian P and linear term folded into w; the arrays may be stacks."""
+    CK = C @ _inv(P - J, "P - J")
+    return CK @ B + R, (CK @ w[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -297,28 +329,97 @@ def ss_relation(model: AgentModel) -> VectorRelation:
     Linear and oscillator kinds are always affine. ConvexGradient kinds
     are affine when psi is quadratic; with identity B and C and no skew
     term the relation is the inverse of grad psi; anything else is
-    unsupported here (simulation still works).
+    unsupported here (simulation still works). The one-agent case of
+    ss_relations.
     """
-    z = model.leader_offset
-    if model.kind is AgentKind.LINEAR:
-        rel = linear_ss_relation(model.A, model.B, model.C, model.T, model.w)
-        return affine_relation(rel.S, rel.S @ z + rel.v)
-    if model.kind is AgentKind.DAMPED_OSCILLATOR:
-        rel = oscillator_ss_relation(model.M, model.B, model.psi, model.w)
-        return affine_relation(rel.S, rel.S @ z + rel.v)
+    return ss_relations([model])[0]
+
+
+def ss_relations(models) -> tuple:
+    """ss_relation of each of models, in order.
+
+    Agents whose relation is affine are solved by groups of one kind
+    and shape: one batched inverse and product per group, then
+    y = S (u + z) + v for the leader offset z. The others are derived
+    one at a time.
+    """
+    models = list(models)
+    out = [None] * len(models)
+    groups = {}
+    for i, model in enumerate(models):
+        if model.kind in _GAINS and (model.kind is not AgentKind.CONVEX_GRADIENT
+                                     or as_quadratic(model.psi) is not None):
+            groups.setdefault((model.kind, model.state_dim, model.io_dim), []).append(i)
+        else:
+            out[i] = _relation(model)
+    for (kind, _, d), idx in groups.items():
+        group = [models[i] for i in idx]
+        S, v = _GAINS[kind](group)
+        z = _stack([m.leader_offset for m in group], (d,), "leader_offset")
+        v = (S @ z[:, :, None])[:, :, 0] + v
+        for i, S_i, v_i in zip(idx, S, v):
+            out[i] = affine_relation(S_i, v_i)
+    return tuple(out)
+
+
+def _stack(arrays, shape, what) -> np.ndarray:
+    """One float array stacking arrays, each of the given shape."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    if any(a.shape != shape for a in arrays):
+        raise DimensionMismatch(f"{what} must have shape {shape}")
+    return np.stack(arrays)
+
+
+def _linear_gains(group):
+    n, d = group[0].state_dim, group[0].io_dim
+    return _linear_gain(
+        _stack([m.A for m in group], (n, n), "A"),
+        _stack([m.B for m in group], (n, d), "B"),
+        _stack([m.C for m in group], (d, n), "C"),
+        _stack([np.zeros((d, d)) if m.T is None else m.T for m in group], (d, d), "T"),
+        _stack([m.w for m in group], (n,), "w"))
+
+
+def _oscillator_gains(group):
+    d = group[0].io_dim
+    w = _stack([m.w for m in group], (d,), "w")
+    return _oscillator_gain(
+        _stack([m.M for m in group], (d, d), "M"),
+        _stack([m.B for m in group], (d, d), "B"),
+        np.stack([_forcing(m.psi, w_m) for m, w_m in zip(group, w)]))
+
+
+def _gradient_gains(group):
+    n, d = group[0].state_dim, group[0].io_dim
+    P, q, _ = zip(*(as_quadratic(m.psi) for m in group))
+
+    def feedthrough(rho):
+        if rho is None:
+            return np.zeros((d, d))
+        if callable(rho):
+            raise UnsupportedKind("callable feedthrough has no affine relation")
+        return _as_matrix(rho, d, d, "rho")
+
+    return _gradient_gain(
+        _stack(P, (n, n), "P"),
+        _stack([m.J for m in group], (n, n), "J"),
+        _stack([m.B for m in group], (n, d), "B"),
+        _stack([m.C for m in group], (d, n), "C"),
+        _stack([feedthrough(m.rho) for m in group], (d, d), "rho"),
+        _stack([m.w for m in group], (n,), "w") - _stack(q, (n,), "q"))
+
+
+# (S, v) for a group of agents of one affine kind and shape
+_GAINS = {
+    AgentKind.LINEAR: _linear_gains,
+    AgentKind.DAMPED_OSCILLATOR: _oscillator_gains,
+    AgentKind.CONVEX_GRADIENT: _gradient_gains,
+}
+
+
+def _relation(model: AgentModel) -> VectorRelation:
+    """ss_relation of an agent whose relation is not affine."""
     if model.kind is AgentKind.CONVEX_GRADIENT:
-        quad = as_quadratic(model.psi)
-        if quad is not None:
-            P, q, _ = quad
-            K = _inv(P - model.J, "P - J")
-            R = np.zeros((model.io_dim, model.io_dim))
-            if model.rho is not None:
-                if callable(model.rho):
-                    raise UnsupportedKind("callable feedthrough has no affine relation")
-                R = _as_matrix(model.rho, model.io_dim, model.io_dim, "rho")
-            S = model.C @ K @ model.B + R
-            v0 = model.C @ K @ (model.w - q)
-            return affine_relation(S, S @ z + v0)
         square = model.B.shape[0] == model.B.shape[1]
         plain = (
             square
@@ -330,7 +431,7 @@ def ss_relation(model: AgentModel) -> VectorRelation:
         if plain:
             # grad psi(y) = u + w + z, so the relation inverts grad psi
             base = inverted_relation(gradient_relation(model.psi))
-            return shifted_relation(base, input_offset=-(model.w + z))
+            return shifted_relation(base, input_offset=-(model.w + model.leader_offset))
         raise UnsupportedKind(
             "no closed steady-state relation for this convex-gradient agent"
         )

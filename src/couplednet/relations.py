@@ -20,8 +20,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
+    CoupledNetError,
     DimensionMismatch,
     EmptyList,
+    EmptySelection,
     OutsideDomain,
     RelationNotEvaluable,
     Unbounded,
@@ -338,20 +340,66 @@ def _check_dim(f, x) -> np.ndarray:
 
 def value(f: IntegralFunction, x) -> float:
     """Evaluate f(x); may return +inf."""
-    x = _check_dim(f, x)
-    if f.kind is FunctionKind.QUADRATIC:
-        return float(0.5 * x @ f.P @ x + f.q @ x + f.c)
-    if f.kind is FunctionKind.INDICATOR_ZERO:
-        return 0.0 if np.max(np.abs(x), initial=0.0) <= ZERO_ATOL else math.inf
-    if f.kind is FunctionKind.SCALAR_SEPARABLE:
-        return float(sum(_simpson_adaptive(f.phi, 0.0, float(t)) for t in x))
-    if f.kind is FunctionKind.SUM:
-        return float(sum(value(ch, x) for ch in f.children))
-    if f.kind is FunctionKind.STACKED:
-        return float(sum(value(ch, xb) for ch, xb in _blocks(f, x)))
-    if f.kind is FunctionKind.SHIFTED:
-        return value(f.inner, x - f.shift) + float(f.linear @ x) + f.constant
-    raise UnsupportedKind(str(f.kind))
+    return float(_values([f], _check_dim(f, x)[None])[0])
+
+
+def _kind_groups(items) -> dict:
+    """Positions of items (functions or relations) by (kind, dim), keys
+    in order of first appearance."""
+    groups = {}
+    for i, it in enumerate(items):
+        groups.setdefault((it.kind, it.dim), []).append(i)
+    return groups
+
+
+def _block_groups(items):
+    """(positions, index) per group of items of one kind and dimension.
+
+    The items act on consecutive blocks of a vector x, as the children
+    of a stacked function or relation do; x[index] has the blocks of
+    the items at positions as its rows.
+    """
+    start = np.cumsum([0] + [it.dim for it in items])
+    for (_, dim), idx in _kind_groups(items).items():
+        yield idx, start[idx][:, None] + np.arange(dim)
+
+
+def _block_values(fs, x: np.ndarray) -> np.ndarray:
+    """f_k(x_k) for functions fs on consecutive blocks x_k of x."""
+    out = np.empty(len(fs))
+    for idx, index in _block_groups(fs):
+        out[idx] = _values([fs[i] for i in idx], x[index])
+    return out
+
+
+def _values(fs, X: np.ndarray) -> np.ndarray:
+    """f_k(X[k]) for functions fs of one kind and dimension.
+
+    Quadratic, indicator and shifted kinds are evaluated in one numpy
+    pass over the group; the others one function at a time. A stacked
+    function sums its children's values in order.
+    """
+    kind = fs[0].kind
+    if kind is FunctionKind.QUADRATIC:
+        P = np.stack([f.P for f in fs])
+        q = np.stack([f.q for f in fs])
+        return (0.5 * np.einsum("ki,kij,kj->k", X, P, X) + np.einsum("ki,ki->k", q, X)
+                + np.array([f.c for f in fs]))
+    if kind is FunctionKind.INDICATOR_ZERO:
+        return np.where(np.max(np.abs(X), axis=1, initial=0.0) <= ZERO_ATOL, 0.0, math.inf)
+    if kind is FunctionKind.SHIFTED:
+        shift = np.stack([f.shift for f in fs])
+        inner = _block_values([f.inner for f in fs], (X - shift).ravel())
+        linear = np.einsum("ki,ki->k", np.stack([f.linear for f in fs]), X)
+        return inner + linear + np.array([f.constant for f in fs])
+    if kind is FunctionKind.SCALAR_SEPARABLE:
+        return np.array([sum(_simpson_adaptive(f.phi, 0.0, t) for t in x)
+                         for f, x in zip(fs, X.tolist())])
+    if kind is FunctionKind.SUM:
+        return np.array([sum(value(ch, x) for ch in f.children) for f, x in zip(fs, X)])
+    if kind is FunctionKind.STACKED:
+        return np.array([sum(_block_values(f.children, x).tolist()) for f, x in zip(fs, X)])
+    raise UnsupportedKind(str(kind))
 
 
 def subgradient(f: IntegralFunction, x) -> SetDescriptor:
@@ -425,14 +473,21 @@ def block_diag(mats) -> np.ndarray:
 
 
 def _psd_pinv(P: np.ndarray, tol: float = 1e-10):
-    """Eigen-decomposition pseudo-inverse for symmetric PSD matrices."""
-    vals, vecs = np.linalg.eigh(0.5 * (P + P.T))
-    cutoff = tol * max(1.0, float(vals.max(initial=0.0)))
-    inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
-    pinv = (vecs * inv) @ vecs.T
-    proj = (vecs * (vals > cutoff)) @ vecs.T  # projector onto range(P)
-    rank = int(np.sum(vals > cutoff))
-    return pinv, proj, rank
+    """Eigen-decomposition pseudo-inverse of a symmetric PSD matrix.
+
+    P may be a stack of matrices (..., d, d). Returns (pinv, proj,
+    rank), each per matrix: the pseudo-inverse, the projector onto
+    range(P) and the rank. Eigenvalues up to tol * max(1, largest)
+    count as zero.
+    """
+    vals, vecs = np.linalg.eigh(0.5 * (P + np.swapaxes(P, -1, -2)))
+    cutoff = tol * np.fmax(1.0, vals.max(axis=-1, initial=0.0))
+    kept = vals > cutoff[..., None]
+    inv = np.where(kept, 1.0 / np.where(kept, vals, 1.0), 0.0)
+    vecs_t = np.swapaxes(vecs, -1, -2)
+    pinv = (vecs * inv[..., None, :]) @ vecs_t
+    proj = (vecs * kept[..., None, :]) @ vecs_t
+    return pinv, proj, kept.sum(axis=-1)
 
 
 def _bracket_root(g, target: float, lo: float = -1.0, hi: float = 1.0, tol: float = 1e-12):
@@ -512,30 +567,57 @@ def conjugate_value(f: IntegralFunction, y, opts: Optional[dict] = None) -> floa
 
 
 def conjugate_function(f: IntegralFunction) -> IntegralFunction:
-    """Build f* as an IntegralFunction (closed under the supported kinds)."""
-    if f.kind is FunctionKind.INDICATOR_ZERO:
-        return quadratic(np.zeros((f.dim, f.dim)))
-    if f.kind is FunctionKind.STACKED:
-        return stacked([conjugate_function(ch) for ch in f.children])
-    if f.kind is FunctionKind.SHIFTED:
-        inner_conj = conjugate_function(f.inner)
-        return shifted(
-            inner_conj,
-            shift=f.linear,
-            linear=f.shift,
-            constant=-float(f.shift @ f.linear) - f.constant,
-        )
-    quad = as_quadratic(f)
-    if quad is not None:
-        P, q, c = quad
-        if np.allclose(P, 0.0):
-            # affine function: conjugate is the indicator of {q}
-            return shifted(indicator_zero(f.dim), shift=q, constant=-c)
-        pinv, proj, rank = _psd_pinv(P)
-        if rank < f.dim:
-            raise UnsupportedKind("conjugate object of a degenerate quadratic")
-        return quadratic(pinv, -pinv @ q, float(0.5 * q @ pinv @ q - c))
-    raise UnsupportedKind(f"no closed-form conjugate for kind {f.kind}")
+    """Build f* as an IntegralFunction (closed under the supported kinds).
+
+    The children of a stacked f are conjugated by groups of one kind
+    and dimension, each group in one numpy pass (see _conjugates).
+    """
+    return _conjugates([f])[0]
+
+
+def _block_conjugates(fs) -> list:
+    """The conjugate of each of fs, in order."""
+    out = [None] * len(fs)
+    for idx in _kind_groups(fs).values():
+        for i, conj in zip(idx, _conjugates([fs[i] for i in idx])):
+            out[i] = conj
+    return out
+
+
+def _conjugates(fs) -> list:
+    """Conjugates of functions fs of one kind and dimension.
+
+    Quadratic kinds (and sums of them) are decided together: P near zero
+    (np.allclose(P, 0)) is affine, whose conjugate is the indicator of
+    {q}; otherwise P must have full rank, and f* is the quadratic of its
+    pseudo-inverse. One batched eigh covers the group.
+    """
+    kind, dim = fs[0].kind, fs[0].dim
+    if kind is FunctionKind.INDICATOR_ZERO:
+        return [quadratic(np.zeros((dim, dim)))] * len(fs)
+    if kind is FunctionKind.STACKED:
+        return [stacked(_block_conjugates(f.children)) for f in fs]
+    if kind is FunctionKind.SHIFTED:
+        inner = _block_conjugates([f.inner for f in fs])
+        cross = np.einsum("ki,ki->k", np.stack([f.shift for f in fs]),
+                          np.stack([f.linear for f in fs]))
+        return [shifted(conj, shift=f.linear, linear=f.shift, constant=-float(x) - f.constant)
+                for f, conj, x in zip(fs, inner, cross)]
+    quads = [as_quadratic(f) for f in fs]
+    if any(quad is None for quad in quads):
+        raise UnsupportedKind(f"no closed-form conjugate for kind {kind}")
+    P = np.stack([quad[0] for quad in quads])
+    q = np.stack([quad[1] for quad in quads])
+    c = np.array([quad[2] for quad in quads], dtype=float)
+    affine = np.all(np.abs(P) <= 1e-8, axis=(1, 2))
+    pinv, _, rank = _psd_pinv(P)
+    if np.any(rank[~affine] < dim):
+        raise UnsupportedKind("conjugate object of a degenerate quadratic")
+    lin = -np.einsum("kij,kj->ki", pinv, q)
+    const = 0.5 * np.einsum("ki,kij,kj->k", q, pinv, q) - c
+    # affine: conjugate is the indicator of {q}
+    return [shifted(indicator_zero(dim), shift=q[k], constant=-c[k]) if affine[k]
+            else quadratic(pinv[k], lin[k], const[k]) for k in range(len(fs))]
 
 
 # ---------------------------------------------------------------------------
@@ -697,30 +779,174 @@ def pair_residual(rel: VectorRelation, u, y) -> float:
     """Distance of the pair (u, y) to the relation graph.
 
     Integrator kinds honor their output interval here even though
-    forward() reports Everything.
+    forward() reports Everything. A stacked relation reports the largest
+    of its children's residuals, computed by groups of one kind and
+    dimension.
     """
-    u = _check_dim(rel, u)
-    y = _check_dim(rel, y)
-    if rel.kind is RelationKind.INTEGRATOR:
-        excess = np.maximum(rel.out_lo - y, 0.0) + np.maximum(y - rel.out_hi, 0.0)
-        return float(max(np.linalg.norm(u), np.linalg.norm(excess)))
-    if rel.kind is RelationKind.STACKED:
-        parts = [
-            pair_residual(ch, ub, yb)
-            for (ch, ub), (_, yb) in zip(_blocks(rel, u), _blocks(rel, y))
-        ]
-        return float(max(parts))
-    if rel.kind is RelationKind.SHIFTED:
-        return pair_residual(rel.inner, u - rel.input_offset, y - rel.output_offset)
-    if rel.kind is RelationKind.INVERTED:
-        return pair_residual(rel.inner, y, u)
-    fwd = forward(rel, u)
-    if not fwd.is_empty:
-        return fwd.distance(y)
-    inv = inverse(rel, y)
-    if not inv.is_empty:
-        return inv.distance(u)
-    return math.inf
+    return float(_residuals([rel], _check_dim(rel, u)[None], _check_dim(rel, y)[None])[0])
+
+
+def _block_residuals(rels, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """pair_residual of each of rels at its consecutive blocks of u and y."""
+    out = np.empty(len(rels))
+    for idx, index in _block_groups(rels):
+        out[idx] = _residuals([rels[i] for i in idx], u[index], y[index])
+    return out
+
+
+def _residuals(rels, U: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """pair_residual(rels[k], U[k], Y[k]) for relations of one kind and dimension."""
+    kind = rels[0].kind
+    if kind is RelationKind.AFFINE:
+        S = np.stack([rel.S for rel in rels])
+        v = np.stack([rel.v for rel in rels])
+        return np.linalg.norm(Y - (np.einsum("kij,kj->ki", S, U) + v), axis=1)
+    if kind is RelationKind.INTEGRATOR:
+        lo = np.array([rel.out_lo for rel in rels])[:, None]
+        hi = np.array([rel.out_hi for rel in rels])[:, None]
+        excess = np.maximum(lo - Y, 0.0) + np.maximum(Y - hi, 0.0)
+        return np.maximum(np.linalg.norm(U, axis=1), np.linalg.norm(excess, axis=1))
+    if kind is RelationKind.SHIFTED:
+        a = np.stack([rel.input_offset for rel in rels])
+        b = np.stack([rel.output_offset for rel in rels])
+        return _block_residuals([rel.inner for rel in rels], (U - a).ravel(), (Y - b).ravel())
+    if kind is RelationKind.INVERTED:
+        return _block_residuals([rel.inner for rel in rels], Y.ravel(), U.ravel())
+    if kind is RelationKind.STACKED:
+        return np.array([max(_block_residuals(rel.children, u, y).tolist())
+                         for rel, u, y in zip(rels, U, Y)])
+    out = np.empty(len(rels))
+    for k, (rel, u, y) in enumerate(zip(rels, U, Y)):
+        fwd = forward(rel, u)
+        if not fwd.is_empty:
+            out[k] = fwd.distance(y)
+            continue
+        inv = inverse(rel, y)
+        out[k] = math.inf if inv.is_empty else inv.distance(u)
+    return out
+
+
+def coordinate_sets(rels, evaluate, x, d: int):
+    """Per-block sets evaluate(rel_i, x_i) as (base, free) arrays.
+
+    evaluate is forward or inverse. Every set the network relations
+    produce is base + span(e_J) for a set J of its own coordinates (a
+    point, a pinned coordinate left free, or everything); free marks J.
+    Relations of one kind are evaluated together (see _block_sets). The
+    first block that fails decides the error: EmptySelection when its
+    set is empty, UnsupportedKind when it is not aligned with the
+    coordinates.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != len(rels) * d or any(rel.dim != d for rel in rels):
+        raise DimensionMismatch(f"expected {len(rels)} blocks of dimension {d}, got {x.size}")
+    if evaluate is not forward and evaluate is not inverse:
+        raise UnsupportedKind("coordinate sets come from forward or inverse")
+    base, free, faults = _block_sets(list(rels), x.reshape(-1, d), evaluate is inverse)
+    if faults:
+        raise faults[min(faults)]
+    return base.ravel(), free.ravel()
+
+
+def _empty_fault():
+    return EmptySelection("a relation has no element at the requested point")
+
+
+def _misaligned_fault():
+    return UnsupportedKind("a relation's set is not aligned with its coordinates")
+
+
+def _block_sets(rels, X: np.ndarray, invert: bool):
+    """Coordinate sets of relations rels of one dimension at the rows of X.
+
+    Returns (base, free, faults): row k's set is base[k] + span(e_J)
+    for J = free[k], unless faults maps k to the error it raises.
+    Affine, integrator, shifted and inverted kinds take one numpy pass
+    per group of one kind; the others one set descriptor each.
+    """
+    base = np.zeros(X.shape)
+    free = np.zeros(X.shape, dtype=bool)
+    faults = {}
+    for idx in _kind_groups(rels).values():
+        group = [rels[i] for i in idx]
+        base[idx], free[idx], bad = _kind_sets(group, X[idx], invert)
+        faults.update((idx[k], fault) for k, fault in bad.items())
+    return base, free, faults
+
+
+def _kind_sets(rels, X: np.ndarray, invert: bool):
+    """_block_sets for relations of one kind."""
+    kind = rels[0].kind
+    none_free = np.zeros(X.shape, dtype=bool)
+    if kind is RelationKind.AFFINE:
+        S = np.stack([rel.S for rel in rels])
+        v = np.stack([rel.v for rel in rels])
+        if invert:
+            return _affine_solutions(S, X - v)
+        return np.einsum("kij,kj->ki", S, X) + v, none_free, {}
+    if kind is RelationKind.INTEGRATOR:
+        if invert:
+            lo = np.array([rel.out_lo for rel in rels])[:, None] - 1e-9
+            hi = np.array([rel.out_hi for rel in rels])[:, None] + 1e-9
+            empty = np.any(X < lo, axis=1) | np.any(X > hi, axis=1)
+            return np.zeros(X.shape), none_free, _faults(empty, _empty_fault)
+        empty = np.max(np.abs(X), axis=1, initial=0.0) > ZERO_ATOL
+        return np.zeros(X.shape), ~none_free, _faults(empty, _empty_fault)
+    if kind is RelationKind.SHIFTED:
+        into = np.stack([rel.output_offset if invert else rel.input_offset for rel in rels])
+        out = np.stack([rel.input_offset if invert else rel.output_offset for rel in rels])
+        base, free, faults = _block_sets([rel.inner for rel in rels], X - into, invert)
+        # translating everything leaves it (and its zero basepoint) as it is
+        return base + np.where(free.all(axis=1, keepdims=True), 0.0, out), free, faults
+    if kind is RelationKind.INVERTED:
+        return _block_sets([rel.inner for rel in rels], X, not invert)
+    evaluate = inverse if invert else forward
+    base, free, faults = np.zeros(X.shape), np.zeros(X.shape, dtype=bool), {}
+    for k, (rel, x) in enumerate(zip(rels, X)):
+        try:
+            s = evaluate(rel, x)
+        except CoupledNetError as exc:
+            faults[k] = exc
+            continue
+        if s.is_empty:
+            faults[k] = _empty_fault()
+            continue
+        base[k] = s.basepoint
+        if s.kind is SetKind.EVERYTHING:
+            free[k] = True
+        elif s.kind is SetKind.AFFINE:
+            proj = s.directions @ s.directions.T
+            free[k] = np.diag(proj) > 0.5
+            if np.abs(proj - np.diag(free[k].astype(float))).max() > 1e-9:
+                faults[k] = _misaligned_fault()
+    return base, free, faults
+
+
+def _faults(bad: np.ndarray, make) -> dict:
+    return {int(k): make() for k in np.flatnonzero(bad)}
+
+
+def _affine_solutions(S: np.ndarray, R: np.ndarray):
+    """Solution sets of S[k] u = R[k] as coordinate sets (see _block_sets).
+
+    The batched form of solve_affine at its default tol: per block one
+    SVD, the minimum-norm solution as base, empty when it misses R[k] by
+    more than 1e-8 * (1 + ||R[k]||). The null space must be spanned by
+    coordinate axes.
+    """
+    u, s, vt = np.linalg.svd(S)
+    kept = s > 1e-12 * s.max(axis=1, initial=0.0)[:, None]
+    coef = np.where(kept, np.einsum("kij,ki->kj", u, R) / np.where(kept, s, 1.0), 0.0)
+    x0 = np.einsum("kij,ki->kj", vt, coef)
+    miss = np.linalg.norm(np.einsum("kij,kj->ki", S, x0) - R, axis=1)
+    faults = _faults(miss > 1e-8 * (1.0 + np.linalg.norm(R, axis=1)), _empty_fault)
+    null = vt * ~kept[:, :, None]
+    proj = np.einsum("kri,krj->kij", null, null)
+    free = np.diagonal(proj, axis1=1, axis2=2) > 0.5
+    off = np.abs(proj - free[:, :, None] * np.eye(S.shape[1])).max(axis=(1, 2), initial=0.0)
+    for k in np.flatnonzero(off > 1e-9):
+        faults.setdefault(int(k), _misaligned_fault())
+    return np.where(free.all(axis=1, keepdims=True), 0.0, x0), free, faults
 
 
 # ---------------------------------------------------------------------------

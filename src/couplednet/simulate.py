@@ -145,7 +145,7 @@ def _signals_at(system: ClosedLoopSystem, s: np.ndarray):
     d = system.io_dim
     n = system.graph.node_count
     m = system.graph.edge_count
-    E = system.op.lifted
+    op = system.op
     eta_base = system.agent_dim
 
     def agent_outputs(u):
@@ -166,14 +166,14 @@ def _signals_at(system: ClosedLoopSystem, s: np.ndarray):
 
     if not system.agent_feedthrough:
         y = agent_outputs(None)
-        zeta = E.T @ y
+        zeta = op.rmatvec(y)
         mu = ctrl_outputs(zeta)
-        u = -(E @ mu)
+        u = -op.matvec(mu)
     else:
         mu = ctrl_outputs(None)
-        u = -(E @ mu)
+        u = -op.matvec(mu)
         y = agent_outputs(u)
-        zeta = E.T @ y
+        zeta = op.rmatvec(y)
     return u, y, zeta, mu
 
 
@@ -487,7 +487,12 @@ def compare_prediction(traj: Trajectory, certificate, tol: float = 1e-3,
 
 
 def export_csv(traj: Trajectory, path) -> None:
-    """Write `t, y[node.coord]..., u[...], zeta[edge.coord]..., mu[...]`."""
+    """Write `t, y[node.coord]..., u[...], zeta[edge.coord]..., mu[...]`.
+
+    One header line, then one line per record; values have 17
+    significant digits (`%.17g`), so each parses back to the recorded
+    double. Lines end in CRLF.
+    """
     d = traj.system.io_dim
     n = traj.system.graph.node_count
     m = traj.system.graph.edge_count
@@ -496,11 +501,11 @@ def export_csv(traj: Trajectory, path) -> None:
     header += [f"u[{i}.{c}]" for i in range(n) for c in range(d)]
     header += [f"zeta[{e}.{c}]" for e in range(m) for c in range(d)]
     header += [f"mu[{e}.{c}]" for e in range(m) for c in range(d)]
+    # 17 significant digits parse back to the same double; converting row
+    # by row keeps one row of Python floats alive at a time
+    row_format = ",".join(["%.17g"] * len(header)) + "\r\n"
+    data = np.column_stack([traj.times, traj.y, traj.u, traj.zeta, traj.mu])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        # each Python float as its shortest round-tripping repr, as the csv
-        # module writes it; converting row by row keeps one row of Python
-        # floats alive at a time
-        data = np.column_stack([traj.times, traj.y, traj.u, traj.zeta, traj.mu])
-        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in data)
+        fh.writelines(row_format % tuple(row.tolist()) for row in data)
 

@@ -8,6 +8,7 @@ outputs that are not forcible by coupling alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -22,6 +23,23 @@ from .relations import FunctionKind, indicator_zero, inverse, shifted, value
 PROBE_MARGIN = 1e-6
 PROBE_DIRECTIONS = 32
 PROBE_RADIUS = 1e-2
+# 1 / golden ratio: its multiples spread the probe directions evenly
+_SPREAD = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _probe_directions(dim: int) -> np.ndarray:
+    """The unit vectors the strict-convexity probe tries in R^dim, one per row.
+
+    Plus and minus every axis, then rows
+    cos(2 pi k frac((j + 1) / golden ratio)) over coordinates j, each
+    normalized, for k = 1, 2, ... up to PROBE_DIRECTIONS rows in all
+    (more when 2 dim exceeds it). The set is fixed: no random draw.
+    """
+    axes = np.eye(dim)
+    k = np.arange(1, max(PROBE_DIRECTIONS - 2 * dim, 0) + 1)[:, None]
+    spread = np.cos(2.0 * math.pi * k * ((np.arange(1, dim + 1) * _SPREAD) % 1.0))
+    spread /= np.linalg.norm(spread, axis=1, keepdims=True)
+    return np.vstack([axes, -axes, spread])
 
 
 def _node_set(problem: NetworkProblem, y):
@@ -203,12 +221,10 @@ class UniquenessReport:
     stationarity_residual: float
 
 
-def _probe_strict(fn, x0: np.ndarray, rng: np.random.Generator) -> bool:
-    """Midpoint strict-convexity probe; infinite values fail the probe."""
-    dim = x0.size
-    for _ in range(PROBE_DIRECTIONS):
-        v = rng.standard_normal(dim)
-        v /= max(np.linalg.norm(v), 1e-15)
+def _probe_strict(fn, x0: np.ndarray) -> bool:
+    """Midpoint strict-convexity probe along _probe_directions; infinite
+    values fail the probe."""
+    for v in _probe_directions(x0.size):
         hi = fn(x0 + PROBE_RADIUS * v)
         lo = fn(x0 - PROBE_RADIUS * v)
         mid = fn(x0)
@@ -224,7 +240,6 @@ def check_uniqueness_conditions(problem: NetworkProblem, y_star) -> UniquenessRe
     y_star = np.asarray(y_star, dtype=float).ravel()
     n, d = problem.op.node_count, problem.op.dim
     zeta_star = problem.op.rmatvec(y_star)
-    rng = np.random.default_rng(7)
 
     blocks = (
         problem.Gamma.children
@@ -234,14 +249,14 @@ def check_uniqueness_conditions(problem: NetworkProblem, y_star) -> UniquenessRe
     outer = True
     for e, fn in enumerate(blocks):
         z_e = zeta_star[e * d : (e + 1) * d]
-        if not _probe_strict(lambda x: value(fn, x), z_e, rng):
+        if not _probe_strict(lambda x: value(fn, x), z_e):
             outer = False
             break
 
     def a_fn(beta):
         return value(problem.Kstar, y_star + np.tile(beta, n))
 
-    inner = _probe_strict(a_fn, np.zeros(d), rng)
+    inner = _probe_strict(a_fn, np.zeros(d))
 
     z = _min_flow(problem, _node_set(problem, y_star))[1]
     return UniquenessReport(outer, inner, float(np.linalg.norm(z)))

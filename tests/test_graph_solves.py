@@ -19,6 +19,7 @@ from couplednet.netopt import (assemble, duality_gap, flow_residual, inclusion_r
                                solve_opp, verify_steady_state)
 from couplednet.relations import (affine_relation, indicator_zero, quadratic, shifted,
                                   stacked, value)
+from couplednet.simulate import closed_loop, default_initial_state, integrate
 from couplednet.synthesis import (_agreement_shift, check_uniqueness_conditions, g_map,
                                   leader_input, reconfiguration_offsets, synthesize_linear)
 
@@ -171,6 +172,36 @@ def test_network_solves_leave_the_lift_unbuilt():
     reconfiguration_offsets(prob, y, cert.y)
     check_uniqueness_conditions(prob, y)
     assert "lifted" not in vars(prob.op)
+
+
+def test_simulation_leaves_the_lift_unbuilt():
+    rng = np.random.default_rng(6)
+    g = rand_connected_graph(rng, 5)
+    agents = [meicmp_linear_agent(rng, 2, anchor=rng.normal(size=2)) for _ in range(5)]
+    ctrls = [nonlinear_integrator(quadratic(np.eye(2))) if k % 2
+             else linear_synthesis(rng.normal(size=2)) for k in range(g.edge_count)]
+    system = closed_loop(g, agents, ctrls)
+    assert system.packed is not None
+    traj = integrate(system, default_initial_state(system), 1.0)
+    assert "lifted" not in vars(system.op)
+    E = system.op.lifted
+    assert np.array_equal(traj.zeta, traj.y @ E)
+    assert np.allclose(traj.u, -traj.mu @ E.T, rtol=0.0, atol=1e-15)
+
+
+def test_synthesize_leaves_numpy_random_unimported(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "from couplednet import cli\n"
+            "rc = cli.cli.main(args=['synthesize', '--config', sys.argv[1], '--out', sys.argv[2],\n"
+            "                        '--leader', '0'], standalone_mode=False)\n"
+            "assert rc in (0, None), rc\n"
+            "assert 'numpy.random' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    res = subprocess.run([sys.executable, "-c", code, str(root / "configs" / "formation.json"),
+                          str(tmp_path)], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "synthesis_report.txt").exists()
 
 
 def test_bench_netopt_smoke():
