@@ -1,0 +1,92 @@
+"""Wall time of writing trajectory.csv on a ring with chords.
+
+Integrates bench_integrate's ring-with-chords network over HORIZON s,
+recorded every RECORD_EVERY s (perfbench's ring256 grid), and times
+`export_csv` REPEAT times twice: once with the process's full CPU
+affinity (one forked row writer per CPU) and once restricted to one
+CPU (the in-process writer). It checks that the two files are
+byte-identical and reports the best and median of each, the speedup of
+the medians, and the peak resident memory (ru_maxrss) of this process
+and of its largest reaped writer. BLAS runs on one thread.
+
+Usage:
+    PYTHONPATH=src python3 benchmarks/bench_export.py [--nodes 64 256] [--repeat 5]
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import filecmp  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+
+from couplednet.simulate import (IntegrateOptions, default_initial_state,  # noqa: E402
+                                 export_csv, integrate)
+
+import bench_integrate  # noqa: E402
+
+REPEAT = 5  # timed export_csv calls per affinity; best and median reported
+HORIZON = 1.0
+RECORD_EVERY = 0.005
+
+
+def timed(traj, path, repeat):
+    """Wall times in s of repeat export_csv(traj, path) calls."""
+    walls = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        export_csv(traj, path)
+        walls.append(time.perf_counter() - t0)
+    return walls
+
+
+def run(nodes: int, repeat: int, workdir: str) -> dict:
+    """Export timings on build_system(nodes) with all CPUs and with one."""
+    system = bench_integrate.build_system(nodes)
+    traj = integrate(system, default_initial_state(system), HORIZON,
+                     IntegrateOptions(record_every=RECORD_EVERY))
+    full, single = (os.path.join(workdir, f"{nodes}_{k}.csv") for k in ("full", "one"))
+    cpus = os.sched_getaffinity(0)
+    out = {"values": traj.y.shape[0] * (1 + 2 * traj.y.shape[1] + 2 * traj.mu.shape[1]),
+           "cpus": len(cpus), "full": timed(traj, full, repeat)}
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        out["one"] = timed(traj, single, repeat)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    if not filecmp.cmp(full, single, shallow=False):
+        raise RuntimeError(f"n = {nodes}: the two writers' files differ")
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--nodes", type=int, nargs="+", default=[64, 256])
+    ap.add_argument("--repeat", type=int, default=REPEAT)
+    args = ap.parse_args(argv)
+    print(f"{'nodes':>6} {'values':>9} {'cpus':>5} {'all best':>10} {'all median':>11}"
+          f" {'one best':>10} {'one median':>11} {'speedup':>8}")
+    with tempfile.TemporaryDirectory() as workdir:
+        for nodes in args.nodes:
+            r = run(nodes, args.repeat, workdir)
+            med_full, med_one = statistics.median(r["full"]), statistics.median(r["one"])
+            print(f"{nodes:>6} {r['values']:>9,} {r['cpus']:>5}"
+                  f" {min(r['full']) * 1e3:>7.1f} ms {med_full * 1e3:>8.1f} ms"
+                  f" {min(r['one']) * 1e3:>7.1f} ms {med_one * 1e3:>8.1f} ms"
+                  f" {med_one / med_full:>7.2f}x")
+            sys.stdout.flush()
+    # ru_maxrss is in kB on Linux
+    print("peak RSS: this process "
+          f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f} MB, "
+          f"largest writer {resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0:.1f} MB")
+
+
+if __name__ == "__main__":
+    main()

@@ -39,29 +39,43 @@ class AgentKind(Enum):
     CUSTOM = "custom"
 
 
-def _inv(mat: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of a square matrix, or of each of a stack (..., n, n).
+def _check_invertible(mat, what: str) -> np.ndarray:
+    """mat as a float array, once it (or each of a stack (..., n, n)) is invertible.
 
-    Raises SingularMatrix when a matrix is singular or its condition
-    number, the ratio of its extreme singular values as np.linalg.cond
-    computes it, is above 1e13.
+    Raises DimensionMismatch when it is not square, and SingularMatrix
+    when it is not finite, is singular or has a condition number, the
+    ratio of its extreme singular values as np.linalg.cond computes it,
+    above 1e13.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim < 2:
         mat = np.atleast_2d(mat)
     if mat.shape[-1] != mat.shape[-2]:
         raise DimensionMismatch(f"{what} must be square")
+    if not np.isfinite(mat).all():
+        raise SingularMatrix(f"{what} is not finite")
+    s = np.linalg.svd(mat, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 reads as nan: refused
+        cond = s[..., 0] / s[..., -1]
+    if not (cond <= 1e13).all():
+        raise SingularMatrix(f"{what} is numerically singular")
+    return mat
+
+
+def _inv(mat, what: str) -> np.ndarray:
+    """Inverse of a square matrix, or of each of a stack (..., n, n).
+
+    The matrix is checked by _check_invertible first; SingularMatrix
+    is also raised when the inverse overflows.
+    """
+    mat = _check_invertible(mat, what)
     try:
         out = np.linalg.inv(mat)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"{what} is singular") from exc
-    if np.isfinite(out).all():
-        s = np.linalg.svd(mat, compute_uv=False)
-        with np.errstate(divide="ignore"):  # a zero singular value reads as inf
-            cond = s[..., 0] / s[..., -1]
-        if not (cond > 1e13).any():
-            return out
-    raise SingularMatrix(f"{what} is numerically singular")
+    if not np.isfinite(out).all():
+        raise SingularMatrix(f"{what} has no finite inverse")
+    return out
 
 
 @dataclass(frozen=True)
@@ -189,9 +203,8 @@ def convex_gradient_agent(psi, J=None, B=None, C=None, rho=None, w=None, leader_
 
 
 def damped_oscillator_agent(M, B, psi=None, w=None, anchor=None, leader_offset=None) -> AgentModel:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = _check_invertible(M, "M")
     d = M.shape[0]
-    _inv(M, "M")  # existence check only
     B = np.eye(d) if B is None else _as_matrix(B, d, d, "B")
     wv = _as_vector(w, d, "w")
     if anchor is not None:

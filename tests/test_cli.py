@@ -275,6 +275,21 @@ def test_predict_refuses_saturated_integrator(tmp_path, capsys):
     assert not (tmp_path / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("M", [[[float("nan"), 0.0], [0.0, 1.0]],
+                               [[float("inf"), 0.0], [0.0, 1.0]],
+                               [[1.0, 2.0], [2.0, 4.0]],
+                               [[1.0, 0.0], [0.0, 1e-14]]],
+                         ids=["nan", "inf", "singular", "ill_conditioned"])
+def test_predict_refuses_oscillator_without_inverse(tmp_path, capsys, M):
+    osc = {"type": "oscillator", "M": [[1.0, 0.0], [0.0, 1.0]], "B": np.eye(2).tolist()}
+    doc = hand_doc(agents=[dict(osc, M=M), osc],
+                   controllers=[{"type": "linear_synthesis", "offset": [1.0, 0.0]}])
+    cfg = write_doc(tmp_path, doc)
+    assert run_cli("predict", "--config", cfg, "--out", str(tmp_path)) == 3
+    assert "SingularMatrix" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_simulation_is_numeric_error(tmp_path, capsys):
     # fixed steps far beyond the stability limit blow the state up

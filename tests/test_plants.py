@@ -48,6 +48,26 @@ def test_oscillator_steady_state_gain():
     assert np.allclose(R.forward(rel, [2.0, 2.0]).min_norm(), [2.0, 1.0])
 
 
+# M of a damped oscillator that has no well-defined steady state
+BAD_OSCILLATOR_M = {
+    "nan": [[np.nan, 0.0], [0.0, 1.0]],
+    "inf": [[np.inf, 0.0], [0.0, 1.0]],
+    "singular": [[1.0, 2.0], [2.0, 4.0]],
+    "ill_conditioned": [[1.0, 0.0], [0.0, 1e-14]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OSCILLATOR_M))
+def test_oscillator_refuses_non_invertible_M(case):
+    with pytest.raises(SingularMatrix):
+        P.damped_oscillator_agent(BAD_OSCILLATOR_M[case], np.eye(2))
+
+
+def test_oscillator_accepts_M_at_the_condition_bound():
+    osc = P.damped_oscillator_agent([[1.0, 0.0], [0.0, 1e-13]], np.eye(2))
+    assert osc.M[1, 1] == 1e-13
+
+
 def test_oscillator_rhs_vanishes_at_equilibrium():
     M = np.array([[2.0, 0.0], [0.0, 1.0]])
     osc = P.damped_oscillator_agent(M, np.eye(2), psi=R.quadratic(np.eye(2)),
