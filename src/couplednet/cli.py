@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -40,6 +41,7 @@ from .plants import AgentKind, is_meicmp_linear, is_meicmp_oscillator, ss_relati
 from .relations import Sampler, check_cm
 from .simulate import (
     IntegrateOptions,
+    Trajectory,
     closed_loop,
     compare_prediction,
     default_initial_state,
@@ -123,11 +125,21 @@ def _load(config_path, seed):
 
 
 def _solve_options(cfg) -> SolveOptions:
-    return SolveOptions(tol=float(cfg.solver.get("tol", SolveOptions.tol)))
+    try:
+        tol = float(cfg.solver.get("tol", SolveOptions.tol))
+    except (TypeError, ValueError) as ex:
+        raise ConfigInvalid(f"solver: {ex}") from None
+    if not 0.0 < tol < math.inf:
+        raise ConfigInvalid(f"solver: tol must be finite and positive, got {tol}")
+    return SolveOptions(tol=tol)
 
 
-def _integrate_options(cfg) -> tuple[IntegrateOptions, float]:
-    """Integrator options and the convergence tolerance, checked up front."""
+def _integrate_options(cfg):
+    """(options, conv_tol, horizon, initial state or None), checked up front.
+
+    The horizon is read only without an objective, whose schedule sets
+    the durations.
+    """
     sec = cfg.simulation
     kw = {}
     try:
@@ -142,7 +154,18 @@ def _integrate_options(cfg) -> tuple[IntegrateOptions, float]:
         conv_tol = float(sec.get("conv_tol", 1e-6))
         if not conv_tol > 0.0:
             raise DimensionMismatch(f"conv_tol must be positive, got {conv_tol}")
-        return IntegrateOptions(**kw), conv_tol
+        horizon = None
+        if cfg.objective is None:
+            horizon = float(sec.get("horizon", 0.0))
+            if not 0.0 < horizon < math.inf:
+                raise DimensionMismatch(
+                    f"horizon must be finite and positive, got {horizon}")
+        init = sec.get("initial_state")
+        if init is not None:
+            init = np.asarray(init, dtype=float)
+            if not np.all(np.isfinite(init)):
+                raise DimensionMismatch("initial_state must be finite")
+        return IntegrateOptions(**kw), conv_tol, horizon, init
     except (TypeError, ValueError, UnsupportedKind, DimensionMismatch) as ex:
         raise ConfigInvalid(f"simulation: {ex}") from None
 
@@ -204,6 +227,7 @@ def _plan_segments(cfg):
     """
     obj = cfg.objective
     d = cfg.agents[0].io_dim
+    solve_opts = _solve_options(cfg)
     base_problem = assemble(cfg.graph, cfg.agents, cfg.controllers)
     segments = []
     for y_star, T in zip(obj.targets, obj.durations):
@@ -213,7 +237,7 @@ def _plan_segments(cfg):
             z = leader_input(base_problem, y_star, obj.leader)
             agents_k = apply_leader(cfg.agents, obj.leader, z)
             problem_k = assemble(cfg.graph, agents_k, cfg.controllers)
-        y0, _, _ = solve_opp(problem_k, opts=_solve_options(cfg))
+        y0, _, _ = solve_opp(problem_k, opts=solve_opts)
         alpha, beta = reconfiguration_offsets(problem_k, y0, y_star)
         ctrls_k = wrap_reconfigured(cfg.controllers, alpha, beta, d)
         problem_w = assemble(cfg.graph, agents_k, ctrls_k)
@@ -233,14 +257,14 @@ def cmd_simulate(config_path, out, seed):
 
     def run():
         cfg = _load(config_path, seed)
-        opts, conv_tol = _integrate_options(cfg)
+        opts, conv_tol, horizon, init = _integrate_options(cfg)
+        solve_opts = _solve_options(cfg)  # refused here, before any planning
         outdir = _outdir(out)
         summary = []
         if cfg.objective is not None:
             plan = _plan_segments(cfg)
-            init = cfg.simulation.get("initial_state")
-            init = (np.asarray(init, dtype=float)
-                    if init is not None else default_initial_state(plan[0][0]))
+            if init is None:
+                init = default_initial_state(plan[0][0])
             traj = integrate_schedule(
                 [(sysk, T) for sysk, T, _, _ in plan], init, opts)
             t_lo = 0.0
@@ -260,20 +284,15 @@ def cmd_simulate(config_path, out, seed):
                 t_lo = t_hi
         else:
             system = closed_loop(cfg.graph, cfg.agents, cfg.controllers)
-            horizon = float(cfg.simulation.get("horizon", 0.0))
-            if horizon <= 0.0:
-                raise ConfigInvalid(
-                    "simulation.horizon must be positive (empty trajectory)")
-            init = cfg.simulation.get("initial_state")
-            init = (np.asarray(init, dtype=float)
-                    if init is not None else default_initial_state(system))
+            if init is None:
+                init = default_initial_state(system)
             traj = integrate(system, init, horizon, opts)
             conv = detect_convergence(traj, tol=conv_tol)
             summary.append(f"converged = {conv.converged}")
             if conv.converged:
                 summary.append(f"y_ss = {_fmt_vec(conv.y_ss)}")
                 problem = assemble(cfg.graph, cfg.agents, cfg.controllers)
-                y, zeta, _ = solve_opp(problem, opts=_solve_options(cfg))
+                y, zeta, _ = solve_opp(problem, opts=solve_opts)
                 cert = recover_certificate(problem, y, zeta)
                 rep = compare_prediction(traj, cert, tol=1e-3)
                 summary.append(f"y_error_aligned = {rep.y_error_aligned:.6e}")
@@ -289,8 +308,6 @@ def cmd_simulate(config_path, out, seed):
 
 
 def _slice_traj(traj, mask, system):
-    from .simulate import Trajectory
-
     return Trajectory(system=system, times=traj.times[mask],
                       states=traj.states[mask], u=traj.u[mask],
                       y=traj.y[mask], zeta=traj.zeta[mask],
@@ -317,16 +334,14 @@ def cmd_synthesize(config_path, out, seed, target, mode, leader):
         n = cfg.graph.node_count
         if target is not None:
             try:
-                y_star = np.asarray(json.loads(target), dtype=float).ravel()
-            except (json.JSONDecodeError, ValueError) as ex:
+                spec = json.loads(target)
+            except json.JSONDecodeError as ex:
                 raise ConfigInvalid(f"--target: {ex}") from None
+            y_star = cfgmod.target_vector(spec, "--target", n * d)
         elif cfg.objective is not None:
             y_star = np.asarray(cfg.objective.targets[0])
         else:
             raise ConfigInvalid("no --target given and no objective section")
-        if y_star.size != n * d:
-            raise ConfigInvalid(
-                f"target must have length {n * d}, got {y_star.size}")
         if leader is not None and not (0 <= leader < n):
             raise ConfigInvalid(f"--leader must be a node index in [0, {n})")
         problem = assemble(cfg.graph, cfg.agents, cfg.controllers)

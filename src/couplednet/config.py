@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .couplers import (
+    ControllerKind,
     ControllerModel,
     linear_synthesis,
     nonlinear_integrator,
@@ -15,15 +16,22 @@ from .couplers import (
     reconfigured,
     PSI_RANGE,
 )
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, CoupledNetError
 from .netgraph import DirectedGraph, build_graph
 from .plants import (
+    AgentKind,
     AgentModel,
     convex_gradient_agent,
     damped_oscillator_agent,
     linear_agent,
 )
-from .relations import IntegralFunction, indicator_zero, quadratic, scalar_separable
+from .relations import (
+    FunctionKind,
+    IntegralFunction,
+    indicator_zero,
+    quadratic,
+    scalar_separable,
+)
 
 SCHEMA = "couplednet-config/1"
 
@@ -50,6 +58,14 @@ def _vec(spec, what, size=None) -> np.ndarray:
     return arr
 
 
+def target_vector(spec, what, size=None) -> np.ndarray:
+    """_vec for a target output, whose values must also be finite."""
+    arr = _vec(spec, what, size)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigInvalid(f"{what}: values must be finite")
+    return arr
+
+
 def _function_spec(spec, what) -> IntegralFunction:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigInvalid(f"{what}: function spec needs a 'kind' field")
@@ -72,8 +88,6 @@ def _function_spec(spec, what) -> IntegralFunction:
 
 
 def function_to_spec(fn: IntegralFunction) -> dict:
-    from .relations import FunctionKind
-
     if fn.kind is FunctionKind.QUADRATIC:
         return {"kind": "quadratic", "P": fn.P.tolist(), "q": fn.q.tolist(),
                 "c": float(fn.c)}
@@ -118,8 +132,6 @@ def _agent_spec(spec, what) -> AgentModel:
 
 
 def agent_to_spec(agent: AgentModel) -> dict:
-    from .plants import AgentKind
-
     out: dict = {}
     if agent.kind is AgentKind.LINEAR:
         out = {"type": "linear", "A": agent.A.tolist(), "B": agent.B.tolist(),
@@ -172,8 +184,6 @@ def _controller_spec(spec, what) -> ControllerModel:
 
 
 def controller_to_spec(ctrl: ControllerModel) -> dict:
-    from .couplers import ControllerKind
-
     if ctrl.kind is ControllerKind.NONLINEAR_INTEGRATOR:
         out = {"type": "integrator", "potential": function_to_spec(ctrl.potential)}
     elif ctrl.kind is ControllerKind.LINEAR_SYNTHESIS:
@@ -231,8 +241,6 @@ def parse_config(doc: dict) -> NetworkConfig:
         edges = [(int(t), int(h)) for t, h in edges]
     except (TypeError, ValueError):
         raise ConfigInvalid("graph.edges must be pairs of node indices") from None
-    from .errors import CoupledNetError
-
     try:
         graph = build_graph(nodes, edges)
     except CoupledNetError as ex:
@@ -270,17 +278,13 @@ def parse_config(doc: dict) -> NetworkConfig:
         if not isinstance(targets, list) or not targets:
             raise ConfigInvalid("objective.targets must be a non-empty list")
         tvecs = tuple(
-            _vec(t, f"objective.targets[{k}]", nodes * d)
+            target_vector(t, f"objective.targets[{k}]", nodes * d)
             for k, t in enumerate(targets))
-        if "durations" in osec:
-            durations = tuple(float(v) for v in osec["durations"])
-            if len(durations) != len(tvecs):
-                raise ConfigInvalid(
-                    "objective.durations length must match targets")
-        else:
-            durations = tuple([float(osec.get("duration", 30.0))] * len(tvecs))
-        if any(T <= 0 for T in durations):
-            raise ConfigInvalid("objective durations must be positive")
+        spec = osec.get("durations", [osec.get("duration", 30.0)] * len(tvecs))
+        durations = _vec(spec, "objective.durations", len(tvecs))
+        if not np.all(np.isfinite(durations) & (durations > 0.0)):
+            raise ConfigInvalid("objective.durations must be finite and positive")
+        durations = tuple(float(T) for T in durations)
         leader = osec.get("leader")
         if leader is not None:
             if not isinstance(leader, int) or not (0 <= leader < nodes):

@@ -44,6 +44,7 @@ from .relations import (
     conjugate_function,
     coordinate_sets,
     forward,
+    gradient_relation,
     inverse,
     pair_residual,
     quadratic,
@@ -159,8 +160,6 @@ def problem_from_relations(op: IncidenceOperator, node_rels, edge_fns) -> Networ
     edge_fns = list(edge_fns)
     K = stacked(_node_integral_fns(node_rels))
     Gamma = stacked(edge_fns)
-    from .relations import gradient_relation
-
     edge_rels = tuple(gradient_relation(f) for f in edge_fns)
     return NetworkProblem(
         op=op,

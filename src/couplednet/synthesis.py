@@ -8,7 +8,6 @@ outputs that are not forcible by coupling alone.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -17,29 +16,7 @@ import numpy as np
 from .couplers import linear_synthesis, reconfigured
 from .errors import EmptyInverse, EmptySelection, IndexOutOfRange, NotForcible, UnsupportedKind
 from .netopt import NetworkProblem, coordinate_sets, min_norm_flow, qp_parts, solve_network_qp
-from .relations import FunctionKind, indicator_zero, inverse, shifted, value
-
-# strict-convexity probe parameters
-PROBE_MARGIN = 1e-6
-PROBE_DIRECTIONS = 32
-PROBE_RADIUS = 1e-2
-# 1 / golden ratio: its multiples spread the probe directions evenly
-_SPREAD = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _probe_directions(dim: int) -> np.ndarray:
-    """The unit vectors the strict-convexity probe tries in R^dim, one per row.
-
-    Plus and minus every axis, then rows
-    cos(2 pi k frac((j + 1) / golden ratio)) over coordinates j, each
-    normalized, for k = 1, 2, ... up to PROBE_DIRECTIONS rows in all
-    (more when 2 dim exceeds it). The set is fixed: no random draw.
-    """
-    axes = np.eye(dim)
-    k = np.arange(1, max(PROBE_DIRECTIONS - 2 * dim, 0) + 1)[:, None]
-    spread = np.cos(2.0 * math.pi * k * ((np.arange(1, dim + 1) * _SPREAD) % 1.0))
-    spread /= np.linalg.norm(spread, axis=1, keepdims=True)
-    return np.vstack([axes, -axes, spread])
+from .relations import indicator_zero, inverse, shifted, value
 
 
 def _node_set(problem: NetworkProblem, y):
@@ -62,8 +39,8 @@ def _min_flow(problem: NetworkProblem, cat, tol: float = 1e-8):
     min_norm_flow. The graph is connected, so per coordinate its
     residual r = E mu + a is the mean of a when no node is free there
     and 0 otherwise, and z = sum_i r_i is the min-norm element of S;
-    ||z|| is the distance of 0 to S. mu is None when ||r|| exceeds
-    max(tol, 1e-8) * (1 + ||rhs||): no flow routes cat.
+    ||z|| is the distance of 0 to S. mu is None unless ||r|| is at most
+    max(tol, 1e-8) * (1 + ||rhs||), so a NaN residual routes nothing.
     """
     a, free = cat
     rhs = np.where(free, 0.0, -a)
@@ -72,7 +49,7 @@ def _min_flow(problem: NetworkProblem, cat, tol: float = 1e-8):
     r = flow.residual
     z = r.reshape(problem.op.node_count, problem.op.dim).sum(axis=0)
     mu = flow.mu
-    if np.linalg.norm(r) > max(tol, 1e-8) * (1.0 + np.linalg.norm(rhs)):
+    if not np.linalg.norm(r) <= max(tol, 1e-8) * (1.0 + np.linalg.norm(rhs)):
         mu = None
     return mu, z
 
@@ -101,7 +78,7 @@ class ForcibilityReport:
 
 def _report(problem: NetworkProblem, mu, z, tol: float) -> ForcibilityReport:
     residual = float(np.linalg.norm(z))
-    if residual > tol or mu is None:
+    if not residual <= tol or mu is None:
         return ForcibilityReport(False, None, residual)
     return ForcibilityReport(True, -problem.op.matvec(mu), residual)
 
@@ -184,7 +161,7 @@ def synthesize_linear(
             y_target = y_star + np.tile(beta, n)
             mu, z = _min_flow(problem, _node_set(problem, y_target), tol)
             residual = np.linalg.norm(z)
-            if residual > max(tol, 1e-6):
+            if not residual <= max(tol, 1e-6):
                 raise NotForcible(
                     f"no agreement shift of y* is forcible (residual {residual:.3e})"
                 )
@@ -209,10 +186,16 @@ def synthesize_linear(
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    """Strict-convexity probes behind the uniqueness guarantee.
+    """The conditions behind the uniqueness guarantee.
 
-    outer_strict probes each edge integral function near zeta*_e;
-    inner_strict probes the agreement-shift function A near 0;
+    A closed convex f is strictly convex on its domain exactly when f*
+    is smooth (Rockafellar, Convex Analysis, Thm 26.3). A NetworkProblem
+    holds quadratics, which are smooth, and indicators of a point, which
+    are not: qp_parts returns them as pins, and conjugate_function gives
+    one to every affine f. So outer_strict (every Gamma_e strictly
+    convex) holds when Gamma* has no pins, and inner_strict (A(beta) =
+    sum_i K*_i(y*_i + beta) strictly convex on its domain) when one node
+    block of K has none: one strictly convex K*_i suffices.
     stationarity_residual re-checks that 0 lies in sum_i k_i^-1(y*_i).
     """
 
@@ -221,43 +204,12 @@ class UniquenessReport:
     stationarity_residual: float
 
 
-def _probe_strict(fn, x0: np.ndarray) -> bool:
-    """Midpoint strict-convexity probe along _probe_directions; infinite
-    values fail the probe."""
-    for v in _probe_directions(x0.size):
-        hi = fn(x0 + PROBE_RADIUS * v)
-        lo = fn(x0 - PROBE_RADIUS * v)
-        mid = fn(x0)
-        if not (np.isfinite(hi) and np.isfinite(lo) and np.isfinite(mid)):
-            return False
-        if 0.5 * (hi + lo) - mid < PROBE_MARGIN:
-            return False
-    return True
-
-
 def check_uniqueness_conditions(problem: NetworkProblem, y_star) -> UniquenessReport:
-    """Probe the conditions that make y* the unique optimum."""
+    """Decide the conditions that make y* the unique optimum."""
     y_star = np.asarray(y_star, dtype=float).ravel()
     n, d = problem.op.node_count, problem.op.dim
-    zeta_star = problem.op.rmatvec(y_star)
-
-    blocks = (
-        problem.Gamma.children
-        if problem.Gamma.kind is FunctionKind.STACKED
-        else (problem.Gamma,)
-    )
-    outer = True
-    for e, fn in enumerate(blocks):
-        z_e = zeta_star[e * d : (e + 1) * d]
-        if not _probe_strict(lambda x: value(fn, x), z_e):
-            outer = False
-            break
-
-    def a_fn(beta):
-        return value(problem.Kstar, y_star + np.tile(beta, n))
-
-    inner = _probe_strict(a_fn, np.zeros(d))
-
+    outer = not qp_parts(problem.Gammastar, d)[2].any()
+    inner = not qp_parts(problem.K, d)[2].reshape(n, d).any(axis=1).all()
     z = _min_flow(problem, _node_set(problem, y_star))[1]
     return UniquenessReport(outer, inner, float(np.linalg.norm(z)))
 

@@ -73,16 +73,30 @@ def test_simulate_requires_horizon(tmp_path):
     assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path)) == 1
 
 
-@pytest.mark.parametrize("bad", [{"record_every": 0.0}, {"tol": -1.0},
-                                 {"dt": 0.0}, {"dt": "fast"},
-                                 {"method": "euler"}, {"conv_tol": -1.0},
-                                 {"conv_tol": "tight"}],
-                         ids=["record_every", "tol", "dt", "dt_text", "method",
-                              "conv_tol", "conv_tol_text"])
+@pytest.mark.parametrize("section, bad", [
+    pytest.param("simulation", {"record_every": 0.0}, id="record_every"),
+    pytest.param("simulation", {"tol": -1.0}, id="tol"),
+    pytest.param("simulation", {"dt": 0.0}, id="dt"),
+    pytest.param("simulation", {"dt": "fast"}, id="dt_text"),
+    pytest.param("simulation", {"method": "euler"}, id="method"),
+    pytest.param("simulation", {"conv_tol": -1.0}, id="conv_tol"),
+    pytest.param("simulation", {"conv_tol": "tight"}, id="conv_tol_text"),
+    pytest.param("simulation", {"initial_state": "abc"}, id="initial_state_text"),
+    pytest.param("simulation", {"initial_state": [float("nan")]}, id="initial_state_nan"),
+    pytest.param("solver", {"tol": "x"}, id="solver_tol_text"),
+    pytest.param("solver", {"tol": -1.0}, id="solver_tol"),
+    pytest.param("solver", {"tol": float("nan")}, id="solver_tol_nan"),
+    pytest.param("objective", {"durations": ["a"] * 5}, id="durations_text"),
+    pytest.param("objective", {"durations": [float("nan")] * 5}, id="durations_nan"),
+    pytest.param("objective", {"targets": [[float("nan")] * 8], "durations": [30.0]},
+                 id="target_nan"),
+    pytest.param("objective", {"targets": [[{"a": 1}] * 8], "durations": [30.0]},
+                 id="target_text"),
+])
 def test_simulate_rejects_bad_options_before_planning(tmp_path, capsys,
-                                                      monkeypatch, bad):
+                                                      monkeypatch, section, bad):
     doc = json.loads(FORMATION.read_text())
-    doc["simulation"].update(bad)
+    doc[section].update(bad)
     cfg = write_doc(tmp_path, doc)
 
     def no_plan(cfg):
@@ -91,8 +105,21 @@ def test_simulate_rejects_bad_options_before_planning(tmp_path, capsys,
     monkeypatch.setattr(cli, "_plan_segments", no_plan)
     out = tmp_path / "out"
     assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 1
-    assert "config error: simulation:" in capsys.readouterr().err
+    assert f"config error: {section}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon", ["long", float("nan"), float("inf")])
+def test_simulate_rejects_bad_horizon_before_building(tmp_path, capsys, monkeypatch,
+                                                      horizon):
+    cfg = write_doc(tmp_path, hand_doc(simulation={"horizon": horizon}))
+
+    def no_build(*args):
+        raise AssertionError("built the closed loop before checking the horizon")
+
+    monkeypatch.setattr(cli, "closed_loop", no_build)
+    assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+    assert "config error: simulation:" in capsys.readouterr().err
 
 
 def test_simulate_objective_schedule(tmp_path, capsys):
@@ -155,6 +182,29 @@ def test_synthesize_leader_report_says_equation_holds(tmp_path, capsys):
                    "--target", "[1.0, -1.0]", "--leader", "0")
     assert code == 0
     assert "steady-state equation holds = True" in capsys.readouterr().out
+
+
+def test_synthesize_formation_leader_report(tmp_path):
+    assert run_cli("synthesize", "--config", str(FORMATION), "--out", str(tmp_path),
+                   "--leader", "0") == 0
+    report = dict(line.split(" = ", 1) for line in
+                  (tmp_path / "synthesis_report.txt").read_text().splitlines())
+    assert report["forcible"].startswith("False ")
+    assert report["steady-state equation holds"] == "True"
+    assert report["edge potentials strictly convex"] == "True"
+    assert report["node potential sum strictly convex near target"] == "True"
+    assert float(report["stationarity residual"]) <= 1e-8
+
+
+@pytest.mark.parametrize("target", ["[NaN, 0, 0, 0, 0, 0, 0, 0]",
+                                    "[0, 0, 0, 0, 0, 0, 0, Infinity]",
+                                    '{"a": 1}', '["a", 0, 0, 0, 0, 0, 0, 0]',
+                                    "[0, 0]", "[0, 0"])
+def test_synthesize_refuses_malformed_target(tmp_path, capsys, target):
+    assert run_cli("synthesize", "--config", str(FORMATION), "--out", str(tmp_path),
+                   "--target", target) == 1
+    assert "config error: --target" in capsys.readouterr().err
+    assert not (tmp_path / "patch.json").exists()
 
 
 def test_synthesize_leader_out_of_range_is_config_error(tmp_path, capsys):

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from couplednet.couplers import ControllerKind, nonlinear_integrator
+from couplednet.couplers import ControllerKind, linear_synthesis, nonlinear_integrator
 from couplednet import synthesis
 from couplednet.errors import IndexOutOfRange, NotForcible, UnsupportedKind
-from couplednet.netgraph import build_graph
-from couplednet.netopt import assemble, verify_steady_state
+from couplednet.netgraph import build_graph, incidence
+from couplednet.netopt import assemble, problem_from_relations, verify_steady_state
 from couplednet.plants import linear_agent
-from couplednet.relations import forward, quadratic
+from couplednet.relations import affine_relation, forward, quadratic
 from couplednet.simulate import (IntegrateOptions, closed_loop,
                                  default_initial_state, detect_convergence,
                                  integrate)
@@ -38,6 +38,14 @@ def test_forcibility_and_witness():
     assert np.allclose(rep.witness, [-1.0, 1.0])
     assert rep.residual <= 1e-12
     assert not check_forcible(prob, [1.0, 0.0]).forcible
+
+
+def test_nan_residual_is_not_forcible():
+    _, _, prob = mirrored_pair()
+    rep = check_forcible(prob, [np.nan, 0.0])
+    assert not rep.forcible and rep.witness is None and np.isnan(rep.residual)
+    with pytest.raises(NotForcible):
+        synthesize_linear(prob, [np.nan, 0.0])
 
 
 def test_absolute_synthesis_hand_flow():
@@ -190,20 +198,49 @@ def test_wrap_reconfigured_retargets_loop():
     assert np.abs(conv.y_ss - y_star).max() <= 1e-4
 
 
-def test_uniqueness_probes():
-    _, _, prob = mirrored_pair()
-    rep = check_uniqueness_conditions(prob, np.array([0.0, 0.0]))
-    # indicator-type edge functions fail the strict outer probe by rule
-    assert not rep.outer_strict
-    assert rep.inner_strict
+def _pair(node_rels, edge_fn):
+    """Two nodes with the given affine relations on one edge function."""
+    return problem_from_relations(incidence(build_graph(2, [(0, 1)]), 1),
+                                  node_rels, [edge_fn])
+
+
+def _linear_pair(gain, controller):
+    g = build_graph(2, [(0, 1)])
+    return assemble(g, [linear_agent([[-1.0]], [[gain]], [[1.0]])] * 2, [controller])
+
+
+_UNIT = [affine_relation(np.eye(1)), affine_relation(np.eye(1))]
+
+# (build, y*, outer_strict, inner_strict). The indicator of {0} of an
+# integrator edge is strictly convex on its domain; an affine edge and
+# one flatter than the conjugate's affine cut (1e-8) are not.
+UNIQUENESS_CASES = {
+    "integrator_edge": (lambda: mirrored_pair()[2], [0.0, 0.0], True, True),
+    "linear_synthesis_edge": (lambda: _linear_pair(1.0, linear_synthesis([1.0])),
+                              [0.0, 0.0], True, True),
+    "gain_101": (lambda: _linear_pair(101.0, linear_synthesis([0.0])), [0.0, 0.0],
+                 True, True),
+    "anchors_1e7": (lambda: _pair([affine_relation(np.eye(1), [1e7])] * 2,
+                                  quadratic(np.eye(1))), [1e7, 1e7], True, True),
+    "zero_gain_node": (lambda: _pair([affine_relation(np.zeros((1, 1)), [1.0]),
+                                      affine_relation(np.eye(1))], quadratic(np.eye(1))),
+                       [1.0, 0.5], True, True),
+    "edge_quadratic_1e-3": (lambda: _pair(_UNIT, quadratic([[1e-3]])), [0.0, 0.0],
+                            True, True),
+    "affine_edge": (lambda: _pair(_UNIT, quadratic([[0.0]], [1.0])), [0.0, 0.0],
+                    False, True),
+    "edge_quadratic_1e-9": (lambda: _pair(_UNIT, quadratic([[1e-9]])), [0.0, 0.0],
+                            False, True),
+}
+
+
+@pytest.mark.parametrize("case", UNIQUENESS_CASES.values(), ids=UNIQUENESS_CASES.keys())
+def test_uniqueness_conditions(case):
+    build, y_star, outer, inner = case
+    rep = check_uniqueness_conditions(build(), np.array(y_star))
+    assert rep.outer_strict is outer
+    assert rep.inner_strict is inner
     assert rep.stationarity_residual <= 1e-10
-    g2 = build_graph(2, [(0, 1)])
-    agents2 = [linear_agent([[-1.0]], [[1.0]], [[1.0]], w=[1.0]),
-               linear_agent([[-1.0]], [[1.0]], [[1.0]], w=[-1.0])]
-    from couplednet.couplers import linear_synthesis
-    prob2 = assemble(g2, agents2, [linear_synthesis([1.0])])
-    rep2 = check_uniqueness_conditions(prob2, np.array([0.0, 0.0]))
-    assert rep2.outer_strict
 
 
 @settings(max_examples=10, deadline=None)
