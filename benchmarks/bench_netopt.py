@@ -1,7 +1,8 @@
 """Wall time and peak memory of the network solves on a ring with chords.
 
 Builds bench_integrate's ring-with-chords network (saturating-integrator
-edges, d = 2) for each node count and times `assemble`, `solve_opp`,
+edges, d = 2) for each node count and times `closed_loop` (which forms
+every agent and packs the loop), `assemble`, `solve_opp`,
 `recover_certificate`, `solve_ofp` and `duality_gap` on it, each the
 best of REPEAT calls. BLAS runs on one thread. The last column is the process's peak
 resident memory (ru_maxrss) after the sizes so far, which includes
@@ -23,11 +24,12 @@ import time  # noqa: E402
 
 from couplednet.netopt import (assemble, duality_gap, recover_certificate,  # noqa: E402
                                solve_ofp, solve_opp)
+from couplednet.simulate import closed_loop  # noqa: E402
 
 import bench_integrate  # noqa: E402
 
 REPEAT = 3  # timed calls per stage; the best is reported
-STAGES = ("assemble", "solve_opp", "recover_certificate", "solve_ofp", "duality_gap")
+STAGES = ("closed_loop", "assemble", "solve_opp", "recover_certificate", "solve_ofp", "duality_gap")
 
 
 def best(fn, repeat):
@@ -45,6 +47,7 @@ def run(nodes: int, repeat: int = REPEAT) -> dict:
     system = bench_integrate.build_system(nodes)
     args = (system.graph, system.agents, system.controllers)
     times = {}
+    times["closed_loop"], _ = best(lambda: closed_loop(*args), repeat)
     times["assemble"], problem = best(lambda: assemble(*args), repeat)
     times["solve_opp"], (y, zeta, _) = best(lambda: solve_opp(problem), repeat)
     times["recover_certificate"], cert = best(

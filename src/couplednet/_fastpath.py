@@ -26,7 +26,7 @@ import numpy as np
 from .couplers import ControllerKind, ControllerModel, paper_psi, paper_psi_into
 from .errors import NonFiniteState, StepUnderflow
 from .netgraph import IncidenceOperator
-from .plants import AgentKind, AgentModel
+from .plants import form_has_feedthrough
 from .relations import FunctionKind, as_quadratic
 
 
@@ -258,39 +258,11 @@ def _rk4_loop(rhs, s0, t0, rec_times, dt):
 # ---------------------------------------------------------------------------
 
 
-def _pack_agent(agent: AgentModel):
-    """(A, B, C, w) of the affine ODE, or None when not packable."""
-    if agent.kind is AgentKind.LINEAR:
-        if agent.T is not None and np.any(agent.T != 0.0):
-            return None
-        return agent.A, agent.B, agent.C, agent.w
-    if agent.kind is AgentKind.DAMPED_OSCILLATOR:
-        d = agent.io_dim
-        damping = np.zeros((d, d))
-        shift = np.zeros(d)
-        if agent.psi is not None:
-            quad = as_quadratic(agent.psi)
-            if quad is None:
-                return None
-            damping, shift = quad[0], quad[1]
-        A = np.zeros((2 * d, 2 * d))
-        A[:d, d:] = agent.M
-        A[d:, :d] = -agent.M.T
-        A[d:, d:] = -damping
-        B = np.zeros((2 * d, d))
-        B[d:] = agent.B
-        w = np.zeros(2 * d)
-        w[d:] = agent.w - shift
-        return A, B, np.eye(d, 2 * d), w
-    if agent.kind is AgentKind.CONVEX_GRADIENT:
-        if agent.rho is not None:
-            return None
-        quad = as_quadratic(agent.psi)
-        if quad is None:
-            return None
-        P, q, _ = quad
-        return agent.J - P, agent.B, agent.C, agent.w - q
-    return None
+def _pack_agent(form):
+    """(A, B, C, w) of an agent_form with no psi left and T = 0, else None."""
+    if form_has_feedthrough(form) or form[5] is not None:
+        return None
+    return form[0], form[1], form[2], form[4]
 
 
 def _pack_controller(ctrl: ControllerModel, d: int):
@@ -331,11 +303,12 @@ def _coo(blocks):
     return row[keep], col[keep], val[keep]
 
 
-def try_pack(op, agents, controllers) -> PackedSystem | None:
-    """Fold the closed loop into sparse affine maps; None if any piece resists."""
+def try_pack(op, agents, forms, controllers) -> PackedSystem | None:
+    """Fold the closed loop, forms being the agents' agent_forms, into
+    sparse affine maps; None if any piece resists."""
     agents = list(agents)
     d = op.dim
-    parts = [_pack_agent(a) for a in agents]
+    parts = [_pack_agent(f) for f in forms]
     if any(p is None for p in parts):
         return None
     cparts = [_pack_controller(c, d) for c in controllers]

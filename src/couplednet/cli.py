@@ -128,9 +128,9 @@ def _solve_options(cfg) -> SolveOptions:
     try:
         tol = float(cfg.solver.get("tol", SolveOptions.tol))
     except (TypeError, ValueError) as ex:
-        raise ConfigInvalid(f"solver: {ex}") from None
+        raise ConfigInvalid(f"solver: tol: {ex}") from None
     if not 0.0 < tol < math.inf:
-        raise ConfigInvalid(f"solver: tol must be finite and positive, got {tol}")
+        raise ConfigInvalid(f"solver: tol: must be finite and positive, got {tol}")
     return SolveOptions(tol=tol)
 
 
@@ -138,36 +138,38 @@ def _integrate_options(cfg):
     """(options, conv_tol, horizon, initial state or None), checked up front.
 
     The horizon is read only without an objective, whose schedule sets
-    the durations.
+    the durations. A refusal names its key: `simulation: <key>: <reason>`.
     """
     sec = cfg.simulation
-    kw = {}
+
+    def number(key, default=None):
+        try:
+            return float(sec.get(key, default))
+        except (TypeError, ValueError) as ex:
+            raise ConfigInvalid(f"simulation: {key}: {ex}") from None
+
+    kw = {key: number(key) for key in ("tol", "dt") if key in sec}
+    if sec.get("record_every") is not None:
+        kw["record_every"] = number("record_every")
+    if "method" in sec:
+        kw["method"] = str(sec["method"])
     try:
-        if "method" in sec:
-            kw["method"] = str(sec["method"])
-        if "tol" in sec:
-            kw["tol"] = float(sec["tol"])
-        if "dt" in sec:
-            kw["dt"] = float(sec["dt"])
-        if sec.get("record_every") is not None:
-            kw["record_every"] = float(sec["record_every"])
-        conv_tol = float(sec.get("conv_tol", 1e-6))
-        if not conv_tol > 0.0:
-            raise DimensionMismatch(f"conv_tol must be positive, got {conv_tol}")
-        horizon = None
-        if cfg.objective is None:
-            horizon = float(sec.get("horizon", 0.0))
-            if not 0.0 < horizon < math.inf:
-                raise DimensionMismatch(
-                    f"horizon must be finite and positive, got {horizon}")
-        init = sec.get("initial_state")
-        if init is not None:
-            init = np.asarray(init, dtype=float)
-            if not np.all(np.isfinite(init)):
-                raise DimensionMismatch("initial_state must be finite")
-        return IntegrateOptions(**kw), conv_tol, horizon, init
-    except (TypeError, ValueError, UnsupportedKind, DimensionMismatch) as ex:
+        opts = IntegrateOptions(**kw)
+    except (UnsupportedKind, DimensionMismatch) as ex:
         raise ConfigInvalid(f"simulation: {ex}") from None
+    conv_tol = number("conv_tol", 1e-6)
+    if not conv_tol > 0.0:
+        raise ConfigInvalid(f"simulation: conv_tol: must be positive, got {conv_tol}")
+    horizon = None
+    if cfg.objective is None:
+        horizon = number("horizon", 0.0)
+        if not 0.0 < horizon < math.inf:
+            raise ConfigInvalid(
+                f"simulation: horizon: must be finite and positive, got {horizon}")
+    init = sec.get("initial_state")
+    if init is not None:
+        init = cfgmod.vector(init, "simulation: initial_state")
+    return opts, conv_tol, horizon, init
 
 
 @click.group()
@@ -337,7 +339,7 @@ def cmd_synthesize(config_path, out, seed, target, mode, leader):
                 spec = json.loads(target)
             except json.JSONDecodeError as ex:
                 raise ConfigInvalid(f"--target: {ex}") from None
-            y_star = cfgmod.target_vector(spec, "--target", n * d)
+            y_star = cfgmod.vector(spec, "--target", n * d)
         elif cfg.objective is not None:
             y_star = np.asarray(cfg.objective.targets[0])
         else:

@@ -48,19 +48,14 @@ def _mat(spec, what, shape=None) -> np.ndarray:
     return arr
 
 
-def _vec(spec, what, size=None) -> np.ndarray:
+def vector(spec, what, size=None) -> np.ndarray:
+    """spec as a flat array of finite floats, of length size if given; else ConfigInvalid."""
     try:
         arr = np.asarray(spec, dtype=float).ravel()
     except (TypeError, ValueError) as ex:
         raise ConfigInvalid(f"{what}: not numeric ({ex})") from None
     if size is not None and arr.size != size:
         raise ConfigInvalid(f"{what}: expected length {size}, got {arr.size}")
-    return arr
-
-
-def target_vector(spec, what, size=None) -> np.ndarray:
-    """_vec for a target output, whose values must also be finite."""
-    arr = _vec(spec, what, size)
     if not np.all(np.isfinite(arr)):
         raise ConfigInvalid(f"{what}: values must be finite")
     return arr
@@ -72,7 +67,7 @@ def _function_spec(spec, what) -> IntegralFunction:
     kind = spec["kind"]
     if kind == "quadratic":
         P = _mat(spec.get("P"), f"{what}.P")
-        q = _vec(spec["q"], f"{what}.q", P.shape[0]) if "q" in spec else None
+        q = vector(spec["q"], f"{what}.q", P.shape[0]) if "q" in spec else None
         return quadratic(P, q, float(spec.get("c", 0.0)))
     if kind == "paper_psi":
         dim = spec.get("dim")
@@ -104,20 +99,20 @@ def _agent_spec(spec, what) -> AgentModel:
     kind = spec["type"]
     leader = spec.get("leader_offset")
     if leader is not None:
-        leader = _vec(leader, f"{what}.leader_offset")
+        leader = vector(leader, f"{what}.leader_offset")
     if kind == "linear":
         A = _mat(spec.get("A"), f"{what}.A")
         B = _mat(spec.get("B"), f"{what}.B")
         C = _mat(spec.get("C"), f"{what}.C")
         T = _mat(spec["T"], f"{what}.T") if "T" in spec else None
-        w = _vec(spec["w"], f"{what}.w", A.shape[0]) if "w" in spec else None
+        w = vector(spec["w"], f"{what}.w", A.shape[0]) if "w" in spec else None
         return linear_agent(A, B, C, T=T, w=w, leader_offset=leader)
     if kind == "oscillator":
         M = _mat(spec.get("M"), f"{what}.M")
         B = _mat(spec.get("B"), f"{what}.B", M.shape)
         psi = _function_spec(spec["damping"], f"{what}.damping") if "damping" in spec else None
-        w = _vec(spec["w"], f"{what}.w", M.shape[0]) if "w" in spec else None
-        anchor = _vec(spec["anchor"], f"{what}.anchor", M.shape[0]) if "anchor" in spec else None
+        w = vector(spec["w"], f"{what}.w", M.shape[0]) if "w" in spec else None
+        anchor = vector(spec["anchor"], f"{what}.anchor", M.shape[0]) if "anchor" in spec else None
         return damped_oscillator_agent(M, B, psi=psi, w=w, anchor=anchor,
                                        leader_offset=leader)
     if kind == "convex_gradient":
@@ -125,7 +120,7 @@ def _agent_spec(spec, what) -> AgentModel:
         Jm = _mat(spec["J"], f"{what}.J") if "J" in spec else None
         Bm = _mat(spec["B"], f"{what}.B") if "B" in spec else None
         Cm = _mat(spec["C"], f"{what}.C") if "C" in spec else None
-        w = _vec(spec["w"], f"{what}.w", psi.dim) if "w" in spec else None
+        w = vector(spec["w"], f"{what}.w", psi.dim) if "w" in spec else None
         return convex_gradient_agent(psi, J=Jm, B=Bm, C=Cm, w=w,
                                      leader_offset=leader)
     raise ConfigInvalid(f"{what}.type: unknown agent type {kind!r}")
@@ -167,18 +162,18 @@ def _controller_spec(spec, what) -> ControllerModel:
     kind = spec["type"]
     if kind == "integrator":
         pot = _function_spec(spec.get("potential"), f"{what}.potential")
-        init = _vec(spec["initial_state"], f"{what}.initial_state", pot.dim) \
+        init = vector(spec["initial_state"], f"{what}.initial_state", pot.dim) \
             if "initial_state" in spec else None
         return nonlinear_integrator(pot, init)
     if kind == "linear_synthesis":
-        offset = _vec(spec.get("offset"), f"{what}.offset")
-        init = _vec(spec["initial_state"], f"{what}.initial_state", offset.size) \
+        offset = vector(spec.get("offset"), f"{what}.offset")
+        init = vector(spec["initial_state"], f"{what}.initial_state", offset.size) \
             if "initial_state" in spec else None
         return linear_synthesis(offset, init)
     if kind == "reconfigured":
         inner = _controller_spec(spec.get("inner"), f"{what}.inner")
-        alpha = _vec(spec.get("alpha"), f"{what}.alpha", inner.io_dim)
-        beta = _vec(spec.get("beta"), f"{what}.beta", inner.io_dim)
+        alpha = vector(spec.get("alpha"), f"{what}.alpha", inner.io_dim)
+        beta = vector(spec.get("beta"), f"{what}.beta", inner.io_dim)
         return reconfigured(inner, alpha, beta)
     raise ConfigInvalid(f"{what}.type: unknown controller type {kind!r}")
 
@@ -278,12 +273,12 @@ def parse_config(doc: dict) -> NetworkConfig:
         if not isinstance(targets, list) or not targets:
             raise ConfigInvalid("objective.targets must be a non-empty list")
         tvecs = tuple(
-            target_vector(t, f"objective.targets[{k}]", nodes * d)
+            vector(t, f"objective.targets[{k}]", nodes * d)
             for k, t in enumerate(targets))
         spec = osec.get("durations", [osec.get("duration", 30.0)] * len(tvecs))
-        durations = _vec(spec, "objective.durations", len(tvecs))
-        if not np.all(np.isfinite(durations) & (durations > 0.0)):
-            raise ConfigInvalid("objective.durations must be finite and positive")
+        durations = vector(spec, "objective.durations", len(tvecs))
+        if not np.all(durations > 0.0):
+            raise ConfigInvalid("objective.durations: values must be positive")
         durations = tuple(float(T) for T in durations)
         leader = osec.get("leader")
         if leader is not None:
@@ -306,7 +301,7 @@ def parse_config(doc: dict) -> NetworkConfig:
                           ("zeta", m * d), ("mu", m * d)):
             if key not in candidate:
                 raise ConfigInvalid(f"candidate.{key} missing")
-            _vec(candidate[key], f"candidate.{key}", size)
+            vector(candidate[key], f"candidate.{key}", size)
     return NetworkConfig(graph=graph, agents=agents, controllers=controllers,
                          objective=objective, solver=solver,
                          simulation=simulation, seed=seed,

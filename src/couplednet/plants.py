@@ -3,7 +3,9 @@
 Three concrete maximal equilibrium-independent cyclically monotone
 (MEICMP) classes are provided: linear state-space systems, convex
 gradient systems with a skew (oscillatory) term, and damped MIMO
-oscillators. A Custom kind accepts raw callbacks for simulation only.
+oscillators. Each is stated once, as the form agent_form returns, and
+the simulation interface, the steady-state gains and the packed kernel
+read that form. A Custom kind accepts raw callbacks for simulation only.
 """
 from __future__ import annotations
 
@@ -60,22 +62,6 @@ def _check_invertible(mat, what: str) -> np.ndarray:
     if not (cond <= 1e13).all():
         raise SingularMatrix(f"{what} is numerically singular")
     return mat
-
-
-def _inv(mat, what: str) -> np.ndarray:
-    """Inverse of a square matrix, or of each of a stack (..., n, n).
-
-    The matrix is checked by _check_invertible first; SingularMatrix
-    is also raised when the inverse overflows.
-    """
-    mat = _check_invertible(mat, what)
-    try:
-        out = np.linalg.inv(mat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"{what} is singular") from exc
-    if not np.isfinite(out).all():
-        raise SingularMatrix(f"{what} has no finite inverse")
-    return out
 
 
 @dataclass(frozen=True)
@@ -236,54 +222,97 @@ def custom_agent(state_dim, io_dim, f, h, relation=None, w=None, leader_offset=N
 
 
 # ---------------------------------------------------------------------------
+# the one form of the built-in kinds
+# ---------------------------------------------------------------------------
+
+
+def agent_form(model: AgentModel):
+    """(A, B, C, T, w, psi, idx) of a built-in agent, or None for Custom ones.
+
+    Every built-in kind reads, for the effective input u_eff,
+
+        x' = A x + B u_eff + w - grad psi(x[idx]),  y = C x + T u_eff.
+
+    A quadratic psi is folded into A and w, so psi is None then (and
+    always for the linear kind). T is a matrix, or the callable rho of a
+    convex-gradient agent. idx is the slice psi acts on: every state, or
+    an oscillator's momentum p of x = (q, p). The arrays may be
+    read-only views. The one-agent case of agent_forms.
+    """
+    return agent_forms([model])[0]
+
+
+def agent_forms(models) -> tuple:
+    """agent_form of each of models, in order.
+
+    Agents of one kind and shape are formed together: their arrays are
+    stacked once per group, and each form holds views of the stacks.
+    """
+    models = list(models)
+    groups = {}
+    for i, model in enumerate(models):
+        if model.kind is not AgentKind.CUSTOM:
+            groups.setdefault((model.kind, model.state_dim, model.io_dim), []).append(i)
+    out = [None] * len(models)
+    for (kind, n, d), idx in groups.items():
+        A, B, C, T, w, psi, where = _group_form(kind, n, d, [models[i] for i in idx])
+        for j, i in enumerate(idx):
+            out[i] = (A[j], B[j], C[j], T[j], w[j], psi[j], where)
+    return tuple(out)
+
+
+def _group_form(kind, n, d, group):
+    """agent_form of a group of one kind and shape, its parts stacked."""
+    def stack(what, shape):
+        return _stack([getattr(m, what) for m in group], shape, what)
+
+    if kind is AgentKind.LINEAR:
+        T = _stack([np.zeros((d, d)) if m.T is None else m.T for m in group], (d, d), "T")
+        return (stack("A", (n, n)), stack("B", (n, d)), stack("C", (d, n)), T,
+                stack("w", (n,)), [None] * len(group), slice(None))
+    # a quadratic psi = x'Px/2 + q'x folds in: -grad psi(x) = -P x - q
+    k = n if kind is AgentKind.CONVEX_GRADIENT else d
+    quads = [None if m.psi is None else as_quadratic(m.psi) for m in group]
+    psi = [m.psi if quad is None else None for m, quad in zip(group, quads)]
+    P = _stack([np.zeros((k, k)) if quad is None else quad[0] for quad in quads], (k, k), "P")
+    w = stack("w", (k,)) - _stack([np.zeros(k) if quad is None else quad[1] for quad in quads],
+                                  (k,), "q")
+    if kind is AgentKind.CONVEX_GRADIENT:
+        T = [np.zeros((d, d)) if m.rho is None
+             else m.rho if callable(m.rho) else np.asarray(m.rho, dtype=float) for m in group]
+        return stack("J", (n, n)) - P, stack("B", (n, d)), stack("C", (d, n)), T, w, psi, slice(None)
+    # damped oscillator, x = (q, p): q' = M p, p' = -M' q - grad psi(p) + B u_eff + w
+    M, zero = stack("M", (d, d)), np.zeros((len(group), d, d))
+    A = np.block([[zero, M], [-np.swapaxes(M, 1, 2), -P]])
+    B = np.concatenate([zero, stack("B", (d, d))], axis=1)
+    C = np.broadcast_to(np.eye(d, n), (len(group), d, n))
+    return A, B, C, zero, np.concatenate([zero[:, 0], w], axis=1), psi, slice(d, None)
+
+
+# ---------------------------------------------------------------------------
 # steady-state relations and MEICMP classification
 # ---------------------------------------------------------------------------
 
 
 def linear_ss_relation(A, B, C, T=None, w=None) -> VectorRelation:
     """Affine relation y = (-C A^-1 B + T) u - C A^-1 w of a linear agent."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[0]
-    B = np.atleast_2d(np.asarray(B, dtype=float)).reshape(n, -1)
-    C = np.atleast_2d(np.asarray(C, dtype=float)).reshape(-1, n)
-    d = B.shape[1]
-    T = np.zeros((d, d)) if T is None else _as_matrix(T, d, d, "T")
-    return affine_relation(*_linear_gain(A, B, C, T, _as_vector(w, n, "w")))
+    return ss_relation(linear_agent(A, B, C, T=T, w=w))
 
 
 def _linear_gain(A, B, C, T, w):
-    """(S, v) of y = S u + v for linear agents; the arrays may be stacks."""
-    CA = -C @ _inv(A, "A")
+    """(S, v) of y = S u + v at the rest of x' = A x + B u + w, y = C x + T u.
+
+    S = T - C A^-1 B and v = -C A^-1 w; the arrays may be stacks. A is
+    checked by _check_invertible, and its inverse must be finite.
+    """
+    try:
+        A_inv = np.linalg.inv(_check_invertible(A, "A"))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix("A is singular") from exc
+    if not np.isfinite(A_inv).all():
+        raise SingularMatrix("A has no finite inverse")
+    CA = -C @ A_inv
     return CA @ B + T, (CA @ w[..., None])[..., 0]
-
-
-def oscillator_ss_relation(M, B, psi=None, w=None) -> VectorRelation:
-    """Affine relation y = (M')^-1 B u + (M')^-1 (w - grad psi(0))."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    d = M.shape[0]
-    return affine_relation(*_oscillator_gain(M, _as_matrix(B, d, d, "B"),
-                                             _forcing(psi, _as_vector(w, d, "w"))))
-
-
-def _forcing(psi, w):
-    """w - grad psi(0); grad psi(0) is q for a quadratic psi."""
-    if psi is None:
-        return w
-    quad = as_quadratic(psi)
-    return w - (quad[1] if quad is not None else grad_of(psi, np.zeros(w.size)))
-
-
-def _oscillator_gain(M, B, forcing):
-    """(S, v) of y = S u + v for oscillators; the arrays may be stacks."""
-    Mt_inv = _inv(np.swapaxes(M, -1, -2), "M'")
-    return Mt_inv @ B, (Mt_inv @ forcing[..., None])[..., 0]
-
-
-def _gradient_gain(P, J, B, C, R, w):
-    """(S, v) of y = S u + v for quadratic convex-gradient agents with
-    Hessian P and linear term folded into w; the arrays may be stacks."""
-    CK = C @ _inv(P - J, "P - J")
-    return CK @ B + R, (CK @ w[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -311,8 +340,7 @@ def _symmetric_within(S: np.ndarray) -> bool:
 def is_meicmp_linear(A, B, C, T=None, tol: float = 1e-8) -> MeicmpResult:
     """MEICMP iff A is Hurwitz and -C A^-1 B + T is symmetric positive-definite."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    rel = linear_ss_relation(A, B, C, T)
-    S = rel.S
+    S = linear_ss_relation(A, B, C, T).S
     if np.max(np.linalg.eigvals(A).real) >= 0.0:
         return MeicmpResult("no", reason="not Hurwitz", S=S)
     if not _symmetric_within(S):
@@ -323,9 +351,8 @@ def is_meicmp_linear(A, B, C, T=None, tol: float = 1e-8) -> MeicmpResult:
 
 
 def is_meicmp_oscillator(M, B, tol: float = 1e-8) -> MeicmpResult:
-    """Classify by the eigenvalues of (M')^-1 B: PSD gives MEICMP, PD strict."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    S = _inv(M.T, "M'") @ _as_matrix(B, M.shape[0], M.shape[0], "B")
+    """Classify by the eigenvalues of the gain (M')^-1 B: PSD gives MEICMP, PD strict."""
+    S = ss_relation(damped_oscillator_agent(M, B)).S
     if not _symmetric_within(S):
         return MeicmpResult("no", reason="asymmetric", S=S)
     eigmin = np.min(np.linalg.eigvalsh(0.5 * (S + S.T)))
@@ -352,23 +379,35 @@ def ss_relations(models) -> tuple:
     """ss_relation of each of models, in order.
 
     Agents whose relation is affine are solved by groups of one kind
-    and shape: one batched inverse and product per group, then
-    y = S (u + z) + v for the leader offset z. The others are derived
-    one at a time.
+    and shape: one batched _linear_gain of their stacked forms per
+    group, then y = S (u + z) + v for the leader offset z. The others
+    are derived one at a time.
     """
     models = list(models)
+    forms = agent_forms(models)
     out = [None] * len(models)
     groups = {}
-    for i, model in enumerate(models):
-        if model.kind in _GAINS and (model.kind is not AgentKind.CONVEX_GRADIENT
-                                     or as_quadratic(model.psi) is not None):
-            groups.setdefault((model.kind, model.state_dim, model.io_dim), []).append(i)
+    for i, (model, form) in enumerate(zip(models, forms)):
+        if form is None or (form[5] is not None and model.kind is not AgentKind.DAMPED_OSCILLATOR):
+            out[i] = _relation(model, form)
+        elif callable(form[3]):
+            raise UnsupportedKind("callable feedthrough has no affine relation")
         else:
-            out[i] = _relation(model)
-    for (kind, _, d), idx in groups.items():
-        group = [models[i] for i in idx]
-        S, v = _GAINS[kind](group)
-        z = _stack([m.leader_offset for m in group], (d,), "leader_offset")
+            groups.setdefault((model.kind, model.state_dim, model.io_dim), []).append(i)
+    for (kind, n, d), idx in groups.items():
+        shapes = ((n, n), (n, d), (d, n), (d, d), (n,))
+        A, B, C, T, w = (_stack(part, shape, what) for part, shape, what
+                         in zip(zip(*(forms[i][:5] for i in idx)), shapes, "ABCTw"))
+        if kind is AgentKind.DAMPED_OSCILLATOR:
+            # at rest the momentum p = x[d:] is 0: the damping block of A drops
+            # out (A is then exactly as well conditioned as M), and a psi left
+            # in the form only adds -grad psi(0) to w
+            A[:, d:, d:] = 0.0
+            for j, i in enumerate(idx):
+                if forms[i][5] is not None:
+                    w[j, d:] -= grad_of(forms[i][5], np.zeros(d))
+        S, v = _linear_gain(A, B, C, T, w)
+        z = _stack([models[i].leader_offset for i in idx], (d,), "leader_offset")
         v = (S @ z[:, :, None])[:, :, 0] + v
         for i, S_i, v_i in zip(idx, S, v):
             out[i] = affine_relation(S_i, v_i)
@@ -377,82 +416,34 @@ def ss_relations(models) -> tuple:
 
 def _stack(arrays, shape, what) -> np.ndarray:
     """One float array stacking arrays, each of the given shape."""
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
-    if any(a.shape != shape for a in arrays):
+    try:
+        out = np.array(arrays, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numeric
+        out = None
+    if out is None or out.shape[1:] != shape:
         raise DimensionMismatch(f"{what} must have shape {shape}")
-    return np.stack(arrays)
+    return out
 
 
-def _linear_gains(group):
-    n, d = group[0].state_dim, group[0].io_dim
-    return _linear_gain(
-        _stack([m.A for m in group], (n, n), "A"),
-        _stack([m.B for m in group], (n, d), "B"),
-        _stack([m.C for m in group], (d, n), "C"),
-        _stack([np.zeros((d, d)) if m.T is None else m.T for m in group], (d, d), "T"),
-        _stack([m.w for m in group], (n,), "w"))
+def _relation(model: AgentModel, form) -> VectorRelation:
+    """ss_relation of an agent whose relation is not affine, given its form.
 
-
-def _oscillator_gains(group):
-    d = group[0].io_dim
-    w = _stack([m.w for m in group], (d,), "w")
-    return _oscillator_gain(
-        _stack([m.M for m in group], (d, d), "M"),
-        _stack([m.B for m in group], (d, d), "B"),
-        np.stack([_forcing(m.psi, w_m) for m, w_m in zip(group, w)]))
-
-
-def _gradient_gains(group):
-    n, d = group[0].state_dim, group[0].io_dim
-    P, q, _ = zip(*(as_quadratic(m.psi) for m in group))
-
-    def feedthrough(rho):
-        if rho is None:
-            return np.zeros((d, d))
-        if callable(rho):
-            raise UnsupportedKind("callable feedthrough has no affine relation")
-        return _as_matrix(rho, d, d, "rho")
-
-    return _gradient_gain(
-        _stack(P, (n, n), "P"),
-        _stack([m.J for m in group], (n, n), "J"),
-        _stack([m.B for m in group], (n, d), "B"),
-        _stack([m.C for m in group], (d, n), "C"),
-        _stack([feedthrough(m.rho) for m in group], (d, d), "rho"),
-        _stack([m.w for m in group], (n,), "w") - _stack(q, (n,), "q"))
-
-
-# (S, v) for a group of agents of one affine kind and shape
-_GAINS = {
-    AgentKind.LINEAR: _linear_gains,
-    AgentKind.DAMPED_OSCILLATOR: _oscillator_gains,
-    AgentKind.CONVEX_GRADIENT: _gradient_gains,
-}
-
-
-def _relation(model: AgentModel) -> VectorRelation:
-    """ss_relation of an agent whose relation is not affine."""
-    if model.kind is AgentKind.CONVEX_GRADIENT:
-        square = model.B.shape[0] == model.B.shape[1]
-        plain = (
-            square
-            and np.allclose(model.B, np.eye(model.state_dim))
-            and np.allclose(model.C, np.eye(model.state_dim))
-            and np.allclose(model.J, 0.0)
-            and model.rho is None
-        )
-        if plain:
-            # grad psi(y) = u + w + z, so the relation inverts grad psi
-            base = inverted_relation(gradient_relation(model.psi))
-            return shifted_relation(base, input_offset=-(model.w + model.leader_offset))
-        raise UnsupportedKind(
-            "no closed steady-state relation for this convex-gradient agent"
-        )
-    if model.kind is AgentKind.CUSTOM:
+    With identity B and C, no skew term and no feedthrough, a
+    convex-gradient agent settles where grad psi(y) = u + w + z, so its
+    relation inverts grad psi.
+    """
+    if form is None:
         if model.relation is None:
             raise UnsupportedKind("custom agent did not supply a relation")
         return model.relation
-    raise UnsupportedKind(str(model.kind))
+    A, B, C, T, w, psi, _ = form
+    eye = np.eye(model.state_dim)
+    plain = (B.shape == eye.shape and np.allclose(B, eye) and np.allclose(C, eye)
+             and np.allclose(A, 0.0) and not callable(T) and not np.any(T))
+    if not plain:
+        raise UnsupportedKind("no closed steady-state relation for this convex-gradient agent")
+    base = inverted_relation(gradient_relation(psi))
+    return shifted_relation(base, input_offset=-(w + model.leader_offset))
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +467,8 @@ def solve_equilibrium(model: AgentModel, u, tol: float = 1e-10) -> EquilibriumRe
     """Find the equilibrium of a convex-gradient agent at constant input u.
 
     Root-finding (scipy's hybr) runs from the origin on the defect
-    grad psi(x) - J x - B u - w; the returned point is guaranteed only
-    to have a defect norm of at most tol.
+    -rhs(model, x, u) = grad psi(x) - J x - B u_eff - w; the returned
+    point is guaranteed only to have a defect norm of at most tol.
 
     Parameters
     ----------
@@ -502,15 +493,12 @@ def solve_equilibrium(model: AgentModel, u, tol: float = 1e-10) -> EquilibriumRe
     if model.kind is not AgentKind.CONVEX_GRADIENT:
         raise UnsupportedKind("equilibrium search applies to convex-gradient agents")
     u = _as_vector(u, model.io_dim, "u")
-    b = model.B @ (u + model.leader_offset) + model.w
-
-    def defect(x):
-        return grad_of(model.psi, x) - model.J @ x - b
-
+    form = agent_form(model)
     from scipy import optimize
 
-    sol = optimize.root(defect, np.zeros(model.state_dim), method="hybr", tol=tol)
-    res = float(np.linalg.norm(defect(sol.x)))
+    sol = optimize.root(lambda x: -rhs(model, x, u, form), np.zeros(model.state_dim),
+                        method="hybr", tol=tol)
+    res = float(np.linalg.norm(rhs(model, sol.x, u, form)))
     if res > tol:
         raise NoConvergence(f"equilibrium residual {res:.3e} above {tol:.1e}")
     return EquilibriumResult(x0=sol.x, residual=res)
@@ -521,51 +509,37 @@ def solve_equilibrium(model: AgentModel, u, tol: float = 1e-10) -> EquilibriumRe
 # ---------------------------------------------------------------------------
 
 
-def rhs(model: AgentModel, x, u) -> np.ndarray:
-    """State derivative f(x, u + leader_offset, w) for any kind."""
+def rhs(model: AgentModel, x, u, form=None) -> np.ndarray:
+    """State derivative f(x, u + leader_offset, w) for any kind; form, when
+    given, is the model's agent_form."""
     x = _as_vector(x, model.state_dim, "x")
     u_eff = _as_vector(u, model.io_dim, "u") + model.leader_offset
-    if model.kind is AgentKind.LINEAR:
-        return model.A @ x + model.B @ u_eff + model.w
-    if model.kind is AgentKind.CONVEX_GRADIENT:
-        return -grad_of(model.psi, x) + model.J @ x + model.B @ u_eff + model.w
-    if model.kind is AgentKind.DAMPED_OSCILLATOR:
-        d = model.io_dim
-        q, p = x[:d], x[d:]
-        dq = model.M @ p
-        dp = -model.M.T @ q + model.B @ u_eff + model.w
-        if model.psi is not None:
-            dp = dp - grad_of(model.psi, p)
-        return np.concatenate([dq, dp])
-    if model.kind is AgentKind.CUSTOM:
+    form = agent_form(model) if form is None else form
+    if form is None:
         return np.asarray(model.f(x, u_eff, model.w), dtype=float).ravel()
-    raise UnsupportedKind(str(model.kind))
+    A, B, _, _, w, psi, idx = form
+    dx = A @ x + B @ u_eff + w
+    if psi is not None:
+        dx[idx] -= grad_of(psi, x[idx])
+    return dx
 
 
-def output(model: AgentModel, x, u) -> np.ndarray:
-    """Output map h(x, u + leader_offset, w) for any kind."""
+def output(model: AgentModel, x, u, form=None) -> np.ndarray:
+    """Output map h(x, u + leader_offset, w) for any kind; form as for rhs."""
     x = _as_vector(x, model.state_dim, "x")
     u_eff = _as_vector(u, model.io_dim, "u") + model.leader_offset
-    if model.kind is AgentKind.LINEAR:
-        return model.C @ x + model.T @ u_eff
-    if model.kind is AgentKind.CONVEX_GRADIENT:
-        y = model.C @ x
-        if model.rho is not None:
-            y = y + (model.rho(u_eff) if callable(model.rho) else np.asarray(model.rho) @ u_eff)
-        return y
-    if model.kind is AgentKind.DAMPED_OSCILLATOR:
-        return x[: model.io_dim].copy()
-    if model.kind is AgentKind.CUSTOM:
+    form = agent_form(model) if form is None else form
+    if form is None:
         return np.asarray(model.h(x, u_eff, model.w), dtype=float).ravel()
-    raise UnsupportedKind(str(model.kind))
+    _, _, C, T, _, _, _ = form
+    return C @ x + (T(u_eff) if callable(T) else T @ u_eff)
 
 
 def has_feedthrough(model: AgentModel) -> bool:
     """True when the output depends directly on the input."""
-    if model.kind is AgentKind.LINEAR:
-        return bool(np.any(model.T != 0.0))
-    if model.kind is AgentKind.CONVEX_GRADIENT:
-        return model.rho is not None
-    if model.kind is AgentKind.DAMPED_OSCILLATOR:
-        return False
-    return True  # Custom: assume the worst
+    return form_has_feedthrough(agent_form(model))
+
+
+def form_has_feedthrough(form) -> bool:
+    """has_feedthrough read off an agent_form: a callable or nonzero T, or Custom (None)."""
+    return form is None or callable(form[3]) or bool(form[3].any())

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .netgraph import DirectedGraph, IncidenceOperator, incidence
-from .plants import AgentModel, has_feedthrough, output, rhs
+from .plants import AgentModel, agent_forms, form_has_feedthrough, output, rhs
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,8 @@ class ClosedLoopSystem:
         Total agent state dimension.
     ctrl_dim : int
         Total controller state dimension.
+    agent_forms : tuple
+        plants.agent_form of each agent, for the per-component path.
     packed : PackedSystem or None
         Flat-array form when every component fits the fast kernels.
     """
@@ -69,6 +71,7 @@ class ClosedLoopSystem:
     op: IncidenceOperator
     agents: tuple
     controllers: tuple
+    agent_forms: tuple
     io_dim: int
     agent_dim: int
     ctrl_dim: int
@@ -108,7 +111,8 @@ def closed_loop(graph: DirectedGraph, agents: Sequence[AgentModel],
         raise DimensionMismatch("agent io_dims differ")
     if any(c.io_dim != d for c in controllers):
         raise DimensionMismatch("controller io_dim differs from agents")
-    a_ft = any(has_feedthrough(a) for a in agents)
+    forms = agent_forms(agents)
+    a_ft = any(form_has_feedthrough(f) for f in forms)
     c_ft = any(controller_has_feedthrough(c) for c in controllers)
     if a_ft and c_ft:
         raise AlgebraicLoop(
@@ -127,10 +131,10 @@ def closed_loop(graph: DirectedGraph, agents: Sequence[AgentModel],
         ofs += c.state_dim
     packed = None
     if graph.edge_count > 0 and not a_ft and not c_ft:
-        packed = _fastpath.try_pack(op, agents, controllers)
+        packed = _fastpath.try_pack(op, agents, forms, controllers)
     return ClosedLoopSystem(
         graph=graph, op=op, agents=agents, controllers=controllers,
-        io_dim=d, agent_dim=agent_dim, ctrl_dim=ofs,
+        agent_forms=forms, io_dim=d, agent_dim=agent_dim, ctrl_dim=ofs,
         agent_slices=tuple(a_slices), ctrl_slices=tuple(c_slices),
         agent_feedthrough=a_ft, ctrl_feedthrough=c_ft, packed=packed)
 
@@ -155,7 +159,8 @@ def _signals_at(system: ClosedLoopSystem, s: np.ndarray):
         y = np.empty(n * d)
         for i, a in enumerate(system.agents):
             ui = u[i * d:(i + 1) * d] if u is not None else np.zeros(d)
-            y[i * d:(i + 1) * d] = output(a, s[system.agent_slices[i]], ui)
+            y[i * d:(i + 1) * d] = output(a, s[system.agent_slices[i]], ui,
+                                          system.agent_forms[i])
         return y
 
     def ctrl_outputs(zeta):
@@ -195,7 +200,7 @@ def step_rhs(system: ClosedLoopSystem, full_state: np.ndarray) -> np.ndarray:
     out = np.empty_like(s)
     for i, a in enumerate(system.agents):
         sl = system.agent_slices[i]
-        out[sl] = rhs(a, s[sl], u[i * d:(i + 1) * d])
+        out[sl] = rhs(a, s[sl], u[i * d:(i + 1) * d], system.agent_forms[i])
     base = system.agent_dim
     for e, c in enumerate(system.controllers):
         sl = system.ctrl_slices[e]
@@ -223,11 +228,11 @@ class IntegrateOptions:
 
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
-            raise UnsupportedKind(f"unknown integration method {self.method!r}")
+            raise UnsupportedKind(f"method: unknown integration method {self.method!r}")
         for name in ("tol", "dt", "record_every"):
             val = getattr(self, name)
             if val is not None and not val > 0.0:
-                raise DimensionMismatch(f"{name} must be positive, got {val}")
+                raise DimensionMismatch(f"{name}: must be positive, got {val}")
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,10 @@ def test_simulate_rejects_bad_options_before_planning(tmp_path, capsys,
     monkeypatch.setattr(cli, "_plan_segments", no_plan)
     out = tmp_path / "out"
     assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 1
-    assert f"config error: {section}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {section}" in err
+    key = next(iter(bad))  # the refused key
+    assert (f"config error: simulation: {key}: " if section == "simulation" else key) in err
     assert not out.exists()
 
 
@@ -119,7 +122,7 @@ def test_simulate_rejects_bad_horizon_before_building(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(cli, "closed_loop", no_build)
     assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
-    assert "config error: simulation:" in capsys.readouterr().err
+    assert "config error: simulation: horizon: " in capsys.readouterr().err
 
 
 def test_simulate_objective_schedule(tmp_path, capsys):
@@ -337,6 +340,42 @@ def test_predict_refuses_oscillator_without_inverse(tmp_path, capsys, M):
     cfg = write_doc(tmp_path, doc)
     assert run_cli("predict", "--config", cfg, "--out", str(tmp_path)) == 3
     assert "SingularMatrix" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
+
+
+def _oscillator_doc():
+    osc = {"type": "oscillator", "M": np.eye(2).tolist(), "B": np.eye(2).tolist()}
+    return hand_doc(agents=[osc, dict(osc)],
+                    controllers=[{"type": "linear_synthesis", "offset": [1.0, 0.0]}])
+
+
+def _reconfigured_doc():
+    doc = hand_doc()
+    doc["controllers"] = [{"type": "reconfigured", "inner": doc["controllers"][0],
+                           "alpha": [0.5], "beta": [0.0]}]
+    return doc
+
+
+# (document, (section, index, key) of the spec, its io_dim, the field its refusal names)
+NONFINITE_FIELDS = {
+    "agent_w": (hand_doc, ("agents", 1, "w"), 1, "agents[1].w"),
+    "oscillator_anchor": (_oscillator_doc, ("agents", 0, "anchor"), 2, "agents[0].anchor"),
+    "leader_offset": (hand_doc, ("agents", 0, "leader_offset"), 1, "agents[0].leader_offset"),
+    "synthesis_offset": (hand_doc, ("controllers", 0, "offset"), 1, "controllers[0].offset"),
+    "reconfigured_alpha": (_reconfigured_doc, ("controllers", 0, "alpha"), 1,
+                           "controllers[0].alpha"),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("case", sorted(NONFINITE_FIELDS))
+def test_predict_refuses_nonfinite_model_values(tmp_path, capsys, case, value):
+    make_doc, (section, index, key), size, field = NONFINITE_FIELDS[case]
+    doc = make_doc()
+    doc[section][index][key] = [value] + [0.0] * (size - 1)
+    cfg = write_doc(tmp_path, doc)
+    assert run_cli("predict", "--config", cfg, "--out", str(tmp_path)) == 1
+    assert f"config error: {field}: values must be finite" in capsys.readouterr().err
     assert not (tmp_path / "certificate.json").exists()
 
 

@@ -212,6 +212,6 @@ def test_bench_netopt_smoke():
                          env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     header, row = res.stdout.strip().splitlines()
-    assert header.split()[:5] == ["nodes", "assemble", "solve_opp", "recover_certificate",
-                                  "solve_ofp"]
+    assert header.split()[:6] == ["nodes", "closed_loop", "assemble", "solve_opp",
+                                  "recover_certificate", "solve_ofp"]
     assert row.split()[0] == "16" and row.endswith("MB")

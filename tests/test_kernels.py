@@ -215,6 +215,11 @@ def test_pack_refuses_rho_output():
     assert two_node(a).packed is None
 
 
+def test_pack_takes_zero_rho():
+    a = convex_gradient_agent(quadratic(np.eye(1)), rho=[[0.0]])
+    assert two_node(a).packed is not None
+
+
 def test_pack_refuses_custom_controller():
     c = custom_controller(1, 1, phi=lambda e, z: e, out=lambda e, z: z)
     system = two_node(linear_agent([[-1.0]], [[1.0]], [[1.0]]), ctrl=c)

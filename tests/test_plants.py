@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import couplednet
 from couplednet import plants as P
 from couplednet import relations as R
+from couplednet.couplers import PSI_RANGE, paper_psi
 from couplednet.errors import (DimensionMismatch, NoConvergence,
                                SingularMatrix, UnsupportedKind)
 
@@ -68,15 +69,98 @@ def test_oscillator_accepts_M_at_the_condition_bound():
     assert osc.M[1, 1] == 1e-13
 
 
-def test_oscillator_rhs_vanishes_at_equilibrium():
-    M = np.array([[2.0, 0.0], [0.0, 1.0]])
-    osc = P.damped_oscillator_agent(M, np.eye(2), psi=R.quadratic(np.eye(2)),
-                                    anchor=[1.0, -1.0])
-    u = np.array([2.0, 2.0])
-    q = np.linalg.solve(M.T, np.eye(2) @ u + osc.w)
-    x = np.concatenate([q, np.zeros(2)])
-    assert np.allclose(P.rhs(osc, x, u), 0.0, atol=1e-12)
-    assert np.allclose(P.output(osc, x, u), q)
+def _affine_kinds():
+    """One agent of each kind with an affine steady-state relation, each led."""
+    z = np.array([0.3, -0.7])
+    M = np.array([[2.0, 0.5], [0.0, 1.0]])
+    B = np.array([[1.0, 0.2], [-0.3, 1.5]])
+    J = np.array([[0.0, 0.5], [-0.5, 0.0]])
+    # paper_psi damping, shifted and tilted so that grad psi(0) != 0
+    psi_damping = R.shifted(R.scalar_separable(paper_psi, 2, PSI_RANGE),
+                            shift=[0.4, -0.2], linear=[0.1, 0.3])
+
+    def oscillator(psi):
+        return P.damped_oscillator_agent(M, B, psi=psi, w=[0.5, -0.25],
+                                         anchor=[1.0, -1.0], leader_offset=z)
+
+    return {
+        "linear_T_w": P.linear_agent(
+            [[-2.0, 0.5], [0.0, -1.0]], [[1.0, 0.0], [0.5, 1.0]],
+            [[1.0, 0.0], [0.0, 2.0]], T=[[0.5, 0.1], [0.1, 0.3]],
+            w=[6.0, -1.0], leader_offset=z),
+        "oscillator_undamped": oscillator(None),
+        "oscillator_quadratic": oscillator(R.quadratic([[2.0, 0.3], [0.3, 1.0]], [0.2, -0.1])),
+        "oscillator_paper_psi": oscillator(psi_damping),
+        "gradient_quadratic_J_rho": P.convex_gradient_agent(
+            R.quadratic([[3.0, 0.5], [0.5, 2.0]], [0.4, -0.6]), J=J, B=B,
+            C=[[1.0, 0.5], [0.0, 1.0]], rho=[[0.2, 0.0], [0.05, 0.1]],
+            w=[1.0, 2.0], leader_offset=z),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_affine_kinds()))
+def test_rhs_vanishes_at_steady_state(case):
+    # the rest point comes from rhs alone; its output must lie on ss_relation
+    from scipy import optimize
+
+    agent = _affine_kinds()[case]
+    u = np.array([1.0, -0.5])
+    sol = optimize.root(lambda x: P.rhs(agent, x, u), np.zeros(agent.state_dim),
+                        method="hybr", tol=1e-13)
+    assert np.linalg.norm(P.rhs(agent, sol.x, u)) <= 1e-12
+    rel = P.ss_relation(agent)
+    y_ss = rel.S @ u + rel.v
+    y = P.output(agent, sol.x, u)
+    assert np.linalg.norm(y - y_ss) <= 1e-10 * np.linalg.norm(y_ss)
+
+
+def test_agent_form_folds_quadratic_psi():
+    # psi = x'Px/2 + q'x leaves x' = (J - P) x + B u + w - q
+    Pm = np.array([[3.0, 0.5], [0.5, 2.0]])
+    J = np.array([[0.0, 0.5], [-0.5, 0.0]])
+    agent = P.convex_gradient_agent(R.quadratic(Pm, [0.4, -0.6]), J=J, w=[1.0, 2.0])
+    A, B, C, T, w, psi, idx = P.agent_form(agent)
+    assert psi is None and idx == slice(None)
+    assert np.array_equal(A, J - Pm) and np.array_equal(w, [0.6, 2.6])
+    assert np.array_equal(T, np.zeros((2, 2)))
+    custom = P.custom_agent(1, 1, f=lambda x, u, w: -x, h=lambda x, u, w: x)
+    assert P.agent_form(custom) is None
+
+
+def test_agent_forms_match_one_at_a_time():
+    # grouping by kind and shape must hand each agent its own form and relation
+    kinds = _affine_kinds()
+    quartic = P.convex_gradient_agent(
+        R.function_sum([R.quadratic(np.eye(2)), R.scalar_separable(lambda t: t ** 3, 2)]))
+    custom = P.custom_agent(2, 2, f=lambda x, u, w: -x, h=lambda x, u, w: x,
+                            relation=R.affine_relation(np.eye(2)))
+    models = [kinds["oscillator_quadratic"], P.linear_agent([[-3.0]], [[1.0]], [[2.0]]),
+              kinds["linear_T_w"], custom, kinds["gradient_quadratic_J_rho"],
+              kinds["oscillator_paper_psi"], quartic, kinds["oscillator_undamped"]]
+    for model, form in zip(models, P.agent_forms(models)):
+        one = P.agent_form(model)
+        assert (form is None) == (one is None)
+        if form is not None:
+            assert all(np.array_equal(a, b) for a, b in zip(form[:5], one[:5]))
+            assert form[5] is one[5] and form[6] == one[6]
+    affine = [m for m in models if m is not quartic]
+    for model, rel in zip(affine, P.ss_relations(affine)):
+        one = P.ss_relation(model)
+        assert np.array_equal(rel.S, one.S) and np.array_equal(rel.v, one.v)
+
+
+def test_zero_rho_is_not_feedthrough():
+    psi = R.quadratic(np.eye(2))
+    assert not P.has_feedthrough(P.convex_gradient_agent(psi, rho=np.zeros((2, 2))))
+    assert P.has_feedthrough(P.convex_gradient_agent(psi, rho=0.1 * np.eye(2)))
+    assert P.has_feedthrough(P.convex_gradient_agent(psi, rho=lambda u: 0.0 * u))
+
+
+def test_strongly_damped_oscillator_keeps_its_gain():
+    # at rest p = 0, so damping far above M leaves S = (M')^-1 B well posed
+    osc = P.damped_oscillator_agent(np.eye(2), 2.0 * np.eye(2),
+                                    psi=R.quadratic(1e7 * np.eye(2)))
+    assert np.allclose(P.ss_relation(osc).S, 2.0 * np.eye(2), rtol=0.0, atol=1e-12)
 
 
 def test_meicmp_oscillator_classification():
