@@ -9,6 +9,13 @@ byte-identical and reports the best and median of each, the speedup of
 the medians, and the peak resident memory (ru_maxrss) of this process
 and of its largest reaped writer. BLAS runs on one thread.
 
+It then reports, per network, how far each post-processing stage
+raises tracemalloc's traced peak above what was traced before it:
+`integrate` above the bytes of the arrays it returns, and
+`detect_convergence` (tol 1e-6, the CLI's default) and `export_csv`
+(forked writers with all CPUs, the in-process writer on one) above the
+trajectory they read.
+
 Usage:
     PYTHONPATH=src python3 benchmarks/bench_export.py [--nodes 64 256] [--repeat 5]
 """
@@ -25,9 +32,10 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 from couplednet.simulate import (IntegrateOptions, default_initial_state,  # noqa: E402
-                                 export_csv, integrate)
+                                 detect_convergence, export_csv, integrate)
 
 import bench_integrate  # noqa: E402
 
@@ -65,6 +73,38 @@ def run(nodes: int, repeat: int, workdir: str) -> dict:
     return out
 
 
+def traced_peak(fn):
+    """(fn(), bytes the traced peak rose above the traced memory before the call)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def stage_peaks(nodes: int, workdir: str) -> dict:
+    """Traced peak of each post-processing stage on build_system(nodes), in bytes."""
+    system = bench_integrate.build_system(nodes)
+    init = default_initial_state(system)
+    opts = IntegrateOptions(record_every=RECORD_EVERY)
+    integrate(system, init, HORIZON, opts)  # warm-up: lazy imports and caches
+    traj, peak = traced_peak(lambda: integrate(system, init, HORIZON, opts))
+    arrays = sum(a.nbytes for a in (traj.times, traj.states, traj.u, traj.y, traj.zeta, traj.mu))
+    out = {"arrays": arrays, "integrate": peak - arrays}
+    out["detect_convergence"] = traced_peak(lambda: detect_convergence(traj, tol=1e-6))[1]
+    path = os.path.join(workdir, f"{nodes}_peak.csv")
+    out["export_all"] = traced_peak(lambda: export_csv(traj, path))[1]
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        out["export_one"] = traced_peak(lambda: export_csv(traj, path))[1]
+    finally:
+        os.sched_setaffinity(0, cpus)
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -86,6 +126,15 @@ def main(argv=None):
     print("peak RSS: this process "
           f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f} MB, "
           f"largest writer {resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0:.1f} MB")
+    print("\ntraced peak above each stage's inputs, MB (trajectory: its arrays' bytes)")
+    print(f"{'nodes':>6} {'trajectory':>11} {'integrate':>10} {'convergence':>12}"
+          f" {'export all':>11} {'export one':>11}")
+    with tempfile.TemporaryDirectory() as workdir:
+        for nodes in args.nodes:
+            p = stage_peaks(nodes, workdir)
+            print(f"{nodes:>6} {p['arrays'] / 1e6:>11.3f} {p['integrate'] / 1e6:>10.3f}"
+                  f" {p['detect_convergence'] / 1e6:>12.3f} {p['export_all'] / 1e6:>11.3f}"
+                  f" {p['export_one'] / 1e6:>11.3f}")
 
 
 if __name__ == "__main__":

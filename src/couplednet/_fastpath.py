@@ -30,6 +30,12 @@ from .plants import form_has_feedthrough
 from .relations import FunctionKind, as_quadratic
 
 
+# Values per block when recorded trajectories are post-processed: signals,
+# convergence scans and CSV rows go a few records at a time, so no stage
+# holds a whole-trajectory temporary (2**14 float64 values are 128 KB).
+BLOCK_VALUES = 1 << 14
+
+
 @dataclass(frozen=True)
 class PackedSystem:
     """Closed loop folded into sparse affine maps of v = [s ; paper_psi(s[psi_idx]) ; 1].
@@ -367,24 +373,46 @@ def try_pack(op, agents, forms, controllers) -> PackedSystem | None:
                         sig_row=sig_row, sig_col=sig_col, sig_w=sig_w, op=op)
 
 
+def block_rows(width: int) -> int:
+    """Records per block when each record holds width values: at least one."""
+    return max(1, BLOCK_VALUES // max(width, 1))
+
+
 def packed_signals(packed: PackedSystem, states: np.ndarray):
     """(u, y, zeta, mu) arrays for recorded packed states (rows = samples).
 
-    Each of [y ; mu] and E mu is one bincount over all records, whose
-    bins are (record, coordinate) pairs; zeta = E'y and u = -E mu come
-    from the operator's lifted tail and head indices, as its rmatvec
-    and matvec compute them.
+    The records go in blocks of block_rows records. In a block, each of
+    [y ; mu] and E mu is one bincount whose bins are (record, coordinate)
+    pairs; zeta = E'y and u = -E mu come from the operator's lifted tail
+    and head indices, as its rmatvec and matvec compute them. The bin
+    indices are built once for a full block, and the last block takes
+    their leading records. Each bin sums its entries in COO order, as
+    one bincount over all records would, so the outputs are the same
+    bits.
     """
     op = packed.op
     records = states.shape[0]
-    n, size = op.node_size, op.node_size + op.edge_size
-    v = np.hstack([states, paper_psi(states[:, packed.psi_idx]), np.ones((records, 1))])
-    rec = np.arange(records)[:, None]
-    sig = np.bincount((rec * size + packed.sig_row).ravel(),
-                      (v[:, packed.sig_col] * packed.sig_w).ravel(),
-                      records * size).reshape(records, size)
-    y, mu = sig[:, :n], sig[:, n:]
-    flat_mu = mu.ravel()
-    E_mu = (np.bincount((rec * n + op.head).ravel(), flat_mu, records * n)
-            - np.bincount((rec * n + op.tail).ravel(), flat_mu, records * n))
-    return -E_mu.reshape(records, n), y, y[:, op.head] - y[:, op.tail], mu
+    n, m = op.node_size, op.edge_size
+    nnz = packed.sig_row.shape[0]
+    # sized by the widest per-record temporary: v, the signal products or E mu's bins
+    rows = block_rows(max(packed.dim + packed.psi_idx.shape[0] + 1, nnz, m))
+    rec = np.arange(min(rows, records))[:, None]
+    sig_bins = (rec * (n + m) + packed.sig_row).ravel()
+    head_bins = (rec * n + op.head).ravel()
+    tail_bins = (rec * n + op.tail).ravel()
+    one = np.ones((rec.shape[0], 1))
+    u, y, zeta, mu = (np.empty((records, k)) for k in (n, n, m, m))
+    for lo in range(0, records, rows):
+        hi = min(lo + rows, records)
+        b = hi - lo
+        v = np.hstack([states[lo:hi], paper_psi(states[lo:hi, packed.psi_idx]), one[:b]])
+        p = v[:, packed.sig_col]
+        np.multiply(p, packed.sig_w, p)
+        sig = np.bincount(sig_bins[:b * nnz], p.ravel(), b * (n + m)).reshape(b, n + m)
+        y[lo:hi], mu[lo:hi] = sig[:, :n], sig[:, n:]
+        flat_mu = mu[lo:hi].ravel()
+        E_mu = (np.bincount(head_bins[:b * m], flat_mu, b * n)
+                - np.bincount(tail_bins[:b * m], flat_mu, b * n))
+        u[lo:hi] = -E_mu.reshape(b, n)
+        np.subtract(y[lo:hi, op.head], y[lo:hi, op.tail], zeta[lo:hi])
+    return u, y, zeta, mu

@@ -36,7 +36,14 @@ from .relations import (
 SCHEMA = "couplednet-config/1"
 
 
-def _mat(spec, what, shape=None) -> np.ndarray:
+def _mat(spec, what, shape=None, finite=True) -> np.ndarray:
+    """spec as a float matrix, of the given shape if any; else ConfigInvalid.
+
+    Entries must be finite; finite=False leaves that check to plants,
+    which refuses a non-finite oscillator M or linear A as singular.
+    """
+    if spec is None:
+        raise ConfigInvalid(f"{what}: missing")
     try:
         arr = np.asarray(spec, dtype=float)
     except (TypeError, ValueError) as ex:
@@ -45,11 +52,15 @@ def _mat(spec, what, shape=None) -> np.ndarray:
         raise ConfigInvalid(f"{what}: expected a matrix, got ndim={arr.ndim}")
     if shape is not None and arr.shape != shape:
         raise ConfigInvalid(f"{what}: expected shape {shape}, got {arr.shape}")
+    if finite and not np.all(np.isfinite(arr)):
+        raise ConfigInvalid(f"{what}: values must be finite")
     return arr
 
 
 def vector(spec, what, size=None) -> np.ndarray:
     """spec as a flat array of finite floats, of length size if given; else ConfigInvalid."""
+    if spec is None:
+        raise ConfigInvalid(f"{what}: missing")
     try:
         arr = np.asarray(spec, dtype=float).ravel()
     except (TypeError, ValueError) as ex:
@@ -101,14 +112,14 @@ def _agent_spec(spec, what) -> AgentModel:
     if leader is not None:
         leader = vector(leader, f"{what}.leader_offset")
     if kind == "linear":
-        A = _mat(spec.get("A"), f"{what}.A")
+        A = _mat(spec.get("A"), f"{what}.A", finite=False)
         B = _mat(spec.get("B"), f"{what}.B")
         C = _mat(spec.get("C"), f"{what}.C")
         T = _mat(spec["T"], f"{what}.T") if "T" in spec else None
         w = vector(spec["w"], f"{what}.w", A.shape[0]) if "w" in spec else None
         return linear_agent(A, B, C, T=T, w=w, leader_offset=leader)
     if kind == "oscillator":
-        M = _mat(spec.get("M"), f"{what}.M")
+        M = _mat(spec.get("M"), f"{what}.M", finite=False)
         B = _mat(spec.get("B"), f"{what}.B", M.shape)
         psi = _function_spec(spec["damping"], f"{what}.damping") if "damping" in spec else None
         w = vector(spec["w"], f"{what}.w", M.shape[0]) if "w" in spec else None

@@ -275,11 +275,11 @@ def _record_grid(t0: float, T: float, record_every: Optional[float]):
 def _signals_batch(system: ClosedLoopSystem, states: np.ndarray):
     if system.packed is not None:
         return _fastpath.packed_signals(system.packed, states)
-    rows = [_signals_at(system, states[k]) for k in range(states.shape[0])]
-    u = np.array([r[0] for r in rows])
-    y = np.array([r[1] for r in rows])
-    zeta = np.array([r[2] for r in rows])
-    mu = np.array([r[3] for r in rows])
+    records = states.shape[0]
+    n, m = system.op.node_size, system.op.edge_size
+    u, y, zeta, mu = (np.empty((records, k)) for k in (n, n, m, m))
+    for k in range(records):
+        u[k], y[k], zeta[k], mu[k] = _signals_at(system, states[k])
     return u, y, zeta, mu
 
 
@@ -418,24 +418,62 @@ def detect_convergence(traj: Trajectory, window: Optional[float] = None,
         window = 0.1 * span
     if window >= span:
         raise DimensionMismatch("trajectory shorter than the window")
-    sig = np.hstack([traj.y, traj.mu]) if traj.mu.size else traj.y
-    mask = times >= times[-1] - window
-    if mask.sum() < 2:
+    # times increase, so the window is the records from start on
+    start = int(np.searchsorted(times, times[-1] - window))
+    if times.shape[0] - start < 2:
         raise DimensionMismatch("window contains fewer than two samples")
-    tail = sig[mask]
-    variation = float(np.max(tail.max(axis=0) - tail.min(axis=0))) if tail.size else 0.0
+    sigs = (traj.y, traj.mu) if traj.mu.size else (traj.y,)
+    hi = [s[start:].max(axis=0) for s in sigs]
+    lo = [s[start:].min(axis=0) for s in sigs]
+    variation = _spread(hi, lo)
     if not np.isfinite(variation) or variation > tol:
         return ConvergenceResult(converged=False, variation=variation)
-    y_ss = traj.y[mask].mean(axis=0)
-    mu_ss = traj.mu[mask].mean(axis=0) if traj.mu.size else traj.mu[0]
-    # earliest sample index from which the suffix variation stays within tol
-    suf_max = np.maximum.accumulate(sig[::-1], axis=0)[::-1]
-    suf_min = np.minimum.accumulate(sig[::-1], axis=0)[::-1]
-    suf_var = (suf_max - suf_min).max(axis=1) if sig.size else np.zeros(len(times))
-    ok = suf_var <= tol
-    first = int(np.argmax(ok)) if ok.any() else len(times) - 1
+    y_ss = traj.y[start:].mean(axis=0)
+    mu_ss = traj.mu[start:].mean(axis=0) if traj.mu.size else traj.mu[0]
+    # a NaN tol passes the test above, yet no record then settles within it
+    first = _settled_from(sigs, start, hi, lo, tol) if variation <= tol else len(times) - 1
     return ConvergenceResult(converged=True, y_ss=y_ss, mu_ss=mu_ss,
                              t_conv=float(times[first]), variation=variation)
+
+
+def _spread(hi, lo) -> float:
+    """Largest hi - lo over all signals' coordinates; NaN if any is NaN."""
+    return float(np.max([np.max(h - l) for h, l in zip(hi, lo)]))
+
+
+def _settled_from(sigs, start, hi, lo, tol) -> int:
+    """Earliest record k whose suffix k.. varies at most tol in every signal.
+
+    hi and lo are the running max and min of the records from start on,
+    which vary at most tol. The suffix variation only grows as k falls
+    (a NaN makes it NaN for good), so the scan goes back one block of
+    records at a time, carrying the running max and min, and bisects the
+    block where the variation first exceeds tol. Each step reduces
+    records column-wise into the carried max and min, which are exact,
+    so k is the same as from full suffix accumulations.
+    """
+    def extend(hi, lo, a, b):
+        """Running max and min of the records from a on, given those from b on."""
+        return ([np.maximum(h, s[a:b].max(axis=0)) for h, s in zip(hi, sigs)],
+                [np.minimum(l, s[a:b].min(axis=0)) for l, s in zip(lo, sigs)])
+
+    rows = _fastpath.block_rows(sum(s.shape[1] for s in sigs))
+    k = start
+    while k > 0:
+        b0 = max(0, k - rows)
+        bhi, blo = extend(hi, lo, b0, k)
+        if _spread(bhi, blo) <= tol:
+            hi, lo, k = bhi, blo, b0
+            continue
+        while k - b0 > 1:  # the suffix from b0 exceeds tol, the one from k does not
+            mid = (b0 + k) // 2
+            mhi, mlo = extend(hi, lo, mid, k)
+            if _spread(mhi, mlo) <= tol:
+                hi, lo, k = mhi, mlo, mid
+            else:
+                b0 = mid
+        return k
+    return 0
 
 
 @dataclass(frozen=True)
@@ -516,6 +554,9 @@ def export_csv(traj: Trajectory, path) -> None:
     are written in-process instead when there would be one worker, when
     `os.fork` or `os.sched_setaffinity` is missing, or when other Python
     threads are alive. The caller's CPU affinity is left as it was.
+    Every writer stacks its rows from the trajectory's arrays a block of
+    about `_fastpath.BLOCK_VALUES` values at a time, so no process holds
+    the whole table.
 
     Raises
     ------
@@ -526,28 +567,38 @@ def export_csv(traj: Trajectory, path) -> None:
     d = traj.system.io_dim
     n = traj.system.graph.node_count
     m = traj.system.graph.edge_count
-    header = ["t"]
-    header += [f"y[{i}.{c}]" for i in range(n) for c in range(d)]
-    header += [f"u[{i}.{c}]" for i in range(n) for c in range(d)]
-    header += [f"zeta[{e}.{c}]" for e in range(m) for c in range(d)]
-    header += [f"mu[{e}.{c}]" for e in range(m) for c in range(d)]
-    row_format = ",".join(["%.17g"] * len(header)) + "\r\n"
-    data = np.column_stack([traj.times, traj.y, traj.u, traj.zeta, traj.mu])
-    cpus = _writer_cpus(data.size)
+    # joined at once, so the column names do not stay alive as strings
+    header = ",".join(["t"] + [f"{name}[{k}.{c}]"
+                               for name, count in (("y", n), ("u", n), ("zeta", m), ("mu", m))
+                               for k in range(count) for c in range(d)]) + "\r\n"
+    width = 1 + 2 * (n + m) * d
+    row_format = ",".join(["%.17g"] * width) + "\r\n"
+    columns = (traj.times, traj.y, traj.u, traj.zeta, traj.mu)
+    records = traj.times.shape[0]
+    step = _fastpath.block_rows(width)
+
+    def rows(lo, hi):
+        # the table's rows lo..hi as lists of floats, stacked one block of
+        # step rows at a time; no row view outlives its block
+        for b in range(lo, hi, step):
+            yield from map(np.ndarray.tolist,
+                           np.column_stack([c[b:min(b + step, hi)] for c in columns]))
+
+    cpus = _writer_cpus(records * width)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(header)
         if len(cpus) < 2:
-            _write_rows(fh, row_format, data)
+            _write_rows(fh, row_format, rows(0, records))
         else:
             fh.flush()
-            _write_forked(fh.fileno(), row_format, data, cpus,
+            _write_forked(fh.fileno(), row_format, rows, records, cpus,
                           os.path.dirname(os.path.abspath(path)))
 
 
 def _write_rows(fh, row_format, rows) -> None:
-    # 17 significant digits parse back to the same double; converting row
-    # by row keeps one row of Python floats alive at a time
-    fh.writelines(row_format % tuple(row.tolist()) for row in rows)
+    # 17 significant digits parse back to the same double; rows come one
+    # list of Python floats at a time
+    fh.writelines(row_format % tuple(row) for row in rows)
 
 
 def _writer_cpus(values: int) -> list:
@@ -558,21 +609,22 @@ def _writer_cpus(values: int) -> list:
     return sorted(os.sched_getaffinity(0))[:values // EXPORT_VALUES_PER_WORKER]
 
 
-def _write_forked(out_fd: int, row_format: str, data: np.ndarray, cpus,
+def _write_forked(out_fd: int, row_format: str, rows, records: int, cpus,
                   tmp_dir: str) -> None:
-    """Append data's rows at out_fd, chunk k formatted by a worker on cpus[k].
+    """Append rows(0, records) at out_fd, chunk k formatted by a worker on cpus[k].
 
-    The chunks go to unnamed temporary files in tmp_dir, the output's
-    own directory, which is writable and on the output's file system.
+    rows(lo, hi) yields the table's rows lo..hi. The chunks go to
+    unnamed temporary files in tmp_dir, the output's own directory,
+    which is writable and on the output's file system.
     """
-    bounds = [len(data) * k // len(cpus) for k in range(len(cpus) + 1)]
+    bounds = [records * k // len(cpus) for k in range(len(cpus) + 1)]
     files, pids = [], []
     try:
         for cpu, lo, hi in zip(cpus, bounds, bounds[1:]):
             files.append(tempfile.TemporaryFile(dir=tmp_dir))
             pid = os.fork()
             if pid == 0:
-                _row_worker(files[-1].fileno(), cpu, row_format, data[lo:hi])
+                _row_worker(files[-1].fileno(), cpu, row_format, rows(lo, hi))
             pids.append(pid)
         for k, tmp in enumerate(files):
             _, status = os.waitpid(pids[k], 0)
@@ -590,7 +642,7 @@ def _write_forked(out_fd: int, row_format: str, data: np.ndarray, cpus,
             tmp.close()
 
 
-def _row_worker(fd: int, cpu: int, row_format: str, rows: np.ndarray) -> None:
+def _row_worker(fd: int, cpu: int, row_format: str, rows) -> None:
     """Body of a forked writer: never returns, exits 0 only on success."""
     status = 1
     try:

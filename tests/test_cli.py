@@ -356,27 +356,83 @@ def _reconfigured_doc():
     return doc
 
 
-# (document, (section, index, key) of the spec, its io_dim, the field its refusal names)
+def _integrator_doc():
+    return hand_doc(controllers=[{"type": "integrator",
+                                  "potential": {"kind": "quadratic", "P": [[1.0]]}}])
+
+
+def _feedthrough_doc():
+    doc = hand_doc()
+    doc["agents"][0]["T"] = [[0.0]]
+    return doc
+
+
+def _convex_gradient_doc():
+    grad = {"type": "convex_gradient", "psi": {"kind": "quadratic", "P": np.eye(2).tolist()},
+            "J": np.zeros((2, 2)).tolist(), "B": np.eye(2).tolist(), "C": np.eye(2).tolist()}
+    return hand_doc(agents=[grad, dict(grad)],
+                    controllers=[{"type": "linear_synthesis", "offset": [1.0, 0.0]}])
+
+
+# (document, path to the value, a finite value there, the field its refusal
+# names); the test puts a non-finite number in the value's first entry
 NONFINITE_FIELDS = {
-    "agent_w": (hand_doc, ("agents", 1, "w"), 1, "agents[1].w"),
-    "oscillator_anchor": (_oscillator_doc, ("agents", 0, "anchor"), 2, "agents[0].anchor"),
-    "leader_offset": (hand_doc, ("agents", 0, "leader_offset"), 1, "agents[0].leader_offset"),
-    "synthesis_offset": (hand_doc, ("controllers", 0, "offset"), 1, "controllers[0].offset"),
-    "reconfigured_alpha": (_reconfigured_doc, ("controllers", 0, "alpha"), 1,
+    "agent_w": (hand_doc, ("agents", 1, "w"), [0.0], "agents[1].w"),
+    "oscillator_anchor": (_oscillator_doc, ("agents", 0, "anchor"), [0.0, 0.0],
+                          "agents[0].anchor"),
+    "leader_offset": (hand_doc, ("agents", 0, "leader_offset"), [0.0],
+                      "agents[0].leader_offset"),
+    "synthesis_offset": (hand_doc, ("controllers", 0, "offset"), [0.0], "controllers[0].offset"),
+    "reconfigured_alpha": (_reconfigured_doc, ("controllers", 0, "alpha"), [0.0],
                            "controllers[0].alpha"),
+    "integrator_P": (_integrator_doc, ("controllers", 0, "potential", "P"), [[1.0]],
+                     "controllers[0].potential.P"),
+    "linear_B": (hand_doc, ("agents", 0, "B"), [[1.0]], "agents[0].B"),
+    "linear_C": (hand_doc, ("agents", 0, "C"), [[1.0]], "agents[0].C"),
+    "linear_T": (_feedthrough_doc, ("agents", 0, "T"), [[0.0]], "agents[0].T"),
+    "oscillator_B": (_oscillator_doc, ("agents", 0, "B"), np.eye(2).tolist(), "agents[0].B"),
+    "gradient_J": (_convex_gradient_doc, ("agents", 0, "J"), np.zeros((2, 2)).tolist(),
+                   "agents[0].J"),
+    "gradient_B": (_convex_gradient_doc, ("agents", 0, "B"), np.eye(2).tolist(), "agents[0].B"),
+    "gradient_C": (_convex_gradient_doc, ("agents", 0, "C"), np.eye(2).tolist(), "agents[0].C"),
+    "psi_P": (_convex_gradient_doc, ("agents", 0, "psi", "P"), np.eye(2).tolist(),
+              "agents[0].psi.P"),
 }
+
+
+def _put(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 @pytest.mark.parametrize("case", sorted(NONFINITE_FIELDS))
 def test_predict_refuses_nonfinite_model_values(tmp_path, capsys, case, value):
-    make_doc, (section, index, key), size, field = NONFINITE_FIELDS[case]
+    make_doc, path, finite, field = NONFINITE_FIELDS[case]
     doc = make_doc()
-    doc[section][index][key] = [value] + [0.0] * (size - 1)
+    bad = np.array(finite)
+    bad.flat[0] = value
+    _put(doc, path, bad.tolist())
     cfg = write_doc(tmp_path, doc)
     assert run_cli("predict", "--config", cfg, "--out", str(tmp_path)) == 1
     assert f"config error: {field}: values must be finite" in capsys.readouterr().err
     assert not (tmp_path / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("path, field", [
+    pytest.param(("controllers", 0, "offset"), "controllers[0].offset", id="vector"),
+    pytest.param(("agents", 0, "B"), "agents[0].B", id="matrix"),
+])
+def test_predict_names_missing_field(tmp_path, capsys, path, field):
+    doc = hand_doc()
+    spec = doc
+    for key in path[:-1]:
+        spec = spec[key]
+    del spec[path[-1]]
+    cfg = write_doc(tmp_path, doc)
+    assert run_cli("predict", "--config", cfg, "--out", str(tmp_path)) == 1
+    assert f"config error: {field}: missing" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,0 +1,237 @@
+"""Post-processing by record blocks: the same bits and bytes as whole-array
+passes, and no whole-trajectory temporaries."""
+import dataclasses
+import math
+import os
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import couplednet.simulate as sim
+from couplednet import _fastpath
+from couplednet.config import load_config
+from couplednet.couplers import linear_synthesis
+from couplednet.errors import DimensionMismatch
+from couplednet.netgraph import build_graph
+from couplednet.plants import linear_agent
+from couplednet.simulate import (IntegrateOptions, Trajectory, closed_loop,
+                                 default_initial_state, detect_convergence, export_csv,
+                                 integrate)
+
+import whole_array_oracle as oracle
+from conftest import bench_integrate
+
+FORMATION = Path(__file__).resolve().parents[1] / "configs" / "formation.json"
+BLOCK_BYTES = _fastpath.BLOCK_VALUES * 8
+
+
+@pytest.fixture(scope="module")
+def ring64():
+    return bench_integrate().build_system(64)
+
+
+@pytest.fixture(scope="module")
+def formation():
+    cfg = load_config(FORMATION)
+    return closed_loop(cfg.graph, cfg.agents, cfg.controllers)
+
+
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """The records per block each block_rows call hands out, in call order."""
+    sizes = []
+    real = _fastpath.block_rows
+
+    def spy(width):
+        sizes.append(real(width))
+        return sizes[-1]
+
+    monkeypatch.setattr(_fastpath, "block_rows", spy)
+    return sizes
+
+
+def edge_counts(block):
+    return [1, block - 1, block, block + 1, 3 * block + 2]
+
+
+@pytest.mark.parametrize("network", ["formation", "ring64"])
+def test_packed_signals_match_whole_array_formula(request, block_sizes, network):
+    packed = request.getfixturevalue(network).packed
+    rng = np.random.default_rng(8)
+    # spread wide enough that some controller states saturate paper_psi
+    states = rng.normal(size=(1, packed.dim)) * 10.0 ** rng.integers(-3, 3, (1, packed.dim))
+    _fastpath.packed_signals(packed, states)
+    block = block_sizes[-1]
+    assert block > 2
+    for records in edge_counts(block):
+        states = rng.normal(size=(records, packed.dim)) * 10.0 ** rng.integers(
+            -3, 3, (records, packed.dim))
+        got = _fastpath.packed_signals(packed, states)
+        want = oracle.packed_signals(packed, states)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b), records
+
+
+def test_unpacked_signals_are_the_per_record_signals(ring64):
+    traj = integrate(ring64, default_initial_state(ring64), 0.2,
+                     IntegrateOptions(record_every=0.005))
+    unpacked = dataclasses.replace(ring64, packed=None)
+    got = sim._signals_batch(unpacked, traj.states)
+    rows = [sim._signals_at(unpacked, s) for s in traj.states]
+    for k, a in enumerate(got):
+        assert np.array_equal(a, np.array([r[k] for r in rows]))
+
+
+def same_convergence(got, want):
+    assert got.converged == want.converged
+    assert got.t_conv == want.t_conv
+    assert np.array_equal(got.variation, want.variation, equal_nan=True)
+    for a, b in ((got.y_ss, want.y_ss), (got.mu_ss, want.mu_ss)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def settling_trajectory(system, records, ny, nmu, plateau, rng):
+    """Transients decaying at random rates, constant from record plateau on."""
+    times = np.linspace(0.0, 10.0, records)
+
+    def signal(width):
+        rates = rng.uniform(0.2, 5.0, width)
+        decay = np.exp(-np.outer(times, rates)) * rng.normal(size=width)
+        decay[plateau:] = decay[plateau]
+        return rng.normal(size=width) + decay
+
+    y, mu = signal(ny), signal(nmu)
+    return Trajectory(system=system, times=times, states=np.zeros((records, 1)),
+                      u=np.zeros((records, ny)), y=y, zeta=np.zeros((records, nmu)),
+                      mu=mu)
+
+
+@pytest.mark.parametrize("plateau", [0, 1, 148, 149, 299, 316, 570, 598])
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3, 0.5, math.inf, math.nan])
+def test_detect_convergence_matches_full_suffix_scan(ring64, plateau, tol):
+    rng = np.random.default_rng(plateau)
+    # 128 + 160 columns: 56 records per block, so the scan crosses blocks;
+    # the window starts at record 540, so 148 and 316 start on block edges
+    traj = settling_trajectory(ring64, 600, 128, 160, plateau, rng)
+    same_convergence(detect_convergence(traj, tol=tol),
+                     oracle.detect_convergence(traj, tol=tol))
+
+
+def test_detect_convergence_nan_before_window(ring64):
+    traj = settling_trajectory(ring64, 600, 128, 160, 100, np.random.default_rng(1))
+    traj.mu[200, 7] = math.nan
+    got = detect_convergence(traj, tol=1e-6)
+    assert got.converged and got.t_conv > traj.times[200]
+    same_convergence(got, oracle.detect_convergence(traj, tol=1e-6))
+
+
+@pytest.mark.parametrize("row", [-1, -30, -60])
+def test_detect_convergence_nan_in_window(ring64, row):
+    traj = settling_trajectory(ring64, 600, 128, 160, 100, np.random.default_rng(2))
+    traj.y[row, 3] = math.nan
+    got = detect_convergence(traj, tol=1e-6)
+    assert not got.converged and math.isnan(got.variation)
+    same_convergence(got, oracle.detect_convergence(traj, tol=1e-6))
+
+
+def test_detect_convergence_two_sample_window(ring64):
+    traj = settling_trajectory(ring64, 101, 128, 160, 40, np.random.default_rng(3))
+    window = traj.times[-1] - traj.times[-2]
+    for tol in (1e-6, 1e-12):
+        same_convergence(detect_convergence(traj, window=window, tol=tol),
+                         oracle.detect_convergence(traj, window=window, tol=tol))
+    with pytest.raises(DimensionMismatch, match="fewer than two"):
+        detect_convergence(traj, window=0.5 * window)
+
+
+@pytest.mark.parametrize("tol", [1.0, 2.0])
+def test_detect_convergence_tol_met_exactly(ring64, tol):
+    # a staircase 3, 2, 1, 0 whose suffix variations are whole numbers, tol among them
+    traj = settling_trajectory(ring64, 600, 128, 160, 0, np.random.default_rng(6))
+    traj.y[:, 5] = np.clip(3 - np.arange(600) // 97, 0, None).astype(float)
+    got = detect_convergence(traj, tol=tol)
+    assert got.converged and 0.0 < got.t_conv < traj.times[-1]
+    same_convergence(got, oracle.detect_convergence(traj, tol=tol))
+
+
+def test_detect_convergence_integrated_runs(ring64):
+    runs = [integrate(ring64, default_initial_state(ring64), 2.0,
+                      IntegrateOptions(record_every=0.005))]
+    g = build_graph(2, [(0, 1)])
+    agents = [linear_agent([[-1.0]], [[1.0]], [[1.0]]),
+              linear_agent([[-2.0]], [[1.0]], [[1.0]], w=[6.0])]
+    pair = closed_loop(g, agents, linear_synthesis([1.0]))
+    runs.append(integrate(pair, default_initial_state(pair), 40.0, IntegrateOptions()))
+    solo = closed_loop(build_graph(1, []), agents[:1], [])
+    runs.append(integrate(solo, [1.0], 20.0, IntegrateOptions()))
+    for traj in runs:
+        for tol in (1e-6, 1e-3, 10.0):
+            same_convergence(detect_convergence(traj, tol=tol),
+                             oracle.detect_convergence(traj, tol=tol))
+
+
+def wide_trajectory(system, records, rng):
+    """Trajectory of system's width with mixed magnitudes and special values."""
+    n, m = system.op.node_size, system.op.edge_size
+    width = 2 * (n + m)
+    fill = rng.normal(size=(records, width)) * 10.0 ** rng.integers(-300, 300, (records, width))
+    fill[::7, :6] = [0.0, -0.0, math.inf, -math.nan, 5e-324, 1 / 3]
+    return Trajectory(system=system, times=np.linspace(0.0, 1.0, records),
+                      states=np.zeros((records, 1)), u=fill[:, n:2 * n], y=fill[:, :n],
+                      zeta=fill[:, 2 * n:2 * n + m], mu=fill[:, 2 * n + m:])
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
+def test_export_csv_matches_one_shot_writer(ring64, tmp_path, monkeypatch, block_sizes,
+                                            forked):
+    if forked and (not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2):
+        pytest.skip("forked row writers need os.sched_setaffinity and 2 CPUs")
+    rng = np.random.default_rng(4)
+    export_csv(wide_trajectory(ring64, 1, rng), tmp_path / "probe.csv")
+    block = block_sizes[-1]
+    assert block > 2
+    # any table forks when forked, none when not
+    monkeypatch.setattr(sim, "EXPORT_VALUES_PER_WORKER", 1 if forked else 10 ** 15)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    # two writers split the rows in halves, so their chunks sit on block edges too
+    counts = edge_counts(block) + ([2 * block - 2, 2 * block, 2 * block + 2] if forked else [])
+    for records in counts:
+        traj = wide_trajectory(ring64, records, rng)
+        export_csv(traj, tmp_path / "blocks.csv")
+        oracle.export_csv(traj, tmp_path / "one_shot.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one_shot.csv").read_bytes()
+    assert len(forks) == (2 * len(counts) if forked else 0)
+
+
+def traced_peak(fn):
+    """(fn(), bytes its traced peak rose above the traced memory before it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_post_processing_holds_no_whole_trajectory_temporary(ring64, tmp_path, monkeypatch):
+    init = default_initial_state(ring64)
+    opts = IntegrateOptions(record_every=0.005)
+    integrate(ring64, init, 1.0, opts)
+    traj, peak = traced_peak(lambda: integrate(ring64, init, 1.0, opts))
+    arrays = sum(a.nbytes for a in (traj.times, traj.states, traj.u, traj.y, traj.zeta, traj.mu))
+    assert arrays > 1.5e6  # whole-trajectory temporaries would show
+    assert peak - arrays <= 1 << 20
+    # tol = inf settles every record, so the scan crosses every block
+    conv, peak = traced_peak(lambda: detect_convergence(traj, tol=math.inf))
+    assert conv.converged and conv.t_conv == traj.times[0]
+    assert peak <= BLOCK_BYTES + (64 << 10)
+    monkeypatch.setattr(sim, "EXPORT_VALUES_PER_WORKER", 10 ** 15)  # in-process writer
+    _, peak = traced_peak(lambda: export_csv(traj, tmp_path / "traj.csv"))
+    assert peak <= BLOCK_BYTES + (128 << 10)

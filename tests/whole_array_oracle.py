@@ -1,0 +1,74 @@
+"""Whole-trajectory post-processing, for tests only.
+
+These are the signal recovery, convergence detection and CSV writer that
+work on all records at once: one bincount over every (record, coordinate)
+bin, one hstack of y and mu with full suffix max/min accumulations, and
+one column_stack of the whole table. couplednet does the same work a
+block of records at a time; the tests require the same bits and bytes.
+"""
+import numpy as np
+
+from couplednet.couplers import paper_psi
+from couplednet.errors import DimensionMismatch
+from couplednet.simulate import ConvergenceResult
+
+
+def packed_signals(packed, states):
+    """(u, y, zeta, mu) of the recorded packed states, all records in one pass."""
+    op = packed.op
+    records = states.shape[0]
+    n, size = op.node_size, op.node_size + op.edge_size
+    v = np.hstack([states, paper_psi(states[:, packed.psi_idx]), np.ones((records, 1))])
+    rec = np.arange(records)[:, None]
+    sig = np.bincount((rec * size + packed.sig_row).ravel(),
+                      (v[:, packed.sig_col] * packed.sig_w).ravel(),
+                      records * size).reshape(records, size)
+    y, mu = sig[:, :n], sig[:, n:]
+    flat_mu = mu.ravel()
+    E_mu = (np.bincount((rec * n + op.head).ravel(), flat_mu, records * n)
+            - np.bincount((rec * n + op.tail).ravel(), flat_mu, records * n))
+    return -E_mu.reshape(records, n), y, y[:, op.head] - y[:, op.tail], mu
+
+
+def detect_convergence(traj, window=None, tol=1e-6):
+    """simulate.detect_convergence from the stacked signals and full suffix scans."""
+    times = traj.times
+    span = times[-1] - times[0]
+    if window is None:
+        window = 0.1 * span
+    if window >= span:
+        raise DimensionMismatch("trajectory shorter than the window")
+    sig = np.hstack([traj.y, traj.mu]) if traj.mu.size else traj.y
+    mask = times >= times[-1] - window
+    if mask.sum() < 2:
+        raise DimensionMismatch("window contains fewer than two samples")
+    tail = sig[mask]
+    variation = float(np.max(tail.max(axis=0) - tail.min(axis=0))) if tail.size else 0.0
+    if not np.isfinite(variation) or variation > tol:
+        return ConvergenceResult(converged=False, variation=variation)
+    y_ss = traj.y[mask].mean(axis=0)
+    mu_ss = traj.mu[mask].mean(axis=0) if traj.mu.size else traj.mu[0]
+    suf_max = np.maximum.accumulate(sig[::-1], axis=0)[::-1]
+    suf_min = np.minimum.accumulate(sig[::-1], axis=0)[::-1]
+    suf_var = (suf_max - suf_min).max(axis=1) if sig.size else np.zeros(len(times))
+    ok = suf_var <= tol
+    first = int(np.argmax(ok)) if ok.any() else len(times) - 1
+    return ConvergenceResult(converged=True, y_ss=y_ss, mu_ss=mu_ss,
+                             t_conv=float(times[first]), variation=variation)
+
+
+def export_csv(traj, path):
+    """simulate.export_csv's bytes from one in-process writer over the whole table."""
+    d = traj.system.io_dim
+    n = traj.system.graph.node_count
+    m = traj.system.graph.edge_count
+    header = ["t"]
+    header += [f"y[{i}.{c}]" for i in range(n) for c in range(d)]
+    header += [f"u[{i}.{c}]" for i in range(n) for c in range(d)]
+    header += [f"zeta[{e}.{c}]" for e in range(m) for c in range(d)]
+    header += [f"mu[{e}.{c}]" for e in range(m) for c in range(d)]
+    row_format = ",".join(["%.17g"] * len(header)) + "\r\n"
+    data = np.column_stack([traj.times, traj.y, traj.u, traj.zeta, traj.mu])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row_format % tuple(row.tolist()) for row in data)
