@@ -1,13 +1,15 @@
 """Wall time of writing trajectory.csv on a ring with chords.
 
 Integrates bench_integrate's ring-with-chords network over HORIZON s,
-recorded every RECORD_EVERY s (perfbench's ring256 grid), and times
-`export_csv` REPEAT times twice: once with the process's full CPU
-affinity (one forked row writer per CPU) and once restricted to one
-CPU (the in-process writer). It checks that the two files are
-byte-identical and reports the best and median of each, the speedup of
-the medians, and the peak resident memory (ru_maxrss) of this process
-and of its largest reaped writer. BLAS runs on one thread.
+recorded every RECORD_EVERY s (perfbench's ring256 grid), as --segments
+consecutive `integrate_schedule` segments of equal length (one by
+default), and times `export_csv` of the segment trajectories REPEAT
+times twice: once with the process's full CPU affinity (one forked row
+writer per CPU) and once restricted to one CPU (the in-process writer).
+It checks that the two files are byte-identical and reports the best and
+median of each, the speedup of the medians, and the peak resident memory
+(ru_maxrss) of this process and of its largest reaped writer. BLAS runs
+on one thread.
 
 It then reports, per network, how far each post-processing stage
 raises tracemalloc's traced peak above what was traced before it:
@@ -18,6 +20,7 @@ trajectory they read.
 
 Usage:
     PYTHONPATH=src python3 benchmarks/bench_export.py [--nodes 64 256] [--repeat 5]
+        [--segments 1]
 """
 
 import os
@@ -35,7 +38,8 @@ import time  # noqa: E402
 import tracemalloc  # noqa: E402
 
 from couplednet.simulate import (IntegrateOptions, default_initial_state,  # noqa: E402
-                                 detect_convergence, export_csv, integrate)
+                                 detect_convergence, export_csv, integrate,
+                                 integrate_schedule)
 
 import bench_integrate  # noqa: E402
 
@@ -45,7 +49,7 @@ RECORD_EVERY = 0.005
 
 
 def timed(traj, path, repeat):
-    """Wall times in s of repeat export_csv(traj, path) calls."""
+    """Wall times in s of repeat export_csv(traj, path) calls; traj may be segments."""
     walls = []
     for _ in range(repeat):
         t0 = time.perf_counter()
@@ -54,18 +58,21 @@ def timed(traj, path, repeat):
     return walls
 
 
-def run(nodes: int, repeat: int, workdir: str) -> dict:
-    """Export timings on build_system(nodes) with all CPUs and with one."""
+def run(nodes: int, repeat: int, workdir: str, segments: int) -> dict:
+    """Export timings on build_system(nodes) in segments, with all CPUs and with one."""
     system = bench_integrate.build_system(nodes)
-    traj = integrate(system, default_initial_state(system), HORIZON,
-                     IntegrateOptions(record_every=RECORD_EVERY))
+    trajs = integrate_schedule([(system, HORIZON / segments)] * segments,
+                               default_initial_state(system),
+                               IntegrateOptions(record_every=RECORD_EVERY))
     full, single = (os.path.join(workdir, f"{nodes}_{k}.csv") for k in ("full", "one"))
     cpus = os.sched_getaffinity(0)
-    out = {"values": traj.y.shape[0] * (1 + 2 * traj.y.shape[1] + 2 * traj.mu.shape[1]),
-           "cpus": len(cpus), "full": timed(traj, full, repeat)}
+    # a later segment's first record repeats the boundary and is not written
+    rows = sum(t.times.shape[0] for t in trajs) - segments + 1
+    width = 1 + 2 * trajs[0].y.shape[1] + 2 * trajs[0].mu.shape[1]
+    out = {"values": rows * width, "cpus": len(cpus), "full": timed(trajs, full, repeat)}
     os.sched_setaffinity(0, {min(cpus)})
     try:
-        out["one"] = timed(traj, single, repeat)
+        out["one"] = timed(trajs, single, repeat)
     finally:
         os.sched_setaffinity(0, cpus)
     if not filecmp.cmp(full, single, shallow=False):
@@ -110,12 +117,16 @@ def main(argv=None):
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--nodes", type=int, nargs="+", default=[64, 256])
     ap.add_argument("--repeat", type=int, default=REPEAT)
+    ap.add_argument("--segments", type=int, default=1,
+                    help="integrate_schedule segments the horizon is split into")
     args = ap.parse_args(argv)
+    if args.segments < 1:
+        ap.error("--segments must be at least 1")
     print(f"{'nodes':>6} {'values':>9} {'cpus':>5} {'all best':>10} {'all median':>11}"
           f" {'one best':>10} {'one median':>11} {'speedup':>8}")
     with tempfile.TemporaryDirectory() as workdir:
         for nodes in args.nodes:
-            r = run(nodes, args.repeat, workdir)
+            r = run(nodes, args.repeat, workdir, args.segments)
             med_full, med_one = statistics.median(r["full"]), statistics.median(r["one"])
             print(f"{nodes:>6} {r['values']:>9,} {r['cpus']:>5}"
                   f" {min(r['full']) * 1e3:>7.1f} ms {med_full * 1e3:>8.1f} ms"

@@ -41,14 +41,12 @@ from .plants import AgentKind, is_meicmp_linear, is_meicmp_oscillator, ss_relati
 from .relations import Sampler, check_cm
 from .simulate import (
     IntegrateOptions,
-    Trajectory,
     closed_loop,
-    compare_prediction,
     default_initial_state,
     detect_convergence,
     export_csv,
-    integrate,
     integrate_schedule,
+    prediction_report,
 )
 from .synthesis import (
     apply_leader,
@@ -65,6 +63,7 @@ EXIT_MATH = 2
 EXIT_NUMERIC = 3
 
 _CERT_TOL = 1e-6  # residual bound a predicted steady state must meet
+_PREDICTION_TOL = 1e-3  # aligned gap a settled simulation may leave to its certificate
 
 _MATH_ERRORS = (Infeasible, NotForcible, EmptyInverse, EmptySelection,
                 RelationNotEvaluable, Unbounded, OutsideDomain)
@@ -262,58 +261,45 @@ def cmd_simulate(config_path, out, seed):
         opts, conv_tol, horizon, init = _integrate_options(cfg)
         solve_opts = _solve_options(cfg)  # refused here, before any planning
         outdir = _outdir(out)
-        summary = []
         if cfg.objective is not None:
             plan = _plan_segments(cfg)
-            if init is None:
-                init = default_initial_state(plan[0][0])
-            traj = integrate_schedule(
-                [(sysk, T) for sysk, T, _, _ in plan], init, opts)
-            t_lo = 0.0
-            for k, (sysk, T, cert, y_star) in enumerate(plan):
-                t_hi = t_lo + T
-                mask = (traj.times >= t_lo) & (traj.times <= t_hi)
-                sub = _slice_traj(traj, mask, sysk)
-                conv = detect_convergence(sub, tol=conv_tol)
+        else:
+            # one segment with no target; its certificate waits for convergence
+            plan = [(closed_loop(cfg.graph, cfg.agents, cfg.controllers), horizon,
+                     None, None)]
+        if init is None:
+            init = default_initial_state(plan[0][0])
+        trajs = integrate_schedule([(system, T) for system, T, _, _ in plan], init, opts)
+        summary = []
+        for k, ((system, _, cert, y_star), traj) in enumerate(zip(plan, trajs)):
+            conv = detect_convergence(traj, tol=conv_tol)
+            if y_star is not None:
                 line = f"segment {k}: converged = {conv.converged}"
                 if conv.converged:
                     err = float(np.max(np.abs(conv.y_ss - y_star)))
-                    rep = compare_prediction(sub, cert, tol=1e-3)
+                    rep = prediction_report(system, conv, cert, _PREDICTION_TOL)
                     line += (f", y_ss = {_fmt_vec(conv.y_ss)}"
                              f", target_err_inf = {err:.3e}"
                              f", prediction_pass = {rep.passed}")
                 summary.append(line)
-                t_lo = t_hi
-        else:
-            system = closed_loop(cfg.graph, cfg.agents, cfg.controllers)
-            if init is None:
-                init = default_initial_state(system)
-            traj = integrate(system, init, horizon, opts)
-            conv = detect_convergence(traj, tol=conv_tol)
-            summary.append(f"converged = {conv.converged}")
-            if conv.converged:
-                summary.append(f"y_ss = {_fmt_vec(conv.y_ss)}")
-                problem = assemble(cfg.graph, cfg.agents, cfg.controllers)
-                y, zeta, _ = solve_opp(problem, opts=solve_opts)
-                cert = recover_certificate(problem, y, zeta)
-                rep = compare_prediction(traj, cert, tol=1e-3)
-                summary.append(f"y_error_aligned = {rep.y_error_aligned:.6e}")
-                summary.append(f"mu_error_aligned = {rep.mu_error_aligned:.6e}")
-                summary.append(f"prediction_pass = {rep.passed}")
-        export_csv(traj, os.path.join(outdir, "trajectory.csv"))
+            else:
+                summary.append(f"converged = {conv.converged}")
+                if conv.converged:
+                    summary.append(f"y_ss = {_fmt_vec(conv.y_ss)}")
+                    problem = assemble(cfg.graph, cfg.agents, cfg.controllers)
+                    y, zeta, _ = solve_opp(problem, opts=solve_opts)
+                    cert = recover_certificate(problem, y, zeta)
+                    rep = prediction_report(system, conv, cert, _PREDICTION_TOL)
+                    summary.append(f"y_error_aligned = {rep.y_error_aligned:.6e}")
+                    summary.append(f"mu_error_aligned = {rep.mu_error_aligned:.6e}")
+                    summary.append(f"prediction_pass = {rep.passed}")
+        export_csv(trajs, os.path.join(outdir, "trajectory.csv"))
         text = "\n".join(summary)
         with open(os.path.join(outdir, "summary.txt"), "w") as fh:
             fh.write(text + "\n")
         click.echo(text)
 
     return _guard(run)
-
-
-def _slice_traj(traj, mask, system):
-    return Trajectory(system=system, times=traj.times[mask],
-                      states=traj.states[mask], u=traj.u[mask],
-                      y=traj.y[mask], zeta=traj.zeta[mask],
-                      mu=traj.mu[mask], metadata=traj.metadata)
 
 
 @cli.command("synthesize")

@@ -350,12 +350,16 @@ def integrate(system: ClosedLoopSystem, init, T: float,
 
 
 def integrate_schedule(segments, init,
-                       opts: Optional[IntegrateOptions] = None) -> Trajectory:
-    """Run consecutive (system, duration) segments, carrying all states.
+                       opts: Optional[IntegrateOptions] = None) -> tuple:
+    """Run consecutive (system, duration) segments, one Trajectory each.
 
-    Systems may differ (e.g. per-segment reconfiguration offsets or
-    leader inputs) but must share state layout so agent and controller
-    states transfer across the boundaries.
+    Segment k is `integrate(system_k, state, duration_k, opts, t0=t_k)`,
+    where t_k is the sum of the earlier durations and state is the
+    previous segment's last state (init for the first). So a later
+    segment's first record repeats the previous one's last state, with
+    its own system's signals. Systems may differ (e.g. per-segment
+    reconfiguration offsets or leader inputs) but must share state
+    layout so agent and controller states transfer across the boundaries.
     """
     segments = list(segments)
     if not segments:
@@ -364,30 +368,13 @@ def integrate_schedule(segments, init,
     if any(sys_k.state_dim != dim0 for sys_k, _ in segments):
         raise DimensionMismatch("segments must share the state layout")
     t0 = 0.0
-    state = np.asarray(init, dtype=float).ravel()
-    pieces = []
-    bounds = []
-    for k, (sys_k, T_k) in enumerate(segments):
-        traj = integrate(sys_k, state, T_k, opts, t0=t0)
-        bounds.append((t0, t0 + T_k))
-        state = traj.states[-1]
+    state = init
+    trajs = []
+    for sys_k, T_k in segments:
+        trajs.append(integrate(sys_k, state, T_k, opts, t0=t0))
+        state = trajs[-1].states[-1]
         t0 += T_k
-        pieces.append(traj)
-    last_sys = segments[-1][0]
-    times = np.concatenate(
-        [p.times if k == 0 else p.times[1:] for k, p in enumerate(pieces)])
-    cat = lambda name: np.concatenate(
-        [getattr(p, name) if k == 0 else getattr(p, name)[1:]
-         for k, p in enumerate(pieces)])
-    meta = dict(pieces[0].metadata)
-    meta["fast_path"] = all(p.metadata["fast_path"] for p in pieces)
-    for key in ("nfev", "accepted", "rejected"):
-        meta[key] = sum(p.metadata[key] for p in pieces)
-    meta["h_min"] = min(p.metadata["h_min"] for p in pieces)
-    meta["segments"] = bounds
-    return Trajectory(system=last_sys, times=times, states=cat("states"),
-                      u=cat("u"), y=cat("y"), zeta=cat("zeta"), mu=cat("mu"),
-                      metadata=meta)
+    return tuple(trajs)
 
 
 @dataclass(frozen=True)
@@ -411,7 +398,14 @@ def detect_convergence(traj: Trajectory, window: Optional[float] = None,
     The window defaults to 10% of the horizon. On success y_ss and
     mu_ss are the window means and t_conv is the earliest recorded time
     after which the signal variation stays within tol.
+
+    Raises
+    ------
+    DimensionMismatch
+        tol is NaN or negative, or the window does not fit the trajectory.
     """
+    if not tol >= 0.0:
+        raise DimensionMismatch(f"tol: must be non-negative, got {tol}")
     times = traj.times
     span = times[-1] - times[0]
     if window is None:
@@ -430,8 +424,7 @@ def detect_convergence(traj: Trajectory, window: Optional[float] = None,
         return ConvergenceResult(converged=False, variation=variation)
     y_ss = traj.y[start:].mean(axis=0)
     mu_ss = traj.mu[start:].mean(axis=0) if traj.mu.size else traj.mu[0]
-    # a NaN tol passes the test above, yet no record then settles within it
-    first = _settled_from(sigs, start, hi, lo, tol) if variation <= tol else len(times) - 1
+    first = _settled_from(sigs, start, hi, lo, tol)
     return ConvergenceResult(converged=True, y_ss=y_ss, mu_ss=mu_ss,
                              t_conv=float(times[first]), variation=variation)
 
@@ -496,7 +489,14 @@ class PredictionReport:
 def compare_prediction(traj: Trajectory, certificate, tol: float = 1e-3,
                        window: Optional[float] = None,
                        conv_tol: float = 1e-6) -> PredictionReport:
-    """Compare the settled (y, mu) against a steady-state certificate.
+    """prediction_report of traj's detect_convergence at window and conv_tol."""
+    conv = detect_convergence(traj, window=window, tol=conv_tol)
+    return prediction_report(traj.system, conv, certificate, tol)
+
+
+def prediction_report(system: ClosedLoopSystem, conv: ConvergenceResult,
+                      certificate, tol: float) -> PredictionReport:
+    """Compare the settled (y, mu) of conv against a steady-state certificate.
 
     Raw gaps are reported alongside aligned gaps that discard the free
     optimization directions: the agreement component for y and the
@@ -506,22 +506,20 @@ def compare_prediction(traj: Trajectory, certificate, tol: float = 1e-3,
     Raises
     ------
     NoConvergence
-        The trajectory has not settled per detect_convergence.
+        conv is not converged.
     """
-    conv = detect_convergence(traj, window=window, tol=conv_tol)
     if not conv:
         raise NoConvergence(
-            f"trajectory variation {conv.variation:.3e} exceeds {conv_tol:g}")
-    sysd = traj.system
+            f"trajectory variation {conv.variation:.3e} exceeds the convergence tolerance")
     y_cert = np.asarray(certificate.y, dtype=float).ravel()
     mu_cert = np.asarray(certificate.mu, dtype=float).ravel()
     dy = conv.y_ss - y_cert
     dmu = conv.mu_ss - mu_cert
     y_err = float(np.linalg.norm(dy))
     mu_err = float(np.linalg.norm(dmu))
-    A = sysd.op.agreement_basis()
+    A = system.op.agreement_basis()
     dy_al = dy - A @ (A.T @ dy)
-    cyc = sysd.op.cycle_basis()
+    cyc = system.op.cycle_basis()
     dmu_al = dmu - cyc @ (cyc.T @ dmu) if cyc.size else dmu
     y_al = float(np.linalg.norm(dy_al))
     mu_al = float(np.linalg.norm(dmu_al))
@@ -539,10 +537,13 @@ def compare_prediction(traj: Trajectory, certificate, tol: float = 1e-3,
 EXPORT_VALUES_PER_WORKER = 20_000
 
 
-def export_csv(traj: Trajectory, path) -> None:
+def export_csv(traj, path) -> None:
     """Write `t, y[node.coord]..., u[...], zeta[edge.coord]..., mu[...]`.
 
-    One header line, then one line per record; values have 17
+    traj is one Trajectory or the sequence of segment trajectories
+    integrate_schedule returns. One header line, then one line per
+    record: segment 0's records, then each later segment's from its
+    second on, as its first repeats the boundary. Values have 17
     significant digits (`%.17g`), so each parses back to the recorded
     double. Lines end in CRLF.
 
@@ -554,9 +555,9 @@ def export_csv(traj: Trajectory, path) -> None:
     are written in-process instead when there would be one worker, when
     `os.fork` or `os.sched_setaffinity` is missing, or when other Python
     threads are alive. The caller's CPU affinity is left as it was.
-    Every writer stacks its rows from the trajectory's arrays a block of
-    about `_fastpath.BLOCK_VALUES` values at a time, so no process holds
-    the whole table.
+    Every writer stacks its rows from the trajectories' arrays a block
+    of about `_fastpath.BLOCK_VALUES` values at a time, so no process
+    holds the whole table.
 
     Raises
     ------
@@ -564,25 +565,32 @@ def export_csv(traj: Trajectory, path) -> None:
         A worker failed, or could not be started. No worker or temporary
         file outlives the call, whether it succeeds or fails.
     """
-    d = traj.system.io_dim
-    n = traj.system.graph.node_count
-    m = traj.system.graph.edge_count
+    segs = (traj,) if isinstance(traj, Trajectory) else tuple(traj)
+    system = segs[0].system
+    d, n, m = system.io_dim, system.graph.node_count, system.graph.edge_count
     # joined at once, so the column names do not stay alive as strings
     header = ",".join(["t"] + [f"{name}[{k}.{c}]"
                                for name, count in (("y", n), ("u", n), ("zeta", m), ("mu", m))
                                for k in range(count) for c in range(d)]) + "\r\n"
     width = 1 + 2 * (n + m) * d
     row_format = ",".join(["%.17g"] * width) + "\r\n"
-    columns = (traj.times, traj.y, traj.u, traj.zeta, traj.mu)
-    records = traj.times.shape[0]
+    records = 1 + sum(seg.times.shape[0] - 1 for seg in segs)
     step = _fastpath.block_rows(width)
 
     def rows(lo, hi):
         # the table's rows lo..hi as lists of floats, stacked one block of
-        # step rows at a time; no row view outlives its block
-        for b in range(lo, hi, step):
-            yield from map(np.ndarray.tolist,
-                           np.column_stack([c[b:min(b + step, hi)] for c in columns]))
+        # at most step rows of one segment at a time; no row view outlives
+        # its block
+        end = 0
+        for k, seg in enumerate(segs):
+            first = int(k > 0)  # a later segment's first record is the boundary's
+            base, end = end, end + seg.times.shape[0] - first
+            columns = (seg.times, seg.y, seg.u, seg.zeta, seg.mu)
+            shift = first - base  # table row + shift = the segment's record
+            for b in range(max(lo, base), min(hi, end), step):
+                e = min(b + step, hi, end)
+                yield from map(np.ndarray.tolist,
+                               np.column_stack([c[b + shift:e + shift] for c in columns]))
 
     cpus = _writer_cpus(records * width)
     with open(path, "w", newline="") as fh:

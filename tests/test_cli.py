@@ -136,6 +136,43 @@ def test_simulate_objective_schedule(tmp_path, capsys):
     assert out.count("prediction_pass = True") == 2
 
 
+def counting_convergence(monkeypatch):
+    """Calls of detect_convergence from the CLI and from within simulate."""
+    import couplednet.simulate as sim
+
+    calls = []
+    real = sim.detect_convergence
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for mod in (cli, sim):
+        monkeypatch.setattr(mod, "detect_convergence", counted)
+    return calls
+
+
+@pytest.mark.parametrize("objective", [True, False], ids=["schedule", "horizon"])
+def test_simulate_settles_at_the_config_conv_tol(tmp_path, monkeypatch, objective):
+    # these runs settle within 1e-3 but not within 1e-6 of their window
+    doc = json.loads(FORMATION.read_text())
+    doc["simulation"]["conv_tol"] = 1e-3
+    if objective:
+        doc["objective"]["durations"] = [12.0] * 5
+    else:
+        del doc["objective"]
+        doc["simulation"]["horizon"] = 10.0
+    calls = counting_convergence(monkeypatch)
+    assert run_cli("simulate", "--config", write_doc(tmp_path, doc),
+                   "--out", str(tmp_path)) == 0
+    summary = (tmp_path / "summary.txt").read_text()
+    segments = 5 if objective else 1
+    assert summary.count("converged = True") == segments
+    assert "converged = False" not in summary
+    assert (tmp_path / "trajectory.csv").exists()
+    assert len(calls) == segments
+
+
 def test_synthesize_forcible_absolute(tmp_path, capsys):
     cfg = write_doc(tmp_path, hand_doc())
     code = run_cli("synthesize", "--config", cfg, "--out", str(tmp_path),

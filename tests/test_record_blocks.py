@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import couplednet.simulate as sim
-from couplednet import _fastpath
+from couplednet import _fastpath, cli
 from couplednet.config import load_config
 from couplednet.couplers import linear_synthesis
 from couplednet.errors import DimensionMismatch
@@ -18,7 +18,7 @@ from couplednet.netgraph import build_graph
 from couplednet.plants import linear_agent
 from couplednet.simulate import (IntegrateOptions, Trajectory, closed_loop,
                                  default_initial_state, detect_convergence, export_csv,
-                                 integrate)
+                                 integrate, integrate_schedule)
 
 import whole_array_oracle as oracle
 from conftest import bench_integrate
@@ -117,8 +117,22 @@ def test_detect_convergence_matches_full_suffix_scan(ring64, plateau, tol):
     # 128 + 160 columns: 56 records per block, so the scan crosses blocks;
     # the window starts at record 540, so 148 and 316 start on block edges
     traj = settling_trajectory(ring64, 600, 128, 160, plateau, rng)
-    same_convergence(detect_convergence(traj, tol=tol),
-                     oracle.detect_convergence(traj, tol=tol))
+    if math.isnan(tol):
+        # both refuse a NaN tol, which no variation would exceed
+        for detect in (detect_convergence, oracle.detect_convergence):
+            with pytest.raises(DimensionMismatch, match="tol: must be non-negative"):
+                detect(traj, tol=tol)
+    else:
+        same_convergence(detect_convergence(traj, tol=tol),
+                         oracle.detect_convergence(traj, tol=tol))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-6, -math.inf])
+def test_detect_convergence_refuses_nan_or_negative_tol(ring64, tol):
+    # a NaN tol would pass every comparison against it as not exceeded
+    traj = settling_trajectory(ring64, 600, 128, 160, 0, np.random.default_rng(0))
+    with pytest.raises(DimensionMismatch, match="tol: must be non-negative"):
+        detect_convergence(traj, tol=tol)
 
 
 def test_detect_convergence_nan_before_window(ring64):
@@ -209,6 +223,41 @@ def test_export_csv_matches_one_shot_writer(ring64, tmp_path, monkeypatch, block
     assert len(forks) == (2 * len(counts) if forked else 0)
 
 
+def segment_trajectories(system, counts, rng):
+    """wide_trajectory segments of counts[k] records, each its own values."""
+    return tuple(wide_trajectory(system, records, rng) for records in counts)
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
+def test_export_csv_of_segments_matches_one_shot_writer_of_concatenation(
+        ring64, tmp_path, monkeypatch, block_sizes, forked):
+    if forked and (not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2):
+        pytest.skip("forked row writers need os.sched_setaffinity and 2 CPUs")
+    rng = np.random.default_rng(7)
+    export_csv(wide_trajectory(ring64, 1, rng), tmp_path / "probe.csv")
+    block = block_sizes[-1]
+    assert block > 2
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    # records per segment; a later segment adds one row fewer. The table's
+    # rows block.. cross the boundary at block + 3, or meet one at block;
+    # two writers split the rows inside a segment, at a boundary, one row
+    # into a segment, or at a segment of one row
+    layouts = [[block + 1], [block + 3, 2 * block], [block, block + 1, 2, 3 * block],
+               [block + 5, block + 6], [block + 5, block + 8], [block, 2, block + 1]]
+    width = 1 + 2 * (ring64.op.node_size + ring64.op.edge_size)
+    for counts in layouts:
+        segs = segment_trajectories(ring64, counts, rng)
+        values = (sum(counts) - len(counts) + 1) * width
+        # exactly two writers when forked, none when not
+        monkeypatch.setattr(sim, "EXPORT_VALUES_PER_WORKER", values // 2 if forked else 10 ** 15)
+        export_csv(segs, tmp_path / "segments.csv")
+        oracle.export_csv(oracle.concatenate(segs), tmp_path / "one_shot.csv")
+        assert (tmp_path / "segments.csv").read_bytes() == (tmp_path / "one_shot.csv").read_bytes()
+    assert len(forks) == (2 * len(layouts) if forked else 0)
+
+
 def traced_peak(fn):
     """(fn(), bytes its traced peak rose above the traced memory before it)."""
     tracemalloc.start()
@@ -235,3 +284,39 @@ def test_post_processing_holds_no_whole_trajectory_temporary(ring64, tmp_path, m
     monkeypatch.setattr(sim, "EXPORT_VALUES_PER_WORKER", 10 ** 15)  # in-process writer
     _, peak = traced_peak(lambda: export_csv(traj, tmp_path / "traj.csv"))
     assert peak <= BLOCK_BYTES + (128 << 10)
+
+
+@pytest.fixture(scope="module")
+def formation_schedule():
+    """(plan, segment trajectories, traced peak) of formation's schedule."""
+    plan = cli._plan_segments(load_config(FORMATION))
+    init = default_initial_state(plan[0][0])
+    opts = IntegrateOptions(tol=1e-8)
+    # each segment records 501 records whatever its duration, so short
+    # segments hold formation's whole schedule of arrays
+    segments = [(system, 3.0) for system, _, _, _ in plan]
+    integrate_schedule(segments[:1], init, opts)
+    trajs, peak = traced_peak(lambda: integrate_schedule(segments, init, opts))
+    return plan, trajs, peak
+
+
+def test_integrate_schedule_holds_no_second_copy_of_the_segments(formation_schedule):
+    _, trajs, peak = formation_schedule
+    arrays = sum(a.nbytes for t in trajs
+                 for a in (t.times, t.states, t.u, t.y, t.zeta, t.mu))
+    assert len(trajs) == 5 and arrays > 1e6
+    # the bound test_post_processing_holds_no_whole_trajectory_temporary
+    # allows one integrate call
+    assert peak - arrays <= 1 << 20
+
+
+def test_schedule_segments_start_from_the_last_state_with_their_own_signals(
+        formation_schedule):
+    plan, trajs, _ = formation_schedule
+    for (system, _, _, _), prev, seg in zip(plan[1:], trajs, trajs[1:]):
+        assert seg.system is system and seg.times[0] == prev.times[-1]
+        assert np.array_equal(seg.states[0], prev.states[-1])
+        # the reconfigured controllers' output offsets differ at the boundary
+        own = sim._signals_batch(system, seg.states[:1])
+        assert np.array_equal(seg.mu[0], own[3][0])
+        assert not np.array_equal(seg.mu[0], prev.mu[-1])

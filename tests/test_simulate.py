@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from couplednet.couplers import (custom_controller, linear_synthesis,
-                                 nonlinear_integrator)
+                                 nonlinear_integrator, reconfigured)
 from couplednet.errors import (AlgebraicLoop, DimensionMismatch,
                                NoConvergence, NonFiniteState)
 from couplednet.netgraph import build_graph
@@ -23,11 +23,11 @@ def solo(agent):
     return closed_loop(build_graph(1, []), [agent], [])
 
 
-def pair_system(offset=1.0):
+def pair_system():
     g = build_graph(2, [(0, 1)])
     agents = [linear_agent([[-1.0]], [[1.0]], [[1.0]]),
               linear_agent([[-2.0]], [[1.0]], [[1.0]], w=[6.0])]
-    ctrls = [linear_synthesis([offset])]
+    ctrls = [linear_synthesis([1.0])]
     return g, agents, ctrls, closed_loop(g, agents, ctrls)
 
 
@@ -147,15 +147,24 @@ def test_compare_prediction_needs_convergence():
         compare_prediction(traj, cert, conv_tol=1e-10)
 
 
-def test_integrate_schedule_concatenates():
-    _, _, _, system = pair_system()
-    _, _, _, system2 = pair_system(offset=2.0)
-    traj = integrate_schedule([(system, 5.0), (system2, 5.0)],
-                              default_initial_state(system),
-                              IntegrateOptions())
-    assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(10.0)
-    assert (np.diff(traj.times) > 0).all()
-    assert traj.metadata["segments"] == [(0.0, 5.0), (5.0, 10.0)]
+def test_integrate_schedule_runs_one_trajectory_per_segment():
+    g, agents, ctrls, system = pair_system()
+    # reconfigured: beta shifts the controller output, so mu
+    system2 = closed_loop(g, agents, [reconfigured(ctrls[0], [0.0], [0.5])])
+    opts = IntegrateOptions()
+    first, second = integrate_schedule([(system, 5.0), (system2, 5.0)],
+                                       default_initial_state(system), opts)
+    assert first.system is system and second.system is system2
+    assert first.times[0] == 0.0 and first.times[-1] == second.times[0] == 5.0
+    assert second.times[-1] == pytest.approx(10.0)
+    assert np.array_equal(second.states[0], first.states[-1])
+    # the boundary's signals are each segment's own
+    assert np.array_equal(second.y[0], first.y[-1])
+    assert second.mu[0] - first.mu[-1] == pytest.approx(0.5)
+    alone = integrate(system2, first.states[-1], 5.0, opts, t0=5.0)
+    for name in ("times", "states", "u", "y", "zeta", "mu"):
+        assert np.array_equal(getattr(second, name), getattr(alone, name))
+    assert second.metadata == alone.metadata
 
 
 def test_finite_time_blowup_aborts():

@@ -5,7 +5,10 @@ work on all records at once: one bincount over every (record, coordinate)
 bin, one hstack of y and mu with full suffix max/min accumulations, and
 one column_stack of the whole table. couplednet does the same work a
 block of records at a time; the tests require the same bits and bytes.
+A schedule's segments become one table by concatenation.
 """
+import dataclasses
+
 import numpy as np
 
 from couplednet.couplers import paper_psi
@@ -32,6 +35,8 @@ def packed_signals(packed, states):
 
 def detect_convergence(traj, window=None, tol=1e-6):
     """simulate.detect_convergence from the stacked signals and full suffix scans."""
+    if not tol >= 0.0:
+        raise DimensionMismatch(f"tol: must be non-negative, got {tol}")
     times = traj.times
     span = times[-1] - times[0]
     if window is None:
@@ -72,3 +77,18 @@ def export_csv(traj, path):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(row_format % tuple(row.tolist()) for row in data)
+
+
+def concatenate(segments):
+    """integrate_schedule's segment trajectories as one Trajectory.
+
+    All of segment 0, then each later segment from its second record on,
+    as a later segment's first record repeats the boundary; the system is
+    the last segment's.
+    """
+    def cat(name):
+        return np.concatenate([getattr(seg, name)[int(k > 0):]
+                               for k, seg in enumerate(segments)])
+
+    return dataclasses.replace(segments[-1], **{
+        name: cat(name) for name in ("times", "states", "u", "y", "zeta", "mu")})
