@@ -9,11 +9,18 @@ Three layers live here:
 * VectorRelation, possibly set-valued input-output relations on R^d
   with forward and inverse evaluation, plus cyclic-monotonicity
   testing.
+
+Relations of every kind are evaluated by groups of one kind and
+dimension (coordinate_sets, pair_residual), and forward and inverse
+are the one-block case, returning sets spanned by coordinate axes. A
+gradient relation is evaluated as the relation of its closed form:
+affine for a quadratic, the integrator for the indicator of {0}, and
+shifted or stacked for shifted or stacked functions.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -46,17 +53,6 @@ class SetKind(Enum):
     EVERYTHING = "everything"
 
 
-def _orthonormal_cols(mat: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the column space of mat (possibly 0 columns)."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.shape[1] == 0:
-        return np.zeros((mat.shape[0], 0))
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    cutoff = rtol * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > cutoff))
-    return u[:, :rank]
-
-
 @dataclass(frozen=True)
 class SetDescriptor:
     """One of: empty set, single point, affine subspace, all of R^dim.
@@ -87,13 +83,6 @@ class SetDescriptor:
         return SetDescriptor(
             SetKind.EVERYTHING, dim, basepoint=np.zeros(dim), basis=np.eye(dim)
         )
-
-    @staticmethod
-    def affine(basepoint, basis) -> "SetDescriptor":
-        basepoint = np.asarray(basepoint, dtype=float).ravel()
-        dim = basepoint.size
-        q = _orthonormal_cols(np.asarray(basis, dtype=float).reshape(dim, -1))
-        return SetDescriptor._spanned(basepoint, q)
 
     @staticmethod
     def _spanned(basepoint: np.ndarray, q: np.ndarray) -> "SetDescriptor":
@@ -137,30 +126,6 @@ class SetDescriptor:
             return self.basepoint.copy()
         b, q = self.basepoint, self.basis
         return b - q @ (q.T @ b)
-
-    # -- algebra --------------------------------------------------------
-    def translate(self, v) -> "SetDescriptor":
-        if self.kind is SetKind.EMPTY or self.kind is SetKind.EVERYTHING:
-            return self
-        return replace(self, basepoint=self.basepoint + np.asarray(v, dtype=float).ravel())
-
-    def minkowski(self, other: "SetDescriptor") -> "SetDescriptor":
-        if self.dim != other.dim:
-            raise DimensionMismatch("minkowski sum of mismatched dimensions")
-        if self.is_empty or other.is_empty:
-            return SetDescriptor.empty(self.dim)
-        return SetDescriptor.affine(self.basepoint + other.basepoint,
-                                    np.hstack([self.directions, other.directions]))
-
-    @staticmethod
-    def product(parts: list["SetDescriptor"]) -> "SetDescriptor":
-        """Cartesian product, concatenating coordinates."""
-        dim = sum(p.dim for p in parts)
-        if any(p.is_empty for p in parts):
-            return SetDescriptor.empty(dim)
-        base = np.concatenate([p.basepoint for p in parts])
-        # orthonormal blocks on the diagonal stay orthonormal
-        return SetDescriptor._spanned(base, block_diag([p.directions for p in parts]))
 
 
 def solve_affine(mat, rhs, tol: float = 1e-8) -> SetDescriptor:
@@ -404,52 +369,35 @@ def _values(fs, X: np.ndarray) -> np.ndarray:
 
 def subgradient(f: IntegralFunction, x) -> SetDescriptor:
     """Subdifferential of f at x as a set descriptor (Empty outside dom f)."""
-    x = _check_dim(f, x)
-    if f.kind is FunctionKind.QUADRATIC:
-        return SetDescriptor.point(f.P @ x + f.q)
-    if f.kind is FunctionKind.INDICATOR_ZERO:
-        if np.max(np.abs(x), initial=0.0) > ZERO_ATOL:
-            return SetDescriptor.empty(f.dim)
-        return SetDescriptor.everything(f.dim)
-    if f.kind is FunctionKind.SCALAR_SEPARABLE:
-        return SetDescriptor.point(np.array([f.phi(float(t)) for t in x]))
-    if f.kind is FunctionKind.SUM:
-        out = subgradient(f.children[0], x)
-        for ch in f.children[1:]:
-            out = out.minkowski(subgradient(ch, x))
-        return out
-    if f.kind is FunctionKind.STACKED:
-        return SetDescriptor.product([subgradient(ch, xb) for ch, xb in _blocks(f, x)])
-    if f.kind is FunctionKind.SHIFTED:
-        return subgradient(f.inner, x - f.shift).translate(f.linear)
-    raise UnsupportedKind(str(f.kind))
+    return forward(gradient_relation(f), x)
 
 
 def grad_of(f: IntegralFunction, x) -> np.ndarray:
-    """Gradient for differentiable functions; min-norm subgradient otherwise."""
-    return subgradient(f, x).min_norm()
+    """Gradient for differentiable functions; min-norm subgradient otherwise.
+
+    The closed-form gradient serves every kind but an indicator part:
+    its min-norm subgradient is 0 at its point and OutsideDomain off
+    it, and a sum holding one raises RelationNotEvaluable.
+    """
+    x = _check_dim(f, x)
+    try:
+        return _row_grad(f, x[None])[0]
+    except RelationNotEvaluable:
+        return subgradient(f, x).min_norm()
 
 
 def as_quadratic(f: IntegralFunction):
     """Collapse f to (P, q, c) when it is globally quadratic, else None."""
     if f.kind is FunctionKind.QUADRATIC:
         return f.P, f.q, f.c
-    if f.kind is FunctionKind.SUM:
+    if f.kind is FunctionKind.SUM or f.kind is FunctionKind.STACKED:
         parts = [as_quadratic(ch) for ch in f.children]
         if any(p is None for p in parts):
             return None
-        P = sum(p[0] for p in parts)
-        q = sum(p[1] for p in parts)
-        c = sum(p[2] for p in parts)
-        return P, q, c
-    if f.kind is FunctionKind.STACKED:
-        parts = [as_quadratic(ch) for ch in f.children]
-        if any(p is None for p in parts):
-            return None
-        P = block_diag([p[0] for p in parts])
-        q = np.concatenate([p[1] for p in parts])
-        c = float(sum(p[2] for p in parts))
-        return P, q, c
+        P, q, c = zip(*parts)
+        if f.kind is FunctionKind.SUM:
+            return sum(P), sum(q), sum(c)
+        return block_diag(P), np.concatenate(q), float(sum(c))
     if f.kind is FunctionKind.SHIFTED:
         part = as_quadratic(f.inner)
         if part is None:
@@ -713,81 +661,62 @@ def shifted_relation(inner: VectorRelation, input_offset=None, output_offset=Non
 
 
 def forward(rel: VectorRelation, u) -> SetDescriptor:
-    """The set of steady outputs for steady input u (Empty if none)."""
-    u = _check_dim(rel, u)
-    if rel.kind is RelationKind.AFFINE:
-        return SetDescriptor.point(rel.S @ u + rel.v)
-    if rel.kind is RelationKind.GRADIENT_OF_CONVEX:
-        return subgradient(rel.chi, u)
-    if rel.kind is RelationKind.INTEGRATOR:
-        if np.max(np.abs(u), initial=0.0) > ZERO_ATOL:
-            return SetDescriptor.empty(rel.dim)
-        return SetDescriptor.everything(rel.dim)
-    if rel.kind is RelationKind.STACKED:
-        return SetDescriptor.product([forward(ch, ub) for ch, ub in _blocks(rel, u)])
-    if rel.kind is RelationKind.SHIFTED:
-        return forward(rel.inner, u - rel.input_offset).translate(rel.output_offset)
-    if rel.kind is RelationKind.INVERTED:
-        return inverse(rel.inner, u)
-    raise UnsupportedKind(str(rel.kind))
-
-
-def _grad_solve(chi: IntegralFunction, y: np.ndarray) -> SetDescriptor:
-    """Solution set of y in subdifferential(chi)(u)."""
-    if chi.kind is FunctionKind.INDICATOR_ZERO:
-        return SetDescriptor.point(np.zeros(chi.dim))
-    if chi.kind is FunctionKind.STACKED:
-        return SetDescriptor.product([_grad_solve(ch, yb) for ch, yb in _blocks(chi, y)])
-    if chi.kind is FunctionKind.SHIFTED:
-        return _grad_solve(chi.inner, y - chi.linear).translate(chi.shift)
-    quad = as_quadratic(chi)
-    if quad is not None:
-        P, q, _ = quad
-        return solve_affine(P, y - q)
-    if chi.kind is FunctionKind.SCALAR_SEPARABLE:
-        roots = []
-        for yj in y:
-            s = _bracket_root(chi.phi, float(yj))
-            if s is None:
-                return SetDescriptor.empty(chi.dim)
-            roots.append(s)
-        return SetDescriptor.point(np.array(roots))
-    raise UnsupportedKind(f"no closed-form gradient inverse for kind {chi.kind}")
+    """The set of steady outputs for steady input u (Empty if none): the
+    one-block case of coordinate_sets, so a set not spanned by coordinate
+    axes raises UnsupportedKind."""
+    return _coordinate_set(rel, u, invert=False)
 
 
 def inverse(rel: VectorRelation, y) -> SetDescriptor:
-    """The set of steady inputs producing steady output y (Empty if none)."""
-    y = _check_dim(rel, y)
-    if rel.kind is RelationKind.AFFINE:
-        return solve_affine(rel.S, y - rel.v)
-    if rel.kind is RelationKind.GRADIENT_OF_CONVEX:
-        return _grad_solve(rel.chi, y)
-    if rel.kind is RelationKind.INTEGRATOR:
-        if np.any(y < rel.out_lo - 1e-9) or np.any(y > rel.out_hi + 1e-9):
+    """The set of steady inputs producing steady output y, as forward."""
+    return _coordinate_set(rel, y, invert=True)
+
+
+def _coordinate_set(rel: VectorRelation, x, invert: bool) -> SetDescriptor:
+    base, free, faults = _block_sets([rel], _check_dim(rel, x), invert)
+    if faults:
+        if isinstance(faults[0], EmptySelection):
             return SetDescriptor.empty(rel.dim)
-        return SetDescriptor.point(np.zeros(rel.dim))
-    if rel.kind is RelationKind.STACKED:
-        return SetDescriptor.product([inverse(ch, yb) for ch, yb in _blocks(rel, y)])
-    if rel.kind is RelationKind.SHIFTED:
-        return inverse(rel.inner, y - rel.output_offset).translate(rel.input_offset)
-    if rel.kind is RelationKind.INVERTED:
-        return forward(rel.inner, y)
-    raise UnsupportedKind(str(rel.kind))
+        raise faults[0]
+    return SetDescriptor._spanned(base, np.eye(rel.dim)[:, free])
+
+
+def _lower(rel: VectorRelation) -> VectorRelation:
+    """rel, with a gradient relation written as the relation it is.
+
+    The gradient of the indicator of {0} is the integrator, shifted and
+    stacked functions give shifted and stacked relations, and the
+    gradient of a quadratic (or of a sum as_quadratic collapses) is
+    affine. A scalar-separable chi, or a sum holding one, stays a
+    gradient relation (see _kind_sets).
+    """
+    if rel.kind is not RelationKind.GRADIENT_OF_CONVEX:
+        return rel
+    chi = rel.chi
+    if chi.kind is FunctionKind.INDICATOR_ZERO:
+        return integrator_relation(chi.dim)
+    if chi.kind is FunctionKind.SHIFTED:
+        return shifted_relation(_lower(gradient_relation(chi.inner)), chi.shift, chi.linear)
+    if chi.kind is FunctionKind.STACKED:
+        return stacked_relation([_lower(gradient_relation(ch)) for ch in chi.children])
+    quad = as_quadratic(chi)
+    return rel if quad is None else affine_relation(quad[0], quad[1])
 
 
 def pair_residual(rel: VectorRelation, u, y) -> float:
     """Distance of the pair (u, y) to the relation graph.
 
     Integrator kinds honor their output interval here even though
-    forward() reports Everything. A stacked relation reports the largest
-    of its children's residuals, computed by groups of one kind and
-    dimension.
+    forward() reports Everything. A stacked relation, and the gradient
+    of a stacked function, report the largest of the children's
+    residuals, computed by groups of one kind and dimension.
     """
-    return float(_residuals([rel], _check_dim(rel, u)[None], _check_dim(rel, y)[None])[0])
+    return float(_block_residuals([rel], _check_dim(rel, u), _check_dim(rel, y))[0])
 
 
 def _block_residuals(rels, u: np.ndarray, y: np.ndarray) -> np.ndarray:
     """pair_residual of each of rels at its consecutive blocks of u and y."""
+    rels = [_lower(rel) for rel in rels]
     out = np.empty(len(rels))
     for idx, index in _block_groups(rels):
         out[idx] = _residuals([rels[i] for i in idx], u[index], y[index])
@@ -795,12 +724,13 @@ def _block_residuals(rels, u: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _residuals(rels, U: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """pair_residual(rels[k], U[k], Y[k]) for relations of one kind and dimension."""
+    """pair_residual(rels[k], U[k], Y[k]) for lowered relations of one kind and dimension."""
     kind = rels[0].kind
-    if kind is RelationKind.AFFINE:
-        S = np.stack([rel.S for rel in rels])
-        v = np.stack([rel.v for rel in rels])
-        return np.linalg.norm(Y - (np.einsum("kij,kj->ki", S, U) + v), axis=1)
+    if kind is RelationKind.AFFINE or kind is RelationKind.GRADIENT_OF_CONVEX:
+        points, _, faults = _kind_sets(rels, U, False)  # each forward set is a point
+        if faults:
+            raise faults[min(faults)]
+        return np.linalg.norm(Y - points, axis=1)
     if kind is RelationKind.INTEGRATOR:
         lo = np.array([rel.out_lo for rel in rels])[:, None]
         hi = np.array([rel.out_hi for rel in rels])[:, None]
@@ -815,15 +745,7 @@ def _residuals(rels, U: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if kind is RelationKind.STACKED:
         return np.array([max(_block_residuals(rel.children, u, y).tolist())
                          for rel, u, y in zip(rels, U, Y)])
-    out = np.empty(len(rels))
-    for k, (rel, u, y) in enumerate(zip(rels, U, Y)):
-        fwd = forward(rel, u)
-        if not fwd.is_empty:
-            out[k] = fwd.distance(y)
-            continue
-        inv = inverse(rel, y)
-        out[k] = math.inf if inv.is_empty else inv.distance(u)
-    return out
+    raise UnsupportedKind(str(kind))
 
 
 def coordinate_sets(rels, evaluate, x, d: int):
@@ -842,10 +764,10 @@ def coordinate_sets(rels, evaluate, x, d: int):
         raise DimensionMismatch(f"expected {len(rels)} blocks of dimension {d}, got {x.size}")
     if evaluate is not forward and evaluate is not inverse:
         raise UnsupportedKind("coordinate sets come from forward or inverse")
-    base, free, faults = _block_sets(list(rels), x.reshape(-1, d), evaluate is inverse)
+    base, free, faults = _block_sets(list(rels), x, evaluate is inverse)
     if faults:
         raise faults[min(faults)]
-    return base.ravel(), free.ravel()
+    return base, free
 
 
 def _empty_fault():
@@ -856,26 +778,28 @@ def _misaligned_fault():
     return UnsupportedKind("a relation's set is not aligned with its coordinates")
 
 
-def _block_sets(rels, X: np.ndarray, invert: bool):
-    """Coordinate sets of relations rels of one dimension at the rows of X.
+def _block_sets(rels, x: np.ndarray, invert: bool):
+    """Coordinate sets of relations rels at their consecutive blocks of x.
 
-    Returns (base, free, faults): row k's set is base[k] + span(e_J)
-    for J = free[k], unless faults maps k to the error it raises.
-    Affine, integrator, shifted and inverted kinds take one numpy pass
-    per group of one kind; the others one set descriptor each.
+    Returns (base, free, faults), base and free shaped as x: relation
+    k's set is base + span(e_J) on its block, for J the block's part of
+    free, unless faults maps k to the error it raises. Relations are
+    lowered (see _lower) and evaluated by groups of one kind and
+    dimension, each in one numpy pass where its kind has one.
     """
-    base = np.zeros(X.shape)
-    free = np.zeros(X.shape, dtype=bool)
+    rels = [_lower(rel) for rel in rels]
+    shape, x = x.shape, x.ravel()
+    base = np.zeros(x.size)
+    free = np.zeros(x.size, dtype=bool)
     faults = {}
-    for idx in _kind_groups(rels).values():
-        group = [rels[i] for i in idx]
-        base[idx], free[idx], bad = _kind_sets(group, X[idx], invert)
+    for idx, index in _block_groups(rels):
+        base[index], free[index], bad = _kind_sets([rels[i] for i in idx], x[index], invert)
         faults.update((idx[k], fault) for k, fault in bad.items())
-    return base, free, faults
+    return base.reshape(shape), free.reshape(shape), faults
 
 
 def _kind_sets(rels, X: np.ndarray, invert: bool):
-    """_block_sets for relations of one kind."""
+    """_block_sets for lowered relations of one kind and dimension, at the rows of X."""
     kind = rels[0].kind
     none_free = np.zeros(X.shape, dtype=bool)
     if kind is RelationKind.AFFINE:
@@ -900,26 +824,34 @@ def _kind_sets(rels, X: np.ndarray, invert: bool):
         return base + np.where(free.all(axis=1, keepdims=True), 0.0, out), free, faults
     if kind is RelationKind.INVERTED:
         return _block_sets([rel.inner for rel in rels], X, not invert)
-    evaluate = inverse if invert else forward
-    base, free, faults = np.zeros(X.shape), np.zeros(X.shape, dtype=bool), {}
+    if kind is RelationKind.STACKED:
+        children = [ch for rel in rels for ch in rel.children]
+        owner = np.repeat(np.arange(len(rels)), [len(rel.children) for rel in rels])
+        base, free, bad = _block_sets(children, X, invert)
+        faults = {}
+        for j in sorted(bad):  # a stacked relation fails as its first failing child
+            faults.setdefault(int(owner[j]), bad[j])
+        return base, free, faults
+    # the gradient relations _lower leaves: forward is the closed-form
+    # gradient, and the inverse solves phi(s) = y_j per coordinate
+    base, faults = np.zeros(X.shape), {}
     for k, (rel, x) in enumerate(zip(rels, X)):
         try:
-            s = evaluate(rel, x)
+            base[k] = _grad_roots(rel.chi, x) if invert else _row_grad(rel.chi, x[None])[0]
         except CoupledNetError as exc:
             faults[k] = exc
-            continue
-        if s.is_empty:
-            faults[k] = _empty_fault()
-            continue
-        base[k] = s.basepoint
-        if s.kind is SetKind.EVERYTHING:
-            free[k] = True
-        elif s.kind is SetKind.AFFINE:
-            proj = s.directions @ s.directions.T
-            free[k] = np.diag(proj) > 0.5
-            if np.abs(proj - np.diag(free[k].astype(float))).max() > 1e-9:
-                faults[k] = _misaligned_fault()
-    return base, free, faults
+    return base, none_free, faults
+
+
+def _grad_roots(chi: IntegralFunction, y: np.ndarray) -> list:
+    """The u with grad chi(u) = y for a scalar-separable chi (empty when
+    some y_j is outside the range of phi); other kinds have no closed form."""
+    if chi.kind is not FunctionKind.SCALAR_SEPARABLE:
+        raise UnsupportedKind(f"no closed-form gradient inverse for kind {chi.kind}")
+    roots = [_bracket_root(chi.phi, t) for t in y.tolist()]
+    if None in roots:
+        raise _empty_fault()
+    return roots
 
 
 def _faults(bad: np.ndarray, make) -> dict:
@@ -1012,7 +944,7 @@ def _row_grad(f: IntegralFunction, x: np.ndarray) -> np.ndarray:
         return np.concatenate([_row_grad(ch, xb.T) for ch, xb in _blocks(f, x.T)], axis=1)
     if f.kind is FunctionKind.SUM:
         return sum(_row_grad(ch, x) for ch in f.children)
-    raise RelationNotEvaluable(f"no closed-form gradient to sample for kind {f.kind}")
+    raise RelationNotEvaluable(f"no closed-form gradient for kind {f.kind}")
 
 
 def _graph_points(rel: VectorRelation, rng, n: int, sampler: Sampler):

@@ -561,13 +561,18 @@ def export_csv(traj, path) -> None:
 
     Raises
     ------
+    DimensionMismatch
+        The segments differ in (nodes, edges, io_dim); nothing is written.
     OSError
         A worker failed, or could not be started. No worker or temporary
         file outlives the call, whether it succeeds or fails.
     """
     segs = (traj,) if isinstance(traj, Trajectory) else tuple(traj)
-    system = segs[0].system
-    d, n, m = system.io_dim, system.graph.node_count, system.graph.edge_count
+    layouts = {(seg.system.graph.node_count, seg.system.graph.edge_count, seg.system.io_dim)
+               for seg in segs}
+    if len(layouts) > 1:
+        raise DimensionMismatch(f"segments differ in (nodes, edges, io_dim): {sorted(layouts)}")
+    (n, m, d), = layouts
     # joined at once, so the column names do not stay alive as strings
     header = ",".join(["t"] + [f"{name}[{k}.{c}]"
                                for name, count in (("y", n), ("u", n), ("zeta", m), ("mu", m))

@@ -12,8 +12,9 @@ import numpy as np
 
 from couplednet.errors import EmptyInverse, EmptySelection, Infeasible, NotForcible, Unbounded
 from couplednet.netopt import SolveTrace, ofp_objective, opp_objective
-from couplednet.relations import (FunctionKind, as_quadratic, block_diag, forward,
-                                  inverse, quadratic, shifted, solve_affine, value)
+from couplednet.relations import (FunctionKind, as_quadratic, block_diag, quadratic, shifted,
+                                  solve_affine, value)
+from set_oracle import forward, inverse
 
 
 def qp_parts(f):

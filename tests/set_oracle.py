@@ -1,0 +1,189 @@
+"""Per-item set evaluation of relations and subgradients, for tests only.
+
+couplednet evaluates relations by groups of one kind on sets spanned by
+coordinate axes, and a gradient relation as the relation of its closed
+form. These are the ladders it replaced: one relation or integral
+function at a time, through an algebra of set descriptors (translate,
+Minkowski sum, Cartesian product) that keeps general affine sets. The
+tests compare the two.
+"""
+import math
+
+import numpy as np
+
+from couplednet.errors import EmptySelection, UnsupportedKind
+from couplednet.relations import (ZERO_ATOL, FunctionKind, RelationKind, SetDescriptor,
+                                  SetKind, _blocks, _bracket_root, _check_dim, as_quadratic,
+                                  block_diag, gradient_relation, solve_affine)
+
+
+def orthonormal_cols(mat, rtol=1e-10):
+    """Orthonormal basis of the column space of mat (possibly 0 columns)."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if mat.shape[1] == 0:
+        return np.zeros((mat.shape[0], 0))
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    cutoff = rtol * (s[0] if s.size else 1.0)
+    return u[:, :int(np.sum(s > cutoff))]
+
+
+def affine_set(basepoint, basis):
+    basepoint = np.asarray(basepoint, dtype=float).ravel()
+    q = orthonormal_cols(np.asarray(basis, dtype=float).reshape(basepoint.size, -1))
+    return SetDescriptor._spanned(basepoint, q)
+
+
+def translate(s, v):
+    if s.kind is SetKind.EMPTY or s.kind is SetKind.EVERYTHING:
+        return s
+    return SetDescriptor(s.kind, s.dim, basepoint=s.basepoint + np.asarray(v, dtype=float).ravel(),
+                         basis=s.basis)
+
+
+def minkowski(a, b):
+    if a.is_empty or b.is_empty:
+        return SetDescriptor.empty(a.dim)
+    return affine_set(a.basepoint + b.basepoint, np.hstack([a.directions, b.directions]))
+
+
+def product(parts):
+    """Cartesian product, concatenating coordinates."""
+    dim = sum(p.dim for p in parts)
+    if any(p.is_empty for p in parts):
+        return SetDescriptor.empty(dim)
+    base = np.concatenate([p.basepoint for p in parts])
+    # orthonormal blocks on the diagonal stay orthonormal
+    return SetDescriptor._spanned(base, block_diag([p.directions for p in parts]))
+
+
+def subgradient(f, x):
+    """Subdifferential of f at x (Empty outside dom f)."""
+    x = _check_dim(f, x)
+    if f.kind is FunctionKind.QUADRATIC:
+        return SetDescriptor.point(f.P @ x + f.q)
+    if f.kind is FunctionKind.INDICATOR_ZERO:
+        if np.max(np.abs(x), initial=0.0) > ZERO_ATOL:
+            return SetDescriptor.empty(f.dim)
+        return SetDescriptor.everything(f.dim)
+    if f.kind is FunctionKind.SCALAR_SEPARABLE:
+        return SetDescriptor.point(np.array([f.phi(float(t)) for t in x]))
+    if f.kind is FunctionKind.SUM:
+        out = subgradient(f.children[0], x)
+        for ch in f.children[1:]:
+            out = minkowski(out, subgradient(ch, x))
+        return out
+    if f.kind is FunctionKind.STACKED:
+        return product([subgradient(ch, xb) for ch, xb in _blocks(f, x)])
+    if f.kind is FunctionKind.SHIFTED:
+        return translate(subgradient(f.inner, x - f.shift), f.linear)
+    raise UnsupportedKind(str(f.kind))
+
+
+def grad_solve(chi, y):
+    """Solution set of y in subdifferential(chi)(u)."""
+    if chi.kind is FunctionKind.INDICATOR_ZERO:
+        return SetDescriptor.point(np.zeros(chi.dim))
+    if chi.kind is FunctionKind.STACKED:
+        return product([grad_solve(ch, yb) for ch, yb in _blocks(chi, y)])
+    if chi.kind is FunctionKind.SHIFTED:
+        return translate(grad_solve(chi.inner, y - chi.linear), chi.shift)
+    quad = as_quadratic(chi)
+    if quad is not None:
+        return solve_affine(quad[0], y - quad[1])
+    if chi.kind is FunctionKind.SCALAR_SEPARABLE:
+        roots = [_bracket_root(chi.phi, float(t)) for t in y]
+        if None in roots:
+            return SetDescriptor.empty(chi.dim)
+        return SetDescriptor.point(np.array(roots))
+    raise UnsupportedKind(f"no closed-form gradient inverse for kind {chi.kind}")
+
+
+def forward(rel, u):
+    """The set of steady outputs for steady input u (Empty if none)."""
+    u = _check_dim(rel, u)
+    if rel.kind is RelationKind.AFFINE:
+        return SetDescriptor.point(rel.S @ u + rel.v)
+    if rel.kind is RelationKind.GRADIENT_OF_CONVEX:
+        return subgradient(rel.chi, u)
+    if rel.kind is RelationKind.INTEGRATOR:
+        if np.max(np.abs(u), initial=0.0) > ZERO_ATOL:
+            return SetDescriptor.empty(rel.dim)
+        return SetDescriptor.everything(rel.dim)
+    if rel.kind is RelationKind.STACKED:
+        return product([forward(ch, ub) for ch, ub in _blocks(rel, u)])
+    if rel.kind is RelationKind.SHIFTED:
+        return translate(forward(rel.inner, u - rel.input_offset), rel.output_offset)
+    if rel.kind is RelationKind.INVERTED:
+        return inverse(rel.inner, u)
+    raise UnsupportedKind(str(rel.kind))
+
+
+def inverse(rel, y):
+    """The set of steady inputs producing steady output y (Empty if none)."""
+    y = _check_dim(rel, y)
+    if rel.kind is RelationKind.AFFINE:
+        return solve_affine(rel.S, y - rel.v)
+    if rel.kind is RelationKind.GRADIENT_OF_CONVEX:
+        return grad_solve(rel.chi, y)
+    if rel.kind is RelationKind.INTEGRATOR:
+        if np.any(y < rel.out_lo - 1e-9) or np.any(y > rel.out_hi + 1e-9):
+            return SetDescriptor.empty(rel.dim)
+        return SetDescriptor.point(np.zeros(rel.dim))
+    if rel.kind is RelationKind.STACKED:
+        return product([inverse(ch, yb) for ch, yb in _blocks(rel, y)])
+    if rel.kind is RelationKind.SHIFTED:
+        return translate(inverse(rel.inner, y - rel.output_offset), rel.input_offset)
+    if rel.kind is RelationKind.INVERTED:
+        return forward(rel.inner, y)
+    raise UnsupportedKind(str(rel.kind))
+
+
+def pair_residual(rel, u, y):
+    """Distance of (u, y) to the graph of rel, one relation at a time.
+
+    A stacked relation reports its children's largest residual, and
+    an integrator also honors its output interval. The gradient of a
+    shifted or stacked function is measured as the shifted or stacked
+    relation it is. Any other relation gives the distance of y to its
+    forward set, or, when that is empty, of u to its inverse set.
+    """
+    u, y = _check_dim(rel, u), _check_dim(rel, y)
+    chi = rel.chi
+    if rel.kind is RelationKind.GRADIENT_OF_CONVEX and chi.kind is FunctionKind.SHIFTED:
+        return pair_residual(gradient_relation(chi.inner), u - chi.shift, y - chi.linear)
+    if rel.kind is RelationKind.GRADIENT_OF_CONVEX and chi.kind is FunctionKind.STACKED:
+        return max(pair_residual(gradient_relation(ch), ub, yb)
+                   for (ch, ub), (_, yb) in zip(_blocks(chi, u), _blocks(chi, y)))
+    if rel.kind is RelationKind.STACKED:
+        return max(pair_residual(ch, ub, yb)
+                   for (ch, ub), (_, yb) in zip(_blocks(rel, u), _blocks(rel, y)))
+    if rel.kind is RelationKind.INTEGRATOR:
+        excess = np.maximum(rel.out_lo - y, 0.0) + np.maximum(y - rel.out_hi, 0.0)
+        return max(float(np.linalg.norm(u)), float(np.linalg.norm(excess)))
+    if rel.kind is RelationKind.SHIFTED:
+        return pair_residual(rel.inner, u - rel.input_offset, y - rel.output_offset)
+    if rel.kind is RelationKind.INVERTED:
+        return pair_residual(rel.inner, y, u)
+    fwd = forward(rel, u)
+    if not fwd.is_empty:
+        return fwd.distance(y)
+    inv = inverse(rel, y)
+    return math.inf if inv.is_empty else inv.distance(u)
+
+
+def block_set(evaluate, rel, x):
+    """(base, free) of the set evaluate(rel, x), as coordinate_sets reports it:
+    EmptySelection when it is empty, UnsupportedKind when it is not
+    spanned by coordinate axes."""
+    s = evaluate(rel, x)
+    if s.is_empty:
+        raise EmptySelection("empty")
+    free = np.zeros(x.size, dtype=bool)
+    if s.kind is SetKind.EVERYTHING:
+        free[:] = True
+    elif s.kind is SetKind.AFFINE:
+        proj = s.directions @ s.directions.T
+        free = np.diag(proj) > 0.5
+        if np.abs(proj - np.diag(free.astype(float))).max() > 1e-9:
+            raise UnsupportedKind("not aligned")
+    return s.basepoint, free

@@ -1,8 +1,10 @@
 """Stacked functions and relations, evaluated by groups of one kind and
-dimension, against evaluating each block on its own."""
+dimension, against evaluating each block on its own; relation sets and
+residuals against the per-item ladders of set_oracle."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,10 +12,15 @@ from couplednet import relations as R
 from couplednet.couplers import PSI_RANGE, paper_psi
 from couplednet.errors import EmptySelection, Unbounded, UnsupportedKind
 
+import set_oracle
 from conftest import rand_orth, rand_spd
 
 REL = 1e-12
 BLOCKS = ("spd", "singular", "zero", "indicator", "psi")
+# gradient relations of: a quadratic, a shifted indicator_zero, a stack
+# of the BLOCKS functions, an all-quadratic sum, a quadratic plus a cubic
+GRADIENTS = ("grad_spd", "grad_singular", "grad_zero", "grad_indicator", "grad_stack",
+             "grad_sum", "grad_cubic")
 
 
 def rand_psd(rng, d, kind):
@@ -35,7 +42,26 @@ def block_function(rng, d, kind):
     return R.quadratic(rand_psd(rng, d, kind), rng.normal(size=d), rng.normal())
 
 
+def gradient_function(rng, d, kind):
+    """The function whose gradient relation block_relation draws for kind."""
+    if kind == "grad_indicator":
+        return block_function(rng, d, "indicator")
+    if kind == "grad_stack":
+        cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(0, d), replace=False))
+        return R.stacked([block_function(rng, hi - lo, rng.choice(BLOCKS))
+                          for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, d])])
+    if kind == "grad_sum":
+        return R.function_sum([block_function(rng, d, "singular"),
+                               R.shifted(block_function(rng, d, "spd"), shift=rng.normal(size=d))])
+    if kind == "grad_cubic":
+        cubic = R.scalar_separable(lambda t: t ** 3, d)
+        return R.function_sum([block_function(rng, d, "spd"), cubic])
+    return block_function(rng, d, kind.removeprefix("grad_"))
+
+
 def block_relation(rng, d, kind):
+    if kind.startswith("grad_"):
+        return R.gradient_relation(gradient_function(rng, d, kind))
     if kind == "indicator":
         return R.shifted_relation(R.integrator_relation(d, *PSI_RANGE),
                                   input_offset=rng.normal(size=d),
@@ -45,10 +71,10 @@ def block_relation(rng, d, kind):
     return R.affine_relation(rand_psd(rng, d, kind), rng.normal(size=d))
 
 
-def draw_blocks(data, make):
+def draw_blocks(data, make, kinds=BLOCKS):
     seed = data.draw(st.integers(0, 2**31 - 1))
     d = data.draw(st.integers(1, 3))
-    kinds = data.draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=8))
+    kinds = data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8))
     rng = np.random.default_rng(seed)
     return rng, d, [make(rng, d, kind) for kind in kinds]
 
@@ -112,48 +138,46 @@ def test_stacked_conjugate_matches_block_conjugates(data):
     assert close(sum(closed), sum(terms), scale)
 
 
-def block_set(evaluate, rel, x):
-    """(base, free) of evaluate(rel, x) read off its set descriptor."""
-    s = evaluate(rel, x)
-    if s.is_empty:
-        raise EmptySelection("empty")
-    free = np.zeros(x.size, dtype=bool)
-    if s.kind is R.SetKind.EVERYTHING:
-        free[:] = True
-    elif s.kind is R.SetKind.AFFINE:
-        proj = s.directions @ s.directions.T
-        free = np.diag(proj) > 0.5
-        if np.abs(proj - np.diag(free.astype(float))).max() > 1e-9:
-            raise UnsupportedKind("not aligned")
-    return s.basepoint, free
-
-
 def relation_points(rng, rels, d, evaluate):
-    """Points where most blocks have a nonempty set."""
+    """Points where most blocks have a nonempty set: evaluate is
+    set_oracle.forward or set_oracle.inverse."""
     x = rng.normal(size=(len(rels), d))
     for k, rel in enumerate(rels):
         if rng.random() < 0.2:
             continue
-        if rel.kind is R.RelationKind.AFFINE and evaluate is R.inverse:
-            x[k] = rel.S @ rng.normal(size=d) + rel.v
-        elif rel.kind is R.RelationKind.SHIFTED and evaluate is R.forward:
-            x[k] = rel.input_offset
-        elif rel.kind is R.RelationKind.SHIFTED:
-            x[k] = rel.output_offset + rng.uniform(-1.0, 1.0, d)
-        elif rel.kind is R.RelationKind.GRADIENT_OF_CONVEX and evaluate is R.inverse:
-            x[k] = rng.uniform(-1.0, 1.0, d)
+        x[k] = graph_side(rng, rel, evaluate is set_oracle.inverse)
     return x
 
 
-@settings(max_examples=80, deadline=None)
+def graph_side(rng, rel, outputs):
+    """An input (or, with outputs, an output) of a point of rel's graph."""
+    d = rel.dim
+    if rel.kind is R.RelationKind.AFFINE:
+        return rel.S @ rng.normal(size=d) + rel.v if outputs else rng.normal(size=d)
+    if rel.kind is R.RelationKind.SHIFTED:
+        return rel.output_offset + rng.uniform(-1.0, 1.0, d) if outputs else rel.input_offset
+    chi = rel.chi
+    if chi.kind is R.FunctionKind.STACKED:
+        return np.concatenate([graph_side(rng, R.gradient_relation(ch), outputs)
+                               for ch in chi.children])
+    if chi.kind is R.FunctionKind.SHIFTED:  # of an indicator
+        return chi.linear + rng.uniform(-1.0, 1.0, d) if outputs else chi.shift
+    if chi.kind is R.FunctionKind.SCALAR_SEPARABLE:
+        return rng.uniform(-1.0, 1.0, d) if outputs else rng.normal(size=d)
+    u = rng.normal(size=d)
+    return R.grad_of(chi, u) if outputs else u
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.data(), st.sampled_from(["forward", "inverse"]))
 def test_coordinate_sets_match_block_sets(data, which):
-    evaluate = getattr(R, which)
-    rng, d, rels = draw_blocks(data, block_relation)
+    evaluate = getattr(set_oracle, which)
+    kinds = BLOCKS + GRADIENTS if which == "forward" else BLOCKS + GRADIENTS[:-1]
+    rng, d, rels = draw_blocks(data, block_relation, kinds)
     x = relation_points(rng, rels, d, evaluate)
-    outs, err = first_error([lambda r=r, xk=xk: block_set(evaluate, r, xk)
+    outs, err = first_error([lambda r=r, xk=xk: set_oracle.block_set(evaluate, r, xk)
                              for r, xk in zip(rels, x)])
-    got, got_err = outcome(lambda: R.coordinate_sets(rels, evaluate, x.ravel(), d))
+    got, got_err = outcome(lambda: R.coordinate_sets(rels, getattr(R, which), x.ravel(), d))
     assert got_err is err
     if err is not None:
         return
@@ -163,12 +187,27 @@ def test_coordinate_sets_match_block_sets(data, which):
     assert np.all(np.abs(got[0] - base) <= REL * (1.0 + np.abs(base)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_stacked_pair_residual_is_the_largest_block_residual(data):
-    rng, d, rels = draw_blocks(data, block_relation)
-    u = relation_points(rng, rels, d, R.forward)
-    y = relation_points(rng, rels, d, R.inverse)
-    parts = [R.pair_residual(r, uk, yk) for r, uk, yk in zip(rels, u, y)]
+    rng, d, rels = draw_blocks(data, block_relation, BLOCKS + GRADIENTS)
+    u = relation_points(rng, rels, d, set_oracle.forward)
+    y = relation_points(rng, rels, d, set_oracle.inverse)
+    parts = [set_oracle.pair_residual(r, uk, yk) for r, uk, yk in zip(rels, u, y)]
     got = R.pair_residual(R.stacked_relation(rels), u.ravel(), y.ravel())
     assert got == max(parts) or close(got, max(parts), max(parts))
+
+
+@pytest.mark.parametrize("make", [lambda P, q: R.affine_relation(P, q),
+                                  lambda P, q: R.gradient_relation(R.quadratic(P, q))],
+                         ids=["affine", "gradient"])
+def test_rotated_singular_inverse_is_refused_by_both(make):
+    rng = np.random.default_rng(4)
+    P, q = rand_psd(rng, 2, "singular"), rng.normal(size=2)
+    rel, y = make(P, q), P @ rng.normal(size=2) + q
+    with pytest.raises(UnsupportedKind):
+        set_oracle.block_set(set_oracle.inverse, rel, y)
+    with pytest.raises(UnsupportedKind):
+        R.coordinate_sets([rel], R.inverse, y, 2)
+    with pytest.raises(UnsupportedKind):
+        R.inverse(rel, y)

@@ -258,6 +258,15 @@ def test_export_csv_of_segments_matches_one_shot_writer_of_concatenation(
     assert len(forks) == (2 * len(layouts) if forked else 0)
 
 
+def test_export_csv_refuses_segments_of_differing_layouts(tmp_path):
+    ta, tb = (integrate(system, default_initial_state(system), 0.05)
+              for system in (bench_integrate().build_system(n) for n in (4, 5)))
+    path = tmp_path / "mixed.csv"
+    with pytest.raises(DimensionMismatch):
+        export_csv((ta, tb), path)
+    assert not path.exists()
+
+
 def traced_peak(fn):
     """(fn(), bytes its traced peak rose above the traced memory before it)."""
     tracemalloc.start()

@@ -101,6 +101,22 @@ def test_indicator_subgradient_empty_off_origin():
         R.grad_of(f, [1.0, 0.0])
 
 
+def test_min_norm_subgradient_of_indicator_parts():
+    # a stacked indicator block is free at its point, a shifted one everywhere there
+    f = R.stacked([R.indicator_zero(1), R.quadratic(np.eye(1), [2.0])])
+    assert np.array_equal(R.grad_of(f, [0.0, 1.0]), [0.0, 3.0])
+    with pytest.raises(OutsideDomain):
+        R.grad_of(f, [0.5, 1.0])
+    g = R.shifted(R.indicator_zero(2), shift=[1.0, -1.0], linear=[3.0, 4.0])
+    assert np.array_equal(R.grad_of(g, [1.0, -1.0]), [0.0, 0.0])
+    # a sum with an indicator part has no closed-form subgradient
+    h = R.function_sum([R.indicator_zero(2), R.quadratic(np.eye(2))])
+    with pytest.raises(RelationNotEvaluable):
+        R.subgradient(h, [0.0, 0.0])
+    with pytest.raises(RelationNotEvaluable):
+        R.grad_of(h, [0.0, 0.0])
+
+
 def test_as_quadratic_roundtrip():
     f = R.quadratic(P2, Q2, 0.25)
     P, q, c = R.as_quadratic(f)
