@@ -33,6 +33,8 @@ from .netopt import (
     SolveOptions,
     assemble,
     duality_gap,
+    ofp_objective,
+    opp_objective,
     recover_certificate,
     solve_opp,
     verify_steady_state,
@@ -184,7 +186,7 @@ def cli():
 def cmd_predict(config_path, out, seed):
     """Solve for the steady state and write the certificate.
 
-    An optimum whose certificate fails is refused (exit 2).
+    An optimum whose certificate or duality gap fails is refused (exit 2).
     """
 
     def run():
@@ -201,6 +203,9 @@ def cmd_predict(config_path, out, seed):
                 f"relations {cert.residual_relations:.3e}, "
                 f"inclusion {cert.residual_inclusion:.3e}")
         gap = duality_gap(problem, cert.u, cert.mu, cert.y, cert.zeta)
+        scale = 1.0 + abs(opp_objective(problem, cert.y)) + abs(ofp_objective(problem, cert.mu))
+        if not abs(gap) <= 1e-8 * scale:
+            raise Infeasible(f"duality gap {gap:.3e} exceeds 1e-8 * {scale:.3e}")
         outdir = _outdir(out)
         trace.write_csv(os.path.join(outdir, "opp_trace.csv"))
         _write_json(os.path.join(outdir, "certificate.json"), {

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -73,7 +74,7 @@ class NetworkProblem:
         The same, stacked block-wise.
     K, Kstar, Gamma, Gammastar : IntegralFunction
         Node and edge integral functions and their conjugates, summed
-        (stacked block-separably) over nodes and edges.
+        (stacked block-separably) over nodes and edges; parts: their qp_parts by name.
     """
 
     op: IncidenceOperator
@@ -93,6 +94,11 @@ class NetworkProblem:
     @property
     def edge_size(self) -> int:
         return self.op.edge_size
+
+    @cached_property
+    def parts(self) -> dict:
+        return {name: qp_parts(getattr(self, name), self.op.dim)
+                for name in ("K", "Kstar", "Gamma", "Gammastar")}
 
 
 def _node_integral_fns(rels) -> list:
@@ -292,23 +298,37 @@ def min_norm_flow(op: IncidenceOperator, edges, rhs, leak=None, grounded=None) -
     return Flow(mu=mu.ravel(), residual=residual.ravel(), flat=flat)
 
 
+def _pinned(problem: NetworkProblem, name: str, x):
+    """x with the pins a of problem's function name set (see qp_parts); None if x
+    misses them by more than tol * (1 + ||a||) at SolveOptions' tol: the one pin rule."""
+    f, x = getattr(problem, name), np.asarray(x, dtype=float).ravel()
+    if x.size != f.dim:
+        raise DimensionMismatch(f"expected dimension {f.dim}, got {x.size}")
+    _, _, pinned, a = problem.parts[name]
+    tol = SolveOptions.tol * (1.0 + np.linalg.norm(a[pinned]))
+    return np.where(pinned, a, x) if np.linalg.norm(x[pinned] - a[pinned]) <= tol else None
+
+
 def _selection_flow(problem: NetworkProblem, y, zeta):
     """Min-norm consistent (u, mu) with u in k^-1(y), mu in gamma(zeta).
 
-    Minimizes ||u||^2 + ||mu||^2 subject to u = -E mu: mu is fixed off
-    the free coordinates of gamma(zeta) and routed on them, and u is
-    fixed off the free coordinates of k^-1(y) and leaks to ground on
-    them, so this is one min_norm_flow. Returns (u, mu, residual,
-    scale), the residual of u + E mu and the norm of -E b - a for the
-    basepoints a of k^-1(y) and b of gamma(zeta).
+    gamma(zeta) is grad Gamma(zeta) off Gamma's pins, free on them, and
+    empty if zeta misses them. Minimizes ||u||^2 + ||mu||^2 subject to
+    u = -E mu: mu is fixed off the free coordinates of gamma(zeta) and
+    routed on them, u fixed off those of k^-1(y) and leaks to ground on
+    them: one min_norm_flow. Returns (u, mu, residual, scale), the
+    residual of u + E mu and ||E b + a|| for the basepoints a, b.
     """
     op, d = problem.op, problem.op.dim
     a, node_free = coordinate_sets(problem.node_relations, inverse, y, d)
-    b, edge_free = coordinate_sets(problem.edge_relations, forward, zeta, d)
-    mu = np.where(edge_free, 0.0, b)
-    rhs = -op.matvec(mu) - np.where(node_free, 0.0, a)
+    P, q, edge_free, _ = problem.parts["Gamma"]
+    zeta = _pinned(problem, "Gamma", zeta)
+    if zeta is None:
+        raise EmptySelection("zeta misses an integrator's pin")
+    b = np.where(edge_free, 0.0, _block_apply(P, zeta) + q)
+    rhs = -op.matvec(b) - np.where(node_free, 0.0, a)
     flow = min_norm_flow(op, edge_free, rhs, leak=node_free)
-    mu = mu + flow.mu
+    mu = b + flow.mu
     u = np.where(node_free, -op.matvec(mu), a)
     return u, mu, flow.residual, float(np.linalg.norm(op.matvec(b) + a))
 
@@ -318,14 +338,20 @@ def _selection_flow(problem: NetworkProblem, y, zeta):
 # ---------------------------------------------------------------------------
 
 
+def _value(problem: NetworkProblem, name: str, x) -> float:
+    """problem's function name at x with its pins met, inf on a miss."""
+    x = _pinned(problem, name, x)
+    return math.inf if x is None else value(getattr(problem, name), x)
+
+
 def opp_objective(problem: NetworkProblem, y) -> float:
     y = np.asarray(y, dtype=float).ravel()
-    return value(problem.Kstar, y) + value(problem.Gamma, problem.op.rmatvec(y))
+    return _value(problem, "Kstar", y) + _value(problem, "Gamma", problem.op.rmatvec(y))
 
 
 def ofp_objective(problem: NetworkProblem, mu) -> float:
     mu = np.asarray(mu, dtype=float).ravel()
-    return value(problem.K, -problem.op.matvec(mu)) + value(problem.Gammastar, mu)
+    return _value(problem, "K", -problem.op.matvec(mu)) + _value(problem, "Gammastar", mu)
 
 
 def inclusion_residual(problem: NetworkProblem, y) -> float:
@@ -360,12 +386,12 @@ def flow_residual(problem: NetworkProblem, mu) -> float:
 
 
 def duality_gap(problem: NetworkProblem, u, mu, y, zeta) -> float:
-    """K(u) + Gamma*(mu) + K*(y) + Gamma(zeta); zero at dual optimal pairs."""
+    """K(u) + Gamma*(mu) + K*(y) + Gamma(zeta), pins met; zero at dual optimal pairs."""
     terms = (
-        value(problem.K, u),
-        value(problem.Gammastar, mu),
-        value(problem.Kstar, y),
-        value(problem.Gamma, zeta),
+        _value(problem, "K", u),
+        _value(problem, "Gammastar", mu),
+        _value(problem, "Kstar", y),
+        _value(problem, "Gamma", zeta),
     )
     if not all(map(math.isfinite, terms)):
         raise InfiniteValue("a point lies outside an effective domain")
@@ -547,10 +573,8 @@ def solve_opp(problem: NetworkProblem, init_y=None, opts: Optional[SolveOptions]
     y0 = np.zeros(problem.node_size) if init_y is None else np.asarray(init_y, dtype=float).ravel()
     if y0.size != problem.node_size:
         raise DimensionMismatch("init_y has wrong length")
-    d = problem.op.dim
-    y, trace = solve_network_qp(problem.op, qp_parts(problem.Kstar, d),
-                                qp_parts(problem.Gamma, d), y0, opts.tol,
-                                lambda yv: opp_objective(problem, yv))
+    y, trace = solve_network_qp(problem.op, problem.parts["Kstar"], problem.parts["Gamma"],
+                                y0, opts.tol, lambda yv: opp_objective(problem, yv))
     return y, problem.op.rmatvec(y), trace
 
 
@@ -569,16 +593,15 @@ def solve_ofp(problem: NetworkProblem, init_mu=None, opts: Optional[SolveOptions
     objective and the norm of the gradient off the pins of Gamma*.
     """
     opts = opts or SolveOptions()
-    op, d = problem.op, problem.op.dim
+    op, parts = problem.op, problem.parts
     mu = (np.zeros(problem.edge_size) if init_mu is None
           else np.asarray(init_mu, dtype=float).ravel())
     if mu.size != problem.edge_size:
         raise DimensionMismatch("init_mu has wrong length")
-    node, edge = qp_parts(problem.Kstar, d), qp_parts(problem.Gamma, d)
-    (Pf, qf, pf, _), (Pg, qg, pg, _) = node, edge
+    (Pf, qf, pf, _), (Pg, qg, pg, _) = parts["Kstar"], parts["Gamma"]
     try:
-        y, _ = solve_network_qp(op, node, edge, np.zeros(problem.node_size), opts.tol,
-                                lambda yv: 0.0)
+        y, _ = solve_network_qp(op, parts["Kstar"], parts["Gamma"],
+                                np.zeros(problem.node_size), opts.tol, lambda yv: 0.0)
     except Infeasible:
         raise Unbounded("flow objective decreases without bound: the potential "
                         "problem's pins are inconsistent") from None
@@ -593,8 +616,7 @@ def solve_ofp(problem: NetworkProblem, init_mu=None, opts: Optional[SolveOptions
     trace = SolveTrace(method="equality-qp")
     if flow.flat:
         trace.notes.append("anchored")
-    Ps, qs, ps, _ = qp_parts(problem.Gammastar, d)
-    Pk, qk, _, _ = qp_parts(problem.K, d)
+    (Ps, qs, ps, _), (Pk, qk, _, _) = parts["Gammastar"], parts["K"]
     grad = _block_apply(Ps, mu) + qs - op.rmatvec(_block_apply(Pk, u) + qk)
     trace.record(1, ofp_objective(problem, mu), float(np.linalg.norm(grad[~ps])))
     return u, mu, trace

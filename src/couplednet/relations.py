@@ -37,10 +37,6 @@ from .errors import (
     UnsupportedKind,
 )
 
-# Tolerance treating a floating vector as exactly zero (indicator domains,
-# integrator relation inputs).
-ZERO_ATOL = 1e-11
-
 # ---------------------------------------------------------------------------
 # set descriptors
 # ---------------------------------------------------------------------------
@@ -251,6 +247,9 @@ def shifted(inner: IntegralFunction, shift=None, linear=None, constant: float = 
     linear = np.zeros(dim) if linear is None else np.asarray(linear, dtype=float).ravel()
     if shift.size != dim or linear.size != dim:
         raise DimensionMismatch("shift/linear offsets must match inner dimension")
+    if inner.kind is FunctionKind.SHIFTED:  # one shift, so a pin evaluates exactly at its point
+        return shifted(inner.inner, inner.shift + shift, inner.linear + linear,
+                       inner.constant + constant - float(inner.linear @ shift))
     return IntegralFunction(
         dim=dim,
         kind=FunctionKind.SHIFTED,
@@ -351,7 +350,7 @@ def _values(fs, X: np.ndarray) -> np.ndarray:
         return (0.5 * np.einsum("ki,kij,kj->k", X, P, X) + np.einsum("ki,ki->k", q, X)
                 + np.array([f.c for f in fs]))
     if kind is FunctionKind.INDICATOR_ZERO:
-        return np.where(np.max(np.abs(X), axis=1, initial=0.0) <= ZERO_ATOL, 0.0, math.inf)
+        return np.where(np.any(X != 0.0, axis=1), math.inf, 0.0)
     if kind is FunctionKind.SHIFTED:
         shift = np.stack([f.shift for f in fs])
         inner = _block_values([f.inner for f in fs], (X - shift).ravel())
@@ -814,8 +813,7 @@ def _kind_sets(rels, X: np.ndarray, invert: bool):
             hi = np.array([rel.out_hi for rel in rels])[:, None] + 1e-9
             empty = np.any(X < lo, axis=1) | np.any(X > hi, axis=1)
             return np.zeros(X.shape), none_free, _faults(empty, _empty_fault)
-        empty = np.max(np.abs(X), axis=1, initial=0.0) > ZERO_ATOL
-        return np.zeros(X.shape), ~none_free, _faults(empty, _empty_fault)
+        return np.zeros(X.shape), ~none_free, _faults(np.any(X != 0.0, axis=1), _empty_fault)
     if kind is RelationKind.SHIFTED:
         into = np.stack([rel.output_offset if invert else rel.input_offset for rel in rels])
         out = np.stack([rel.input_offset if invert else rel.output_offset for rel in rels])

@@ -110,7 +110,7 @@ def _agreement_shift(problem: NetworkProblem, y_star: np.ndarray, tol: float) ->
     """
     op, d = problem.op, problem.op.dim
     pins = shifted(indicator_zero(op.edge_size), shift=op.rmatvec(y_star))
-    y, _ = solve_network_qp(op, qp_parts(problem.Kstar, d), qp_parts(pins, d), y_star, tol,
+    y, _ = solve_network_qp(op, problem.parts["Kstar"], qp_parts(pins, d), y_star, tol,
                             lambda yv: value(problem.Kstar, yv))
     return (y - y_star).reshape(op.node_count, d).mean(axis=0)
 
@@ -208,8 +208,8 @@ def check_uniqueness_conditions(problem: NetworkProblem, y_star) -> UniquenessRe
     """Decide the conditions that make y* the unique optimum."""
     y_star = np.asarray(y_star, dtype=float).ravel()
     n, d = problem.op.node_count, problem.op.dim
-    outer = not qp_parts(problem.Gammastar, d)[2].any()
-    inner = not qp_parts(problem.K, d)[2].reshape(n, d).any(axis=1).all()
+    outer = not problem.parts["Gammastar"][2].any()
+    inner = not problem.parts["K"][2].reshape(n, d).any(axis=1).all()
     z = _min_flow(problem, _node_set(problem, y_star))[1]
     return UniquenessReport(outer, inner, float(np.linalg.norm(z)))
 

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from couplednet.couplers import linear_synthesis
+from couplednet.couplers import linear_synthesis, nonlinear_integrator, reconfigured
 from couplednet.netgraph import build_graph
 from couplednet.plants import linear_agent
+from couplednet.relations import quadratic
 
 
 def rand_orth(rng, k):
@@ -62,6 +63,33 @@ def mixed_network(seed):
     offsets = np.random.default_rng(seed).normal(0.0, 0.5, size=(2, 2))
     ctrls = [small.controllers[0]] + [linear_synthesis(off) for off in offsets]
     return build_graph(3, small.graph.edges[:3]), small.agents, ctrls
+
+
+def anchored_network(seed, scale, reconfigure=True):
+    """2-5 MEICMP linear agents, d = 1-2, anchored at scale * N(0, 1).
+
+    A random half of the edges (the first always, the last never) are
+    quadratic integrators, the rest linear synthesis. With reconfigure,
+    each integrator is pinned at alpha ~ scale * N(0, 1) instead of 0.
+    """
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 6)), int(rng.integers(1, 3))
+    graph = rand_connected_graph(rng, n)
+    agents = [meicmp_linear_agent(rng, d, anchor=scale * rng.normal(size=d)) for _ in range(n)]
+    integ = rng.random(graph.edge_count) < 0.5
+    integ[0] = True
+    if graph.edge_count > 1:
+        integ[-1] = False
+    integrator = nonlinear_integrator(quadratic(np.eye(d)))
+    ctrls = []
+    for i in integ:
+        if not i:
+            ctrls.append(linear_synthesis(rng.normal(size=d)))
+        elif reconfigure:
+            ctrls.append(reconfigured(integrator, scale * rng.normal(size=d), np.zeros(d)))
+        else:
+            ctrls.append(integrator)
+    return graph, agents, ctrls
 
 
 @pytest.fixture

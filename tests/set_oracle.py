@@ -12,9 +12,13 @@ import math
 import numpy as np
 
 from couplednet.errors import EmptySelection, UnsupportedKind
-from couplednet.relations import (ZERO_ATOL, FunctionKind, RelationKind, SetDescriptor,
-                                  SetKind, _blocks, _bracket_root, _check_dim, as_quadratic,
-                                  block_diag, gradient_relation, solve_affine)
+from couplednet.relations import (FunctionKind, RelationKind, SetDescriptor, SetKind, _blocks,
+                                  _bracket_root, _check_dim, as_quadratic, block_diag,
+                                  gradient_relation, solve_affine)
+
+# The oracle's historical zero test: a vector within this of 0 is 0 at an
+# indicator or integrator. couplednet itself tests membership exactly.
+ZERO_ATOL = 1e-11
 
 
 def orthonormal_cols(mat, rtol=1e-10):

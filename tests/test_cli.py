@@ -365,6 +365,17 @@ def test_predict_refuses_saturated_integrator(tmp_path, capsys):
     assert not (tmp_path / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("gap", [1e-6, -1e-6, float("nan")])
+def test_predict_refuses_a_duality_gap_above_its_bound(tmp_path, capsys, monkeypatch, gap):
+    # the hand network's objectives are O(1), so the bound
+    # 1e-8 * (1 + |OPP| + |OFP|) is well below 1e-6
+    monkeypatch.setattr(cli, "duality_gap", lambda *args: gap)
+    cfg = write_doc(tmp_path, hand_doc())
+    assert run_cli("predict", "--config", cfg, "--out", str(tmp_path)) == 2
+    assert "Infeasible: duality gap" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
+
+
 @pytest.mark.parametrize("M", [[[float("nan"), 0.0], [0.0, 1.0]],
                                [[float("inf"), 0.0], [0.0, 1.0]],
                                [[1.0, 2.0], [2.0, 4.0]],

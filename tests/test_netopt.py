@@ -246,6 +246,23 @@ def test_ofp_keeps_cycle_component_of_init_mu():
     assert np.allclose(u, recover_certificate(prob, y, zeta).u, atol=1e-10)
 
 
+def test_nested_shifts_meet_their_pins_exactly():
+    # Indicators test membership exactly, and the objectives evaluate them
+    # at the pin qp_parts sums: 0.1 + 0.2 here. Read back through two
+    # shifts, (0.1 + 0.2 - 0.2) - 0.1 is 2.8e-17, not 0, so a shift of a
+    # shift must be stored as one. The second edge's Gamma* nests two.
+    op = incidence(build_graph(2, [(0, 1)]), 1)
+    node_rels = [affine_relation(np.eye(1))] * 2
+    for edge in (shifted(shifted(indicator_zero(1), [0.1]), [0.2]),
+                 shifted(quadratic([[0.0]], [0.1]), shift=[0.2], linear=[0.3])):
+        prob = problem_from_relations(op, node_rels, [edge])
+        y, zeta, trace = solve_opp(prob)
+        assert np.isfinite(trace.objectives).all()
+        cert = recover_certificate(prob, y, zeta)
+        assert cert.valid(1e-9)
+        assert abs(duality_gap(prob, cert.u, cert.mu, cert.y, cert.zeta)) <= 1e-12
+
+
 def test_pinned_output_node():
     g = build_graph(2, [(0, 1)])
     op = incidence(g, 1)

@@ -78,6 +78,12 @@ def test_function_sum_and_shift():
     assert R.value(f, [1.0, 1.0]) == pytest.approx(0.5 * 2 + 0.5 * 4 + 1.0)
     g = R.shifted(R.quadratic(np.eye(2)), shift=[1.0, 0.0], constant=2.0)
     assert R.value(g, [1.0, 0.0]) == pytest.approx(2.0)
+    # a shift of a shift is stored as one, with the same values
+    h = R.shifted(g, shift=[0.5, -1.0], linear=[2.0, 3.0], constant=-1.0)
+    assert h.inner.kind is R.FunctionKind.QUADRATIC
+    for x in ([0.0, 0.0], [1.5, -1.0], [-2.0, 3.0]):
+        z = np.subtract(x, [0.5, -1.0])
+        assert R.value(h, x) == pytest.approx(R.value(g, z) + 2.0 * x[0] + 3.0 * x[1] - 1.0)
 
 
 def test_stacked_blocks():
