@@ -250,6 +250,10 @@ def shifted(inner: IntegralFunction, shift=None, linear=None, constant: float = 
     if inner.kind is FunctionKind.SHIFTED:  # one shift, so a pin evaluates exactly at its point
         return shifted(inner.inner, inner.shift + shift, inner.linear + linear,
                        inner.constant + constant - float(inner.linear @ shift))
+    if inner.kind is FunctionKind.STACKED:  # the same for a pin in a block; one takes the constant
+        blocks = zip(_blocks(inner, shift), _blocks(inner, linear))
+        return stacked([shifted(ch, s, b, constant if k == 0 else 0.0)
+                        for k, ((ch, s), (_, b)) in enumerate(blocks)])
     return IntegralFunction(
         dim=dim,
         kind=FunctionKind.SHIFTED,

@@ -7,9 +7,6 @@ compares the settled output against steady-state certificates.
 """
 from __future__ import annotations
 
-import os
-import tempfile
-import threading
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -530,43 +527,27 @@ def prediction_report(system: ClosedLoopSystem, conv: ConvergenceResult,
         y_ss=conv.y_ss, mu_ss=conv.mu_ss, t_conv=conv.t_conv)
 
 
-# Fewest values a forked row writer is given. Two writers cost about 9 ms
-# more than one in-process loop (fork, temporary file, exit and copy): the
-# time to format some 12,000 values on a 2-vCPU VM, where they break even
-# near 24,000 values in all. Formation's 82.5k values still get 2 workers.
-EXPORT_VALUES_PER_WORKER = 20_000
-
-
 def export_csv(traj, path) -> None:
     """Write `t, y[node.coord]..., u[...], zeta[edge.coord]..., mu[...]`.
 
     traj is one Trajectory or the sequence of segment trajectories
     integrate_schedule returns. One header line, then one line per
     record: segment 0's records, then each later segment's from its
-    second on, as its first repeats the boundary. Values have 17
-    significant digits (`%.17g`), so each parses back to the recorded
-    double. Lines end in CRLF.
+    second on, as its first repeats the boundary. Each value is the
+    shortest decimal that parses back to the recorded double; NaN and
+    infinities read `nan`, `inf` and `-inf`. Lines end in CRLF.
 
-    The rows are split into contiguous chunks, one per CPU in
-    `os.sched_getaffinity(0)` but at least EXPORT_VALUES_PER_WORKER
-    values each. Each chunk is formatted by a forked worker, pinned to
-    its own CPU, into an unnamed temporary file; the parent appends
-    the files in order, so the bytes are those of one writer. The rows
-    are written in-process instead when there would be one worker, when
-    `os.fork` or `os.sched_setaffinity` is missing, or when other Python
-    threads are alive. The caller's CPU affinity is left as it was.
-    Every writer stacks its rows from the trajectories' arrays a block
-    of about `_fastpath.BLOCK_VALUES` values at a time, so no process
-    holds the whole table.
+    The rows go a block of about a thousand values at a time: the block
+    is stacked from the trajectories' arrays and formatted by one
+    `orjson.dumps` call, so no whole-table array or text is held.
 
     Raises
     ------
     DimensionMismatch
         The segments differ in (nodes, edges, io_dim); nothing is written.
-    OSError
-        A worker failed, or could not be started. No worker or temporary
-        file outlives the call, whether it succeeds or fails.
     """
+    import orjson  # loaded by the first export, not by set-up or predict
+
     segs = (traj,) if isinstance(traj, Trajectory) else tuple(traj)
     layouts = {(seg.system.graph.node_count, seg.system.graph.edge_count, seg.system.io_dim)
                for seg in segs}
@@ -577,106 +558,28 @@ def export_csv(traj, path) -> None:
     header = ",".join(["t"] + [f"{name}[{k}.{c}]"
                                for name, count in (("y", n), ("u", n), ("zeta", m), ("mu", m))
                                for k in range(count) for c in range(d)]) + "\r\n"
-    width = 1 + 2 * (n + m) * d
-    row_format = ",".join(["%.17g"] * width) + "\r\n"
-    records = 1 + sum(seg.times.shape[0] - 1 for seg in segs)
-    step = _fastpath.block_rows(width)
-
-    def rows(lo, hi):
-        # the table's rows lo..hi as lists of floats, stacked one block of
-        # at most step rows of one segment at a time; no row view outlives
-        # its block
-        end = 0
+    # about 16 bytes of text per value, so a block's text is about BLOCK_VALUES bytes
+    step = _fastpath.block_rows(16 * (1 + 2 * (n + m) * d))
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
         for k, seg in enumerate(segs):
-            first = int(k > 0)  # a later segment's first record is the boundary's
-            base, end = end, end + seg.times.shape[0] - first
             columns = (seg.times, seg.y, seg.u, seg.zeta, seg.mu)
-            shift = first - base  # table row + shift = the segment's record
-            for b in range(max(lo, base), min(hi, end), step):
-                e = min(b + step, hi, end)
-                yield from map(np.ndarray.tolist,
-                               np.column_stack([c[b + shift:e + shift] for c in columns]))
-
-    cpus = _writer_cpus(records * width)
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        if len(cpus) < 2:
-            _write_rows(fh, row_format, rows(0, records))
-        else:
-            fh.flush()
-            _write_forked(fh.fileno(), row_format, rows, records, cpus,
-                          os.path.dirname(os.path.abspath(path)))
+            # a later segment's first record is the boundary's
+            for b in range(int(k > 0), seg.times.shape[0], step):
+                block = np.column_stack([c[b:b + step] for c in columns])
+                text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+                # [[r0],[r1]] -> r0\r\nr1, written without the outer brackets
+                text = _spell_non_finite(text.replace(b"],[", b"\r\n"), block)
+                fh.write(memoryview(text)[2:-2])
+                fh.write(b"\r\n")
 
 
-def _write_rows(fh, row_format, rows) -> None:
-    # 17 significant digits parse back to the same double; rows come one
-    # list of Python floats at a time
-    fh.writelines(row_format % tuple(row) for row in rows)
-
-
-def _writer_cpus(values: int) -> list:
-    """One CPU per forked row writer; fewer than two means write in-process."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity")
-            or threading.active_count() > 1):
-        return []
-    return sorted(os.sched_getaffinity(0))[:values // EXPORT_VALUES_PER_WORKER]
-
-
-def _write_forked(out_fd: int, row_format: str, rows, records: int, cpus,
-                  tmp_dir: str) -> None:
-    """Append rows(0, records) at out_fd, chunk k formatted by a worker on cpus[k].
-
-    rows(lo, hi) yields the table's rows lo..hi. The chunks go to
-    unnamed temporary files in tmp_dir, the output's own directory,
-    which is writable and on the output's file system.
-    """
-    bounds = [records * k // len(cpus) for k in range(len(cpus) + 1)]
-    files, pids = [], []
-    try:
-        for cpu, lo, hi in zip(cpus, bounds, bounds[1:]):
-            files.append(tempfile.TemporaryFile(dir=tmp_dir))
-            pid = os.fork()
-            if pid == 0:
-                _row_worker(files[-1].fileno(), cpu, row_format, rows(lo, hi))
-            pids.append(pid)
-        for k, tmp in enumerate(files):
-            _, status = os.waitpid(pids[k], 0)
-            pids[k] = None
-            if status:
-                raise OSError(f"trajectory row writer {k} exited with status "
-                              f"{os.waitstatus_to_exitcode(status)}")
-            _append(out_fd, tmp.fileno())
-    finally:
-        # a failed call still reaps every worker; each ends with its chunk
-        for pid in pids:
-            if pid is not None:
-                os.waitpid(pid, 0)
-        for tmp in files:
-            tmp.close()
-
-
-def _row_worker(fd: int, cpu: int, row_format: str, rows) -> None:
-    """Body of a forked writer: never returns, exits 0 only on success."""
-    status = 1
-    try:
-        os.sched_setaffinity(0, (cpu,))
-        with open(fd, "w", newline="", closefd=False) as fh:
-            _write_rows(fh, row_format, rows)
-        status = 0
-    except Exception:  # the parent sees only the exit status
-        import traceback
-
-        traceback.print_exc()
-    finally:
-        os._exit(status)
-
-
-def _append(out_fd: int, in_fd: int) -> None:
-    """Copy all of in_fd to out_fd's position, kernel-side."""
-    offset, size = 0, os.fstat(in_fd).st_size
-    while offset < size:
-        sent = os.sendfile(out_fd, in_fd, offset, size - offset)
-        if not sent:
-            raise OSError("trajectory row file ended early")
-        offset += sent
-
+def _spell_non_finite(text: bytes, block: np.ndarray) -> bytes:
+    """text with each `null` orjson wrote for a non-finite value of block
+    spelled `nan`, `inf` or `-inf`, in the block's row-major order."""
+    bad = block[~np.isfinite(block)].tolist()
+    if not bad:
+        return text
+    words = [b"nan" if v != v else b"inf" if v > 0 else b"-inf" for v in bad]
+    parts = text.split(b"null")
+    return b"".join(x for pair in zip(parts, words + [b""]) for x in pair)

@@ -201,20 +201,23 @@ def test_synthesize_leaves_numpy_random_unimported(tmp_path):
 
 
 def test_predict_leaves_scipy_unimported(tmp_path):
-    # scipy.sparse alone would add about 20 MB to the peak RSS of a run
+    # scipy.sparse alone would add about 20 MB to the peak RSS of a run;
+    # orjson is for simulate's trajectory.csv only
     root = Path(__file__).resolve().parent.parent
     code = ("import sys\n"
             "from couplednet import cli\n"
-            "rc = cli.cli.main(args=['predict', '--config', sys.argv[1], '--out', sys.argv[2]],\n"
-            "                  standalone_mode=False)\n"
-            "assert rc in (0, None), rc\n"
-            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-            "assert not loaded, loaded\n")
+            "for command in ('predict', 'check-cm'):\n"
+            "    args = [command, '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "    rc = cli.cli.main(args=args, standalone_mode=False)\n"
+            "    assert rc in (0, None), rc\n"
+            "    loaded = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'orjson')]\n"
+            "    assert not loaded, (command, loaded)\n")
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     res = subprocess.run([sys.executable, "-c", code, str(root / "configs" / "formation.json"),
                           str(tmp_path)], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "certificate.json").exists()
+    assert (tmp_path / "cm_report.json").exists()
 
 
 def test_bench_netopt_smoke():

@@ -15,9 +15,9 @@ from couplednet.netopt import (SolveOptions, assemble, duality_gap,
                                problem_from_relations, recover_certificate,
                                solve_ofp, solve_opp, verify_steady_state)
 from couplednet.plants import linear_agent
-from couplednet.relations import (affine_relation, function_sum,
+from couplednet.relations import (FunctionKind, affine_relation, function_sum,
                                   indicator_zero, quadratic, scalar_separable,
-                                  shifted, stacked)
+                                  shifted, stacked, value)
 from couplednet.simulate import (IntegrateOptions, closed_loop,
                                  compare_prediction, default_initial_state,
                                  detect_convergence, integrate)
@@ -250,17 +250,30 @@ def test_nested_shifts_meet_their_pins_exactly():
     # Indicators test membership exactly, and the objectives evaluate them
     # at the pin qp_parts sums: 0.1 + 0.2 here. Read back through two
     # shifts, (0.1 + 0.2 - 0.2) - 0.1 is 2.8e-17, not 0, so a shift of a
-    # shift must be stored as one. The second edge's Gamma* nests two.
-    op = incidence(build_graph(2, [(0, 1)]), 1)
-    node_rels = [affine_relation(np.eye(1))] * 2
+    # shift must be stored as one, and a shift over a stack goes onto the
+    # stack's blocks. The second edge's Gamma* nests two shifts.
+    g = build_graph(2, [(0, 1)])
+    pinned_block = stacked([shifted(indicator_zero(1), [0.1]), quadratic(np.eye(1))])
     for edge in (shifted(shifted(indicator_zero(1), [0.1]), [0.2]),
-                 shifted(quadratic([[0.0]], [0.1]), shift=[0.2], linear=[0.3])):
-        prob = problem_from_relations(op, node_rels, [edge])
+                 shifted(quadratic([[0.0]], [0.1]), shift=[0.2], linear=[0.3]),
+                 shifted(pinned_block, shift=[0.2, 0.0])):
+        node_rels = [affine_relation(np.eye(edge.dim))] * 2
+        prob = problem_from_relations(incidence(g, edge.dim), node_rels, [edge])
         y, zeta, trace = solve_opp(prob)
         assert np.isfinite(trace.objectives).all()
         cert = recover_certificate(prob, y, zeta)
         assert cert.valid(1e-9)
         assert abs(duality_gap(prob, cert.u, cert.mu, cert.y, cert.zeta)) <= 1e-12
+
+
+def test_shift_over_a_stack_is_the_stack_of_shifted_blocks():
+    inner = stacked([quadratic([[2.0]], [0.5], c=1.0), quadratic(np.eye(2))])
+    f = shifted(inner, shift=[0.3, -1.0, 2.0], linear=[1.0, 0.0, -0.5], constant=0.7)
+    assert f.kind is FunctionKind.STACKED
+    rng = np.random.default_rng(0)
+    for x in rng.normal(size=(5, 3)):
+        want = value(inner, x - [0.3, -1.0, 2.0]) + x @ [1.0, 0.0, -0.5] + 0.7
+        assert value(f, x) == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 def test_pinned_output_node():

@@ -2,7 +2,6 @@
 passes, and no whole-trajectory temporaries."""
 import dataclasses
 import math
-import os
 import tracemalloc
 from pathlib import Path
 
@@ -199,28 +198,16 @@ def wide_trajectory(system, records, rng):
                       zeta=fill[:, 2 * n:2 * n + m], mu=fill[:, 2 * n + m:])
 
 
-@pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
-def test_export_csv_matches_one_shot_writer(ring64, tmp_path, monkeypatch, block_sizes,
-                                            forked):
-    if forked and (not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2):
-        pytest.skip("forked row writers need os.sched_setaffinity and 2 CPUs")
+def test_export_csv_matches_one_shot_writer(formation, tmp_path, block_sizes):
     rng = np.random.default_rng(4)
-    export_csv(wide_trajectory(ring64, 1, rng), tmp_path / "probe.csv")
+    export_csv(wide_trajectory(formation, 1, rng), tmp_path / "probe.csv")
     block = block_sizes[-1]
     assert block > 2
-    # any table forks when forked, none when not
-    monkeypatch.setattr(sim, "EXPORT_VALUES_PER_WORKER", 1 if forked else 10 ** 15)
-    forks = []
-    real_fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    # two writers split the rows in halves, so their chunks sit on block edges too
-    counts = edge_counts(block) + ([2 * block - 2, 2 * block, 2 * block + 2] if forked else [])
-    for records in counts:
-        traj = wide_trajectory(ring64, records, rng)
+    for records in edge_counts(block):
+        traj = wide_trajectory(formation, records, rng)
         export_csv(traj, tmp_path / "blocks.csv")
         oracle.export_csv(traj, tmp_path / "one_shot.csv")
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one_shot.csv").read_bytes()
-    assert len(forks) == (2 * len(counts) if forked else 0)
 
 
 def segment_trajectories(system, counts, rng):
@@ -228,34 +215,23 @@ def segment_trajectories(system, counts, rng):
     return tuple(wide_trajectory(system, records, rng) for records in counts)
 
 
-@pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
 def test_export_csv_of_segments_matches_one_shot_writer_of_concatenation(
-        ring64, tmp_path, monkeypatch, block_sizes, forked):
-    if forked and (not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2):
-        pytest.skip("forked row writers need os.sched_setaffinity and 2 CPUs")
+        formation, tmp_path, block_sizes):
     rng = np.random.default_rng(7)
-    export_csv(wide_trajectory(ring64, 1, rng), tmp_path / "probe.csv")
+    export_csv(wide_trajectory(formation, 1, rng), tmp_path / "probe.csv")
     block = block_sizes[-1]
     assert block > 2
-    forks = []
-    real_fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    # records per segment; a later segment adds one row fewer. The table's
-    # rows block.. cross the boundary at block + 3, or meet one at block;
-    # two writers split the rows inside a segment, at a boundary, one row
-    # into a segment, or at a segment of one row
+    # records per segment; a later segment writes one row fewer, from its
+    # second record on, so its blocks end one record later. The counts put
+    # segment ends on, before and after block edges, and one segment of
+    # two records writes a single row
     layouts = [[block + 1], [block + 3, 2 * block], [block, block + 1, 2, 3 * block],
                [block + 5, block + 6], [block + 5, block + 8], [block, 2, block + 1]]
-    width = 1 + 2 * (ring64.op.node_size + ring64.op.edge_size)
     for counts in layouts:
-        segs = segment_trajectories(ring64, counts, rng)
-        values = (sum(counts) - len(counts) + 1) * width
-        # exactly two writers when forked, none when not
-        monkeypatch.setattr(sim, "EXPORT_VALUES_PER_WORKER", values // 2 if forked else 10 ** 15)
+        segs = segment_trajectories(formation, counts, rng)
         export_csv(segs, tmp_path / "segments.csv")
         oracle.export_csv(oracle.concatenate(segs), tmp_path / "one_shot.csv")
         assert (tmp_path / "segments.csv").read_bytes() == (tmp_path / "one_shot.csv").read_bytes()
-    assert len(forks) == (2 * len(layouts) if forked else 0)
 
 
 def test_export_csv_refuses_segments_of_differing_layouts(tmp_path):
@@ -278,7 +254,7 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_post_processing_holds_no_whole_trajectory_temporary(ring64, tmp_path, monkeypatch):
+def test_post_processing_holds_no_whole_trajectory_temporary(ring64, tmp_path):
     init = default_initial_state(ring64)
     opts = IntegrateOptions(record_every=0.005)
     integrate(ring64, init, 1.0, opts)
@@ -290,7 +266,6 @@ def test_post_processing_holds_no_whole_trajectory_temporary(ring64, tmp_path, m
     conv, peak = traced_peak(lambda: detect_convergence(traj, tol=math.inf))
     assert conv.converged and conv.t_conv == traj.times[0]
     assert peak <= BLOCK_BYTES + (64 << 10)
-    monkeypatch.setattr(sim, "EXPORT_VALUES_PER_WORKER", 10 ** 15)  # in-process writer
     _, peak = traced_peak(lambda: export_csv(traj, tmp_path / "traj.csv"))
     assert peak <= BLOCK_BYTES + (128 << 10)
 

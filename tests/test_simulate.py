@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from couplednet.couplers import (custom_controller, linear_synthesis,
                                  nonlinear_integrator, reconfigured)
@@ -12,10 +15,9 @@ from couplednet.netgraph import build_graph
 from couplednet.netopt import assemble, recover_certificate, solve_opp
 from couplednet.plants import custom_agent, linear_agent
 from couplednet.relations import quadratic
-from couplednet.simulate import (EXPORT_VALUES_PER_WORKER, IntegrateOptions,
-                                 closed_loop, compare_prediction, default_initial_state,
-                                 detect_convergence, export_csv, integrate,
-                                 integrate_schedule, step_rhs)
+from couplednet.simulate import (IntegrateOptions, closed_loop, compare_prediction,
+                                 default_initial_state, detect_convergence, export_csv,
+                                 integrate, integrate_schedule, step_rhs)
 
 
 def solo(agent):
@@ -204,8 +206,6 @@ def test_export_csv_format(tmp_path):
 
 
 def test_export_csv_special_values_parse_back_to_their_bits(tmp_path):
-    import dataclasses
-
     _, _, _, system = pair_system()
     traj = integrate(system, default_initial_state(system), 1.0,
                      IntegrateOptions())
@@ -227,85 +227,57 @@ def test_export_csv_special_values_parse_back_to_their_bits(tmp_path):
     assert np.array_equal(back[~nan].view(np.int64), data[~nan].view(np.int64))
 
 
-needs_two_cpus = pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="forked row writers need os.sched_setaffinity and 2 CPUs")
-
-
-def wide_trajectory(rows):
-    """pair_system's trajectory resized to rows records of mixed magnitudes."""
-    import dataclasses
-
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       counts=st.lists(st.integers(min_value=2, max_value=320), min_size=1, max_size=3),
+       special=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                        | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                                           -math.nan, 5e-324, -2.2250738585072009e-308]),
+                        max_size=40))
+def test_export_csv_random_bit_patterns_parse_back_to_their_bits(tmp_path_factory, seed,
+                                                                  counts, special):
+    # segments of random float64 bit patterns, some values drawn special;
+    # a segment of up to 320 records spans up to three blocks of rows
     _, _, _, system = pair_system()
-    traj = integrate(system, default_initial_state(system), 1.0,
-                     IntegrateOptions())
-    rng = np.random.default_rng(5)
-    fill = rng.normal(size=(rows, 6)) * 10.0 ** rng.integers(-300, 300, (rows, 6))
-    fill[::97] = [0.0, -0.0, math.inf, -math.nan, 5e-324, 1 / 3]
-    return dataclasses.replace(traj, times=np.linspace(0.0, 1.0, rows),
-                               y=fill[:, 0:2], u=fill[:, 2:4],
-                               zeta=fill[:, 4:5], mu=fill[:, 5:6])
+    traj = integrate(system, default_initial_state(system), 1.0, IntegrateOptions())
+    rng = np.random.default_rng(seed)
+    segs = []
+    for k, rows in enumerate(counts):
+        fill = rng.integers(0, 2 ** 64, size=(rows, 6), dtype=np.uint64).view(np.float64)
+        at = rng.integers(0, fill.size, len(special))
+        fill.ravel()[at] = special
+        segs.append(dataclasses.replace(traj, times=k + np.linspace(0.0, 1.0, rows),
+                                        y=fill[:, 0:2], u=fill[:, 2:4],
+                                        zeta=fill[:, 4:5], mu=fill[:, 5:6]))
+    path = tmp_path_factory.mktemp("bits") / "traj.csv"
+    export_csv(segs, path)
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    tables = [np.column_stack([seg.times, seg.y, seg.u, seg.zeta, seg.mu]) for seg in segs]
+    data = np.concatenate([table[int(k > 0):] for k, table in enumerate(tables)])
+    nan = np.isnan(data)
+    assert np.array_equal(np.isnan(back), nan)
+    assert np.array_equal(back[~nan].view(np.int64), data[~nan].view(np.int64))
 
 
-def counting_fork(monkeypatch):
-    calls = []
-    real_fork = os.fork
-
-    def fork():
-        calls.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return calls
-
-
-@needs_two_cpus
-def test_export_csv_forked_writers_match_in_process_writer(tmp_path, monkeypatch):
-    traj = wide_trajectory(2 * EXPORT_VALUES_PER_WORKER // 7 + 500)
-    cpus = os.sched_getaffinity(0)
-    forks = counting_fork(monkeypatch)
-    export_csv(traj, tmp_path / "forked.csv")
-    assert len(forks) == 2
-    assert os.sched_getaffinity(0) == cpus
-    os.sched_setaffinity(0, {min(cpus)})
-    try:
-        export_csv(traj, tmp_path / "single.csv")
-    finally:
-        os.sched_setaffinity(0, cpus)
-    assert len(forks) == 2
-    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
-
-
-@needs_two_cpus
-def test_export_csv_failed_worker_raises_and_leaves_nothing(tmp_path, monkeypatch):
-    import couplednet.simulate as sim
-
-    def broken(fh, row_format, rows):
-        raise RuntimeError("worker fails")
-
-    traj = wide_trajectory(2 * EXPORT_VALUES_PER_WORKER // 7 + 500)
-    forks = counting_fork(monkeypatch)
-    monkeypatch.setattr(sim, "_write_rows", broken)
-    open_fds = sorted(os.listdir("/proc/self/fd"))
-    with pytest.raises(OSError, match="row writer"):
-        export_csv(traj, tmp_path / "traj.csv")
-    assert len(forks) == 2
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert sorted(os.listdir(tmp_path)) == ["traj.csv"]
-    assert sorted(os.listdir("/proc/self/fd")) == open_fds
-
-
-def test_export_csv_tiny_trajectory_never_forks(tmp_path, monkeypatch):
+def test_export_csv_never_forks(tmp_path, monkeypatch):
     def no_fork():
-        raise AssertionError("a tiny trajectory forked")
+        raise AssertionError("export_csv forked")
 
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
     _, _, _, system = pair_system()
     traj = integrate(system, default_initial_state(system), 1.0,
                      IntegrateOptions())
-    export_csv(traj, tmp_path / "traj.csv")
-    assert len(np.loadtxt(tmp_path / "traj.csv", delimiter=",", skiprows=1)) == 501
+    rng = np.random.default_rng(5)
+    for rows in (1, 501, 20_000):
+        # a wide table of mixed magnitudes, special values among them
+        fill = rng.normal(size=(rows, 6)) * 10.0 ** rng.integers(-300, 300, (rows, 6))
+        fill[::97] = [0.0, -0.0, math.inf, -math.nan, 5e-324, 1 / 3]
+        wide = dataclasses.replace(traj, times=np.linspace(0.0, 1.0, rows),
+                                   y=fill[:, 0:2], u=fill[:, 2:4],
+                                   zeta=fill[:, 4:5], mu=fill[:, 5:6])
+        export_csv(wide, tmp_path / "traj.csv")
+        back = np.loadtxt(tmp_path / "traj.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert back.shape == (rows, 7)
 
 
 def test_metadata_records_fast_path_and_samples():

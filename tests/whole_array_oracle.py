@@ -3,13 +3,15 @@
 These are the signal recovery, convergence detection and CSV writer that
 work on all records at once: one bincount over every (record, coordinate)
 bin, one hstack of y and mu with full suffix max/min accumulations, and
-one column_stack of the whole table. couplednet does the same work a
-block of records at a time; the tests require the same bits and bytes.
+one column_stack and one orjson call over the whole table. couplednet
+does the same work a block of records at a time; the tests require the
+same bits and bytes.
 A schedule's segments become one table by concatenation.
 """
 import dataclasses
 
 import numpy as np
+import orjson
 
 from couplednet.couplers import paper_psi
 from couplednet.errors import DimensionMismatch
@@ -63,7 +65,7 @@ def detect_convergence(traj, window=None, tol=1e-6):
 
 
 def export_csv(traj, path):
-    """simulate.export_csv's bytes from one in-process writer over the whole table."""
+    """simulate.export_csv's bytes from one orjson call over the whole table."""
     d = traj.system.io_dim
     n = traj.system.graph.node_count
     m = traj.system.graph.edge_count
@@ -72,11 +74,15 @@ def export_csv(traj, path):
     header += [f"u[{i}.{c}]" for i in range(n) for c in range(d)]
     header += [f"zeta[{e}.{c}]" for e in range(m) for c in range(d)]
     header += [f"mu[{e}.{c}]" for e in range(m) for c in range(d)]
-    row_format = ",".join(["%.17g"] * len(header)) + "\r\n"
     data = np.column_stack([traj.times, traj.y, traj.u, traj.zeta, traj.mu])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(row_format % tuple(row.tolist()) for row in data)
+    text = orjson.dumps(data, option=orjson.OPT_SERIALIZE_NUMPY)
+    # orjson writes non-finite values as null; %.17g spells them nan, inf, -inf
+    parts = text.split(b"null")
+    words = [b"%.17g" % v for v in data[~np.isfinite(data)].tolist()] + [b""]
+    text = b"".join(part + word for part, word in zip(parts, words))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        fh.write(text[2:-2].replace(b"],[", b"\r\n") + b"\r\n")
 
 
 def concatenate(segments):
