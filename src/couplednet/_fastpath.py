@@ -1,32 +1,41 @@
 """Packed closed-loop integration kernels.
 
-Networks whose agents are affine ODEs (linear systems, oscillators or
-convex-gradient systems with quadratic potentials) and whose edge
-controllers are linear-synthesis or integrator types (quadratic or
-paper_psi potentials) fold into one sparse affine map of the stacked
-state s (agents, then controllers):
+Every closed loop folds into one sparse affine map of the stacked state s
+(agents, then controllers) and the columns its pieces need:
 
-    s' = W [s ; paper_psi(s[psi_idx]) ; 1]
+    s' = W [s ; paper_psi(s[psi_idx]) ; component columns ; 1]
 
-W carries the agent blocks A, B, C, the controllers' affine parts, the
-reconfiguration offsets and the wiring zeta = E^T y, u = -E mu; its
-last column, on the constant 1, is the affine term c. It is stored as a
-COO triple, so one rhs call is a gather, a multiply and a bincount. The
-adaptive loop is Dormand-Prince 5(4) with the FSAL property and its
-continuous extension for recording (Hairer, Norsett & Wanner, Solving
-ODEs I, sections II.5-II.6).
+Affine agents and linear-synthesis or integrator controllers with
+quadratic or paper_psi potentials fold in whole: W carries their blocks
+A, B, C, the controllers' affine parts, the reconfiguration offsets and
+the wiring zeta = E^T y, u = -E mu; its last column, on the constant 1,
+is the affine term c. Every other agent or controller is a component
+with its own columns, [x' ; y] or [eta' ; mu], which its single-component
+evaluators fill before W is applied. W is stored as a COO triple, so one
+rhs call is a gather, a multiply and a bincount. The adaptive loop is
+Dormand-Prince 5(4) with the FSAL property and its continuous extension
+for recording (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .couplers import ControllerKind, ControllerModel, paper_psi, paper_psi_into
+from . import plants
+from .couplers import (
+    ControllerKind,
+    ControllerModel,
+    controller_output,
+    controller_rhs,
+    paper_psi,
+    paper_psi_into,
+)
 from .errors import NonFiniteState, StepUnderflow
 from .netgraph import IncidenceOperator
-from .plants import form_has_feedthrough
 from .relations import FunctionKind, as_quadratic
 
 
@@ -37,14 +46,31 @@ BLOCK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
+class Component:
+    """An agent or controller filling its columns deriv and out of v with
+    rhs and output of (its state s[state], its input [u ; zeta][io])."""
+
+    state: slice
+    io: slice
+    deriv: slice
+    out: slice
+    rhs: Callable
+    output: Callable
+
+
+@dataclass(frozen=True)
 class PackedSystem:
-    """Closed loop folded into sparse affine maps of v = [s ; paper_psi(s[psi_idx]) ; 1].
+    """Closed loop folded into sparse affine maps of
+    v = [s ; paper_psi(s[psi_idx]) ; component columns ; 1], whose
+    paper_psi values sit at v[psi_cols] and whose length is width.
 
     (row, col, w) give the state derivative, the affine term c as the
     entries on v's last, constant column, placed after all others;
     (sig_row, sig_col, sig_w) give the stacked signals [y ; mu], their
     constant entries placed before all others; op is the incidence
-    operator that turns them into zeta and u.
+    operator that turns them into zeta and u. sides holds the
+    components, the side whose outputs read no input first; it is empty
+    when every piece folds into the maps.
     """
 
     dim: int
@@ -56,31 +82,53 @@ class PackedSystem:
     sig_col: np.ndarray
     sig_w: np.ndarray
     op: IncidenceOperator
+    psi_cols: slice
+    width: int
+    sides: tuple
 
 
 def rhs_buffer(pk):
-    """Work vector v for _packed_rhs, its constant last entry set to 1."""
-    v = np.empty(pk.dim + pk.psi_idx.shape[0] + 1)
+    """Work vector v for _packed_rhs: component columns 0, the last entry 1."""
+    v = np.zeros(pk.width)
     v[-1] = 1.0
     return v
 
 
 def _packed_rhs(s, pk, v):
-    """State derivative at s: the folded map applied to v = [s ; paper_psi(s[psi_idx]) ; 1].
+    """State derivative at s: the folded map applied to v, filled here.
 
-    v is a buffer from rhs_buffer(pk), filled here and reusable across
-    calls. bincount adds each row's products in COO order, so c, stored
-    last, is added after the sum, bit for bit as a trailing `+ c` would.
-    No errstate is entered: paper_psi underflows harmlessly beyond
-    |eta| of about 708, and the integration loops below enter
-    np.errstate(under="ignore") once around all their calls.
+    v is a buffer from rhs_buffer(pk), reusable across calls. bincount
+    adds each row's products in COO order, so c, stored last, is added
+    after the sum, bit for bit as a trailing `+ c` would. No errstate is
+    entered: paper_psi underflows harmlessly beyond |eta| of about 708,
+    and the integration loops below enter np.errstate(under="ignore")
+    once around all their calls.
     """
     dim = pk.dim
     v[:dim] = s
-    paper_psi_into(s[pk.psi_idx], v[dim:-1])
+    paper_psi_into(s[pk.psi_idx], v[pk.psi_cols])
+    if pk.sides:
+        _fill(pk, v)
     p = v[pk.col]
     np.multiply(p, pk.w, p)
     return np.bincount(pk.row, p, minlength=dim)
+
+
+def _fill(pk, v):
+    """Fill v's component columns at the state v[:dim]: the first side's
+    outputs at zero input, the other side's at the inputs the signal rows
+    then give, and every derivative at those the rows give after that."""
+    op, s = pk.op, v[:pk.dim]
+    n = op.node_size
+    inputs = np.zeros(n + op.edge_size)
+    for side in pk.sides:
+        for c in side:
+            v[c.out] = c.output(s[c.state], inputs[c.io])
+        sig = np.bincount(pk.sig_row, v[pk.sig_col] * pk.sig_w, n + op.edge_size)
+        inputs = np.concatenate((-op.matvec(sig[n:]), op.rmatvec(sig[:n])))
+    for side in pk.sides:
+        for c in side:
+            v[c.deriv] = c.rhs(s[c.state], inputs[c.io])
 
 
 @dataclass(frozen=True)
@@ -266,13 +314,13 @@ def _rk4_loop(rhs, s0, t0, rec_times, dt):
 
 def _pack_agent(form):
     """(A, B, C, w) of an agent_form with no psi left and T = 0, else None."""
-    if form_has_feedthrough(form) or form[5] is not None:
+    if plants.form_has_feedthrough(form) or form[5] is not None:
         return None
     return form[0], form[1], form[2], form[4]
 
 
 def _pack_controller(ctrl: ControllerModel, d: int):
-    """Affine form of one edge controller, or None when not packable.
+    """Affine form of one edge controller, or None when it is a component.
 
     Returns (L, leak, mu0, eta0): mu = L eta + mu0 (L is None for a
     paper_psi potential, where mu = paper_psi(eta) + mu0) and
@@ -309,34 +357,63 @@ def _coo(blocks):
     return row[keep], col[keep], val[keep]
 
 
-def try_pack(op, agents, forms, controllers) -> PackedSystem | None:
+def pack(op, agents, forms, controllers) -> PackedSystem:
     """Fold the closed loop, forms being the agents' agent_forms, into
-    sparse affine maps; None if any piece resists."""
-    agents = list(agents)
-    d = op.dim
+    sparse affine maps, with component columns for the pieces they
+    cannot hold. No agent and controller may both have feedthrough."""
+    agents, controllers = list(agents), list(controllers)
+    d, n = op.dim, len(agents)
     parts = [_pack_agent(f) for f in forms]
-    if any(p is None for p in parts):
-        return None
     cparts = [_pack_controller(c, d) for c in controllers]
-    if any(c is None for c in cparts):
-        return None
-
-    ofs = np.cumsum([0] + [a.state_dim for a in agents])
-    P = int(ofs[-1])
-    m = len(cparts)
-    dim = P + m * d
-    psi_edges = [e for e, part in enumerate(cparts) if part[0] is None]
-    psi_idx = (P + d * np.array(psi_edges, dtype=np.int64)[:, None] + np.arange(d)).ravel()
-    psi_col = {e: dim + k * d for k, e in enumerate(psi_edges)}
+    ofs = np.cumsum([0] + [a.state_dim for a in agents] + [c.state_dim for c in controllers])
+    dim = int(ofs[-1])
+    psi_edges = np.array([e for e, part in enumerate(cparts)
+                          if part is not None and part[0] is None], dtype=np.int64)
+    psi_idx = (ofs[n + psi_edges][:, None] + np.arange(d)).ravel()
+    psi_col = {e: dim + k * d for k, e in enumerate(psi_edges.tolist())}
     eye = np.eye(d)
 
+    # each component's columns [state derivative ; output] follow paper_psi's,
+    # and its state and signal rows read them; agent k's input u_k and
+    # controller k - n's zeta sit at [u ; zeta][k*d:(k+1)*d]
+    comps, sig, rhs = {}, [], []
+    one = dim + psi_idx.shape[0]  # v's constant column follows them
+    for k, (model, part) in enumerate(zip(agents + controllers, parts + cparts)):
+        if part is None:
+            size = model.state_dim
+            if k < n:
+                fns = (partial(plants.rhs, model, form=forms[k]),
+                       partial(plants.output, model, form=forms[k]))
+            else:
+                fns = partial(controller_rhs, model), partial(controller_output, model)
+            out = one + size
+            comps[k] = Component(slice(int(ofs[k]), int(ofs[k + 1])), slice(k * d, (k + 1) * d),
+                                 slice(one, out), slice(out, out + d), *fns)
+            sig.append((k * d, out, eye))
+            rhs.append((ofs[k], one, np.eye(size)))
+            one = out + d
+    sides = ()
+    if comps:
+        sides = (tuple(c for k, c in comps.items() if k < n),
+                 tuple(c for k, c in comps.items() if k >= n))
+        if any(plants.form_has_feedthrough(f) for f in forms):
+            sides = sides[::-1]
+
     # signals: y_i = C_i x_i; mu_e = L_e eta_e (or paper_psi(eta_e)) + mu0_e
-    sig = [(i * d, ofs[i], C) for i, (_, _, C, _) in enumerate(parts)]
+    sig += [(i * d, ofs[i], part[2]) for i, part in enumerate(parts) if part is not None]
+    rhs += [(ofs[i], ofs[i], part[0]) for i, part in enumerate(parts) if part is not None]
+    m = len(cparts)
     mu0 = np.zeros(m * d)
     c = np.zeros(dim)
-    rhs = [(ofs[i], ofs[i], A) for i, (A, _, _, _) in enumerate(parts)]
-    for e, (L, leak, mu0_e, eta0_e) in enumerate(cparts):
-        r = P + e * d
+    for e, cpart in enumerate(cparts):
+        r = ofs[n + e]
+        ends = zip(op.graph.edges[e], (-1.0, 1.0))
+        if cpart is None:
+            for i, sign in ends:
+                if parts[i] is not None:
+                    rhs.append((ofs[i], comps[n + e].out.start, -sign * parts[i][1]))
+            continue
+        L, leak, mu0_e, eta0_e = cpart
         mu0[e * d:(e + 1) * d] = mu0_e
         c[r:r + d] = eta0_e
         if leak:
@@ -346,7 +423,10 @@ def try_pack(op, agents, forms, controllers) -> PackedSystem | None:
         else:
             sig.append((op.node_size + e * d, r, L))
         # u_i = -sum_e E[i, e] mu_e drives agent i; zeta_e = sum_i E[i, e] y_i
-        for i, sign in zip(op.graph.edges[e], (-1.0, 1.0)):
+        for i, sign in ends:
+            if parts[i] is None:
+                rhs.append((r, comps[i].out.start, sign * eye))
+                continue
             B, C = parts[i][1], parts[i][2]
             if L is None:
                 rhs.append((ofs[i], psi_col[e], -sign * B))
@@ -355,10 +435,11 @@ def try_pack(op, agents, forms, controllers) -> PackedSystem | None:
             rhs.append((r, ofs[i], sign * C))
 
     u0 = -op.matvec(mu0)
-    for i, (agent, (_, B, _, w)) in enumerate(zip(agents, parts)):
-        c[ofs[i]:ofs[i + 1]] = w + B @ (agent.leader_offset + u0[i * d:(i + 1) * d])
+    for i, (agent, part) in enumerate(zip(agents, parts)):
+        if part is not None:
+            B, w = part[1], part[3]
+            c[ofs[i]:ofs[i + 1]] = w + B @ (agent.leader_offset + u0[i * d:(i + 1) * d])
 
-    one = dim + psi_idx.shape[0]  # v's constant column
     row, col, w = _coo(rhs)
     const = np.flatnonzero(c)  # c goes last
     row = np.concatenate((row, const))
@@ -370,7 +451,9 @@ def try_pack(op, agents, forms, controllers) -> PackedSystem | None:
     sig_col = np.concatenate((np.full(const.shape[0], one), sig_col))
     sig_w = np.concatenate((mu0[const], sig_w))
     return PackedSystem(dim=dim, psi_idx=psi_idx, row=row, col=col, w=w,
-                        sig_row=sig_row, sig_col=sig_col, sig_w=sig_w, op=op)
+                        sig_row=sig_row, sig_col=sig_col, sig_w=sig_w, op=op,
+                        psi_cols=slice(dim, dim + psi_idx.shape[0]), width=one + 1,
+                        sides=sides)
 
 
 def block_rows(width: int) -> int:
@@ -381,31 +464,36 @@ def block_rows(width: int) -> int:
 def packed_signals(packed: PackedSystem, states: np.ndarray):
     """(u, y, zeta, mu) arrays for recorded packed states (rows = samples).
 
-    The records go in blocks of block_rows records. In a block, each of
-    [y ; mu] and E mu is one bincount whose bins are (record, coordinate)
-    pairs; zeta = E'y and u = -E mu come from the operator's lifted tail
-    and head indices, as its rmatvec and matvec compute them. The bin
-    indices are built once for a full block, and the last block takes
-    their leading records. Each bin sums its entries in COO order, as
-    one bincount over all records would, so the outputs are the same
-    bits.
+    The records go in blocks of block_rows records. In a block, v is
+    filled for every record (component columns one record at a time),
+    then each of [y ; mu] and E mu is one bincount whose bins are
+    (record, coordinate) pairs; zeta = E'y and u = -E mu come from the
+    operator's lifted tail and head indices, as its rmatvec and matvec
+    compute them. The bin indices are built once for a full block, and
+    the last block takes their leading records. Each bin sums its
+    entries in COO order, as one bincount over all records would, so the
+    outputs are the same bits.
     """
     op = packed.op
     records = states.shape[0]
     n, m = op.node_size, op.edge_size
     nnz = packed.sig_row.shape[0]
     # sized by the widest per-record temporary: v, the signal products or E mu's bins
-    rows = block_rows(max(packed.dim + packed.psi_idx.shape[0] + 1, nnz, m))
+    rows = block_rows(max(packed.width, nnz, m))
     rec = np.arange(min(rows, records))[:, None]
     sig_bins = (rec * (n + m) + packed.sig_row).ravel()
     head_bins = (rec * n + op.head).ravel()
     tail_bins = (rec * n + op.tail).ravel()
-    one = np.ones((rec.shape[0], 1))
+    tail = np.zeros((rec.shape[0], packed.width - packed.psi_cols.stop))  # components, then 1
+    tail[:, -1] = 1.0
     u, y, zeta, mu = (np.empty((records, k)) for k in (n, n, m, m))
     for lo in range(0, records, rows):
         hi = min(lo + rows, records)
         b = hi - lo
-        v = np.hstack([states[lo:hi], paper_psi(states[lo:hi, packed.psi_idx]), one[:b]])
+        v = np.hstack([states[lo:hi], paper_psi(states[lo:hi, packed.psi_idx]), tail[:b]])
+        if packed.sides:
+            for vr in v:
+                _fill(packed, vr)
         p = v[:, packed.sig_col]
         np.multiply(p, packed.sig_w, p)
         sig = np.bincount(sig_bins[:b * nnz], p.ravel(), b * (n + m)).reshape(b, n + m)

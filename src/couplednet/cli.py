@@ -159,8 +159,8 @@ def _integrate_options(cfg):
     except (UnsupportedKind, DimensionMismatch) as ex:
         raise ConfigInvalid(f"simulation: {ex}") from None
     conv_tol = number("conv_tol", 1e-6)
-    if not conv_tol > 0.0:
-        raise ConfigInvalid(f"simulation: conv_tol: must be positive, got {conv_tol}")
+    if not 0.0 < conv_tol < math.inf:
+        raise ConfigInvalid(f"simulation: conv_tol: must be finite and positive, got {conv_tol}")
     horizon = None
     if cfg.objective is None:
         horizon = number("horizon", 0.0)

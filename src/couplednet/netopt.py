@@ -120,26 +120,35 @@ def _node_integral_fns(rels) -> list:
     return [quadratic(P, rel.v) for P, rel in zip(0.5 * (S + St), rels)]
 
 
-def assemble(graph: DirectedGraph, agents, controllers) -> NetworkProblem:
-    """Build the NetworkProblem for given agents and edge controllers.
+def network_parts(graph: DirectedGraph, agents, controllers) -> tuple:
+    """(agents, controllers, d) of a network, both as tuples.
 
     controllers may be a list with one entry per edge or a single
-    ControllerModel broadcast to every edge.
+    ControllerModel broadcast to every edge. Raises DimensionMismatch
+    unless there is one agent per node and one controller per edge, all
+    of one io_dim d.
     """
-    agents = list(agents)
-    if len(agents) != graph.node_count:
-        raise DimensionMismatch("one agent per node required")
-    d = agents[0].io_dim
-    if any(a.io_dim != d for a in agents):
-        raise DimensionMismatch("all agents must share io_dim")
+    agents = tuple(agents)
     if isinstance(controllers, ControllerModel):
         controllers = [controllers] * graph.edge_count
-    controllers = list(controllers)
+    controllers = tuple(controllers)
+    if len(agents) != graph.node_count:
+        raise DimensionMismatch(f"need {graph.node_count} agents, got {len(agents)}")
     if len(controllers) != graph.edge_count:
-        raise DimensionMismatch("one controller per edge required")
+        raise DimensionMismatch(
+            f"need {graph.edge_count} controllers, got {len(controllers)}")
+    d = agents[0].io_dim
+    if any(a.io_dim != d for a in agents):
+        raise DimensionMismatch("agent io_dims differ")
     if any(c.io_dim != d for c in controllers):
-        raise DimensionMismatch("controllers must share the agents' io_dim")
+        raise DimensionMismatch("controller io_dim differs from agents")
+    return agents, controllers, d
 
+
+def assemble(graph: DirectedGraph, agents, controllers) -> NetworkProblem:
+    """Build the NetworkProblem for given agents and edge controllers,
+    checked and broadcast by network_parts."""
+    agents, controllers, d = network_parts(graph, agents, controllers)
     op = incidence(graph, d)
     node_rels = ss_relations(agents)
     edge_rels = tuple(controller_ss_relation(c) for c in controllers)

@@ -7,18 +7,14 @@ compares the settled output against steady-state certificates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _fastpath
-from .couplers import (
-    ControllerModel,
-    controller_has_feedthrough,
-    controller_output,
-    controller_rhs,
-)
+from .couplers import controller_has_feedthrough
 from .errors import (
     AlgebraicLoop,
     DimensionMismatch,
@@ -26,8 +22,9 @@ from .errors import (
     NonFiniteState,
     UnsupportedKind,
 )
-from .netgraph import DirectedGraph, IncidenceOperator, incidence
-from .plants import AgentModel, agent_forms, form_has_feedthrough, output, rhs
+from .netgraph import DirectedGraph, IncidenceOperator, incidence, project_agreement
+from .netopt import min_norm_flow, network_parts
+from .plants import AgentModel, agent_forms, form_has_feedthrough
 
 
 @dataclass(frozen=True)
@@ -58,25 +55,18 @@ class ClosedLoopSystem:
         Total agent state dimension.
     ctrl_dim : int
         Total controller state dimension.
-    agent_forms : tuple
-        plants.agent_form of each agent, for the per-component path.
-    packed : PackedSystem or None
-        Flat-array form when every component fits the fast kernels.
+    packed : PackedSystem
+        The closed loop as the packed kernel evaluates it.
     """
 
     graph: DirectedGraph
     op: IncidenceOperator
     agents: tuple
     controllers: tuple
-    agent_forms: tuple
     io_dim: int
     agent_dim: int
     ctrl_dim: int
-    agent_slices: tuple
-    ctrl_slices: tuple
-    agent_feedthrough: bool
-    ctrl_feedthrough: bool
-    packed: Optional[_fastpath.PackedSystem]
+    packed: _fastpath.PackedSystem
 
     @property
     def state_dim(self) -> int:
@@ -94,46 +84,18 @@ def closed_loop(graph: DirectedGraph, agents: Sequence[AgentModel],
     AlgebraicLoop
         Both an agent and a controller have direct feedthrough.
     """
-    agents = tuple(agents)
-    if isinstance(controllers, ControllerModel):
-        controllers = [controllers] * graph.edge_count
-    controllers = tuple(controllers)
-    if len(agents) != graph.node_count:
-        raise DimensionMismatch(f"need {graph.node_count} agents, got {len(agents)}")
-    if len(controllers) != graph.edge_count:
-        raise DimensionMismatch(
-            f"need {graph.edge_count} controllers, got {len(controllers)}")
-    d = agents[0].io_dim
-    if any(a.io_dim != d for a in agents):
-        raise DimensionMismatch("agent io_dims differ")
-    if any(c.io_dim != d for c in controllers):
-        raise DimensionMismatch("controller io_dim differs from agents")
+    agents, controllers, d = network_parts(graph, agents, controllers)
     forms = agent_forms(agents)
-    a_ft = any(form_has_feedthrough(f) for f in forms)
-    c_ft = any(controller_has_feedthrough(c) for c in controllers)
-    if a_ft and c_ft:
+    if (any(form_has_feedthrough(f) for f in forms)
+            and any(controller_has_feedthrough(c) for c in controllers)):
         raise AlgebraicLoop(
             "agent and controller feedthrough form an algebraic loop")
     op = incidence(graph, d)
-    a_slices = []
-    ofs = 0
-    for a in agents:
-        a_slices.append(slice(ofs, ofs + a.state_dim))
-        ofs += a.state_dim
-    agent_dim = ofs
-    c_slices = []
-    ofs = 0
-    for c in controllers:
-        c_slices.append(slice(ofs, ofs + c.state_dim))
-        ofs += c.state_dim
-    packed = None
-    if graph.edge_count > 0 and not a_ft and not c_ft:
-        packed = _fastpath.try_pack(op, agents, forms, controllers)
     return ClosedLoopSystem(
-        graph=graph, op=op, agents=agents, controllers=controllers,
-        agent_forms=forms, io_dim=d, agent_dim=agent_dim, ctrl_dim=ofs,
-        agent_slices=tuple(a_slices), ctrl_slices=tuple(c_slices),
-        agent_feedthrough=a_ft, ctrl_feedthrough=c_ft, packed=packed)
+        graph=graph, op=op, agents=agents, controllers=controllers, io_dim=d,
+        agent_dim=sum(a.state_dim for a in agents),
+        ctrl_dim=sum(c.state_dim for c in controllers),
+        packed=_fastpath.pack(op, agents, forms, controllers))
 
 
 def default_initial_state(system: ClosedLoopSystem) -> np.ndarray:
@@ -144,66 +106,20 @@ def default_initial_state(system: ClosedLoopSystem) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def _signals_at(system: ClosedLoopSystem, s: np.ndarray):
-    """(u, y, zeta, mu) at one stacked state, honoring feedthrough order."""
-    d = system.io_dim
-    n = system.graph.node_count
-    m = system.graph.edge_count
-    op = system.op
-    eta_base = system.agent_dim
-
-    def agent_outputs(u):
-        y = np.empty(n * d)
-        for i, a in enumerate(system.agents):
-            ui = u[i * d:(i + 1) * d] if u is not None else np.zeros(d)
-            y[i * d:(i + 1) * d] = output(a, s[system.agent_slices[i]], ui,
-                                          system.agent_forms[i])
-        return y
-
-    def ctrl_outputs(zeta):
-        mu = np.empty(m * d)
-        for e, c in enumerate(system.controllers):
-            ze = zeta[e * d:(e + 1) * d] if zeta is not None else np.zeros(d)
-            sl = system.ctrl_slices[e]
-            mu[e * d:(e + 1) * d] = controller_output(
-                c, s[eta_base + sl.start:eta_base + sl.stop], ze)
-        return mu
-
-    if not system.agent_feedthrough:
-        y = agent_outputs(None)
-        zeta = op.rmatvec(y)
-        mu = ctrl_outputs(zeta)
-        u = -op.matvec(mu)
-    else:
-        mu = ctrl_outputs(None)
-        u = -op.matvec(mu)
-        y = agent_outputs(u)
-        zeta = op.rmatvec(y)
-    return u, y, zeta, mu
-
-
 def step_rhs(system: ClosedLoopSystem, full_state: np.ndarray) -> np.ndarray:
     """Stacked state derivative of the closed loop at full_state.
 
-    Computes y from the agent outputs, zeta = E^T y, mu from the
-    controllers and u = -E mu, then evaluates every component ODE.
+    The packed kernel at one state: y from the agent outputs, zeta =
+    E^T y, mu from the controllers and u = -E mu, then every component
+    ODE.
     """
     s = np.asarray(full_state, dtype=float).ravel()
     if s.size != system.state_dim:
         raise DimensionMismatch(
             f"state must have size {system.state_dim}, got {s.size}")
-    u, y, zeta, mu = _signals_at(system, s)
-    d = system.io_dim
-    out = np.empty_like(s)
-    for i, a in enumerate(system.agents):
-        sl = system.agent_slices[i]
-        out[sl] = rhs(a, s[sl], u[i * d:(i + 1) * d], system.agent_forms[i])
-    base = system.agent_dim
-    for e, c in enumerate(system.controllers):
-        sl = system.ctrl_slices[e]
-        out[base + sl.start:base + sl.stop] = controller_rhs(
-            c, s[base + sl.start:base + sl.stop], zeta[e * d:(e + 1) * d])
-    return out
+    packed = system.packed
+    with np.errstate(under="ignore"):
+        return _fastpath._packed_rhs(s, packed, _fastpath.rhs_buffer(packed))
 
 
 @dataclass(frozen=True)
@@ -215,7 +131,7 @@ class IntegrateOptions:
     UnsupportedKind
         method is neither 'rk45' nor 'rk4'.
     DimensionMismatch
-        tol, dt or record_every (when given) is not positive.
+        tol, dt or record_every (when given) is not finite and positive.
     """
 
     method: str = "rk45"
@@ -228,8 +144,8 @@ class IntegrateOptions:
             raise UnsupportedKind(f"method: unknown integration method {self.method!r}")
         for name in ("tol", "dt", "record_every"):
             val = getattr(self, name)
-            if val is not None and not val > 0.0:
-                raise DimensionMismatch(f"{name}: must be positive, got {val}")
+            if val is not None and not 0.0 < val < math.inf:
+                raise DimensionMismatch(f"{name}: must be finite and positive, got {val}")
 
 
 @dataclass(frozen=True)
@@ -269,17 +185,6 @@ def _record_grid(t0: float, T: float, record_every: Optional[float]):
     return t0 + np.linspace(0.0, T, nrec + 1)
 
 
-def _signals_batch(system: ClosedLoopSystem, states: np.ndarray):
-    if system.packed is not None:
-        return _fastpath.packed_signals(system.packed, states)
-    records = states.shape[0]
-    n, m = system.op.node_size, system.op.edge_size
-    u, y, zeta, mu = (np.empty((records, k)) for k in (n, n, m, m))
-    for k in range(records):
-        u[k], y[k], zeta[k], mu[k] = _signals_at(system, states[k])
-    return u, y, zeta, mu
-
-
 def integrate(system: ClosedLoopSystem, init, T: float,
               opts: Optional[IntegrateOptions] = None,
               t0: float = 0.0) -> Trajectory:
@@ -316,18 +221,14 @@ def integrate(system: ClosedLoopSystem, init, T: float,
         rec_every = max(opts.dt, T / 500.0)
     rec = _record_grid(t0, T, rec_every)
 
-    if system.packed is not None:
-        packed = system.packed
-        v = _fastpath.rhs_buffer(packed)
+    packed = system.packed
+    v = _fastpath.rhs_buffer(packed)
 
-        # looked up on the module per call, so a wrapper installed there
-        # (a call counter, a profiler) sees every evaluation; the buffer
-        # goes positionally, as such wrappers forward *args
-        def rhs_fn(s):
-            return _fastpath._packed_rhs(s, packed, v)
-    else:
-        def rhs_fn(s):
-            return step_rhs(system, s)
+    # looked up on the module per call, so a wrapper installed there
+    # (a call counter, a profiler) sees every evaluation; the buffer
+    # goes positionally, as such wrappers forward *args
+    def rhs_fn(s):
+        return _fastpath._packed_rhs(s, packed, v)
 
     if opts.method == "rk45":
         h0 = min(1e-3, T / 100.0)
@@ -338,10 +239,9 @@ def integrate(system: ClosedLoopSystem, init, T: float,
     if not np.all(np.isfinite(states)):
         raise NonFiniteState("state became non-finite during integration")
 
-    u, y, zeta, mu = _signals_batch(system, states)
+    u, y, zeta, mu = _fastpath.packed_signals(packed, states)
     meta = {"method": opts.method, "tol": opts.tol, "dt": opts.dt,
-            "record_every": float(rec[1] - rec[0]),
-            "fast_path": system.packed is not None, **asdict(stats)}
+            "record_every": float(rec[1] - rec[0]), **asdict(stats)}
     return Trajectory(system=system, times=rec, states=states,
                       u=u, y=y, zeta=zeta, mu=mu, metadata=meta)
 
@@ -498,7 +398,8 @@ def prediction_report(system: ClosedLoopSystem, conv: ConvergenceResult,
     Raw gaps are reported alongside aligned gaps that discard the free
     optimization directions: the agreement component for y and the
     cycle-space component (kernel of the lifted incidence operator)
-    for mu. Pass/fail is decided on the aligned gaps at tol.
+    for mu, the latter by one min-norm flow. Pass/fail is decided on the
+    aligned gaps at tol.
 
     Raises
     ------
@@ -514,10 +415,10 @@ def prediction_report(system: ClosedLoopSystem, conv: ConvergenceResult,
     dmu = conv.mu_ss - mu_cert
     y_err = float(np.linalg.norm(dy))
     mu_err = float(np.linalg.norm(dmu))
-    A = system.op.agreement_basis()
-    dy_al = dy - A @ (A.T @ dy)
-    cyc = system.op.cycle_basis()
-    dmu_al = dmu - cyc @ (cyc.T @ dmu) if cyc.size else dmu
+    op = system.op
+    dy_al = dy - project_agreement(op, dy)
+    # the least-norm flow with E mu = E dmu is dmu without its cycle part
+    dmu_al = min_norm_flow(op, np.ones(op.edge_size, dtype=bool), op.matvec(dmu)).mu
     y_al = float(np.linalg.norm(dy_al))
     mu_al = float(np.linalg.norm(dmu_al))
     return PredictionReport(

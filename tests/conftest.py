@@ -31,11 +31,11 @@ def rand_connected_graph(rng, n):
     return build_graph(n, edges)
 
 
-def meicmp_linear_agent(rng, d, anchor=None):
+def meicmp_linear_agent(rng, d, anchor=None, T=None):
     """Stable linear agent with symmetric positive-definite dc gain.
 
-    A = -R with R spd and C = B' gives S = B' R^-1 B, which is spd
-    whenever B is invertible.
+    A = -R with R spd and C = B' gives S = B' R^-1 B + T, which is spd
+    whenever B is invertible and the feedthrough T is symmetric PSD.
     """
     R = rand_spd(rng, d, 0.6, 1.8)
     while True:
@@ -44,7 +44,7 @@ def meicmp_linear_agent(rng, d, anchor=None):
             break
     w = np.zeros(d) if anchor is None else R @ np.linalg.solve(B.T, anchor)
     # w chosen so that y = anchor at u = 0: y = B'R^-1(Bu + w)
-    return linear_agent(-R, B, B.T, w=w)
+    return linear_agent(-R, B, B.T, T=T, w=w)
 
 
 def bench_integrate():

@@ -112,6 +112,15 @@ def test_simulate_rejects_bad_options_before_planning(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["tol", "dt", "record_every", "conv_tol"])
+def test_simulate_refuses_nonfinite_options(tmp_path, capsys, key):
+    cfg = write_doc(tmp_path, hand_doc(simulation={"horizon": 2.0, key: float("inf")}))
+    assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert f"config error: simulation: {key}: must be finite and positive" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("horizon", ["long", float("nan"), float("inf")])
 def test_simulate_rejects_bad_horizon_before_building(tmp_path, capsys, monkeypatch,
                                                       horizon):

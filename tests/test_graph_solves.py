@@ -177,7 +177,6 @@ def test_simulation_leaves_the_lift_unbuilt():
     ctrls = [nonlinear_integrator(quadratic(np.eye(2))) if k % 2
              else linear_synthesis(rng.normal(size=2)) for k in range(g.edge_count)]
     system = closed_loop(g, agents, ctrls)
-    assert system.packed is not None
     traj = integrate(system, default_initial_state(system), 1.0)
     assert "lifted" not in vars(system.op)
     E = system.op.lifted

@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +11,12 @@ from couplednet.couplers import (PSI_RANGE, custom_controller,
 from couplednet.netgraph import build_graph
 from couplednet.plants import (convex_gradient_agent, custom_agent,
                                damped_oscillator_agent, linear_agent)
-from couplednet.relations import quadratic, scalar_separable
+from couplednet.relations import function_sum, quadratic, scalar_separable, shifted
 from couplednet.simulate import (IntegrateOptions, closed_loop,
                                  default_initial_state, integrate,
                                  integrate_schedule, step_rhs)
 
+import closed_loop_oracle as oracle
 from conftest import bench_integrate
 
 FORMATION = Path(__file__).resolve().parents[1] / "configs" / "formation.json"
@@ -41,7 +41,7 @@ def mixed_system():
 
 
 def test_mixed_system_packs():
-    assert mixed_system().packed is not None
+    assert not mixed_system().packed.sides
 
 
 def test_packed_rhs_matches_step_rhs():
@@ -50,9 +50,10 @@ def test_packed_rhs_matches_step_rhs():
     rng = np.random.default_rng(5)
     for _ in range(20):
         s = rng.normal(scale=2.0, size=system.state_dim)
-        ref = step_rhs(system, s)
+        ref = oracle.step_rhs(system, s)
         fast = _fastpath._packed_rhs(s, system.packed, v)
         assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(step_rhs(system, s), fast)
 
 
 def unfolded_rhs(s, pk):
@@ -87,7 +88,7 @@ def test_saturated_psi_integrates_under_raising_errstate(method):
     # keep that quiet while a caller raises on every floating-point error
     system = mixed_system()
     s0 = default_initial_state(system)
-    eta0 = system.agent_dim + system.ctrl_slices[0].start
+    eta0 = system.agent_dim
     assert list(system.packed.psi_idx) == [eta0, eta0 + 1]
     s0[eta0:eta0 + 2] = [800.0, -800.0]
     opts = IntegrateOptions(method=method, tol=1e-8, dt=0.01, record_every=0.5)
@@ -104,24 +105,22 @@ def test_nested_offsets_pack_like_summed_offsets():
         reconfigured(reconfigured(c, a1, b1), a2, b2) for c in base.controllers])
     summed = closed_loop(base.graph, base.agents, [
         reconfigured(c, a1 + a2, b1 + b2) for c in base.controllers])
-    assert nested.packed is not None
     v = _fastpath.rhs_buffer(nested.packed)
     rng = np.random.default_rng(11)
     for _ in range(20):
         s = rng.normal(scale=2.0, size=base.state_dim)
-        ref = step_rhs(summed, s)
+        ref = oracle.step_rhs(summed, s)
         scale = np.max(np.abs(ref))
-        assert np.max(np.abs(step_rhs(nested, s) - ref)) <= 1e-12 * scale
+        assert np.max(np.abs(oracle.step_rhs(nested, s) - ref)) <= 1e-12 * scale
         fast = _fastpath._packed_rhs(s, nested.packed, v)
         assert np.max(np.abs(fast - ref)) <= 1e-12 * scale
 
 
-def test_packed_run_reports_fast_path_and_stats():
+def test_packed_run_reports_step_stats():
     system = mixed_system()
     s0 = default_initial_state(system)
     traj = integrate(system, s0, 5.0, IntegrateOptions(tol=1e-8))
     meta = traj.metadata
-    assert meta["fast_path"] is True
     assert meta["nfev"] == 6 * (meta["accepted"] + meta["rejected"]) + 1
     assert 0.0 < meta["h_min"] <= 5.0
     rk4 = integrate(system, s0, 3.0, IntegrateOptions(method="rk4", dt=0.01,
@@ -163,26 +162,93 @@ def test_uneven_record_times_match_runs_ending_there():
         assert np.allclose(states[k], ref, rtol=0.0, atol=1e-8), rec[k]
 
 
-def test_packed_matches_generic_path():
-    system = mixed_system()
-    generic = dataclasses.replace(system, packed=None)
-    s0 = default_initial_state(system)
-    fast = integrate(system, s0, 5.0, IntegrateOptions(tol=1e-10))
-    slow = integrate(generic, s0, 5.0, IntegrateOptions(tol=1e-10))
-    assert np.allclose(fast.states, slow.states, atol=1e-6)
-    assert np.allclose(fast.u, slow.u, atol=1e-6)
-    assert np.allclose(fast.zeta, slow.zeta, atol=1e-6)
-    assert np.allclose(fast.mu, slow.mu, atol=1e-6)
+def oracle_states(system, s0, T, opts):
+    """States _rk45_loop or _rk4_loop records on integrate's grid with the oracle rhs."""
+    rec = np.linspace(0.0, T, int(round(T / opts.record_every)) + 1)
+
+    def rhs(s):
+        return oracle.step_rhs(system, s)
+
+    if opts.method == "rk45":
+        return _fastpath._rk45_loop(rhs, s0, 0.0, rec, opts.tol, opts.tol, min(1e-3, T / 100.0))[0]
+    return _fastpath._rk4_loop(rhs, s0, 0.0, rec, opts.dt)[0]
 
 
-def test_packed_matches_generic_rk4():
+@pytest.mark.parametrize("opts", [IntegrateOptions(tol=1e-10, record_every=0.01),
+                                  IntegrateOptions(method="rk4", dt=0.02, record_every=0.5)],
+                         ids=["rk45", "rk4"])
+def test_packed_matches_oracle_path(opts):
     system = mixed_system()
-    generic = dataclasses.replace(system, packed=None)
     s0 = default_initial_state(system)
-    opts = IntegrateOptions(method="rk4", dt=0.02, record_every=0.5)
-    fast = integrate(system, s0, 3.0, opts)
-    slow = integrate(generic, s0, 3.0, opts)
-    assert np.allclose(fast.states, slow.states, atol=1e-8)
+    fast = integrate(system, s0, 5.0, opts)
+    assert np.allclose(fast.states, oracle_states(system, s0, 5.0, opts), rtol=0.0, atol=1e-9)
+    for a, b in zip((fast.u, fast.y, fast.zeta, fast.mu), oracle.signals(system, fast.states)):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+
+def psi2():
+    return scalar_separable(paper_psi, 2, PSI_RANGE)
+
+
+def probe_network(kind):
+    """Three nodes on a triangle, d = 2, with pieces of the named kind the
+    packed maps cannot hold; "one_node" is a single agent with no edges."""
+    def lin(w):
+        return linear_agent(-1.5 * np.eye(2), np.eye(2), np.eye(2), w=w)
+
+    if kind == "one_node":
+        return closed_loop(build_graph(1, []), [lin([0.2, -0.1])], [])
+    agents = [lin([0.2, -0.1]), lin([-0.3, 0.1]), lin([0.0, 0.4])]
+    ctrls = [linear_synthesis([0.1, -0.2]), nonlinear_integrator(psi2()),
+             reconfigured(nonlinear_integrator(quadratic(np.eye(2))), [0.1, 0.0], [0.0, 0.2])]
+    if kind == "feedthrough":
+        agents[0] = linear_agent(-np.eye(2), np.eye(2), np.eye(2), T=[[0.5, 0.1], [0.1, 0.3]])
+        agents[2] = convex_gradient_agent(quadratic(np.eye(2)), rho=0.2 * np.eye(2))
+    elif kind == "callable_rho":
+        agents[0] = convex_gradient_agent(quadratic(np.eye(2)), rho=lambda u: 0.2 * u)
+    elif kind == "psi_agent":
+        agents[1] = convex_gradient_agent(psi2(), w=[0.1, 0.2])
+    elif kind == "psi_damping":
+        agents[2] = damped_oscillator_agent([[1.0, 0.2], [0.0, 1.0]], np.eye(2), psi=psi2(),
+                                            anchor=[0.3, 0.1])
+    elif kind == "custom_agent":
+        agents[1] = custom_agent(3, 2, f=lambda x, u, w: -x + np.r_[u, 0.0] + w,
+                                 h=lambda x, u, w: x[:2] + 0.1 * u, w=[0.1, 0.0, 0.2])
+    elif kind == "sum_potential":
+        ctrls[1] = nonlinear_integrator(function_sum([psi2(), quadratic(0.5 * np.eye(2))]))
+    elif kind == "shifted_potential":
+        ctrls[2] = nonlinear_integrator(shifted(psi2(), shift=[0.3, -0.2]))
+    elif kind == "custom_controller":
+        # three states on a two-dimensional edge: the controllers after it shift
+        ctrls[0] = custom_controller(2, 3, phi=lambda e, z: -e + np.r_[z, z[0]],
+                                     out=lambda e, z: e[:2] + 0.1 * z,
+                                     initial_state=[0.1, 0.0, 0.3])
+    return closed_loop(build_graph(3, [(0, 1), (1, 2), (0, 2)]), agents, ctrls)
+
+
+PROBES = ["feedthrough", "callable_rho", "psi_agent", "psi_damping", "custom_agent",
+          "sum_potential", "shifted_potential", "custom_controller", "one_node"]
+
+
+@pytest.mark.parametrize("kind", PROBES)
+def test_network_packs_and_matches_the_oracle(kind):
+    system = probe_network(kind)
+    pk = system.packed
+    assert pk.sides or kind == "one_node"
+    rng = np.random.default_rng(PROBES.index(kind))
+    v = _fastpath.rhs_buffer(pk)
+    states = rng.normal(scale=2.0, size=(20, system.state_dim))
+    for s in states:
+        ref = oracle.step_rhs(system, s)
+        fast = _fastpath._packed_rhs(s, pk, v)
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for a, b in zip(_fastpath.packed_signals(pk, states), oracle.signals(system, states)):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * (1.0 + np.max(np.abs(b), initial=0.0))
+    s0 = default_initial_state(system) + 0.1
+    opts = IntegrateOptions(tol=1e-9, record_every=0.05)
+    traj = integrate(system, s0, 3.0, opts)
+    assert np.max(np.abs(traj.states[-1] - oracle_states(system, s0, 3.0, opts)[-1])) <= 1e-9
 
 
 def two_node(agent0, agent1=None, ctrl=None):
@@ -193,53 +259,6 @@ def two_node(agent0, agent1=None, ctrl=None):
     return closed_loop(g, [agent0, agent1], [ctrl])
 
 
-def test_pack_refuses_custom_agent():
-    a = custom_agent(1, 1, f=lambda x, u, w: -x + u, h=lambda x, u, w: x)
-    assert two_node(a).packed is None
-
-
-def test_pack_refuses_agent_feedthrough():
-    a = linear_agent([[-1.0]], [[1.0]], [[1.0]], T=[[0.5]])
-    assert two_node(a).packed is None
-
-
-def test_pack_refuses_nonquadratic_damping():
-    a = damped_oscillator_agent([[1.0]], [[1.0]],
-                                psi=scalar_separable(lambda t: t ** 4, 1))
-    assert two_node(a).packed is None
-
-
-def test_pack_refuses_rho_output():
-    a = convex_gradient_agent(quadratic(np.eye(1)), rho=[[0.1]])
-    assert two_node(a).packed is None
-
-
 def test_pack_takes_zero_rho():
     a = convex_gradient_agent(quadratic(np.eye(1)), rho=[[0.0]])
-    assert two_node(a).packed is not None
-
-
-def test_pack_refuses_custom_controller():
-    c = custom_controller(1, 1, phi=lambda e, z: e, out=lambda e, z: z)
-    system = two_node(linear_agent([[-1.0]], [[1.0]], [[1.0]]), ctrl=c)
-    assert system.packed is None
-
-
-def test_pack_refuses_nonquadratic_potential():
-    c = nonlinear_integrator(scalar_separable(lambda t: t ** 4, 1))
-    system = two_node(linear_agent([[-1.0]], [[1.0]], [[1.0]]), ctrl=c)
-    assert system.packed is None
-
-
-def test_no_edges_not_packed():
-    a = linear_agent([[-1.0]], [[1.0]], [[1.0]])
-    assert closed_loop(build_graph(1, []), [a], []).packed is None
-
-
-def test_generic_fallback_still_integrates(monkeypatch):
-    a0 = custom_agent(1, 1, f=lambda x, u, w: -x + u, h=lambda x, u, w: x)
-    system = two_node(a0)
-    traj = integrate(system, default_initial_state(system), 2.0,
-                     IntegrateOptions(tol=1e-8))
-    assert traj.metadata["fast_path"] is False
-    assert np.isfinite(traj.states).all()
+    assert not two_node(a).packed.sides

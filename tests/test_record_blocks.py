@@ -1,6 +1,5 @@
 """Post-processing by record blocks: the same bits and bytes as whole-array
 passes, and no whole-trajectory temporaries."""
-import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -8,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import couplednet.simulate as sim
 from couplednet import _fastpath, cli
 from couplednet.config import load_config
 from couplednet.couplers import linear_synthesis
@@ -19,6 +17,7 @@ from couplednet.simulate import (IntegrateOptions, Trajectory, closed_loop,
                                  default_initial_state, detect_convergence, export_csv,
                                  integrate, integrate_schedule)
 
+import closed_loop_oracle as loop_oracle
 import whole_array_oracle as oracle
 from conftest import bench_integrate
 
@@ -73,14 +72,13 @@ def test_packed_signals_match_whole_array_formula(request, block_sizes, network)
             assert a.shape == b.shape and np.array_equal(a, b), records
 
 
-def test_unpacked_signals_are_the_per_record_signals(ring64):
+def test_packed_signals_are_the_per_record_oracle_signals(ring64):
     traj = integrate(ring64, default_initial_state(ring64), 0.2,
                      IntegrateOptions(record_every=0.005))
-    unpacked = dataclasses.replace(ring64, packed=None)
-    got = sim._signals_batch(unpacked, traj.states)
-    rows = [sim._signals_at(unpacked, s) for s in traj.states]
-    for k, a in enumerate(got):
-        assert np.array_equal(a, np.array([r[k] for r in rows]))
+    want = loop_oracle.signals(ring64, traj.states)
+    for a, b in zip((traj.u, traj.y, traj.zeta, traj.mu), want):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
 
 
 def same_convergence(got, want):
@@ -301,6 +299,6 @@ def test_schedule_segments_start_from_the_last_state_with_their_own_signals(
         assert seg.system is system and seg.times[0] == prev.times[-1]
         assert np.array_equal(seg.states[0], prev.states[-1])
         # the reconfigured controllers' output offsets differ at the boundary
-        own = sim._signals_batch(system, seg.states[:1])
+        own = _fastpath.packed_signals(system.packed, seg.states[:1])
         assert np.array_equal(seg.mu[0], own[3][0])
         assert not np.array_equal(seg.mu[0], prev.mu[-1])

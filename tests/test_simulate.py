@@ -15,9 +15,12 @@ from couplednet.netgraph import build_graph
 from couplednet.netopt import assemble, recover_certificate, solve_opp
 from couplednet.plants import custom_agent, linear_agent
 from couplednet.relations import quadratic
-from couplednet.simulate import (IntegrateOptions, closed_loop, compare_prediction,
-                                 default_initial_state, detect_convergence, export_csv,
-                                 integrate, integrate_schedule, step_rhs)
+from couplednet.simulate import (ConvergenceResult, IntegrateOptions, closed_loop,
+                                 compare_prediction, default_initial_state,
+                                 detect_convergence, export_csv, integrate,
+                                 integrate_schedule, prediction_report, step_rhs)
+
+from conftest import meicmp_linear_agent
 
 
 def solo(agent):
@@ -135,6 +138,26 @@ def test_compare_prediction_matches_optimizer():
     assert rep.passed
     assert rep.y_error_aligned <= 1e-5
     assert rep.mu_error_aligned <= 1e-5
+
+
+def test_prediction_report_aligns_like_the_dense_bases(diamond_graph):
+    # the diamond has one cycle, so mu's aligned gap drops a nonzero cycle part
+    rng = np.random.default_rng(4)
+    d = 2
+    system = closed_loop(diamond_graph, [meicmp_linear_agent(rng, d) for _ in range(4)],
+                         linear_synthesis(np.zeros(d)))
+    op = system.op
+    y_ss, mu_ss = rng.normal(size=op.node_size), rng.normal(size=op.edge_size)
+    cert = dataclasses.make_dataclass("Cert", ["y", "mu"])(rng.normal(size=op.node_size),
+                                                           rng.normal(size=op.edge_size))
+    conv = ConvergenceResult(converged=True, y_ss=y_ss, mu_ss=mu_ss, t_conv=0.0)
+    rep = prediction_report(system, conv, cert, tol=1.0)
+    A, C = op.agreement_basis(), op.cycle_basis()
+    dy, dmu = y_ss - cert.y, mu_ss - cert.mu
+    assert np.linalg.norm(C.T @ dmu) > 0.1
+    assert math.isclose(rep.y_error_aligned, np.linalg.norm(dy - A @ (A.T @ dy)), rel_tol=1e-12)
+    assert math.isclose(rep.mu_error_aligned, np.linalg.norm(dmu - C @ (C.T @ dmu)),
+                        rel_tol=1e-12)
 
 
 def test_compare_prediction_needs_convergence():
@@ -280,10 +303,9 @@ def test_export_csv_never_forks(tmp_path, monkeypatch):
         assert back.shape == (rows, 7)
 
 
-def test_metadata_records_fast_path_and_samples():
+def test_metadata_records_method_and_samples():
     _, _, _, system = pair_system()
     traj = integrate(system, default_initial_state(system), 1.0,
                      IntegrateOptions())
     assert traj.metadata["method"] == "rk45"
-    assert "fast_path" in traj.metadata
     assert len(traj.times) == 501
