@@ -7,7 +7,6 @@ rhs evaluation.
 
 Usage:
     python3 benchmarks/bench_integrate.py [--nodes 24] [--horizon 20]
-        [--method rk45]
 """
 
 import argparse
@@ -57,14 +56,13 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--nodes", type=int, default=24)
     ap.add_argument("--horizon", type=float, default=20.0)
-    ap.add_argument("--method", choices=("rk45", "rk4"), default="rk45")
     args = ap.parse_args()
 
     system = build_system(args.nodes)
-    opts = IntegrateOptions(method=args.method, tol=1e-8, dt=1e-3)
+    opts = IntegrateOptions(tol=1e-8)
     print(f"network: {system.graph.node_count} nodes, "
           f"{system.graph.edge_count} edges, state dim {system.state_dim}, "
-          f"method {args.method}, horizon {args.horizon}")
+          f"horizon {args.horizon}")
 
     init = default_initial_state(system)
     walls = []

@@ -133,12 +133,11 @@ def _fill(pk, v):
 
 @dataclass(frozen=True)
 class StepStats:
-    """Work done by one integration of _rk45_loop or _rk4_loop.
+    """Work done by one integration of _rk45_loop.
 
     nfev counts rhs evaluations, accepted counts the steps that advanced
-    time, rejected the RK45 steps retried after an error above
-    tolerance (always 0 for RK4), and h_min is the smallest accepted
-    step.
+    time, rejected the steps retried after an error above tolerance, and
+    h_min is the smallest accepted step.
     """
 
     nfev: int
@@ -184,13 +183,6 @@ _DP_P = np.array([
 ]).reshape(7, 4)
 
 
-def _initial_records(out, s0, t0, rec_times):
-    """Fill the records at t0; returns the index of the first one after it."""
-    idx = int(np.searchsorted(rec_times, t0 + 1e-12 * (1.0 + abs(t0)), side="right"))
-    out[:idx] = s0
-    return idx
-
-
 def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0):
     """Adaptive Dormand-Prince 5(4) recording the state at each rec_times entry.
 
@@ -215,7 +207,9 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0):
     out = np.empty((nrec, dim))
     s = s0.copy()
     t = float(t0)
-    idx = _initial_records(out, s, t, rec_times)
+    # the records at t0 hold s0
+    idx = int(np.searchsorted(rec_times, t + 1e-12 * (1.0 + abs(t)), side="right"))
+    out[:idx] = s
     t_end = float(rec_times[-1]) if nrec else t
     K = np.empty((7, dim))
     hdp = np.empty_like(_DP)  # h * _DP, refilled each step
@@ -271,40 +265,6 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0):
             factor = 5.0 if errn == 0.0 else min(5.0, max(0.2, 0.9 * errn ** -0.2))
             h = h_use * factor
     return out, StepStats(nfev, accepted, rejected, h_min)
-
-
-def _rk4_loop(rhs, s0, t0, rec_times, dt):
-    """Fixed-step classical Runge-Kutta, landing exactly on rec_times.
-
-    Returns (states, StepStats); raises NonFiniteState on a non-finite
-    recorded state. np.errstate(under="ignore") is entered once here,
-    around every rhs call, as in _rk45_loop.
-    """
-    dim = s0.shape[0]
-    nrec = rec_times.shape[0]
-    out = np.empty((nrec, dim))
-    s = s0.copy()
-    t = t0
-    start = _initial_records(out, s, t, rec_times)
-    steps, h_min = 0, math.inf
-    with np.errstate(under="ignore"):
-        for idx in range(start, nrec):
-            gap = rec_times[idx] - t
-            nsub = int(max(1.0, math.ceil(gap / dt - 1e-9)))
-            h = gap / nsub
-            for _ in range(nsub):
-                k1 = rhs(s)
-                k2 = rhs(s + 0.5 * h * k1)
-                k3 = rhs(s + 0.5 * h * k2)
-                k4 = rhs(s + h * k3)
-                s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            steps += nsub
-            h_min = min(h_min, h)
-            t = rec_times[idx]
-            if not np.isfinite(s).all():
-                raise NonFiniteState("state became non-finite during integration")
-            out[idx] = s
-    return out, StepStats(4 * steps, steps, 0, float(h_min))
 
 
 # ---------------------------------------------------------------------------

@@ -149,14 +149,16 @@ def _integrate_options(cfg):
         except (TypeError, ValueError) as ex:
             raise ConfigInvalid(f"simulation: {key}: {ex}") from None
 
-    kw = {key: number(key) for key in ("tol", "dt") if key in sec}
+    # adaptive Dormand-Prince is the only scheme; configs may still name it
+    if sec.get("method", "rk45") != "rk45":
+        raise ConfigInvalid(
+            f"simulation: method: unknown integration method {sec['method']!r}")
+    kw = {"tol": number("tol")} if "tol" in sec else {}
     if sec.get("record_every") is not None:
         kw["record_every"] = number("record_every")
-    if "method" in sec:
-        kw["method"] = str(sec["method"])
     try:
         opts = IntegrateOptions(**kw)
-    except (UnsupportedKind, DimensionMismatch) as ex:
+    except DimensionMismatch as ex:
         raise ConfigInvalid(f"simulation: {ex}") from None
     conv_tol = number("conv_tol", 1e-6)
     if not 0.0 < conv_tol < math.inf:

@@ -79,7 +79,8 @@ def _function_spec(spec, what) -> IntegralFunction:
     if kind == "quadratic":
         P = _mat(spec.get("P"), f"{what}.P")
         q = vector(spec["q"], f"{what}.q", P.shape[0]) if "q" in spec else None
-        return quadratic(P, q, float(spec.get("c", 0.0)))
+        c = vector(spec.get("c", 0.0), f"{what}.c", 1)[0]
+        return quadratic(P, q, c)
     if kind == "paper_psi":
         dim = spec.get("dim")
         if not isinstance(dim, int) or dim < 1:

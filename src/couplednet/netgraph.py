@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, Disconnected, IndexOutOfRange, SelfLoop
-from .relations import solve_affine
 
 
 @dataclass(frozen=True)
@@ -96,23 +95,6 @@ class IncidenceOperator:
     def edge_size(self) -> int:
         return self.edge_count * self.dim
 
-    def agreement_basis(self) -> np.ndarray:
-        """Orthonormal basis of Ker(lifted^T), shape (n*d, d).
-
-        Column c is (1 kron e_c) / sqrt(n): all nodes share the same
-        d-vector.
-        """
-        n, d = self.node_count, self.dim
-        return np.kron(np.ones((n, 1)), np.eye(d)) / np.sqrt(n)
-
-    def cycle_basis(self) -> np.ndarray:
-        """Orthonormal basis of Ker(lifted), shape (m*d, r).
-
-        Equal to kron(C, I_d) for an orthonormal basis C of Ker(base).
-        """
-        cycles = solve_affine(self.base, np.zeros(self.node_count)).directions
-        return np.kron(cycles, np.eye(self.dim))
-
 
 def build_graph(node_count: int, edges) -> DirectedGraph:
     """Validate and return a connected directed graph.
@@ -178,10 +160,3 @@ def project_agreement(op: IncidenceOperator, u) -> np.ndarray:
     blocks = u.reshape(op.node_count, op.dim)
     mean = blocks.mean(axis=0)
     return np.tile(mean, op.node_count)
-
-
-def in_cut_space(op: IncidenceOperator, u, tol: float = 1e-9) -> bool:
-    """True iff the blockwise sum of the node vectors has norm <= tol."""
-    u = _check_size(u, op.node_size, "stacked node vector")
-    blocks = u.reshape(op.node_count, op.dim)
-    return bool(np.linalg.norm(blocks.sum(axis=0)) <= tol)

@@ -124,25 +124,6 @@ class SetDescriptor:
         return b - q @ (q.T @ b)
 
 
-def solve_affine(mat, rhs, tol: float = 1e-8) -> SetDescriptor:
-    """Solution set of mat @ x = rhs as a descriptor (Empty if inconsistent).
-
-    One SVD gives the minimum-norm solution, as basepoint, and an
-    orthonormal basis of the null space of mat. The system counts as
-    inconsistent when that solution misses rhs by more than
-    tol * (1 + ||rhs||).
-    """
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    rhs = np.asarray(rhs, dtype=float).ravel()
-    # all of vt is needed only when it has fewer rows than columns
-    u, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    rank = int(np.sum(s > 1e-12 * s.max(initial=0.0)))
-    x0 = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
-    if np.linalg.norm(mat @ x0 - rhs) > tol * (1.0 + np.linalg.norm(rhs)):
-        return SetDescriptor.empty(mat.shape[1])
-    return SetDescriptor._spanned(x0, vt[rank:].T)
-
-
 # ---------------------------------------------------------------------------
 # integral functions
 # ---------------------------------------------------------------------------
@@ -863,10 +844,9 @@ def _faults(bad: np.ndarray, make) -> dict:
 def _affine_solutions(S: np.ndarray, R: np.ndarray):
     """Solution sets of S[k] u = R[k] as coordinate sets (see _block_sets).
 
-    The batched form of solve_affine at its default tol: per block one
-    SVD, the minimum-norm solution as base, empty when it misses R[k] by
-    more than 1e-8 * (1 + ||R[k]||). The null space must be spanned by
-    coordinate axes.
+    Per block one SVD, the minimum-norm solution as base, empty when it
+    misses R[k] by more than 1e-8 * (1 + ||R[k]||). The null space must
+    be spanned by coordinate axes.
     """
     u, s, vt = np.linalg.svd(S)
     kept = s > 1e-12 * s.max(axis=1, initial=0.0)[:, None]

@@ -1,8 +1,8 @@
 """Closed-loop simulation of diffusively coupled networks.
 
 Wires agents and edge controllers through the incidence operator
-(zeta = E^T y, u = -E mu), integrates the stacked ODE with an adaptive
-RK45 or fixed-step RK4 scheme, detects empirical convergence, and
+(zeta = E^T y, u = -E mu), integrates the stacked ODE with adaptive
+Dormand-Prince 5(4) steps, detects empirical convergence, and
 compares the settled output against steady-state certificates.
 """
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     NonFiniteState,
-    UnsupportedKind,
 )
 from .netgraph import DirectedGraph, IncidenceOperator, incidence, project_agreement
 from .netopt import min_norm_flow, network_parts
@@ -124,25 +123,19 @@ def step_rhs(system: ClosedLoopSystem, full_state: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntegrateOptions:
-    """Integration controls: 'rk45' adapts to tol, 'rk4' steps by dt.
+    """Integration controls: the local error per step stays <= tol.
 
     Raises
     ------
-    UnsupportedKind
-        method is neither 'rk45' nor 'rk4'.
     DimensionMismatch
-        tol, dt or record_every (when given) is not finite and positive.
+        tol or record_every (when given) is not finite and positive.
     """
 
-    method: str = "rk45"
     tol: float = 1e-8
-    dt: float = 1e-2
     record_every: Optional[float] = None
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
-            raise UnsupportedKind(f"method: unknown integration method {self.method!r}")
-        for name in ("tol", "dt", "record_every"):
+        for name in ("tol", "record_every"):
             val = getattr(self, name)
             if val is not None and not 0.0 < val < math.inf:
                 raise DimensionMismatch(f"{name}: must be finite and positive, got {val}")
@@ -167,14 +160,6 @@ class Trajectory:
     mu: np.ndarray
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def agent_states(self) -> np.ndarray:
-        return self.states[:, :self.system.agent_dim]
-
-    @property
-    def controller_states(self) -> np.ndarray:
-        return self.states[:, self.system.agent_dim:]
-
 
 def _record_grid(t0: float, T: float, record_every: Optional[float]):
     if record_every is None:
@@ -196,30 +181,32 @@ def integrate(system: ClosedLoopSystem, init, T: float,
     init : array_like
         Stacked initial state (agents then controllers).
     T : float
-        Horizon, must be positive.
+        Horizon, must be finite and positive.
     opts : IntegrateOptions, optional
-        method 'rk45' (adaptive, local error per step <= tol) or 'rk4'
-        (fixed step dt); record_every sets the sample spacing.
+        Adaptive Dormand-Prince 5(4) with local error per step <= tol;
+        record_every sets the sample spacing.
+    t0 : float
+        Start time, must be finite.
 
     Raises
     ------
+    DimensionMismatch
+        T or t0 out of range, or init of the wrong size.
     StepUnderflow
         Adaptive step shrank below the resolvable width.
     NonFiniteState
         The state left the finite range (diverging dynamics).
     """
-    if T <= 0:
-        raise DimensionMismatch(f"horizon must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise DimensionMismatch(f"horizon: must be finite and positive, got {T}")
+    if not math.isfinite(t0):
+        raise DimensionMismatch(f"t0: must be finite, got {t0}")
     opts = opts or IntegrateOptions()
     s0 = np.asarray(init, dtype=float).ravel()
     if s0.size != system.state_dim:
         raise DimensionMismatch(
             f"initial state must have size {system.state_dim}, got {s0.size}")
-    rec_every = opts.record_every
-    if rec_every is None and opts.method == "rk4":
-        # keep the fixed step authoritative when it is coarser than the grid
-        rec_every = max(opts.dt, T / 500.0)
-    rec = _record_grid(t0, T, rec_every)
+    rec = _record_grid(t0, T, opts.record_every)
 
     packed = system.packed
     v = _fastpath.rhs_buffer(packed)
@@ -230,18 +217,13 @@ def integrate(system: ClosedLoopSystem, init, T: float,
     def rhs_fn(s):
         return _fastpath._packed_rhs(s, packed, v)
 
-    if opts.method == "rk45":
-        h0 = min(1e-3, T / 100.0)
-        states, stats = _fastpath._rk45_loop(
-            rhs_fn, s0, t0, rec, opts.tol, opts.tol, h0)
-    else:
-        states, stats = _fastpath._rk4_loop(rhs_fn, s0, t0, rec, opts.dt)
+    states, stats = _fastpath._rk45_loop(
+        rhs_fn, s0, t0, rec, opts.tol, opts.tol, min(1e-3, T / 100.0))
     if not np.all(np.isfinite(states)):
         raise NonFiniteState("state became non-finite during integration")
 
     u, y, zeta, mu = _fastpath.packed_signals(packed, states)
-    meta = {"method": opts.method, "tol": opts.tol, "dt": opts.dt,
-            "record_every": float(rec[1] - rec[0]), **asdict(stats)}
+    meta = {"tol": opts.tol, "record_every": float(rec[1] - rec[0]), **asdict(stats)}
     return Trajectory(system=system, times=rec, states=states,
                       u=u, y=y, zeta=zeta, mu=mu, metadata=meta)
 

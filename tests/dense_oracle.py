@@ -12,9 +12,26 @@ import numpy as np
 
 from couplednet.errors import EmptyInverse, EmptySelection, Infeasible, NotForcible, Unbounded
 from couplednet.netopt import SolveTrace, ofp_objective, opp_objective
-from couplednet.relations import (FunctionKind, as_quadratic, block_diag, quadratic, shifted,
-                                  solve_affine, value)
-from set_oracle import forward, inverse
+from couplednet.relations import FunctionKind, as_quadratic, block_diag, quadratic, shifted, value
+from set_oracle import forward, inverse, solve_affine
+
+
+def agreement_basis(op):
+    """Orthonormal basis of Ker(lifted^T), shape (n*d, d).
+
+    Column c is (1 kron e_c) / sqrt(n): all nodes share the same d-vector.
+    """
+    n, d = op.node_count, op.dim
+    return np.kron(np.ones((n, 1)), np.eye(d)) / np.sqrt(n)
+
+
+def cycle_basis(op):
+    """Orthonormal basis of Ker(lifted), shape (m*d, r).
+
+    Equal to kron(C, I_d) for an orthonormal basis C of Ker(base).
+    """
+    cycles = solve_affine(op.base, np.zeros(op.node_count)).directions
+    return np.kron(cycles, np.eye(op.dim))
 
 
 def qp_parts(f):

@@ -14,11 +14,30 @@ import numpy as np
 from couplednet.errors import EmptySelection, UnsupportedKind
 from couplednet.relations import (FunctionKind, RelationKind, SetDescriptor, SetKind, _blocks,
                                   _bracket_root, _check_dim, as_quadratic, block_diag,
-                                  gradient_relation, solve_affine)
+                                  gradient_relation)
 
 # The oracle's historical zero test: a vector within this of 0 is 0 at an
 # indicator or integrator. couplednet itself tests membership exactly.
 ZERO_ATOL = 1e-11
+
+
+def solve_affine(mat, rhs, tol: float = 1e-8) -> SetDescriptor:
+    """Solution set of mat @ x = rhs as a descriptor (Empty if inconsistent).
+
+    One SVD gives the minimum-norm solution, as basepoint, and an
+    orthonormal basis of the null space of mat. The system counts as
+    inconsistent when that solution misses rhs by more than
+    tol * (1 + ||rhs||).
+    """
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    rhs = np.asarray(rhs, dtype=float).ravel()
+    # all of vt is needed only when it has fewer rows than columns
+    u, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    rank = int(np.sum(s > 1e-12 * s.max(initial=0.0)))
+    x0 = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
+    if np.linalg.norm(mat @ x0 - rhs) > tol * (1.0 + np.linalg.norm(rhs)):
+        return SetDescriptor.empty(mat.shape[1])
+    return SetDescriptor._spanned(x0, vt[rank:].T)
 
 
 def orthonormal_cols(mat, rtol=1e-10):

@@ -192,6 +192,10 @@ def test_default_duration_applies():
     lambda d: d.update(candidate={"u": [0.0, 0.0]}),
     lambda d: d.update(candidate={"u": [0.0, 0.0], "y": [0.0, 0.0],
                                   "zeta": [0.0, 0.0], "mu": [0.0]}),
+    lambda d: d.update(controllers=[{"type": "integrator", "potential": {
+        "kind": "quadratic", "P": [[1.0]], "c": "abc"}}]),
+    lambda d: d.update(controllers=[{"type": "integrator", "potential": {
+        "kind": "quadratic", "P": [[1.0]], "c": [1, 2]}}]),
 ])
 def test_invalid_documents_rejected(mutate):
     doc = base_doc()

@@ -82,16 +82,15 @@ def test_packed_rhs_bits_match_unfolded_formula(network):
         assert np.array_equal(_fastpath._packed_rhs(s, pk, v).view(np.int64), ref)
 
 
-@pytest.mark.parametrize("method", ["rk45", "rk4"])
-def test_saturated_psi_integrates_under_raising_errstate(method):
-    # exp(-|eta|) underflows in paper_psi at |eta| = 800; the loops must
+def test_saturated_psi_integrates_under_raising_errstate():
+    # exp(-|eta|) underflows in paper_psi at |eta| = 800; the loop must
     # keep that quiet while a caller raises on every floating-point error
     system = mixed_system()
     s0 = default_initial_state(system)
     eta0 = system.agent_dim
     assert list(system.packed.psi_idx) == [eta0, eta0 + 1]
     s0[eta0:eta0 + 2] = [800.0, -800.0]
-    opts = IntegrateOptions(method=method, tol=1e-8, dt=0.01, record_every=0.5)
+    opts = IntegrateOptions(tol=1e-8, record_every=0.5)
     with np.errstate(all="raise"):
         traj = integrate(system, s0, 2.0, opts)
     assert np.isfinite(traj.states).all()
@@ -123,9 +122,6 @@ def test_packed_run_reports_step_stats():
     meta = traj.metadata
     assert meta["nfev"] == 6 * (meta["accepted"] + meta["rejected"]) + 1
     assert 0.0 < meta["h_min"] <= 5.0
-    rk4 = integrate(system, s0, 3.0, IntegrateOptions(method="rk4", dt=0.01,
-                                                      record_every=0.5))
-    assert rk4.metadata["nfev"] == 4 * rk4.metadata["accepted"]
     segments = integrate_schedule([(system, 5.0), (system, 5.0)], s0,
                                   IntegrateOptions(tol=1e-8))
     second = integrate(system, traj.states[-1], 5.0, IntegrateOptions(tol=1e-8),
@@ -163,23 +159,19 @@ def test_uneven_record_times_match_runs_ending_there():
 
 
 def oracle_states(system, s0, T, opts):
-    """States _rk45_loop or _rk4_loop records on integrate's grid with the oracle rhs."""
+    """States _rk45_loop records on integrate's grid with the oracle rhs."""
     rec = np.linspace(0.0, T, int(round(T / opts.record_every)) + 1)
 
     def rhs(s):
         return oracle.step_rhs(system, s)
 
-    if opts.method == "rk45":
-        return _fastpath._rk45_loop(rhs, s0, 0.0, rec, opts.tol, opts.tol, min(1e-3, T / 100.0))[0]
-    return _fastpath._rk4_loop(rhs, s0, 0.0, rec, opts.dt)[0]
+    return _fastpath._rk45_loop(rhs, s0, 0.0, rec, opts.tol, opts.tol, min(1e-3, T / 100.0))[0]
 
 
-@pytest.mark.parametrize("opts", [IntegrateOptions(tol=1e-10, record_every=0.01),
-                                  IntegrateOptions(method="rk4", dt=0.02, record_every=0.5)],
-                         ids=["rk45", "rk4"])
-def test_packed_matches_oracle_path(opts):
+def test_packed_matches_oracle_path():
     system = mixed_system()
     s0 = default_initial_state(system)
+    opts = IntegrateOptions(tol=1e-10, record_every=0.01)
     fast = integrate(system, s0, 5.0, opts)
     assert np.allclose(fast.states, oracle_states(system, s0, 5.0, opts), rtol=0.0, atol=1e-9)
     for a, b in zip((fast.u, fast.y, fast.zeta, fast.mu), oracle.signals(system, fast.states)):

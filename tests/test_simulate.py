@@ -21,6 +21,7 @@ from couplednet.simulate import (ConvergenceResult, IntegrateOptions, closed_loo
                                  integrate_schedule, prediction_report, step_rhs)
 
 from conftest import meicmp_linear_agent
+from dense_oracle import agreement_basis, cycle_basis
 
 
 def solo(agent):
@@ -74,17 +75,6 @@ def test_exponential_decay_accuracy():
     assert traj.y[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-9)
 
 
-def test_rk4_order_factor():
-    system = solo(linear_agent([[-1.0]], [[1.0]], [[1.0]]))
-    errs = []
-    for dt in (0.1, 0.05):
-        opts = IntegrateOptions(method="rk4", dt=dt, record_every=1.0)
-        traj = integrate(system, [1.0], 1.0, opts)
-        errs.append(abs(traj.y[-1, 0] - math.exp(-1.0)))
-    factor = errs[0] / errs[1]
-    assert 12.0 <= factor <= 20.0
-
-
 def test_wiring_identities_exact():
     _, _, _, system = pair_system()
     traj = integrate(system, default_initial_state(system), 5.0,
@@ -98,6 +88,14 @@ def test_integrate_rejects_bad_horizon():
     _, _, _, system = pair_system()
     with pytest.raises(DimensionMismatch):
         integrate(system, default_initial_state(system), 0.0)
+
+
+@pytest.mark.parametrize("T, t0", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan),
+                                   (1.0, -math.inf)])
+def test_integrate_rejects_nonfinite_horizon_or_start(T, t0):
+    _, _, _, system = pair_system()
+    with pytest.raises(DimensionMismatch):
+        integrate(system, default_initial_state(system), T, t0=t0)
 
 
 def test_default_initial_state_uses_controller_state():
@@ -152,7 +150,7 @@ def test_prediction_report_aligns_like_the_dense_bases(diamond_graph):
                                                            rng.normal(size=op.edge_size))
     conv = ConvergenceResult(converged=True, y_ss=y_ss, mu_ss=mu_ss, t_conv=0.0)
     rep = prediction_report(system, conv, cert, tol=1.0)
-    A, C = op.agreement_basis(), op.cycle_basis()
+    A, C = agreement_basis(op), cycle_basis(op)
     dy, dmu = y_ss - cert.y, mu_ss - cert.mu
     assert np.linalg.norm(C.T @ dmu) > 0.1
     assert math.isclose(rep.y_error_aligned, np.linalg.norm(dy - A @ (A.T @ dy)), rel_tol=1e-12)
@@ -204,7 +202,7 @@ def test_nonfinite_rhs_raises():
     bad = custom_agent(1, 1, f=lambda x, u, w: x * np.nan, h=lambda x, u, w: x)
     system = closed_loop(build_graph(1, []), [bad], [])
     with pytest.raises(NonFiniteState):
-        integrate(system, [1.0], 1.0, IntegrateOptions(method="rk4", dt=0.1))
+        integrate(system, [1.0], 1.0)
 
 
 def test_step_rhs_vanishes_at_steady_state():
@@ -307,5 +305,4 @@ def test_metadata_records_method_and_samples():
     _, _, _, system = pair_system()
     traj = integrate(system, default_initial_state(system), 1.0,
                      IntegrateOptions())
-    assert traj.metadata["method"] == "rk45"
     assert len(traj.times) == 501
