@@ -3,10 +3,12 @@
 Builds bench_integrate's ring-with-chords network (saturating-integrator
 edges, d = 2) for each node count and times `closed_loop` (which forms
 every agent and packs the loop), `assemble`, `solve_opp`,
-`recover_certificate`, `solve_ofp` and `duality_gap` on it, each the
-best of REPEAT calls. BLAS runs on one thread. The last column is the process's peak
-resident memory (ru_maxrss) after the sizes so far, which includes
-building the closed-loop system that `build_system` returns.
+`recover_certificate`, `solve_ofp` and `duality_gap` on it, and
+`load_config` of the network written as a config file the way perfbench
+writes ring256, each the best of REPEAT calls. BLAS runs on one thread.
+The last column is the process's peak resident memory (ru_maxrss) after
+the sizes so far, which includes building the closed-loop system that
+`build_system` returns.
 
 Usage:
     python3 benchmarks/bench_netopt.py [--nodes 256 1024] [--repeat 3]
@@ -18,10 +20,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import json  # noqa: E402
 import resource  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 
+from couplednet.config import SCHEMA, agent_to_spec, controller_to_spec, load_config  # noqa: E402
 from couplednet.netopt import (assemble, duality_gap, recover_certificate,  # noqa: E402
                                solve_ofp, solve_opp)
 from couplednet.simulate import closed_loop  # noqa: E402
@@ -29,7 +34,8 @@ from couplednet.simulate import closed_loop  # noqa: E402
 import bench_integrate  # noqa: E402
 
 REPEAT = 3  # timed calls per stage; the best is reported
-STAGES = ("closed_loop", "assemble", "solve_opp", "recover_certificate", "solve_ofp", "duality_gap")
+STAGES = ("closed_loop", "assemble", "solve_opp", "recover_certificate", "solve_ofp", "duality_gap",
+          "load_config")
 
 
 def best(fn, repeat):
@@ -54,6 +60,14 @@ def run(nodes: int, repeat: int = REPEAT) -> dict:
         lambda: recover_certificate(problem, y, zeta), repeat)
     times["solve_ofp"], (u, mu, _) = best(lambda: solve_ofp(problem), repeat)
     times["duality_gap"], gap = best(lambda: duality_gap(problem, u, mu, y, zeta), repeat)
+    doc = {"schema": SCHEMA, "seed": 3,
+           "graph": {"nodes": nodes, "edges": [list(e) for e in system.graph.edges]},
+           "agents": [agent_to_spec(a) for a in system.agents],
+           "controllers": [controller_to_spec(c) for c in system.controllers]}
+    with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
+        json.dump(doc, fh)
+        fh.flush()
+        times["load_config"], _ = best(lambda: load_config(fh.name), repeat)
     if not cert.valid(1e-6):
         raise RuntimeError("certificate residuals above 1e-6")
     if abs(gap) > 1e-8:

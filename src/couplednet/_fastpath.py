@@ -28,7 +28,6 @@ import numpy as np
 from . import plants
 from .couplers import (
     ControllerKind,
-    ControllerModel,
     controller_output,
     controller_rhs,
     paper_psi,
@@ -272,133 +271,181 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0):
 # ---------------------------------------------------------------------------
 
 
-def _pack_agent(form):
-    """(A, B, C, w) of an agent_form with no psi left and T = 0, else None."""
-    if plants.form_has_feedthrough(form) or form[5] is not None:
-        return None
-    return form[0], form[1], form[2], form[4]
+def _controller_parts(controllers, d: int):
+    """Affine forms of the edge controllers, by groups of one kind and potential.
 
-
-def _pack_controller(ctrl: ControllerModel, d: int):
-    """Affine form of one edge controller, or None when it is a component.
-
-    Returns (L, leak, mu0, eta0): mu = L eta + mu0 (L is None for a
-    paper_psi potential, where mu = paper_psi(eta) + mu0) and
-    eta' = zeta + eta0, minus eta when leak is set.
+    Returns (code, L, leak, mu0, eta0): code[e] is 0 for a component, 1
+    for a paper_psi integrator, where mu = paper_psi(eta) + mu0, and 2
+    where mu = L[e] eta + mu0; eta' = zeta + eta0, minus eta where leak
+    is set. mu0 and eta0 are (m, d) arrays.
     """
-    alpha, beta = ctrl.alpha, ctrl.beta
-    if ctrl.kind is ControllerKind.LINEAR_SYNTHESIS:
-        return np.eye(d), True, beta, -alpha - ctrl.offset
-    if ctrl.kind is ControllerKind.NONLINEAR_INTEGRATOR:
-        pot = ctrl.potential
-        if pot.kind is FunctionKind.SCALAR_SEPARABLE and pot.phi is paper_psi:
-            return None, False, beta, -alpha
-        quad = as_quadratic(pot)
-        if quad is not None:
-            return quad[0], False, quad[1] + beta, -alpha
-    return None
-
-
-def _coo(blocks):
-    """COO arrays of the (row0, col0, dense block) placements, zeros dropped."""
+    m = len(controllers)
+    code, leak = np.zeros(m, dtype=np.intp), np.zeros(m, dtype=bool)
+    L, mu0, eta0 = [None] * m, np.zeros((m, d)), np.zeros((m, d))
     groups = {}
-    for r0, c0, blk in blocks:
-        groups.setdefault(blk.shape, []).append((r0, c0, blk))
+    for e, ctrl in enumerate(controllers):  # an Enum hashes in Python; its id does not
+        groups.setdefault((id(ctrl.kind), id(ctrl.potential)), []).append(e)
+    for idx in groups.values():
+        group = [controllers[e] for e in idx]
+        kind = group[0].kind
+        alpha, beta = np.array([c.alpha for c in group]), np.array([c.beta for c in group])
+        if kind is ControllerKind.LINEAR_SYNTHESIS:
+            code[idx], leak[idx] = 2, True
+            L_e, mu0[idx], eta0[idx] = np.eye(d), beta, -alpha - np.array([c.offset for c in group])
+        elif kind is ControllerKind.NONLINEAR_INTEGRATOR:
+            pot = group[0].potential
+            quad = as_quadratic(pot)
+            if pot.kind is FunctionKind.SCALAR_SEPARABLE and pot.phi is paper_psi:
+                code[idx], L_e, mu0[idx] = 1, None, beta
+            elif quad is not None:
+                code[idx], L_e, mu0[idx] = 2, quad[0], quad[1] + beta
+            else:
+                continue
+            eta0[idx] = -alpha
+        else:
+            continue
+        for e in idx:
+            L[e] = L_e
+    return code, L, leak, mu0, eta0
+
+
+def _coo(batches):
+    """COO arrays of blocks placed by batches (key, r0, c0, blocks).
+
+    blocks is a (k, h, w) stack placed with its upper-left corners at
+    (r0, c0). The blocks go by shape, the shapes in the order of their
+    least key, and within a shape in key order; zeros are dropped.
+    """
+    shapes = {}
+    for batch in batches:
+        if len(batch[0]):
+            shapes.setdefault(batch[3].shape[1:], []).append(batch)
+    order = sorted(shapes, key=lambda shape: min(b[0].min() for b in shapes[shape]))
     rows, cols, vals = [], [], []
-    for (h, w), items in groups.items():
-        vals_k = np.stack([b for _, _, b in items])
-        r0 = np.array([r for r, _, _ in items])[:, None, None]
-        c0 = np.array([c for _, c, _ in items])[:, None, None]
-        rows.append(np.broadcast_to(r0 + np.arange(h)[:, None], vals_k.shape).ravel())
-        cols.append(np.broadcast_to(c0 + np.arange(w), vals_k.shape).ravel())
-        vals.append(vals_k.ravel())
+    for h, w in order:
+        key, r0, c0, blk = (np.concatenate(part) for part in zip(*shapes[h, w]))
+        perm = np.argsort(key, kind="stable")
+        blk, r0, c0 = blk[perm], r0[perm, None, None], c0[perm, None, None]
+        rows.append(np.broadcast_to(r0 + np.arange(h)[:, None], blk.shape).ravel())
+        cols.append(np.broadcast_to(c0 + np.arange(w), blk.shape).ravel())
+        vals.append(blk.ravel())
     row, col, val = (np.concatenate(a) for a in (rows, cols, vals))
     keep = val != 0.0
     return row[keep], col[keep], val[keep]
 
 
-def pack(op, agents, forms, controllers) -> PackedSystem:
-    """Fold the closed loop, forms being the agents' agent_forms, into
-    sparse affine maps, with component columns for the pieces they
-    cannot hold. No agent and controller may both have feedthrough."""
+def _batch(key, r0, c0, blocks):
+    """One _coo batch, its keys and corners as integer arrays."""
+    return (*(np.asarray(x, dtype=np.int64).reshape(-1) for x in (key, r0, c0)), blocks)
+
+
+def pack(op, agents, groups, controllers) -> PackedSystem:
+    """Fold the closed loop into sparse affine maps, with component
+    columns for the pieces they cannot hold. groups are the agents'
+    agent_groups, and the maps are filled a group of blocks at a time.
+    No agent and controller may both have feedthrough."""
     agents, controllers = list(agents), list(controllers)
-    d, n = op.dim, len(agents)
-    parts = [_pack_agent(f) for f in forms]
-    cparts = [_pack_controller(c, d) for c in controllers]
+    d, n, m = op.dim, len(agents), len(controllers)
+    feed = plants.groups_feedthrough(agents, groups)
+    code, L, leak, mu0, eta0 = _controller_parts(controllers, d)
     ofs = np.cumsum([0] + [a.state_dim for a in agents] + [c.state_dim for c in controllers])
     dim = int(ofs[-1])
-    psi_edges = np.array([e for e, part in enumerate(cparts)
-                          if part is not None and part[0] is None], dtype=np.int64)
+    psi_edges = np.flatnonzero(code == 1)
     psi_idx = (ofs[n + psi_edges][:, None] + np.arange(d)).ravel()
-    psi_col = {e: dim + k * d for k, e in enumerate(psi_edges.tolist())}
+    psi_col = np.zeros(m, dtype=np.int64)
+    psi_col[psi_edges] = dim + d * np.arange(psi_edges.size)
+    tail, head = np.array(op.graph.edges, dtype=np.int64).reshape(m, 2).T
+    r = ofs[n:n + m]
+    sizes = np.array([a.state_dim for a in agents])
     eye = np.eye(d)
+
+    # a packable agent folds in whole: x' = A x + B u + w, y = C x; B[size]
+    # and C[size] hold those of the agents with size states, by node
+    packed = np.zeros(n, dtype=bool)
+    forms = [None] * n  # each component agent's agent_form
+    B, C = {}, {}
+    rhs, sig = [], []  # _coo batches
+    # keys follow the order of placement: components, agents, then edge by edge
+    k_agent, k_edge = n + m, 2 * n + m
+    c = np.zeros(dim)
+    for idx, A_g, B_g, C_g, T_g, w_g, psi_g, where in groups:
+        fold = np.array([psi is None for psi in psi_g]) & ~feed[idx]
+        for j in np.flatnonzero(~fold):
+            forms[idx[j]] = (A_g[j], B_g[j], C_g[j], T_g[j], w_g[j], psi_g[j], where)
+        sel = np.asarray(idx)[fold]
+        if sel.size:
+            packed[sel] = True
+            size = A_g.shape[1]
+            B.setdefault(size, np.zeros((n, size, d)))[sel] = B_g[fold]
+            C.setdefault(size, np.zeros((n, d, size)))[sel] = C_g[fold]
+            rhs.append(_batch(k_agent + sel, ofs[sel], ofs[sel], A_g[fold]))
+            sig.append(_batch(k_agent + sel, sel * d, ofs[sel], C_g[fold]))
 
     # each component's columns [state derivative ; output] follow paper_psi's,
     # and its state and signal rows read them; agent k's input u_k and
     # controller k - n's zeta sit at [u ; zeta][k*d:(k+1)*d]
-    comps, sig, rhs = {}, [], []
+    comps = {}
     one = dim + psi_idx.shape[0]  # v's constant column follows them
-    for k, (model, part) in enumerate(zip(agents + controllers, parts + cparts)):
-        if part is None:
-            size = model.state_dim
-            if k < n:
-                fns = (partial(plants.rhs, model, form=forms[k]),
-                       partial(plants.output, model, form=forms[k]))
-            else:
-                fns = partial(controller_rhs, model), partial(controller_output, model)
-            out = one + size
-            comps[k] = Component(slice(int(ofs[k]), int(ofs[k + 1])), slice(k * d, (k + 1) * d),
-                                 slice(one, out), slice(out, out + d), *fns)
-            sig.append((k * d, out, eye))
-            rhs.append((ofs[k], one, np.eye(size)))
-            one = out + d
+    for k, model in enumerate(agents + controllers):
+        if (k < n and packed[k]) or (k >= n and code[k - n]):
+            continue
+        size = model.state_dim
+        if k < n:
+            fns = (partial(plants.rhs, model, form=forms[k]),
+                   partial(plants.output, model, form=forms[k]))
+        else:
+            fns = partial(controller_rhs, model), partial(controller_output, model)
+        out = one + size
+        comps[k] = Component(slice(int(ofs[k]), int(ofs[k + 1])), slice(k * d, (k + 1) * d),
+                             slice(one, out), slice(out, out + d), *fns)
+        sig.append(_batch(k, k * d, out, eye[None]))
+        rhs.append(_batch(k, ofs[k], one, np.eye(size)[None]))
+        one = out + d
     sides = ()
     if comps:
-        sides = (tuple(c for k, c in comps.items() if k < n),
-                 tuple(c for k, c in comps.items() if k >= n))
-        if any(plants.form_has_feedthrough(f) for f in forms):
+        sides = (tuple(comp for k, comp in comps.items() if k < n),
+                 tuple(comp for k, comp in comps.items() if k >= n))
+        if feed.any():
             sides = sides[::-1]
 
-    # signals: y_i = C_i x_i; mu_e = L_e eta_e (or paper_psi(eta_e)) + mu0_e
-    sig += [(i * d, ofs[i], part[2]) for i, part in enumerate(parts) if part is not None]
-    rhs += [(ofs[i], ofs[i], part[0]) for i, part in enumerate(parts) if part is not None]
-    m = len(cparts)
-    mu0 = np.zeros(m * d)
-    c = np.zeros(dim)
-    for e, cpart in enumerate(cparts):
-        r = ofs[n + e]
-        ends = zip(op.graph.edges[e], (-1.0, 1.0))
-        if cpart is None:
-            for i, sign in ends:
-                if parts[i] is not None:
-                    rhs.append((ofs[i], comps[n + e].out.start, -sign * parts[i][1]))
-            continue
-        L, leak, mu0_e, eta0_e = cpart
-        mu0[e * d:(e + 1) * d] = mu0_e
-        c[r:r + d] = eta0_e
-        if leak:
-            rhs.append((r, r, -eye))
-        if L is None:
-            sig.append((op.node_size + e * d, psi_col[e], eye))
-        else:
-            sig.append((op.node_size + e * d, r, L))
-        # u_i = -sum_e E[i, e] mu_e drives agent i; zeta_e = sum_i E[i, e] y_i
-        for i, sign in ends:
-            if parts[i] is None:
-                rhs.append((r, comps[i].out.start, sign * eye))
-                continue
-            B, C = parts[i][1], parts[i][2]
-            if L is None:
-                rhs.append((ofs[i], psi_col[e], -sign * B))
-            else:
-                rhs.append((ofs[i], r, -sign * (B @ L)))
-            rhs.append((r, ofs[i], sign * C))
+    # mu_e = L_e eta_e (or paper_psi(eta_e)) + mu0_e; eta_e' = zeta_e + eta0_e (- eta_e)
+    on = np.flatnonzero(code > 0)
+    c[(r[on][:, None] + np.arange(d)).ravel()] = eta0[on].ravel()
+    leaky = np.flatnonzero(leak)
+    rhs.append(_batch(k_edge + 5 * leaky, r[leaky], r[leaky],
+                      np.broadcast_to(-eye, (leaky.size, d, d))))
+    sig.append(_batch(k_edge + psi_edges, op.node_size + psi_edges * d, psi_col[psi_edges],
+                      np.broadcast_to(eye, (psi_edges.size, d, d))))
+    lin = np.flatnonzero(code == 2)
+    sig.append(_batch(k_edge + lin, op.node_size + lin * d, r[lin],
+                      np.array([L[e] for e in lin]).reshape(-1, d, d)))
+    # u_i = -sum_e E[i, e] mu_e drives agent i; zeta_e = sum_i E[i, e] y_i
+    for slot, ends, sign in ((1, tail, -1.0), (3, head, 1.0)):
+        key = k_edge + 5 * np.arange(m) + slot
+        fold = packed[ends]
+        for e in np.flatnonzero((code == 0) & fold):
+            rhs.append(_batch(key[e], ofs[ends[e]], comps[n + e].out.start,
+                              (-sign * B[sizes[ends[e]]][ends[e]])[None]))
+        for e in np.flatnonzero((code > 0) & ~fold):
+            rhs.append(_batch(key[e], r[e], comps[ends[e]].out.start, (sign * eye)[None]))
+        for size in B:  # one stack per shape of B and C
+            at = fold & (sizes[ends] == size)
+            psi = np.flatnonzero((code == 1) & at)
+            rhs.append(_batch(key[psi], ofs[ends[psi]], psi_col[psi], -sign * B[size][ends[psi]]))
+            both = np.flatnonzero((code > 0) & at)
+            rhs.append(_batch(key[both] + 1, r[both], ofs[ends[both]], sign * C[size][ends[both]]))
+        for e in np.flatnonzero((code == 2) & fold):
+            rhs.append(_batch(key[e], ofs[ends[e]], r[e],
+                              (-sign * (B[sizes[ends[e]]][ends[e]] @ L[e]))[None]))
 
-    u0 = -op.matvec(mu0)
-    for i, (agent, part) in enumerate(zip(agents, parts)):
-        if part is not None:
-            B, w = part[1], part[3]
-            c[ofs[i]:ofs[i + 1]] = w + B @ (agent.leader_offset + u0[i * d:(i + 1) * d])
+    u0 = -op.matvec(mu0.ravel()).reshape(n, d)
+    for idx, A_g, B_g, C_g, T_g, w_g, psi_g, where in groups:
+        sel = packed[idx]
+        if sel.any():
+            rows = np.asarray(idx)[sel]
+            lead = np.array([agents[i].leader_offset for i in rows])
+            drive = (B_g[sel] @ (lead + u0[rows])[:, :, None])[:, :, 0]
+            c[(ofs[rows][:, None] + np.arange(A_g.shape[1])).ravel()] = (w_g[sel] + drive).ravel()
 
     row, col, w = _coo(rhs)
     const = np.flatnonzero(c)  # c goes last
@@ -406,6 +453,7 @@ def pack(op, agents, forms, controllers) -> PackedSystem:
     col = np.concatenate((col, np.full(const.shape[0], one)))
     w = np.concatenate((w, c[const]))
     sig_row, sig_col, sig_w = _coo(sig)
+    mu0 = mu0.ravel()
     const = np.flatnonzero(mu0)  # mu0 goes first: each signal adds its products onto it
     sig_row = np.concatenate((op.node_size + const, sig_row))
     sig_col = np.concatenate((np.full(const.shape[0], one), sig_col))

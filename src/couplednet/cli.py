@@ -110,8 +110,28 @@ def _jsonable(obj):
 
 def _write_json(path, doc) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(doc), fh, indent=2)
-        fh.write("\n")
+        fh.write(_json_text(_jsonable(doc), "") + "\n")
+
+
+def _json_text(obj, indent: str) -> str:
+    """json.dumps(obj, indent=2) nested at indent, the same text.
+
+    A list of numbers is one json.dumps call without indent, which the
+    C encoder serves, its ", " separators (which no number contains)
+    then broken into lines, so certificates are not written a value at
+    a time by the pure-Python indenting encoder.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        return ("{\n" + ",\n".join(f"{inner}{json.dumps(key)}: {_json_text(value, inner)}"
+                                   for key, value in obj.items()) + "\n" + indent + "}")
+    if isinstance(obj, list) and obj:
+        if all(type(v) in (float, int) for v in obj):
+            items = inner + json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            items = ",\n".join(inner + _json_text(v, inner) for v in obj)
+        return "[\n" + items + "\n" + indent + "]"
+    return json.dumps(obj)
 
 
 def _fmt_vec(v) -> str:

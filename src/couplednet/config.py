@@ -16,45 +16,23 @@ from .couplers import (
     reconfigured,
     PSI_RANGE,
 )
-from .errors import ConfigInvalid, CoupledNetError
+from .errors import ConfigInvalid, CoupledNetError, DimensionMismatch, InvalidModel
 from .netgraph import DirectedGraph, build_graph
 from .plants import (
     AgentKind,
     AgentModel,
-    convex_gradient_agent,
-    damped_oscillator_agent,
-    linear_agent,
+    convex_gradient_agents,
+    linear_agents,
+    oscillator_agents,
 )
 from .relations import (
     FunctionKind,
     IntegralFunction,
-    indicator_zero,
-    quadratic,
     scalar_separable,
+    stacked_quadratics,
 )
 
 SCHEMA = "couplednet-config/1"
-
-
-def _mat(spec, what, shape=None, finite=True) -> np.ndarray:
-    """spec as a float matrix, of the given shape if any; else ConfigInvalid.
-
-    Entries must be finite; finite=False leaves that check to plants,
-    which refuses a non-finite oscillator M or linear A as singular.
-    """
-    if spec is None:
-        raise ConfigInvalid(f"{what}: missing")
-    try:
-        arr = np.asarray(spec, dtype=float)
-    except (TypeError, ValueError) as ex:
-        raise ConfigInvalid(f"{what}: not numeric ({ex})") from None
-    if arr.ndim != 2:
-        raise ConfigInvalid(f"{what}: expected a matrix, got ndim={arr.ndim}")
-    if shape is not None and arr.shape != shape:
-        raise ConfigInvalid(f"{what}: expected shape {shape}, got {arr.shape}")
-    if finite and not np.all(np.isfinite(arr)):
-        raise ConfigInvalid(f"{what}: values must be finite")
-    return arr
 
 
 def vector(spec, what, size=None) -> np.ndarray:
@@ -72,26 +50,126 @@ def vector(spec, what, size=None) -> np.ndarray:
     return arr
 
 
-def _function_spec(spec, what) -> IntegralFunction:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigInvalid(f"{what}: function spec needs a 'kind' field")
-    kind = spec["kind"]
-    if kind == "quadratic":
-        P = _mat(spec.get("P"), f"{what}.P")
-        q = vector(spec["q"], f"{what}.q", P.shape[0]) if "q" in spec else None
-        c = vector(spec.get("c", 0.0), f"{what}.c", 1)[0]
-        return quadratic(P, q, c)
-    if kind == "paper_psi":
-        dim = spec.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise ConfigInvalid(f"{what}.dim: need a positive integer")
-        return scalar_separable(paper_psi, dim, PSI_RANGE)
-    if kind == "indicator_zero":
-        dim = spec.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise ConfigInvalid(f"{what}.dim: need a positive integer")
-        return indicator_zero(dim)
-    raise ConfigInvalid(f"{what}.kind: unknown function kind {kind!r}")
+class _Ragged(Exception):
+    """The specs of a group do not stack: parse them one at a time."""
+
+
+def _parse_groups(specs, names, key, parse) -> list:
+    """The models of specs, parsed by groups of one key.
+
+    A spec equal to the one before it is parsed once, as is a broadcast
+    spec: its model is the earlier one. parse(group, group_names) makes
+    the models of a group; when its specs do not stack (_Ragged), each is
+    parsed as a group of its own, so the message names the spec at fault.
+    """
+    out = [None] * len(specs)
+    groups = {}
+    for i, spec in enumerate(specs):
+        if i == 0 or spec != specs[i - 1]:
+            groups.setdefault(key(spec, names[i]), []).append(i)
+    for idx in groups.values():
+        try:
+            models = parse([specs[i] for i in idx], [names[i] for i in idx])
+        except _Ragged:
+            models = [parse([specs[i]], [names[i]])[0] for i in idx]
+        for i, model in zip(idx, models):
+            out[i] = model
+    for i, model in enumerate(out):
+        if model is None:
+            out[i] = out[i - 1]
+    return out
+
+
+def _field(specs, names, key, ndim, default=None, finite=True) -> np.ndarray:
+    """Field key of each spec stacked as one float array: (k, rows, cols)
+    for ndim 2, (k, size) for ndim 1 (any shape, flattened), absent ones
+    set to default. Raises ConfigInvalid naming the first spec at fault,
+    or _Ragged when several specs do not stack."""
+    values = [spec.get(key, default) for spec in specs]
+    for name, v in zip(names, values):
+        if v is None:
+            raise ConfigInvalid(f"{name}.{key}: missing")
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as ex:
+        if len(specs) > 1:
+            raise _Ragged from None
+        raise ConfigInvalid(f"{names[0]}.{key}: not numeric ({ex})") from None
+    if ndim == 1:
+        arr = arr.reshape(len(specs), -1)
+    elif arr.ndim != 3:
+        if len(specs) > 1:
+            raise _Ragged
+        raise ConfigInvalid(f"{names[0]}.{key}: expected a matrix, got ndim={arr.ndim - 1}")
+    if finite:
+        ok = np.isfinite(arr).reshape(len(specs), -1).all(axis=1)
+        if not ok.all():
+            raise ConfigInvalid(f"{names[int(np.argmin(ok))]}.{key}: values must be finite")
+    return arr
+
+
+def _sized(arr, names, key, size) -> np.ndarray:
+    """arr, a (k, n) field stack, once n is size; else ConfigInvalid."""
+    if arr.shape[1] != size:
+        raise ConfigInvalid(f"{names[0]}.{key}: expected length {size}, got {arr.shape[1]}")
+    return arr
+
+
+def _optional(specs, names, key, ndim, size=None, fill=None):
+    """_field of an optional field: None when no spec has it. The specs
+    without it take fill, or do not stack when fill is None. A vector's
+    length must be size."""
+    present = [key in spec for spec in specs]
+    if not any(present):
+        return None
+    if fill is None and not all(present):
+        raise _Ragged
+    arr = _field(specs, names, key, ndim, default=fill)
+    return arr if size is None else _sized(arr, names, key, size)
+
+
+def _zeros(*shape) -> list:
+    return np.zeros(shape).tolist()
+
+
+def _dim_of(spec):
+    """The rows of a matrix spec, or None: a cheap grouping key."""
+    return len(spec) if isinstance(spec, list) else None
+
+
+def _functions(specs, names) -> list:
+    """The IntegralFunctions of function specs, by groups of one kind:
+    quadratics from stacked P, q and c, paper_psi one shared function
+    per dimension. Names end in the field, e.g. agents[2].damping."""
+    for spec, name in zip(specs, names):
+        if not isinstance(spec, dict) or "kind" not in spec:
+            raise ConfigInvalid(f"{name}: function spec needs a 'kind' field")
+        if spec["kind"] == "indicator_zero":
+            raise ConfigInvalid(f"{name}.kind: 'indicator_zero' is not a config function: "
+                                "its gradient exists only at 0")
+        if spec["kind"] not in ("quadratic", "paper_psi"):
+            raise ConfigInvalid(f"{name}.kind: unknown function kind {spec['kind']!r}")
+    return _parse_groups(specs, names, lambda spec, _: (spec["kind"], _dim_of(spec.get("P"))),
+                         _function_group)
+
+
+def _function_group(specs, names) -> list:
+    if specs[0]["kind"] == "paper_psi":
+        fns = {}
+        for spec, name in zip(specs, names):
+            dim = spec.get("dim")
+            if not isinstance(dim, int) or dim < 1:
+                raise ConfigInvalid(f"{name}.dim: need a positive integer")
+            if dim not in fns:
+                fns[dim] = scalar_separable(paper_psi, dim, PSI_RANGE)
+        return [fns[spec["dim"]] for spec in specs]
+    P = _field(specs, names, "P", 2)
+    if P.shape[1] != P.shape[2]:
+        raise ConfigInvalid(f"{names[0]}.P: expected a square matrix, got {P.shape[1:]}")
+    q = _optional(specs, names, "q", 1, P.shape[1])
+    q = np.zeros(P.shape[:2]) if q is None else q
+    c = _sized(_field(specs, names, "c", 1, default=0.0), names, "c", 1)
+    return stacked_quadratics(P, q, c[:, 0]).children
 
 
 def function_to_spec(fn: IntegralFunction) -> dict:
@@ -100,42 +178,87 @@ def function_to_spec(fn: IntegralFunction) -> dict:
                 "c": float(fn.c)}
     if fn.kind is FunctionKind.SCALAR_SEPARABLE and fn.phi is paper_psi:
         return {"kind": "paper_psi", "dim": fn.dim}
-    if fn.kind is FunctionKind.INDICATOR_ZERO:
-        return {"kind": "indicator_zero", "dim": fn.dim}
     raise ConfigInvalid("function has no JSON form")
 
 
-def _agent_spec(spec, what) -> AgentModel:
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigInvalid(f"{what}: agent spec needs a 'type' field")
-    kind = spec["type"]
-    leader = spec.get("leader_offset")
-    if leader is not None:
-        leader = vector(leader, f"{what}.leader_offset")
-    if kind == "linear":
-        A = _mat(spec.get("A"), f"{what}.A", finite=False)
-        B = _mat(spec.get("B"), f"{what}.B")
-        C = _mat(spec.get("C"), f"{what}.C")
-        T = _mat(spec["T"], f"{what}.T") if "T" in spec else None
-        w = vector(spec["w"], f"{what}.w", A.shape[0]) if "w" in spec else None
-        return linear_agent(A, B, C, T=T, w=w, leader_offset=leader)
-    if kind == "oscillator":
-        M = _mat(spec.get("M"), f"{what}.M", finite=False)
-        B = _mat(spec.get("B"), f"{what}.B", M.shape)
-        psi = _function_spec(spec["damping"], f"{what}.damping") if "damping" in spec else None
-        w = vector(spec["w"], f"{what}.w", M.shape[0]) if "w" in spec else None
-        anchor = vector(spec["anchor"], f"{what}.anchor", M.shape[0]) if "anchor" in spec else None
-        return damped_oscillator_agent(M, B, psi=psi, w=w, anchor=anchor,
-                                       leader_offset=leader)
-    if kind == "convex_gradient":
-        psi = _function_spec(spec.get("psi"), f"{what}.psi")
-        Jm = _mat(spec["J"], f"{what}.J") if "J" in spec else None
-        Bm = _mat(spec["B"], f"{what}.B") if "B" in spec else None
-        Cm = _mat(spec["C"], f"{what}.C") if "C" in spec else None
-        w = vector(spec["w"], f"{what}.w", psi.dim) if "w" in spec else None
-        return convex_gradient_agent(psi, J=Jm, B=Bm, C=Cm, w=w,
-                                     leader_offset=leader)
-    raise ConfigInvalid(f"{what}.type: unknown agent type {kind!r}")
+def _agents(specs, names) -> list:
+    """The AgentModels of agent specs, by groups of one type and size."""
+    rows = {"linear": "A", "oscillator": "M"}
+
+    def key(spec, name):
+        if not isinstance(spec, dict) or "type" not in spec:
+            raise ConfigInvalid(f"{name}: agent spec needs a 'type' field")
+        kind = spec["type"]
+        if not isinstance(kind, str) or kind not in _AGENT_TYPES:
+            raise ConfigInvalid(f"{name}.type: unknown agent type {kind!r}")
+        return kind, _dim_of(spec.get(rows.get(kind)))
+
+    def parse(group, group_names):
+        try:
+            return _AGENT_TYPES[group[0]["type"]](group, group_names)
+        except (DimensionMismatch, InvalidModel) as ex:
+            raise ConfigInvalid(str(ex)) from None
+
+    return _parse_groups(specs, names, key, parse)
+
+
+def _leader(specs, names, d):
+    return _optional(specs, names, "leader_offset", 1, d, _zeros(d))
+
+
+def _input_matrix(B, names, n: int) -> np.ndarray:
+    """A (k, rows, cols) stack of input matrices as (k, n, d): each is
+    read as n rows, as the agent constructors read it."""
+    if B.shape[1] * B.shape[2] % max(n, 1):
+        raise ConfigInvalid(f"{names[0]}.B: expected {n} rows, got shape {B.shape[1:]}")
+    return B.reshape(len(B), n, -1)
+
+
+def _linear_group(specs, names):
+    A = _field(specs, names, "A", 2, finite=False)
+    n = A.shape[1]
+    B = _input_matrix(_field(specs, names, "B", 2), names, n)
+    d = B.shape[2]
+    return linear_agents(A, B, _field(specs, names, "C", 2),
+                         _optional(specs, names, "T", 2, fill=_zeros(d, d)),
+                         _optional(specs, names, "w", 1, n, _zeros(n)), _leader(specs, names, d),
+                         names=names)
+
+
+def _oscillator_group(specs, names):
+    M = _field(specs, names, "M", 2, finite=False)
+    d = M.shape[1]
+    B = _field(specs, names, "B", 2)
+    if B.shape[1:] != M.shape[1:]:
+        raise ConfigInvalid(f"{names[0]}.B: expected shape {M.shape[1:]}, got {B.shape[1:]}")
+    psi = None
+    if any("damping" in spec for spec in specs):
+        psi = [None] * len(specs)
+        damped = [j for j, spec in enumerate(specs) if "damping" in spec]
+        for j, fn in zip(damped, _functions([specs[j]["damping"] for j in damped],
+                                            [f"{names[j]}.damping" for j in damped])):
+            psi[j] = fn
+    return oscillator_agents(M, B, psi, _optional(specs, names, "w", 1, d, _zeros(d)),
+                             _optional(specs, names, "anchor", 1, d),
+                             _leader(specs, names, d), names=names)
+
+
+def _gradient_group(specs, names):
+    psi = _functions([spec.get("psi") for spec in specs], [f"{name}.psi" for name in names])
+    n = psi[0].dim
+    if any(fn.dim != n for fn in psi):
+        raise _Ragged
+    B = _optional(specs, names, "B", 2)
+    B = None if B is None else _input_matrix(B, names, n)
+    d = n if B is None else B.shape[2]
+    return convex_gradient_agents(
+        psi, _optional(specs, names, "J", 2, fill=_zeros(n, n)), B,
+        _optional(specs, names, "C", 2), w=_optional(specs, names, "w", 1, n, _zeros(n)),
+        leader_offset=_leader(specs, names, d), names=names)
+
+
+_AGENT_TYPES = {"linear": _linear_group, "oscillator": _oscillator_group,
+                "convex_gradient": _gradient_group}
 
 
 def agent_to_spec(agent: AgentModel) -> dict:
@@ -168,26 +291,52 @@ def agent_to_spec(agent: AgentModel) -> dict:
     return out
 
 
-def _controller_spec(spec, what) -> ControllerModel:
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigInvalid(f"{what}: controller spec needs a 'type' field")
-    kind = spec["type"]
-    if kind == "integrator":
-        pot = _function_spec(spec.get("potential"), f"{what}.potential")
-        init = vector(spec["initial_state"], f"{what}.initial_state", pot.dim) \
-            if "initial_state" in spec else None
-        return nonlinear_integrator(pot, init)
-    if kind == "linear_synthesis":
-        offset = vector(spec.get("offset"), f"{what}.offset")
-        init = vector(spec["initial_state"], f"{what}.initial_state", offset.size) \
-            if "initial_state" in spec else None
-        return linear_synthesis(offset, init)
-    if kind == "reconfigured":
-        inner = _controller_spec(spec.get("inner"), f"{what}.inner")
-        alpha = vector(spec.get("alpha"), f"{what}.alpha", inner.io_dim)
-        beta = vector(spec.get("beta"), f"{what}.beta", inner.io_dim)
-        return reconfigured(inner, alpha, beta)
-    raise ConfigInvalid(f"{what}.type: unknown controller type {kind!r}")
+def _controllers(specs, names) -> list:
+    """The ControllerModels of controller specs, by groups of one type."""
+    def key(spec, name):
+        if not isinstance(spec, dict) or "type" not in spec:
+            raise ConfigInvalid(f"{name}: controller spec needs a 'type' field")
+        if not isinstance(spec["type"], str) or spec["type"] not in _CONTROLLER_TYPES:
+            raise ConfigInvalid(f"{name}.type: unknown controller type {spec['type']!r}")
+        return spec["type"]
+
+    return _parse_groups(specs, names, key,
+                         lambda group, group_names: _CONTROLLER_TYPES[group[0]["type"]](
+                             group, group_names))
+
+
+def _initial(specs, names, size):
+    init = _optional(specs, names, "initial_state", 1, size, _zeros(size))
+    return [None] * len(specs) if init is None else init
+
+
+def _integrator_group(specs, names):
+    pots = _functions([spec.get("potential") for spec in specs],
+                      [f"{name}.potential" for name in names])
+    if any(pot.dim != pots[0].dim for pot in pots):
+        raise _Ragged
+    return [nonlinear_integrator(pot, init)
+            for pot, init in zip(pots, _initial(specs, names, pots[0].dim))]
+
+
+def _synthesis_group(specs, names):
+    offset = _field(specs, names, "offset", 1)
+    return [linear_synthesis(off, init)
+            for off, init in zip(offset, _initial(specs, names, offset.shape[1]))]
+
+
+def _reconfigured_group(specs, names):
+    inner = _controllers([spec.get("inner") for spec in specs], [f"{name}.inner" for name in names])
+    d = inner[0].io_dim
+    if any(c.io_dim != d for c in inner):
+        raise _Ragged
+    alpha = _sized(_field(specs, names, "alpha", 1), names, "alpha", d)
+    beta = _sized(_field(specs, names, "beta", 1), names, "beta", d)
+    return [reconfigured(c, a, b) for c, a, b in zip(inner, alpha, beta)]
+
+
+_CONTROLLER_TYPES = {"integrator": _integrator_group, "linear_synthesis": _synthesis_group,
+                     "reconfigured": _reconfigured_group}
 
 
 def controller_to_spec(ctrl: ControllerModel) -> dict:
@@ -258,7 +407,7 @@ def parse_config(doc: dict) -> NetworkConfig:
         asec = [asec] * nodes
     if not isinstance(asec, list) or len(asec) != nodes:
         raise ConfigInvalid(f"agents: need {nodes} specs (or one to broadcast)")
-    agents = tuple(_agent_spec(sp, f"agents[{i}]") for i, sp in enumerate(asec))
+    agents = tuple(_agents(asec, [f"agents[{i}]" for i in range(nodes)]))
     d = agents[0].io_dim
     if any(a.io_dim != d for a in agents):
         raise ConfigInvalid("agents: io_dims differ")
@@ -271,8 +420,7 @@ def parse_config(doc: dict) -> NetworkConfig:
         csec = []
     if not isinstance(csec, list) or len(csec) != m:
         raise ConfigInvalid(f"controllers: need {m} specs (or one to broadcast)")
-    controllers = tuple(
-        _controller_spec(sp, f"controllers[{e}]") for e, sp in enumerate(csec))
+    controllers = tuple(_controllers(csec, [f"controllers[{e}]" for e in range(m)]))
     if any(c.io_dim != d for c in controllers):
         raise ConfigInvalid("controllers: io_dim differs from agents")
 

@@ -167,31 +167,51 @@ def controller_ss_relation(c: ControllerModel) -> VectorRelation:
     NonlinearIntegrator: steady state forces zeta = 0 with mu anywhere
     in the closure of the range of grad potential. LinearSynthesis:
     mu = zeta - offset. Nonzero offsets shift the input by alpha and
-    the output by beta.
+    the output by beta. The one-controller case of controller_relations.
     """
-    if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
-        lo, hi = _potential_output_interval(c.potential)
-        rel = integrator_relation(c.io_dim, lo, hi)
-    elif c.kind is ControllerKind.LINEAR_SYNTHESIS:
-        rel = affine_relation(np.eye(c.io_dim), -c.offset)
-    else:
-        raise UnsupportedKind("custom controllers carry no derived relation")
-    if c.has_offsets:
-        return shifted_relation(rel, input_offset=c.alpha, output_offset=c.beta)
-    return rel
+    return controller_relations([c])[0][0]
 
 
 def controller_integral_fn(c: ControllerModel) -> IntegralFunction:
-    """The convex integral function whose subdifferential extends the relation."""
-    if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
-        fn = indicator_zero(c.io_dim)
-    elif c.kind is ControllerKind.LINEAR_SYNTHESIS:
-        fn = quadratic(np.eye(c.io_dim), -c.offset)
-    else:
-        raise UnsupportedKind("custom controllers carry no derived integral function")
-    if c.has_offsets:
-        return shifted(fn, shift=c.alpha, linear=c.beta)
-    return fn
+    """The convex integral function whose subdifferential extends the
+    relation. The one-controller case of controller_relations."""
+    return controller_relations([c])[1][0]
+
+
+def controller_relations(controllers) -> tuple:
+    """(relations, functions): controller_ss_relation and
+    controller_integral_fn of each of controllers, as two tuples.
+
+    Controllers are taken by groups of one kind, dimension and
+    potential. A group's offsets are tested by one stacked check, and
+    its integrators without offsets share one relation and one
+    function, as do the members of a broadcast.
+    """
+    controllers = list(controllers)
+    rels, fns = [None] * len(controllers), [None] * len(controllers)
+    groups = {}
+    for e, c in enumerate(controllers):  # an Enum hashes in Python; its id does not
+        groups.setdefault((id(c.kind), c.io_dim, id(c.potential)), []).append(e)
+    for (_, d, _), idx in groups.items():
+        group = [controllers[e] for e in idx]
+        kind = group[0].kind
+        if kind is ControllerKind.NONLINEAR_INTEGRATOR:
+            lo, hi = _potential_output_interval(group[0].potential)
+            pair = (integrator_relation(d, lo, hi), indicator_zero(d))
+            base = [pair] * len(group)
+        elif kind is ControllerKind.LINEAR_SYNTHESIS:
+            eye = np.eye(d)
+            base = [(affine_relation(eye, -c.offset), quadratic(eye, -c.offset)) for c in group]
+        else:
+            raise UnsupportedKind("custom controllers carry no derived relation or function")
+        offsets = np.array([c.alpha for c in group]).any(axis=1) | \
+            np.array([c.beta for c in group]).any(axis=1)
+        for e, c, (rel, fn), shift in zip(idx, group, base, offsets.tolist()):
+            if shift:
+                rel = shifted_relation(rel, input_offset=c.alpha, output_offset=c.beta)
+                fn = shifted(fn, shift=c.alpha, linear=c.beta)
+            rels[e], fns[e] = rel, fn
+    return tuple(rels), tuple(fns)
 
 
 def controller_has_feedthrough(c: ControllerModel) -> bool:

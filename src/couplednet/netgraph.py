@@ -138,9 +138,9 @@ def incidence(graph: DirectedGraph, d: int) -> IncidenceOperator:
         raise DimensionMismatch(f"dim must be positive, got {d}")
     n, m = graph.node_count, graph.edge_count
     base = np.zeros((n, m))
-    for k, (tail, head) in enumerate(graph.edges):
-        base[tail, k] = -1.0
-        base[head, k] = 1.0
+    tail, head = np.array(graph.edges, dtype=np.intp).reshape(m, 2).T
+    base[tail, np.arange(m)] = -1.0
+    base[head, np.arange(m)] = 1.0
     return IncidenceOperator(graph=graph, base=base, dim=d)
 
 

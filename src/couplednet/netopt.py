@@ -24,9 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .couplers import ControllerModel, controller_integral_fn, controller_ss_relation
+from .couplers import ControllerModel, controller_relations
 from .errors import (
     DimensionMismatch,
+    EmptyList,
     EmptySelection,
     Infeasible,
     InfiniteValue,
@@ -34,8 +35,9 @@ from .errors import (
     UnsupportedKind,
 )
 from .netgraph import DirectedGraph, IncidenceOperator, incidence
-from .plants import ss_relations
+from .plants import ss_groups
 from .relations import (
+    _groups,
     FunctionKind,
     IntegralFunction,
     RelationKind,
@@ -48,8 +50,9 @@ from .relations import (
     gradient_relation,
     inverse,
     pair_residual,
-    quadratic,
     stacked,
+    stacked_affine,
+    stacked_quadratics,
     stacked_relation,
     value,
 )
@@ -67,11 +70,12 @@ class NetworkProblem:
     ----------
     op : IncidenceOperator
         Lifted incidence E = E_base (x) I_d.
-    node_relations, edge_relations : tuple of VectorRelation
+    node_relations, edge_relations : sequence of VectorRelation
         Per-node steady-state relations k_i and per-edge relations
-        gamma_e.
+        gamma_e; the node relations are made only when read.
     node_relation, edge_relation : VectorRelation
-        The same, stacked block-wise.
+        The same, stacked block-wise. The stacked node relation, K and K*
+        hold the node gains as stacks, which evaluation reads by group.
     K, Kstar, Gamma, Gammastar : IntegralFunction
         Node and edge integral functions and their conjugates, summed
         (stacked block-separably) over nodes and edges; parts: their qp_parts by name.
@@ -101,23 +105,37 @@ class NetworkProblem:
                 for name in ("K", "Kstar", "Gamma", "Gammastar")}
 
 
-def _node_integral_fns(rels) -> list:
-    """K_i with grad K_i = k_i, for affine k_i with symmetric PSD gains.
-
-    The gains are checked for symmetry together, by one batched norm.
-    """
-    if any(rel.kind is not RelationKind.AFFINE for rel in rels):
+def _node_gains(relations, gains):
+    """(S, v): the gains of affine node relations y = S_i u + v_i stacked,
+    from ss_groups' relations and gains; UnsupportedKind if one is not affine."""
+    if any(rel is not None and rel.kind is not RelationKind.AFFINE for rel in relations):
         raise UnsupportedKind(
             "node integral functions need an affine steady-state relation"
         )
-    if len({rel.dim for rel in rels}) > 1:
+    dims = {rel.dim for rel in relations if rel is not None} | {S.shape[1] for _, S, _ in gains}
+    if not dims:
+        raise EmptyList("stack of no relations")
+    if len(dims) > 1:
         raise DimensionMismatch("node relations must share one dimension")
-    S = np.stack([rel.S for rel in rels])
+    d = dims.pop()
+    S, v = np.empty((len(relations), d, d)), np.empty((len(relations), d))
+    for idx, S_g, v_g in gains:
+        S[idx], v[idx] = S_g, v_g
+    for i, rel in enumerate(relations):
+        if rel is not None:
+            S[i], v[i] = rel.S, rel.v
+    return S, v
+
+
+def _node_functions(S, v):
+    """(k, K): the stacked node relations y = S_i u + v_i and K, the sum of
+    the K_i with grad K_i = k_i, kept as stacks. The gains must be
+    symmetric, which one batched norm checks."""
     St = S.transpose(0, 2, 1)
     if np.any(np.linalg.norm(S - St, axis=(1, 2))
               > 1e-8 * (1.0 + np.linalg.norm(S, axis=(1, 2)))):
         raise UnsupportedKind("steady-state gain must be symmetric to integrate")
-    return [quadratic(P, rel.v) for P, rel in zip(0.5 * (S + St), rels)]
+    return stacked_affine(S, v), stacked_quadratics(0.5 * (S + St), v)
 
 
 def network_parts(graph: DirectedGraph, agents, controllers) -> tuple:
@@ -149,38 +167,26 @@ def assemble(graph: DirectedGraph, agents, controllers) -> NetworkProblem:
     """Build the NetworkProblem for given agents and edge controllers,
     checked and broadcast by network_parts."""
     agents, controllers, d = network_parts(graph, agents, controllers)
-    op = incidence(graph, d)
-    node_rels = ss_relations(agents)
-    edge_rels = tuple(controller_ss_relation(c) for c in controllers)
-    K = stacked(_node_integral_fns(node_rels))
-    Kstar = conjugate_function(K)
-    Gamma = stacked([controller_integral_fn(c) for c in controllers])
-    Gammastar = conjugate_function(Gamma)
-    return NetworkProblem(
-        op=op,
-        node_relations=node_rels,
-        edge_relations=edge_rels,
-        node_relation=stacked_relation(node_rels),
-        edge_relation=stacked_relation(edge_rels),
-        K=K,
-        Kstar=Kstar,
-        Gamma=Gamma,
-        Gammastar=Gammastar,
-    )
+    op, gains = incidence(graph, d), _node_gains(*ss_groups(agents))
+    return _problem(op, gains, *controller_relations(controllers))
 
 
 def problem_from_relations(op: IncidenceOperator, node_rels, edge_fns) -> NetworkProblem:
     """Assemble directly from node relations and edge integral functions."""
-    node_rels = tuple(node_rels)
-    edge_fns = list(edge_fns)
-    K = stacked(_node_integral_fns(node_rels))
+    edge_fns = tuple(edge_fns)
+    return _problem(op, _node_gains(list(node_rels), []),
+                    tuple(gradient_relation(f) for f in edge_fns), edge_fns)
+
+
+def _problem(op, gains, edge_rels, edge_fns) -> NetworkProblem:
+    """The NetworkProblem of stacked node gains and edge relations and functions."""
+    node_relation, K = _node_functions(*gains)
     Gamma = stacked(edge_fns)
-    edge_rels = tuple(gradient_relation(f) for f in edge_fns)
     return NetworkProblem(
         op=op,
-        node_relations=node_rels,
+        node_relations=node_relation.children,
         edge_relations=edge_rels,
-        node_relation=stacked_relation(node_rels),
+        node_relation=node_relation,
         edge_relation=stacked_relation(edge_rels),
         K=K,
         Kstar=conjugate_function(K),
@@ -200,7 +206,10 @@ def _join(count: int, tails, heads, offsets, ground: int):
     ground stays the root of its class. Returns (root, value, imbalance):
     root[v] is the root of v's class, value[v] = y_v - y_root along the
     spanning forest the joins grow, and imbalance holds (y_h - y_t) -
-    offset for every join that closed a cycle instead.
+    offset for every join that closed a cycle instead. Only the joins
+    walk the forest one vertex at a time; root and value are read off it
+    a level at a time, each value summed from the root down, as find
+    sums it.
     """
     parent = list(range(count))
     diff = [0.0] * count  # y_v - y_parent[v]
@@ -226,8 +235,15 @@ def _join(count: int, tails, heads, offsets, ground: int):
             parent[rt], diff[rt] = rh, oh - off - ot
         else:
             parent[rh], diff[rh] = rt, off + ot - oh
-    root, value = zip(*(find(v) for v in range(count)))
-    return np.array(root, dtype=np.intp), np.array(value), np.array(imbalance)
+    parent, diff = np.array(parent, dtype=np.intp), np.array(diff)
+    root, value = parent.copy(), np.zeros(count)
+    done = parent == np.arange(count)
+    while not done.all():
+        level = np.flatnonzero(~done & done[parent])
+        value[level] = diff[level] + value[parent[level]]
+        root[level] = root[parent[level]]
+        done[level] = True
+    return root, value, np.array(imbalance)
 
 
 def _classes(root: np.ndarray, count: int):
@@ -329,7 +345,7 @@ def _selection_flow(problem: NetworkProblem, y, zeta):
     residual of u + E mu and ||E b + a|| for the basepoints a, b.
     """
     op, d = problem.op, problem.op.dim
-    a, node_free = coordinate_sets(problem.node_relations, inverse, y, d)
+    a, node_free = coordinate_sets(problem.node_relation, inverse, y, d)
     P, q, edge_free, _ = problem.parts["Gamma"]
     zeta = _pinned(problem, "Gamma", zeta)
     if zeta is None:
@@ -387,8 +403,8 @@ def flow_residual(problem: NetworkProblem, mu) -> float:
     mu = np.asarray(mu, dtype=float).ravel()
     op, d = problem.op, problem.op.dim
     try:
-        b, free = coordinate_sets(problem.edge_relations, inverse, mu, d)
-        yk, _ = coordinate_sets(problem.node_relations, forward, -op.matvec(mu), d)
+        b, free = coordinate_sets(problem.edge_relation, inverse, mu, d)
+        yk, _ = coordinate_sets(problem.node_relation, forward, -op.matvec(mu), d)
     except EmptySelection:
         return math.inf
     return float(np.linalg.norm(np.where(free, 0.0, b - op.rmatvec(yk))))
@@ -457,30 +473,58 @@ def qp_parts(f: IntegralFunction, d: int):
     term, pinned a boolean mask over the coordinates and a the pinned
     values x[pinned] = a[pinned] (meaningful only where pinned is set).
     Pin-free blocks go through as_quadratic; pins come from
-    indicator-of-zero kinds, possibly shifted or stacked.
+    indicator-of-zero kinds, possibly shifted or stacked. The children of
+    a stacked f are split by their groups, each in one numpy pass.
     """
     if f.dim % d:
         raise UnsupportedKind(f"dimension {f.dim} is not a multiple of the block size {d}")
-    count = f.dim // d
-    if f.kind is FunctionKind.INDICATOR_ZERO:
-        return (np.zeros((count, d, d)), np.zeros(f.dim), np.ones(f.dim, dtype=bool),
-                np.zeros(f.dim))
-    if f.kind is FunctionKind.SHIFTED:
+    return _parts(_groups([f]), f.dim, d)
+
+
+def _parts(groups, dim: int, d: int):
+    """qp_parts of the functions of groups on consecutive blocks of one
+    vector of size dim, each of a dimension that d divides."""
+    P, q = np.empty((dim // d, d, d)), np.empty(dim)
+    pinned, a = np.empty(dim, dtype=bool), np.empty(dim)
+    for g in groups:
+        index = g.index.ravel()
+        P[index[::d] // d], q[index], pinned[index], a[index] = _group_parts(g, d)
+    return P, q, pinned, a
+
+
+def _group_parts(g, d: int):
+    """qp_parts of the functions of group g, concatenated in order."""
+    size, blocks = len(g.items) * g.dim, len(g.items) * g.dim // d
+    if g.kind is FunctionKind.INDICATOR_ZERO:
+        return np.zeros((blocks, d, d)), np.zeros(size), np.ones(size, dtype=bool), np.zeros(size)
+    if g.kind is FunctionKind.SHIFTED:
         # inner(x - shift) + linear'x
-        P, q, pinned, a = qp_parts(f.inner, d)
-        return P, q - _block_apply(P, f.shift) + f.linear, pinned, a + f.shift
-    if f.kind is FunctionKind.STACKED:
-        if all(ch.dim % d == 0 for ch in f.children):
-            parts = zip(*(qp_parts(ch, d) for ch in f.children))
-            return tuple(np.concatenate(part) for part in parts)
-        if count == 1:
-            P, q, pinned, a = zip(*(qp_parts(ch, ch.dim) for ch in f.children))
-            return (block_diag([p[0] for p in P])[None], np.concatenate(q),
-                    np.concatenate(pinned), np.concatenate(a))
-    quad = as_quadratic(f) if count == 1 else None
-    if quad is None:
+        P, q, pinned, a = _parts(g.sub("inner"), size, d)
+        shift = g.stack("shift").ravel()
+        return P, q - _block_apply(P, shift) + g.stack("linear").ravel(), pinned, a + shift
+    if g.kind is FunctionKind.STACKED:
+        parts = [_parts(f.groups, f.dim, d) if all(h.dim % d == 0 for h in f.groups)
+                 else _stacked_block(f, d) for f in g.items]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    if g.dim != d:
+        raise UnsupportedKind(f"no quadratic form with pins for kind {g.kind}")
+    if g.kind is FunctionKind.QUADRATIC:
+        P, q = g.stack("P"), g.stack("q")
+    else:
+        quads = [as_quadratic(f) for f in g.items]
+        if any(quad is None for quad in quads):
+            raise UnsupportedKind(f"no quadratic form with pins for kind {g.kind}")
+        P, q = np.array([quad[0] for quad in quads]), np.array([quad[1] for quad in quads])
+    return P, q.ravel(), np.zeros(size, dtype=bool), np.zeros(size)
+
+
+def _stacked_block(f: IntegralFunction, d: int):
+    """qp_parts of a stacked f of one d-block whose children d does not divide."""
+    if f.dim != d:
         raise UnsupportedKind(f"no quadratic form with pins for kind {f.kind}")
-    return quad[0][None], quad[1], np.zeros(d, dtype=bool), np.zeros(d)
+    P, q, pinned, a = zip(*(qp_parts(ch, ch.dim) for ch in f.children))
+    return (block_diag([p[0] for p in P])[None], np.concatenate(q),
+            np.concatenate(pinned), np.concatenate(a))
 
 
 def _block_apply(P: np.ndarray, x) -> np.ndarray:

@@ -25,12 +25,12 @@ from .errors import (
 from .relations import (
     IntegralFunction,
     VectorRelation,
-    affine_relation,
     as_quadratic,
     grad_of,
     gradient_relation,
     inverted_relation,
     shifted_relation,
+    stacked_affine,
 )
 
 
@@ -41,27 +41,38 @@ class AgentKind(Enum):
     CUSTOM = "custom"
 
 
-def _check_invertible(mat, what: str) -> np.ndarray:
-    """mat as a float array, once it (or each of a stack (..., n, n)) is invertible.
+def _check_invertible(mat, what: str, names=None) -> np.ndarray:
+    """mat as a float array, once it (or each of a stack (k, n, n)) is invertible.
 
     Raises DimensionMismatch when it is not square, and SingularMatrix
     when it is not finite, is singular or has a condition number, the
     ratio of its extreme singular values as np.linalg.cond computes it,
-    above 1e13.
+    above 1e13. The message names matrix j of a stack by _label.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim < 2:
         mat = np.atleast_2d(mat)
     if mat.shape[-1] != mat.shape[-2]:
-        raise DimensionMismatch(f"{what} must be square")
-    if not np.isfinite(mat).all():
-        raise SingularMatrix(f"{what} is not finite")
-    s = np.linalg.svd(mat, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 reads as nan: refused
-        cond = s[..., 0] / s[..., -1]
-    if not (cond <= 1e13).all():
-        raise SingularMatrix(f"{what} is numerically singular")
+        raise DimensionMismatch(f"{_label(names, 0, what)}{what} must be square")
+    try:
+        s = np.linalg.svd(mat, compute_uv=False)
+    except np.linalg.LinAlgError:  # a matrix is not finite, say
+        s = fine = None
+    if s is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 reads as nan: refused
+            fine = (s[..., 0] / s[..., -1] <= 1e13).reshape(-1)
+    if fine is None or not fine.all():
+        finite = np.isfinite(mat).all(axis=(-2, -1)).reshape(-1)
+        j = int(np.argmin(finite if fine is None else finite & fine))
+        reason = "is numerically singular" if finite[j] else "is not finite"
+        raise SingularMatrix(f"{_label(names, j, what)}{what} {reason}")
     return mat
+
+
+def _label(names, j: int, what: str) -> str:
+    """The prefix naming field what of member j of a group in an error
+    message: f"{names[j]}.{what}: ", or nothing for unnamed members."""
+    return "" if names is None else f"{names[j]}.{what}: "
 
 
 @dataclass(frozen=True)
@@ -142,7 +153,38 @@ def _as_vector(v, size, what) -> np.ndarray:
     return v
 
 
+def _rows(stack, count: int, shape, what: str, names=None) -> np.ndarray:
+    """stack as a float array of count rows of the given shape (zeros if
+    None); else DimensionMismatch naming the group's first member, as the
+    rows of a stack share one shape."""
+    if stack is None:
+        return np.zeros((count,) + shape)
+    stack = np.asarray(stack, dtype=float)
+    if stack.shape != (count,) + shape:
+        raise DimensionMismatch(f"{_label(names, 0, what)}{what} must have shape {shape}, "
+                                f"got {stack.shape[1:]}")
+    return stack
+
+
+def _one(arr):
+    """A stack of one matrix: arr (at least 2-D) with a leading axis, or None."""
+    if arr is None:
+        return None
+    arr = np.asarray(arr, dtype=float)
+    return (arr if arr.ndim >= 2 else np.atleast_2d(arr))[None]
+
+
+def _one_vector(v):
+    """A stack of one vector: v flattened, or None."""
+    return None if v is None else np.asarray(v, dtype=float).ravel()[None]
+
+
+def _eyes(count: int, n: int) -> np.ndarray:
+    return np.repeat(np.eye(n)[None], count, axis=0)
+
+
 def linear_agent(A, B, C, T=None, w=None, leader_offset=None) -> AgentModel:
+    """The one-agent case of linear_agents."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
     if A.shape != (n, n):
@@ -150,62 +192,96 @@ def linear_agent(A, B, C, T=None, w=None, leader_offset=None) -> AgentModel:
     B = np.atleast_2d(np.asarray(B, dtype=float)).reshape(n, -1)
     d = B.shape[1]
     C = _as_matrix(C, d, n, "C")
-    T = np.zeros((d, d)) if T is None else _as_matrix(T, d, d, "T")
-    return AgentModel(
-        state_dim=n,
-        io_dim=d,
-        kind=AgentKind.LINEAR,
-        A=A,
-        B=B,
-        C=C,
-        T=T,
-        w=_as_vector(w, n, "w"),
-        leader_offset=_as_vector(leader_offset, d, "leader_offset"),
-    )
+    T = None if T is None else _as_matrix(T, d, d, "T")
+    return linear_agents(A[None], B[None], C[None], _one(T), _one_vector(_as_vector(w, n, "w")),
+                         _one_vector(_as_vector(leader_offset, d, "leader_offset")))[0]
+
+
+def linear_agents(A, B, C, T=None, w=None, leader_offset=None, names=None) -> tuple:
+    """Linear agents x' = A x + B u_eff + w, y = C x + T u_eff, one per
+    row of the stacks A (k, n, n), B (k, n, d) and C (k, d, n); T, w
+    and leader_offset default to zeros. Each model holds rows of the
+    stacks. names, one per agent, prefix the errors a member causes."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    k, n, d = B.shape
+    A = _rows(A, k, (n, n), "A", names)
+    C = _rows(C, k, (d, n), "C", names)
+    T = _rows(T, k, (d, d), "T", names)
+    w = _rows(w, k, (n,), "w", names)
+    z = _rows(leader_offset, k, (d,), "leader_offset", names)
+    return tuple(AgentModel(state_dim=n, io_dim=d, kind=AgentKind.LINEAR, A=A[j], B=B[j], C=C[j],
+                            T=T[j], w=w[j], leader_offset=z[j]) for j in range(k))
 
 
 def convex_gradient_agent(psi, J=None, B=None, C=None, rho=None, w=None, leader_offset=None) -> AgentModel:
+    """The one-agent case of convex_gradient_agents."""
     n = psi.dim
-    J = np.zeros((n, n)) if J is None else _as_matrix(J, n, n, "J")
-    if np.linalg.norm(J + J.T) > 1e-12:
-        raise InvalidModel("J must be skew-symmetric")
+    J = None if J is None else _as_matrix(J, n, n, "J")
     B = np.eye(n) if B is None else np.atleast_2d(np.asarray(B, dtype=float)).reshape(n, -1)
     d = B.shape[1]
     C = np.eye(n) if C is None else _as_matrix(C, d, n, "C")
     if C.shape != (d, n):
         raise DimensionMismatch("C must map state to io dimension")
-    return AgentModel(
-        state_dim=n,
-        io_dim=d,
-        kind=AgentKind.CONVEX_GRADIENT,
-        psi=psi,
-        J=J,
-        B=B,
-        C=C,
-        rho=rho,
-        w=_as_vector(w, n, "w"),
-        leader_offset=_as_vector(leader_offset, d, "leader_offset"),
-    )
+    return convex_gradient_agents([psi], _one(J), B[None], C[None], [rho],
+                                  _one_vector(_as_vector(w, n, "w")),
+                                  _one_vector(_as_vector(leader_offset, d, "leader_offset")))[0]
+
+
+def convex_gradient_agents(psi, J=None, B=None, C=None, rho=None, w=None,
+                           leader_offset=None, names=None) -> tuple:
+    """Convex-gradient agents x' = -grad psi(x) + J x + B u_eff + w,
+    y = C x + rho(u_eff), one per entry of the list psi (all of one
+    dimension n) and row of the stacks J (k, n, n), B (k, n, d) and
+    C (k, d, n). J, w and leader_offset default to zeros, B and C to
+    the identity and rho to None; each J must be skew-symmetric. names
+    as for linear_agents."""
+    k, n = len(psi), psi[0].dim
+    B = _eyes(k, n) if B is None else np.asarray(B, dtype=float)
+    d = B.shape[2]
+    B = _rows(B, k, (n, d), "B", names)
+    C = _eyes(k, n) if C is None else C
+    C = _rows(C, k, (d, n), "C", names)
+    J = _rows(J, k, (n, n), "J", names)
+    skew = np.linalg.norm(J + np.swapaxes(J, 1, 2), axis=(1, 2)) <= 1e-12
+    if not skew.all():
+        raise InvalidModel(f"{_label(names, int(np.argmin(skew)), 'J')}J must be skew-symmetric")
+    w = _rows(w, k, (n,), "w", names)
+    z = _rows(leader_offset, k, (d,), "leader_offset", names)
+    rho = [None] * k if rho is None else rho
+    return tuple(AgentModel(state_dim=n, io_dim=d, kind=AgentKind.CONVEX_GRADIENT, psi=psi[j],
+                            J=J[j], B=B[j], C=C[j], rho=rho[j], w=w[j], leader_offset=z[j])
+                 for j in range(k))
 
 
 def damped_oscillator_agent(M, B, psi=None, w=None, anchor=None, leader_offset=None) -> AgentModel:
-    M = _check_invertible(M, "M")
-    d = M.shape[0]
-    B = np.eye(d) if B is None else _as_matrix(B, d, d, "B")
-    wv = _as_vector(w, d, "w")
+    """The one-agent case of oscillator_agents."""
+    return oscillator_agents(_one(M), None if B is None else _one(B), [psi], _one_vector(w),
+                             _one_vector(anchor), _one_vector(leader_offset))[0]
+
+
+def oscillator_agents(M, B=None, psi=None, w=None, anchor=None, leader_offset=None,
+                      names=None) -> tuple:
+    """Damped oscillators q' = M p, p' = -M' q - grad psi(p) + B u_eff + w,
+    one per row of the stack M (k, d, d).
+
+    B (k, d, d) defaults to identities, psi (a list, entries None for no
+    damping) to None, and w, anchor and leader_offset (k, d) to zeros. An
+    anchor a folds into w as M'a, the rest position q = a at zero input.
+    One stacked SVD checks every M (see _check_invertible). names as for
+    linear_agents.
+    """
+    M = _check_invertible(M, "M", names)
+    k, d, _ = M.shape
+    B = _rows(_eyes(k, d) if B is None else B, k, (d, d), "B", names)
+    w = _rows(w, k, (d,), "w", names)
     if anchor is not None:
-        # rest position q = anchor with zero input: dp/dt = -M'(q - anchor)
-        wv = wv + M.T @ _as_vector(anchor, d, "anchor")
-    return AgentModel(
-        state_dim=2 * d,
-        io_dim=d,
-        kind=AgentKind.DAMPED_OSCILLATOR,
-        M=M,
-        B=B,
-        psi=psi,
-        w=wv,
-        leader_offset=_as_vector(leader_offset, d, "leader_offset"),
-    )
+        anchor = _rows(anchor, k, (d,), "anchor", names)
+        w = w + np.array([M_j.T @ a_j for M_j, a_j in zip(M, anchor)])
+    z = _rows(leader_offset, k, (d,), "leader_offset", names)
+    psi = [None] * k if psi is None else psi
+    return tuple([AgentModel(state_dim=2 * d, io_dim=d, kind=AgentKind.DAMPED_OSCILLATOR, M=M_j,
+                             B=B_j, psi=psi_j, w=w_j, leader_offset=z_j)
+                  for M_j, B_j, psi_j, w_j, z_j in zip(M, B, psi, w, z)])
 
 
 def custom_agent(state_dim, io_dim, f, h, relation=None, w=None, leader_offset=None) -> AgentModel:
@@ -243,22 +319,31 @@ def agent_form(model: AgentModel):
 
 
 def agent_forms(models) -> tuple:
-    """agent_form of each of models, in order.
-
-    Agents of one kind and shape are formed together: their arrays are
-    stacked once per group, and each form holds views of the stacks.
-    """
+    """agent_form of each of models, in order: views of agent_groups' stacks."""
     models = list(models)
-    groups = {}
-    for i, model in enumerate(models):
-        if model.kind is not AgentKind.CUSTOM:
-            groups.setdefault((model.kind, model.state_dim, model.io_dim), []).append(i)
     out = [None] * len(models)
-    for (kind, n, d), idx in groups.items():
-        A, B, C, T, w, psi, where = _group_form(kind, n, d, [models[i] for i in idx])
+    for idx, A, B, C, T, w, psi, where in agent_groups(models):
         for j, i in enumerate(idx):
             out[i] = (A[j], B[j], C[j], T[j], w[j], psi[j], where)
     return tuple(out)
+
+
+def agent_groups(models) -> list:
+    """The built-in agents of models by groups of one kind and shape.
+
+    Each group is (idx, A, B, C, T, w, psi, where): the positions of its
+    agents in models, in order, then their agent_form parts with A, B,
+    C and w stacked once for the group (T too, unless the group is of
+    convex-gradient agents, where it is a list that may hold callables),
+    psi a list and where the slice psi acts on. Custom agents are in no
+    group.
+    """
+    positions = {}
+    for i, model in enumerate(models):  # an Enum hashes in Python; its id does not
+        if model.kind is not AgentKind.CUSTOM:
+            positions.setdefault((id(model.kind), model.state_dim, model.io_dim), []).append(i)
+    return [(idx, *_group_form(models[idx[0]].kind, n, d, [models[i] for i in idx]))
+            for (_, n, d), idx in positions.items()]
 
 
 def _group_form(kind, n, d, group):
@@ -302,11 +387,12 @@ def linear_ss_relation(A, B, C, T=None, w=None) -> VectorRelation:
 def _linear_gain(A, B, C, T, w):
     """(S, v) of y = S u + v at the rest of x' = A x + B u + w, y = C x + T u.
 
-    S = T - C A^-1 B and v = -C A^-1 w; the arrays may be stacks. A is
-    checked by _check_invertible, and its inverse must be finite.
+    S = T - C A^-1 B and v = -C A^-1 w; the arrays may be stacks. The
+    caller has checked A (see _check_invertible); its inverse must be
+    finite.
     """
     try:
-        A_inv = np.linalg.inv(_check_invertible(A, "A"))
+        A_inv = np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix("A is singular") from exc
     if not np.isfinite(A_inv).all():
@@ -376,42 +462,60 @@ def ss_relation(model: AgentModel) -> VectorRelation:
 
 
 def ss_relations(models) -> tuple:
-    """ss_relation of each of models, in order.
+    """ss_relation of each of models, in order (see ss_groups)."""
+    out, groups = ss_groups(models)
+    for idx, S, v in groups:
+        for i, rel in zip(idx, stacked_affine(S, v).children):
+            out[i] = rel
+    return tuple(out)
 
-    Agents whose relation is affine are solved by groups of one kind
-    and shape: one batched _linear_gain of their stacked forms per
-    group, then y = S (u + z) + v for the leader offset z. The others
-    are derived one at a time.
+
+def ss_groups(models):
+    """(relations, gains): the steady-state relations of models.
+
+    Agents whose relation is affine are solved by the groups of
+    agent_groups: one batched _linear_gain per group, then y = S (u + z)
+    + v for the leader offset z, and gains holds (idx, S, v) per group,
+    S and v stacked over the agents at positions idx. A linear group's
+    A is checked by one stacked _check_invertible; an oscillator's A at
+    rest has the singular values of its M, each twice, and M was checked
+    when the agent was made. The other agents' relations are derived one
+    at a time into the list relations, which holds None at the others.
     """
     models = list(models)
-    forms = agent_forms(models)
-    out = [None] * len(models)
-    groups = {}
-    for i, (model, form) in enumerate(zip(models, forms)):
-        if form is None or (form[5] is not None and model.kind is not AgentKind.DAMPED_OSCILLATOR):
-            out[i] = _relation(model, form)
-        elif callable(form[3]):
-            raise UnsupportedKind("callable feedthrough has no affine relation")
-        else:
-            groups.setdefault((model.kind, model.state_dim, model.io_dim), []).append(i)
-    for (kind, n, d), idx in groups.items():
-        shapes = ((n, n), (n, d), (d, n), (d, d), (n,))
-        A, B, C, T, w = (_stack(part, shape, what) for part, shape, what
-                         in zip(zip(*(forms[i][:5] for i in idx)), shapes, "ABCTw"))
+    out, gains = [None] * len(models), []
+    for i, model in enumerate(models):
+        if model.kind is AgentKind.CUSTOM:
+            out[i] = _relation(model, None)
+    for idx, A, B, C, T, w, psi, where in agent_groups(models):
+        kind, d = models[idx[0]].kind, models[idx[0]].io_dim
+        keep = np.ones(len(idx), dtype=bool)
+        if kind is AgentKind.CONVEX_GRADIENT:
+            for j, i in enumerate(idx):
+                if psi[j] is not None:
+                    out[i] = _relation(models[i], (A[j], B[j], C[j], T[j], w[j], psi[j], where))
+                    keep[j] = False
+                elif callable(T[j]):
+                    raise UnsupportedKind("callable feedthrough has no affine relation")
+            T = np.array([T[j] for j in np.flatnonzero(keep)]).reshape(-1, d, d)
+        if not keep.all():
+            idx = [idx[j] for j in np.flatnonzero(keep)]
+            A, B, C, w = A[keep], B[keep], C[keep], w[keep]
+        if not idx:
+            continue
         if kind is AgentKind.DAMPED_OSCILLATOR:
             # at rest the momentum p = x[d:] is 0: the damping block of A drops
-            # out (A is then exactly as well conditioned as M), and a psi left
-            # in the form only adds -grad psi(0) to w
+            # out, and a psi left in the form only adds -grad psi(0) to w
             A[:, d:, d:] = 0.0
-            for j, i in enumerate(idx):
-                if forms[i][5] is not None:
-                    w[j, d:] -= grad_of(forms[i][5], np.zeros(d))
+            for j, psi_j in enumerate(psi):
+                if psi_j is not None:
+                    w[j, d:] -= grad_of(psi_j, np.zeros(d))
+        else:
+            _check_invertible(A, "A")
         S, v = _linear_gain(A, B, C, T, w)
-        z = _stack([models[i].leader_offset for i in idx], (d,), "leader_offset")
-        v = (S @ z[:, :, None])[:, :, 0] + v
-        for i, S_i, v_i in zip(idx, S, v):
-            out[i] = affine_relation(S_i, v_i)
-    return tuple(out)
+        z = np.array([models[i].leader_offset for i in idx])
+        gains.append((idx, S, (S @ z[:, :, None])[:, :, 0] + v))
+    return out, gains
 
 
 def _stack(arrays, shape, what) -> np.ndarray:
@@ -538,6 +642,15 @@ def output(model: AgentModel, x, u, form=None) -> np.ndarray:
 def has_feedthrough(model: AgentModel) -> bool:
     """True when the output depends directly on the input."""
     return form_has_feedthrough(agent_form(model))
+
+
+def groups_feedthrough(models, groups) -> np.ndarray:
+    """has_feedthrough of each of models, read off their agent_groups."""
+    out = np.ones(len(models), dtype=bool)  # Custom agents
+    for idx, _, _, _, T, _, _, _ in groups:
+        out[idx] = ([callable(t) or bool(np.any(t)) for t in T] if isinstance(T, list)
+                    else T.reshape(len(idx), -1).any(axis=1))
+    return out
 
 
 def form_has_feedthrough(form) -> bool:

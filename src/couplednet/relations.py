@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -173,6 +174,11 @@ class IntegralFunction:
     linear: Optional[np.ndarray] = None
     constant: float = 0.0
 
+    @cached_property
+    def groups(self) -> tuple:
+        """A stacked function's children by _groups, made on first use."""
+        return _groups(self.children)
+
 
 def quadratic(P, q=None, c: float = 0.0) -> IntegralFunction:
     P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -182,7 +188,21 @@ def quadratic(P, q=None, c: float = 0.0) -> IntegralFunction:
     q = np.zeros(dim) if q is None else np.asarray(q, dtype=float).ravel()
     if q.size != dim:
         raise DimensionMismatch("quadratic q has wrong length")
-    return IntegralFunction(dim=dim, kind=FunctionKind.QUADRATIC, P=P, q=q, c=float(c))
+    return _quadratic(P, q, c)
+
+
+def _quadratic(P: np.ndarray, q: np.ndarray, c) -> IntegralFunction:
+    """quadratic(P, q, c) for a float (dim, dim) P and (dim,) q, unchecked."""
+    return IntegralFunction(dim=P.shape[0], kind=FunctionKind.QUADRATIC, P=P, q=q, c=float(c))
+
+
+def stacked_quadratics(P: np.ndarray, q: np.ndarray, c=None) -> IntegralFunction:
+    """stacked([quadratic(P[k], q[k], c[k]) for each row k]) of float stacks
+    P (count, dim, dim), q (count, dim) and c (count,) (zeros if None),
+    its children views of the rows made only when read."""
+    c = np.zeros(len(P)) if c is None else c
+    return _stacked_rows(IntegralFunction, FunctionKind.STACKED, FunctionKind.QUADRATIC,
+                         P.shape[1], _quadratic, P=P, q=q, c=c)
 
 
 def indicator_zero(dim: int) -> IntegralFunction:
@@ -289,65 +309,120 @@ def _check_dim(f, x) -> np.ndarray:
 
 def value(f: IntegralFunction, x) -> float:
     """Evaluate f(x); may return +inf."""
-    return float(_values([f], _check_dim(f, x)[None])[0])
+    return float(_values(_groups([f])[0], _check_dim(f, x)[None])[0])
 
 
-def _kind_groups(items) -> dict:
-    """Positions of items (functions or relations) by (kind, dim), keys
-    in order of first appearance."""
-    groups = {}
-    for i, it in enumerate(items):
-        groups.setdefault((it.kind, it.dim), []).append(i)
-    return groups
+class _Group:
+    """Items (functions or relations) of one kind and dimension among a
+    sequence whose items act on consecutive blocks of a vector x, as the
+    children of a stacked function or relation do.
 
-
-def _block_groups(items):
-    """(positions, index) per group of items of one kind and dimension.
-
-    The items act on consecutive blocks of a vector x, as the children
-    of a stacked function or relation do; x[index] has the blocks of
-    the items at positions as its rows.
+    idx holds their positions in the sequence, and x[index] has their
+    blocks as its rows. stack(name) is the items' field name as one
+    float array and sub(name) the groups of their (lowered) field name,
+    each made on first use and then kept, so a group evaluated again
+    stacks nothing again.
     """
-    start = np.cumsum([0] + [it.dim for it in items])
-    for (_, dim), idx in _kind_groups(items).items():
-        yield idx, start[idx][:, None] + np.arange(dim)
+
+    def __init__(self, items, idx: np.ndarray, index: np.ndarray, kind=None, dim=None, stacks=None):
+        self.items, self.idx, self.index = items, idx, index
+        self.kind, self.dim = (items[0].kind, items[0].dim) if kind is None else (kind, dim)
+        self._memo = {} if stacks is None else dict(stacks)
+
+    def stack(self, name: str) -> np.ndarray:
+        if name not in self._memo:
+            self._memo[name] = np.array([getattr(it, name) for it in self.items], dtype=float)
+        return self._memo[name]
+
+    def sub(self, name: str) -> tuple:
+        key = ("sub", name)
+        if key not in self._memo:
+            self._memo[key] = _groups([_lower(getattr(it, name)) for it in self.items])
+        return self._memo[key]
 
 
-def _block_values(fs, x: np.ndarray) -> np.ndarray:
-    """f_k(x_k) for functions fs on consecutive blocks x_k of x."""
-    out = np.empty(len(fs))
-    for idx, index in _block_groups(fs):
-        out[idx] = _values([fs[i] for i in idx], x[index])
+class _Rows:
+    """The items make(*rows) of the rows of stacks, all made at the first
+    use of one: the children of a stacked function or relation built from
+    stacks, which evaluation reads as one group and never needs made."""
+
+    def __init__(self, make, *stacks):
+        self._make, self._stacks, self._items = make, stacks, None
+
+    def __len__(self) -> int:
+        return len(self._stacks[0])
+
+    def __getitem__(self, k):
+        return self._all()[k]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def _all(self) -> tuple:
+        if self._items is None:
+            self._items = tuple(map(self._make, *self._stacks))
+        return self._items
+
+
+def _stacked_rows(cls, kind, item_kind, dim: int, make, **stacks):
+    """A stacked function or relation (cls) of children of item_kind and
+    dimension dim, one per row of the named stacks and made only when
+    read (see _Rows); its one group holds the stacks already."""
+    count = len(next(iter(stacks.values())))
+    children = _Rows(make, *stacks.values())
+    out = cls(dim=count * dim, kind=kind, children=children)
+    out.__dict__["groups"] = (_Group(children, np.arange(count),
+                                     np.arange(count * dim).reshape(count, dim),
+                                     item_kind, dim, stacks),)
     return out
 
 
-def _values(fs, X: np.ndarray) -> np.ndarray:
-    """f_k(X[k]) for functions fs of one kind and dimension.
+def _groups(items) -> tuple:
+    """items as _Groups of one kind and dimension, in order of first appearance."""
+    items = list(items)
+    start = np.cumsum([0] + [it.dim for it in items])
+    positions = {}
+    for i, it in enumerate(items):  # an Enum hashes in Python; its id does not
+        positions.setdefault((id(it.kind), it.dim), []).append(i)
+    return tuple(_Group([items[i] for i in idx], np.array(idx),
+                        start[idx][:, None] + np.arange(dim))
+                 for (_, dim), idx in positions.items())
+
+
+def _block_values(groups, count: int, x: np.ndarray) -> np.ndarray:
+    """f_k(x_k) for count functions, given by their groups, on
+    consecutive blocks x_k of x."""
+    out = np.empty(count)
+    for g in groups:
+        out[g.idx] = _values(g, x[g.index])
+    return out
+
+
+def _values(g: _Group, X: np.ndarray) -> np.ndarray:
+    """f_k(X[k]) for the functions f_k of group g.
 
     Quadratic, indicator and shifted kinds are evaluated in one numpy
     pass over the group; the others one function at a time. A stacked
     function sums its children's values in order.
     """
-    kind = fs[0].kind
+    kind, fs = g.kind, g.items
     if kind is FunctionKind.QUADRATIC:
-        P = np.stack([f.P for f in fs])
-        q = np.stack([f.q for f in fs])
-        return (0.5 * np.einsum("ki,kij,kj->k", X, P, X) + np.einsum("ki,ki->k", q, X)
-                + np.array([f.c for f in fs]))
+        return (0.5 * np.einsum("ki,kij,kj->k", X, g.stack("P"), X)
+                + np.einsum("ki,ki->k", g.stack("q"), X) + g.stack("c"))
     if kind is FunctionKind.INDICATOR_ZERO:
         return np.where(np.any(X != 0.0, axis=1), math.inf, 0.0)
     if kind is FunctionKind.SHIFTED:
-        shift = np.stack([f.shift for f in fs])
-        inner = _block_values([f.inner for f in fs], (X - shift).ravel())
-        linear = np.einsum("ki,ki->k", np.stack([f.linear for f in fs]), X)
-        return inner + linear + np.array([f.constant for f in fs])
+        inner = _block_values(g.sub("inner"), len(fs), (X - g.stack("shift")).ravel())
+        linear = np.einsum("ki,ki->k", g.stack("linear"), X)
+        return inner + linear + g.stack("constant")
     if kind is FunctionKind.SCALAR_SEPARABLE:
         return np.array([sum(_simpson_adaptive(f.phi, 0.0, t) for t in x)
                          for f, x in zip(fs, X.tolist())])
     if kind is FunctionKind.SUM:
         return np.array([sum(value(ch, x) for ch in f.children) for f, x in zip(fs, X)])
     if kind is FunctionKind.STACKED:
-        return np.array([sum(_block_values(f.children, x).tolist()) for f, x in zip(fs, X)])
+        return np.array([sum(_block_values(f.groups, len(f.children), x).tolist())
+                         for f, x in zip(fs, X)])
     raise UnsupportedKind(str(kind))
 
 
@@ -504,52 +579,73 @@ def conjugate_function(f: IntegralFunction) -> IntegralFunction:
     The children of a stacked f are conjugated by groups of one kind
     and dimension, each group in one numpy pass (see _conjugates).
     """
-    return _conjugates([f])[0]
+    return _conjugates(_groups([f])[0])[0]
 
 
-def _block_conjugates(fs) -> list:
-    """The conjugate of each of fs, in order."""
-    out = [None] * len(fs)
-    for idx in _kind_groups(fs).values():
-        for i, conj in zip(idx, _conjugates([fs[i] for i in idx])):
+def _block_conjugates(groups, count: int) -> list:
+    """The conjugate of each of count functions, given by their groups, in order."""
+    out = [None] * count
+    for g in groups:
+        for i, conj in zip(g.idx.tolist(), _conjugates(g)):
             out[i] = conj
     return out
 
 
-def _conjugates(fs) -> list:
-    """Conjugates of functions fs of one kind and dimension.
+def _conjugates(g: _Group) -> list:
+    """Conjugates of the functions of group g.
 
     Quadratic kinds (and sums of them) are decided together: P near zero
     (np.allclose(P, 0)) is affine, whose conjugate is the indicator of
     {q}; otherwise P must have full rank, and f* is the quadratic of its
     pseudo-inverse. One batched eigh covers the group.
     """
-    kind, dim = fs[0].kind, fs[0].dim
+    kind, dim, fs = g.kind, g.dim, g.items
     if kind is FunctionKind.INDICATOR_ZERO:
         return [quadratic(np.zeros((dim, dim)))] * len(fs)
     if kind is FunctionKind.STACKED:
-        return [stacked(_block_conjugates(f.children)) for f in fs]
+        return [_stacked_conjugate(f) for f in fs]
     if kind is FunctionKind.SHIFTED:
-        inner = _block_conjugates([f.inner for f in fs])
-        cross = np.einsum("ki,ki->k", np.stack([f.shift for f in fs]),
-                          np.stack([f.linear for f in fs]))
+        inner = _block_conjugates(g.sub("inner"), len(fs))
+        cross = np.einsum("ki,ki->k", g.stack("shift"), g.stack("linear"))
         return [shifted(conj, shift=f.linear, linear=f.shift, constant=-float(x) - f.constant)
                 for f, conj, x in zip(fs, inner, cross)]
-    quads = [as_quadratic(f) for f in fs]
-    if any(quad is None for quad in quads):
-        raise UnsupportedKind(f"no closed-form conjugate for kind {kind}")
-    P = np.stack([quad[0] for quad in quads])
-    q = np.stack([quad[1] for quad in quads])
-    c = np.array([quad[2] for quad in quads], dtype=float)
+    if kind is FunctionKind.QUADRATIC:
+        P, q, c = g.stack("P"), g.stack("q"), g.stack("c")
+    else:
+        quads = [as_quadratic(f) for f in fs]
+        if any(quad is None for quad in quads):
+            raise UnsupportedKind(f"no closed-form conjugate for kind {kind}")
+        P = np.stack([quad[0] for quad in quads])
+        q = np.stack([quad[1] for quad in quads])
+        c = np.array([quad[2] for quad in quads], dtype=float)
+    affine, pinv, lin, const = _quadratic_conjugates(P, q, c)
+    # affine: conjugate is the indicator of {q}
+    return [shifted(indicator_zero(dim), shift=q[k], constant=-c[k]) if affine[k]
+            else _quadratic(pinv[k], lin[k], const[k]) for k in range(len(fs))]
+
+
+def _quadratic_conjugates(P: np.ndarray, q: np.ndarray, c: np.ndarray):
+    """(affine, pinv, lin, const) of the quadratics of stacks P, q, c: the
+    conjugate of quadratic k is quadratic(pinv[k], lin[k], const[k])
+    unless affine[k]. One batched eigh covers them."""
     affine = np.all(np.abs(P) <= 1e-8, axis=(1, 2))
     pinv, _, rank = _psd_pinv(P)
-    if np.any(rank[~affine] < dim):
+    if np.any(rank[~affine] < P.shape[1]):
         raise UnsupportedKind("conjugate object of a degenerate quadratic")
     lin = -np.einsum("kij,kj->ki", pinv, q)
     const = 0.5 * np.einsum("ki,kij,kj->k", q, pinv, q) - c
-    # affine: conjugate is the indicator of {q}
-    return [shifted(indicator_zero(dim), shift=q[k], constant=-c[k]) if affine[k]
-            else quadratic(pinv[k], lin[k], const[k]) for k in range(len(fs))]
+    return affine, pinv, lin, const
+
+
+def _stacked_conjugate(f: IntegralFunction) -> IntegralFunction:
+    """The conjugate of a stacked f, child by child: kept as stacks when
+    f's children are quadratics of full rank, one group."""
+    if len(f.groups) == 1 and f.groups[0].kind is FunctionKind.QUADRATIC:
+        g = f.groups[0]
+        affine, pinv, lin, const = _quadratic_conjugates(g.stack("P"), g.stack("q"), g.stack("c"))
+        if not affine.any():
+            return stacked_quadratics(pinv, lin, const)
+    return stacked(_block_conjugates(f.groups, len(f.children)))
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +697,12 @@ class VectorRelation:
     input_offset: Optional[np.ndarray] = None
     output_offset: Optional[np.ndarray] = None
 
+    @cached_property
+    def groups(self) -> tuple:
+        """A stacked relation's lowered children (see _lower) by _groups,
+        made on first use."""
+        return _groups([_lower(ch) for ch in self.children])
+
 
 def affine_relation(S, v=None) -> VectorRelation:
     S = np.atleast_2d(np.asarray(S, dtype=float))
@@ -609,6 +711,18 @@ def affine_relation(S, v=None) -> VectorRelation:
         raise DimensionMismatch("affine relation S must be square")
     v = np.zeros(dim) if v is None else np.asarray(v, dtype=float).ravel()
     return VectorRelation(dim=dim, kind=RelationKind.AFFINE, S=S, v=v)
+
+
+def stacked_affine(S: np.ndarray, v: np.ndarray) -> VectorRelation:
+    """stacked_relation([affine_relation(S[k], v[k]) for each row k]) of
+    float stacks S (count, dim, dim) and v (count, dim), its children
+    views of the rows made only when read."""
+    return _stacked_rows(VectorRelation, RelationKind.STACKED, RelationKind.AFFINE, S.shape[1],
+                         _affine, S=S, v=v)
+
+
+def _affine(S: np.ndarray, v: np.ndarray) -> VectorRelation:
+    return VectorRelation(dim=S.shape[0], kind=RelationKind.AFFINE, S=S, v=v)
 
 
 def gradient_relation(chi: IntegralFunction) -> VectorRelation:
@@ -657,7 +771,7 @@ def inverse(rel: VectorRelation, y) -> SetDescriptor:
 
 
 def _coordinate_set(rel: VectorRelation, x, invert: bool) -> SetDescriptor:
-    base, free, faults = _block_sets([rel], _check_dim(rel, x), invert)
+    base, free, faults = _block_sets(_groups([_lower(rel)]), _check_dim(rel, x), invert)
     if faults:
         if isinstance(faults[0], EmptySelection):
             return SetDescriptor.empty(rel.dim)
@@ -695,39 +809,38 @@ def pair_residual(rel: VectorRelation, u, y) -> float:
     of a stacked function, report the largest of the children's
     residuals, computed by groups of one kind and dimension.
     """
-    return float(_block_residuals([rel], _check_dim(rel, u), _check_dim(rel, y))[0])
+    return float(_block_residuals(_groups([_lower(rel)]), 1, _check_dim(rel, u),
+                                  _check_dim(rel, y))[0])
 
 
-def _block_residuals(rels, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """pair_residual of each of rels at its consecutive blocks of u and y."""
-    rels = [_lower(rel) for rel in rels]
-    out = np.empty(len(rels))
-    for idx, index in _block_groups(rels):
-        out[idx] = _residuals([rels[i] for i in idx], u[index], y[index])
+def _block_residuals(groups, count: int, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """pair_residual of each of count relations, given by their groups,
+    at its consecutive blocks of u and y."""
+    out = np.empty(count)
+    for g in groups:
+        out[g.idx] = _residuals(g, u[g.index], y[g.index])
     return out
 
 
-def _residuals(rels, U: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """pair_residual(rels[k], U[k], Y[k]) for lowered relations of one kind and dimension."""
-    kind = rels[0].kind
+def _residuals(g: _Group, U: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """pair_residual(rel_k, U[k], Y[k]) for the lowered relations rel_k of group g."""
+    kind, rels = g.kind, g.items
     if kind is RelationKind.AFFINE or kind is RelationKind.GRADIENT_OF_CONVEX:
-        points, _, faults = _kind_sets(rels, U, False)  # each forward set is a point
+        points, _, faults = _kind_sets(g, U, False)  # each forward set is a point
         if faults:
             raise faults[min(faults)]
         return np.linalg.norm(Y - points, axis=1)
     if kind is RelationKind.INTEGRATOR:
-        lo = np.array([rel.out_lo for rel in rels])[:, None]
-        hi = np.array([rel.out_hi for rel in rels])[:, None]
+        lo, hi = g.stack("out_lo")[:, None], g.stack("out_hi")[:, None]
         excess = np.maximum(lo - Y, 0.0) + np.maximum(Y - hi, 0.0)
         return np.maximum(np.linalg.norm(U, axis=1), np.linalg.norm(excess, axis=1))
     if kind is RelationKind.SHIFTED:
-        a = np.stack([rel.input_offset for rel in rels])
-        b = np.stack([rel.output_offset for rel in rels])
-        return _block_residuals([rel.inner for rel in rels], (U - a).ravel(), (Y - b).ravel())
+        U, Y = U - g.stack("input_offset"), Y - g.stack("output_offset")
+        return _block_residuals(g.sub("inner"), len(rels), U.ravel(), Y.ravel())
     if kind is RelationKind.INVERTED:
-        return _block_residuals([rel.inner for rel in rels], Y.ravel(), U.ravel())
+        return _block_residuals(g.sub("inner"), len(rels), Y.ravel(), U.ravel())
     if kind is RelationKind.STACKED:
-        return np.array([max(_block_residuals(rel.children, u, y).tolist())
+        return np.array([max(_block_residuals(rel.groups, len(rel.children), u, y).tolist())
                          for rel, u, y in zip(rels, U, Y)])
     raise UnsupportedKind(str(kind))
 
@@ -735,20 +848,24 @@ def _residuals(rels, U: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def coordinate_sets(rels, evaluate, x, d: int):
     """Per-block sets evaluate(rel_i, x_i) as (base, free) arrays.
 
-    evaluate is forward or inverse. Every set the network relations
-    produce is base + span(e_J) for a set J of its own coordinates (a
-    point, a pinned coordinate left free, or everything); free marks J.
-    Relations of one kind are evaluated together (see _block_sets). The
-    first block that fails decides the error: EmptySelection when its
-    set is empty, UnsupportedKind when it is not aligned with the
-    coordinates.
+    rels is a sequence of relations, or a stacked relation of them, whose
+    groups are then the ones it keeps. evaluate is forward or inverse.
+    Every set the network relations produce is base + span(e_J) for a
+    set J of its own coordinates (a point, a pinned coordinate left
+    free, or everything); free marks J. Relations of one kind are
+    evaluated together (see _block_sets). The first block that fails
+    decides the error: EmptySelection when its set is empty,
+    UnsupportedKind when it is not aligned with the coordinates.
     """
+    if not isinstance(rels, VectorRelation):
+        rels = stacked_relation(rels)
     x = np.asarray(x, dtype=float).ravel()
-    if x.size != len(rels) * d or any(rel.dim != d for rel in rels):
-        raise DimensionMismatch(f"expected {len(rels)} blocks of dimension {d}, got {x.size}")
+    count = len(rels.children)
+    if x.size != count * d or any(g.dim != d for g in rels.groups):
+        raise DimensionMismatch(f"expected {count} blocks of dimension {d}, got {x.size}")
     if evaluate is not forward and evaluate is not inverse:
         raise UnsupportedKind("coordinate sets come from forward or inverse")
-    base, free, faults = _block_sets(list(rels), x, evaluate is inverse)
+    base, free, faults = _block_sets(rels.groups, x, evaluate is inverse)
     if faults:
         raise faults[min(faults)]
     return base, free
@@ -762,55 +879,57 @@ def _misaligned_fault():
     return UnsupportedKind("a relation's set is not aligned with its coordinates")
 
 
-def _block_sets(rels, x: np.ndarray, invert: bool):
-    """Coordinate sets of relations rels at their consecutive blocks of x.
+def _block_sets(groups, x: np.ndarray, invert: bool):
+    """Coordinate sets of relations, given by their groups, at their
+    consecutive blocks of x.
 
     Returns (base, free, faults), base and free shaped as x: relation
     k's set is base + span(e_J) on its block, for J the block's part of
-    free, unless faults maps k to the error it raises. Relations are
-    lowered (see _lower) and evaluated by groups of one kind and
-    dimension, each in one numpy pass where its kind has one.
+    free, unless faults maps k to the error it raises. Each group of
+    lowered relations (see _lower) is evaluated in one numpy pass where
+    its kind has one.
     """
-    rels = [_lower(rel) for rel in rels]
     shape, x = x.shape, x.ravel()
     base = np.zeros(x.size)
     free = np.zeros(x.size, dtype=bool)
     faults = {}
-    for idx, index in _block_groups(rels):
-        base[index], free[index], bad = _kind_sets([rels[i] for i in idx], x[index], invert)
-        faults.update((idx[k], fault) for k, fault in bad.items())
+    for g in groups:
+        base[g.index], free[g.index], bad = _kind_sets(g, x[g.index], invert)
+        faults.update((int(g.idx[k]), fault) for k, fault in bad.items())
     return base.reshape(shape), free.reshape(shape), faults
 
 
-def _kind_sets(rels, X: np.ndarray, invert: bool):
-    """_block_sets for lowered relations of one kind and dimension, at the rows of X."""
-    kind = rels[0].kind
+def _kind_sets(g: _Group, X: np.ndarray, invert: bool):
+    """_block_sets for the lowered relations of group g, at the rows of X."""
+    kind, rels = g.kind, g.items
     none_free = np.zeros(X.shape, dtype=bool)
     if kind is RelationKind.AFFINE:
-        S = np.stack([rel.S for rel in rels])
-        v = np.stack([rel.v for rel in rels])
+        S, v = g.stack("S"), g.stack("v")
         if invert:
             return _affine_solutions(S, X - v)
         return np.einsum("kij,kj->ki", S, X) + v, none_free, {}
     if kind is RelationKind.INTEGRATOR:
         if invert:
-            lo = np.array([rel.out_lo for rel in rels])[:, None] - 1e-9
-            hi = np.array([rel.out_hi for rel in rels])[:, None] + 1e-9
+            lo = g.stack("out_lo")[:, None] - 1e-9
+            hi = g.stack("out_hi")[:, None] + 1e-9
             empty = np.any(X < lo, axis=1) | np.any(X > hi, axis=1)
             return np.zeros(X.shape), none_free, _faults(empty, _empty_fault)
         return np.zeros(X.shape), ~none_free, _faults(np.any(X != 0.0, axis=1), _empty_fault)
     if kind is RelationKind.SHIFTED:
-        into = np.stack([rel.output_offset if invert else rel.input_offset for rel in rels])
-        out = np.stack([rel.input_offset if invert else rel.output_offset for rel in rels])
-        base, free, faults = _block_sets([rel.inner for rel in rels], X - into, invert)
+        into = g.stack("output_offset" if invert else "input_offset")
+        out = g.stack("input_offset" if invert else "output_offset")
+        base, free, faults = _block_sets(g.sub("inner"), X - into, invert)
         # translating everything leaves it (and its zero basepoint) as it is
         return base + np.where(free.all(axis=1, keepdims=True), 0.0, out), free, faults
     if kind is RelationKind.INVERTED:
-        return _block_sets([rel.inner for rel in rels], X, not invert)
+        return _block_sets(g.sub("inner"), X, not invert)
     if kind is RelationKind.STACKED:
-        children = [ch for rel in rels for ch in rel.children]
-        owner = np.repeat(np.arange(len(rels)), [len(rel.children) for rel in rels])
-        base, free, bad = _block_sets(children, X, invert)
+        if len(rels) == 1:
+            groups, owner = rels[0].groups, np.zeros(len(rels[0].children), dtype=np.intp)
+        else:
+            groups = _groups([_lower(ch) for rel in rels for ch in rel.children])
+            owner = np.repeat(np.arange(len(rels)), [len(rel.children) for rel in rels])
+        base, free, bad = _block_sets(groups, X, invert)
         faults = {}
         for j in sorted(bad):  # a stacked relation fails as its first failing child
             faults.setdefault(int(owner[j]), bad[j])

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .netgraph import DirectedGraph, IncidenceOperator, incidence, project_agreement
 from .netopt import min_norm_flow, network_parts
-from .plants import AgentModel, agent_forms, form_has_feedthrough
+from .plants import AgentModel, agent_groups, groups_feedthrough
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ def closed_loop(graph: DirectedGraph, agents: Sequence[AgentModel],
         Both an agent and a controller have direct feedthrough.
     """
     agents, controllers, d = network_parts(graph, agents, controllers)
-    forms = agent_forms(agents)
-    if (any(form_has_feedthrough(f) for f in forms)
+    groups = agent_groups(agents)
+    if (groups_feedthrough(agents, groups).any()
             and any(controller_has_feedthrough(c) for c in controllers)):
         raise AlgebraicLoop(
             "agent and controller feedthrough form an algebraic loop")
@@ -94,7 +94,7 @@ def closed_loop(graph: DirectedGraph, agents: Sequence[AgentModel],
         graph=graph, op=op, agents=agents, controllers=controllers, io_dim=d,
         agent_dim=sum(a.state_dim for a in agents),
         ctrl_dim=sum(c.state_dim for c in controllers),
-        packed=_fastpath.pack(op, agents, forms, controllers))
+        packed=_fastpath.pack(op, agents, groups, controllers))
 
 
 def default_initial_state(system: ClosedLoopSystem) -> np.ndarray:
@@ -451,8 +451,11 @@ def export_csv(traj, path) -> None:
             for b in range(int(k > 0), seg.times.shape[0], step):
                 block = np.column_stack([c[b:b + step] for c in columns])
                 text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-                # [[r0],[r1]] -> r0\r\nr1, written without the outer brackets
-                text = _spell_non_finite(text.replace(b"],[", b"\r\n"), block)
+                # [[r0],[r1]] -> r0\r\nr1, written without the outer brackets;
+                # a block of one record has no "],[" to look for
+                if block.shape[0] > 1:
+                    text = text.replace(b"],[", b"\r\n")
+                text = _spell_non_finite(text, block)
                 fh.write(memoryview(text)[2:-2])
                 fh.write(b"\r\n")
 

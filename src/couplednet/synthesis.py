@@ -26,7 +26,7 @@ def _node_set(problem: NetworkProblem, y):
     coordinates J (those of zero-gain nodes).
     """
     try:
-        return coordinate_sets(problem.node_relations, inverse, y, problem.op.dim)
+        return coordinate_sets(problem.node_relation, inverse, y, problem.op.dim)
     except EmptySelection:
         raise EmptyInverse("a node relation has no input mapping to y*") from None
 

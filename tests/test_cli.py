@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -390,13 +391,44 @@ def test_predict_refuses_a_duality_gap_above_its_bound(tmp_path, capsys, monkeyp
                                [[1.0, 0.0], [0.0, 1e-14]]],
                          ids=["nan", "inf", "singular", "ill_conditioned"])
 def test_predict_refuses_oscillator_without_inverse(tmp_path, capsys, M):
+    # the bad M is the second of one group: its one stacked check names it
     osc = {"type": "oscillator", "M": [[1.0, 0.0], [0.0, 1.0]], "B": np.eye(2).tolist()}
-    doc = hand_doc(agents=[dict(osc, M=M), osc],
+    doc = hand_doc(agents=[osc, dict(osc, M=M)],
                    controllers=[{"type": "linear_synthesis", "offset": [1.0, 0.0]}])
     cfg = write_doc(tmp_path, doc)
     assert run_cli("predict", "--config", cfg, "--out", str(tmp_path)) == 3
-    assert "SingularMatrix" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "SingularMatrix: agents[1].M: M is" in err
     assert not (tmp_path / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("where", ["integrator", "damping", "psi"])
+def test_predict_refuses_indicator_zero_functions(tmp_path, capsys, where):
+    # the gradient of indicator_zero exists only at 0: as a config function
+    # simulate would fail where predict certified
+    indicator = {"kind": "indicator_zero", "dim": 2}
+    if where == "integrator":
+        doc = _oscillator_doc()
+        doc["controllers"] = [{"type": "integrator", "potential": indicator}]
+        field = "controllers[0].potential"
+    elif where == "damping":
+        doc = _oscillator_doc()
+        doc["agents"][1]["damping"], field = indicator, "agents[1].damping"
+    else:
+        doc = _convex_gradient_doc()
+        doc["agents"][1]["psi"], field = indicator, "agents[1].psi"
+    cfg = write_doc(tmp_path, doc)
+    assert run_cli("predict", "--config", cfg, "--out", str(tmp_path)) == 1
+    assert f"config error: {field}.kind: 'indicator_zero'" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
+
+
+def test_json_text_is_the_indenting_encoders():
+    doc = {"u": [0.1, -2e-17, 1e300, 5e-324, -0.0, 3, math.nan, math.inf, -math.inf],
+           "residual": 1.5e-12, "method": "equality-qp", "iterations": [1], "empty": [],
+           "none": {}, "flag": True, "nested": [[1.0, 2.0], [], [{"a": [1, "b, c"]}]]}
+    for obj in (doc, [], {}, [1.0], "text", 2.5):
+        assert cli._json_text(obj, "") == json.dumps(obj, indent=2)
 
 
 def _oscillator_doc():

@@ -1,13 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from couplednet.config import (SCHEMA, controller_to_spec, emit_config,
+from couplednet.config import (SCHEMA, controller_to_spec, emit_config, function_to_spec,
                                load_config, parse_config)
 from couplednet.couplers import ControllerKind, linear_synthesis, reconfigured
 from couplednet.errors import ConfigInvalid
 from couplednet.plants import AgentKind
+from couplednet.relations import indicator_zero
 
 
 def base_doc():
@@ -196,6 +198,7 @@ def test_default_duration_applies():
         "kind": "quadratic", "P": [[1.0]], "c": "abc"}}]),
     lambda d: d.update(controllers=[{"type": "integrator", "potential": {
         "kind": "quadratic", "P": [[1.0]], "c": [1, 2]}}]),
+    lambda d: d["agents"][1].update(leader_offset=[0.0, 1.0, 2.0]),
 ])
 def test_invalid_documents_rejected(mutate):
     doc = base_doc()
@@ -229,3 +232,29 @@ def test_load_config_round_trips_file(tmp_path):
     p.write_text(json.dumps(full_doc()))
     cfg = load_config(p)
     assert cfg.graph.node_count == 3
+
+
+def test_model_errors_name_the_agent():
+    doc = base_doc()
+    doc["agents"][1]["leader_offset"] = [0.0, 1.0, 2.0]
+    with pytest.raises(ConfigInvalid, match=r"agents\[1\]\.leader_offset: expected length 1"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("where", ["integrator", "damping", "psi"])
+def test_indicator_zero_is_no_config_function(where):
+    indicator = {"kind": "indicator_zero", "dim": 2}
+    doc = full_doc()
+    if where == "integrator":
+        doc["controllers"][0]["potential"], field = indicator, "controllers[0].potential"
+    elif where == "damping":
+        doc["agents"][0]["damping"], field = indicator, "agents[0].damping"
+    else:
+        doc["agents"][2]["psi"], field = indicator, "agents[2].psi"
+    with pytest.raises(ConfigInvalid, match=rf"{re.escape(field)}\.kind: 'indicator_zero'"):
+        parse_config(doc)
+
+
+def test_indicator_zero_has_no_json_form():
+    with pytest.raises(ConfigInvalid):
+        function_to_spec(indicator_zero(2))

@@ -208,6 +208,16 @@ def test_export_csv_matches_one_shot_writer(formation, tmp_path, block_sizes):
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one_shot.csv").read_bytes()
 
 
+def test_export_csv_one_record_blocks_match_one_shot_writer(formation, tmp_path, monkeypatch):
+    # rows as wide as ring256's make blocks of one record, which are written
+    # without the "],[" scan; special values included (every 7th row)
+    monkeypatch.setattr(_fastpath, "block_rows", lambda width: 1)
+    traj = wide_trajectory(formation, 16, np.random.default_rng(5))
+    export_csv(traj, tmp_path / "blocks.csv")
+    oracle.export_csv(traj, tmp_path / "one_shot.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one_shot.csv").read_bytes()
+
+
 def segment_trajectories(system, counts, rng):
     """wide_trajectory segments of counts[k] records, each its own values."""
     return tuple(wide_trajectory(system, records, rng) for records in counts)
