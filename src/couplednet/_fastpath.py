@@ -68,8 +68,8 @@ class PackedSystem:
     (sig_row, sig_col, sig_w) give the stacked signals [y ; mu], their
     constant entries placed before all others; op is the incidence
     operator that turns them into zeta and u. sides holds the
-    components, the side whose outputs read no input first; it is empty
-    when every piece folds into the maps.
+    components, the controllers' first, as no controller's output reads
+    its input; it is empty when every piece folds into the maps.
     """
 
     dim: int
@@ -114,9 +114,10 @@ def _packed_rhs(s, pk, v):
 
 
 def _fill(pk, v):
-    """Fill v's component columns at the state v[:dim]: the first side's
-    outputs at zero input, the other side's at the inputs the signal rows
-    then give, and every derivative at those the rows give after that."""
+    """Fill v's component columns at the state v[:dim]: the controllers'
+    outputs, which read no input, the agents' at the inputs the signal
+    rows then give, and every derivative at those the rows give after
+    that."""
     op, s = pk.op, v[:pk.dim]
     n = op.node_size
     inputs = np.zeros(n + op.edge_size)
@@ -302,8 +303,6 @@ def _controller_parts(controllers, d: int):
             else:
                 continue
             eta0[idx] = -alpha
-        else:
-            continue
         for e in idx:
             L[e] = L_e
     return code, L, leak, mu0, eta0
@@ -341,12 +340,12 @@ def _batch(key, r0, c0, blocks):
 
 def pack(op, agents, groups, controllers) -> PackedSystem:
     """Fold the closed loop into sparse affine maps, with component
-    columns for the pieces they cannot hold. groups are the agents'
-    agent_groups, and the maps are filled a group of blocks at a time.
-    No agent and controller may both have feedthrough."""
+    columns for the pieces they cannot hold: agents with a psi left in
+    their form or with feedthrough T != 0, and integrators whose potential
+    is neither quadratic nor paper_psi. groups are the agents'
+    agent_groups, and the maps are filled a group of blocks at a time."""
     agents, controllers = list(agents), list(controllers)
     d, n, m = op.dim, len(agents), len(controllers)
-    feed = plants.groups_feedthrough(agents, groups)
     code, L, leak, mu0, eta0 = _controller_parts(controllers, d)
     ofs = np.cumsum([0] + [a.state_dim for a in agents] + [c.state_dim for c in controllers])
     dim = int(ofs[-1])
@@ -359,8 +358,9 @@ def pack(op, agents, groups, controllers) -> PackedSystem:
     sizes = np.array([a.state_dim for a in agents])
     eye = np.eye(d)
 
-    # a packable agent folds in whole: x' = A x + B u + w, y = C x; B[size]
-    # and C[size] hold those of the agents with size states, by node
+    # an agent with no psi left and T = 0 folds in whole: x' = A x + B u + w,
+    # y = C x; B[size] and C[size] hold those of the agents with size states,
+    # by node
     packed = np.zeros(n, dtype=bool)
     forms = [None] * n  # each component agent's agent_form
     B, C = {}, {}
@@ -369,7 +369,7 @@ def pack(op, agents, groups, controllers) -> PackedSystem:
     k_agent, k_edge = n + m, 2 * n + m
     c = np.zeros(dim)
     for idx, A_g, B_g, C_g, T_g, w_g, psi_g, where in groups:
-        fold = np.array([psi is None for psi in psi_g]) & ~feed[idx]
+        fold = np.array([psi is None for psi in psi_g]) & ~T_g.reshape(len(idx), -1).any(axis=1)
         for j in np.flatnonzero(~fold):
             forms[idx[j]] = (A_g[j], B_g[j], C_g[j], T_g[j], w_g[j], psi_g[j], where)
         sel = np.asarray(idx)[fold]
@@ -403,10 +403,8 @@ def pack(op, agents, groups, controllers) -> PackedSystem:
         one = out + d
     sides = ()
     if comps:
-        sides = (tuple(comp for k, comp in comps.items() if k < n),
-                 tuple(comp for k, comp in comps.items() if k >= n))
-        if feed.any():
-            sides = sides[::-1]
+        sides = (tuple(comp for k, comp in comps.items() if k >= n),
+                 tuple(comp for k, comp in comps.items() if k < n))
 
     # mu_e = L_e eta_e (or paper_psi(eta_e)) + mu0_e; eta_e' = zeta_e + eta0_e (- eta_e)
     on = np.flatnonzero(code > 0)

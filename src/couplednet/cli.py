@@ -27,7 +27,6 @@ from .errors import (
     SingularMatrix,
     StepUnderflow,
     Unbounded,
-    UnsupportedKind,
 )
 from .netopt import (
     SolveOptions,
@@ -412,16 +411,13 @@ def _classify_agent(agent, samples, seed):
 
 
 def _classify_controller(ctrl):
-    kind = ctrl.kind
-    if kind is ControllerKind.NONLINEAR_INTEGRATOR:
+    if ctrl.kind is ControllerKind.NONLINEAR_INTEGRATOR:
         return {"verdict": "yes",
                 "reason": "integrator relation: domain {0}, any cycle sum is 0",
                 "exact": True}
-    if kind is ControllerKind.LINEAR_SYNTHESIS:
-        return {"verdict": "yes-strict",
-                "reason": "affine relation with S = I (positive definite)",
-                "exact": True}
-    raise UnsupportedKind(f"cannot classify controller kind {kind.name}")
+    return {"verdict": "yes-strict",
+            "reason": "affine relation with S = I (positive definite)",
+            "exact": True}
 
 
 @cli.command("check-cm")

@@ -277,6 +277,8 @@ def agent_to_spec(agent: AgentModel) -> dict:
         if np.any(agent.w != 0.0):
             out["w"] = agent.w.tolist()
     elif agent.kind is AgentKind.CONVEX_GRADIENT:
+        if np.any(agent.rho):
+            raise ConfigInvalid("agent has no JSON form: rho")
         out = {"type": "convex_gradient", "psi": function_to_spec(agent.psi)}
         if agent.J is not None and np.any(agent.J != 0.0):
             out["J"] = agent.J.tolist()

@@ -2,20 +2,19 @@
 
 Controllers live on edges of the coupling graph, take the relative
 output zeta_e as input, and emit the coupling signal mu_e. Two
-concrete kinds cover the constructions used by the solvers, plus a
-Custom kind for raw callbacks. Every kind carries the reconfiguration
-offsets alpha and beta.
+concrete kinds cover the constructions used by the solvers. Every kind
+carries the reconfiguration offsets alpha and beta.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedKind
+from .errors import DimensionMismatch
 from .relations import (
     FunctionKind,
     IntegralFunction,
@@ -33,7 +32,6 @@ from .relations import (
 class ControllerKind(Enum):
     NONLINEAR_INTEGRATOR = "nonlinear_integrator"
     LINEAR_SYNTHESIS = "linear_synthesis"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -50,21 +48,17 @@ class ControllerModel:
     LinearSynthesis
         d eta/dt = -eta + zeta - offset, mu = eta. The offset is the
         vector xi_e + zeta*_e produced by the synthesis procedure.
-    Custom
-        raw callbacks phi(eta, zeta), out(eta, zeta).
 
-    Each kind's dynamics phi(eta, zeta) and output psi(eta, zeta) run
-    as d eta/dt = phi(eta, zeta - alpha), mu = psi(eta, zeta - alpha)
-    + beta; alpha and beta default to zero.
+    Each kind's dynamics phi(eta, zeta) and output psi(eta) run as
+    d eta/dt = phi(eta, zeta - alpha), mu = psi(eta) + beta; alpha and
+    beta default to zero. No kind has feedthrough, and the state eta
+    has the dimension io_dim of the edge signals.
     """
 
     io_dim: int
     kind: ControllerKind
     potential: Optional[IntegralFunction] = None
     offset: Optional[np.ndarray] = None
-    phi: Optional[Callable] = None
-    out: Optional[Callable] = None
-    state_dim: int = 0
     initial_state: np.ndarray = field(default_factory=lambda: np.zeros(0))
     alpha: Optional[np.ndarray] = None
     beta: Optional[np.ndarray] = None
@@ -72,6 +66,10 @@ class ControllerModel:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _vec(self.alpha, self.io_dim, "alpha"))
         object.__setattr__(self, "beta", _vec(self.beta, self.io_dim, "beta"))
+
+    @property
+    def state_dim(self) -> int:
+        return self.io_dim
 
     @property
     def has_offsets(self) -> bool:
@@ -93,7 +91,6 @@ def nonlinear_integrator(potential: IntegralFunction, initial_state=None) -> Con
         io_dim=d,
         kind=ControllerKind.NONLINEAR_INTEGRATOR,
         potential=potential,
-        state_dim=d,
         initial_state=_vec(initial_state, d, "initial_state"),
     )
 
@@ -105,7 +102,6 @@ def linear_synthesis(offset, initial_state=None) -> ControllerModel:
         io_dim=d,
         kind=ControllerKind.LINEAR_SYNTHESIS,
         offset=offset,
-        state_dim=d,
         initial_state=_vec(initial_state, d, "initial_state"),
     )
 
@@ -117,41 +113,21 @@ def reconfigured(c: ControllerModel, alpha, beta) -> ControllerModel:
                    beta=c.beta + _vec(beta, d, "beta"))
 
 
-def custom_controller(io_dim, state_dim, phi, out, initial_state=None) -> ControllerModel:
-    return ControllerModel(
-        io_dim=io_dim,
-        kind=ControllerKind.CUSTOM,
-        phi=phi,
-        out=out,
-        state_dim=state_dim,
-        initial_state=_vec(initial_state, state_dim, "initial_state"),
-    )
-
-
 def controller_rhs(c: ControllerModel, eta, zeta) -> np.ndarray:
     """Controller state derivative at state eta and edge input zeta."""
     eta = _vec(eta, c.state_dim, "eta")
     zeta = _vec(zeta, c.io_dim, "zeta") - c.alpha
     if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
         return zeta
-    if c.kind is ControllerKind.LINEAR_SYNTHESIS:
-        return zeta - eta - c.offset
-    if c.kind is ControllerKind.CUSTOM:
-        return np.asarray(c.phi(eta, zeta), dtype=float).ravel()
-    raise UnsupportedKind(str(c.kind))
+    return zeta - eta - c.offset
 
 
 def controller_output(c: ControllerModel, eta, zeta) -> np.ndarray:
-    """Coupling signal mu at state eta and edge input zeta."""
+    """Coupling signal mu at state eta; no kind reads the edge input zeta."""
     eta = _vec(eta, c.state_dim, "eta")
     if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
         return grad_of(c.potential, eta) + c.beta
-    if c.kind is ControllerKind.LINEAR_SYNTHESIS:
-        return eta + c.beta
-    if c.kind is ControllerKind.CUSTOM:
-        zeta = _vec(zeta, c.io_dim, "zeta") - c.alpha
-        return np.asarray(c.out(eta, zeta), dtype=float).ravel() + c.beta
-    raise UnsupportedKind(str(c.kind))
+    return eta + c.beta
 
 
 def _potential_output_interval(potential: IntegralFunction) -> tuple[float, float]:
@@ -199,11 +175,9 @@ def controller_relations(controllers) -> tuple:
             lo, hi = _potential_output_interval(group[0].potential)
             pair = (integrator_relation(d, lo, hi), indicator_zero(d))
             base = [pair] * len(group)
-        elif kind is ControllerKind.LINEAR_SYNTHESIS:
+        else:
             eye = np.eye(d)
             base = [(affine_relation(eye, -c.offset), quadratic(eye, -c.offset)) for c in group]
-        else:
-            raise UnsupportedKind("custom controllers carry no derived relation or function")
         offsets = np.array([c.alpha for c in group]).any(axis=1) | \
             np.array([c.beta for c in group]).any(axis=1)
         for e, c, (rel, fn), shift in zip(idx, group, base, offsets.tolist()):
@@ -212,10 +186,6 @@ def controller_relations(controllers) -> tuple:
                 fn = shifted(fn, shift=c.alpha, linear=c.beta)
             rels[e], fns[e] = rel, fn
     return tuple(rels), tuple(fns)
-
-
-def controller_has_feedthrough(c: ControllerModel) -> bool:
-    return c.kind is ControllerKind.CUSTOM
 
 
 # ---------------------------------------------------------------------------

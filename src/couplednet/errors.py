@@ -79,10 +79,6 @@ class NotForcible(CoupledNetError):
 
 
 # simulation
-class AlgebraicLoop(CoupledNetError):
-    pass
-
-
 class StepUnderflow(CoupledNetError):
     pass
 

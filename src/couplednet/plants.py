@@ -5,20 +5,19 @@ Three concrete maximal equilibrium-independent cyclically monotone
 gradient systems with a skew (oscillatory) term, and damped MIMO
 oscillators. Each is stated once, as the form agent_form returns, and
 the simulation interface, the steady-state gains and the packed kernel
-read that form. A Custom kind accepts raw callbacks for simulation only.
+read that form.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     InvalidModel,
-    NoConvergence,
     SingularMatrix,
     UnsupportedKind,
 )
@@ -38,7 +37,6 @@ class AgentKind(Enum):
     LINEAR = "linear"
     CONVEX_GRADIENT = "convex_gradient"
     DAMPED_OSCILLATOR = "damped_oscillator"
-    CUSTOM = "custom"
 
 
 def _check_invertible(mat, what: str, names=None) -> np.ndarray:
@@ -86,7 +84,7 @@ class AgentModel:
     io_dim : int
         Shared input/output dimension d.
     kind : AgentKind
-        One of Linear, ConvexGradient, DampedOscillator, Custom.
+        One of Linear, ConvexGradient, DampedOscillator.
     A, B, C, T : ndarray, optional
         Linear kind: dx/dt = A x + B u_eff + w, y = C x + T u_eff.
     psi : IntegralFunction, optional
@@ -95,16 +93,12 @@ class AgentModel:
         acting on the momentum block.
     J : ndarray, optional
         Skew-symmetric oscillatory term of the ConvexGradient kind.
-    rho : ndarray or callable, optional
-        Output feedthrough of the ConvexGradient kind: y = C x + rho(u_eff).
+    rho : ndarray, optional
+        d x d output feedthrough of the ConvexGradient kind:
+        y = C x + rho u_eff.
     M : ndarray, optional
         DampedOscillator kind, state x = (q, p) with both blocks of
         size d: dq/dt = M p, dp/dt = -M' q - grad psi(p) + B u_eff + w.
-    f, h : callable, optional
-        Custom kind: f(x, u_eff, w) and h(x, u_eff, w).
-    relation : VectorRelation, optional
-        Steady-state relation supplied by the caller (Custom kind only;
-        built-in kinds derive theirs).
     w : ndarray
         Constant exogenous forcing. For the oscillator it enters the
         momentum equation only (length d); otherwise length state_dim.
@@ -128,11 +122,8 @@ class AgentModel:
     T: Optional[np.ndarray] = None
     psi: Optional[IntegralFunction] = None
     J: Optional[np.ndarray] = None
-    rho: object = None
+    rho: Optional[np.ndarray] = None
     M: Optional[np.ndarray] = None
-    f: Optional[Callable] = None
-    h: Optional[Callable] = None
-    relation: Optional[VectorRelation] = None
     w: np.ndarray = field(default_factory=lambda: np.zeros(0))
     leader_offset: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -222,7 +213,7 @@ def convex_gradient_agent(psi, J=None, B=None, C=None, rho=None, w=None, leader_
     C = np.eye(n) if C is None else _as_matrix(C, d, n, "C")
     if C.shape != (d, n):
         raise DimensionMismatch("C must map state to io dimension")
-    return convex_gradient_agents([psi], _one(J), B[None], C[None], [rho],
+    return convex_gradient_agents([psi], _one(J), B[None], C[None], _one(rho),
                                   _one_vector(_as_vector(w, n, "w")),
                                   _one_vector(_as_vector(leader_offset, d, "leader_offset")))[0]
 
@@ -230,11 +221,11 @@ def convex_gradient_agent(psi, J=None, B=None, C=None, rho=None, w=None, leader_
 def convex_gradient_agents(psi, J=None, B=None, C=None, rho=None, w=None,
                            leader_offset=None, names=None) -> tuple:
     """Convex-gradient agents x' = -grad psi(x) + J x + B u_eff + w,
-    y = C x + rho(u_eff), one per entry of the list psi (all of one
-    dimension n) and row of the stacks J (k, n, n), B (k, n, d) and
-    C (k, d, n). J, w and leader_offset default to zeros, B and C to
-    the identity and rho to None; each J must be skew-symmetric. names
-    as for linear_agents."""
+    y = C x + rho u_eff, one per entry of the list psi (all of one
+    dimension n) and row of the stacks J (k, n, n), B (k, n, d), C
+    (k, d, n) and rho (k, d, d). J, rho, w and leader_offset default to
+    zeros, B and C to the identity; each J must be skew-symmetric.
+    names as for linear_agents."""
     k, n = len(psi), psi[0].dim
     B = _eyes(k, n) if B is None else np.asarray(B, dtype=float)
     d = B.shape[2]
@@ -245,9 +236,9 @@ def convex_gradient_agents(psi, J=None, B=None, C=None, rho=None, w=None,
     skew = np.linalg.norm(J + np.swapaxes(J, 1, 2), axis=(1, 2)) <= 1e-12
     if not skew.all():
         raise InvalidModel(f"{_label(names, int(np.argmin(skew)), 'J')}J must be skew-symmetric")
+    rho = _rows(rho, k, (d, d), "rho", names)
     w = _rows(w, k, (n,), "w", names)
     z = _rows(leader_offset, k, (d,), "leader_offset", names)
-    rho = [None] * k if rho is None else rho
     return tuple(AgentModel(state_dim=n, io_dim=d, kind=AgentKind.CONVEX_GRADIENT, psi=psi[j],
                             J=J[j], B=B[j], C=C[j], rho=rho[j], w=w[j], leader_offset=z[j])
                  for j in range(k))
@@ -284,36 +275,24 @@ def oscillator_agents(M, B=None, psi=None, w=None, anchor=None, leader_offset=No
                   for M_j, B_j, psi_j, w_j, z_j in zip(M, B, psi, w, z)])
 
 
-def custom_agent(state_dim, io_dim, f, h, relation=None, w=None, leader_offset=None) -> AgentModel:
-    return AgentModel(
-        state_dim=state_dim,
-        io_dim=io_dim,
-        kind=AgentKind.CUSTOM,
-        f=f,
-        h=h,
-        relation=relation,
-        w=_as_vector(w, state_dim, "w") if w is not None else np.zeros(state_dim),
-        leader_offset=_as_vector(leader_offset, io_dim, "leader_offset"),
-    )
-
-
 # ---------------------------------------------------------------------------
-# the one form of the built-in kinds
+# the one form of every kind
 # ---------------------------------------------------------------------------
 
 
 def agent_form(model: AgentModel):
-    """(A, B, C, T, w, psi, idx) of a built-in agent, or None for Custom ones.
+    """(A, B, C, T, w, psi, idx) of an agent.
 
-    Every built-in kind reads, for the effective input u_eff,
+    Every kind reads, for the effective input u_eff,
 
         x' = A x + B u_eff + w - grad psi(x[idx]),  y = C x + T u_eff.
 
     A quadratic psi is folded into A and w, so psi is None then (and
-    always for the linear kind). T is a matrix, or the callable rho of a
-    convex-gradient agent. idx is the slice psi acts on: every state, or
-    an oscillator's momentum p of x = (q, p). The arrays may be
-    read-only views. The one-agent case of agent_forms.
+    always for the linear kind). T is the d x d feedthrough: a linear
+    agent's T, a convex-gradient agent's rho, zero for an oscillator.
+    idx is the slice psi acts on: every state, or an oscillator's
+    momentum p of x = (q, p). The arrays may be read-only views. The
+    one-agent case of agent_forms.
     """
     return agent_forms([model])[0]
 
@@ -329,19 +308,16 @@ def agent_forms(models) -> tuple:
 
 
 def agent_groups(models) -> list:
-    """The built-in agents of models by groups of one kind and shape.
+    """models by groups of one kind and shape.
 
     Each group is (idx, A, B, C, T, w, psi, where): the positions of its
     agents in models, in order, then their agent_form parts with A, B,
-    C and w stacked once for the group (T too, unless the group is of
-    convex-gradient agents, where it is a list that may hold callables),
-    psi a list and where the slice psi acts on. Custom agents are in no
-    group.
+    C, T and w stacked once for the group, psi a list and where the
+    slice psi acts on.
     """
     positions = {}
     for i, model in enumerate(models):  # an Enum hashes in Python; its id does not
-        if model.kind is not AgentKind.CUSTOM:
-            positions.setdefault((id(model.kind), model.state_dim, model.io_dim), []).append(i)
+        positions.setdefault((id(model.kind), model.state_dim, model.io_dim), []).append(i)
     return [(idx, *_group_form(models[idx[0]].kind, n, d, [models[i] for i in idx]))
             for (_, n, d), idx in positions.items()]
 
@@ -363,9 +339,8 @@ def _group_form(kind, n, d, group):
     w = stack("w", (k,)) - _stack([np.zeros(k) if quad is None else quad[1] for quad in quads],
                                   (k,), "q")
     if kind is AgentKind.CONVEX_GRADIENT:
-        T = [np.zeros((d, d)) if m.rho is None
-             else m.rho if callable(m.rho) else np.asarray(m.rho, dtype=float) for m in group]
-        return stack("J", (n, n)) - P, stack("B", (n, d)), stack("C", (d, n)), T, w, psi, slice(None)
+        return (stack("J", (n, n)) - P, stack("B", (n, d)), stack("C", (d, n)),
+                stack("rho", (d, d)), w, psi, slice(None))
     # damped oscillator, x = (q, p): q' = M p, p' = -M' q - grad psi(p) + B u_eff + w
     M, zero = stack("M", (d, d)), np.zeros((len(group), d, d))
     A = np.block([[zero, M], [-np.swapaxes(M, 1, 2), -P]])
@@ -479,14 +454,12 @@ def ss_groups(models):
     S and v stacked over the agents at positions idx. A linear group's
     A is checked by one stacked _check_invertible; an oscillator's A at
     rest has the singular values of its M, each twice, and M was checked
-    when the agent was made. The other agents' relations are derived one
-    at a time into the list relations, which holds None at the others.
+    when the agent was made. The relations of convex-gradient agents
+    with a psi left in their form are derived one at a time into the
+    list relations, which holds None at the others.
     """
     models = list(models)
     out, gains = [None] * len(models), []
-    for i, model in enumerate(models):
-        if model.kind is AgentKind.CUSTOM:
-            out[i] = _relation(model, None)
     for idx, A, B, C, T, w, psi, where in agent_groups(models):
         kind, d = models[idx[0]].kind, models[idx[0]].io_dim
         keep = np.ones(len(idx), dtype=bool)
@@ -495,12 +468,9 @@ def ss_groups(models):
                 if psi[j] is not None:
                     out[i] = _relation(models[i], (A[j], B[j], C[j], T[j], w[j], psi[j], where))
                     keep[j] = False
-                elif callable(T[j]):
-                    raise UnsupportedKind("callable feedthrough has no affine relation")
-            T = np.array([T[j] for j in np.flatnonzero(keep)]).reshape(-1, d, d)
         if not keep.all():
             idx = [idx[j] for j in np.flatnonzero(keep)]
-            A, B, C, w = A[keep], B[keep], C[keep], w[keep]
+            A, B, C, T, w = A[keep], B[keep], C[keep], T[keep], w[keep]
         if not idx:
             continue
         if kind is AgentKind.DAMPED_OSCILLATOR:
@@ -536,76 +506,14 @@ def _relation(model: AgentModel, form) -> VectorRelation:
     convex-gradient agent settles where grad psi(y) = u + w + z, so its
     relation inverts grad psi.
     """
-    if form is None:
-        if model.relation is None:
-            raise UnsupportedKind("custom agent did not supply a relation")
-        return model.relation
     A, B, C, T, w, psi, _ = form
     eye = np.eye(model.state_dim)
     plain = (B.shape == eye.shape and np.allclose(B, eye) and np.allclose(C, eye)
-             and np.allclose(A, 0.0) and not callable(T) and not np.any(T))
+             and np.allclose(A, 0.0) and not np.any(T))
     if not plain:
         raise UnsupportedKind("no closed steady-state relation for this convex-gradient agent")
     base = inverted_relation(gradient_relation(psi))
     return shifted_relation(base, input_offset=-(w + model.leader_offset))
-
-
-# ---------------------------------------------------------------------------
-# equilibrium search for convex-gradient agents
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EquilibriumResult:
-    """Equilibrium of a convex-gradient agent under constant input.
-
-    x0 solves grad psi(x0) - J x0 = B u + w; residual is the Euclidean
-    norm of the defect at x0.
-    """
-
-    x0: np.ndarray
-    residual: float
-
-
-def solve_equilibrium(model: AgentModel, u, tol: float = 1e-10) -> EquilibriumResult:
-    """Find the equilibrium of a convex-gradient agent at constant input u.
-
-    Root-finding (scipy's hybr) runs from the origin on the defect
-    -rhs(model, x, u) = grad psi(x) - J x - B u_eff - w; the returned
-    point is guaranteed only to have a defect norm of at most tol.
-
-    Parameters
-    ----------
-    model : AgentModel
-        Must be of the ConvexGradient kind.
-    u : array_like
-        Constant input (leader offset added automatically).
-    tol : float
-        Required residual norm at the returned point.
-
-    Returns
-    -------
-    EquilibriumResult
-
-    Raises
-    ------
-    UnsupportedKind
-        If the agent is not of the ConvexGradient kind.
-    NoConvergence
-        If root-finding stalls above tol.
-    """
-    if model.kind is not AgentKind.CONVEX_GRADIENT:
-        raise UnsupportedKind("equilibrium search applies to convex-gradient agents")
-    u = _as_vector(u, model.io_dim, "u")
-    form = agent_form(model)
-    from scipy import optimize
-
-    sol = optimize.root(lambda x: -rhs(model, x, u, form), np.zeros(model.state_dim),
-                        method="hybr", tol=tol)
-    res = float(np.linalg.norm(rhs(model, sol.x, u, form)))
-    if res > tol:
-        raise NoConvergence(f"equilibrium residual {res:.3e} above {tol:.1e}")
-    return EquilibriumResult(x0=sol.x, residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -614,14 +522,11 @@ def solve_equilibrium(model: AgentModel, u, tol: float = 1e-10) -> EquilibriumRe
 
 
 def rhs(model: AgentModel, x, u, form=None) -> np.ndarray:
-    """State derivative f(x, u + leader_offset, w) for any kind; form, when
+    """State derivative at x and input u + leader_offset; form, when
     given, is the model's agent_form."""
     x = _as_vector(x, model.state_dim, "x")
     u_eff = _as_vector(u, model.io_dim, "u") + model.leader_offset
-    form = agent_form(model) if form is None else form
-    if form is None:
-        return np.asarray(model.f(x, u_eff, model.w), dtype=float).ravel()
-    A, B, _, _, w, psi, idx = form
+    A, B, _, _, w, psi, idx = agent_form(model) if form is None else form
     dx = A @ x + B @ u_eff + w
     if psi is not None:
         dx[idx] -= grad_of(psi, x[idx])
@@ -629,30 +534,14 @@ def rhs(model: AgentModel, x, u, form=None) -> np.ndarray:
 
 
 def output(model: AgentModel, x, u, form=None) -> np.ndarray:
-    """Output map h(x, u + leader_offset, w) for any kind; form as for rhs."""
+    """Output at x and input u + leader_offset; form as for rhs."""
     x = _as_vector(x, model.state_dim, "x")
     u_eff = _as_vector(u, model.io_dim, "u") + model.leader_offset
-    form = agent_form(model) if form is None else form
-    if form is None:
-        return np.asarray(model.h(x, u_eff, model.w), dtype=float).ravel()
-    _, _, C, T, _, _, _ = form
-    return C @ x + (T(u_eff) if callable(T) else T @ u_eff)
+    _, _, C, T, _, _, _ = agent_form(model) if form is None else form
+    return C @ x + T @ u_eff
 
 
 def has_feedthrough(model: AgentModel) -> bool:
-    """True when the output depends directly on the input."""
-    return form_has_feedthrough(agent_form(model))
+    """True when the output depends directly on the input: T != 0."""
+    return bool(agent_form(model)[3].any())
 
-
-def groups_feedthrough(models, groups) -> np.ndarray:
-    """has_feedthrough of each of models, read off their agent_groups."""
-    out = np.ones(len(models), dtype=bool)  # Custom agents
-    for idx, _, _, _, T, _, _, _ in groups:
-        out[idx] = ([callable(t) or bool(np.any(t)) for t in T] if isinstance(T, list)
-                    else T.reshape(len(idx), -1).any(axis=1))
-    return out
-
-
-def form_has_feedthrough(form) -> bool:
-    """has_feedthrough read off an agent_form: a callable or nonzero T, or Custom (None)."""
-    return form is None or callable(form[3]) or bool(form[3].any())

@@ -14,16 +14,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _fastpath
-from .couplers import controller_has_feedthrough
-from .errors import (
-    AlgebraicLoop,
-    DimensionMismatch,
-    NoConvergence,
-    NonFiniteState,
-)
+from .errors import DimensionMismatch, NoConvergence, NonFiniteState
 from .netgraph import DirectedGraph, IncidenceOperator, incidence, project_agreement
 from .netopt import min_norm_flow, network_parts
-from .plants import AgentModel, agent_groups, groups_feedthrough
+from .plants import AgentModel, agent_groups
 
 
 @dataclass(frozen=True)
@@ -80,21 +74,14 @@ def closed_loop(graph: DirectedGraph, agents: Sequence[AgentModel],
     ------
     DimensionMismatch
         Mismatched io_dims or wrong agent/controller counts.
-    AlgebraicLoop
-        Both an agent and a controller have direct feedthrough.
     """
     agents, controllers, d = network_parts(graph, agents, controllers)
-    groups = agent_groups(agents)
-    if (groups_feedthrough(agents, groups).any()
-            and any(controller_has_feedthrough(c) for c in controllers)):
-        raise AlgebraicLoop(
-            "agent and controller feedthrough form an algebraic loop")
     op = incidence(graph, d)
     return ClosedLoopSystem(
         graph=graph, op=op, agents=agents, controllers=controllers, io_dim=d,
         agent_dim=sum(a.state_dim for a in agents),
         ctrl_dim=sum(c.state_dim for c in controllers),
-        packed=_fastpath.pack(op, agents, groups, controllers))
+        packed=_fastpath.pack(op, agents, agent_groups(agents), controllers))
 
 
 def default_initial_state(system: ClosedLoopSystem) -> np.ndarray:

@@ -3,14 +3,18 @@
 This is the closed loop stated one component at a time: every agent's
 output and derivative from plants.output and plants.rhs, every
 controller's from couplers.controller_output and controller_rhs, wired
-by zeta = E^T y and u = -E mu in the order feedthrough allows.
-couplednet folds the same loop into the packed kernel; the tests
-compare the two.
+by mu, then u = -E mu, then y, then zeta = E^T y: no controller's output
+reads its input. couplednet folds the same loop into the packed kernel;
+the tests compare the two. solve_equilibrium finds a single
+convex-gradient agent's rest point by root-finding on plants.rhs.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
 from couplednet.couplers import controller_output, controller_rhs
-from couplednet.plants import agent_forms, form_has_feedthrough, output, rhs
+from couplednet.errors import NoConvergence, UnsupportedKind
+from couplednet.plants import AgentKind, agent_form, agent_forms, output, rhs
 
 
 def _layout(system):
@@ -24,37 +28,19 @@ def _layout(system):
 
 
 def signals_at(system, s):
-    """(u, y, zeta, mu) at one stacked state, honoring feedthrough order."""
+    """(u, y, zeta, mu) at one stacked state: controllers first."""
     s = np.asarray(s, dtype=float)
     forms, a_slices, c_slices = _layout(system)
     d = system.io_dim
     op = system.op
-
-    def agent_outputs(u):
-        y = np.empty(op.node_size)
-        for i, a in enumerate(system.agents):
-            ui = u[i * d:(i + 1) * d] if u is not None else np.zeros(d)
-            y[i * d:(i + 1) * d] = output(a, s[a_slices[i]], ui, forms[i])
-        return y
-
-    def ctrl_outputs(zeta):
-        mu = np.empty(op.edge_size)
-        for e, c in enumerate(system.controllers):
-            ze = zeta[e * d:(e + 1) * d] if zeta is not None else np.zeros(d)
-            mu[e * d:(e + 1) * d] = controller_output(c, s[c_slices[e]], ze)
-        return mu
-
-    if not any(form_has_feedthrough(f) for f in forms):
-        y = agent_outputs(None)
-        zeta = op.rmatvec(y)
-        mu = ctrl_outputs(zeta)
-        u = -op.matvec(mu)
-    else:
-        mu = ctrl_outputs(None)
-        u = -op.matvec(mu)
-        y = agent_outputs(u)
-        zeta = op.rmatvec(y)
-    return u, y, zeta, mu
+    mu = np.empty(op.edge_size)
+    for e, c in enumerate(system.controllers):
+        mu[e * d:(e + 1) * d] = controller_output(c, s[c_slices[e]], np.zeros(d))
+    u = -op.matvec(mu)
+    y = np.empty(op.node_size)
+    for i, a in enumerate(system.agents):
+        y[i * d:(i + 1) * d] = output(a, s[a_slices[i]], u[i * d:(i + 1) * d], forms[i])
+    return u, y, op.rmatvec(y), mu
 
 
 def step_rhs(system, s):
@@ -75,3 +61,38 @@ def signals(system, states):
     """(u, y, zeta, mu) arrays of recorded states, one record at a time."""
     rows = [signals_at(system, s) for s in states]
     return tuple(np.array([r[k] for r in rows]) for k in range(4))
+
+
+@dataclass(frozen=True)
+class EquilibriumResult:
+    """Equilibrium of a convex-gradient agent under constant input.
+
+    x0 solves grad psi(x0) - J x0 = B u + w; residual is the Euclidean
+    norm of the defect at x0.
+    """
+
+    x0: np.ndarray
+    residual: float
+
+
+def solve_equilibrium(model, u, tol: float = 1e-10) -> EquilibriumResult:
+    """The equilibrium of a convex-gradient agent at constant input u.
+
+    Root-finding (scipy's hybr) runs from the origin on the defect
+    -rhs(model, x, u) = grad psi(x) - J x - B u_eff - w; the returned
+    point is guaranteed only to have a defect norm of at most tol. The
+    leader offset is added to u by rhs. Raises UnsupportedKind for other
+    kinds and NoConvergence when root-finding stalls above tol.
+    """
+    if model.kind is not AgentKind.CONVEX_GRADIENT:
+        raise UnsupportedKind("equilibrium search applies to convex-gradient agents")
+    from scipy import optimize
+
+    u = np.asarray(u, dtype=float).ravel()
+    form = agent_form(model)
+    sol = optimize.root(lambda x: -rhs(model, x, u, form), np.zeros(model.state_dim),
+                        method="hybr", tol=tol)
+    res = float(np.linalg.norm(rhs(model, sol.x, u, form)))
+    if res > tol:
+        raise NoConvergence(f"equilibrium residual {res:.3e} above {tol:.1e}")
+    return EquilibriumResult(x0=sol.x, residual=res)

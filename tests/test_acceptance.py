@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from closed_loop_oracle import solve_equilibrium
 from conftest import meicmp_linear_agent, rand_connected_graph, rand_spd
 from couplednet.cli import main
 from couplednet.config import load_config
@@ -19,8 +20,7 @@ from couplednet.netgraph import build_graph, incidence
 from couplednet.netopt import (assemble, duality_gap, problem_from_relations,
                                recover_certificate, solve_opp,
                                verify_steady_state)
-from couplednet.plants import (convex_gradient_agent, solve_equilibrium,
-                               ss_relation)
+from couplednet.plants import convex_gradient_agent, ss_relation
 from couplednet.relations import (Sampler, affine_relation, check_cm,
                                   conjugate_value, cyclic_sum, forward,
                                   function_sum, quadratic, scalar_separable,

@@ -4,12 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from couplednet.config import (SCHEMA, controller_to_spec, emit_config, function_to_spec,
-                               load_config, parse_config)
+from couplednet.config import (SCHEMA, agent_to_spec, controller_to_spec, emit_config,
+                               function_to_spec, load_config, parse_config)
 from couplednet.couplers import ControllerKind, linear_synthesis, reconfigured
 from couplednet.errors import ConfigInvalid
-from couplednet.plants import AgentKind
-from couplednet.relations import indicator_zero
+from couplednet.plants import AgentKind, convex_gradient_agent
+from couplednet.relations import indicator_zero, quadratic
 
 
 def base_doc():
@@ -258,3 +258,11 @@ def test_indicator_zero_is_no_config_function(where):
 def test_indicator_zero_has_no_json_form():
     with pytest.raises(ConfigInvalid):
         function_to_spec(indicator_zero(2))
+
+
+def test_rho_has_no_json_form():
+    # the config has no rho field: a spec without it would drop the feedthrough
+    with pytest.raises(ConfigInvalid, match="agent has no JSON form: rho"):
+        agent_to_spec(convex_gradient_agent(quadratic(np.eye(2)), rho=0.5 * np.eye(2)))
+    spec = agent_to_spec(convex_gradient_agent(quadratic(np.eye(2)), rho=np.zeros((2, 2))))
+    assert spec["type"] == "convex_gradient" and "rho" not in spec

@@ -121,15 +121,6 @@ def test_paper_psi_zero_increasing_and_quiet_at_800():
     assert np.isfinite(tails).all()
 
 
-def test_custom_controller_feedthrough_flag():
-    cc = C.custom_controller(1, 1, phi=lambda eta, zeta: -eta,
-                             out=lambda eta, zeta: eta + zeta)
-    assert C.controller_has_feedthrough(cc)
-    ic = C.nonlinear_integrator(psi_pot())
-    assert not C.controller_has_feedthrough(ic)
-    assert not C.controller_has_feedthrough(C.linear_synthesis([0.0]))
-
-
 def test_controller_dimension_checks():
     ic = C.nonlinear_integrator(psi_pot())
     with pytest.raises(DimensionMismatch):

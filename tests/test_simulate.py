@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from couplednet.couplers import (custom_controller, linear_synthesis,
-                                 nonlinear_integrator, reconfigured)
-from couplednet.errors import (AlgebraicLoop, DimensionMismatch,
-                               NoConvergence, NonFiniteState)
+from couplednet.couplers import linear_synthesis, nonlinear_integrator, reconfigured
+from couplednet.errors import DimensionMismatch, NoConvergence, NonFiniteState
 from couplednet.netgraph import build_graph
 from couplednet.netopt import assemble, recover_certificate, solve_opp
-from couplednet.plants import custom_agent, linear_agent
+from couplednet.plants import linear_agent
 from couplednet.relations import quadratic
 from couplednet.simulate import (ConvergenceResult, IntegrateOptions, closed_loop,
                                  compare_prediction, default_initial_state,
@@ -56,16 +54,6 @@ def test_closed_loop_count_mismatch():
     agents = [linear_agent([[-1.0]], [[1.0]], [[1.0]])]
     with pytest.raises(DimensionMismatch):
         closed_loop(g, agents, [linear_synthesis([0.0])])
-
-
-def test_algebraic_loop_detected():
-    g = build_graph(2, [(0, 1)])
-    ft_agent = linear_agent([[-1.0]], [[1.0]], [[1.0]], T=[[1.0]])
-    agents = [ft_agent, linear_agent([[-1.0]], [[1.0]], [[1.0]])]
-    ft_ctrl = custom_controller(1, 1, phi=lambda e, z: -e,
-                                out=lambda e, z: e + z)
-    with pytest.raises(AlgebraicLoop):
-        closed_loop(g, agents, [ft_ctrl])
 
 
 def test_exponential_decay_accuracy():
@@ -190,17 +178,17 @@ def test_integrate_schedule_runs_one_trajectory_per_segment():
     assert second.metadata == alone.metadata
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_finite_time_blowup_aborts():
     from couplednet.errors import StepUnderflow
-    blower = custom_agent(1, 1, f=lambda x, u, w: x * x, h=lambda x, u, w: x)
-    system = closed_loop(build_graph(1, []), [blower], [])
+    # x' = 100 x from x = 1 passes the float range near t = 7.1
+    system = solo(linear_agent([[100.0]], [[1.0]], [[1.0]]))
     with pytest.raises((NonFiniteState, StepUnderflow)):
         integrate(system, [1.0], 10.0, IntegrateOptions())
 
 
 def test_nonfinite_rhs_raises():
-    bad = custom_agent(1, 1, f=lambda x, u, w: x * np.nan, h=lambda x, u, w: x)
-    system = closed_loop(build_graph(1, []), [bad], [])
+    system = solo(linear_agent([[-1.0]], [[1.0]], [[1.0]], w=[np.nan]))
     with pytest.raises(NonFiniteState):
         integrate(system, [1.0], 1.0)
 
