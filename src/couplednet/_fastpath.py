@@ -1,39 +1,32 @@
 """Packed closed-loop integration kernels.
 
-Every closed loop folds into one sparse affine map of the stacked state s
-(agents, then controllers) and the columns its pieces need:
+Every closed loop the config can describe folds into one sparse affine
+map of the stacked state s (agents, then controllers) and the paper_psi
+values its pieces need:
 
-    s' = W [s ; paper_psi(s[psi_idx]) ; component columns ; 1]
+    s' = W [s ; paper_psi(s[psi_idx]) ; 1]
 
-Affine agents and linear-synthesis or integrator controllers with
-quadratic or paper_psi potentials fold in whole: W carries their blocks
-A, B, C, the controllers' affine parts, the reconfiguration offsets and
-the wiring zeta = E^T y, u = -E mu; its last column, on the constant 1,
-is the affine term c. Every other agent or controller is a component
-with its own columns, [x' ; y] or [eta' ; mu], which its single-component
-evaluators fill before W is applied. W is stored as a COO triple, so one
-rhs call is a gather, a multiply and a bincount. The adaptive loop is
-Dormand-Prince 5(4) with the FSAL property and its continuous extension
-for recording (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6).
+W carries the agents' blocks A, B, C and feedthrough T, the controllers'
+affine parts, the reconfiguration offsets and the wiring zeta = E^T y,
+u = -E mu; its last column, on the constant 1, is the affine term c.
+paper_psi enters as the output of a paper_psi integrator and as the
+damping or potential gradient of an agent whose psi is paper_psi
+coordinatewise. No controller output reads its input, so an agent's
+y = C x + T (u + z) with u = -E mu is affine in those columns, and so
+is zeta. W is stored as a COO triple, so one rhs call is a gather, a
+multiply and a bincount. The adaptive loop is Dormand-Prince 5(4) with
+the FSAL property and its continuous extension for recording (Hairer,
+Norsett & Wanner, Solving ODEs I, II.5-II.6).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
-from . import plants
-from .couplers import (
-    ControllerKind,
-    controller_output,
-    controller_rhs,
-    paper_psi,
-    paper_psi_into,
-)
-from .errors import NonFiniteState, StepUnderflow
+from .couplers import ControllerKind, paper_psi, paper_psi_into
+from .errors import NonFiniteState, StepUnderflow, UnsupportedKind
 from .netgraph import IncidenceOperator
 from .relations import FunctionKind, as_quadratic
 
@@ -45,31 +38,16 @@ BLOCK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
-class Component:
-    """An agent or controller filling its columns deriv and out of v with
-    rhs and output of (its state s[state], its input [u ; zeta][io])."""
-
-    state: slice
-    io: slice
-    deriv: slice
-    out: slice
-    rhs: Callable
-    output: Callable
-
-
-@dataclass(frozen=True)
 class PackedSystem:
     """Closed loop folded into sparse affine maps of
-    v = [s ; paper_psi(s[psi_idx]) ; component columns ; 1], whose
-    paper_psi values sit at v[psi_cols] and whose length is width.
+    v = [s ; paper_psi(s[psi_idx]) ; 1], whose paper_psi values sit at
+    v[psi_cols] and whose length is width.
 
     (row, col, w) give the state derivative, the affine term c as the
     entries on v's last, constant column, placed after all others;
     (sig_row, sig_col, sig_w) give the stacked signals [y ; mu], their
     constant entries placed before all others; op is the incidence
-    operator that turns them into zeta and u. sides holds the
-    components, the controllers' first, as no controller's output reads
-    its input; it is empty when every piece folds into the maps.
+    operator that turns them into zeta and u.
     """
 
     dim: int
@@ -83,11 +61,10 @@ class PackedSystem:
     op: IncidenceOperator
     psi_cols: slice
     width: int
-    sides: tuple
 
 
 def rhs_buffer(pk):
-    """Work vector v for _packed_rhs: component columns 0, the last entry 1."""
+    """Work vector v for _packed_rhs, its last entry 1."""
     v = np.zeros(pk.width)
     v[-1] = 1.0
     return v
@@ -100,35 +77,15 @@ def _packed_rhs(s, pk, v):
     adds each row's products in COO order, so c, stored last, is added
     after the sum, bit for bit as a trailing `+ c` would. No errstate is
     entered: paper_psi underflows harmlessly beyond |eta| of about 708,
-    and the integration loops below enter np.errstate(under="ignore")
-    once around all their calls.
+    and the integration loops below enter np.errstate once around all
+    their calls.
     """
     dim = pk.dim
     v[:dim] = s
     paper_psi_into(s[pk.psi_idx], v[pk.psi_cols])
-    if pk.sides:
-        _fill(pk, v)
     p = v[pk.col]
     np.multiply(p, pk.w, p)
     return np.bincount(pk.row, p, minlength=dim)
-
-
-def _fill(pk, v):
-    """Fill v's component columns at the state v[:dim]: the controllers'
-    outputs, which read no input, the agents' at the inputs the signal
-    rows then give, and every derivative at those the rows give after
-    that."""
-    op, s = pk.op, v[:pk.dim]
-    n = op.node_size
-    inputs = np.zeros(n + op.edge_size)
-    for side in pk.sides:
-        for c in side:
-            v[c.out] = c.output(s[c.state], inputs[c.io])
-        sig = np.bincount(pk.sig_row, v[pk.sig_col] * pk.sig_w, n + op.edge_size)
-        inputs = np.concatenate((-op.matvec(sig[n:]), op.rmatvec(sig[:n])))
-    for side in pk.sides:
-        for c in side:
-            v[c.deriv] = c.rhs(s[c.state], inputs[c.io])
 
 
 @dataclass(frozen=True)
@@ -188,9 +145,11 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0):
 
     Records inside a step come from the 4th-order continuous extension;
     the last step lands exactly on rec_times[-1]. Returns (states, StepStats).
-    np.errstate(under="ignore") is entered once here, around every rhs
-    call, so the packed kernel's paper_psi tails stay quiet under a
-    caller's raising errstate. Stages, the 5th-order state and the error
+    np.errstate(under="ignore", over="ignore", invalid="ignore") is
+    entered once here, around every rhs call, so the packed kernel's
+    paper_psi tails stay quiet under a caller's raising errstate, and a
+    state that leaves the float range reaches the finite check below
+    instead of a numpy warning. Stages, the 5th-order state and the error
     norm are computed into preallocated buffers by the same operations,
     in the same order, as the plain `s + hdp[i, :i] @ K[:i]`, so they
     agree with it bit for bit.
@@ -218,7 +177,7 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0):
     stage, s5, abs_s5, scale, q = (np.empty(dim) for _ in range(5))
     nfev, accepted, rejected, h_min = 1, 0, 0, math.inf
     h = h0
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         K[0] = rhs(s)
         abs_s = np.abs(s)
         while t < t_end:
@@ -272,17 +231,26 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0):
 # ---------------------------------------------------------------------------
 
 
+def _is_paper_psi(f) -> bool:
+    """Whether f is paper_psi coordinatewise, unshifted: the one potential
+    besides quadratics that a config builds, and a column of the maps."""
+    return f.kind is FunctionKind.SCALAR_SEPARABLE and f.phi is paper_psi
+
+
 def _controller_parts(controllers, d: int):
     """Affine forms of the edge controllers, by groups of one kind and potential.
 
-    Returns (code, L, leak, mu0, eta0): code[e] is 0 for a component, 1
-    for a paper_psi integrator, where mu = paper_psi(eta) + mu0, and 2
+    Returns (code, L, leak, mu0, eta0): code[e] is 1 for a paper_psi
+    integrator, where mu = paper_psi(eta) + mu0 and L[e] = I, and 2
     where mu = L[e] eta + mu0; eta' = zeta + eta0, minus eta where leak
-    is set. mu0 and eta0 are (m, d) arrays.
+    is set. L is an (m, d, d) array, mu0 and eta0 are (m, d) arrays.
+
+    Raises UnsupportedKind, naming the group's first member, for an
+    integrator whose potential is neither quadratic nor paper_psi.
     """
     m = len(controllers)
     code, leak = np.zeros(m, dtype=np.intp), np.zeros(m, dtype=bool)
-    L, mu0, eta0 = [None] * m, np.zeros((m, d)), np.zeros((m, d))
+    L, mu0, eta0 = np.empty((m, d, d)), np.zeros((m, d)), np.zeros((m, d))
     groups = {}
     for e, ctrl in enumerate(controllers):  # an Enum hashes in Python; its id does not
         groups.setdefault((id(ctrl.kind), id(ctrl.potential)), []).append(e)
@@ -292,19 +260,18 @@ def _controller_parts(controllers, d: int):
         alpha, beta = np.array([c.alpha for c in group]), np.array([c.beta for c in group])
         if kind is ControllerKind.LINEAR_SYNTHESIS:
             code[idx], leak[idx] = 2, True
-            L_e, mu0[idx], eta0[idx] = np.eye(d), beta, -alpha - np.array([c.offset for c in group])
-        elif kind is ControllerKind.NONLINEAR_INTEGRATOR:
+            L[idx], mu0[idx], eta0[idx] = np.eye(d), beta, -alpha - np.array([c.offset for c in group])
+        else:
             pot = group[0].potential
             quad = as_quadratic(pot)
-            if pot.kind is FunctionKind.SCALAR_SEPARABLE and pot.phi is paper_psi:
-                code[idx], L_e, mu0[idx] = 1, None, beta
+            if _is_paper_psi(pot):
+                code[idx], L[idx], mu0[idx] = 1, np.eye(d), beta
             elif quad is not None:
-                code[idx], L_e, mu0[idx] = 2, quad[0], quad[1] + beta
+                code[idx], L[idx], mu0[idx] = 2, quad[0], quad[1] + beta
             else:
-                continue
+                raise UnsupportedKind(f"controllers[{idx[0]}].potential: neither quadratic nor "
+                                      "paper_psi, which no config builds")
             eta0[idx] = -alpha
-        for e in idx:
-            L[e] = L_e
     return code, L, leak, mu0, eta0
 
 
@@ -339,11 +306,18 @@ def _batch(key, r0, c0, blocks):
 
 
 def pack(op, agents, groups, controllers) -> PackedSystem:
-    """Fold the closed loop into sparse affine maps, with component
-    columns for the pieces they cannot hold: agents with a psi left in
-    their form or with feedthrough T != 0, and integrators whose potential
-    is neither quadratic nor paper_psi. groups are the agents'
-    agent_groups, and the maps are filled a group of blocks at a time."""
+    """Fold the closed loop into sparse affine maps. groups are the
+    agents' agent_groups, and the maps are filled a group of blocks at
+    a time.
+
+    Raises
+    ------
+    UnsupportedKind
+        An agent's psi left in its form or an integrator's potential is
+        neither quadratic nor paper_psi, which no config builds; the
+        message names the member, as agents[i].psi: or
+        controllers[e].potential:.
+    """
     agents, controllers = list(agents), list(controllers)
     d, n, m = op.dim, len(agents), len(controllers)
     code, L, leak, mu0, eta0 = _controller_parts(controllers, d)
@@ -358,92 +332,84 @@ def pack(op, agents, groups, controllers) -> PackedSystem:
     sizes = np.array([a.state_dim for a in agents])
     eye = np.eye(d)
 
-    # an agent with no psi left and T = 0 folds in whole: x' = A x + B u + w,
-    # y = C x; B[size] and C[size] hold those of the agents with size states,
-    # by node
-    packed = np.zeros(n, dtype=bool)
-    forms = [None] * n  # each component agent's agent_form
-    B, C = {}, {}
+    # x' = A x + B u_eff + w - paper_psi(x[where]), y = C x + T u_eff; B[size]
+    # and C[size] hold those of the agents with size states, by node
+    B, C, T = {}, {}, np.zeros((n, d, d))
+    psi_agents = []  # (node, the states its paper_psi acts on), in group order
     rhs, sig = [], []  # _coo batches
-    # keys follow the order of placement: components, agents, then edge by edge
-    k_agent, k_edge = n + m, 2 * n + m
+    # keys follow the order of placement: agents, then edge by edge
+    k_edge = n
     c = np.zeros(dim)
     for idx, A_g, B_g, C_g, T_g, w_g, psi_g, where in groups:
-        fold = np.array([psi is None for psi in psi_g]) & ~T_g.reshape(len(idx), -1).any(axis=1)
-        for j in np.flatnonzero(~fold):
-            forms[idx[j]] = (A_g[j], B_g[j], C_g[j], T_g[j], w_g[j], psi_g[j], where)
-        sel = np.asarray(idx)[fold]
-        if sel.size:
-            packed[sel] = True
-            size = A_g.shape[1]
-            B.setdefault(size, np.zeros((n, size, d)))[sel] = B_g[fold]
-            C.setdefault(size, np.zeros((n, d, size)))[sel] = C_g[fold]
-            rhs.append(_batch(k_agent + sel, ofs[sel], ofs[sel], A_g[fold]))
-            sig.append(_batch(k_agent + sel, sel * d, ofs[sel], C_g[fold]))
+        idx = np.asarray(idx)
+        size = A_g.shape[1]
+        B.setdefault(size, np.zeros((n, size, d)))[idx] = B_g
+        C.setdefault(size, np.zeros((n, d, size)))[idx] = C_g
+        T[idx] = T_g
+        rhs.append(_batch(idx, ofs[idx], ofs[idx], A_g))
+        sig.append(_batch(idx, idx * d, ofs[idx], C_g))
+        for j in np.flatnonzero([psi is not None for psi in psi_g]):
+            if not _is_paper_psi(psi_g[j]):
+                raise UnsupportedKind(f"agents[{idx[j]}].psi: neither quadratic nor paper_psi, "
+                                      "which no config builds")
+            psi_agents.append((idx[j], np.arange(size)[where]))
 
-    # each component's columns [state derivative ; output] follow paper_psi's,
-    # and its state and signal rows read them; agent k's input u_k and
-    # controller k - n's zeta sit at [u ; zeta][k*d:(k+1)*d]
-    comps = {}
+    # an agent's paper_psi columns follow the controllers', its states' rows read them
+    first, parts = dim + psi_idx.shape[0], [psi_idx]
+    for i, at in psi_agents:
+        parts.append(ofs[i] + at)
+        rhs.append(_batch(i, ofs[i] + at[0], first, -np.eye(at.size)[None]))
+        first += at.size
+    psi_idx = np.concatenate(parts)
     one = dim + psi_idx.shape[0]  # v's constant column follows them
-    for k, model in enumerate(agents + controllers):
-        if (k < n and packed[k]) or (k >= n and code[k - n]):
-            continue
-        size = model.state_dim
-        if k < n:
-            fns = (partial(plants.rhs, model, form=forms[k]),
-                   partial(plants.output, model, form=forms[k]))
-        else:
-            fns = partial(controller_rhs, model), partial(controller_output, model)
-        out = one + size
-        comps[k] = Component(slice(int(ofs[k]), int(ofs[k + 1])), slice(k * d, (k + 1) * d),
-                             slice(one, out), slice(out, out + d), *fns)
-        sig.append(_batch(k, k * d, out, eye[None]))
-        rhs.append(_batch(k, ofs[k], one, np.eye(size)[None]))
-        one = out + d
-    sides = ()
-    if comps:
-        sides = (tuple(comp for k, comp in comps.items() if k >= n),
-                 tuple(comp for k, comp in comps.items() if k < n))
 
     # mu_e = L_e eta_e (or paper_psi(eta_e)) + mu0_e; eta_e' = zeta_e + eta0_e (- eta_e)
-    on = np.flatnonzero(code > 0)
-    c[(r[on][:, None] + np.arange(d)).ravel()] = eta0[on].ravel()
+    c[(r[:, None] + np.arange(d)).ravel()] = eta0.ravel()
     leaky = np.flatnonzero(leak)
     rhs.append(_batch(k_edge + 5 * leaky, r[leaky], r[leaky],
                       np.broadcast_to(-eye, (leaky.size, d, d))))
     sig.append(_batch(k_edge + psi_edges, op.node_size + psi_edges * d, psi_col[psi_edges],
                       np.broadcast_to(eye, (psi_edges.size, d, d))))
     lin = np.flatnonzero(code == 2)
-    sig.append(_batch(k_edge + lin, op.node_size + lin * d, r[lin],
-                      np.array([L[e] for e in lin]).reshape(-1, d, d)))
+    sig.append(_batch(k_edge + lin, op.node_size + lin * d, r[lin], L[lin]))
     # u_i = -sum_e E[i, e] mu_e drives agent i; zeta_e = sum_i E[i, e] y_i
     for slot, ends, sign in ((1, tail, -1.0), (3, head, 1.0)):
         key = k_edge + 5 * np.arange(m) + slot
-        fold = packed[ends]
-        for e in np.flatnonzero((code == 0) & fold):
-            rhs.append(_batch(key[e], ofs[ends[e]], comps[n + e].out.start,
-                              (-sign * B[sizes[ends[e]]][ends[e]])[None]))
-        for e in np.flatnonzero((code > 0) & ~fold):
-            rhs.append(_batch(key[e], r[e], comps[ends[e]].out.start, (sign * eye)[None]))
         for size in B:  # one stack per shape of B and C
-            at = fold & (sizes[ends] == size)
+            at = sizes[ends] == size
             psi = np.flatnonzero((code == 1) & at)
             rhs.append(_batch(key[psi], ofs[ends[psi]], psi_col[psi], -sign * B[size][ends[psi]]))
-            both = np.flatnonzero((code > 0) & at)
+            both = np.flatnonzero(at)
             rhs.append(_batch(key[both] + 1, r[both], ofs[ends[both]], sign * C[size][ends[both]]))
-        for e in np.flatnonzero((code == 2) & fold):
+        for e in lin:
             rhs.append(_batch(key[e], ofs[ends[e]], r[e],
                               (-sign * (B[sizes[ends[e]]][ends[e]] @ L[e]))[None]))
 
     u0 = -op.matvec(mu0.ravel()).reshape(n, d)
+    u_eff = np.array([a.leader_offset for a in agents]).reshape(n, d) + u0  # at mu = mu0
     for idx, A_g, B_g, C_g, T_g, w_g, psi_g, where in groups:
-        sel = packed[idx]
-        if sel.any():
-            rows = np.asarray(idx)[sel]
-            lead = np.array([agents[i].leader_offset for i in rows])
-            drive = (B_g[sel] @ (lead + u0[rows])[:, :, None])[:, :, 0]
-            c[(ofs[rows][:, None] + np.arange(A_g.shape[1])).ravel()] = (w_g[sel] + drive).ravel()
+        drive = (B_g @ u_eff[idx][:, :, None])[:, :, 0]
+        c[(ofs[idx][:, None] + np.arange(A_g.shape[1])).ravel()] = (w_g + drive).ravel()
+
+    # feedthrough: y_i = C_i x_i + T_i u_eff_i - sum_f E[i, f] T_i L_f (eta_f or
+    # paper_psi(eta_f)), and zeta_e takes E[i, e] times each of those terms
+    y0 = np.zeros((n, d))  # T_i u_eff_i, y's constant
+    # edge end k joins edge end_edge[k] to node end_node[k], with E = end_sign[k] there
+    end_node, end_edge = np.concatenate((tail, head)), np.tile(np.arange(m), 2)
+    end_sign = np.repeat([-1.0, 1.0], m)
+    by_node = np.argsort(end_node, kind="stable")
+    start = np.searchsorted(end_node[by_node], np.arange(n + 1))
+    mu_col = np.where(code == 1, psi_col, r)  # the first column mu_f reads
+    for i in np.flatnonzero(T.reshape(n, -1).any(axis=1)):
+        at = by_node[start[i]:start[i + 1]]
+        f, s_f = end_edge[at], end_sign[at]
+        blocks = -s_f[:, None, None] * (T[i] @ L[f])
+        sig.append(_batch(np.full(f.size, i), np.full(f.size, i * d), mu_col[f], blocks))
+        rhs.append(_batch(np.full(f.size ** 2, i), np.repeat(r[f], f.size),
+                          np.tile(mu_col[f], f.size),
+                          (s_f[:, None, None, None] * blocks).reshape(-1, d, d)))
+        y0[i] = T[i] @ u_eff[i]
+        c[(r[f][:, None] + np.arange(d)).ravel()] += (s_f[:, None] * y0[i]).ravel()
 
     row, col, w = _coo(rhs)
     const = np.flatnonzero(c)  # c goes last
@@ -451,15 +417,14 @@ def pack(op, agents, groups, controllers) -> PackedSystem:
     col = np.concatenate((col, np.full(const.shape[0], one)))
     w = np.concatenate((w, c[const]))
     sig_row, sig_col, sig_w = _coo(sig)
-    mu0 = mu0.ravel()
-    const = np.flatnonzero(mu0)  # mu0 goes first: each signal adds its products onto it
-    sig_row = np.concatenate((op.node_size + const, sig_row))
+    sig0 = np.concatenate((y0.ravel(), mu0.ravel()))
+    const = np.flatnonzero(sig0)  # y's and mu's constants go first: each signal adds onto them
+    sig_row = np.concatenate((const, sig_row))
     sig_col = np.concatenate((np.full(const.shape[0], one), sig_col))
-    sig_w = np.concatenate((mu0[const], sig_w))
+    sig_w = np.concatenate((sig0[const], sig_w))
     return PackedSystem(dim=dim, psi_idx=psi_idx, row=row, col=col, w=w,
                         sig_row=sig_row, sig_col=sig_col, sig_w=sig_w, op=op,
-                        psi_cols=slice(dim, dim + psi_idx.shape[0]), width=one + 1,
-                        sides=sides)
+                        psi_cols=slice(dim, one), width=one + 1)
 
 
 def block_rows(width: int) -> int:
@@ -471,8 +436,7 @@ def packed_signals(packed: PackedSystem, states: np.ndarray):
     """(u, y, zeta, mu) arrays for recorded packed states (rows = samples).
 
     The records go in blocks of block_rows records. In a block, v is
-    filled for every record (component columns one record at a time),
-    then each of [y ; mu] and E mu is one bincount whose bins are
+    filled for every record, then each of [y ; mu] and E mu is one bincount whose bins are
     (record, coordinate) pairs; zeta = E'y and u = -E mu come from the
     operator's lifted tail and head indices, as its rmatvec and matvec
     compute them. The bin indices are built once for a full block, and
@@ -490,16 +454,12 @@ def packed_signals(packed: PackedSystem, states: np.ndarray):
     sig_bins = (rec * (n + m) + packed.sig_row).ravel()
     head_bins = (rec * n + op.head).ravel()
     tail_bins = (rec * n + op.tail).ravel()
-    tail = np.zeros((rec.shape[0], packed.width - packed.psi_cols.stop))  # components, then 1
-    tail[:, -1] = 1.0
+    ones = np.ones((rec.shape[0], 1))
     u, y, zeta, mu = (np.empty((records, k)) for k in (n, n, m, m))
     for lo in range(0, records, rows):
         hi = min(lo + rows, records)
         b = hi - lo
-        v = np.hstack([states[lo:hi], paper_psi(states[lo:hi, packed.psi_idx]), tail[:b]])
-        if packed.sides:
-            for vr in v:
-                _fill(packed, vr)
+        v = np.hstack([states[lo:hi], paper_psi(states[lo:hi, packed.psi_idx]), ones[:b]])
         p = v[:, packed.sig_col]
         np.multiply(p, packed.sig_w, p)
         sig = np.bincount(sig_bins[:b * nnz], p.ravel(), b * (n + m)).reshape(b, n + m)

@@ -20,7 +20,6 @@ from .relations import (
     IntegralFunction,
     VectorRelation,
     affine_relation,
-    grad_of,
     indicator_zero,
     integrator_relation,
     quadratic,
@@ -111,23 +110,6 @@ def reconfigured(c: ControllerModel, alpha, beta) -> ControllerModel:
     d = c.io_dim
     return replace(c, alpha=c.alpha + _vec(alpha, d, "alpha"),
                    beta=c.beta + _vec(beta, d, "beta"))
-
-
-def controller_rhs(c: ControllerModel, eta, zeta) -> np.ndarray:
-    """Controller state derivative at state eta and edge input zeta."""
-    eta = _vec(eta, c.state_dim, "eta")
-    zeta = _vec(zeta, c.io_dim, "zeta") - c.alpha
-    if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
-        return zeta
-    return zeta - eta - c.offset
-
-
-def controller_output(c: ControllerModel, eta, zeta) -> np.ndarray:
-    """Coupling signal mu at state eta; no kind reads the edge input zeta."""
-    eta = _vec(eta, c.state_dim, "eta")
-    if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
-        return grad_of(c.potential, eta) + c.beta
-    return eta + c.beta
 
 
 def _potential_output_interval(potential: IntegralFunction) -> tuple[float, float]:

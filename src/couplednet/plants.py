@@ -4,8 +4,7 @@ Three concrete maximal equilibrium-independent cyclically monotone
 (MEICMP) classes are provided: linear state-space systems, convex
 gradient systems with a skew (oscillatory) term, and damped MIMO
 oscillators. Each is stated once, as the form agent_form returns, and
-the simulation interface, the steady-state gains and the packed kernel
-read that form.
+the steady-state gains and the packed kernel read that form.
 """
 from __future__ import annotations
 
@@ -108,9 +107,9 @@ class AgentModel:
 
     Notes
     -----
-    The effective input u_eff = u + leader_offset is applied in both
-    rhs() and output(), and the derived steady-state relations fold it
-    into their affine offsets.
+    The effective input u_eff = u + leader_offset drives both the state
+    and the output, and the derived steady-state relations fold it into
+    their affine offsets.
     """
 
     state_dim: int
@@ -430,8 +429,8 @@ def ss_relation(model: AgentModel) -> VectorRelation:
     Linear and oscillator kinds are always affine. ConvexGradient kinds
     are affine when psi is quadratic; with identity B and C and no skew
     term the relation is the inverse of grad psi; anything else is
-    unsupported here (simulation still works). The one-agent case of
-    ss_relations.
+    unsupported here (a paper_psi psi still simulates). The one-agent
+    case of ss_relations.
     """
     return ss_relations([model])[0]
 
@@ -514,34 +513,3 @@ def _relation(model: AgentModel, form) -> VectorRelation:
         raise UnsupportedKind("no closed steady-state relation for this convex-gradient agent")
     base = inverted_relation(gradient_relation(psi))
     return shifted_relation(base, input_offset=-(w + model.leader_offset))
-
-
-# ---------------------------------------------------------------------------
-# simulation interface
-# ---------------------------------------------------------------------------
-
-
-def rhs(model: AgentModel, x, u, form=None) -> np.ndarray:
-    """State derivative at x and input u + leader_offset; form, when
-    given, is the model's agent_form."""
-    x = _as_vector(x, model.state_dim, "x")
-    u_eff = _as_vector(u, model.io_dim, "u") + model.leader_offset
-    A, B, _, _, w, psi, idx = agent_form(model) if form is None else form
-    dx = A @ x + B @ u_eff + w
-    if psi is not None:
-        dx[idx] -= grad_of(psi, x[idx])
-    return dx
-
-
-def output(model: AgentModel, x, u, form=None) -> np.ndarray:
-    """Output at x and input u + leader_offset; form as for rhs."""
-    x = _as_vector(x, model.state_dim, "x")
-    u_eff = _as_vector(u, model.io_dim, "u") + model.leader_offset
-    _, _, C, T, _, _, _ = agent_form(model) if form is None else form
-    return C @ x + T @ u_eff
-
-
-def has_feedthrough(model: AgentModel) -> bool:
-    """True when the output depends directly on the input: T != 0."""
-    return bool(agent_form(model)[3].any())
-

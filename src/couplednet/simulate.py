@@ -74,6 +74,10 @@ def closed_loop(graph: DirectedGraph, agents: Sequence[AgentModel],
     ------
     DimensionMismatch
         Mismatched io_dims or wrong agent/controller counts.
+    UnsupportedKind
+        An agent's psi or an integrator's potential is neither quadratic
+        nor paper_psi, which no config builds; the message names the
+        member, as agents[i].psi: or controllers[e].potential:.
     """
     agents, controllers, d = network_parts(graph, agents, controllers)
     op = incidence(graph, d)
@@ -95,16 +99,16 @@ def default_initial_state(system: ClosedLoopSystem) -> np.ndarray:
 def step_rhs(system: ClosedLoopSystem, full_state: np.ndarray) -> np.ndarray:
     """Stacked state derivative of the closed loop at full_state.
 
-    The packed kernel at one state: y from the agent outputs, zeta =
-    E^T y, mu from the controllers and u = -E mu, then every component
-    ODE.
+    The packed kernel at one state, under np.errstate(under="ignore",
+    over="ignore", invalid="ignore") as in integrate: a state past the
+    float range gives a non-finite derivative, not a numpy warning.
     """
     s = np.asarray(full_state, dtype=float).ravel()
     if s.size != system.state_dim:
         raise DimensionMismatch(
             f"state must have size {system.state_dim}, got {s.size}")
     packed = system.packed
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         return _fastpath._packed_rhs(s, packed, _fastpath.rhs_buffer(packed))
 
 

@@ -1,20 +1,65 @@
 """Per-component closed-loop evaluation, for tests only.
 
 This is the closed loop stated one component at a time: every agent's
-output and derivative from plants.output and plants.rhs, every
-controller's from couplers.controller_output and controller_rhs, wired
+output and derivative from its agent_form (rhs and output below), every
+controller's from its kind (controller_rhs and controller_output), wired
 by mu, then u = -E mu, then y, then zeta = E^T y: no controller's output
 reads its input. couplednet folds the same loop into the packed kernel;
 the tests compare the two. solve_equilibrium finds a single
-convex-gradient agent's rest point by root-finding on plants.rhs.
+convex-gradient agent's rest point by root-finding on rhs.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from couplednet.couplers import controller_output, controller_rhs
-from couplednet.errors import NoConvergence, UnsupportedKind
-from couplednet.plants import AgentKind, agent_form, agent_forms, output, rhs
+from couplednet.couplers import ControllerKind
+from couplednet.errors import DimensionMismatch, NoConvergence, UnsupportedKind
+from couplednet.plants import AgentKind, agent_form, agent_forms
+from couplednet.relations import grad_of
+
+
+def _vector(v, size, what):
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size != size:
+        raise DimensionMismatch(f"{what} must have length {size}, got {v.size}")
+    return v
+
+
+def rhs(model, x, u, form=None):
+    """Agent state derivative at x and input u + leader_offset; form, when
+    given, is the model's agent_form."""
+    x = _vector(x, model.state_dim, "x")
+    u_eff = _vector(u, model.io_dim, "u") + model.leader_offset
+    A, B, _, _, w, psi, idx = agent_form(model) if form is None else form
+    dx = A @ x + B @ u_eff + w
+    if psi is not None:
+        dx[idx] -= grad_of(psi, x[idx])
+    return dx
+
+
+def output(model, x, u, form=None):
+    """Agent output at x and input u + leader_offset; form as for rhs."""
+    x = _vector(x, model.state_dim, "x")
+    u_eff = _vector(u, model.io_dim, "u") + model.leader_offset
+    _, _, C, T, _, _, _ = agent_form(model) if form is None else form
+    return C @ x + T @ u_eff
+
+
+def controller_rhs(c, eta, zeta):
+    """Controller state derivative at state eta and edge input zeta."""
+    eta = _vector(eta, c.state_dim, "eta")
+    zeta = _vector(zeta, c.io_dim, "zeta") - c.alpha
+    if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
+        return zeta
+    return zeta - eta - c.offset
+
+
+def controller_output(c, eta, zeta):
+    """Coupling signal mu at state eta; no kind reads the edge input zeta."""
+    eta = _vector(eta, c.state_dim, "eta")
+    if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
+        return grad_of(c.potential, eta) + c.beta
+    return eta + c.beta
 
 
 def _layout(system):

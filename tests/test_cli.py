@@ -524,14 +524,14 @@ def test_predict_names_missing_field(tmp_path, capsys, path, field):
     assert f"config error: {field}: missing" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_simulation_is_numeric_error(tmp_path, capsys):
     # an unstable agent (x' = 5x + u) drives the state past the float range
     doc = hand_doc(simulation={"horizon": 500.0})
     doc["agents"][0]["A"] = [[5.0]]
     cfg = write_doc(tmp_path, doc)
     assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path)) == 3
-    assert "NonFiniteState" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "NonFiniteState" in err and "RuntimeWarning" not in err
 
 
 def test_console_script_round_trip(tmp_path):

@@ -1,10 +1,13 @@
+import re
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from couplednet import _fastpath, cli
-from couplednet.config import load_config
+from couplednet.config import SCHEMA, load_config, parse_config
+from couplednet.errors import UnsupportedKind
 from couplednet.couplers import (PSI_RANGE, linear_synthesis,
                                  nonlinear_integrator, paper_psi,
                                  reconfigured)
@@ -41,7 +44,9 @@ def mixed_system():
 
 
 def test_mixed_system_packs():
-    assert not mixed_system().packed.sides
+    # v holds the state, the paper_psi integrator's two columns and the constant 1
+    pk = mixed_system().packed
+    assert pk.psi_idx.size == 2 and pk.width == pk.dim + 2 + 1 == pk.psi_cols.stop + 1
 
 
 def test_packed_rhs_matches_step_rhs():
@@ -183,8 +188,8 @@ def psi2():
 
 
 def probe_network(kind):
-    """Three nodes on a triangle, d = 2, with pieces of the named kind the
-    packed maps cannot hold; "one_node" is a single agent with no edges."""
+    """Three nodes on a triangle, d = 2, with pieces of the named kind;
+    "one_node" is a single agent with no edges."""
     def lin(w):
         return linear_agent(-1.5 * np.eye(2), np.eye(2), np.eye(2), w=w)
 
@@ -206,24 +211,19 @@ def probe_network(kind):
     elif kind == "shifted_potential":
         ctrls[2] = nonlinear_integrator(shifted(psi2(), shift=[0.3, -0.2]))
     elif kind == "both_sides":
-        # component columns on both sides: the agents' read the controllers'
         agents[0] = convex_gradient_agent(psi2(), w=[0.1, 0.2])
         agents[1] = linear_agent(-np.eye(2), np.eye(2), np.eye(2), T=[[0.5, 0.1], [0.1, 0.3]])
         ctrls[1] = nonlinear_integrator(function_sum([psi2(), quadratic(0.5 * np.eye(2))]))
+    elif kind == "quartic_agent":
+        agents[1] = convex_gradient_agent(function_sum([quadratic(np.eye(2)),
+                                                        scalar_separable(lambda t: t ** 3, 2)]))
     return closed_loop(build_graph(3, [(0, 1), (1, 2), (0, 2)]), agents, ctrls)
 
 
-PROBES = ["feedthrough", "psi_agent", "psi_damping", "sum_potential", "shifted_potential",
-          "both_sides", "one_node"]
-
-
-@pytest.mark.parametrize("kind", PROBES)
-def test_network_packs_and_matches_the_oracle(kind):
-    system = probe_network(kind)
+def assert_matches_the_oracle(system, seed):
+    """The packed rhs and signals at 20 random states, and a 3 s run, against the oracle's."""
     pk = system.packed
-    assert pk.sides or kind == "one_node"
-    assert all(pk.sides) or kind != "both_sides"
-    rng = np.random.default_rng(PROBES.index(kind))
+    rng = np.random.default_rng(seed)
     v = _fastpath.rhs_buffer(pk)
     states = rng.normal(scale=2.0, size=(20, system.state_dim))
     for s in states:
@@ -239,6 +239,68 @@ def test_network_packs_and_matches_the_oracle(kind):
     assert np.max(np.abs(traj.states[-1] - oracle_states(system, s0, 3.0, opts)[-1])) <= 1e-9
 
 
+@pytest.mark.parametrize("kind", ["feedthrough", "psi_agent", "psi_damping", "one_node"])
+def test_network_packs_and_matches_the_oracle(kind):
+    # seeded by name, so adding or removing a probe leaves the others' draws alone
+    assert_matches_the_oracle(probe_network(kind), zlib.crc32(kind.encode()))
+
+
+# probes built of library pieces no config can say, each with the member it names
+REFUSED = {"sum_potential": "controllers[1].potential",
+           "shifted_potential": "controllers[2].potential",
+           "both_sides": "controllers[1].potential", "quartic_agent": "agents[1].psi"}
+
+
+@pytest.mark.parametrize("kind", REFUSED)
+def test_pack_refuses_what_no_config_builds(kind):
+    with pytest.raises(UnsupportedKind, match=re.escape(REFUSED[kind] + ":")):
+        probe_network(kind)
+
+
+def every_kind_doc():
+    """A config document holding one agent and one controller of every kind
+    the config can say; the linear agent at node 0 has feedthrough and a
+    leader offset, and its edges carry all three controller maps."""
+    eye = np.eye(2).tolist()
+    psi = {"kind": "paper_psi", "dim": 2}
+    quad = {"kind": "quadratic", "P": [[1.0, 0.2], [0.2, 0.8]], "q": [0.1, -0.2]}
+    M, B = [[1.0, 0.2], [-0.1, 1.2]], [[1.0, 0.1], [0.0, 0.9]]
+    agents = [
+        {"type": "linear", "A": [[-1.5, 0.2], [0.1, -1.0]], "B": eye, "C": eye,
+         "T": [[0.5, 0.1], [0.1, 0.3]], "w": [0.1, 0.0], "leader_offset": [0.2, -0.1]},
+        {"type": "oscillator", "M": M, "B": B, "anchor": [0.3, -0.1]},
+        {"type": "oscillator", "M": M, "B": B, "damping": quad},
+        {"type": "oscillator", "M": M, "B": B, "damping": psi, "w": [0.1, 0.2]},
+        {"type": "convex_gradient", "psi": quad},
+        {"type": "convex_gradient", "psi": psi, "J": [[0.0, 0.5], [-0.5, 0.0]],
+         "w": [0.05, -0.1]},
+    ]
+    controllers = [
+        {"type": "integrator", "potential": quad},
+        {"type": "integrator", "potential": psi},
+        {"type": "linear_synthesis", "offset": [0.1, -0.2]},
+        {"type": "reconfigured", "inner": {"type": "integrator", "potential": psi},
+         "alpha": [0.1, 0.0], "beta": [0.0, 0.05]},
+        {"type": "reconfigured", "inner": {"type": "linear_synthesis", "offset": [0.0, 0.1]},
+         "alpha": [-0.1, 0.2], "beta": [0.1, 0.0]},
+        {"type": "integrator", "potential": quad},
+        {"type": "integrator", "potential": psi},
+    ]
+    edges = [[0, 1], [2, 0], [0, 3], [1, 4], [2, 5], [3, 4], [4, 5]]
+    return {"schema": SCHEMA, "graph": {"nodes": 6, "edges": edges},
+            "agents": agents, "controllers": controllers}
+
+
+def test_every_config_kind_packs_whole():
+    cfg = parse_config(every_kind_doc())
+    system = closed_loop(cfg.graph, cfg.agents, cfg.controllers)
+    pk = system.packed
+    # no component columns: v is [s ; paper_psi(s[psi_idx]) ; 1], here three paper_psi
+    # integrators and two paper_psi agents
+    assert pk.width == pk.psi_cols.stop + 1 and pk.psi_idx.size == 3 * 2 + 2 + 2
+    assert_matches_the_oracle(system, zlib.crc32(b"every_kind"))
+
+
 def two_node(agent0, agent1=None, ctrl=None):
     g = build_graph(2, [(0, 1)])
     agent1 = agent1 if agent1 is not None else linear_agent([[-1.0]], [[1.0]],
@@ -248,5 +310,9 @@ def two_node(agent0, agent1=None, ctrl=None):
 
 
 def test_pack_takes_zero_rho():
-    a = convex_gradient_agent(quadratic(np.eye(1)), rho=[[0.0]])
-    assert not two_node(a).packed.sides
+    # a zero rho adds no entries: the maps are those of the agent without one
+    zero = two_node(convex_gradient_agent(quadratic(np.eye(1)), rho=[[0.0]])).packed
+    none = two_node(convex_gradient_agent(quadratic(np.eye(1)))).packed
+    assert zero.width == none.width == zero.psi_cols.stop + 1
+    for name in ("row", "col", "w", "sig_row", "sig_col", "sig_w"):
+        assert np.array_equal(getattr(zero, name), getattr(none, name))

@@ -15,7 +15,7 @@ from couplednet.couplers import PSI_RANGE, paper_psi
 from couplednet.errors import (DimensionMismatch, NoConvergence,
                                SingularMatrix, UnsupportedKind)
 
-from closed_loop_oracle import solve_equilibrium
+from closed_loop_oracle import output, rhs, solve_equilibrium
 from conftest import meicmp_linear_agent, rand_spd
 
 
@@ -29,16 +29,16 @@ def test_linear_agent_steady_state_relation():
 
 def test_linear_agent_rhs_and_output():
     a = P.linear_agent([[-2.0]], [[1.0]], [[1.0]], w=[6.0])
-    assert np.allclose(P.rhs(a, [3.5], [1.0]), [0.0])
-    assert np.allclose(P.output(a, [3.5], [1.0]), [3.5])
+    assert np.allclose(rhs(a, [3.5], [1.0]), [0.0])
+    assert np.allclose(output(a, [3.5], [1.0]), [3.5])
 
 
 def test_linear_agent_feedthrough():
     a = P.linear_agent([[-1.0]], [[1.0]], [[1.0]], T=[[0.5]])
-    assert P.has_feedthrough(a)
-    assert np.allclose(P.output(a, [2.0], [4.0]), [4.0])
+    assert np.array_equal(P.agent_form(a)[3], [[0.5]])
+    assert np.allclose(output(a, [2.0], [4.0]), [4.0])
     b = P.linear_agent([[-1.0]], [[1.0]], [[1.0]])
-    assert not P.has_feedthrough(b)
+    assert not P.agent_form(b)[3].any()
 
 
 def test_oscillator_steady_state_gain():
@@ -106,12 +106,12 @@ def test_rhs_vanishes_at_steady_state(case):
 
     agent = _affine_kinds()[case]
     u = np.array([1.0, -0.5])
-    sol = optimize.root(lambda x: P.rhs(agent, x, u), np.zeros(agent.state_dim),
+    sol = optimize.root(lambda x: rhs(agent, x, u), np.zeros(agent.state_dim),
                         method="hybr", tol=1e-13)
-    assert np.linalg.norm(P.rhs(agent, sol.x, u)) <= 1e-12
+    assert np.linalg.norm(rhs(agent, sol.x, u)) <= 1e-12
     rel = P.ss_relation(agent)
     y_ss = rel.S @ u + rel.v
-    y = P.output(agent, sol.x, u)
+    y = output(agent, sol.x, u)
     assert np.linalg.norm(y - y_ss) <= 1e-10 * np.linalg.norm(y_ss)
 
 
@@ -146,8 +146,9 @@ def test_agent_forms_match_one_at_a_time():
 
 def test_zero_rho_is_not_feedthrough():
     psi = R.quadratic(np.eye(2))
-    assert not P.has_feedthrough(P.convex_gradient_agent(psi, rho=np.zeros((2, 2))))
-    assert P.has_feedthrough(P.convex_gradient_agent(psi, rho=0.1 * np.eye(2)))
+    assert not P.agent_form(P.convex_gradient_agent(psi, rho=np.zeros((2, 2))))[3].any()
+    assert np.array_equal(P.agent_form(P.convex_gradient_agent(psi, rho=0.1 * np.eye(2)))[3],
+                          0.1 * np.eye(2))
 
 
 def test_strongly_damped_oscillator_keeps_its_gain():
@@ -188,7 +189,7 @@ def test_solve_equilibrium_convex_gradient():
     u = np.array([1.0, -0.5])
     res = solve_equilibrium(agent, u)
     assert res.residual <= 1e-10
-    assert np.allclose(P.rhs(agent, res.x0, u), 0.0, atol=1e-9)
+    assert np.allclose(rhs(agent, res.x0, u), 0.0, atol=1e-9)
 
 
 def test_solve_equilibrium_rejects_linear_agent():

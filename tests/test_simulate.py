@@ -178,7 +178,6 @@ def test_integrate_schedule_runs_one_trajectory_per_segment():
     assert second.metadata == alone.metadata
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_finite_time_blowup_aborts():
     from couplednet.errors import StepUnderflow
     # x' = 100 x from x = 1 passes the float range near t = 7.1

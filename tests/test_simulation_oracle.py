@@ -2,8 +2,7 @@
 closed loop settles on, or a refusal with no settled y.
 
 Small networks are predicted (solve_opp and recover_certificate, as the
-CLI's predict) and integrated on the packed path; agents with feedthrough
-run there as component columns. The outcome names what
+CLI's predict) and integrated on the packed path. The outcome names what
 happened; anything but the two right ends is a failing class. Known
 classes are each pinned by a strict xfail below.
 """
@@ -116,12 +115,8 @@ def test_predicted_networks_end_as_predicted(data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     n = data.draw(st.integers(2, 4), label="nodes")
     d = data.draw(st.integers(1, 2), label="d")
-    # feedthrough agents are drawn among linear ones only: next to an
-    # oscillator's ~2e4 rhs calls, their component columns cost seconds
-    family = data.draw(st.sampled_from([("linear", "oscillator"), ("linear", "feedthrough")]),
-                       label="agent family")
-    agent_kinds = data.draw(st.lists(st.sampled_from(family), min_size=n, max_size=n),
-                            label="agents")
+    agent_kinds = data.draw(st.lists(st.sampled_from(["linear", "oscillator", "feedthrough"]),
+                                     min_size=n, max_size=n), label="agents")
     edge_kinds = data.draw(st.lists(st.sampled_from(["linear", "quadratic", "psi"]),
                                     min_size=2 * n, max_size=2 * n), label="edges")
     result = outcome(*network(seed, n, d, agent_kinds, edge_kinds))
