@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplers import ControllerKind, paper_psi, paper_psi_into
+from .couplers import ControllerKind
 from .errors import NonFiniteState, StepUnderflow, UnsupportedKind
 from .netgraph import IncidenceOperator
-from .relations import FunctionKind, as_quadratic
+from .relations import FunctionKind, as_quadratic, paper_psi, paper_psi_into
 
 
 # Values per block when recorded trajectories are post-processed: signals,
@@ -231,12 +231,6 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0):
 # ---------------------------------------------------------------------------
 
 
-def _is_paper_psi(f) -> bool:
-    """Whether f is paper_psi coordinatewise, unshifted: the one potential
-    besides quadratics that a config builds, and a column of the maps."""
-    return f.kind is FunctionKind.SCALAR_SEPARABLE and f.phi is paper_psi
-
-
 def _controller_parts(controllers, d: int):
     """Affine forms of the edge controllers, by groups of one kind and potential.
 
@@ -264,7 +258,7 @@ def _controller_parts(controllers, d: int):
         else:
             pot = group[0].potential
             quad = as_quadratic(pot)
-            if _is_paper_psi(pot):
+            if pot.kind is FunctionKind.SCALAR_SEPARABLE:  # paper_psi, unshifted
                 code[idx], L[idx], mu0[idx] = 1, np.eye(d), beta
             elif quad is not None:
                 code[idx], L[idx], mu0[idx] = 2, quad[0], quad[1] + beta
@@ -349,7 +343,7 @@ def pack(op, agents, groups, controllers) -> PackedSystem:
         rhs.append(_batch(idx, ofs[idx], ofs[idx], A_g))
         sig.append(_batch(idx, idx * d, ofs[idx], C_g))
         for j in np.flatnonzero([psi is not None for psi in psi_g]):
-            if not _is_paper_psi(psi_g[j]):
+            if psi_g[j].kind is not FunctionKind.SCALAR_SEPARABLE:
                 raise UnsupportedKind(f"agents[{idx[j]}].psi: neither quadratic nor paper_psi, "
                                       "which no config builds")
             psi_agents.append((idx[j], np.arange(size)[where]))

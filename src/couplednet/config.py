@@ -12,9 +12,7 @@ from .couplers import (
     ControllerModel,
     linear_synthesis,
     nonlinear_integrator,
-    paper_psi,
     reconfigured,
-    PSI_RANGE,
 )
 from .errors import ConfigInvalid, CoupledNetError, DimensionMismatch, InvalidModel
 from .netgraph import DirectedGraph, build_graph
@@ -26,8 +24,10 @@ from .plants import (
     oscillator_agents,
 )
 from .relations import (
+    PSI_RANGE,
     FunctionKind,
     IntegralFunction,
+    paper_psi,
     scalar_separable,
     stacked_quadratics,
 )
@@ -176,7 +176,7 @@ def function_to_spec(fn: IntegralFunction) -> dict:
     if fn.kind is FunctionKind.QUADRATIC:
         return {"kind": "quadratic", "P": fn.P.tolist(), "q": fn.q.tolist(),
                 "c": float(fn.c)}
-    if fn.kind is FunctionKind.SCALAR_SEPARABLE and fn.phi is paper_psi:
+    if fn.kind is FunctionKind.SCALAR_SEPARABLE:
         return {"kind": "paper_psi", "dim": fn.dim}
     raise ConfigInvalid("function has no JSON form")
 

@@ -15,13 +15,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch
-from .relations import (
+from .relations import (  # paper_psi is imported from here as well
+    PSI_RANGE,
     FunctionKind,
     IntegralFunction,
     VectorRelation,
     affine_relation,
     indicator_zero,
     integrator_relation,
+    paper_psi,
     quadratic,
     shifted,
     shifted_relation,
@@ -41,9 +43,9 @@ class ControllerModel:
     -----
     NonlinearIntegrator
         d eta/dt = zeta, mu = grad potential(eta). The potential is a
-        declared convex IntegralFunction; the saturating case is a
-        scalar-separable potential whose derivative is a bounded
-        monotone scalar map applied coordinatewise.
+        declared convex IntegralFunction; the saturating case is the
+        scalar-separable potential whose gradient is paper_psi applied
+        coordinatewise.
     LinearSynthesis
         d eta/dt = -eta + zeta - offset, mu = eta. The offset is the
         vector xi_e + zeta*_e produced by the synthesis procedure.
@@ -113,9 +115,10 @@ def reconfigured(c: ControllerModel, alpha, beta) -> ControllerModel:
 
 
 def _potential_output_interval(potential: IntegralFunction) -> tuple[float, float]:
-    """Coordinatewise closure of the range of grad potential, when known."""
-    if potential.kind is FunctionKind.SCALAR_SEPARABLE and potential.phi_range is not None:
-        return potential.phi_range
+    """Coordinatewise closure of the range of grad potential, when known:
+    PSI_RANGE for the scalar-separable paper_psi potential."""
+    if potential.kind is FunctionKind.SCALAR_SEPARABLE:
+        return PSI_RANGE
     return (-math.inf, math.inf)
 
 
@@ -168,68 +171,3 @@ def controller_relations(controllers) -> tuple:
                 fn = shifted(fn, shift=c.alpha, linear=c.beta)
             rels[e], fns[e] = rel, fn
     return tuple(rels), tuple(fns)
-
-
-# ---------------------------------------------------------------------------
-# the nonlinearity used by the formation example
-# ---------------------------------------------------------------------------
-
-
-_LOG2 = math.log(2.0)
-
-
-def paper_psi(x):
-    """Monotone saturating scalar map arcsin(L(x) sgn(x) / (L(x) + 1)).
-
-    Here L(x) = log((exp(x) + 1) / 2) squared, evaluated through
-    logaddexp(x, 0) = max(x, 0) + log1p(exp(-|x|)) so large arguments
-    do not overflow. Beyond |x| of about 708 that exp underflows to
-    zero, which is the exact limit, so the underflow is not reported:
-    arrays go through `paper_psi_into` inside np.errstate(under="ignore"),
-    entered here. Scalars take the same formula through libm, as numpy's
-    logaddexp does, which is faster on one value and agrees bit for bit.
-    The map is zero at zero, strictly increasing, and its range is the
-    open interval (PSI_RANGE[0], PSI_RANGE[1]). Arrays are handled
-    coordinatewise.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        t = float(x)
-        ell = max(t, 0.0) + math.log1p(math.exp(-abs(t))) - _LOG2
-        return float(_psi_tail(ell * ell, x, None, None))
-    with np.errstate(under="ignore"):
-        return paper_psi_into(x.copy(), np.empty_like(x))  # it overwrites x
-
-
-def paper_psi_into(x, out):
-    """paper_psi of the float array x, written into out and returned.
-
-    x is overwritten. The operations are paper_psi's, in its order, so
-    the result agrees with it bit for bit. No errstate is entered here:
-    a caller that may run under a raising errstate enters
-    np.errstate(under="ignore") around the call, as paper_psi and the
-    integration loops in _fastpath do.
-    """
-    np.logaddexp(x, 0.0, out)
-    np.subtract(out, _LOG2, out)  # ell
-    np.multiply(out, out, out)  # L = ell ** 2
-    return _psi_tail(out, x, x, out)
-
-
-def _psi_tail(big_l, sign, num, out):
-    """arcsin(copysign(L, sign) / (L + 1)), the tail of both branches.
-
-    For arrays, num and out are buffers: num gets the quotient, and L,
-    which may sit in out, is overwritten by L + 1 and then the result.
-    The scalar branch passes a float L and None for both, and the
-    in-place operators then rebind plain scalars, which keeps one value
-    about as cheap as the inline expression.
-    """
-    num = np.copysign(big_l, sign, num)
-    big_l += 1.0
-    num /= big_l
-    return np.arcsin(num, out)
-
-
-_L_LIMIT = _LOG2 ** 2
-PSI_RANGE = (-math.asin(_L_LIMIT / (_L_LIMIT + 1.0)), math.pi / 2.0)

@@ -5,7 +5,8 @@ Three layers live here:
 * SetDescriptor, a closed family of sets (empty / point / affine
   subspace / everything) used for all set-valued evaluations;
 * IntegralFunction, extended-real convex functions with values,
-  subgradients and conjugates;
+  gradients and conjugates, the non-quadratic one built on the
+  saturating nonlinearity paper_psi of the formation example;
 * VectorRelation, possibly set-valued input-output relations on R^d
   with forward and inverse evaluation, plus cyclic-monotonicity
   testing.
@@ -22,19 +23,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Callable, Optional
+from functools import cache, cached_property
+from typing import Optional
 
 import numpy as np
 
 from .errors import (
-    CoupledNetError,
     DimensionMismatch,
     EmptyList,
     EmptySelection,
     OutsideDomain,
     RelationNotEvaluable,
-    Unbounded,
     UnsupportedKind,
 )
 
@@ -126,6 +125,120 @@ class SetDescriptor:
 
 
 # ---------------------------------------------------------------------------
+# the nonlinearity used by the formation example
+# ---------------------------------------------------------------------------
+
+
+_LOG2 = math.log(2.0)
+
+
+def paper_psi(x):
+    """Monotone saturating scalar map arcsin(L(x) sgn(x) / (L(x) + 1)).
+
+    Here L(x) = log((exp(x) + 1) / 2) squared, evaluated through
+    logaddexp(x, 0) = max(x, 0) + log1p(exp(-|x|)) so large arguments
+    do not overflow. Beyond |x| of about 708 that exp underflows to
+    zero, which is the exact limit, so the underflow is not reported:
+    arrays go through `paper_psi_into` inside np.errstate(under="ignore"),
+    entered here. Scalars take the same formula through libm, as numpy's
+    logaddexp does, which is faster on one value and agrees bit for bit.
+    The map is zero at zero, strictly increasing, and its range is the
+    open interval (PSI_RANGE[0], PSI_RANGE[1]). Arrays are handled
+    coordinatewise.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        t = float(x)
+        ell = max(t, 0.0) + math.log1p(math.exp(-abs(t))) - _LOG2
+        return float(_psi_tail(ell * ell, x, None, None))
+    with np.errstate(under="ignore"):
+        return paper_psi_into(x.copy(), np.empty_like(x))  # it overwrites x
+
+
+def paper_psi_into(x, out):
+    """paper_psi of the float array x, written into out and returned.
+
+    x is overwritten. The operations are paper_psi's, in its order, so
+    the result agrees with it bit for bit. No errstate is entered here:
+    a caller that may run under a raising errstate enters
+    np.errstate(under="ignore") around the call, as paper_psi and the
+    integration loops in _fastpath do.
+    """
+    np.logaddexp(x, 0.0, out)
+    np.subtract(out, _LOG2, out)  # ell
+    np.multiply(out, out, out)  # L = ell ** 2
+    return _psi_tail(out, x, x, out)
+
+
+def _psi_tail(big_l, sign, num, out):
+    """arcsin(copysign(L, sign) / (L + 1)), the tail of both branches.
+
+    For arrays, num and out are buffers: num gets the quotient, and L,
+    which may sit in out, is overwritten by L + 1 and then the result.
+    The scalar branch passes a float L and None for both, and the
+    in-place operators then rebind plain scalars, which keeps one value
+    about as cheap as the inline expression.
+    """
+    num = np.copysign(big_l, sign, num)
+    big_l += 1.0
+    num /= big_l
+    return np.arcsin(num, out)
+
+
+_L_LIMIT = _LOG2 ** 2
+PSI_RANGE = (-math.asin(_L_LIMIT / (_L_LIMIT + 1.0)), math.pi / 2.0)
+
+
+def _psi_inverse(m: np.ndarray):
+    """(x, inside): paper_psi(x) = m wherever inside, which marks the
+    entries of m in the open PSI_RANGE; x is 0 elsewhere.
+
+    With s = |sin m| = L / (L + 1) and ell = sgn(m) sqrt(s / (1 - s)),
+    x = log(2 exp(ell) - 1) = ell + log(2 - exp(-ell)). It is written
+    without cancellation: 1 - s as 2 sin((pi/2 - |m|) / 2)^2, and the
+    logarithm as log1p(-expm1(-ell)).
+    """
+    inside = (PSI_RANGE[0] < m) & (m < PSI_RANGE[1])
+    m = np.where(inside, m, 0.0)
+    a = np.abs(m)
+    ell = np.copysign(np.sqrt(np.sin(a) / (2.0 * np.sin(0.5 * (0.5 * math.pi - a)) ** 2)), m)
+    return ell + np.log1p(-np.expm1(-ell)), inside
+
+
+@cache
+def _gauss_legendre():
+    """Nodes and weights of 40-point Gauss-Legendre quadrature on [0, 1], by
+    Golub-Welsch: the eigenvalues of the Jacobi matrix of the Legendre
+    polynomials, and the squared first components of its eigenvectors.
+    Made on first use, without numpy.polynomial, which costs 1.5 MB."""
+    k = np.arange(1.0, 40.0)
+    nodes, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    return 0.5 * (nodes + 1.0), vecs[0] ** 2
+
+
+def _psi_integral(t: np.ndarray) -> np.ndarray:
+    """The integral of paper_psi from 0 to each entry of t.
+
+    Gauss-Legendre panels of 40 nodes: [0, min(|t|, 8)], then
+    [8 * 4^k, 8 * 4^(k+1)] cut at |t|, all in one paper_psi call.
+    paper_psi is analytic on either side of 0, and its complex
+    singularities nearest the real line sit near 0.3 +- 1.2i, so each
+    panel meets double precision: within 1e-13 relative of 40-digit
+    quadrature for 1e-3 <= |t| <= 1e4. Beyond, paper_psi's own rounding
+    grows as arcsin's argument nears 1 (3e-10 relative at t = 1e8).
+    """
+    nodes, weights = _gauss_legendre()
+    a, edges = np.abs(t), [0.0, 8.0]
+    top = np.max(a, initial=0.0)
+    while edges[-1] < top:
+        edges.append(4.0 * edges[-1])
+    cuts = np.minimum(edges, a[..., None])
+    width = np.diff(cuts, axis=-1)[..., None]
+    points = np.sign(t)[..., None, None] * (cuts[..., :-1, None] + width * nodes)
+    return np.sign(t) * (width * paper_psi(points) @ weights).sum(axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # integral functions
 # ---------------------------------------------------------------------------
 
@@ -134,7 +247,6 @@ class FunctionKind(Enum):
     QUADRATIC = "quadratic"
     INDICATOR_ZERO = "indicator_zero"
     SCALAR_SEPARABLE = "scalar_separable"
-    SUM = "sum"
     STACKED = "stacked"
     SHIFTED = "shifted"
 
@@ -150,11 +262,10 @@ class IntegralFunction:
     IndicatorZero
         0 at the origin, +inf elsewhere.
     ScalarSeparable
-        f(x) = sum_j integral_0^{x_j} phi(s) ds for a monotone
-        nondecreasing scalar map phi; evaluated by adaptive Simpson
-        quadrature at tolerance 1e-8.
-    Sum
-        pointwise sum of children on the same space.
+        f(x) = sum_j integral_0^{x_j} paper_psi(s) ds, the one
+        non-quadratic function a config builds; values by Gauss-Legendre
+        panels (see _psi_integral), the gradient's inverse in closed
+        form (see _psi_inverse).
     Stacked
         block-separable sum; child j acts on its own slice of x.
     Shifted
@@ -166,8 +277,6 @@ class IntegralFunction:
     P: Optional[np.ndarray] = None
     q: Optional[np.ndarray] = None
     c: float = 0.0
-    phi: Optional[Callable[[float], float]] = None
-    phi_range: Optional[tuple[float, float]] = None
     children: tuple = ()
     inner: Optional["IntegralFunction"] = None
     shift: Optional[np.ndarray] = None
@@ -209,29 +318,15 @@ def indicator_zero(dim: int) -> IntegralFunction:
     return IntegralFunction(dim=dim, kind=FunctionKind.INDICATOR_ZERO)
 
 
-def scalar_separable(phi, dim: int, phi_range=None) -> IntegralFunction:
-    """f(x) = sum_j integral_0^{x_j} phi(s) ds.
+def scalar_separable(psi, dim: int, psi_range=None) -> IntegralFunction:
+    """f(x) = sum_j integral_0^{x_j} paper_psi(s) ds on R^dim.
 
-    phi must be monotone nondecreasing and act elementwise on numpy
-    arrays as well as on floats: check_cm applies it to a whole array of
-    sampled points at once.
+    psi must be paper_psi, and psi_range None or PSI_RANGE, the closure
+    of its range; anything else raises UnsupportedKind.
     """
-    return IntegralFunction(
-        dim=dim,
-        kind=FunctionKind.SCALAR_SEPARABLE,
-        phi=phi,
-        phi_range=tuple(phi_range) if phi_range is not None else None,
-    )
-
-
-def function_sum(children) -> IntegralFunction:
-    children = tuple(children)
-    if not children:
-        raise EmptyList("sum of no functions")
-    dim = children[0].dim
-    if any(ch.dim != dim for ch in children):
-        raise DimensionMismatch("sum children must share dimension")
-    return IntegralFunction(dim=dim, kind=FunctionKind.SUM, children=children)
+    if psi is not paper_psi or (psi_range is not None and tuple(psi_range) != PSI_RANGE):
+        raise UnsupportedKind("scalar_separable takes paper_psi on PSI_RANGE only")
+    return IntegralFunction(dim=dim, kind=FunctionKind.SCALAR_SEPARABLE)
 
 
 def stacked(children) -> IntegralFunction:
@@ -271,33 +366,6 @@ def _blocks(f, x: np.ndarray):
     for ch in f.children:
         yield ch, x[offset : offset + ch.dim]
         offset += ch.dim
-
-
-def _simpson_adaptive(phi, a: float, b: float, tol: float = 1e-8, depth: int = 30) -> float:
-    """Adaptive Simpson quadrature of phi over [a, b]."""
-
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, level):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        fl, fr = phi(lmid), phi(rmid)
-        left = simpson(lo, mid, flo, fl, fmid)
-        right = simpson(mid, hi, fmid, fr, fhi)
-        if level <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(lo, mid, flo, fl, fmid, left, eps / 2.0, level - 1) + recurse(
-            mid, hi, fmid, fr, fhi, right, eps / 2.0, level - 1
-        )
-
-    if a == b:
-        return 0.0
-    fa, fb = phi(a), phi(b)
-    fm = phi(0.5 * (a + b))
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, depth)
 
 
 def _check_dim(f, x) -> np.ndarray:
@@ -401,9 +469,8 @@ def _block_values(groups, count: int, x: np.ndarray) -> np.ndarray:
 def _values(g: _Group, X: np.ndarray) -> np.ndarray:
     """f_k(X[k]) for the functions f_k of group g.
 
-    Quadratic, indicator and shifted kinds are evaluated in one numpy
-    pass over the group; the others one function at a time. A stacked
-    function sums its children's values in order.
+    Every kind but stacked is evaluated in one numpy pass over the
+    group. A stacked function sums its children's values in order.
     """
     kind, fs = g.kind, g.items
     if kind is FunctionKind.QUADRATIC:
@@ -416,46 +483,35 @@ def _values(g: _Group, X: np.ndarray) -> np.ndarray:
         linear = np.einsum("ki,ki->k", g.stack("linear"), X)
         return inner + linear + g.stack("constant")
     if kind is FunctionKind.SCALAR_SEPARABLE:
-        return np.array([sum(_simpson_adaptive(f.phi, 0.0, t) for t in x)
-                         for f, x in zip(fs, X.tolist())])
-    if kind is FunctionKind.SUM:
-        return np.array([sum(value(ch, x) for ch in f.children) for f, x in zip(fs, X)])
+        return _psi_integral(X).sum(axis=1)
     if kind is FunctionKind.STACKED:
         return np.array([sum(_block_values(f.groups, len(f.children), x).tolist())
                          for f, x in zip(fs, X)])
     raise UnsupportedKind(str(kind))
 
 
-def subgradient(f: IntegralFunction, x) -> SetDescriptor:
-    """Subdifferential of f at x as a set descriptor (Empty outside dom f)."""
-    return forward(gradient_relation(f), x)
-
-
 def grad_of(f: IntegralFunction, x) -> np.ndarray:
     """Gradient for differentiable functions; min-norm subgradient otherwise.
 
     The closed-form gradient serves every kind but an indicator part:
-    its min-norm subgradient is 0 at its point and OutsideDomain off
-    it, and a sum holding one raises RelationNotEvaluable.
+    its min-norm subgradient is 0 at its point and OutsideDomain off it.
     """
     x = _check_dim(f, x)
     try:
         return _row_grad(f, x[None])[0]
     except RelationNotEvaluable:
-        return subgradient(f, x).min_norm()
+        return forward(gradient_relation(f), x).min_norm()
 
 
 def as_quadratic(f: IntegralFunction):
     """Collapse f to (P, q, c) when it is globally quadratic, else None."""
     if f.kind is FunctionKind.QUADRATIC:
         return f.P, f.q, f.c
-    if f.kind is FunctionKind.SUM or f.kind is FunctionKind.STACKED:
+    if f.kind is FunctionKind.STACKED:
         parts = [as_quadratic(ch) for ch in f.children]
         if any(p is None for p in parts):
             return None
         P, q, c = zip(*parts)
-        if f.kind is FunctionKind.SUM:
-            return sum(P), sum(q), sum(c)
         return block_diag(P), np.concatenate(q), float(sum(c))
     if f.kind is FunctionKind.SHIFTED:
         part = as_quadratic(f.inner)
@@ -482,95 +538,15 @@ def block_diag(mats) -> np.ndarray:
 def _psd_pinv(P: np.ndarray, tol: float = 1e-10):
     """Eigen-decomposition pseudo-inverse of a symmetric PSD matrix.
 
-    P may be a stack of matrices (..., d, d). Returns (pinv, proj,
-    rank), each per matrix: the pseudo-inverse, the projector onto
-    range(P) and the rank. Eigenvalues up to tol * max(1, largest)
-    count as zero.
+    P may be a stack of matrices (..., d, d). Returns (pinv, rank),
+    each per matrix. Eigenvalues up to tol * max(1, largest) count as
+    zero.
     """
     vals, vecs = np.linalg.eigh(0.5 * (P + np.swapaxes(P, -1, -2)))
     cutoff = tol * np.fmax(1.0, vals.max(axis=-1, initial=0.0))
     kept = vals > cutoff[..., None]
     inv = np.where(kept, 1.0 / np.where(kept, vals, 1.0), 0.0)
-    vecs_t = np.swapaxes(vecs, -1, -2)
-    pinv = (vecs * inv[..., None, :]) @ vecs_t
-    proj = (vecs * kept[..., None, :]) @ vecs_t
-    return pinv, proj, kept.sum(axis=-1)
-
-
-def _bracket_root(g, target: float, lo: float = -1.0, hi: float = 1.0, tol: float = 1e-12):
-    """Solve g(s) = target for nondecreasing g by expanding-bracket bisection."""
-    for _ in range(200):
-        if g(lo) <= target:
-            break
-        lo *= 2.0
-    else:
-        return None
-    for _ in range(200):
-        if g(hi) >= target:
-            break
-        hi *= 2.0
-    else:
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(mid)):
-            break
-        if g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def conjugate_value(f: IntegralFunction, y, opts: Optional[dict] = None) -> float:
-    """Legendre transform f*(y) = sup_x { y'x - f(x) }.
-
-    Closed forms are used for quadratic (PSD) and indicator kinds and
-    anything reducible to them; scalar-separable kinds solve phi(s) = y_j
-    per coordinate. Other kinds (a sum with a non-quadratic part) raise
-    UnsupportedKind. When a dict is passed as opts, the key "path" is set
-    to "closed-form" or "numeric".
-    """
-    y = _check_dim(f, y)
-
-    def report(path: str):
-        if isinstance(opts, dict):
-            opts["path"] = path
-
-    if f.kind is FunctionKind.INDICATOR_ZERO:
-        report("closed-form")
-        return 0.0
-    if f.kind is FunctionKind.STACKED:
-        total = 0.0
-        for ch, yb in _blocks(f, y):
-            total += conjugate_value(ch, yb, opts)
-        return float(total)
-    if f.kind is FunctionKind.SHIFTED:
-        z = y - f.linear
-        return float(f.shift @ z + conjugate_value(f.inner, z, opts) - f.constant)
-
-    quad = as_quadratic(f)
-    if quad is not None:
-        P, q, c = quad
-        pinv, proj, rank = _psd_pinv(P)
-        z = y - q
-        if rank < f.dim:
-            if np.linalg.norm(z - proj @ z) > 1e-8 * (1.0 + np.linalg.norm(z)):
-                raise Unbounded("conjugate of a flat quadratic off its range")
-        report("closed-form")
-        return float(0.5 * z @ pinv @ z - c)
-
-    if f.kind is FunctionKind.SCALAR_SEPARABLE:
-        report("numeric")
-        total = 0.0
-        for yj in y:
-            s = _bracket_root(f.phi, float(yj))
-            if s is None:
-                raise Unbounded(f"conjugate argument {yj} outside the range of phi")
-            total += yj * s - _simpson_adaptive(f.phi, 0.0, s)
-        return float(total)
-
-    raise UnsupportedKind(f"no closed-form conjugate value for kind {f.kind}")
+    return (vecs * inv[..., None, :]) @ np.swapaxes(vecs, -1, -2), kept.sum(axis=-1)
 
 
 def conjugate_function(f: IntegralFunction) -> IntegralFunction:
@@ -594,10 +570,11 @@ def _block_conjugates(groups, count: int) -> list:
 def _conjugates(g: _Group) -> list:
     """Conjugates of the functions of group g.
 
-    Quadratic kinds (and sums of them) are decided together: P near zero
-    (np.allclose(P, 0)) is affine, whose conjugate is the indicator of
-    {q}; otherwise P must have full rank, and f* is the quadratic of its
-    pseudo-inverse. One batched eigh covers the group.
+    Quadratic kinds are decided together: P near zero (np.allclose(P,
+    0)) is affine, whose conjugate is the indicator of {q}; otherwise P
+    must have full rank, and f* is the quadratic of its pseudo-inverse.
+    One batched eigh covers the group. The scalar-separable kind has no
+    closed-form conjugate here and raises UnsupportedKind.
     """
     kind, dim, fs = g.kind, g.dim, g.items
     if kind is FunctionKind.INDICATOR_ZERO:
@@ -609,16 +586,10 @@ def _conjugates(g: _Group) -> list:
         cross = np.einsum("ki,ki->k", g.stack("shift"), g.stack("linear"))
         return [shifted(conj, shift=f.linear, linear=f.shift, constant=-float(x) - f.constant)
                 for f, conj, x in zip(fs, inner, cross)]
-    if kind is FunctionKind.QUADRATIC:
-        P, q, c = g.stack("P"), g.stack("q"), g.stack("c")
-    else:
-        quads = [as_quadratic(f) for f in fs]
-        if any(quad is None for quad in quads):
-            raise UnsupportedKind(f"no closed-form conjugate for kind {kind}")
-        P = np.stack([quad[0] for quad in quads])
-        q = np.stack([quad[1] for quad in quads])
-        c = np.array([quad[2] for quad in quads], dtype=float)
-    affine, pinv, lin, const = _quadratic_conjugates(P, q, c)
+    if kind is not FunctionKind.QUADRATIC:
+        raise UnsupportedKind(f"no closed-form conjugate for kind {kind}")
+    q, c = g.stack("q"), g.stack("c")
+    affine, pinv, lin, const = _quadratic_conjugates(g.stack("P"), q, c)
     # affine: conjugate is the indicator of {q}
     return [shifted(indicator_zero(dim), shift=q[k], constant=-c[k]) if affine[k]
             else _quadratic(pinv[k], lin[k], const[k]) for k in range(len(fs))]
@@ -629,7 +600,7 @@ def _quadratic_conjugates(P: np.ndarray, q: np.ndarray, c: np.ndarray):
     conjugate of quadratic k is quadratic(pinv[k], lin[k], const[k])
     unless affine[k]. One batched eigh covers them."""
     affine = np.all(np.abs(P) <= 1e-8, axis=(1, 2))
-    pinv, _, rank = _psd_pinv(P)
+    pinv, rank = _psd_pinv(P)
     if np.any(rank[~affine] < P.shape[1]):
         raise UnsupportedKind("conjugate object of a degenerate quadratic")
     lin = -np.einsum("kij,kj->ki", pinv, q)
@@ -784,8 +755,7 @@ def _lower(rel: VectorRelation) -> VectorRelation:
 
     The gradient of the indicator of {0} is the integrator, shifted and
     stacked functions give shifted and stacked relations, and the
-    gradient of a quadratic (or of a sum as_quadratic collapses) is
-    affine. A scalar-separable chi, or a sum holding one, stays a
+    gradient of a quadratic is affine. A scalar-separable chi stays a
     gradient relation (see _kind_sets).
     """
     if rel.kind is not RelationKind.GRADIENT_OF_CONVEX:
@@ -934,26 +904,12 @@ def _kind_sets(g: _Group, X: np.ndarray, invert: bool):
         for j in sorted(bad):  # a stacked relation fails as its first failing child
             faults.setdefault(int(owner[j]), bad[j])
         return base, free, faults
-    # the gradient relations _lower leaves: forward is the closed-form
-    # gradient, and the inverse solves phi(s) = y_j per coordinate
-    base, faults = np.zeros(X.shape), {}
-    for k, (rel, x) in enumerate(zip(rels, X)):
-        try:
-            base[k] = _grad_roots(rel.chi, x) if invert else _row_grad(rel.chi, x[None])[0]
-        except CoupledNetError as exc:
-            faults[k] = exc
-    return base, none_free, faults
-
-
-def _grad_roots(chi: IntegralFunction, y: np.ndarray) -> list:
-    """The u with grad chi(u) = y for a scalar-separable chi (empty when
-    some y_j is outside the range of phi); other kinds have no closed form."""
-    if chi.kind is not FunctionKind.SCALAR_SEPARABLE:
-        raise UnsupportedKind(f"no closed-form gradient inverse for kind {chi.kind}")
-    roots = [_bracket_root(chi.phi, t) for t in y.tolist()]
-    if None in roots:
-        raise _empty_fault()
-    return roots
+    # the gradient relations _lower leaves are those of paper_psi in every
+    # coordinate; the inverse is empty where a value is outside PSI_RANGE
+    if not invert:
+        return paper_psi(X), none_free, {}
+    base, inside = _psi_inverse(X)
+    return base, none_free, _faults(~inside.all(axis=1), _empty_fault)
 
 
 def _faults(bad: np.ndarray, make) -> dict:
@@ -1038,13 +994,11 @@ def _row_grad(f: IntegralFunction, x: np.ndarray) -> np.ndarray:
     if f.kind is FunctionKind.QUADRATIC:
         return x @ f.P.T + f.q
     if f.kind is FunctionKind.SCALAR_SEPARABLE:
-        return np.asarray(f.phi(x), dtype=float)
+        return paper_psi(x)
     if f.kind is FunctionKind.SHIFTED:
         return _row_grad(f.inner, x - f.shift) + f.linear
     if f.kind is FunctionKind.STACKED:
         return np.concatenate([_row_grad(ch, xb.T) for ch, xb in _blocks(f, x.T)], axis=1)
-    if f.kind is FunctionKind.SUM:
-        return sum(_row_grad(ch, x) for ch in f.children)
     raise RelationNotEvaluable(f"no closed-form gradient for kind {f.kind}")
 
 

@@ -4,8 +4,8 @@ couplednet evaluates relations by groups of one kind on sets spanned by
 coordinate axes, and a gradient relation as the relation of its closed
 form. These are the ladders it replaced: one relation or integral
 function at a time, through an algebra of set descriptors (translate,
-Minkowski sum, Cartesian product) that keeps general affine sets. The
-tests compare the two.
+Cartesian product) that keeps general affine sets. The tests compare
+the two.
 """
 import math
 
@@ -13,8 +13,8 @@ import numpy as np
 
 from couplednet.errors import EmptySelection, UnsupportedKind
 from couplednet.relations import (FunctionKind, RelationKind, SetDescriptor, SetKind, _blocks,
-                                  _bracket_root, _check_dim, as_quadratic, block_diag,
-                                  gradient_relation)
+                                  _check_dim, _psi_inverse, as_quadratic, block_diag,
+                                  gradient_relation, paper_psi)
 
 # The oracle's historical zero test: a vector within this of 0 is 0 at an
 # indicator or integrator. couplednet itself tests membership exactly.
@@ -40,33 +40,11 @@ def solve_affine(mat, rhs, tol: float = 1e-8) -> SetDescriptor:
     return SetDescriptor._spanned(x0, vt[rank:].T)
 
 
-def orthonormal_cols(mat, rtol=1e-10):
-    """Orthonormal basis of the column space of mat (possibly 0 columns)."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.shape[1] == 0:
-        return np.zeros((mat.shape[0], 0))
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    cutoff = rtol * (s[0] if s.size else 1.0)
-    return u[:, :int(np.sum(s > cutoff))]
-
-
-def affine_set(basepoint, basis):
-    basepoint = np.asarray(basepoint, dtype=float).ravel()
-    q = orthonormal_cols(np.asarray(basis, dtype=float).reshape(basepoint.size, -1))
-    return SetDescriptor._spanned(basepoint, q)
-
-
 def translate(s, v):
     if s.kind is SetKind.EMPTY or s.kind is SetKind.EVERYTHING:
         return s
     return SetDescriptor(s.kind, s.dim, basepoint=s.basepoint + np.asarray(v, dtype=float).ravel(),
                          basis=s.basis)
-
-
-def minkowski(a, b):
-    if a.is_empty or b.is_empty:
-        return SetDescriptor.empty(a.dim)
-    return affine_set(a.basepoint + b.basepoint, np.hstack([a.directions, b.directions]))
 
 
 def product(parts):
@@ -89,12 +67,7 @@ def subgradient(f, x):
             return SetDescriptor.empty(f.dim)
         return SetDescriptor.everything(f.dim)
     if f.kind is FunctionKind.SCALAR_SEPARABLE:
-        return SetDescriptor.point(np.array([f.phi(float(t)) for t in x]))
-    if f.kind is FunctionKind.SUM:
-        out = subgradient(f.children[0], x)
-        for ch in f.children[1:]:
-            out = minkowski(out, subgradient(ch, x))
-        return out
+        return SetDescriptor.point(np.array([paper_psi(float(t)) for t in x]))
     if f.kind is FunctionKind.STACKED:
         return product([subgradient(ch, xb) for ch, xb in _blocks(f, x)])
     if f.kind is FunctionKind.SHIFTED:
@@ -114,10 +87,10 @@ def grad_solve(chi, y):
     if quad is not None:
         return solve_affine(quad[0], y - quad[1])
     if chi.kind is FunctionKind.SCALAR_SEPARABLE:
-        roots = [_bracket_root(chi.phi, float(t)) for t in y]
-        if None in roots:
+        roots, inside = _psi_inverse(np.asarray(y, dtype=float))
+        if not inside.all():
             return SetDescriptor.empty(chi.dim)
-        return SetDescriptor.point(np.array(roots))
+        return SetDescriptor.point(roots)
     raise UnsupportedKind(f"no closed-form gradient inverse for kind {chi.kind}")
 
 

@@ -3,11 +3,13 @@
 Each test prints a single summary line (visible with -s or on failure);
 the pytest -v report gives the one pass/fail line per criterion.
 """
+import functools
 import json
 import re
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,9 +24,8 @@ from couplednet.netopt import (assemble, duality_gap, problem_from_relations,
                                verify_steady_state)
 from couplednet.plants import convex_gradient_agent, ss_relation
 from couplednet.relations import (Sampler, affine_relation, check_cm,
-                                  conjugate_value, cyclic_sum, forward,
-                                  quadratic, scalar_separable,
-                                  subgradient, value)
+                                  conjugate_function, cyclic_sum, forward,
+                                  grad_of, quadratic, scalar_separable, value)
 from couplednet.simulate import (IntegrateOptions, closed_loop,
                                  compare_prediction, default_initial_state,
                                  detect_convergence, integrate)
@@ -151,7 +152,22 @@ def test_criterion_3_cm_classification_soundness():
           f"test, {refuted} refutations all carry verified negative cycles")
 
 
+def psi_conjugate(m):
+    """paper_psi's conjugate at m in its range: the integral of its inverse
+    x = log(2 exp(ell) - 1), ell = sgn(s) sqrt(|sin s| / (1 - |sin s|)),
+    from 0 to m, by mpmath's quadrature in double precision."""
+    fp = mpmath.fp
+
+    def inverse(s):
+        a = abs(fp.sin(s))
+        return fp.log(2.0 * fp.exp(fp.sign(s) * fp.sqrt(a / (1.0 - a))) - 1.0)
+
+    return fp.quad(inverse, [0.0, m])
+
+
 def test_criterion_4_conjugate_subgradient_numerics():
+    # Fenchel-Young at the gradient, f(x) + f*(g) = g'x, on quadratics, whose
+    # f* is conjugate_function's, and on paper_psi, whose f* is psi_conjugate
     rng = np.random.default_rng(4242)
     fy_pairs = 0
     worst_fy = 0.0
@@ -160,16 +176,15 @@ def test_criterion_4_conjugate_subgradient_numerics():
         d = 1 + k % 3
         if k % 2 == 0:
             f = quadratic(rand_spd(rng, d, 0.4, 2.0), rng.normal(size=d))
+            f_star = functools.partial(value, conjugate_function(f))
         else:
-            a = float(rng.uniform(0.2, 1.0))
-            b = float(rng.uniform(0.2, 1.0))
-            f = scalar_separable(lambda t, a=a, b=b: a * t ** 3 + b * t, d)
+            f = scalar_separable(paper_psi, d, PSI_RANGE)
+            f_star = lambda g: sum(psi_conjugate(gj) for gj in g)
         for _ in range(100):
             x = rng.uniform(-2.0, 2.0, d)
-            gdesc = subgradient(f, x)
-            gvec = gdesc.min_norm()
-            fy = value(f, x) + conjugate_value(f, gvec) - gvec @ x
-            assert abs(fy) <= 1e-6
+            gvec = grad_of(f, x)
+            fy = value(f, x) + f_star(gvec) - gvec @ x
+            assert abs(fy) <= 1e-12
             worst_fy = max(worst_fy, abs(fy))
             fy_pairs += 1
             h = 1e-5
@@ -187,14 +202,12 @@ def test_criterion_4_conjugate_subgradient_numerics():
         a = float(rng.uniform(0.3, 2.0))
         b = float(rng.uniform(-1.0, 1.0))
         d = int(rng.integers(1, 4))
-        f = scalar_separable(lambda t, a=a, b=b: a * t + b, d)
+        f = quadratic(a * np.eye(d), np.full(d, b))
         yv = rng.uniform(-3.0, 3.0, d)
-        opts = {}
-        num = conjugate_value(f, yv, opts)
-        assert opts["path"] == "numeric"
+        num = value(conjugate_function(f), yv)
         closed = float(np.sum((yv - b) ** 2) / (2 * a))
         rel_err = abs(num - closed) / max(1.0, abs(closed))
-        assert rel_err <= 1e-5
+        assert rel_err <= 1e-12
         worst_conj = max(worst_conj, rel_err)
     print(f"criterion 4: PASS - 1000 Fenchel-Young pairs (worst "
           f"{worst_fy:.2e}), conjugate rel err {worst_conj:.2e}, "

@@ -18,9 +18,9 @@ from conftest import rand_orth, rand_spd
 REL = 1e-12
 BLOCKS = ("spd", "singular", "zero", "indicator", "psi")
 # gradient relations of: a quadratic, a shifted indicator_zero, a stack
-# of the BLOCKS functions, an all-quadratic sum, a quadratic plus a cubic
+# of the BLOCKS functions, a shifted and tilted paper_psi
 GRADIENTS = ("grad_spd", "grad_singular", "grad_zero", "grad_indicator", "grad_stack",
-             "grad_sum", "grad_cubic")
+             "grad_shifted_psi")
 
 
 def rand_psd(rng, d, kind):
@@ -50,12 +50,9 @@ def gradient_function(rng, d, kind):
         cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(0, d), replace=False))
         return R.stacked([block_function(rng, hi - lo, rng.choice(BLOCKS))
                           for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, d])])
-    if kind == "grad_sum":
-        return R.function_sum([block_function(rng, d, "singular"),
-                               R.shifted(block_function(rng, d, "spd"), shift=rng.normal(size=d))])
-    if kind == "grad_cubic":
-        cubic = R.scalar_separable(lambda t: t ** 3, d)
-        return R.function_sum([block_function(rng, d, "spd"), cubic])
+    if kind == "grad_shifted_psi":
+        return R.shifted(block_function(rng, d, "psi"), shift=rng.normal(size=d),
+                         linear=rng.normal(size=d))
     return block_function(rng, d, kind.removeprefix("grad_"))
 
 
@@ -117,6 +114,17 @@ def test_stacked_value_is_the_sum_of_block_values(data):
             assert close(t, 0.5 * xk @ f.P @ xk + f.q @ xk + f.c, abs(t))
 
 
+def conjugate_by_hand(f, y):
+    """f*(y) of a block whose conjugate exists: a quadratic of invertible P,
+    an affine one at its slope y = q, or a shifted indicator
+    x -> ind(x - a) + b'x + c, whose conjugate is (y - b)'a - c."""
+    if f.kind is R.FunctionKind.SHIFTED:
+        return (y - f.linear) @ f.shift - f.constant
+    if not f.P.any():
+        return -f.c
+    return 0.5 * (y - f.q) @ np.linalg.solve(f.P, y - f.q) - f.c
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_stacked_conjugate_matches_block_conjugates(data):
@@ -132,7 +140,7 @@ def test_stacked_conjugate_matches_block_conjugates(data):
         if conj.kind is R.FunctionKind.SHIFTED and conj.inner.kind is R.FunctionKind.INDICATOR_ZERO:
             y[k] = conj.shift
     terms = [R.value(conj, yk) for (conj, _), yk in zip(outs, y)]
-    closed = [R.conjugate_value(f, yk) for f, yk in zip(blocks, y)]
+    closed = [conjugate_by_hand(f, yk) for f, yk in zip(blocks, y)]
     scale = sum(map(abs, terms))
     assert close(R.value(stacked, y.ravel()), sum(terms), scale)
     assert close(sum(closed), sum(terms), scale)
@@ -160,8 +168,11 @@ def graph_side(rng, rel, outputs):
     if chi.kind is R.FunctionKind.STACKED:
         return np.concatenate([graph_side(rng, R.gradient_relation(ch), outputs)
                                for ch in chi.children])
-    if chi.kind is R.FunctionKind.SHIFTED:  # of an indicator
-        return chi.linear + rng.uniform(-1.0, 1.0, d) if outputs else chi.shift
+    if chi.kind is R.FunctionKind.SHIFTED:
+        side = graph_side(rng, R.gradient_relation(chi.inner), outputs)
+        return side + (chi.linear if outputs else chi.shift)
+    if chi.kind is R.FunctionKind.INDICATOR_ZERO:
+        return rng.uniform(-1.0, 1.0, d) if outputs else np.zeros(d)
     if chi.kind is R.FunctionKind.SCALAR_SEPARABLE:
         return rng.uniform(-1.0, 1.0, d) if outputs else rng.normal(size=d)
     u = rng.normal(size=d)
@@ -172,8 +183,7 @@ def graph_side(rng, rel, outputs):
 @given(st.data(), st.sampled_from(["forward", "inverse"]))
 def test_coordinate_sets_match_block_sets(data, which):
     evaluate = getattr(set_oracle, which)
-    kinds = BLOCKS + GRADIENTS if which == "forward" else BLOCKS + GRADIENTS[:-1]
-    rng, d, rels = draw_blocks(data, block_relation, kinds)
+    rng, d, rels = draw_blocks(data, block_relation, BLOCKS + GRADIENTS)
     x = relation_points(rng, rels, d, evaluate)
     outs, err = first_error([lambda r=r, xk=xk: set_oracle.block_set(evaluate, r, xk)
                              for r, xk in zip(rels, x)])

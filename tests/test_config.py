@@ -6,10 +6,11 @@ import pytest
 
 from couplednet.config import (SCHEMA, agent_to_spec, controller_to_spec, emit_config,
                                function_to_spec, load_config, parse_config)
-from couplednet.couplers import ControllerKind, linear_synthesis, reconfigured
+from couplednet.couplers import (ControllerKind, controller_ss_relation, linear_synthesis,
+                                 nonlinear_integrator, reconfigured)
 from couplednet.errors import ConfigInvalid
 from couplednet.plants import AgentKind, convex_gradient_agent
-from couplednet.relations import indicator_zero, quadratic
+from couplednet.relations import PSI_RANGE, indicator_zero, paper_psi, quadratic, scalar_separable
 
 
 def base_doc():
@@ -138,6 +139,19 @@ def test_reconfigured_controller_spec_round_trip():
     for name in ("offset", "initial_state", "alpha", "beta"):
         assert np.array_equal(getattr(back, name), getattr(ctrl, name))
     assert "alpha" not in controller_to_spec(linear_synthesis([2.5]))
+
+
+def test_paper_psi_integrator_round_trip_keeps_its_relation(tmp_path):
+    # scalar_separable(paper_psi, d) means PSI_RANGE with or without the range,
+    # so the integrator's output interval is the same after a trip through a file
+    ctrl = nonlinear_integrator(scalar_separable(paper_psi, 1))
+    doc = base_doc()
+    doc["controllers"] = [controller_to_spec(ctrl)]
+    p = tmp_path / "net.json"
+    p.write_text(json.dumps(doc))
+    rel = controller_ss_relation(load_config(p).controllers[0])
+    assert rel == controller_ss_relation(ctrl)
+    assert (rel.out_lo, rel.out_hi) == PSI_RANGE
 
 
 def test_emit_extra_section():

@@ -204,14 +204,19 @@ def test_predict_leaves_scipy_unimported(tmp_path):
     # scipy.sparse alone would add about 20 MB to the peak RSS of a run;
     # orjson is for simulate's trajectory.csv only
     root = Path(__file__).resolve().parent.parent
+    # nor numpy.polynomial, about 1.5 MB: the Gauss-Legendre nodes of the
+    # paper_psi integral are made without it
     code = ("import sys\n"
-            "from couplednet import cli\n"
+            "from couplednet import cli, relations as R\n"
+            "assert 'numpy.polynomial' not in sys.modules\n"
             "for command in ('predict', 'check-cm'):\n"
             "    args = [command, '--config', sys.argv[1], '--out', sys.argv[2]]\n"
             "    rc = cli.cli.main(args=args, standalone_mode=False)\n"
             "    assert rc in (0, None), rc\n"
             "    loaded = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'orjson')]\n"
-            "    assert not loaded, (command, loaded)\n")
+            "    assert not loaded, (command, loaded)\n"
+            "R.value(R.scalar_separable(R.paper_psi, 2), [1.0, -1.0])\n"
+            "assert 'numpy.polynomial' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     res = subprocess.run([sys.executable, "-c", code, str(root / "configs" / "formation.json"),
                           str(tmp_path)], env=env, capture_output=True, text=True)

@@ -14,7 +14,7 @@ from couplednet.couplers import (PSI_RANGE, linear_synthesis,
 from couplednet.netgraph import build_graph
 from couplednet.plants import (convex_gradient_agent,
                                damped_oscillator_agent, linear_agent)
-from couplednet.relations import function_sum, quadratic, scalar_separable, shifted
+from couplednet.relations import quadratic, scalar_separable, shifted, stacked
 from couplednet.simulate import (IntegrateOptions, closed_loop,
                                  default_initial_state, integrate,
                                  integrate_schedule, step_rhs)
@@ -187,6 +187,11 @@ def psi2():
     return scalar_separable(paper_psi, 2, PSI_RANGE)
 
 
+def sum_potential():
+    """A block-separable sum of a paper_psi part and a quadratic part."""
+    return stacked([scalar_separable(paper_psi, 1, PSI_RANGE), quadratic(0.5 * np.eye(1))])
+
+
 def probe_network(kind):
     """Three nodes on a triangle, d = 2, with pieces of the named kind;
     "one_node" is a single agent with no edges."""
@@ -207,16 +212,15 @@ def probe_network(kind):
         agents[2] = damped_oscillator_agent([[1.0, 0.2], [0.0, 1.0]], np.eye(2), psi=psi2(),
                                             anchor=[0.3, 0.1])
     elif kind == "sum_potential":
-        ctrls[1] = nonlinear_integrator(function_sum([psi2(), quadratic(0.5 * np.eye(2))]))
+        ctrls[1] = nonlinear_integrator(sum_potential())
     elif kind == "shifted_potential":
         ctrls[2] = nonlinear_integrator(shifted(psi2(), shift=[0.3, -0.2]))
     elif kind == "both_sides":
         agents[0] = convex_gradient_agent(psi2(), w=[0.1, 0.2])
         agents[1] = linear_agent(-np.eye(2), np.eye(2), np.eye(2), T=[[0.5, 0.1], [0.1, 0.3]])
-        ctrls[1] = nonlinear_integrator(function_sum([psi2(), quadratic(0.5 * np.eye(2))]))
-    elif kind == "quartic_agent":
-        agents[1] = convex_gradient_agent(function_sum([quadratic(np.eye(2)),
-                                                        scalar_separable(lambda t: t ** 3, 2)]))
+        ctrls[1] = nonlinear_integrator(sum_potential())
+    elif kind == "shifted_psi_agent":
+        agents[1] = convex_gradient_agent(shifted(psi2(), shift=[0.3, -0.2]))
     return closed_loop(build_graph(3, [(0, 1), (1, 2), (0, 2)]), agents, ctrls)
 
 
@@ -248,7 +252,7 @@ def test_network_packs_and_matches_the_oracle(kind):
 # probes built of library pieces no config can say, each with the member it names
 REFUSED = {"sum_potential": "controllers[1].potential",
            "shifted_potential": "controllers[2].potential",
-           "both_sides": "controllers[1].potential", "quartic_agent": "agents[1].psi"}
+           "both_sides": "controllers[1].potential", "shifted_psi_agent": "agents[1].psi"}
 
 
 @pytest.mark.parametrize("kind", REFUSED)

@@ -15,7 +15,7 @@ from couplednet.netopt import (SolveOptions, assemble, duality_gap,
                                problem_from_relations, recover_certificate,
                                solve_ofp, solve_opp, verify_steady_state)
 from couplednet.plants import linear_agent
-from couplednet.relations import (FunctionKind, affine_relation, function_sum,
+from couplednet.relations import (FunctionKind, affine_relation,
                                   indicator_zero, quadratic, scalar_separable,
                                   shifted, stacked, value)
 from couplednet.simulate import (IntegrateOptions, closed_loop,
@@ -116,9 +116,8 @@ def test_problem_from_relations():
     g = build_graph(2, [(0, 1)])
     op = incidence(g, 1)
     node_rels = [affine_relation(np.eye(1)), affine_relation(np.eye(1), [2.0])]
-    half = quadratic(0.5 * np.eye(1))
-    # a sum of quadratics is the same quadratic edge function
-    for edge in (quadratic(np.eye(1)), function_sum([half, half])):
+    # a stack of one quadratic is the same quadratic edge function
+    for edge in (quadratic(np.eye(1)), stacked([quadratic(np.eye(1))])):
         prob = problem_from_relations(op, node_rels, [edge])
         y, zeta, _ = solve_opp(prob)
         # minimize y0^2/2 + (y1-2)^2/2 + (y1-y0)^2/2: y = (2/3, 4/3)

@@ -16,7 +16,7 @@ from couplednet.errors import (DimensionMismatch, NoConvergence,
                                SingularMatrix, UnsupportedKind)
 
 from closed_loop_oracle import output, rhs, solve_equilibrium
-from conftest import meicmp_linear_agent, rand_spd
+from conftest import meicmp_linear_agent
 
 
 def test_linear_agent_steady_state_relation():
@@ -129,16 +129,16 @@ def test_agent_form_folds_quadratic_psi():
 def test_agent_forms_match_one_at_a_time():
     # grouping by kind and shape must hand each agent its own form and relation
     kinds = _affine_kinds()
-    quartic = P.convex_gradient_agent(
-        R.function_sum([R.quadratic(np.eye(2)), R.scalar_separable(lambda t: t ** 3, 2)]))
+    shifted_psi = P.convex_gradient_agent(
+        R.shifted(R.scalar_separable(paper_psi, 2), shift=[0.3, -0.2]))
     models = [kinds["oscillator_quadratic"], P.linear_agent([[-3.0]], [[1.0]], [[2.0]]),
               kinds["linear_T_w"], kinds["gradient_quadratic_J_rho"],
-              kinds["oscillator_paper_psi"], quartic, kinds["oscillator_undamped"]]
+              kinds["oscillator_paper_psi"], shifted_psi, kinds["oscillator_undamped"]]
     for model, form in zip(models, P.agent_forms(models)):
         one = P.agent_form(model)
         assert all(np.array_equal(a, b) for a, b in zip(form[:5], one[:5]))
         assert form[5] is one[5] and form[6] == one[6]
-    affine = [m for m in models if m is not quartic]
+    affine = [m for m in models if m is not shifted_psi]
     for model, rel in zip(affine, P.ss_relations(affine)):
         one = P.ss_relation(model)
         assert np.array_equal(rel.S, one.S) and np.array_equal(rel.v, one.v)
@@ -178,14 +178,13 @@ def test_meicmp_linear_random_construction(rng):
         assert P.is_meicmp_linear(a.A, a.B, a.C).verdict == "yes"
 
 
-def _quartic_agent():
-    psi = R.function_sum([R.quadratic(np.diag([2.0, 1.0])),
-                          R.scalar_separable(lambda t: t ** 3, 2)])
+def _psi_agent():
+    psi = R.shifted(R.scalar_separable(paper_psi, 2), shift=[0.5, -0.3], linear=[0.1, 0.2])
     return P.convex_gradient_agent(psi, J=np.array([[0.0, 0.5], [-0.5, 0.0]]))
 
 
 def test_solve_equilibrium_convex_gradient():
-    agent = _quartic_agent()
+    agent = _psi_agent()
     u = np.array([1.0, -0.5])
     res = solve_equilibrium(agent, u)
     assert res.residual <= 1e-10
@@ -201,7 +200,7 @@ def test_solve_equilibrium_rejects_linear_agent():
 def test_solve_equilibrium_unreachable_tol_raises():
     # hybr stops near 1e-16; no residual meets 1e-300
     with pytest.raises(NoConvergence):
-        solve_equilibrium(_quartic_agent(), [1.0, -0.5], tol=1e-300)
+        solve_equilibrium(_psi_agent(), [1.0, -0.5], tol=1e-300)
 
 
 def test_solve_equilibrium_leaves_scipy_stats_unimported():
@@ -209,8 +208,7 @@ def test_solve_equilibrium_leaves_scipy_stats_unimported():
             "import numpy as np\n"
             "from closed_loop_oracle import solve_equilibrium\n"
             "from couplednet import plants as P, relations as R\n"
-            "psi = R.function_sum([R.quadratic(np.diag([2.0, 1.0])),\n"
-            "                      R.scalar_separable(lambda t: t ** 3, 2)])\n"
+            "psi = R.shifted(R.scalar_separable(R.paper_psi, 2), shift=[0.5, -0.3])\n"
             "J = np.array([[0.0, 0.5], [-0.5, 0.0]])\n"
             "solve_equilibrium(P.convex_gradient_agent(psi, J=J), [1.0, -0.5])\n"
             "assert 'scipy.stats' not in sys.modules\n")
@@ -223,14 +221,13 @@ def test_solve_equilibrium_leaves_scipy_stats_unimported():
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=5000))
-def test_solve_equilibrium_random_quartic(seed):
+def test_solve_equilibrium_random_psi(seed):
     rng = np.random.default_rng(seed)
-    quart = rng.uniform(0.1, 1.0)
-    psi = R.function_sum([
-        R.quadratic(rand_spd(rng, 2, 0.3, 2.0), rng.normal(size=2)),
-        R.scalar_separable(lambda t, a=quart: a * t ** 3, 2),
-    ])
-    s = rng.normal()
+    psi = R.shifted(R.scalar_separable(paper_psi, 2), shift=rng.normal(size=2),
+                    linear=rng.normal(size=2))
+    # paper_psi is bounded, so J x carries the rest point: for |s| near 0 it lies far
+    # out, where paper_psi is flat and the root finder stalls, so |s| is kept in [0.2, 2]
+    s = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
     J = np.array([[0.0, s], [-s, 0.0]])
     agent = P.convex_gradient_agent(psi, J=J)
     u = rng.normal(size=2)

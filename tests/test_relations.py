@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from couplednet import plants
 from couplednet import relations as R
-from couplednet.couplers import PSI_RANGE, paper_psi
 from couplednet.errors import (DimensionMismatch, EmptyList, OutsideDomain,
                                RelationNotEvaluable, UnsupportedKind)
+from couplednet.relations import PSI_RANGE, paper_psi
 
 from conftest import rand_spd
 from set_oracle import solve_affine
@@ -30,7 +31,6 @@ def test_quadratic_conjugate_closed_form():
     f = R.quadratic(P2, Q2, 0.5)
     y = np.array([3.0, 7.0])
     expect = 0.5 * (y - Q2) @ np.linalg.solve(P2, y - Q2) - 0.5
-    assert R.conjugate_value(f, y) == pytest.approx(expect, rel=1e-10)
     g = R.conjugate_function(f)
     assert R.value(g, y) == pytest.approx(expect, rel=1e-10)
 
@@ -40,21 +40,70 @@ def test_indicator_zero():
     assert R.value(f, [0.0, 0.0]) == 0.0
     assert R.value(f, [1.0, 0.0]) == math.inf
     # conjugate of the indicator of {0} is identically zero
-    assert R.conjugate_value(f, [3.0, -2.0]) == 0.0
+    assert R.value(R.conjugate_function(f), [3.0, -2.0]) == 0.0
 
 
-def test_scalar_separable_cubic():
-    f = R.scalar_separable(lambda t: t ** 3, 2)
-    assert R.value(f, [1.0, 2.0]) == pytest.approx(4.25, rel=1e-9)
-    assert np.allclose(R.grad_of(f, [1.0, 2.0]), [1.0, 8.0])
+def test_scalar_separable_takes_paper_psi_only():
+    f = R.scalar_separable(paper_psi, 2)
+    assert f == R.scalar_separable(paper_psi, 2, PSI_RANGE) == R.scalar_separable(
+        paper_psi, 2, list(PSI_RANGE))
+    assert np.array_equal(R.grad_of(f, [1.0, -1.0]), paper_psi(np.array([1.0, -1.0])))
+    for psi, psi_range in [(lambda t: t ** 3, None), (np.tanh, None), (np.tanh, PSI_RANGE),
+                           (paper_psi, (-1.0, 1.0)), (paper_psi, (PSI_RANGE[0], math.inf))]:
+        with pytest.raises(UnsupportedKind, match="paper_psi on PSI_RANGE only"):
+            R.scalar_separable(psi, 2, psi_range)
 
 
 def test_scalar_separable_psi_integral():
     # independent quadrature oracles for the saturating nonlinearity
     f = R.scalar_separable(paper_psi, 1, PSI_RANGE)
-    assert R.value(f, [1.0]) == pytest.approx(0.09655540213533835, abs=1e-9)
-    assert R.value(f, [-1.0]) == pytest.approx(0.05129719936772799, abs=1e-9)
-    assert R.value(f, [2.5]) == pytest.approx(1.0286773101992275, abs=1e-9)
+    assert R.value(f, [1.0]) == pytest.approx(0.09655540213533835, rel=1e-12)
+    assert R.value(f, [-1.0]) == pytest.approx(0.05129719936772799, rel=1e-12)
+    assert R.value(f, [2.5]) == pytest.approx(1.0286773101992275, rel=1e-12)
+
+
+def mp_psi(x):
+    """paper_psi at mpmath's working precision."""
+    ell = mpmath.log((mpmath.exp(x) + 1) / 2)
+    return mpmath.asin(mpmath.sign(x) * ell ** 2 / (ell ** 2 + 1))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_psi_integral_matches_mpmath(sign):
+    # 40-digit quadrature, summed over the grid's consecutive intervals
+    t = sign * np.logspace(-3, 8, 23)
+    f = R.scalar_separable(paper_psi, 1)
+    got = np.array([R.value(f, [tk]) for tk in t])
+    with mpmath.workdps(40):
+        ref, total, prev = [], mpmath.mpf(0), mpmath.mpf(0)
+        for tk in t:
+            total += mpmath.quad(mp_psi, [prev, mpmath.mpf(tk)])
+            prev = mpmath.mpf(tk)
+            ref.append(float(total))
+    bound = np.where(np.abs(t) <= 1e4, 1e-12, 1e-9)
+    assert np.all(np.abs(got - ref) <= bound * np.abs(ref))
+
+
+def test_psi_inverse_matches_mpmath():
+    lo, hi = PSI_RANGE
+    m = np.concatenate([np.linspace(lo + 1e-3, hi - 1e-3, 101), [-1e-8, 1e-8]])
+    got = R.inverse(R.gradient_relation(R.scalar_separable(paper_psi, m.size)), m).min_norm()
+    with mpmath.workdps(40):  # the root of paper_psi(x) = m, from the closed form's x
+        ref = np.array([float(mpmath.findroot(lambda x, mk=mpmath.mpf(mk): mp_psi(x) - mk,
+                                              mpmath.mpf(x0)))
+                        for mk, x0 in zip(m, got)])
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_psi_inverse_is_empty_at_and_beyond_its_range():
+    lo, hi = PSI_RANGE
+    rel = R.gradient_relation(R.scalar_separable(paper_psi, 2))
+    for m in (lo, np.nextafter(lo, -np.inf), lo - 1.0, -np.inf,
+              hi, np.nextafter(hi, np.inf), hi + 1.0, np.inf, np.nan):
+        assert R.inverse(rel, [0.1, m]).is_empty
+        assert R.inverse(rel, [m, -0.1]).is_empty
+    inner = R.inverse(rel, [np.nextafter(lo, 0.0), np.nextafter(hi, 0.0)]).min_norm()
+    assert inner[0] < -30.0 and inner[1] > 1e7
 
 
 def test_paper_psi_frozen_values():
@@ -74,9 +123,7 @@ def test_paper_psi_range_and_tails():
     assert np.isfinite(paper_psi(np.array([-1e8, 1e8]))).all()
 
 
-def test_function_sum_and_shift():
-    f = R.function_sum([R.quadratic(P2), R.quadratic(np.eye(2))])
-    assert R.value(f, [1.0, 1.0]) == pytest.approx(0.5 * 2 + 0.5 * 4 + 1.0)
+def test_shift_of_shift():
     g = R.shifted(R.quadratic(np.eye(2)), shift=[1.0, 0.0], constant=2.0)
     assert R.value(g, [1.0, 0.0]) == pytest.approx(2.0)
     # a shift of a shift is stored as one, with the same values
@@ -102,8 +149,8 @@ def test_value_dimension_check():
 
 def test_indicator_subgradient_empty_off_origin():
     f = R.indicator_zero(2)
-    assert R.subgradient(f, [0.0, 0.0]).kind is R.SetKind.EVERYTHING
-    assert R.subgradient(f, [1.0, 0.0]).is_empty
+    assert R.forward(R.gradient_relation(f), [0.0, 0.0]).kind is R.SetKind.EVERYTHING
+    assert R.forward(R.gradient_relation(f), [1.0, 0.0]).is_empty
     with pytest.raises(OutsideDomain):
         R.grad_of(f, [1.0, 0.0])
 
@@ -116,12 +163,6 @@ def test_min_norm_subgradient_of_indicator_parts():
         R.grad_of(f, [0.5, 1.0])
     g = R.shifted(R.indicator_zero(2), shift=[1.0, -1.0], linear=[3.0, 4.0])
     assert np.array_equal(R.grad_of(g, [1.0, -1.0]), [0.0, 0.0])
-    # a sum with an indicator part has no closed-form subgradient
-    h = R.function_sum([R.indicator_zero(2), R.quadratic(np.eye(2))])
-    with pytest.raises(RelationNotEvaluable):
-        R.subgradient(h, [0.0, 0.0])
-    with pytest.raises(RelationNotEvaluable):
-        R.grad_of(h, [0.0, 0.0])
 
 
 def test_as_quadratic_roundtrip():
@@ -139,7 +180,7 @@ def test_fenchel_young_equality_at_subgradients(seed, d):
     f = R.quadratic(rand_spd(rng, d), rng.normal(size=d))
     x = rng.normal(size=d)
     g = R.grad_of(f, x)
-    resid = R.value(f, x) + R.conjugate_value(f, g) - g @ x
+    resid = R.value(f, x) + R.value(R.conjugate_function(f), g) - g @ x
     assert abs(resid) <= 1e-8
 
 
@@ -149,7 +190,7 @@ def test_fenchel_young_inequality(seed):
     rng = np.random.default_rng(seed)
     f = R.quadratic(rand_spd(rng, 2), rng.normal(size=2))
     x, y = rng.normal(size=2), rng.normal(size=2)
-    assert R.value(f, x) + R.conjugate_value(f, y) - y @ x >= -1e-9
+    assert R.value(f, x) + R.value(R.conjugate_function(f), y) - y @ x >= -1e-9
 
 
 def test_subgradient_matches_central_difference():
@@ -317,14 +358,19 @@ def test_check_cm_rejects_empty_budget(budget):
 
 
 def test_sum_with_nonquadratic_part_has_no_closed_form():
-    f = R.function_sum([R.quadratic(np.eye(2)), R.scalar_separable(lambda t: t**3, 2)])
+    # a block-separable sum with a paper_psi part has no closed-form
+    # conjugate, though its gradient inverts block by block
+    f = R.stacked([R.quadratic(np.eye(2)), R.scalar_separable(paper_psi, 2)])
     with pytest.raises(UnsupportedKind):
-        R.conjugate_value(f, [1.0, 2.0])
-    with pytest.raises(UnsupportedKind):
-        R.inverse(R.gradient_relation(f), [1.0, 2.0])
+        R.conjugate_function(f)
+    rel = R.gradient_relation(f)
+    y = [1.0, 2.0, 0.5, -0.2]
+    assert np.allclose(R.forward(rel, R.inverse(rel, y).min_norm()).min_norm(), y,
+                       rtol=0.0, atol=1e-15)
 
 
 def test_conjugate_value_unbounded():
     # linear function: conjugate finite only at its slope
-    f = R.quadratic(np.zeros((1, 1)), np.array([2.0]))
-    assert R.conjugate_value(f, [2.0]) == pytest.approx(0.0, abs=1e-8)
+    conj = R.conjugate_function(R.quadratic(np.zeros((1, 1)), np.array([2.0])))
+    assert R.value(conj, [2.0]) == 0.0
+    assert R.value(conj, [2.5]) == math.inf

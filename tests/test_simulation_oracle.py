@@ -16,7 +16,7 @@ from couplednet.couplers import PSI_RANGE, linear_synthesis, nonlinear_integrato
 from couplednet.errors import CoupledNetError
 from couplednet.netopt import assemble, recover_certificate, solve_opp
 from couplednet.plants import damped_oscillator_agent
-from couplednet.relations import quadratic, scalar_separable
+from couplednet.relations import FunctionKind, quadratic, scalar_separable
 from couplednet.simulate import (IntegrateOptions, closed_loop, default_initial_state,
                                  detect_convergence, integrate, prediction_report)
 
@@ -81,7 +81,8 @@ def outcome(graph, agents, ctrls):
             and prediction_report(system, conv, cert, PREDICTION_TOL).y_error_aligned
             <= PREDICTION_TOL):
         return "refused mu, though the loop settles on its y"
-    saturating = [c.potential is not None and c.potential.phi is paper_psi for c in ctrls]
+    saturating = [c.potential is not None and c.potential.kind is FunctionKind.SCALAR_SEPARABLE
+                  for c in ctrls]
     mu = traj.mu[-1].reshape(graph.edge_count, -1)[saturating]
     if np.any(np.abs(mu[..., None] - np.array(PSI_RANGE)) <= 1e-6):
         return "false refusal at a saturated integrator"
