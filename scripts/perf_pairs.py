@@ -1,0 +1,121 @@
+"""Alternating before/after pairs of the benchmark, with medians and quartiles.
+
+Runs `perfbench/run.py --trace 0` (its default seed and run length) in
+N pairs on two checkouts: a clean export of a git revision (the base,
+`git archive` into a fresh directory under /tmp, so the repository's
+.git gains nothing), and the working tree (the change). The order within
+a pair alternates, base first in even pairs, so a drift of the host's
+speed falls on both sides. For each workload and end-to-end metric it
+prints every pair's values, then each side's median and quartiles, how
+many pairs the change wins, and whether the change's median sits below
+the base's lower quartile.
+
+Run from the root of the working tree:
+
+    python3 scripts/perf_pairs.py --rev HEAD --pairs 10 --workload formation
+
+Each benchmark run writes its own `.perfbench_out/` in its checkout;
+this script writes its table as JSON to `.perfbench_out/pairs-<rev>.json`
+in the working tree, and removes the export when it ends.
+"""
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+WORKLOADS = ("formation", "ring256", "cm")
+METRICS = ("setup_s", "pass_s", "peak_rss_mb")  # lower is better for each
+
+
+def export(rev, into):
+    """The tree of rev, written into the empty directory into."""
+    archive = subprocess.run(["git", "archive", rev], check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
+
+
+def bench(checkout, workload):
+    """The last line of one run: {"correct", "attempted", "failed", "metrics"}.
+
+    Without bytecode writes, as the benchmark's own runs are made, so each
+    run compiles its checkout's sources."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"],
+        cwd=checkout, env=env, capture_output=True, text=True, timeout=1800)
+    if proc.returncode != 0:
+        sys.exit(f"perfbench failed in {checkout}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summary(values):
+    """(median, lower quartile, upper quartile) of values."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4)
+    return med, q1, q3
+
+
+def report(workload, runs):
+    """Print one workload's table from runs = [(base result, change result)]."""
+    print(f"\n== {workload}: {len(runs)} pairs "
+          f"(failed ops base {sum(b['failed'] for b, _ in runs)}, "
+          f"change {sum(c['failed'] for _, c in runs)}; "
+          f"all correct: {all(b['correct'] and c['correct'] for b, c in runs)})")
+    table = {}
+    for metric in METRICS:
+        base = [b["metrics"][metric]["value"] for b, _ in runs]
+        change = [c["metrics"][metric]["value"] for _, c in runs]
+        print(f"{metric:<12} {'pair':>4} {'base':>12} {'change':>12} {'change/base':>12}")
+        for i, (b, c) in enumerate(zip(base, change)):
+            print(f"{'':<12} {i:>4} {b:>12.6f} {c:>12.6f} {c / b:>12.3f}")
+        (bm, bq1, bq3), (cm, cq1, cq3) = summary(base), summary(change)
+        wins = sum(c < b for b, c in zip(base, change))
+        print(f"{'':<12} base   median {bm:.6f}  quartiles [{bq1:.6f}, {bq3:.6f}]")
+        print(f"{'':<12} change median {cm:.6f}  quartiles [{cq1:.6f}, {cq3:.6f}]")
+        print(f"{'':<12} change lower in {wins} of {len(runs)} pairs; median "
+              f"{cm / bm - 1.0:+.1%}; below the base's lower quartile: {cm < bq1}")
+        table[metric] = {"base": base, "change": change, "base_median": bm,
+                         "base_quartiles": [bq1, bq3], "change_median": cm,
+                         "change_quartiles": [cq1, cq3], "change_lower": wins}
+    return table
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--rev", default="HEAD", help="base revision (default HEAD)")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workload", default="formation", choices=WORKLOADS + ("all",))
+    args = ap.parse_args()
+    if not os.path.isfile("perfbench/run.py"):
+        sys.exit("run from the root of the working tree")
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    base_dir = tempfile.mkdtemp(prefix="perf-pairs-base-", dir="/tmp")
+    try:
+        export(args.rev, base_dir)
+        tables = {}
+        for workload in workloads:
+            runs = []
+            for i in range(args.pairs):
+                order = (base_dir, ".") if i % 2 == 0 else (".", base_dir)
+                res = {tree: bench(tree, workload) for tree in order}
+                runs.append((res[base_dir], res["."]))
+                print(f"{workload} pair {i}: base pass_s "
+                      f"{runs[-1][0]['metrics']['pass_s']['value']:.4f}, change "
+                      f"{runs[-1][1]['metrics']['pass_s']['value']:.4f}", file=sys.stderr)
+            tables[workload] = report(workload, runs)
+    finally:
+        shutil.rmtree(base_dir, ignore_errors=True)
+    os.makedirs(".perfbench_out", exist_ok=True)
+    out = os.path.join(".perfbench_out", f"pairs-{args.rev.replace('/', '_')}.json")
+    with open(out, "w") as fh:
+        json.dump({"rev": args.rev, "pairs": args.pairs, "workloads": tables}, fh, indent=1)
+    print(f"\nwritten: {out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -28,7 +28,7 @@ import numpy as np
 from .couplers import ControllerKind
 from .errors import NonFiniteState, StepUnderflow, UnsupportedKind
 from .netgraph import IncidenceOperator
-from .relations import FunctionKind, as_quadratic, paper_psi, paper_psi_into
+from .relations import FunctionKind, as_quadratic, paper_psi, paper_psi_into, paper_psi_prime
 
 
 # Values per block when recorded trajectories are post-processed: signals,
@@ -88,6 +88,16 @@ def _packed_rhs(s, pk, v):
     return np.bincount(pk.row, p, minlength=dim)
 
 
+def packed_jacobian(pk, s):
+    """Dense Jacobian of the packed map at s: W's state columns, plus its
+    paper_psi columns times paper_psi' at s[psi_idx] on the states they read."""
+    W = np.zeros((pk.dim, pk.width))
+    np.add.at(W, (pk.row, pk.col), pk.w)
+    J = W[:, :pk.dim]
+    np.add.at(J.T, pk.psi_idx, (W[:, pk.psi_cols] * paper_psi_prime(s[pk.psi_idx])).T)
+    return J
+
+
 @dataclass(frozen=True)
 class StepStats:
     """Work done by one integration of _rk45_loop.
@@ -140,11 +150,13 @@ _DP_P = np.array([
 ]).reshape(7, 4)
 
 
-def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0):
+def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0, settled=None):
     """Adaptive Dormand-Prince 5(4) recording the state at each rec_times entry.
 
     Records inside a step come from the 4th-order continuous extension;
     the last step lands exactly on rec_times[-1]. Returns (states, StepStats).
+    settled(out, k), if given, is called after each step that records, with
+    out's first k records filled; once True, the loop ends with those k.
     np.errstate(under="ignore", over="ignore", invalid="ignore") is
     entered once here, around every rhs call, so the packed kernel's
     paper_psi tails stay quiet under a caller's raising errstate, and a
@@ -205,7 +217,8 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0):
                 raise NonFiniteState("state became non-finite during integration")
             if errn <= 1.0:
                 t_new = t_end if last else t + h_use
-                if idx < nrec and rec_times[idx] <= t_new:
+                wrote = idx < nrec and rec_times[idx] <= t_new
+                if wrote:
                     stop = int(np.searchsorted(rec_times, t_new, side="right"))
                     theta = (rec_times[idx:stop] - t) / h_use
                     weights = (theta[:, None] ** np.arange(1, 5)) @ _DP_P.T
@@ -213,6 +226,8 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0):
                     idx = stop
                 if last:
                     out[-1] = s5
+                if wrote and settled is not None and settled(out, idx):
+                    t_end = t_new  # ends the loop after this step's bookkeeping
                 accepted += 1
                 h_min = min(h_min, h_use)
                 t = t_new
@@ -223,7 +238,7 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0):
                 rejected += 1
             factor = 5.0 if errn == 0.0 else min(5.0, max(0.2, 0.9 * errn ** -0.2))
             h = h_use * factor
-    return out, StepStats(nfev, accepted, rejected, h_min)
+    return out[:idx], StepStats(nfev, accepted, rejected, h_min)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .netopt import (
 from .plants import AgentKind, is_meicmp_linear, is_meicmp_oscillator, ss_relation
 from .relations import Sampler, check_cm
 from .simulate import (
+    PREDICTION_TOL,
     IntegrateOptions,
     closed_loop,
     default_initial_state,
@@ -64,7 +65,6 @@ EXIT_MATH = 2
 EXIT_NUMERIC = 3
 
 _CERT_TOL = 1e-6  # residual bound a predicted steady state must meet
-_PREDICTION_TOL = 1e-3  # aligned gap a settled simulation may leave to its certificate
 
 _MATH_ERRORS = (Infeasible, NotForcible, EmptyInverse, EmptySelection,
                 RelationNotEvaluable, Unbounded, OutsideDomain)
@@ -295,7 +295,8 @@ def cmd_simulate(config_path, out, seed):
                      None, None)]
         if init is None:
             init = default_initial_state(plan[0][0])
-        trajs = integrate_schedule([(system, T) for system, T, _, _ in plan], init, opts)
+        trajs = integrate_schedule([(system, T, cert) for system, T, cert, _ in plan], init,
+                                   opts, conv_tol)
         summary = []
         for k, ((system, _, cert, y_star), traj) in enumerate(zip(plan, trajs)):
             conv = detect_convergence(traj, tol=conv_tol)
@@ -303,11 +304,11 @@ def cmd_simulate(config_path, out, seed):
                 line = f"segment {k}: converged = {conv.converged}"
                 if conv.converged:
                     err = float(np.max(np.abs(conv.y_ss - y_star)))
-                    rep = prediction_report(system, conv, cert, _PREDICTION_TOL)
+                    rep = prediction_report(system, conv, cert, PREDICTION_TOL)
                     line += (f", y_ss = {_fmt_vec(conv.y_ss)}"
                              f", target_err_inf = {err:.3e}"
                              f", prediction_pass = {rep.passed}")
-                summary.append(line)
+                summary.append(line + f", t_stop = {traj.metadata['t_stop']:.6g}")
             else:
                 summary.append(f"converged = {conv.converged}")
                 if conv.converged:
@@ -315,7 +316,7 @@ def cmd_simulate(config_path, out, seed):
                     problem = assemble(cfg.graph, cfg.agents, cfg.controllers)
                     y, zeta, _ = solve_opp(problem, opts=solve_opts)
                     cert = recover_certificate(problem, y, zeta)
-                    rep = prediction_report(system, conv, cert, _PREDICTION_TOL)
+                    rep = prediction_report(system, conv, cert, PREDICTION_TOL)
                     summary.append(f"y_error_aligned = {rep.y_error_aligned:.6e}")
                     summary.append(f"mu_error_aligned = {rep.mu_error_aligned:.6e}")
                     summary.append(f"prediction_pass = {rep.passed}")

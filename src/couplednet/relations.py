@@ -185,6 +185,16 @@ def _psi_tail(big_l, sign, num, out):
     return np.arcsin(num, out)
 
 
+def paper_psi_prime(x):
+    """paper_psi's derivative 2|ell| s / ((L + 1) sqrt(2L + 1)), zero at zero: ell and L
+    are paper_psi's, s = exp(x - logaddexp(x, 0)) the logistic function."""
+    with np.errstate(under="ignore"):
+        soft = np.logaddexp(x, 0.0)
+        ell = soft - _LOG2
+        big_l = ell * ell
+        return 2.0 * np.abs(ell) * np.exp(x - soft) / ((big_l + 1.0) * np.sqrt(2.0 * big_l + 1.0))
+
+
 _L_LIMIT = _LOG2 ** 2
 PSI_RANGE = (-math.asin(_L_LIMIT / (_L_LIMIT + 1.0)), math.pi / 2.0)
 

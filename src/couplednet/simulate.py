@@ -18,6 +18,9 @@ from .errors import DimensionMismatch, NoConvergence, NonFiniteState
 from .netgraph import DirectedGraph, IncidenceOperator, incidence, project_agreement
 from .netopt import min_norm_flow, network_parts
 from .plants import AgentModel, agent_groups
+from .relations import paper_psi_into
+
+PREDICTION_TOL = 1e-3  # aligned gap a settled simulation may leave to its certificate
 
 
 @dataclass(frozen=True)
@@ -26,30 +29,11 @@ class ClosedLoopSystem:
 
     The wiring is fixed: controller inputs are the signed output
     differences ``zeta = E^T y`` and agent inputs are the signed
-    controller output sums ``u = -E mu``, where ``E`` is the lifted
-    incidence operator of the graph.
-
-    Parameters
-    ----------
-    graph : DirectedGraph
-        Underlying connected digraph with n nodes and m edges.
-    op : IncidenceOperator
-        Incidence operator lifted by the common output dimension d.
-    agents : tuple of AgentModel
-        One agent per node, all with equal io_dim d.
-    controllers : tuple of ControllerModel
-        One controller per edge, io_dim d each.
-
-    Attributes
-    ----------
-    io_dim : int
-        Common signal dimension d.
-    agent_dim : int
-        Total agent state dimension.
-    ctrl_dim : int
-        Total controller state dimension.
-    packed : PackedSystem
-        The closed loop as the packed kernel evaluates it.
+    controller output sums ``u = -E mu``, where ``E`` is op, the graph's
+    incidence operator lifted by the common signal dimension io_dim.
+    There is one agent per node and one controller per edge; agent_dim
+    and ctrl_dim are their total state dimensions, and packed is the
+    closed loop as the packed kernel evaluates it.
     """
 
     graph: DirectedGraph
@@ -90,10 +74,8 @@ def closed_loop(graph: DirectedGraph, agents: Sequence[AgentModel],
 
 def default_initial_state(system: ClosedLoopSystem) -> np.ndarray:
     """Zero agent states followed by the controllers' declared eta(0)."""
-    parts = [np.zeros(system.agent_dim)]
-    for c in system.controllers:
-        parts.append(np.asarray(c.initial_state, dtype=float))
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return np.concatenate([np.zeros(system.agent_dim)] + [
+        np.asarray(c.initial_state, dtype=float) for c in system.controllers])
 
 
 def step_rhs(system: ClosedLoopSystem, full_state: np.ndarray) -> np.ndarray:
@@ -153,31 +135,21 @@ class Trajectory:
 
 
 def _record_grid(t0: float, T: float, record_every: Optional[float]):
-    if record_every is None:
-        record_every = T / 500.0
-    nrec = int(round(T / record_every))
-    if nrec < 2:
-        nrec = 2
+    nrec = max(2, int(round(T / (record_every or T / 500.0))))
     return t0 + np.linspace(0.0, T, nrec + 1)
 
 
 def integrate(system: ClosedLoopSystem, init, T: float,
               opts: Optional[IntegrateOptions] = None,
-              t0: float = 0.0) -> Trajectory:
+              t0: float = 0.0, certificate=None, conv_tol: float = 1e-6) -> Trajectory:
     """Integrate the closed loop over [t0, t0+T] and record a Trajectory.
 
-    Parameters
-    ----------
-    system : ClosedLoopSystem
-    init : array_like
-        Stacked initial state (agents then controllers).
-    T : float
-        Horizon, must be finite and positive.
-    opts : IntegrateOptions, optional
-        Adaptive Dormand-Prince 5(4) with local error per step <= tol;
-        record_every sets the sample spacing.
-    t0 : float
-        Start time, must be finite.
+    init is the stacked initial state (agents then controllers), T the
+    horizon (finite, positive) and t0 the start time (finite); opts sets
+    the adaptive Dormand-Prince 5(4) steps' local error tol and the
+    record spacing. With a certificate the run ends at the first record
+    block where it has settled on it (_settled_test, at conv_tol), else
+    at t0+T; metadata records the end as t_stop and T as horizon.
 
     Raises
     ------
@@ -208,40 +180,89 @@ def integrate(system: ClosedLoopSystem, init, T: float,
     def rhs_fn(s):
         return _fastpath._packed_rhs(s, packed, v)
 
+    settled = None if certificate is None else _settled_test(
+        system, certificate, rec, 0.1 * T, conv_tol)
     states, stats = _fastpath._rk45_loop(
-        rhs_fn, s0, t0, rec, opts.tol, opts.tol, min(1e-3, T / 100.0))
+        rhs_fn, s0, t0, rec, opts.tol, opts.tol, min(1e-3, T / 100.0), settled)
     if not np.all(np.isfinite(states)):
         raise NonFiniteState("state became non-finite during integration")
 
+    times = rec[:states.shape[0]]
     u, y, zeta, mu = _fastpath.packed_signals(packed, states)
-    meta = {"tol": opts.tol, "record_every": float(rec[1] - rec[0]), **asdict(stats)}
-    return Trajectory(system=system, times=rec, states=states,
+    meta = {"tol": opts.tol, "record_every": float(rec[1] - rec[0]), **asdict(stats),
+            "t_stop": float(times[-1]), "horizon": float(T)}
+    return Trajectory(system=system, times=times, states=states,
                       u=u, y=y, zeta=zeta, mu=mu, metadata=meta)
 
 
+def _settled_test(system, certificate, times, window, conv_tol):
+    """The settled(out, k) test of _rk45_loop: the trailing window of the
+    first k records passes detect_convergence at conv_tol and
+    prediction_report at PREDICTION_TOL, as the run stopped there would,
+    and the packed Jacobian at the last record has no eigenvalue with
+    real part above 1e-9 times its spectral radius. The window's
+    [y ; mu] are screened first, by a dense copy of the signal map,
+    which costs a fraction of packed_signals on a few records: while a
+    suffix spreads more than conv_tol, no window holding its first
+    record can pass, so the next check waits until the window has left
+    it. The full judgement is made once.
+    """
+    pk = system.packed
+    G = np.zeros((pk.width, pk.op.node_size + pk.op.edge_size))
+    np.add.at(G, (pk.sig_col, pk.sig_row), pk.sig_w)
+    V = np.ones((times.shape[0], pk.width))
+    due = int(np.searchsorted(times, times[0] + window, "right")) + 1  # a window fits
+
+    def settled(out, k):
+        nonlocal due
+        if k < due:
+            return False
+        start = int(np.searchsorted(times[:k], times[k - 1] - window))
+        V[start:k, :pk.dim] = out[start:k]
+        paper_psi_into(out[start:k, pk.psi_idx], V[start:k, pk.psi_cols])  # in the loop's errstate
+        win = np.dot(V[start:k], G)[::-1]
+        spread = np.max(np.maximum.accumulate(win) - np.minimum.accumulate(win), axis=1)
+        wide = ~(spread <= conv_tol)  # of each suffix; NaN counts as wide
+        if wide.any() or k - start < 2:
+            r = k - int(np.argmax(wide))  # the records from r on spread at most conv_tol
+            due = int(np.searchsorted(times, times[r - 1] + window, "right")) + 1
+            return False
+        due = times.shape[0] + 1
+        _, y, _, mu = _fastpath.packed_signals(pk, out[start:k])  # the run's own bits
+        conv = _window_convergence(y, mu, 0, conv_tol)
+        if not (conv and prediction_report(system, conv, certificate, PREDICTION_TOL).passed):
+            return False
+        eigs = np.linalg.eigvals(_fastpath.packed_jacobian(pk, out[k - 1]))
+        return eigs.real.max() <= 1e-9 * np.abs(eigs).max()
+
+    return settled
+
+
 def integrate_schedule(segments, init,
-                       opts: Optional[IntegrateOptions] = None) -> tuple:
+                       opts: Optional[IntegrateOptions] = None, conv_tol: float = 1e-6) -> tuple:
     """Run consecutive (system, duration) segments, one Trajectory each.
 
     Segment k is `integrate(system_k, state, duration_k, opts, t0=t_k)`,
     where t_k is the sum of the earlier durations and state is the
     previous segment's last state (init for the first). So a later
     segment's first record repeats the previous one's last state, with
-    its own system's signals. Systems may differ (e.g. per-segment
-    reconfiguration offsets or leader inputs) but must share state
-    layout so agent and controller states transfer across the boundaries.
+    its own system's signals. A (system, duration, certificate) segment
+    may end early, as integrate allows; the next still starts at t_k.
+    Systems may differ (e.g. per-segment reconfiguration offsets or
+    leader inputs) but must share state layout so agent and controller
+    states transfer across the boundaries.
     """
     segments = list(segments)
     if not segments:
         raise DimensionMismatch("schedule needs at least one segment")
     dim0 = segments[0][0].state_dim
-    if any(sys_k.state_dim != dim0 for sys_k, _ in segments):
+    if any(seg[0].state_dim != dim0 for seg in segments):
         raise DimensionMismatch("segments must share the state layout")
     t0 = 0.0
     state = init
     trajs = []
-    for sys_k, T_k in segments:
-        trajs.append(integrate(sys_k, state, T_k, opts, t0=t0))
+    for sys_k, T_k, *cert in segments:
+        trajs.append(integrate(sys_k, state, T_k, opts, t0, cert[0] if cert else None, conv_tol))
         state = trajs[-1].states[-1]
         t0 += T_k
     return tuple(trajs)
@@ -265,9 +286,11 @@ def detect_convergence(traj: Trajectory, window: Optional[float] = None,
                        tol: float = 1e-6) -> ConvergenceResult:
     """Declare convergence when (y, mu) vary at most tol over the window.
 
-    The window defaults to 10% of the horizon. On success y_ss and
-    mu_ss are the window means and t_conv is the earliest recorded time
-    after which the signal variation stays within tol.
+    The window defaults to 10% of the scheduled horizon (metadata
+    "horizon", else the span), so a run that ended early keeps its
+    window. On success y_ss and mu_ss are the window means and t_conv is
+    the earliest recorded time after which the signal variation stays
+    within tol.
 
     Raises
     ------
@@ -279,24 +302,29 @@ def detect_convergence(traj: Trajectory, window: Optional[float] = None,
     times = traj.times
     span = times[-1] - times[0]
     if window is None:
-        window = 0.1 * span
+        window = 0.1 * traj.metadata.get("horizon", span)
     if window >= span:
         raise DimensionMismatch("trajectory shorter than the window")
     # times increase, so the window is the records from start on
     start = int(np.searchsorted(times, times[-1] - window))
     if times.shape[0] - start < 2:
         raise DimensionMismatch("window contains fewer than two samples")
-    sigs = (traj.y, traj.mu) if traj.mu.size else (traj.y,)
+    return _window_convergence(traj.y, traj.mu, start, tol, times)
+
+
+def _window_convergence(y, mu, start, tol, times=None) -> ConvergenceResult:
+    """detect_convergence over the records from start on; t_conv only with times."""
+    sigs = (y, mu) if mu.size else (y,)
     hi = [s[start:].max(axis=0) for s in sigs]
     lo = [s[start:].min(axis=0) for s in sigs]
     variation = _spread(hi, lo)
     if not np.isfinite(variation) or variation > tol:
         return ConvergenceResult(converged=False, variation=variation)
-    y_ss = traj.y[start:].mean(axis=0)
-    mu_ss = traj.mu[start:].mean(axis=0) if traj.mu.size else traj.mu[0]
-    first = _settled_from(sigs, start, hi, lo, tol)
+    y_ss = y[start:].mean(axis=0)
+    mu_ss = mu[start:].mean(axis=0) if mu.size else mu[0]
+    t_conv = None if times is None else float(times[_settled_from(sigs, start, hi, lo, tol)])
     return ConvergenceResult(converged=True, y_ss=y_ss, mu_ss=mu_ss,
-                             t_conv=float(times[first]), variation=variation)
+                             t_conv=t_conv, variation=variation)
 
 
 def _spread(hi, lo) -> float:

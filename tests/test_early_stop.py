@@ -1,0 +1,157 @@
+"""A segment with a certificate ends once it has settled on it.
+
+integrate stops at the first record block where the trailing window (a
+tenth of the scheduled duration) spreads at most conv_tol, its mean
+passes prediction_report against the certificate, and the packed
+Jacobian there has no eigenvalue with a positive real part. These tests
+check that the stop keeps the formation schedule's verdicts, that a
+certified but unstable network runs its full duration, and how the stop
+is reported.
+"""
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import couplednet.simulate as sim
+from couplednet import _fastpath, cli
+from couplednet.config import load_config
+from couplednet.couplers import nonlinear_integrator
+from couplednet.netopt import assemble, recover_certificate, solve_opp
+from couplednet.plants import agent_forms
+from couplednet.relations import quadratic
+from couplednet.simulate import (PREDICTION_TOL, closed_loop, default_initial_state,
+                                 detect_convergence, integrate, integrate_schedule,
+                                 prediction_report, step_rhs)
+
+from conftest import bench_integrate
+
+FORMATION = Path(__file__).resolve().parents[1] / "configs" / "formation.json"
+FULL_RHS_CALLS = 69_767  # formation's schedule with every segment run to its end
+# the line perfbench's formation check reads from summary.txt
+PERFBENCH_LINE = r"converged = True.*target_err_inf = (\S+), prediction_pass = True"
+
+
+@pytest.fixture(scope="module")
+def formation():
+    """(plan, conv_tol, stopped, full): the CLI's segment plan, and its
+    schedule run with the certificates and without them (every segment
+    to its end)."""
+    cfg = load_config(FORMATION)
+    opts, conv_tol, _, _ = cli._integrate_options(cfg)
+    plan = cli._plan_segments(cfg)
+    init = default_initial_state(plan[0][0])
+    stopped = integrate_schedule([(system, T, cert) for system, T, cert, _ in plan], init,
+                                 opts, conv_tol)
+    full = integrate_schedule([(system, T) for system, T, _, _ in plan], init, opts)
+    return plan, conv_tol, stopped, full
+
+
+def test_formation_verdicts_survive_the_early_stop(formation):
+    plan, conv_tol, stopped, full = formation
+    for (system, T, cert, y_star), early, whole in zip(plan, stopped, full):
+        assert early.metadata["t_stop"] < whole.metadata["t_stop"] == whole.times[-1]
+        convs = [detect_convergence(traj, tol=conv_tol) for traj in (early, whole)]
+        assert [conv.converged for conv in convs] == [True, True]
+        reports = [prediction_report(system, conv, cert, PREDICTION_TOL) for conv in convs]
+        assert [rep.passed for rep in reports] == [True, True]
+        assert np.max(np.abs(convs[0].y_ss - convs[1].y_ss)) <= conv_tol
+        assert np.max(np.abs(convs[0].y_ss - y_star)) <= 1e-6
+        # the next segment's start state
+        assert np.max(np.abs(early.states[-1] - whole.states[-1])) <= 1e-6
+    nfev = sum(traj.metadata["nfev"] for traj in stopped)
+    assert nfev <= 0.75 * FULL_RHS_CALLS
+    assert nfev <= 0.75 * sum(traj.metadata["nfev"] for traj in full)
+
+
+def test_stop_is_reported_and_the_schedule_keeps_its_times(formation):
+    plan, conv_tol, stopped, _ = formation
+    t_k = 0.0
+    for k, ((_, T, _, _), traj) in enumerate(zip(plan, stopped)):
+        assert traj.times[0] == t_k  # scheduled, not the previous stop
+        if k:
+            assert np.array_equal(traj.states[0], stopped[k - 1].states[-1])
+        assert traj.metadata["horizon"] == T
+        assert traj.metadata["t_stop"] == traj.times[-1] < t_k + T
+        # the default window is a tenth of the scheduled horizon, not of the run
+        default, tenth = (detect_convergence(traj, window=w, tol=conv_tol)
+                          for w in (None, 0.1 * T))
+        assert default.t_conv == tenth.t_conv and np.array_equal(default.y_ss, tenth.y_ss)
+        t_k += T
+
+
+def test_wrong_certificate_runs_its_full_duration(formation, monkeypatch):
+    # segment 0's loop settles on target 0, not on segment 1's certificate
+    plan, conv_tol, stopped, full = formation
+    calls = []
+    real = sim.prediction_report
+
+    def counted(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(sim, "prediction_report", counted)
+    traj = integrate(plan[0][0], stopped[0].states[0], 30.0, certificate=plan[1][2],
+                     conv_tol=conv_tol)
+    assert traj.metadata["t_stop"] == 30.0
+    assert np.array_equal(traj.states, full[0].states)
+    # judged once, when its window first settled, and refused
+    assert len(calls) == 1 and not calls[0].passed
+
+
+def test_certified_but_unstable_network_runs_its_full_duration(monkeypatch):
+    # the oscillators' output is their position, so quadratic integrators
+    # make the loop unstable at its certified steady state
+    small = bench_integrate().build_system(3, seed=1)
+    ctrls = [nonlinear_integrator(quadratic(np.eye(2)))] * small.graph.edge_count
+    system = closed_loop(small.graph, small.agents, ctrls)
+    problem = assemble(small.graph, small.agents, ctrls)
+    cert = recover_certificate(problem, *solve_opp(problem)[:2])
+    # started at the certificate: x* from each agent's form, eta* = mu* (L = I, mu0 = 0)
+    d = system.io_dim
+    x_star = [np.linalg.solve(A, -(B @ cert.u[i * d:(i + 1) * d] + w))
+              for i, (A, B, _, _, w, _, _) in enumerate(agent_forms(system.agents))]
+    s_star = np.concatenate(x_star + [cert.mu])
+    assert np.max(np.abs(step_rhs(system, s_star))) <= 1e-12
+    spectra = []
+    real = _fastpath.packed_jacobian
+
+    def recorded(pk, s):
+        J = real(pk, s)
+        spectra.append(np.linalg.eigvals(J))
+        return J
+
+    monkeypatch.setattr(_fastpath, "packed_jacobian", recorded)
+    traj = integrate(system, s_star, 30.0, certificate=cert)
+    assert traj.metadata["t_stop"] == traj.times[-1] == 30.0
+    # its window settled on the certificate, and only the guard refused the stop
+    conv = detect_convergence(traj)
+    assert conv and prediction_report(system, conv, cert, PREDICTION_TOL)
+    assert len(spectra) == 1
+    assert spectra[0].real.max() == pytest.approx(0.137, abs=1e-3)
+
+
+def test_summary_and_csv_end_each_segment_at_its_stop(tmp_path):
+    doc = json.loads(FORMATION.read_text())
+    doc["objective"]["targets"] = doc["objective"]["targets"][:2]
+    doc["objective"]["durations"] = [30.0, 30.0]
+    config = tmp_path / "two.json"
+    config.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as ex:
+        cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)])
+    assert ex.value.code == 0
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    stops = []
+    for k, line in enumerate(lines):
+        assert re.search(PERFBENCH_LINE, line) is not None
+        stop = re.fullmatch(r"segment \d: .*, prediction_pass = True, t_stop = (\S+)", line)
+        stops.append(float(stop[1]))
+        assert 30.0 * k < stops[-1] < 30.0 * (k + 1)
+    t = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1, usecols=0)
+    # segment 0 ends at its stop, and segment 1's first record, its start
+    # state at t = 30, is the row at that stop: the rows go on from 30 + 0.06
+    first = np.flatnonzero(t > 30.0)[0]
+    assert t[first - 1] == pytest.approx(stops[0]) and t[first] == pytest.approx(30.06)
+    assert t[-1] == pytest.approx(stops[1])

@@ -243,6 +243,25 @@ def assert_matches_the_oracle(system, seed):
     assert np.max(np.abs(traj.states[-1] - oracle_states(system, s0, 3.0, opts)[-1])) <= 1e-9
 
 
+def formation_base():
+    cfg = load_config(FORMATION)
+    return closed_loop(cfg.graph, cfg.agents, cfg.controllers)
+
+
+@pytest.mark.parametrize("network", [formation_base, lambda: probe_network("psi_agent")],
+                         ids=["formation", "psi_agent"])
+def test_packed_jacobian_matches_central_differences(network):
+    # both have paper_psi columns: formation's integrators, the probe's agent and integrator
+    system = network()
+    assert system.packed.psi_idx.size > 0
+    rng = np.random.default_rng(23)
+    h = 1e-5  # rounding and truncation errors both stay near 1e-8 at formation's scale
+    for s in rng.normal(size=(3, system.state_dim)):
+        fd = np.column_stack([(step_rhs(system, s + e) - step_rhs(system, s - e)) / (2 * h)
+                              for e in h * np.eye(s.size)])
+        assert np.max(np.abs(_fastpath.packed_jacobian(system.packed, s) - fd)) <= 1e-7
+
+
 @pytest.mark.parametrize("kind", ["feedthrough", "psi_agent", "psi_damping", "one_node"])
 def test_network_packs_and_matches_the_oracle(kind):
     # seeded by name, so adding or removing a probe leaves the others' draws alone

@@ -95,6 +95,32 @@ def test_psi_inverse_matches_mpmath():
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
+def mp_psi_prime(x):
+    """mpmath's numerical derivative of mp_psi at x, good to well over 20 digits.
+
+    Where x << 0, paper_psi' is about exp(x) while paper_psi is about
+    PSI_RANGE[0], so 40 significant digits of the derivative take 40
+    digits beyond exp(-700)'s 304: the working precision is 400 digits.
+    """
+    with mpmath.workdps(400):
+        return float(mpmath.diff(mp_psi, mpmath.mpf(x)))
+
+
+def test_psi_prime_matches_mpmath():
+    mag = np.logspace(-3, math.log10(700.0), 21)
+    x = np.concatenate([-mag, mag])
+    ref = np.array([mp_psi_prime(xk) for xk in x])
+    assert np.all(np.abs(R.paper_psi_prime(x) - ref) <= 1e-12 * ref)
+    assert R.paper_psi_prime(0.0) == 0.0
+    assert np.array_equal(R.paper_psi_prime(np.array([0.0, -0.0])), [0.0, 0.0])
+    # below |x| = 1e-3, ell's cancellation (paper_psi's own) costs relative accuracy:
+    # paper_psi' is about |x| / 2 there, and its error stays at rounding's absolute size
+    mag = np.logspace(-12, -3, 10)
+    x = np.concatenate([-mag, mag])
+    ref = np.array([mp_psi_prime(xk) for xk in x])
+    assert np.all(np.abs(R.paper_psi_prime(x) - ref) <= 1e-15)
+
+
 def test_psi_inverse_is_empty_at_and_beyond_its_range():
     lo, hi = PSI_RANGE
     rel = R.gradient_relation(R.scalar_separable(paper_psi, 2))
