@@ -7,8 +7,9 @@ N pairs on two checkouts: a clean export of a git revision (the base,
 a pair alternates, base first in even pairs, so a drift of the host's
 speed falls on both sides. For each workload and end-to-end metric it
 prints every pair's values, then each side's median and quartiles, how
-many pairs the change wins, and whether the change's median sits below
-the base's lower quartile.
+many pairs the change wins, whether the change's median sits below
+the base's lower quartile, and the benchmark's reading of the metric
+against its bound in BENCHMARK.json (see `reading`).
 
 Run from the root of the working tree:
 
@@ -28,7 +29,6 @@ import sys
 import tempfile
 
 WORKLOADS = ("formation", "ring256", "cm")
-METRICS = ("setup_s", "pass_s", "peak_rss_mb")  # lower is better for each
 
 
 def export(rev, into):
@@ -59,6 +59,35 @@ def summary(values):
     return med, q1, q3
 
 
+def end_to_end():
+    """(name, bound, lower is better) of each end-to-end metric in BENCHMARK.json."""
+    with open("BENCHMARK.json") as fh:
+        metrics = json.load(fh)["end_to_end"]
+    return [(m["name"], float(m["bound"]), m["better"] == "lower") for m in metrics]
+
+
+def reading(base, change, bound, lower):
+    """How the benchmark reads one metric's pairs: better, no worse, unresolved or worse.
+
+    bound is relative to the base's median. unresolved: the base's
+    quartile spread exceeds bound, unless every change run beats every
+    base run; worse: the change's median is worse by more than bound;
+    better: the change wins at least 9 in 10 pairs and its median beats
+    the base's by more than the base's quartile spread.
+    """
+    sign = 1.0 if lower else -1.0  # so that lower is better below
+    base, change = [sign * v for v in base], [sign * v for v in change]
+    (bm, bq1, bq3), (cm, _, _) = summary(base), summary(change)
+    if bq3 - bq1 > bound * abs(bm) and not max(change) < min(base):
+        return "unresolved"
+    if cm - bm > bound * abs(bm):
+        return "worse"
+    wins = sum(c < b for b, c in zip(base, change))
+    if wins >= 0.9 * len(base) and bm - cm > bq3 - bq1:
+        return "better"
+    return "no worse"
+
+
 def report(workload, runs):
     """Print one workload's table from runs = [(base result, change result)]."""
     print(f"\n== {workload}: {len(runs)} pairs "
@@ -66,21 +95,25 @@ def report(workload, runs):
           f"change {sum(c['failed'] for _, c in runs)}; "
           f"all correct: {all(b['correct'] and c['correct'] for b, c in runs)})")
     table = {}
-    for metric in METRICS:
+    for metric, bound, lower in end_to_end():
         base = [b["metrics"][metric]["value"] for b, _ in runs]
         change = [c["metrics"][metric]["value"] for _, c in runs]
         print(f"{metric:<12} {'pair':>4} {'base':>12} {'change':>12} {'change/base':>12}")
         for i, (b, c) in enumerate(zip(base, change)):
             print(f"{'':<12} {i:>4} {b:>12.6f} {c:>12.6f} {c / b:>12.3f}")
         (bm, bq1, bq3), (cm, cq1, cq3) = summary(base), summary(change)
-        wins = sum(c < b for b, c in zip(base, change))
+        wins = sum((c < b) == lower for b, c in zip(base, change) if c != b)
         print(f"{'':<12} base   median {bm:.6f}  quartiles [{bq1:.6f}, {bq3:.6f}]")
         print(f"{'':<12} change median {cm:.6f}  quartiles [{cq1:.6f}, {cq3:.6f}]")
-        print(f"{'':<12} change lower in {wins} of {len(runs)} pairs; median "
+        print(f"{'':<12} change better in {wins} of {len(runs)} pairs; median "
               f"{cm / bm - 1.0:+.1%}; below the base's lower quartile: {cm < bq1}")
+        verdict = reading(base, change, bound, lower)
+        print(f"{'':<12} reading: {verdict} (bound {bound:.0%}; base quartile spread "
+              f"{(bq3 - bq1) / bm:.1%} of its median)")
         table[metric] = {"base": base, "change": change, "base_median": bm,
                          "base_quartiles": [bq1, bq3], "change_median": cm,
-                         "change_quartiles": [cq1, cq3], "change_lower": wins}
+                         "change_quartiles": [cq1, cq3], "change_better": wins,
+                         "reading": verdict}
     return table
 
 

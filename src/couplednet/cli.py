@@ -42,10 +42,12 @@ from .plants import AgentKind, is_meicmp_linear, is_meicmp_oscillator, ss_relati
 from .relations import Sampler, check_cm
 from .simulate import (
     PREDICTION_TOL,
+    WINDOW,
     IntegrateOptions,
+    _record_grid,
+    _window_start,
     closed_loop,
     default_initial_state,
-    detect_convergence,
     export_csv,
     integrate_schedule,
     prediction_report,
@@ -188,6 +190,12 @@ def _integrate_options(cfg):
         if not 0.0 < horizon < math.inf:
             raise ConfigInvalid(
                 f"simulation: horizon: must be finite and positive, got {horizon}")
+    t0 = 0.0  # on the record grids of integrate_schedule
+    for T in (horizon,) if cfg.objective is None else cfg.objective.durations:
+        times = _record_grid(t0, T, opts.record_every)
+        if times.shape[0] - _window_start(times, WINDOW * T) < 2:
+            raise ConfigInvalid("simulation: record_every: a window holds fewer than two records")
+        t0 += T
     init = sec.get("initial_state")
     if init is not None:
         init = cfgmod.vector(init, "simulation: initial_state")
@@ -298,16 +306,15 @@ def cmd_simulate(config_path, out, seed):
         trajs = integrate_schedule([(system, T, cert) for system, T, cert, _ in plan], init,
                                    opts, conv_tol)
         summary = []
-        for k, ((system, _, cert, y_star), traj) in enumerate(zip(plan, trajs)):
-            conv = detect_convergence(traj, tol=conv_tol)
+        for k, ((system, _, _, y_star), traj) in enumerate(zip(plan, trajs)):
+            conv = traj.convergence
             if y_star is not None:
                 line = f"segment {k}: converged = {conv.converged}"
                 if conv.converged:
                     err = float(np.max(np.abs(conv.y_ss - y_star)))
-                    rep = prediction_report(system, conv, cert, PREDICTION_TOL)
                     line += (f", y_ss = {_fmt_vec(conv.y_ss)}"
                              f", target_err_inf = {err:.3e}"
-                             f", prediction_pass = {rep.passed}")
+                             f", prediction_pass = {traj.prediction.passed}")
                 summary.append(line + f", t_stop = {traj.metadata['t_stop']:.6g}")
             else:
                 summary.append(f"converged = {conv.converged}")

@@ -18,9 +18,9 @@ from .errors import DimensionMismatch, NoConvergence, NonFiniteState
 from .netgraph import DirectedGraph, IncidenceOperator, incidence, project_agreement
 from .netopt import min_norm_flow, network_parts
 from .plants import AgentModel, agent_groups
-from .relations import paper_psi_into
 
 PREDICTION_TOL = 1e-3  # aligned gap a settled simulation may leave to its certificate
+WINDOW = 0.1  # of the scheduled horizon: the trailing window a run is judged on
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,7 @@ class Trajectory:
     sample (agents then controllers); the signal arrays satisfy the
     wiring identities zeta = E^T y and u = -E mu exactly at every
     sample because they are recomputed algebraically from the states.
+    convergence and prediction are integrate's verdict on the run.
     """
 
     system: ClosedLoopSystem
@@ -132,11 +133,18 @@ class Trajectory:
     zeta: np.ndarray
     mu: np.ndarray
     metadata: dict = field(default_factory=dict)
+    convergence: Optional[ConvergenceResult] = None
+    prediction: Optional[PredictionReport] = None
 
 
 def _record_grid(t0: float, T: float, record_every: Optional[float]):
     nrec = max(2, int(round(T / (record_every or T / 500.0))))
     return t0 + np.linspace(0.0, T, nrec + 1)
+
+
+def _window_start(times, window: float) -> int:
+    """First record of the trailing window: those at or after times[-1] - window."""
+    return int(np.searchsorted(times, times[-1] - window))
 
 
 def integrate(system: ClosedLoopSystem, init, T: float,
@@ -149,7 +157,10 @@ def integrate(system: ClosedLoopSystem, init, T: float,
     the adaptive Dormand-Prince 5(4) steps' local error tol and the
     record spacing. With a certificate the run ends at the first record
     block where it has settled on it (_settled_test, at conv_tol), else
-    at t0+T; metadata records the end as t_stop and T as horizon.
+    at t0+T; metadata records the end as t_stop and T as horizon. The
+    run is judged once, at its stop or else at its end: convergence is
+    detect_convergence's at conv_tol, and prediction prediction_report's
+    at PREDICTION_TOL, or None without a certificate or convergence.
 
     Raises
     ------
@@ -180,8 +191,10 @@ def integrate(system: ClosedLoopSystem, init, T: float,
     def rhs_fn(s):
         return _fastpath._packed_rhs(s, packed, v)
 
+    window = WINDOW * T
+    verdict = []  # the stop's, if the run settles
     settled = None if certificate is None else _settled_test(
-        system, certificate, rec, 0.1 * T, conv_tol)
+        system, certificate, rec, window, conv_tol, verdict)
     states, stats = _fastpath._rk45_loop(
         rhs_fn, s0, t0, rec, opts.tol, opts.tol, min(1e-3, T / 100.0), settled)
     if not np.all(np.isfinite(states)):
@@ -189,38 +202,38 @@ def integrate(system: ClosedLoopSystem, init, T: float,
 
     times = rec[:states.shape[0]]
     u, y, zeta, mu = _fastpath.packed_signals(packed, states)
+    if not verdict:  # ran its full duration
+        start = _window_start(times, window)
+        conv = _window_convergence(y[start:], mu[start:], conv_tol)
+        verdict = conv, (prediction_report(system, conv, certificate, PREDICTION_TOL)
+                         if conv and certificate is not None else None)
     meta = {"tol": opts.tol, "record_every": float(rec[1] - rec[0]), **asdict(stats),
             "t_stop": float(times[-1]), "horizon": float(T)}
     return Trajectory(system=system, times=times, states=states,
-                      u=u, y=y, zeta=zeta, mu=mu, metadata=meta)
+                      u=u, y=y, zeta=zeta, mu=mu, metadata=meta,
+                      convergence=verdict[0], prediction=verdict[1])
 
 
-def _settled_test(system, certificate, times, window, conv_tol):
+def _settled_test(system, certificate, times, window, conv_tol, verdict):
     """The settled(out, k) test of _rk45_loop: the trailing window of the
-    first k records passes detect_convergence at conv_tol and
-    prediction_report at PREDICTION_TOL, as the run stopped there would,
-    and the packed Jacobian at the last record has no eigenvalue with
-    real part above 1e-9 times its spectral radius. The window's
-    [y ; mu] are screened first, by a dense copy of the signal map,
-    which costs a fraction of packed_signals on a few records: while a
-    suffix spreads more than conv_tol, no window holding its first
-    record can pass, so the next check waits until the window has left
-    it. The full judgement is made once.
+    first k records converges at conv_tol and passes prediction_report
+    at PREDICTION_TOL, and the packed Jacobian at the last record has no
+    eigenvalue with real part above 1e-9 times its spectral radius; verdict
+    then holds the two results. While a suffix of the window's [y ; mu]
+    spreads more than conv_tol, no window holding its first record can
+    pass, so the next check waits until the window has left it. The
+    judgement is made once.
     """
     pk = system.packed
-    G = np.zeros((pk.width, pk.op.node_size + pk.op.edge_size))
-    np.add.at(G, (pk.sig_col, pk.sig_row), pk.sig_w)
-    V = np.ones((times.shape[0], pk.width))
     due = int(np.searchsorted(times, times[0] + window, "right")) + 1  # a window fits
 
     def settled(out, k):
         nonlocal due
         if k < due:
             return False
-        start = int(np.searchsorted(times[:k], times[k - 1] - window))
-        V[start:k, :pk.dim] = out[start:k]
-        paper_psi_into(out[start:k, pk.psi_idx], V[start:k, pk.psi_cols])  # in the loop's errstate
-        win = np.dot(V[start:k], G)[::-1]
+        start = _window_start(times[:k], window)
+        _, y, _, mu = _fastpath.packed_signals(pk, out[start:k])
+        win = np.hstack((y, mu))[::-1]
         spread = np.max(np.maximum.accumulate(win) - np.minimum.accumulate(win), axis=1)
         wide = ~(spread <= conv_tol)  # of each suffix; NaN counts as wide
         if wide.any() or k - start < 2:
@@ -228,12 +241,15 @@ def _settled_test(system, certificate, times, window, conv_tol):
             due = int(np.searchsorted(times, times[r - 1] + window, "right")) + 1
             return False
         due = times.shape[0] + 1
-        _, y, _, mu = _fastpath.packed_signals(pk, out[start:k])  # the run's own bits
-        conv = _window_convergence(y, mu, 0, conv_tol)
-        if not (conv and prediction_report(system, conv, certificate, PREDICTION_TOL).passed):
+        conv = _window_convergence(y, mu, conv_tol)  # converged, as no suffix is wide
+        rep = prediction_report(system, conv, certificate, PREDICTION_TOL)
+        if not rep:
             return False
         eigs = np.linalg.eigvals(_fastpath.packed_jacobian(pk, out[k - 1]))
-        return eigs.real.max() <= 1e-9 * np.abs(eigs).max()
+        stable = eigs.real.max() <= 1e-9 * np.abs(eigs).max()
+        if stable:
+            verdict[:] = conv, rep
+        return stable
 
     return settled
 
@@ -275,7 +291,6 @@ class ConvergenceResult:
     converged: bool
     y_ss: Optional[np.ndarray] = None
     mu_ss: Optional[np.ndarray] = None
-    t_conv: Optional[float] = None
     variation: float = np.inf
 
     def __bool__(self) -> bool:
@@ -286,11 +301,11 @@ def detect_convergence(traj: Trajectory, window: Optional[float] = None,
                        tol: float = 1e-6) -> ConvergenceResult:
     """Declare convergence when (y, mu) vary at most tol over the window.
 
-    The window defaults to 10% of the scheduled horizon (metadata
+    The window defaults to WINDOW of the scheduled horizon (metadata
     "horizon", else the span), so a run that ended early keeps its
-    window. On success y_ss and mu_ss are the window means and t_conv is
-    the earliest recorded time after which the signal variation stays
-    within tol.
+    window. On success y_ss and mu_ss are the window means. At the
+    default window and tol = conv_tol this is integrate's verdict, bit
+    for bit.
 
     Raises
     ------
@@ -302,69 +317,25 @@ def detect_convergence(traj: Trajectory, window: Optional[float] = None,
     times = traj.times
     span = times[-1] - times[0]
     if window is None:
-        window = 0.1 * traj.metadata.get("horizon", span)
+        window = WINDOW * traj.metadata.get("horizon", span)
     if window >= span:
         raise DimensionMismatch("trajectory shorter than the window")
-    # times increase, so the window is the records from start on
-    start = int(np.searchsorted(times, times[-1] - window))
+    start = _window_start(times, window)
     if times.shape[0] - start < 2:
         raise DimensionMismatch("window contains fewer than two samples")
-    return _window_convergence(traj.y, traj.mu, start, tol, times)
+    return _window_convergence(traj.y[start:], traj.mu[start:], tol)
 
 
-def _window_convergence(y, mu, start, tol, times=None) -> ConvergenceResult:
-    """detect_convergence over the records from start on; t_conv only with times."""
+def _window_convergence(y, mu, tol) -> ConvergenceResult:
+    """Converged when a window of at least two records varies at most tol in y and mu."""
+    if y.shape[0] < 2:
+        return ConvergenceResult(converged=False)
     sigs = (y, mu) if mu.size else (y,)
-    hi = [s[start:].max(axis=0) for s in sigs]
-    lo = [s[start:].min(axis=0) for s in sigs]
-    variation = _spread(hi, lo)
-    if not np.isfinite(variation) or variation > tol:
+    variation = float(np.max([np.max(s.max(axis=0) - s.min(axis=0)) for s in sigs]))
+    if not np.isfinite(variation) or variation > tol:  # NaN included
         return ConvergenceResult(converged=False, variation=variation)
-    y_ss = y[start:].mean(axis=0)
-    mu_ss = mu[start:].mean(axis=0) if mu.size else mu[0]
-    t_conv = None if times is None else float(times[_settled_from(sigs, start, hi, lo, tol)])
-    return ConvergenceResult(converged=True, y_ss=y_ss, mu_ss=mu_ss,
-                             t_conv=t_conv, variation=variation)
-
-
-def _spread(hi, lo) -> float:
-    """Largest hi - lo over all signals' coordinates; NaN if any is NaN."""
-    return float(np.max([np.max(h - l) for h, l in zip(hi, lo)]))
-
-
-def _settled_from(sigs, start, hi, lo, tol) -> int:
-    """Earliest record k whose suffix k.. varies at most tol in every signal.
-
-    hi and lo are the running max and min of the records from start on,
-    which vary at most tol. The suffix variation only grows as k falls
-    (a NaN makes it NaN for good), so the scan goes back one block of
-    records at a time, carrying the running max and min, and bisects the
-    block where the variation first exceeds tol. Each step reduces
-    records column-wise into the carried max and min, which are exact,
-    so k is the same as from full suffix accumulations.
-    """
-    def extend(hi, lo, a, b):
-        """Running max and min of the records from a on, given those from b on."""
-        return ([np.maximum(h, s[a:b].max(axis=0)) for h, s in zip(hi, sigs)],
-                [np.minimum(l, s[a:b].min(axis=0)) for l, s in zip(lo, sigs)])
-
-    rows = _fastpath.block_rows(sum(s.shape[1] for s in sigs))
-    k = start
-    while k > 0:
-        b0 = max(0, k - rows)
-        bhi, blo = extend(hi, lo, b0, k)
-        if _spread(bhi, blo) <= tol:
-            hi, lo, k = bhi, blo, b0
-            continue
-        while k - b0 > 1:  # the suffix from b0 exceeds tol, the one from k does not
-            mid = (b0 + k) // 2
-            mhi, mlo = extend(hi, lo, mid, k)
-            if _spread(mhi, mlo) <= tol:
-                hi, lo, k = mhi, mlo, mid
-            else:
-                b0 = mid
-        return k
-    return 0
+    return ConvergenceResult(converged=True, y_ss=y.mean(axis=0),
+                             mu_ss=mu.mean(axis=0) if mu.size else mu[0], variation=variation)
 
 
 @dataclass(frozen=True)
@@ -378,7 +349,6 @@ class PredictionReport:
     mu_error_aligned: float
     y_ss: np.ndarray
     mu_ss: np.ndarray
-    t_conv: float
 
     def __bool__(self) -> bool:
         return self.passed
@@ -426,7 +396,7 @@ def prediction_report(system: ClosedLoopSystem, conv: ConvergenceResult,
         passed=(y_al <= tol and mu_al <= tol),
         y_error=y_err, mu_error=mu_err,
         y_error_aligned=y_al, mu_error_aligned=mu_al,
-        y_ss=conv.y_ss, mu_ss=conv.mu_ss, t_conv=conv.t_conv)
+        y_ss=conv.y_ss, mu_ss=conv.mu_ss)
 
 
 def export_csv(traj, path) -> None:

@@ -76,6 +76,8 @@ def test_simulate_requires_horizon(tmp_path):
 
 @pytest.mark.parametrize("section, bad", [
     pytest.param("simulation", {"record_every": 0.0}, id="record_every"),
+    # a record every 6 s leaves one record in a 30 s segment's 3 s window
+    pytest.param("simulation", {"record_every": 6.0}, id="record_every_coarse"),
     pytest.param("simulation", {"tol": -1.0}, id="tol"),
     pytest.param("simulation", {"method": "euler"}, id="method"),
     pytest.param("simulation", {"method": "rk4"}, id="method_rk4"),
@@ -145,19 +147,20 @@ def test_simulate_objective_schedule(tmp_path, capsys):
     assert out.count("prediction_pass = True") == 2
 
 
-def counting_convergence(monkeypatch):
-    """Calls of detect_convergence from the CLI and from within simulate."""
+def counting(monkeypatch, name):
+    """Calls of simulate's name, from the CLI and from within simulate."""
     import couplednet.simulate as sim
 
     calls = []
-    real = sim.detect_convergence
+    real = getattr(sim, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
     for mod in (cli, sim):
-        monkeypatch.setattr(mod, "detect_convergence", counted)
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, counted)
     return calls
 
 
@@ -171,7 +174,8 @@ def test_simulate_settles_at_the_config_conv_tol(tmp_path, monkeypatch, objectiv
     else:
         del doc["objective"]
         doc["simulation"]["horizon"] = 10.0
-    calls = counting_convergence(monkeypatch)
+    detections = counting(monkeypatch, "detect_convergence")
+    reports = counting(monkeypatch, "prediction_report")
     assert run_cli("simulate", "--config", write_doc(tmp_path, doc),
                    "--out", str(tmp_path)) == 0
     summary = (tmp_path / "summary.txt").read_text()
@@ -179,7 +183,24 @@ def test_simulate_settles_at_the_config_conv_tol(tmp_path, monkeypatch, objectiv
     assert summary.count("converged = True") == segments
     assert "converged = False" not in summary
     assert (tmp_path / "trajectory.csv").exists()
-    assert len(calls) == segments
+    # each segment is judged once, by integrate; the CLI reads its verdict
+    assert len(detections) == 0
+    assert len(reports) == segments
+
+
+def test_simulate_refuses_a_horizon_too_coarsely_recorded_to_judge(tmp_path, capsys,
+                                                                     monkeypatch):
+    # a record every 0.5 s leaves one record in a 2 s horizon's 0.2 s window
+    cfg = write_doc(tmp_path, hand_doc(simulation={"horizon": 2.0, "record_every": 0.5}))
+
+    def no_build(*args):
+        raise AssertionError("built the closed loop before checking the record grid")
+
+    monkeypatch.setattr(cli, "closed_loop", no_build)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 1
+    assert "config error: simulation: record_every: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synthesize_forcible_absolute(tmp_path, capsys):

@@ -4,10 +4,12 @@ integrate stops at the first record block where the trailing window (a
 tenth of the scheduled duration) spreads at most conv_tol, its mean
 passes prediction_report against the certificate, and the packed
 Jacobian there has no eigenvalue with a positive real part. These tests
-check that the stop keeps the formation schedule's verdicts, that a
+check that the stop keeps the formation schedule's verdicts, that the
+verdict each Trajectory carries is the public functions', that a
 certified but unstable network runs its full duration, and how the stop
 is reported.
 """
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -22,9 +24,9 @@ from couplednet.couplers import nonlinear_integrator
 from couplednet.netopt import assemble, recover_certificate, solve_opp
 from couplednet.plants import agent_forms
 from couplednet.relations import quadratic
-from couplednet.simulate import (PREDICTION_TOL, closed_loop, default_initial_state,
-                                 detect_convergence, integrate, integrate_schedule,
-                                 prediction_report, step_rhs)
+from couplednet.simulate import (PREDICTION_TOL, IntegrateOptions, closed_loop,
+                                 default_initial_state, detect_convergence, integrate,
+                                 integrate_schedule, prediction_report, step_rhs)
 
 from conftest import bench_integrate
 
@@ -49,6 +51,13 @@ def formation():
     return plan, conv_tol, stopped, full
 
 
+def same_fields(got, want):
+    """Results of one dataclass, equal field for field and array for array."""
+    assert type(got) is type(want)
+    for f in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
 def test_formation_verdicts_survive_the_early_stop(formation):
     plan, conv_tol, stopped, full = formation
     for (system, T, cert, y_star), early, whole in zip(plan, stopped, full):
@@ -57,6 +66,11 @@ def test_formation_verdicts_survive_the_early_stop(formation):
         assert [conv.converged for conv in convs] == [True, True]
         reports = [prediction_report(system, conv, cert, PREDICTION_TOL) for conv in convs]
         assert [rep.passed for rep in reports] == [True, True]
+        # the verdicts integrate made are those of the public functions
+        for traj, conv in zip((early, whole), convs):
+            same_fields(traj.convergence, conv)
+        same_fields(early.prediction, reports[0])
+        assert whole.prediction is None  # run without its certificate
         assert np.max(np.abs(convs[0].y_ss - convs[1].y_ss)) <= conv_tol
         assert np.max(np.abs(convs[0].y_ss - y_star)) <= 1e-6
         # the next segment's start state
@@ -78,7 +92,7 @@ def test_stop_is_reported_and_the_schedule_keeps_its_times(formation):
         # the default window is a tenth of the scheduled horizon, not of the run
         default, tenth = (detect_convergence(traj, window=w, tol=conv_tol)
                           for w in (None, 0.1 * T))
-        assert default.t_conv == tenth.t_conv and np.array_equal(default.y_ss, tenth.y_ss)
+        same_fields(default, tenth)
         t_k += T
 
 
@@ -97,8 +111,19 @@ def test_wrong_certificate_runs_its_full_duration(formation, monkeypatch):
                      conv_tol=conv_tol)
     assert traj.metadata["t_stop"] == 30.0
     assert np.array_equal(traj.states, full[0].states)
-    # judged once, when its window first settled, and refused
-    assert len(calls) == 1 and not calls[0].passed
+    # judged when its window first settled, and refused; then once at its end
+    assert len(calls) == 2 and not any(rep.passed for rep in calls)
+    assert traj.prediction is calls[-1]
+
+
+def test_a_record_grid_too_coarse_to_judge_reads_not_converged(formation):
+    # a record every 6 s leaves one record in the 3 s window
+    plan, conv_tol, stopped, _ = formation
+    system, T, cert, _ = plan[0]
+    traj = integrate(system, stopped[0].states[0], T, IntegrateOptions(record_every=6.0),
+                     certificate=cert, conv_tol=conv_tol)
+    assert traj.times.shape[0] == 6 and traj.metadata["t_stop"] == T
+    assert not traj.convergence and traj.prediction is None
 
 
 def test_certified_but_unstable_network_runs_its_full_duration(monkeypatch):

@@ -2,8 +2,8 @@
 
 These are the signal recovery, convergence detection and CSV writer that
 work on all records at once: one bincount over every (record, coordinate)
-bin, one hstack of y and mu with full suffix max/min accumulations, and
-one column_stack and one orjson call over the whole table. couplednet
+bin, one hstack of y and mu masked to the window, and one column_stack
+and one orjson call over the whole table. couplednet
 does the same work a block of records at a time; the tests require the
 same bits and bytes.
 A schedule's segments become one table by concatenation.
@@ -36,7 +36,7 @@ def packed_signals(packed, states):
 
 
 def detect_convergence(traj, window=None, tol=1e-6):
-    """simulate.detect_convergence from the stacked signals and full suffix scans."""
+    """simulate.detect_convergence from the stacked signals and a boolean window mask."""
     if not tol >= 0.0:
         raise DimensionMismatch(f"tol: must be non-negative, got {tol}")
     times = traj.times
@@ -55,13 +55,7 @@ def detect_convergence(traj, window=None, tol=1e-6):
         return ConvergenceResult(converged=False, variation=variation)
     y_ss = traj.y[mask].mean(axis=0)
     mu_ss = traj.mu[mask].mean(axis=0) if traj.mu.size else traj.mu[0]
-    suf_max = np.maximum.accumulate(sig[::-1], axis=0)[::-1]
-    suf_min = np.minimum.accumulate(sig[::-1], axis=0)[::-1]
-    suf_var = (suf_max - suf_min).max(axis=1) if sig.size else np.zeros(len(times))
-    ok = suf_var <= tol
-    first = int(np.argmax(ok)) if ok.any() else len(times) - 1
-    return ConvergenceResult(converged=True, y_ss=y_ss, mu_ss=mu_ss,
-                             t_conv=float(times[first]), variation=variation)
+    return ConvergenceResult(converged=True, y_ss=y_ss, mu_ss=mu_ss, variation=variation)
 
 
 def export_csv(traj, path):
