@@ -15,11 +15,17 @@ Run from the root of the working tree:
 
     python3 scripts/perf_pairs.py --rev HEAD --pairs 10 --workload formation
 
+With --passes N every run times N passes: the script reads each
+workload's nominal pass time PASS_S from the checkout's
+`perfbench/run.py` and passes the `--seconds` for which that file's own
+count, int(seconds // PASS_S), is N.
+
 Each benchmark run writes its own `.perfbench_out/` in its checkout;
 this script writes its table as JSON to `.perfbench_out/pairs-<rev>.json`
 in the working tree, and removes the export when it ends.
 """
 import argparse
+import ast
 import json
 import os
 import shutil
@@ -37,14 +43,36 @@ def export(rev, into):
     subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
 
 
-def bench(checkout, workload):
+def pass_seconds(checkout):
+    """PASS_S of checkout's perfbench/run.py, read without importing it."""
+    with open(os.path.join(checkout, "perfbench", "run.py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "PASS_S"
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    sys.exit(f"no PASS_S in {checkout}/perfbench/run.py")
+
+
+def seconds_for(checkout, workload, passes):
+    """The --seconds giving passes passes, by run.py's count int(seconds // PASS_S):
+    half a pass above passes * PASS_S, checked, as rounding could lose one."""
+    per_pass = pass_seconds(checkout)[workload]
+    seconds = (passes + 0.5) * per_pass
+    assert int(seconds // per_pass) == passes, (workload, seconds, per_pass)
+    return seconds
+
+
+def bench(checkout, workload, passes=None):
     """The last line of one run: {"correct", "attempted", "failed", "metrics"}.
 
     Without bytecode writes, as the benchmark's own runs are made, so each
-    run compiles its checkout's sources."""
+    run compiles its checkout's sources. With passes, the run times that
+    many passes (see seconds_for); otherwise run.py's default length."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    extra = [] if passes is None else ["--seconds", repr(seconds_for(checkout, workload, passes))]
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0", *extra],
         cwd=checkout, env=env, capture_output=True, text=True, timeout=1800)
     if proc.returncode != 0:
         sys.exit(f"perfbench failed in {checkout}:\n{proc.stderr[-2000:]}")
@@ -123,7 +151,11 @@ def main():
     ap.add_argument("--rev", default="HEAD", help="base revision (default HEAD)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--workload", default="formation", choices=WORKLOADS + ("all",))
+    ap.add_argument("--passes", type=int, default=None,
+                    help="timed passes per run (default: run.py's default length)")
     args = ap.parse_args()
+    if args.passes is not None and args.passes < 1:
+        sys.exit("--passes must be at least 1")
     if not os.path.isfile("perfbench/run.py"):
         sys.exit("run from the root of the working tree")
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
@@ -135,7 +167,7 @@ def main():
             runs = []
             for i in range(args.pairs):
                 order = (base_dir, ".") if i % 2 == 0 else (".", base_dir)
-                res = {tree: bench(tree, workload) for tree in order}
+                res = {tree: bench(tree, workload, args.passes) for tree in order}
                 runs.append((res[base_dir], res["."]))
                 print(f"{workload} pair {i}: base pass_s "
                       f"{runs[-1][0]['metrics']['pass_s']['value']:.4f}, change "
@@ -146,7 +178,8 @@ def main():
     os.makedirs(".perfbench_out", exist_ok=True)
     out = os.path.join(".perfbench_out", f"pairs-{args.rev.replace('/', '_')}.json")
     with open(out, "w") as fh:
-        json.dump({"rev": args.rev, "pairs": args.pairs, "workloads": tables}, fh, indent=1)
+        json.dump({"rev": args.rev, "pairs": args.pairs, "passes": args.passes,
+                   "workloads": tables}, fh, indent=1)
     print(f"\nwritten: {out}")
 
 

@@ -27,6 +27,7 @@ from .errors import (
     SingularMatrix,
     StepUnderflow,
     Unbounded,
+    UnsupportedKind,
 )
 from .netopt import (
     SolveOptions,
@@ -65,6 +66,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_MATH = 2
 EXIT_NUMERIC = 3
+EXIT_UNSUPPORTED = 4  # a valid config that the theory does not cover
 
 _CERT_TOL = 1e-6  # residual bound a predicted steady state must meet
 
@@ -87,6 +89,9 @@ def _guard(fn) -> int:
     except _NUMERIC_ERRORS as ex:
         click.echo(f"numerical failure: {type(ex).__name__}: {ex}", err=True)
         return EXIT_NUMERIC
+    except UnsupportedKind as ex:
+        click.echo(f"outside the theory: {type(ex).__name__}: {ex}", err=True)
+        return EXIT_UNSUPPORTED
     except CoupledNetError as ex:
         click.echo(f"error: {type(ex).__name__}: {ex}", err=True)
         return EXIT_CONFIG

@@ -28,8 +28,8 @@ from .relations import (
     FunctionKind,
     IntegralFunction,
     paper_psi,
+    quadratic,
     scalar_separable,
-    stacked_quadratics,
 )
 
 SCHEMA = "couplednet-config/1"
@@ -169,7 +169,7 @@ def _function_group(specs, names) -> list:
     q = _optional(specs, names, "q", 1, P.shape[1])
     q = np.zeros(P.shape[:2]) if q is None else q
     c = _sized(_field(specs, names, "c", 1, default=0.0), names, "c", 1)
-    return stacked_quadratics(P, q, c[:, 0]).children
+    return list(map(quadratic, P, q, c[:, 0]))
 
 
 def function_to_spec(fn: IntegralFunction) -> dict:

@@ -21,11 +21,8 @@ from .relations import (  # paper_psi is imported from here as well
     IntegralFunction,
     VectorRelation,
     affine_relation,
-    indicator_zero,
     integrator_relation,
     paper_psi,
-    quadratic,
-    shifted,
     shifted_relation,
 )
 
@@ -114,7 +111,7 @@ def reconfigured(c: ControllerModel, alpha, beta) -> ControllerModel:
                    beta=c.beta + _vec(beta, d, "beta"))
 
 
-def _potential_output_interval(potential: IntegralFunction) -> tuple[float, float]:
+def potential_output_interval(potential: IntegralFunction) -> tuple[float, float]:
     """Coordinatewise closure of the range of grad potential, when known:
     PSI_RANGE for the scalar-separable paper_psi potential."""
     if potential.kind is FunctionKind.SCALAR_SEPARABLE:
@@ -128,46 +125,13 @@ def controller_ss_relation(c: ControllerModel) -> VectorRelation:
     NonlinearIntegrator: steady state forces zeta = 0 with mu anywhere
     in the closure of the range of grad potential. LinearSynthesis:
     mu = zeta - offset. Nonzero offsets shift the input by alpha and
-    the output by beta. The one-controller case of controller_relations.
+    the output by beta.
     """
-    return controller_relations([c])[0][0]
-
-
-def controller_integral_fn(c: ControllerModel) -> IntegralFunction:
-    """The convex integral function whose subdifferential extends the
-    relation. The one-controller case of controller_relations."""
-    return controller_relations([c])[1][0]
-
-
-def controller_relations(controllers) -> tuple:
-    """(relations, functions): controller_ss_relation and
-    controller_integral_fn of each of controllers, as two tuples.
-
-    Controllers are taken by groups of one kind, dimension and
-    potential. A group's offsets are tested by one stacked check, and
-    its integrators without offsets share one relation and one
-    function, as do the members of a broadcast.
-    """
-    controllers = list(controllers)
-    rels, fns = [None] * len(controllers), [None] * len(controllers)
-    groups = {}
-    for e, c in enumerate(controllers):  # an Enum hashes in Python; its id does not
-        groups.setdefault((id(c.kind), c.io_dim, id(c.potential)), []).append(e)
-    for (_, d, _), idx in groups.items():
-        group = [controllers[e] for e in idx]
-        kind = group[0].kind
-        if kind is ControllerKind.NONLINEAR_INTEGRATOR:
-            lo, hi = _potential_output_interval(group[0].potential)
-            pair = (integrator_relation(d, lo, hi), indicator_zero(d))
-            base = [pair] * len(group)
-        else:
-            eye = np.eye(d)
-            base = [(affine_relation(eye, -c.offset), quadratic(eye, -c.offset)) for c in group]
-        offsets = np.array([c.alpha for c in group]).any(axis=1) | \
-            np.array([c.beta for c in group]).any(axis=1)
-        for e, c, (rel, fn), shift in zip(idx, group, base, offsets.tolist()):
-            if shift:
-                rel = shifted_relation(rel, input_offset=c.alpha, output_offset=c.beta)
-                fn = shifted(fn, shift=c.alpha, linear=c.beta)
-            rels[e], fns[e] = rel, fn
-    return tuple(rels), tuple(fns)
+    d = c.io_dim
+    if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
+        rel = integrator_relation(d, *potential_output_interval(c.potential))
+    else:
+        rel = affine_relation(np.eye(d), -c.offset)
+    if c.has_offsets:
+        rel = shifted_relation(rel, input_offset=c.alpha, output_offset=c.beta)
+    return rel

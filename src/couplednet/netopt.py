@@ -1,9 +1,10 @@
 """The dual network optimization pair and steady-state certificates.
 
-A NetworkProblem bundles the incidence operator, the stacked node and
-edge relations, and the four integral functions K, K*, Gamma, Gamma*.
-Steady states of the closed loop are exactly the points where the
-potential problem
+A NetworkProblem holds the incidence operator and one flat record per
+side: the node gains with K and K*, and the edge terms Gamma and Gamma*
+with the integrators' output ranges. Each of the four functions is a
+sum of quadratics over blocks, some coordinates pinned. Steady states
+of the closed loop are exactly the points where the potential problem
 
     minimize K*(y) + Gamma(E' y)
 
@@ -19,15 +20,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .couplers import ControllerModel, controller_relations
+from .couplers import ControllerKind, ControllerModel, potential_output_interval
 from .errors import (
     DimensionMismatch,
-    EmptyList,
     EmptySelection,
     Infeasible,
     InfiniteValue,
@@ -36,26 +35,6 @@ from .errors import (
 )
 from .netgraph import DirectedGraph, IncidenceOperator, incidence
 from .plants import ss_groups
-from .relations import (
-    _groups,
-    FunctionKind,
-    IntegralFunction,
-    RelationKind,
-    VectorRelation,
-    as_quadratic,
-    block_diag,
-    conjugate_function,
-    coordinate_sets,
-    forward,
-    gradient_relation,
-    inverse,
-    pair_residual,
-    stacked,
-    stacked_affine,
-    stacked_quadratics,
-    stacked_relation,
-    value,
-)
 
 # ---------------------------------------------------------------------------
 # problem assembly
@@ -63,33 +42,72 @@ from .relations import (
 
 
 @dataclass(frozen=True)
-class NetworkProblem:
-    """Assembled network optimization data.
+class PinnedQuadratic:
+    """f(x) = sum_b (x_b'P_b x_b/2 + c_b) + q'x over the consecutive
+    blocks x_b of x, finite only where x[pinned] = a[pinned].
 
-    Attributes
-    ----------
-    op : IncidenceOperator
-        Lifted incidence E = E_base (x) I_d.
-    node_relations, edge_relations : sequence of VectorRelation
-        Per-node steady-state relations k_i and per-edge relations
-        gamma_e; the node relations are made only when read.
-    node_relation, edge_relation : VectorRelation
-        The same, stacked block-wise. The stacked node relation, K and K*
-        hold the node gains as stacks, which evaluation reads by group.
-    K, Kstar, Gamma, Gammastar : IntegralFunction
-        Node and edge integral functions and their conjugates, summed
-        (stacked block-separably) over nodes and edges; parts: their qp_parts by name.
+    P is (count, d, d) and c (count,); q, pinned and a hold one entry
+    per coordinate, a meaningful only where pinned is set. Each of K,
+    K*, Gamma and Gamma* is one, a quadratic or the indicator of a point
+    (possibly shifted) per node or edge (Rockafellar, Convex Analysis,
+    section 12, gives their conjugates in closed form).
     """
 
+    P: np.ndarray
+    q: np.ndarray
+    c: np.ndarray
+    pinned: np.ndarray
+    a: np.ndarray
+
+    def meet(self, x):
+        """x with its pins set; None if x misses them by more than
+        tol * (1 + ||a||) at SolveOptions' tol: the one pin rule."""
+        x, pinned, a = _rows(x, self.q), self.pinned, self.a
+        tol = SolveOptions.tol * (1.0 + np.linalg.norm(a[pinned]))
+        return np.where(pinned, a, x) if np.linalg.norm(x[pinned] - a[pinned]) <= tol else None
+
+    def value(self, x) -> float:
+        """f(x) with its pins met, inf on a miss."""
+        x = self.meet(x)
+        if x is None:
+            return math.inf
+        X, Q = x.reshape(self.P.shape[:2]), self.q.reshape(self.P.shape[:2])
+        blocks = 0.5 * np.einsum("ki,kij,kj->k", X, self.P, X) + np.einsum("ki,ki->k", Q, X) + self.c
+        return float(sum(blocks.tolist()))
+
+
+@dataclass(frozen=True)
+class NodeSide:
+    """The node relations y_i = S_i u_i + v_i as stacks S (n, d, d) and
+    v (n, d); K = sum_i K_i with grad K_i = k_i, and its conjugate K*."""
+
+    S: np.ndarray
+    v: np.ndarray
+    K: PinnedQuadratic
+    Kstar: PinnedQuadratic
+
+
+@dataclass(frozen=True)
+class EdgeSide:
+    """Gamma = sum_e Gamma_e and its conjugate Gamma*. The relation of
+    edge e is grad Gamma_e off Gamma's pins; on them it is the pin,
+    with mu anywhere in [lo, hi] (an integrator's output range, moved by
+    its beta; unbounded elsewhere)."""
+
+    Gamma: PinnedQuadratic
+    Gammastar: PinnedQuadratic
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+@dataclass(frozen=True)
+class NetworkProblem:
+    """Assembled network optimization data: the lifted incidence
+    E = E_base (x) I_d, and the node and edge records."""
+
     op: IncidenceOperator
-    node_relations: tuple
-    edge_relations: tuple
-    node_relation: VectorRelation
-    edge_relation: VectorRelation
-    K: IntegralFunction
-    Kstar: IntegralFunction
-    Gamma: IntegralFunction
-    Gammastar: IntegralFunction
+    nodes: NodeSide
+    edges: EdgeSide
 
     @property
     def node_size(self) -> int:
@@ -99,43 +117,103 @@ class NetworkProblem:
     def edge_size(self) -> int:
         return self.op.edge_size
 
-    @cached_property
-    def parts(self) -> dict:
-        return {name: qp_parts(getattr(self, name), self.op.dim)
-                for name in ("K", "Kstar", "Gamma", "Gammastar")}
 
-
-def _node_gains(relations, gains):
+def _node_gains(relations, gains, d: int):
     """(S, v): the gains of affine node relations y = S_i u + v_i stacked,
     from ss_groups' relations and gains; UnsupportedKind if one is not affine."""
-    if any(rel is not None and rel.kind is not RelationKind.AFFINE for rel in relations):
-        raise UnsupportedKind(
-            "node integral functions need an affine steady-state relation"
-        )
-    dims = {rel.dim for rel in relations if rel is not None} | {S.shape[1] for _, S, _ in gains}
-    if not dims:
-        raise EmptyList("stack of no relations")
-    if len(dims) > 1:
-        raise DimensionMismatch("node relations must share one dimension")
-    d = dims.pop()
+    if any(rel is not None for rel in relations):
+        raise UnsupportedKind("node integral functions need an affine steady-state relation")
     S, v = np.empty((len(relations), d, d)), np.empty((len(relations), d))
     for idx, S_g, v_g in gains:
         S[idx], v[idx] = S_g, v_g
-    for i, rel in enumerate(relations):
-        if rel is not None:
-            S[i], v[i] = rel.S, rel.v
     return S, v
 
 
-def _node_functions(S, v):
-    """(k, K): the stacked node relations y = S_i u + v_i and K, the sum of
-    the K_i with grad K_i = k_i, kept as stacks. The gains must be
-    symmetric, which one batched norm checks."""
+def node_side(S: np.ndarray, v: np.ndarray) -> NodeSide:
+    """The node record of gains S (n, d, d) and offsets v (n, d).
+
+    K_i(u) = u'S_i u/2 + v_i'u. Its conjugate is a quadratic of the
+    inverse gain, or for a zero gain the indicator of {v_i}; one batched
+    eigh decides all (see _quadratic_conjugates). UnsupportedKind if a
+    gain is not symmetric, or singular but not zero.
+    """
     St = S.transpose(0, 2, 1)
     if np.any(np.linalg.norm(S - St, axis=(1, 2))
               > 1e-8 * (1.0 + np.linalg.norm(S, axis=(1, 2)))):
         raise UnsupportedKind("steady-state gain must be symmetric to integrate")
-    return stacked_affine(S, v), stacked_quadratics(0.5 * (S + St), v)
+    P, c, q = 0.5 * (S + St), np.zeros(len(S)), v.ravel()
+    affine, pinv, lin, const = _quadratic_conjugates(P, v, c)
+    pins = np.repeat(affine, S.shape[1])
+    Kstar = PinnedQuadratic(np.where(affine[:, None, None], 0.0, pinv),
+                            np.where(pins, 0.0, lin.ravel()), np.where(affine, 0.0, const),
+                            pins, np.where(pins, q + 0.0, 0.0))
+    return NodeSide(S, v, PinnedQuadratic(P, q, c, np.zeros(q.size, dtype=bool),
+                                          np.zeros(q.size)), Kstar)
+
+
+def _psd_pinv(P: np.ndarray, tol: float = 1e-10):
+    """Eigen-decomposition pseudo-inverse of a stack of symmetric PSD
+    matrices (..., d, d). Returns (pinv, rank), each per matrix.
+    Eigenvalues up to tol * max(1, largest) count as zero.
+    """
+    vals, vecs = np.linalg.eigh(0.5 * (P + np.swapaxes(P, -1, -2)))
+    cutoff = tol * np.fmax(1.0, vals.max(axis=-1, initial=0.0))
+    kept = vals > cutoff[..., None]
+    inv = np.where(kept, 1.0 / np.where(kept, vals, 1.0), 0.0)
+    return (vecs * inv[..., None, :]) @ np.swapaxes(vecs, -1, -2), kept.sum(axis=-1)
+
+
+def _quadratic_conjugates(P: np.ndarray, q: np.ndarray, c: np.ndarray):
+    """(affine, pinv, lin, const) of the quadratics of stacks P, q, c: the
+    conjugate of quadratic k is the quadratic of pinv[k], lin[k] and
+    const[k], unless affine[k] (P[k] near zero), when it is the
+    indicator of {q[k]} minus c[k]. One batched eigh covers them; a
+    P[k] neither near zero nor of full rank raises UnsupportedKind."""
+    affine = np.all(np.abs(P) <= 1e-8, axis=(1, 2))
+    pinv, rank = _psd_pinv(P)
+    if np.any(rank[~affine] < P.shape[1]):
+        raise UnsupportedKind("conjugate object of a degenerate quadratic")
+    lin = -np.einsum("kij,kj->ki", pinv, q)
+    const = 0.5 * np.einsum("ki,kij,kj->k", q, pinv, q) - c
+    return affine, pinv, lin, const
+
+
+def _edge_side(controllers, d: int) -> EdgeSide:
+    """The edge record of the controllers, each kind in closed form.
+
+    A linear-synthesis edge has Gamma_e(x) = |x|^2/2 - offset'x, and an
+    integrator the indicator of {0}, whose relation is the potential's
+    output range. Offsets move each to Gamma_e(x - alpha) + beta'x,
+    whose conjugate is Gamma_e*(mu - beta) + alpha'mu - alpha'beta.
+    """
+    m = len(controllers)
+    linear = np.array([c.kind is ControllerKind.LINEAR_SYNTHESIS for c in controllers])
+    offset = np.array([c.offset if lin else np.zeros(d)
+                       for c, lin in zip(controllers, linear)]).reshape(m, d)
+    alpha = np.array([c.alpha for c in controllers]).reshape(m, d)
+    beta = np.array([c.beta for c in controllers]).reshape(m, d)
+    ranges = np.array([(-math.inf, math.inf) if lin else potential_output_interval(c.potential)
+                       for c, lin in zip(controllers, linear)]).reshape(m, 2)
+    P = linear[:, None, None] * np.eye(d)
+    coords = np.repeat(linear, d)
+    moved = np.repeat(alpha.any(axis=1) | beta.any(axis=1), d)
+
+    def moved_term(q, shift, slope):
+        """The linear term q of x'Px/2 + q'x, at x - shift and tilted by slope, on moved edges."""
+        return np.where(moved, q - _block_apply(P, shift) + slope.ravel(), q)
+
+    def dot(x, y):
+        return np.einsum("ki,ki->k", x, y)
+
+    Gamma = PinnedQuadratic(P, moved_term(np.where(coords, -offset.ravel(), 0.0), alpha, beta),
+                            np.where(linear, dot(0.5 * alpha + offset, alpha), 0.0),
+                            ~coords, alpha.ravel() + 0.0)
+    Gammastar = PinnedQuadratic(P, moved_term(np.where(coords, offset.ravel(), 0.0), beta, alpha),
+                                np.where(linear, 0.5 * dot(offset - beta, offset - beta), 0.0)
+                                - dot(alpha, beta), np.zeros(m * d, dtype=bool), np.zeros(m * d))
+    lo, hi = (np.where(coords, bound, (ranges[:, k, None] + beta).ravel())
+              for k, bound in enumerate((-math.inf, math.inf)))
+    return EdgeSide(Gamma, Gammastar, lo, hi)
 
 
 def network_parts(graph: DirectedGraph, agents, controllers) -> tuple:
@@ -167,32 +245,8 @@ def assemble(graph: DirectedGraph, agents, controllers) -> NetworkProblem:
     """Build the NetworkProblem for given agents and edge controllers,
     checked and broadcast by network_parts."""
     agents, controllers, d = network_parts(graph, agents, controllers)
-    op, gains = incidence(graph, d), _node_gains(*ss_groups(agents))
-    return _problem(op, gains, *controller_relations(controllers))
-
-
-def problem_from_relations(op: IncidenceOperator, node_rels, edge_fns) -> NetworkProblem:
-    """Assemble directly from node relations and edge integral functions."""
-    edge_fns = tuple(edge_fns)
-    return _problem(op, _node_gains(list(node_rels), []),
-                    tuple(gradient_relation(f) for f in edge_fns), edge_fns)
-
-
-def _problem(op, gains, edge_rels, edge_fns) -> NetworkProblem:
-    """The NetworkProblem of stacked node gains and edge relations and functions."""
-    node_relation, K = _node_functions(*gains)
-    Gamma = stacked(edge_fns)
-    return NetworkProblem(
-        op=op,
-        node_relations=node_relation.children,
-        edge_relations=edge_rels,
-        node_relation=node_relation,
-        edge_relation=stacked_relation(edge_rels),
-        K=K,
-        Kstar=conjugate_function(K),
-        Gamma=Gamma,
-        Gammastar=conjugate_function(Gamma),
-    )
+    op, nodes = incidence(graph, d), node_side(*_node_gains(*ss_groups(agents), d))
+    return NetworkProblem(op, nodes, _edge_side(controllers, d))
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +377,49 @@ def min_norm_flow(op: IncidenceOperator, edges, rhs, leak=None, grounded=None) -
     return Flow(mu=mu.ravel(), residual=residual.ravel(), flat=flat)
 
 
-def _pinned(problem: NetworkProblem, name: str, x):
-    """x with the pins a of problem's function name set (see qp_parts); None if x
-    misses them by more than tol * (1 + ||a||) at SolveOptions' tol: the one pin rule."""
-    f, x = getattr(problem, name), np.asarray(x, dtype=float).ravel()
-    if x.size != f.dim:
-        raise DimensionMismatch(f"expected dimension {f.dim}, got {x.size}")
-    _, _, pinned, a = problem.parts[name]
-    tol = SolveOptions.tol * (1.0 + np.linalg.norm(a[pinned]))
-    return np.where(pinned, a, x) if np.linalg.norm(x[pinned] - a[pinned]) <= tol else None
+def _rows(x, like: np.ndarray) -> np.ndarray:
+    """x as a float array shaped as like; DimensionMismatch unless it has like's size."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != like.size:
+        raise DimensionMismatch(f"expected dimension {like.size}, got {x.size}")
+    return x.reshape(like.shape)
+
+
+def node_inverse(problem: NetworkProblem, y):
+    """k^-1(y), the product of the node inverse sets k_i^-1(y_i), as
+    (a, free): the set a + span(e_J) for the free coordinates J (those
+    of zero-gain nodes). One _affine_solutions call on y - v."""
+    nodes = problem.nodes
+    a, free = _affine_solutions(nodes.S, _rows(y, nodes.v) - nodes.v)
+    return a.ravel(), free.ravel()
+
+
+def _affine_solutions(S: np.ndarray, R: np.ndarray):
+    """Solution sets of S[k] u = R[k] as (base, free): set k is base[k] +
+    span(e_J) for the coordinates J where free[k] is set.
+
+    Per block one SVD, the minimum-norm solution as base. The first
+    block that fails decides the error: EmptySelection when its
+    solution misses R[k] by more than 1e-8 * (1 + ||R[k]||),
+    UnsupportedKind when its null space is not spanned by coordinate
+    axes.
+    """
+    u, s, vt = np.linalg.svd(S)
+    kept = s > 1e-12 * s.max(axis=1, initial=0.0)[:, None]
+    coef = np.where(kept, np.einsum("kij,ki->kj", u, R) / np.where(kept, s, 1.0), 0.0)
+    x0 = np.einsum("kij,ki->kj", vt, coef)
+    miss = np.linalg.norm(np.einsum("kij,kj->ki", S, x0) - R, axis=1)
+    empty = miss > 1e-8 * (1.0 + np.linalg.norm(R, axis=1))
+    null = vt * ~kept[:, :, None]
+    proj = np.einsum("kri,krj->kij", null, null)
+    free = np.diagonal(proj, axis1=1, axis2=2) > 0.5
+    off = np.abs(proj - free[:, :, None] * np.eye(S.shape[1])).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(empty | (off > 1e-9))
+    if bad.size and empty[bad[0]]:
+        raise EmptySelection("a relation has no element at the requested point")
+    if bad.size:
+        raise UnsupportedKind("a relation's set is not aligned with its coordinates")
+    return np.where(free.all(axis=1, keepdims=True), 0.0, x0), free
 
 
 def _selection_flow(problem: NetworkProblem, y, zeta):
@@ -344,15 +432,14 @@ def _selection_flow(problem: NetworkProblem, y, zeta):
     them: one min_norm_flow. Returns (u, mu, residual, scale), the
     residual of u + E mu and ||E b + a|| for the basepoints a, b.
     """
-    op, d = problem.op, problem.op.dim
-    a, node_free = coordinate_sets(problem.node_relation, inverse, y, d)
-    P, q, edge_free, _ = problem.parts["Gamma"]
-    zeta = _pinned(problem, "Gamma", zeta)
+    op, gamma = problem.op, problem.edges.Gamma
+    a, node_free = node_inverse(problem, y)
+    zeta = gamma.meet(zeta)
     if zeta is None:
         raise EmptySelection("zeta misses an integrator's pin")
-    b = np.where(edge_free, 0.0, _block_apply(P, zeta) + q)
+    b = np.where(gamma.pinned, 0.0, _block_apply(gamma.P, zeta) + gamma.q)
     rhs = -op.matvec(b) - np.where(node_free, 0.0, a)
-    flow = min_norm_flow(op, edge_free, rhs, leak=node_free)
+    flow = min_norm_flow(op, gamma.pinned, rhs, leak=node_free)
     mu = b + flow.mu
     u = np.where(node_free, -op.matvec(mu), a)
     return u, mu, flow.residual, float(np.linalg.norm(op.matvec(b) + a))
@@ -363,20 +450,14 @@ def _selection_flow(problem: NetworkProblem, y, zeta):
 # ---------------------------------------------------------------------------
 
 
-def _value(problem: NetworkProblem, name: str, x) -> float:
-    """problem's function name at x with its pins met, inf on a miss."""
-    x = _pinned(problem, name, x)
-    return math.inf if x is None else value(getattr(problem, name), x)
-
-
 def opp_objective(problem: NetworkProblem, y) -> float:
     y = np.asarray(y, dtype=float).ravel()
-    return _value(problem, "Kstar", y) + _value(problem, "Gamma", problem.op.rmatvec(y))
+    return problem.nodes.Kstar.value(y) + problem.edges.Gamma.value(problem.op.rmatvec(y))
 
 
 def ofp_objective(problem: NetworkProblem, mu) -> float:
     mu = np.asarray(mu, dtype=float).ravel()
-    return _value(problem, "K", -problem.op.matvec(mu)) + _value(problem, "Gammastar", mu)
+    return problem.nodes.K.value(-problem.op.matvec(mu)) + problem.edges.Gammastar.value(mu)
 
 
 def inclusion_residual(problem: NetworkProblem, y) -> float:
@@ -393,31 +474,35 @@ def inclusion_residual(problem: NetworkProblem, y) -> float:
     return float(np.linalg.norm(residual))
 
 
-def flow_residual(problem: NetworkProblem, mu) -> float:
-    """Distance of 0 to the set gamma^-1(mu) - E' k(-E mu).
+def node_residual(problem: NetworkProblem, u, y) -> float:
+    """The largest distance of y_i to its node's value S_i u_i + v_i."""
+    nodes = problem.nodes
+    U, Y = _rows(u, nodes.v), _rows(y, nodes.v)
+    points = np.einsum("kij,kj->ki", nodes.S, U) + nodes.v
+    return max(np.linalg.norm(Y - points, axis=1).tolist())
 
-    The node relations are affine, so k(-E mu) is a point and the
-    distance is the part of b - E' k(-E mu) off the free coordinates of
-    gamma^-1(mu) = b + span(e_J) (inf if a set is empty).
+
+def edge_residual(problem: NetworkProblem, zeta, mu) -> float:
+    """The largest distance of an edge's pair (zeta_e, mu_e) to its relation.
+
+    Off Gamma's pins that is the distance of mu to grad Gamma(zeta); on
+    them the larger of zeta's distance to the pin and mu's to [lo, hi].
     """
-    mu = np.asarray(mu, dtype=float).ravel()
-    op, d = problem.op, problem.op.dim
-    try:
-        b, free = coordinate_sets(problem.edge_relation, inverse, mu, d)
-        yk, _ = coordinate_sets(problem.node_relation, forward, -op.matvec(mu), d)
-    except EmptySelection:
-        return math.inf
-    return float(np.linalg.norm(np.where(free, 0.0, b - op.rmatvec(yk))))
+    edges = problem.edges
+    gamma = edges.Gamma
+    zeta, mu = _rows(zeta, gamma.q), _rows(mu, gamma.q)
+    pin = np.where(gamma.pinned, zeta - gamma.a, 0.0)
+    excess = np.maximum(edges.lo - mu, 0.0) + np.maximum(mu - edges.hi, 0.0)
+    off = np.where(gamma.pinned, 0.0, mu - (_block_apply(gamma.P, zeta) + gamma.q))
+    parts = np.stack([pin, excess, off]).reshape(3, len(gamma.P), -1)
+    return float(np.linalg.norm(parts, axis=2).max(initial=0.0))
 
 
 def duality_gap(problem: NetworkProblem, u, mu, y, zeta) -> float:
     """K(u) + Gamma*(mu) + K*(y) + Gamma(zeta), pins met; zero at dual optimal pairs."""
-    terms = (
-        _value(problem, "K", u),
-        _value(problem, "Gammastar", mu),
-        _value(problem, "Kstar", y),
-        _value(problem, "Gamma", zeta),
-    )
+    nodes, edges = problem.nodes, problem.edges
+    terms = (nodes.K.value(u), edges.Gammastar.value(mu), nodes.Kstar.value(y),
+             edges.Gamma.value(zeta))
     if not all(map(math.isfinite, terms)):
         raise InfiniteValue("a point lies outside an effective domain")
     return float(sum(terms))
@@ -465,68 +550,6 @@ class SolveTrace:
                 writer.writerow(row)
 
 
-def qp_parts(f: IntegralFunction, d: int):
-    """Split f into sum_b x_b'P_b x_b/2 + q'x (up to a constant) plus pins.
-
-    x is cut into count = f.dim // d consecutive d-blocks x_b. Returns
-    (P, q, pinned, a): P the (count, d, d) block Hessians, q the linear
-    term, pinned a boolean mask over the coordinates and a the pinned
-    values x[pinned] = a[pinned] (meaningful only where pinned is set).
-    Pin-free blocks go through as_quadratic; pins come from
-    indicator-of-zero kinds, possibly shifted or stacked. The children of
-    a stacked f are split by their groups, each in one numpy pass.
-    """
-    if f.dim % d:
-        raise UnsupportedKind(f"dimension {f.dim} is not a multiple of the block size {d}")
-    return _parts(_groups([f]), f.dim, d)
-
-
-def _parts(groups, dim: int, d: int):
-    """qp_parts of the functions of groups on consecutive blocks of one
-    vector of size dim, each of a dimension that d divides."""
-    P, q = np.empty((dim // d, d, d)), np.empty(dim)
-    pinned, a = np.empty(dim, dtype=bool), np.empty(dim)
-    for g in groups:
-        index = g.index.ravel()
-        P[index[::d] // d], q[index], pinned[index], a[index] = _group_parts(g, d)
-    return P, q, pinned, a
-
-
-def _group_parts(g, d: int):
-    """qp_parts of the functions of group g, concatenated in order."""
-    size, blocks = len(g.items) * g.dim, len(g.items) * g.dim // d
-    if g.kind is FunctionKind.INDICATOR_ZERO:
-        return np.zeros((blocks, d, d)), np.zeros(size), np.ones(size, dtype=bool), np.zeros(size)
-    if g.kind is FunctionKind.SHIFTED:
-        # inner(x - shift) + linear'x
-        P, q, pinned, a = _parts(g.sub("inner"), size, d)
-        shift = g.stack("shift").ravel()
-        return P, q - _block_apply(P, shift) + g.stack("linear").ravel(), pinned, a + shift
-    if g.kind is FunctionKind.STACKED:
-        parts = [_parts(f.groups, f.dim, d) if all(h.dim % d == 0 for h in f.groups)
-                 else _stacked_block(f, d) for f in g.items]
-        return tuple(np.concatenate(part) for part in zip(*parts))
-    if g.dim != d:
-        raise UnsupportedKind(f"no quadratic form with pins for kind {g.kind}")
-    if g.kind is FunctionKind.QUADRATIC:
-        P, q = g.stack("P"), g.stack("q")
-    else:
-        quads = [as_quadratic(f) for f in g.items]
-        if any(quad is None for quad in quads):
-            raise UnsupportedKind(f"no quadratic form with pins for kind {g.kind}")
-        P, q = np.array([quad[0] for quad in quads]), np.array([quad[1] for quad in quads])
-    return P, q.ravel(), np.zeros(size, dtype=bool), np.zeros(size)
-
-
-def _stacked_block(f: IntegralFunction, d: int):
-    """qp_parts of a stacked f of one d-block whose children d does not divide."""
-    if f.dim != d:
-        raise UnsupportedKind(f"no quadratic form with pins for kind {f.kind}")
-    P, q, pinned, a = zip(*(qp_parts(ch, ch.dim) for ch in f.children))
-    return (block_diag([p[0] for p in P])[None], np.concatenate(q),
-            np.concatenate(pinned), np.concatenate(a))
-
-
 def _block_apply(P: np.ndarray, x) -> np.ndarray:
     """The block-diagonal matrix with blocks P applied to x."""
     return np.einsum("kij,kj->ki", P, np.reshape(x, (len(P), -1))).ravel()
@@ -535,7 +558,7 @@ def _block_apply(P: np.ndarray, x) -> np.ndarray:
 def solve_network_qp(op: IncidenceOperator, node, edge, y0, tol: float, objective):
     """Minimize f(y) + g(E'y) exactly, f and g quadratic with pins.
 
-    node and edge are the qp_parts of f and g. The pins are coordinates
+    node and edge are f and g as PinnedQuadratics. The pins are coordinates
     y_v = a_v (zero-gain nodes) and edge coordinates y_head - y_tail =
     a_e (integrators); a union-find over the stacked node coordinates
     joins them into classes. A spanning forest gives the particular
@@ -554,8 +577,8 @@ def solve_network_qp(op: IncidenceOperator, node, edge, y0, tol: float, objectiv
     the reduced gradient at y.
     """
     trace = SolveTrace(method="equality-qp")
-    Pf, qf, pf, af = node
-    Pg, qg, pg, ag = edge
+    Pf, qf, pf, af = node.P, node.q, node.pinned, node.a
+    Pg, qg, pg, ag = edge.P, edge.q, edge.pinned, edge.a
     size = op.node_size
     pinned_nodes, pinned_edges = np.flatnonzero(pf), np.flatnonzero(pg)
     offsets = np.concatenate([af[pinned_nodes], ag[pinned_edges]])
@@ -626,7 +649,7 @@ def solve_opp(problem: NetworkProblem, init_y=None, opts: Optional[SolveOptions]
     y0 = np.zeros(problem.node_size) if init_y is None else np.asarray(init_y, dtype=float).ravel()
     if y0.size != problem.node_size:
         raise DimensionMismatch("init_y has wrong length")
-    y, trace = solve_network_qp(problem.op, problem.parts["Kstar"], problem.parts["Gamma"],
+    y, trace = solve_network_qp(problem.op, problem.nodes.Kstar, problem.edges.Gamma,
                                 y0, opts.tol, lambda yv: opp_objective(problem, yv))
     return y, problem.op.rmatvec(y), trace
 
@@ -646,32 +669,32 @@ def solve_ofp(problem: NetworkProblem, init_mu=None, opts: Optional[SolveOptions
     objective and the norm of the gradient off the pins of Gamma*.
     """
     opts = opts or SolveOptions()
-    op, parts = problem.op, problem.parts
+    op, nodes, edges = problem.op, problem.nodes, problem.edges
     mu = (np.zeros(problem.edge_size) if init_mu is None
           else np.asarray(init_mu, dtype=float).ravel())
     if mu.size != problem.edge_size:
         raise DimensionMismatch("init_mu has wrong length")
-    (Pf, qf, pf, _), (Pg, qg, pg, _) = parts["Kstar"], parts["Gamma"]
+    Kstar, Gamma = nodes.Kstar, edges.Gamma
     try:
-        y, _ = solve_network_qp(op, parts["Kstar"], parts["Gamma"],
-                                np.zeros(problem.node_size), opts.tol, lambda yv: 0.0)
+        y, _ = solve_network_qp(op, Kstar, Gamma, np.zeros(problem.node_size), opts.tol,
+                                lambda yv: 0.0)
     except Infeasible:
         raise Unbounded("flow objective decreases without bound: the potential "
                         "problem's pins are inconsistent") from None
     except Unbounded:
         raise Infeasible("no flow has a finite objective: the potential problem "
                          "is unbounded") from None
-    mu = np.where(pg, mu, _block_apply(Pg, op.rmatvec(y)) + qg)
-    rhs = -(_block_apply(Pf, y) + qf) - op.matvec(mu)
-    flow = min_norm_flow(op, pg, rhs, grounded=pf)
+    mu = np.where(Gamma.pinned, mu, _block_apply(Gamma.P, op.rmatvec(y)) + Gamma.q)
+    rhs = -(_block_apply(Kstar.P, y) + Kstar.q) - op.matvec(mu)
+    flow = min_norm_flow(op, Gamma.pinned, rhs, grounded=Kstar.pinned)
     mu = mu + flow.mu
     u = -op.matvec(mu)
     trace = SolveTrace(method="equality-qp")
     if flow.flat:
         trace.notes.append("anchored")
-    (Ps, qs, ps, _), (Pk, qk, _, _) = parts["Gammastar"], parts["K"]
-    grad = _block_apply(Ps, mu) + qs - op.rmatvec(_block_apply(Pk, u) + qk)
-    trace.record(1, ofp_objective(problem, mu), float(np.linalg.norm(grad[~ps])))
+    Gammastar, K = edges.Gammastar, nodes.K
+    grad = _block_apply(Gammastar.P, mu) + Gammastar.q - op.rmatvec(_block_apply(K.P, u) + K.q)
+    trace.record(1, ofp_objective(problem, mu), float(np.linalg.norm(grad[~Gammastar.pinned])))
     return u, mu, trace
 
 
@@ -727,8 +750,8 @@ def recover_certificate(problem: NetworkProblem, y, zeta, tol: float = 1e-6) -> 
         float(np.linalg.norm(zeta - op.rmatvec(y))), float(np.linalg.norm(u + op.matvec(mu)))
     )
     res_rel = max(
-        pair_residual(problem.node_relation, u, y),
-        pair_residual(problem.edge_relation, zeta, mu),
+        node_residual(problem, u, y),
+        edge_residual(problem, zeta, mu),
     )
     return SteadyStateCertificate(
         u=u,
@@ -757,8 +780,8 @@ def verify_steady_state(problem: NetworkProblem, candidate, tol: float = 1e-6) -
     residuals = {
         "consistency_zeta": float(np.linalg.norm(zeta - op.rmatvec(y))),
         "consistency_u": float(np.linalg.norm(u + op.matvec(mu))),
-        "relation_nodes": pair_residual(problem.node_relation, u, y),
-        "relation_edges": pair_residual(problem.edge_relation, zeta, mu),
+        "relation_nodes": node_residual(problem, u, y),
+        "relation_edges": edge_residual(problem, zeta, mu),
         "inclusion": inclusion_residual(problem, y),
     }
     return VerifyReport(valid=all(v <= tol for v in residuals.values()), residuals=residuals)

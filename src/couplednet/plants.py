@@ -23,12 +23,12 @@ from .errors import (
 from .relations import (
     IntegralFunction,
     VectorRelation,
+    affine_relation,
     as_quadratic,
     grad_of,
     gradient_relation,
     inverted_relation,
     shifted_relation,
-    stacked_affine,
 )
 
 
@@ -439,8 +439,8 @@ def ss_relations(models) -> tuple:
     """ss_relation of each of models, in order (see ss_groups)."""
     out, groups = ss_groups(models)
     for idx, S, v in groups:
-        for i, rel in zip(idx, stacked_affine(S, v).children):
-            out[i] = rel
+        for i, S_i, v_i in zip(idx, S, v):
+            out[i] = affine_relation(S_i, v_i)
     return tuple(out)
 
 

@@ -1,29 +1,22 @@
 """Steady-state input-output relations and convex integral functions.
 
-Three layers live here:
+Two layers live here, as trees that a config or a library caller builds:
 
-* SetDescriptor, a closed family of sets (empty / point / affine
-  subspace / everything) used for all set-valued evaluations;
-* IntegralFunction, extended-real convex functions with values,
-  gradients and conjugates, the non-quadratic one built on the
-  saturating nonlinearity paper_psi of the formation example;
-* VectorRelation, possibly set-valued input-output relations on R^d
-  with forward and inverse evaluation, plus cyclic-monotonicity
-  testing.
+* IntegralFunction, extended-real convex functions with values and
+  gradients, the non-quadratic one built on the saturating nonlinearity
+  paper_psi of the formation example;
+* VectorRelation, possibly set-valued input-output relations on R^d,
+  with a randomized cyclic-monotonicity test (check_cm).
 
-Relations of every kind are evaluated by groups of one kind and
-dimension (coordinate_sets, pair_residual), and forward and inverse
-are the one-block case, returning sets spanned by coordinate axes. A
-gradient relation is evaluated as the relation of its closed form:
-affine for a quadratic, the integrator for the indicator of {0}, and
-shifted or stacked for shifted or stacked functions.
+The network problem does not walk these trees: netopt holds its node
+and edge terms as flat arrays.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -31,98 +24,10 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyList,
-    EmptySelection,
     OutsideDomain,
     RelationNotEvaluable,
     UnsupportedKind,
 )
-
-# ---------------------------------------------------------------------------
-# set descriptors
-# ---------------------------------------------------------------------------
-
-
-class SetKind(Enum):
-    EMPTY = "empty"
-    POINT = "point"
-    AFFINE = "affine"
-    EVERYTHING = "everything"
-
-
-@dataclass(frozen=True)
-class SetDescriptor:
-    """One of: empty set, single point, affine subspace, all of R^dim.
-
-    Affine subspaces are stored as basepoint + orthonormal basis of the
-    direction space. Points are affine subspaces with an empty basis;
-    everything is an affine subspace with a full basis. The named kinds
-    are kept because several call sites branch on them.
-    """
-
-    kind: SetKind
-    dim: int
-    basepoint: Optional[np.ndarray] = None
-    basis: Optional[np.ndarray] = None  # (dim, r), orthonormal columns
-
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def empty(dim: int) -> "SetDescriptor":
-        return SetDescriptor(SetKind.EMPTY, dim)
-
-    @staticmethod
-    def point(vec) -> "SetDescriptor":
-        vec = np.asarray(vec, dtype=float).ravel()
-        return SetDescriptor(SetKind.POINT, vec.size, basepoint=vec)
-
-    @staticmethod
-    def everything(dim: int) -> "SetDescriptor":
-        return SetDescriptor(
-            SetKind.EVERYTHING, dim, basepoint=np.zeros(dim), basis=np.eye(dim)
-        )
-
-    @staticmethod
-    def _spanned(basepoint: np.ndarray, q: np.ndarray) -> "SetDescriptor":
-        """basepoint + span(q) for q with orthonormal columns already."""
-        if q.shape[1] == 0:
-            return SetDescriptor.point(basepoint)
-        if q.shape[1] == basepoint.size:
-            return SetDescriptor.everything(basepoint.size)
-        return SetDescriptor(SetKind.AFFINE, basepoint.size, basepoint=basepoint, basis=q)
-
-    # -- predicates ----------------------------------------------------
-    @property
-    def is_empty(self) -> bool:
-        return self.kind is SetKind.EMPTY
-
-    @property
-    def directions(self) -> np.ndarray:
-        """Orthonormal basis of the direction space, (dim, 0) if there is none."""
-        return self.basis if self.basis is not None else np.zeros((self.dim, 0))
-
-    def distance(self, x) -> float:
-        """Euclidean distance from x to the set (inf for the empty set)."""
-        x = np.asarray(x, dtype=float).ravel()
-        if self.kind is SetKind.EMPTY:
-            return math.inf
-        if self.kind is SetKind.EVERYTHING:
-            return 0.0
-        delta = x - self.basepoint
-        if self.kind is SetKind.POINT:
-            return float(np.linalg.norm(delta))
-        proj = self.basis @ (self.basis.T @ delta)
-        return float(np.linalg.norm(delta - proj))
-
-    def min_norm(self) -> np.ndarray:
-        """Minimum-norm element (the deterministic selection rule)."""
-        if self.kind is SetKind.EMPTY:
-            raise OutsideDomain("empty set has no elements")
-        if self.kind is SetKind.EVERYTHING:
-            return np.zeros(self.dim)
-        if self.kind is SetKind.POINT:
-            return self.basepoint.copy()
-        b, q = self.basepoint, self.basis
-        return b - q @ (q.T @ b)
-
 
 # ---------------------------------------------------------------------------
 # the nonlinearity used by the formation example
@@ -263,7 +168,7 @@ class FunctionKind(Enum):
 
 @dataclass(frozen=True)
 class IntegralFunction:
-    """Extended-real convex function used as K, K*, Gamma, Gamma*.
+    """Extended-real convex function, as a node or edge term of the network.
 
     Kinds
     -----
@@ -293,11 +198,6 @@ class IntegralFunction:
     linear: Optional[np.ndarray] = None
     constant: float = 0.0
 
-    @cached_property
-    def groups(self) -> tuple:
-        """A stacked function's children by _groups, made on first use."""
-        return _groups(self.children)
-
 
 def quadratic(P, q=None, c: float = 0.0) -> IntegralFunction:
     P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -313,15 +213,6 @@ def quadratic(P, q=None, c: float = 0.0) -> IntegralFunction:
 def _quadratic(P: np.ndarray, q: np.ndarray, c) -> IntegralFunction:
     """quadratic(P, q, c) for a float (dim, dim) P and (dim,) q, unchecked."""
     return IntegralFunction(dim=P.shape[0], kind=FunctionKind.QUADRATIC, P=P, q=q, c=float(c))
-
-
-def stacked_quadratics(P: np.ndarray, q: np.ndarray, c=None) -> IntegralFunction:
-    """stacked([quadratic(P[k], q[k], c[k]) for each row k]) of float stacks
-    P (count, dim, dim), q (count, dim) and c (count,) (zeros if None),
-    its children views of the rows made only when read."""
-    c = np.zeros(len(P)) if c is None else c
-    return _stacked_rows(IntegralFunction, FunctionKind.STACKED, FunctionKind.QUADRATIC,
-                         P.shape[1], _quadratic, P=P, q=q, c=c)
 
 
 def indicator_zero(dim: int) -> IntegralFunction:
@@ -387,117 +278,16 @@ def _check_dim(f, x) -> np.ndarray:
 
 def value(f: IntegralFunction, x) -> float:
     """Evaluate f(x); may return +inf."""
-    return float(_values(_groups([f])[0], _check_dim(f, x)[None])[0])
-
-
-class _Group:
-    """Items (functions or relations) of one kind and dimension among a
-    sequence whose items act on consecutive blocks of a vector x, as the
-    children of a stacked function or relation do.
-
-    idx holds their positions in the sequence, and x[index] has their
-    blocks as its rows. stack(name) is the items' field name as one
-    float array and sub(name) the groups of their (lowered) field name,
-    each made on first use and then kept, so a group evaluated again
-    stacks nothing again.
-    """
-
-    def __init__(self, items, idx: np.ndarray, index: np.ndarray, kind=None, dim=None, stacks=None):
-        self.items, self.idx, self.index = items, idx, index
-        self.kind, self.dim = (items[0].kind, items[0].dim) if kind is None else (kind, dim)
-        self._memo = {} if stacks is None else dict(stacks)
-
-    def stack(self, name: str) -> np.ndarray:
-        if name not in self._memo:
-            self._memo[name] = np.array([getattr(it, name) for it in self.items], dtype=float)
-        return self._memo[name]
-
-    def sub(self, name: str) -> tuple:
-        key = ("sub", name)
-        if key not in self._memo:
-            self._memo[key] = _groups([_lower(getattr(it, name)) for it in self.items])
-        return self._memo[key]
-
-
-class _Rows:
-    """The items make(*rows) of the rows of stacks, all made at the first
-    use of one: the children of a stacked function or relation built from
-    stacks, which evaluation reads as one group and never needs made."""
-
-    def __init__(self, make, *stacks):
-        self._make, self._stacks, self._items = make, stacks, None
-
-    def __len__(self) -> int:
-        return len(self._stacks[0])
-
-    def __getitem__(self, k):
-        return self._all()[k]
-
-    def __iter__(self):
-        return iter(self._all())
-
-    def _all(self) -> tuple:
-        if self._items is None:
-            self._items = tuple(map(self._make, *self._stacks))
-        return self._items
-
-
-def _stacked_rows(cls, kind, item_kind, dim: int, make, **stacks):
-    """A stacked function or relation (cls) of children of item_kind and
-    dimension dim, one per row of the named stacks and made only when
-    read (see _Rows); its one group holds the stacks already."""
-    count = len(next(iter(stacks.values())))
-    children = _Rows(make, *stacks.values())
-    out = cls(dim=count * dim, kind=kind, children=children)
-    out.__dict__["groups"] = (_Group(children, np.arange(count),
-                                     np.arange(count * dim).reshape(count, dim),
-                                     item_kind, dim, stacks),)
-    return out
-
-
-def _groups(items) -> tuple:
-    """items as _Groups of one kind and dimension, in order of first appearance."""
-    items = list(items)
-    start = np.cumsum([0] + [it.dim for it in items])
-    positions = {}
-    for i, it in enumerate(items):  # an Enum hashes in Python; its id does not
-        positions.setdefault((id(it.kind), it.dim), []).append(i)
-    return tuple(_Group([items[i] for i in idx], np.array(idx),
-                        start[idx][:, None] + np.arange(dim))
-                 for (_, dim), idx in positions.items())
-
-
-def _block_values(groups, count: int, x: np.ndarray) -> np.ndarray:
-    """f_k(x_k) for count functions, given by their groups, on
-    consecutive blocks x_k of x."""
-    out = np.empty(count)
-    for g in groups:
-        out[g.idx] = _values(g, x[g.index])
-    return out
-
-
-def _values(g: _Group, X: np.ndarray) -> np.ndarray:
-    """f_k(X[k]) for the functions f_k of group g.
-
-    Every kind but stacked is evaluated in one numpy pass over the
-    group. A stacked function sums its children's values in order.
-    """
-    kind, fs = g.kind, g.items
-    if kind is FunctionKind.QUADRATIC:
-        return (0.5 * np.einsum("ki,kij,kj->k", X, g.stack("P"), X)
-                + np.einsum("ki,ki->k", g.stack("q"), X) + g.stack("c"))
-    if kind is FunctionKind.INDICATOR_ZERO:
-        return np.where(np.any(X != 0.0, axis=1), math.inf, 0.0)
-    if kind is FunctionKind.SHIFTED:
-        inner = _block_values(g.sub("inner"), len(fs), (X - g.stack("shift")).ravel())
-        linear = np.einsum("ki,ki->k", g.stack("linear"), X)
-        return inner + linear + g.stack("constant")
-    if kind is FunctionKind.SCALAR_SEPARABLE:
-        return _psi_integral(X).sum(axis=1)
-    if kind is FunctionKind.STACKED:
-        return np.array([sum(_block_values(f.groups, len(f.children), x).tolist())
-                         for f, x in zip(fs, X)])
-    raise UnsupportedKind(str(kind))
+    x = _check_dim(f, x)
+    if f.kind is FunctionKind.QUADRATIC:
+        return float(0.5 * x @ f.P @ x + f.q @ x + f.c)
+    if f.kind is FunctionKind.INDICATOR_ZERO:
+        return math.inf if np.any(x != 0.0) else 0.0
+    if f.kind is FunctionKind.SCALAR_SEPARABLE:
+        return float(_psi_integral(x).sum())
+    if f.kind is FunctionKind.STACKED:
+        return float(sum(value(ch, xb) for ch, xb in _blocks(f, x)))
+    return value(f.inner, x - f.shift) + float(f.linear @ x) + f.constant
 
 
 def grad_of(f: IntegralFunction, x) -> np.ndarray:
@@ -506,23 +296,14 @@ def grad_of(f: IntegralFunction, x) -> np.ndarray:
     The closed-form gradient serves every kind but an indicator part:
     its min-norm subgradient is 0 at its point and OutsideDomain off it.
     """
-    x = _check_dim(f, x)
-    try:
-        return _row_grad(f, x[None])[0]
-    except RelationNotEvaluable:
-        return forward(gradient_relation(f), x).min_norm()
+    free = np.zeros((1, f.dim), dtype=bool)
+    return np.where(free, 0.0, _row_grad(f, _check_dim(f, x)[None], free))[0]
 
 
 def as_quadratic(f: IntegralFunction):
-    """Collapse f to (P, q, c) when it is globally quadratic, else None."""
+    """Collapse f to (P, q, c) when it is a quadratic, possibly shifted, else None."""
     if f.kind is FunctionKind.QUADRATIC:
         return f.P, f.q, f.c
-    if f.kind is FunctionKind.STACKED:
-        parts = [as_quadratic(ch) for ch in f.children]
-        if any(p is None for p in parts):
-            return None
-        P, q, c = zip(*parts)
-        return block_diag(P), np.concatenate(q), float(sum(c))
     if f.kind is FunctionKind.SHIFTED:
         part = as_quadratic(f.inner)
         if part is None:
@@ -533,100 +314,6 @@ def as_quadratic(f: IntegralFunction):
         c_new = float(0.5 * a @ P @ a - q @ a + c + f.constant)
         return P, q_new, c_new
     return None
-
-
-def block_diag(mats) -> np.ndarray:
-    """Blocks placed along the diagonal of one dense matrix."""
-    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
-    row = col = 0
-    for m in mats:
-        out[row : row + m.shape[0], col : col + m.shape[1]] = m
-        row, col = row + m.shape[0], col + m.shape[1]
-    return out
-
-
-def _psd_pinv(P: np.ndarray, tol: float = 1e-10):
-    """Eigen-decomposition pseudo-inverse of a symmetric PSD matrix.
-
-    P may be a stack of matrices (..., d, d). Returns (pinv, rank),
-    each per matrix. Eigenvalues up to tol * max(1, largest) count as
-    zero.
-    """
-    vals, vecs = np.linalg.eigh(0.5 * (P + np.swapaxes(P, -1, -2)))
-    cutoff = tol * np.fmax(1.0, vals.max(axis=-1, initial=0.0))
-    kept = vals > cutoff[..., None]
-    inv = np.where(kept, 1.0 / np.where(kept, vals, 1.0), 0.0)
-    return (vecs * inv[..., None, :]) @ np.swapaxes(vecs, -1, -2), kept.sum(axis=-1)
-
-
-def conjugate_function(f: IntegralFunction) -> IntegralFunction:
-    """Build f* as an IntegralFunction (closed under the supported kinds).
-
-    The children of a stacked f are conjugated by groups of one kind
-    and dimension, each group in one numpy pass (see _conjugates).
-    """
-    return _conjugates(_groups([f])[0])[0]
-
-
-def _block_conjugates(groups, count: int) -> list:
-    """The conjugate of each of count functions, given by their groups, in order."""
-    out = [None] * count
-    for g in groups:
-        for i, conj in zip(g.idx.tolist(), _conjugates(g)):
-            out[i] = conj
-    return out
-
-
-def _conjugates(g: _Group) -> list:
-    """Conjugates of the functions of group g.
-
-    Quadratic kinds are decided together: P near zero (np.allclose(P,
-    0)) is affine, whose conjugate is the indicator of {q}; otherwise P
-    must have full rank, and f* is the quadratic of its pseudo-inverse.
-    One batched eigh covers the group. The scalar-separable kind has no
-    closed-form conjugate here and raises UnsupportedKind.
-    """
-    kind, dim, fs = g.kind, g.dim, g.items
-    if kind is FunctionKind.INDICATOR_ZERO:
-        return [quadratic(np.zeros((dim, dim)))] * len(fs)
-    if kind is FunctionKind.STACKED:
-        return [_stacked_conjugate(f) for f in fs]
-    if kind is FunctionKind.SHIFTED:
-        inner = _block_conjugates(g.sub("inner"), len(fs))
-        cross = np.einsum("ki,ki->k", g.stack("shift"), g.stack("linear"))
-        return [shifted(conj, shift=f.linear, linear=f.shift, constant=-float(x) - f.constant)
-                for f, conj, x in zip(fs, inner, cross)]
-    if kind is not FunctionKind.QUADRATIC:
-        raise UnsupportedKind(f"no closed-form conjugate for kind {kind}")
-    q, c = g.stack("q"), g.stack("c")
-    affine, pinv, lin, const = _quadratic_conjugates(g.stack("P"), q, c)
-    # affine: conjugate is the indicator of {q}
-    return [shifted(indicator_zero(dim), shift=q[k], constant=-c[k]) if affine[k]
-            else _quadratic(pinv[k], lin[k], const[k]) for k in range(len(fs))]
-
-
-def _quadratic_conjugates(P: np.ndarray, q: np.ndarray, c: np.ndarray):
-    """(affine, pinv, lin, const) of the quadratics of stacks P, q, c: the
-    conjugate of quadratic k is quadratic(pinv[k], lin[k], const[k])
-    unless affine[k]. One batched eigh covers them."""
-    affine = np.all(np.abs(P) <= 1e-8, axis=(1, 2))
-    pinv, rank = _psd_pinv(P)
-    if np.any(rank[~affine] < P.shape[1]):
-        raise UnsupportedKind("conjugate object of a degenerate quadratic")
-    lin = -np.einsum("kij,kj->ki", pinv, q)
-    const = 0.5 * np.einsum("ki,kij,kj->k", q, pinv, q) - c
-    return affine, pinv, lin, const
-
-
-def _stacked_conjugate(f: IntegralFunction) -> IntegralFunction:
-    """The conjugate of a stacked f, child by child: kept as stacks when
-    f's children are quadratics of full rank, one group."""
-    if len(f.groups) == 1 and f.groups[0].kind is FunctionKind.QUADRATIC:
-        g = f.groups[0]
-        affine, pinv, lin, const = _quadratic_conjugates(g.stack("P"), g.stack("q"), g.stack("c"))
-        if not affine.any():
-            return stacked_quadratics(pinv, lin, const)
-    return stacked(_block_conjugates(f.groups, len(f.children)))
 
 
 # ---------------------------------------------------------------------------
@@ -650,14 +337,13 @@ class VectorRelation:
     Kinds
     -----
     Affine
-        y = S u + v; the inverse solves the linear system.
+        y = S u + v.
     GradientOfConvex
         y in subdifferential(chi)(u) for an IntegralFunction chi.
     Integrator
         effective domain {0}; the value set is all of R^d, optionally
         restricted to a coordinatewise interval (closure of the range
-        of a controller output map). forward(0) reports Everything;
-        interval bounds are honored by inverse() and pair_residual().
+        of a controller output map).
     Stacked
         children act on consecutive d-blocks.
     Shifted
@@ -678,12 +364,6 @@ class VectorRelation:
     input_offset: Optional[np.ndarray] = None
     output_offset: Optional[np.ndarray] = None
 
-    @cached_property
-    def groups(self) -> tuple:
-        """A stacked relation's lowered children (see _lower) by _groups,
-        made on first use."""
-        return _groups([_lower(ch) for ch in self.children])
-
 
 def affine_relation(S, v=None) -> VectorRelation:
     S = np.atleast_2d(np.asarray(S, dtype=float))
@@ -692,18 +372,6 @@ def affine_relation(S, v=None) -> VectorRelation:
         raise DimensionMismatch("affine relation S must be square")
     v = np.zeros(dim) if v is None else np.asarray(v, dtype=float).ravel()
     return VectorRelation(dim=dim, kind=RelationKind.AFFINE, S=S, v=v)
-
-
-def stacked_affine(S: np.ndarray, v: np.ndarray) -> VectorRelation:
-    """stacked_relation([affine_relation(S[k], v[k]) for each row k]) of
-    float stacks S (count, dim, dim) and v (count, dim), its children
-    views of the rows made only when read."""
-    return _stacked_rows(VectorRelation, RelationKind.STACKED, RelationKind.AFFINE, S.shape[1],
-                         _affine, S=S, v=v)
-
-
-def _affine(S: np.ndarray, v: np.ndarray) -> VectorRelation:
-    return VectorRelation(dim=S.shape[0], kind=RelationKind.AFFINE, S=S, v=v)
 
 
 def gradient_relation(chi: IntegralFunction) -> VectorRelation:
@@ -737,215 +405,6 @@ def shifted_relation(inner: VectorRelation, input_offset=None, output_offset=Non
     return VectorRelation(
         dim=dim, kind=RelationKind.SHIFTED, inner=inner, input_offset=a, output_offset=b
     )
-
-
-def forward(rel: VectorRelation, u) -> SetDescriptor:
-    """The set of steady outputs for steady input u (Empty if none): the
-    one-block case of coordinate_sets, so a set not spanned by coordinate
-    axes raises UnsupportedKind."""
-    return _coordinate_set(rel, u, invert=False)
-
-
-def inverse(rel: VectorRelation, y) -> SetDescriptor:
-    """The set of steady inputs producing steady output y, as forward."""
-    return _coordinate_set(rel, y, invert=True)
-
-
-def _coordinate_set(rel: VectorRelation, x, invert: bool) -> SetDescriptor:
-    base, free, faults = _block_sets(_groups([_lower(rel)]), _check_dim(rel, x), invert)
-    if faults:
-        if isinstance(faults[0], EmptySelection):
-            return SetDescriptor.empty(rel.dim)
-        raise faults[0]
-    return SetDescriptor._spanned(base, np.eye(rel.dim)[:, free])
-
-
-def _lower(rel: VectorRelation) -> VectorRelation:
-    """rel, with a gradient relation written as the relation it is.
-
-    The gradient of the indicator of {0} is the integrator, shifted and
-    stacked functions give shifted and stacked relations, and the
-    gradient of a quadratic is affine. A scalar-separable chi stays a
-    gradient relation (see _kind_sets).
-    """
-    if rel.kind is not RelationKind.GRADIENT_OF_CONVEX:
-        return rel
-    chi = rel.chi
-    if chi.kind is FunctionKind.INDICATOR_ZERO:
-        return integrator_relation(chi.dim)
-    if chi.kind is FunctionKind.SHIFTED:
-        return shifted_relation(_lower(gradient_relation(chi.inner)), chi.shift, chi.linear)
-    if chi.kind is FunctionKind.STACKED:
-        return stacked_relation([_lower(gradient_relation(ch)) for ch in chi.children])
-    quad = as_quadratic(chi)
-    return rel if quad is None else affine_relation(quad[0], quad[1])
-
-
-def pair_residual(rel: VectorRelation, u, y) -> float:
-    """Distance of the pair (u, y) to the relation graph.
-
-    Integrator kinds honor their output interval here even though
-    forward() reports Everything. A stacked relation, and the gradient
-    of a stacked function, report the largest of the children's
-    residuals, computed by groups of one kind and dimension.
-    """
-    return float(_block_residuals(_groups([_lower(rel)]), 1, _check_dim(rel, u),
-                                  _check_dim(rel, y))[0])
-
-
-def _block_residuals(groups, count: int, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """pair_residual of each of count relations, given by their groups,
-    at its consecutive blocks of u and y."""
-    out = np.empty(count)
-    for g in groups:
-        out[g.idx] = _residuals(g, u[g.index], y[g.index])
-    return out
-
-
-def _residuals(g: _Group, U: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """pair_residual(rel_k, U[k], Y[k]) for the lowered relations rel_k of group g."""
-    kind, rels = g.kind, g.items
-    if kind is RelationKind.AFFINE or kind is RelationKind.GRADIENT_OF_CONVEX:
-        points, _, faults = _kind_sets(g, U, False)  # each forward set is a point
-        if faults:
-            raise faults[min(faults)]
-        return np.linalg.norm(Y - points, axis=1)
-    if kind is RelationKind.INTEGRATOR:
-        lo, hi = g.stack("out_lo")[:, None], g.stack("out_hi")[:, None]
-        excess = np.maximum(lo - Y, 0.0) + np.maximum(Y - hi, 0.0)
-        return np.maximum(np.linalg.norm(U, axis=1), np.linalg.norm(excess, axis=1))
-    if kind is RelationKind.SHIFTED:
-        U, Y = U - g.stack("input_offset"), Y - g.stack("output_offset")
-        return _block_residuals(g.sub("inner"), len(rels), U.ravel(), Y.ravel())
-    if kind is RelationKind.INVERTED:
-        return _block_residuals(g.sub("inner"), len(rels), Y.ravel(), U.ravel())
-    if kind is RelationKind.STACKED:
-        return np.array([max(_block_residuals(rel.groups, len(rel.children), u, y).tolist())
-                         for rel, u, y in zip(rels, U, Y)])
-    raise UnsupportedKind(str(kind))
-
-
-def coordinate_sets(rels, evaluate, x, d: int):
-    """Per-block sets evaluate(rel_i, x_i) as (base, free) arrays.
-
-    rels is a sequence of relations, or a stacked relation of them, whose
-    groups are then the ones it keeps. evaluate is forward or inverse.
-    Every set the network relations produce is base + span(e_J) for a
-    set J of its own coordinates (a point, a pinned coordinate left
-    free, or everything); free marks J. Relations of one kind are
-    evaluated together (see _block_sets). The first block that fails
-    decides the error: EmptySelection when its set is empty,
-    UnsupportedKind when it is not aligned with the coordinates.
-    """
-    if not isinstance(rels, VectorRelation):
-        rels = stacked_relation(rels)
-    x = np.asarray(x, dtype=float).ravel()
-    count = len(rels.children)
-    if x.size != count * d or any(g.dim != d for g in rels.groups):
-        raise DimensionMismatch(f"expected {count} blocks of dimension {d}, got {x.size}")
-    if evaluate is not forward and evaluate is not inverse:
-        raise UnsupportedKind("coordinate sets come from forward or inverse")
-    base, free, faults = _block_sets(rels.groups, x, evaluate is inverse)
-    if faults:
-        raise faults[min(faults)]
-    return base, free
-
-
-def _empty_fault():
-    return EmptySelection("a relation has no element at the requested point")
-
-
-def _misaligned_fault():
-    return UnsupportedKind("a relation's set is not aligned with its coordinates")
-
-
-def _block_sets(groups, x: np.ndarray, invert: bool):
-    """Coordinate sets of relations, given by their groups, at their
-    consecutive blocks of x.
-
-    Returns (base, free, faults), base and free shaped as x: relation
-    k's set is base + span(e_J) on its block, for J the block's part of
-    free, unless faults maps k to the error it raises. Each group of
-    lowered relations (see _lower) is evaluated in one numpy pass where
-    its kind has one.
-    """
-    shape, x = x.shape, x.ravel()
-    base = np.zeros(x.size)
-    free = np.zeros(x.size, dtype=bool)
-    faults = {}
-    for g in groups:
-        base[g.index], free[g.index], bad = _kind_sets(g, x[g.index], invert)
-        faults.update((int(g.idx[k]), fault) for k, fault in bad.items())
-    return base.reshape(shape), free.reshape(shape), faults
-
-
-def _kind_sets(g: _Group, X: np.ndarray, invert: bool):
-    """_block_sets for the lowered relations of group g, at the rows of X."""
-    kind, rels = g.kind, g.items
-    none_free = np.zeros(X.shape, dtype=bool)
-    if kind is RelationKind.AFFINE:
-        S, v = g.stack("S"), g.stack("v")
-        if invert:
-            return _affine_solutions(S, X - v)
-        return np.einsum("kij,kj->ki", S, X) + v, none_free, {}
-    if kind is RelationKind.INTEGRATOR:
-        if invert:
-            lo = g.stack("out_lo")[:, None] - 1e-9
-            hi = g.stack("out_hi")[:, None] + 1e-9
-            empty = np.any(X < lo, axis=1) | np.any(X > hi, axis=1)
-            return np.zeros(X.shape), none_free, _faults(empty, _empty_fault)
-        return np.zeros(X.shape), ~none_free, _faults(np.any(X != 0.0, axis=1), _empty_fault)
-    if kind is RelationKind.SHIFTED:
-        into = g.stack("output_offset" if invert else "input_offset")
-        out = g.stack("input_offset" if invert else "output_offset")
-        base, free, faults = _block_sets(g.sub("inner"), X - into, invert)
-        # translating everything leaves it (and its zero basepoint) as it is
-        return base + np.where(free.all(axis=1, keepdims=True), 0.0, out), free, faults
-    if kind is RelationKind.INVERTED:
-        return _block_sets(g.sub("inner"), X, not invert)
-    if kind is RelationKind.STACKED:
-        if len(rels) == 1:
-            groups, owner = rels[0].groups, np.zeros(len(rels[0].children), dtype=np.intp)
-        else:
-            groups = _groups([_lower(ch) for rel in rels for ch in rel.children])
-            owner = np.repeat(np.arange(len(rels)), [len(rel.children) for rel in rels])
-        base, free, bad = _block_sets(groups, X, invert)
-        faults = {}
-        for j in sorted(bad):  # a stacked relation fails as its first failing child
-            faults.setdefault(int(owner[j]), bad[j])
-        return base, free, faults
-    # the gradient relations _lower leaves are those of paper_psi in every
-    # coordinate; the inverse is empty where a value is outside PSI_RANGE
-    if not invert:
-        return paper_psi(X), none_free, {}
-    base, inside = _psi_inverse(X)
-    return base, none_free, _faults(~inside.all(axis=1), _empty_fault)
-
-
-def _faults(bad: np.ndarray, make) -> dict:
-    return {int(k): make() for k in np.flatnonzero(bad)}
-
-
-def _affine_solutions(S: np.ndarray, R: np.ndarray):
-    """Solution sets of S[k] u = R[k] as coordinate sets (see _block_sets).
-
-    Per block one SVD, the minimum-norm solution as base, empty when it
-    misses R[k] by more than 1e-8 * (1 + ||R[k]||). The null space must
-    be spanned by coordinate axes.
-    """
-    u, s, vt = np.linalg.svd(S)
-    kept = s > 1e-12 * s.max(axis=1, initial=0.0)[:, None]
-    coef = np.where(kept, np.einsum("kij,ki->kj", u, R) / np.where(kept, s, 1.0), 0.0)
-    x0 = np.einsum("kij,ki->kj", vt, coef)
-    miss = np.linalg.norm(np.einsum("kij,kj->ki", S, x0) - R, axis=1)
-    faults = _faults(miss > 1e-8 * (1.0 + np.linalg.norm(R, axis=1)), _empty_fault)
-    null = vt * ~kept[:, :, None]
-    proj = np.einsum("kri,krj->kij", null, null)
-    free = np.diagonal(proj, axis1=1, axis2=2) > 0.5
-    off = np.abs(proj - free[:, :, None] * np.eye(S.shape[1])).max(axis=(1, 2), initial=0.0)
-    for k in np.flatnonzero(off > 1e-9):
-        faults.setdefault(int(k), _misaligned_fault())
-    return np.where(free.all(axis=1, keepdims=True), 0.0, x0), free, faults
 
 
 # ---------------------------------------------------------------------------
@@ -999,17 +458,29 @@ class CmResult:
 _CM_CHUNK = 1024
 
 
-def _row_grad(f: IntegralFunction, x: np.ndarray) -> np.ndarray:
-    """Gradient of f at each row of x; only kinds with a closed form."""
+def _row_grad(f: IntegralFunction, x: np.ndarray, free=None) -> np.ndarray:
+    """Gradient of f at each row of x; only kinds with a closed form.
+
+    Given free, a boolean array shaped as x, an indicator part sets free
+    on its coordinates, where its subdifferential is everything, and
+    gives 0 there (OutsideDomain off its point) instead of raising.
+    """
     if f.kind is FunctionKind.QUADRATIC:
         return x @ f.P.T + f.q
     if f.kind is FunctionKind.SCALAR_SEPARABLE:
         return paper_psi(x)
     if f.kind is FunctionKind.SHIFTED:
-        return _row_grad(f.inner, x - f.shift) + f.linear
+        return _row_grad(f.inner, x - f.shift, free) + f.linear
     if f.kind is FunctionKind.STACKED:
-        return np.concatenate([_row_grad(ch, xb.T) for ch, xb in _blocks(f, x.T)], axis=1)
-    raise RelationNotEvaluable(f"no closed-form gradient for kind {f.kind}")
+        frees = [None] * len(f.children) if free is None else [fb.T for _, fb in _blocks(f, free.T)]
+        return np.concatenate([_row_grad(ch, xb.T, fb)
+                               for (ch, xb), fb in zip(_blocks(f, x.T), frees)], axis=1)
+    if free is None:
+        raise RelationNotEvaluable(f"no closed-form gradient for kind {f.kind}")
+    if np.any(x != 0.0):
+        raise OutsideDomain("an indicator part has no subgradient off its point")
+    free[...] = True
+    return np.zeros_like(x)
 
 
 def _graph_points(rel: VectorRelation, rng, n: int, sampler: Sampler):

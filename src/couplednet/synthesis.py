@@ -15,8 +15,8 @@ import numpy as np
 
 from .couplers import linear_synthesis, reconfigured
 from .errors import EmptyInverse, EmptySelection, IndexOutOfRange, NotForcible, UnsupportedKind
-from .netopt import NetworkProblem, coordinate_sets, min_norm_flow, qp_parts, solve_network_qp
-from .relations import indicator_zero, inverse, shifted, value
+from .netopt import (NetworkProblem, PinnedQuadratic, min_norm_flow, node_inverse,
+                     solve_network_qp)
 
 
 def _node_set(problem: NetworkProblem, y):
@@ -26,7 +26,7 @@ def _node_set(problem: NetworkProblem, y):
     coordinates J (those of zero-gain nodes).
     """
     try:
-        return coordinate_sets(problem.node_relation, inverse, y, problem.op.dim)
+        return node_inverse(problem, y)
     except EmptySelection:
         raise EmptyInverse("a node relation has no input mapping to y*") from None
 
@@ -108,10 +108,11 @@ def _agreement_shift(problem: NetworkProblem, y_star: np.ndarray, tol: float) ->
     That is the potential problem with every edge pinned to E'y*, whose
     solutions are y* + 1 (x) beta on the connected graph.
     """
-    op, d = problem.op, problem.op.dim
-    pins = shifted(indicator_zero(op.edge_size), shift=op.rmatvec(y_star))
-    y, _ = solve_network_qp(op, problem.parts["Kstar"], qp_parts(pins, d), y_star, tol,
-                            lambda yv: value(problem.Kstar, yv))
+    op, d, m = problem.op, problem.op.dim, problem.op.edge_count
+    Kstar = problem.nodes.Kstar
+    pins = PinnedQuadratic(np.zeros((m, d, d)), np.zeros(op.edge_size), np.zeros(m),
+                           np.ones(op.edge_size, dtype=bool), op.rmatvec(y_star) + 0.0)
+    y, _ = solve_network_qp(op, Kstar, pins, y_star, tol, Kstar.value)
     return (y - y_star).reshape(op.node_count, d).mean(axis=0)
 
 
@@ -191,8 +192,8 @@ class UniquenessReport:
     A closed convex f is strictly convex on its domain exactly when f*
     is smooth (Rockafellar, Convex Analysis, Thm 26.3). A NetworkProblem
     holds quadratics, which are smooth, and indicators of a point, which
-    are not: qp_parts returns them as pins, and conjugate_function gives
-    one to every affine f. So outer_strict (every Gamma_e strictly
+    are not: its records hold them as pins, and the conjugate of every
+    affine f is one. So outer_strict (every Gamma_e strictly
     convex) holds when Gamma* has no pins, and inner_strict (A(beta) =
     sum_i K*_i(y*_i + beta) strictly convex on its domain) when one node
     block of K has none: one strictly convex K*_i suffices.
@@ -208,8 +209,8 @@ def check_uniqueness_conditions(problem: NetworkProblem, y_star) -> UniquenessRe
     """Decide the conditions that make y* the unique optimum."""
     y_star = np.asarray(y_star, dtype=float).ravel()
     n, d = problem.op.node_count, problem.op.dim
-    outer = not problem.parts["Gammastar"][2].any()
-    inner = not problem.parts["K"][2].reshape(n, d).any(axis=1).all()
+    outer = not problem.edges.Gammastar.pinned.any()
+    inner = not problem.nodes.K.pinned.reshape(n, d).any(axis=1).all()
     z = _min_flow(problem, _node_set(problem, y_star))[1]
     return UniquenessReport(outer, inner, float(np.linalg.norm(z)))
 

@@ -1,24 +1,137 @@
 """Per-item set evaluation of relations and subgradients, for tests only.
 
-couplednet evaluates relations by groups of one kind on sets spanned by
-coordinate axes, and a gradient relation as the relation of its closed
-form. These are the ladders it replaced: one relation or integral
-function at a time, through an algebra of set descriptors (translate,
-Cartesian product) that keeps general affine sets. The tests compare
-the two.
+couplednet holds a network's relations as flat arrays, and evaluates
+their sets as sets spanned by coordinate axes. These are the ladders
+that replaced: one relation or integral function at a time, through an
+algebra of set descriptors (translate, Cartesian product) that keeps
+general affine sets, and conjugates by the closed forms of each kind.
+The tests compare the two.
 """
 import math
+from dataclasses import dataclass
+from enum import Enum
+from typing import Optional
 
 import numpy as np
 
-from couplednet.errors import EmptySelection, UnsupportedKind
-from couplednet.relations import (FunctionKind, RelationKind, SetDescriptor, SetKind, _blocks,
-                                  _check_dim, _psi_inverse, as_quadratic, block_diag,
-                                  gradient_relation, paper_psi)
+from couplednet.errors import EmptySelection, OutsideDomain, UnsupportedKind
+from couplednet.relations import (FunctionKind, RelationKind, _blocks, _check_dim, _psi_inverse,
+                                  as_quadratic, gradient_relation, indicator_zero, paper_psi,
+                                  quadratic, shifted, stacked)
 
 # The oracle's historical zero test: a vector within this of 0 is 0 at an
 # indicator or integrator. couplednet itself tests membership exactly.
 ZERO_ATOL = 1e-11
+
+
+class SetKind(Enum):
+    EMPTY = "empty"
+    POINT = "point"
+    AFFINE = "affine"
+    EVERYTHING = "everything"
+
+
+@dataclass(frozen=True)
+class SetDescriptor:
+    """One of: empty set, single point, affine subspace, all of R^dim.
+
+    Affine subspaces are stored as basepoint + orthonormal basis of the
+    direction space. Points are affine subspaces with an empty basis;
+    everything is an affine subspace with a full basis.
+    """
+
+    kind: SetKind
+    dim: int
+    basepoint: Optional[np.ndarray] = None
+    basis: Optional[np.ndarray] = None  # (dim, r), orthonormal columns
+
+    @staticmethod
+    def empty(dim: int) -> "SetDescriptor":
+        return SetDescriptor(SetKind.EMPTY, dim)
+
+    @staticmethod
+    def point(vec) -> "SetDescriptor":
+        vec = np.asarray(vec, dtype=float).ravel()
+        return SetDescriptor(SetKind.POINT, vec.size, basepoint=vec)
+
+    @staticmethod
+    def everything(dim: int) -> "SetDescriptor":
+        return SetDescriptor(
+            SetKind.EVERYTHING, dim, basepoint=np.zeros(dim), basis=np.eye(dim)
+        )
+
+    @staticmethod
+    def _spanned(basepoint: np.ndarray, q: np.ndarray) -> "SetDescriptor":
+        """basepoint + span(q) for q with orthonormal columns already."""
+        if q.shape[1] == 0:
+            return SetDescriptor.point(basepoint)
+        if q.shape[1] == basepoint.size:
+            return SetDescriptor.everything(basepoint.size)
+        return SetDescriptor(SetKind.AFFINE, basepoint.size, basepoint=basepoint, basis=q)
+
+    @property
+    def is_empty(self) -> bool:
+        return self.kind is SetKind.EMPTY
+
+    @property
+    def directions(self) -> np.ndarray:
+        """Orthonormal basis of the direction space, (dim, 0) if there is none."""
+        return self.basis if self.basis is not None else np.zeros((self.dim, 0))
+
+    def distance(self, x) -> float:
+        """Euclidean distance from x to the set (inf for the empty set)."""
+        x = np.asarray(x, dtype=float).ravel()
+        if self.kind is SetKind.EMPTY:
+            return math.inf
+        if self.kind is SetKind.EVERYTHING:
+            return 0.0
+        delta = x - self.basepoint
+        if self.kind is SetKind.POINT:
+            return float(np.linalg.norm(delta))
+        proj = self.basis @ (self.basis.T @ delta)
+        return float(np.linalg.norm(delta - proj))
+
+    def min_norm(self) -> np.ndarray:
+        """Minimum-norm element."""
+        if self.kind is SetKind.EMPTY:
+            raise OutsideDomain("empty set has no elements")
+        if self.kind is SetKind.EVERYTHING:
+            return np.zeros(self.dim)
+        if self.kind is SetKind.POINT:
+            return self.basepoint.copy()
+        b, q = self.basepoint, self.basis
+        return b - q @ (q.T @ b)
+
+
+def block_diag(mats) -> np.ndarray:
+    """Blocks placed along the diagonal of one dense matrix."""
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
+    row = col = 0
+    for m in mats:
+        out[row : row + m.shape[0], col : col + m.shape[1]] = m
+        row, col = row + m.shape[0], col + m.shape[1]
+    return out
+
+
+def conjugate(f):
+    """f* as an IntegralFunction, kind by kind: a quadratic of invertible P
+    gives the quadratic of P^-1, one of P = 0 the indicator of {q}, and
+    the indicator of {0} the zero function. UnsupportedKind otherwise."""
+    if f.kind is FunctionKind.INDICATOR_ZERO:
+        return quadratic(np.zeros((f.dim, f.dim)))
+    if f.kind is FunctionKind.STACKED:
+        return stacked([conjugate(ch) for ch in f.children])
+    if f.kind is FunctionKind.SHIFTED:
+        return shifted(conjugate(f.inner), shift=f.linear, linear=f.shift,
+                       constant=-float(f.shift @ f.linear) - f.constant)
+    if f.kind is not FunctionKind.QUADRATIC:
+        raise UnsupportedKind(f"no closed-form conjugate for kind {f.kind}")
+    if not np.any(np.abs(f.P) > 1e-8):
+        return shifted(indicator_zero(f.dim), shift=f.q, constant=-f.c)
+    if np.linalg.matrix_rank(f.P) < f.dim:
+        raise UnsupportedKind("conjugate object of a degenerate quadratic")
+    inv = np.linalg.inv(f.P)
+    return quadratic(inv, -inv @ f.q, 0.5 * f.q @ inv @ f.q - f.c)
 
 
 def solve_affine(mat, rhs, tol: float = 1e-8) -> SetDescriptor:

@@ -14,18 +14,18 @@ import numpy as np
 import pytest
 
 from closed_loop_oracle import solve_equilibrium
+from dense_oracle import problem_from_relations
+from set_oracle import conjugate, forward
 from conftest import meicmp_linear_agent, rand_connected_graph, rand_spd
 from couplednet.cli import main
 from couplednet.config import load_config
 from couplednet.couplers import PSI_RANGE, linear_synthesis, paper_psi
 from couplednet.netgraph import build_graph, incidence
-from couplednet.netopt import (assemble, duality_gap, problem_from_relations,
-                               recover_certificate, solve_opp,
+from couplednet.netopt import (assemble, duality_gap, recover_certificate, solve_opp,
                                verify_steady_state)
 from couplednet.plants import convex_gradient_agent, ss_relation
-from couplednet.relations import (Sampler, affine_relation, check_cm,
-                                  conjugate_function, cyclic_sum, forward,
-                                  grad_of, quadratic, scalar_separable, value)
+from couplednet.relations import (Sampler, affine_relation, check_cm, cyclic_sum, grad_of,
+                                  quadratic, scalar_separable, value)
 from couplednet.simulate import (IntegrateOptions, closed_loop,
                                  compare_prediction, default_initial_state,
                                  detect_convergence, integrate)
@@ -167,7 +167,7 @@ def psi_conjugate(m):
 
 def test_criterion_4_conjugate_subgradient_numerics():
     # Fenchel-Young at the gradient, f(x) + f*(g) = g'x, on quadratics, whose
-    # f* is conjugate_function's, and on paper_psi, whose f* is psi_conjugate
+    # f* is set_oracle's conjugate, and on paper_psi, whose f* is psi_conjugate
     rng = np.random.default_rng(4242)
     fy_pairs = 0
     worst_fy = 0.0
@@ -176,7 +176,7 @@ def test_criterion_4_conjugate_subgradient_numerics():
         d = 1 + k % 3
         if k % 2 == 0:
             f = quadratic(rand_spd(rng, d, 0.4, 2.0), rng.normal(size=d))
-            f_star = functools.partial(value, conjugate_function(f))
+            f_star = functools.partial(value, conjugate(f))
         else:
             f = scalar_separable(paper_psi, d, PSI_RANGE)
             f_star = lambda g: sum(psi_conjugate(gj) for gj in g)
@@ -204,7 +204,7 @@ def test_criterion_4_conjugate_subgradient_numerics():
         d = int(rng.integers(1, 4))
         f = quadratic(a * np.eye(d), np.full(d, b))
         yv = rng.uniform(-3.0, 3.0, d)
-        num = value(conjugate_function(f), yv)
+        num = value(conjugate(f), yv)
         closed = float(np.sum((yv - b) ** 2) / (2 * a))
         rel_err = abs(num - closed) / max(1.0, abs(closed))
         assert rel_err <= 1e-12

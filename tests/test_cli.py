@@ -566,3 +566,31 @@ def test_console_script_round_trip(tmp_path):
     assert res.returncode == 0
     assert "duality_gap" in res.stdout
     assert (tmp_path / "certificate.json").exists()
+
+
+# README's exit-code paragraph: each code, the words it opens with, and the
+# errors _guard sends to it
+EXITS = {
+    0: ("success", ()),
+    1: ("config or usage error", (cli.ConfigInvalid,)),
+    2: ("mathematical infeasibility", cli._MATH_ERRORS),
+    3: ("numerical failure", cli._NUMERIC_ERRORS),
+    4: ("valid config outside the theory", (cli.UnsupportedKind,)),
+}
+
+
+def test_guard_codes_agree_with_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = " ".join(readme.split("Exit codes: ", 1)[1].split("\n\n", 1)[0].split())
+    depth, top = 0, ""  # the paragraph without its parenthetical lists
+    for ch in paragraph:
+        depth += (ch == "(") - (ch == ")")
+        top += ch if depth == 0 and ch != ")" else ""
+    items = [item.strip() for item in top.split(".")[0].split(",")]
+    assert items == [f"{code} {words}" for code, (words, _) in EXITS.items()]
+    for code, (_, errors) in EXITS.items():
+        for error in errors:
+            def fail(error=error):
+                raise error("x")
+            assert cli._guard(fail) == code, error.__name__
+    assert cli._guard(lambda: None) == 0

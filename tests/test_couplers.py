@@ -6,12 +6,23 @@ import pytest
 from couplednet import couplers as C
 from couplednet import relations as R
 from couplednet.errors import DimensionMismatch
+from couplednet.netgraph import build_graph
+from couplednet.netopt import assemble
+from couplednet.plants import linear_agent
 
 from closed_loop_oracle import controller_output, controller_rhs
+from set_oracle import forward, inverse
 
 
 def psi_pot(d=2):
     return R.scalar_separable(C.paper_psi, d, C.PSI_RANGE)
+
+
+def edge_side(c):
+    """The edge record of two unit-gain nodes joined by controller c."""
+    d = c.io_dim
+    node = linear_agent(-np.eye(d), np.eye(d), np.eye(d))
+    return assemble(build_graph(2, [(0, 1)]), [node, node], [c]).edges
 
 
 def test_integrator_dynamics_and_output():
@@ -25,10 +36,10 @@ def test_integrator_steady_state_relation():
     ic = C.nonlinear_integrator(psi_pot())
     rel = C.controller_ss_relation(ic)
     assert rel.kind is R.RelationKind.INTEGRATOR
-    assert R.forward(rel, [0.1, 0.0]).is_empty
-    gamma = C.controller_integral_fn(ic)
-    assert R.value(gamma, [0.0, 0.0]) == 0.0
-    assert R.value(gamma, [1.0, 0.0]) == math.inf
+    assert forward(rel, [0.1, 0.0]).is_empty
+    gamma = edge_side(ic).Gamma
+    assert gamma.value([0.0, 0.0]) == 0.0
+    assert gamma.value([1.0, 0.0]) == math.inf
 
 
 def test_integrator_initial_state():
@@ -48,11 +59,11 @@ def test_linear_synthesis_dynamics():
 def test_linear_synthesis_steady_state():
     ls = C.linear_synthesis([1.0, 2.0])
     rel = C.controller_ss_relation(ls)
-    assert np.allclose(R.forward(rel, [3.0, 3.0]).min_norm(), [2.0, 1.0])
-    gamma = C.controller_integral_fn(ls)
+    assert np.allclose(forward(rel, [3.0, 3.0]).min_norm(), [2.0, 1.0])
+    gamma = edge_side(ls).Gamma
     # integral of (zeta - offset): 0.5 |zeta|^2 - offset . zeta
-    assert R.value(gamma, [3.0, 3.0]) == pytest.approx(0.0)
-    assert R.value(gamma, [1.0, 1.0]) == pytest.approx(-2.0)
+    assert gamma.value([3.0, 3.0]) == pytest.approx(0.0)
+    assert gamma.value([1.0, 1.0]) == pytest.approx(-2.0)
 
 
 def test_reconfigured_shifts_input_and_output():
@@ -68,7 +79,7 @@ def test_reconfigured_steady_state_relation():
     rc = C.reconfigured(ls, [1.0, 1.0], [2.0, 2.0])
     rel = C.controller_ss_relation(rc)
     # gamma_rc(zeta) = gamma(zeta - alpha) + beta
-    assert np.allclose(R.forward(rel, [3.0, 3.0]).min_norm(), [4.0, 4.0])
+    assert np.allclose(forward(rel, [3.0, 3.0]).min_norm(), [4.0, 4.0])
 
 
 def test_nested_reconfigured_sums_offsets():
@@ -85,7 +96,7 @@ def test_nested_reconfigured_sums_offsets():
                            controller_output(summed, eta, zeta), atol=1e-15)
         rel_n, rel_s = C.controller_ss_relation(nested), C.controller_ss_relation(summed)
         for x in (zeta, a1 + a2, np.array([0.05, -0.1])):
-            for op in (R.forward, R.inverse):
+            for op in (forward, inverse):
                 got, want = op(rel_n, x), op(rel_s, x)
                 assert got.kind is want.kind
                 if not want.is_empty:
@@ -97,7 +108,7 @@ def test_plain_controllers_have_zero_offsets():
     assert np.array_equal(ic.alpha, [0.0, 0.0]) and np.array_equal(ic.beta, [0.0, 0.0])
     assert not ic.has_offsets
     assert C.controller_ss_relation(ic).kind is R.RelationKind.INTEGRATOR
-    assert C.controller_integral_fn(ic).kind is R.FunctionKind.INDICATOR_ZERO
+    assert edge_side(ic).Gamma.pinned.all()
 
 
 def test_paper_psi_vector_and_scalar_agree():

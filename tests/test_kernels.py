@@ -1,3 +1,4 @@
+import json
 import re
 import zlib
 from pathlib import Path
@@ -312,6 +313,18 @@ def every_kind_doc():
     edges = [[0, 1], [2, 0], [0, 3], [1, 4], [2, 5], [3, 4], [4, 5]]
     return {"schema": SCHEMA, "graph": {"nodes": 6, "edges": edges},
             "agents": agents, "controllers": controllers}
+
+
+@pytest.mark.parametrize("command", ["predict", "check-cm"])
+def test_every_kind_doc_is_outside_the_theory(tmp_path, capsys, command):
+    # a valid document: its convex-gradient agents have no closed steady-state
+    # relation, so predict and check-cm refuse it with the code of that case
+    path = tmp_path / "every_kind.json"
+    path.write_text(json.dumps(every_kind_doc()))
+    with pytest.raises(SystemExit) as ex:
+        cli.main([command, "--config", str(path), "--out", str(tmp_path)])
+    assert ex.value.code == cli.EXIT_UNSUPPORTED == 4
+    assert "outside the theory: UnsupportedKind" in capsys.readouterr().err
 
 
 def test_every_config_kind_packs_whole():

@@ -9,10 +9,8 @@ from couplednet.couplers import (PSI_RANGE, linear_synthesis,
 from couplednet.errors import (DimensionMismatch, EmptySelection, Infeasible,
                                Unbounded)
 from couplednet.netgraph import build_graph, incidence
-from couplednet.netopt import (SolveOptions, assemble, duality_gap,
-                               flow_residual, inclusion_residual,
-                               ofp_objective, opp_objective,
-                               problem_from_relations, recover_certificate,
+from couplednet.netopt import (SolveOptions, assemble, duality_gap, inclusion_residual,
+                               ofp_objective, opp_objective, recover_certificate,
                                solve_ofp, solve_opp, verify_steady_state)
 from couplednet.plants import linear_agent
 from couplednet.relations import (FunctionKind, affine_relation,
@@ -24,7 +22,7 @@ from couplednet.simulate import (IntegrateOptions, closed_loop,
 
 from conftest import (meicmp_linear_agent, mixed_network, rand_connected_graph,
                       rand_spd)
-from dense_oracle import cycle_basis
+from dense_oracle import cycle_basis, flow_residual, problem_from_relations
 
 
 def hand_problem():
@@ -248,7 +246,7 @@ def test_ofp_keeps_cycle_component_of_init_mu():
 
 def test_nested_shifts_meet_their_pins_exactly():
     # Indicators test membership exactly, and the objectives evaluate them
-    # at the pin qp_parts sums: 0.1 + 0.2 here. Read back through two
+    # at the pin the record sums: 0.1 + 0.2 here. Read back through two
     # shifts, (0.1 + 0.2 - 0.2) - 0.1 is 2.8e-17, not 0, so a shift of a
     # shift must be stored as one, and a shift over a stack goes onto the
     # stack's blocks. The second edge's Gamma* nests two shifts.
@@ -309,11 +307,11 @@ def cyclic_integrator_problem():
     edge_fns = [indicator_zero(2) for _ in range(6)]
     edge_fns[2] = shifted(stacked([indicator_zero(1), quadratic(np.eye(1))]), linear=[0.7, 0.0])
     edge_fns.append(quadratic(rand_spd(rng, 2), rng.normal(size=2)))
-    return problem_from_relations(incidence(g, 2), node_rels, edge_fns)
+    return problem_from_relations(incidence(g, 2), node_rels, edge_fns), node_rels, edge_fns
 
 
 def test_certificate_is_min_norm_kkt_solution():
-    prob = cyclic_integrator_problem()
+    prob, node_rels, edge_fns = cyclic_integrator_problem()
     y, zeta, _ = solve_opp(prob)
     cert = recover_certificate(prob, y, zeta)
     assert cert.valid(1e-9)
@@ -324,8 +322,8 @@ def test_certificate_is_min_norm_kkt_solution():
     E = prob.op.lifted
     N, M = E.shape
     fixed = [np.linalg.solve(rel.S, y[2 * i:2 * i + 2] - rel.v)
-             for i, rel in enumerate(prob.node_relations[:4])]
-    chord = prob.Gamma.children[6]
+             for i, rel in enumerate(node_rels[:4])]
+    chord = edge_fns[6]
     fixed += [zeta[5:6], chord.P @ zeta[12:14] + chord.q]
     C = np.vstack([np.eye(N + M)[list(range(8)) + [N + 5, N + 12, N + 13]],
                    np.hstack([np.eye(N), E])])

@@ -13,7 +13,7 @@ from couplednet.errors import (DimensionMismatch, EmptyList, OutsideDomain,
 from couplednet.relations import PSI_RANGE, paper_psi
 
 from conftest import rand_spd
-from set_oracle import solve_affine
+from set_oracle import SetKind, conjugate, forward, inverse, pair_residual, solve_affine
 
 P2 = np.array([[2.0, 0.0], [0.0, 4.0]])
 Q2 = np.array([1.0, -1.0])
@@ -31,7 +31,7 @@ def test_quadratic_conjugate_closed_form():
     f = R.quadratic(P2, Q2, 0.5)
     y = np.array([3.0, 7.0])
     expect = 0.5 * (y - Q2) @ np.linalg.solve(P2, y - Q2) - 0.5
-    g = R.conjugate_function(f)
+    g = conjugate(f)
     assert R.value(g, y) == pytest.approx(expect, rel=1e-10)
 
 
@@ -40,7 +40,7 @@ def test_indicator_zero():
     assert R.value(f, [0.0, 0.0]) == 0.0
     assert R.value(f, [1.0, 0.0]) == math.inf
     # conjugate of the indicator of {0} is identically zero
-    assert R.value(R.conjugate_function(f), [3.0, -2.0]) == 0.0
+    assert R.value(conjugate(f), [3.0, -2.0]) == 0.0
 
 
 def test_scalar_separable_takes_paper_psi_only():
@@ -87,7 +87,7 @@ def test_psi_integral_matches_mpmath(sign):
 def test_psi_inverse_matches_mpmath():
     lo, hi = PSI_RANGE
     m = np.concatenate([np.linspace(lo + 1e-3, hi - 1e-3, 101), [-1e-8, 1e-8]])
-    got = R.inverse(R.gradient_relation(R.scalar_separable(paper_psi, m.size)), m).min_norm()
+    got = inverse(R.gradient_relation(R.scalar_separable(paper_psi, m.size)), m).min_norm()
     with mpmath.workdps(40):  # the root of paper_psi(x) = m, from the closed form's x
         ref = np.array([float(mpmath.findroot(lambda x, mk=mpmath.mpf(mk): mp_psi(x) - mk,
                                               mpmath.mpf(x0)))
@@ -126,9 +126,9 @@ def test_psi_inverse_is_empty_at_and_beyond_its_range():
     rel = R.gradient_relation(R.scalar_separable(paper_psi, 2))
     for m in (lo, np.nextafter(lo, -np.inf), lo - 1.0, -np.inf,
               hi, np.nextafter(hi, np.inf), hi + 1.0, np.inf, np.nan):
-        assert R.inverse(rel, [0.1, m]).is_empty
-        assert R.inverse(rel, [m, -0.1]).is_empty
-    inner = R.inverse(rel, [np.nextafter(lo, 0.0), np.nextafter(hi, 0.0)]).min_norm()
+        assert inverse(rel, [0.1, m]).is_empty
+        assert inverse(rel, [m, -0.1]).is_empty
+    inner = inverse(rel, [np.nextafter(lo, 0.0), np.nextafter(hi, 0.0)]).min_norm()
     assert inner[0] < -30.0 and inner[1] > 1e7
 
 
@@ -175,8 +175,8 @@ def test_value_dimension_check():
 
 def test_indicator_subgradient_empty_off_origin():
     f = R.indicator_zero(2)
-    assert R.forward(R.gradient_relation(f), [0.0, 0.0]).kind is R.SetKind.EVERYTHING
-    assert R.forward(R.gradient_relation(f), [1.0, 0.0]).is_empty
+    assert forward(R.gradient_relation(f), [0.0, 0.0]).kind is SetKind.EVERYTHING
+    assert forward(R.gradient_relation(f), [1.0, 0.0]).is_empty
     with pytest.raises(OutsideDomain):
         R.grad_of(f, [1.0, 0.0])
 
@@ -206,7 +206,7 @@ def test_fenchel_young_equality_at_subgradients(seed, d):
     f = R.quadratic(rand_spd(rng, d), rng.normal(size=d))
     x = rng.normal(size=d)
     g = R.grad_of(f, x)
-    resid = R.value(f, x) + R.value(R.conjugate_function(f), g) - g @ x
+    resid = R.value(f, x) + R.value(conjugate(f), g) - g @ x
     assert abs(resid) <= 1e-8
 
 
@@ -216,7 +216,7 @@ def test_fenchel_young_inequality(seed):
     rng = np.random.default_rng(seed)
     f = R.quadratic(rand_spd(rng, 2), rng.normal(size=2))
     x, y = rng.normal(size=2), rng.normal(size=2)
-    assert R.value(f, x) + R.value(R.conjugate_function(f), y) - y @ x >= -1e-9
+    assert R.value(f, x) + R.value(conjugate(f), y) - y @ x >= -1e-9
 
 
 def test_subgradient_matches_central_difference():
@@ -236,7 +236,7 @@ def test_subgradient_matches_central_difference():
 def test_solve_affine_min_norm_and_null_basis():
     mat = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
     sol = solve_affine(mat, [2.0, 4.0])
-    assert sol.kind is R.SetKind.AFFINE
+    assert sol.kind is SetKind.AFFINE
     assert np.allclose(sol.basepoint, [1.0, 1.0, 0.0], atol=1e-14)
     Z = sol.directions
     assert Z.shape == (3, 2)
@@ -244,7 +244,7 @@ def test_solve_affine_min_norm_and_null_basis():
     assert np.allclose(mat @ Z, 0.0, atol=1e-14)
     assert solve_affine(mat, [2.0, 5.0]).is_empty
     assert solve_affine(np.eye(2), [3.0, 4.0]).directions.shape == (2, 0)
-    assert solve_affine(np.zeros((0, 2)), []).kind is R.SetKind.EVERYTHING
+    assert solve_affine(np.zeros((0, 2)), []).kind is SetKind.EVERYTHING
 
 
 # -- vector relations ------------------------------------------------------
@@ -252,41 +252,41 @@ def test_solve_affine_min_norm_and_null_basis():
 def test_affine_relation_forward_inverse():
     S = np.array([[2.0, 0.0], [0.0, 3.0]])
     rel = R.affine_relation(S, [1.0, 1.0])
-    y = R.forward(rel, [3.0, 4.0]).min_norm()
+    y = forward(rel, [3.0, 4.0]).min_norm()
     assert np.allclose(y, [7.0, 13.0])
-    u = R.inverse(rel, [7.0, 13.0]).min_norm()
+    u = inverse(rel, [7.0, 13.0]).min_norm()
     assert np.allclose(u, [3.0, 4.0])
-    assert R.pair_residual(rel, [3.0, 4.0], [7.0, 13.0]) <= 1e-12
+    assert pair_residual(rel, [3.0, 4.0], [7.0, 13.0]) <= 1e-12
 
 
 def test_gradient_relation_of_quadratic():
     rel = R.gradient_relation(R.quadratic(P2, Q2))
-    assert np.allclose(R.forward(rel, [1.0, 2.0]).min_norm(), [3.0, 7.0])
-    assert np.allclose(R.inverse(rel, [3.0, 7.0]).min_norm(), [1.0, 2.0])
+    assert np.allclose(forward(rel, [1.0, 2.0]).min_norm(), [3.0, 7.0])
+    assert np.allclose(inverse(rel, [3.0, 7.0]).min_norm(), [1.0, 2.0])
 
 
 def test_integrator_relation_semantics():
     rel = R.integrator_relation(2, -1.0, 1.0)
     # only zero input admits a steady state, with free output
-    assert R.forward(rel, [0.0, 0.0]).kind is R.SetKind.EVERYTHING
-    assert R.forward(rel, [1.0, 0.0]).is_empty
-    assert np.allclose(R.inverse(rel, [0.5, 0.0]).min_norm(), 0.0)
+    assert forward(rel, [0.0, 0.0]).kind is SetKind.EVERYTHING
+    assert forward(rel, [1.0, 0.0]).is_empty
+    assert np.allclose(inverse(rel, [0.5, 0.0]).min_norm(), 0.0)
 
 
 def test_inverted_relation_swaps():
     rel = R.affine_relation(np.diag([2.0, 3.0]), [1.0, 1.0])
     inv = R.inverted_relation(rel)
-    assert np.allclose(R.forward(inv, [3.0, 4.0]).min_norm(), [1.0, 1.0])
-    assert np.allclose(R.inverse(inv, [1.0, 1.0]).min_norm(), [3.0, 4.0])
+    assert np.allclose(forward(inv, [3.0, 4.0]).min_norm(), [1.0, 1.0])
+    assert np.allclose(inverse(inv, [1.0, 1.0]).min_norm(), [3.0, 4.0])
 
 
 def test_stacked_and_shifted_relation():
     rel = R.stacked_relation([R.affine_relation(np.eye(1)),
                               R.affine_relation(2.0 * np.eye(1))])
-    assert np.allclose(R.forward(rel, [1.0, 1.0]).min_norm(), [1.0, 2.0])
+    assert np.allclose(forward(rel, [1.0, 1.0]).min_norm(), [1.0, 2.0])
     sh = R.shifted_relation(R.affine_relation(np.eye(2)),
                             input_offset=[1.0, 0.0], output_offset=[0.0, 2.0])
-    y = R.forward(sh, [1.0, 1.0]).min_norm()
+    y = forward(sh, [1.0, 1.0]).min_norm()
     assert np.allclose(y, [0.0, 3.0])
 
 
@@ -340,7 +340,7 @@ def test_check_cm_refutes_stack_with_witness_on_graph():
     res = R.check_cm(rel, R.Sampler(seed=7), cycles=2000)
     assert not res.passed
     for u, y in res.witness:
-        assert R.pair_residual(rel, u, y) <= 1e-9
+        assert pair_residual(rel, u, y) <= 1e-9
     assert res.witness_sum == R.cyclic_sum(res.witness)
     assert res.witness_sum < -1e-9
 
@@ -367,7 +367,7 @@ def test_check_cm_shifted_relations():
     res = R.check_cm(indef, R.Sampler(seed=3), cycles=2000)
     assert not res.passed
     for u, y in res.witness:
-        assert R.pair_residual(indef, u, y) <= 1e-9
+        assert pair_residual(indef, u, y) <= 1e-9
 
 
 def test_check_cm_gradient_of_indicator_not_evaluable():
@@ -388,15 +388,15 @@ def test_sum_with_nonquadratic_part_has_no_closed_form():
     # conjugate, though its gradient inverts block by block
     f = R.stacked([R.quadratic(np.eye(2)), R.scalar_separable(paper_psi, 2)])
     with pytest.raises(UnsupportedKind):
-        R.conjugate_function(f)
+        conjugate(f)
     rel = R.gradient_relation(f)
     y = [1.0, 2.0, 0.5, -0.2]
-    assert np.allclose(R.forward(rel, R.inverse(rel, y).min_norm()).min_norm(), y,
+    assert np.allclose(forward(rel, inverse(rel, y).min_norm()).min_norm(), y,
                        rtol=0.0, atol=1e-15)
 
 
 def test_conjugate_value_unbounded():
     # linear function: conjugate finite only at its slope
-    conj = R.conjugate_function(R.quadratic(np.zeros((1, 1)), np.array([2.0])))
+    conj = conjugate(R.quadratic(np.zeros((1, 1)), np.array([2.0])))
     assert R.value(conj, [2.0]) == 0.0
     assert R.value(conj, [2.5]) == math.inf

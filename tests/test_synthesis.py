@@ -8,9 +8,9 @@ from couplednet.couplers import ControllerKind, linear_synthesis, nonlinear_inte
 from couplednet import synthesis
 from couplednet.errors import IndexOutOfRange, NotForcible, UnsupportedKind
 from couplednet.netgraph import build_graph, incidence
-from couplednet.netopt import assemble, problem_from_relations, verify_steady_state
-from couplednet.plants import linear_agent
-from couplednet.relations import affine_relation, forward, quadratic
+from couplednet.netopt import assemble, verify_steady_state
+from couplednet.plants import linear_agent, ss_relation
+from couplednet.relations import affine_relation, quadratic
 from couplednet.simulate import (IntegrateOptions, closed_loop,
                                  default_initial_state, detect_convergence,
                                  integrate)
@@ -20,7 +20,8 @@ from couplednet.synthesis import (apply_leader, check_forcible,
                                   synthesize_linear, wrap_reconfigured)
 
 from conftest import meicmp_linear_agent, rand_connected_graph
-from dense_oracle import cycle_basis
+from dense_oracle import cycle_basis, problem_from_relations
+from set_oracle import forward, inverse
 
 
 def mirrored_pair():
@@ -170,8 +171,7 @@ def test_g_map_min_norm_on_cycles():
     mu = g_map(prob, y)
     C = cycle_basis(prob.op)
     assert np.allclose(C.T @ mu, 0.0, atol=1e-8)
-    from couplednet.relations import inverse
-    u_star = np.concatenate([inverse(prob.node_relations[i], y[i:i+1]).min_norm()
+    u_star = np.concatenate([inverse(ss_relation(agents[i]), y[i:i+1]).min_norm()
                              for i in range(3)])
     assert np.allclose(-prob.op.lifted @ mu, u_star, atol=1e-6)
 
@@ -260,18 +260,17 @@ def test_reconfiguration_shift_law(seed, n):
     y0, _, _ = solve_opp(prob)
 
     # build a forcible target: adjust the last node to balance the sum
-    from couplednet.relations import forward, inverse
     y_star = y0 + rng.normal(size=n)
-    need = -sum(inverse(prob.node_relations[i], y_star[i:i+1]).min_norm()
+    need = -sum(inverse(ss_relation(agents[i]), y_star[i:i+1]).min_norm()
                 for i in range(n - 1))
-    y_star[n - 1] = forward(prob.node_relations[n - 1], need).min_norm()[0]
+    y_star[n - 1] = forward(ss_relation(agents[n - 1]), need).min_norm()[0]
 
     alpha, beta = reconfiguration_offsets(prob, y0, y_star)
     assert np.allclose(alpha, prob.op.lifted.T @ (y_star - y0), atol=1e-8)
     mu_new = g_map(prob, y0) + beta
     u_star = -prob.op.lifted @ mu_new
     for i in range(n):
-        assert inverse(prob.node_relations[i], y_star[i:i+1]).distance(
+        assert inverse(ss_relation(agents[i]), y_star[i:i+1]).distance(
             u_star[i:i+1]) <= 1e-6
 
 
@@ -308,7 +307,7 @@ def test_flow_solve_matches_pinv_sum(seed, n, d, forcible_target):
     prob = assemble(g, agents, ctrls)
     if forcible_target:
         u = -prob.op.lifted @ rng.normal(size=g.edge_count * d)
-        y_star = np.concatenate([forward(prob.node_relations[i], u[i * d:(i + 1) * d])
+        y_star = np.concatenate([forward(ss_relation(agents[i]), u[i * d:(i + 1) * d])
                                  .min_norm() for i in range(n)])
     else:
         y_star = rng.normal(size=n * d)
