@@ -1,15 +1,20 @@
 """Alternating before/after pairs of the benchmark, with medians and quartiles.
 
-Runs `perfbench/run.py --trace 0` (its default seed and run length) in
-N pairs on two checkouts: a clean export of a git revision (the base,
+Runs `perfbench/run.py --seed 1 --trace 0` (its default seed and run
+length) in N pairs on two checkouts: a clean export of a git revision (the base,
 `git archive` into a fresh directory under /tmp, so the repository's
 .git gains nothing), and the working tree (the change). The order within
 a pair alternates, base first in even pairs, so a drift of the host's
 speed falls on both sides. For each workload and end-to-end metric it
 prints every pair's values, then each side's median and quartiles, how
 many pairs the change wins, whether the change's median sits below
-the base's lower quartile, and the benchmark's reading of the metric
-against its bound in BENCHMARK.json (see `reading`).
+the base's lower quartile, whether every change run beats every base
+run (the rule `reading` falls back on when the base's quartile spread
+exceeds the bound), and the benchmark's reading of the metric against
+its bound in BENCHMARK.json (see `reading`). It then prints each op's
+median time on both sides, the median over the runs of the `op_median_s`
+in each run's `.perfbench_out/result-*.json`, to show where a change
+of `pass_s`, their sum, comes from.
 
 Run from the root of the working tree:
 
@@ -35,6 +40,7 @@ import sys
 import tempfile
 
 WORKLOADS = ("formation", "ring256", "cm")
+SEED = 1  # run.py's default
 
 
 def export(rev, into):
@@ -64,7 +70,8 @@ def seconds_for(checkout, workload, passes):
 
 
 def bench(checkout, workload, passes=None):
-    """The last line of one run: {"correct", "attempted", "failed", "metrics"}.
+    """The last line of one run, {"correct", "attempted", "failed", "metrics"},
+    with the "op_median_s" of the result file it writes.
 
     Without bytecode writes, as the benchmark's own runs are made, so each
     run compiles its checkout's sources. With passes, the run times that
@@ -72,11 +79,16 @@ def bench(checkout, workload, passes=None):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     extra = [] if passes is None else ["--seconds", repr(seconds_for(checkout, workload, passes))]
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0", *extra],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--trace", "0", *extra],
         cwd=checkout, env=env, capture_output=True, text=True, timeout=1800)
     if proc.returncode != 0:
         sys.exit(f"perfbench failed in {checkout}:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    path = os.path.join(checkout, ".perfbench_out", f"result-{workload}-seed{SEED}-trace0.json")
+    with open(path) as fh:
+        result["op_median_s"] = json.load(fh)["op_median_s"]
+    return result
 
 
 def summary(values):
@@ -133,15 +145,26 @@ def report(workload, runs):
         wins = sum((c < b) == lower for b, c in zip(base, change) if c != b)
         print(f"{'':<12} base   median {bm:.6f}  quartiles [{bq1:.6f}, {bq3:.6f}]")
         print(f"{'':<12} change median {cm:.6f}  quartiles [{cq1:.6f}, {cq3:.6f}]")
+        sweep = max(change) < min(base) if lower else min(change) > max(base)
         print(f"{'':<12} change better in {wins} of {len(runs)} pairs; median "
               f"{cm / bm - 1.0:+.1%}; below the base's lower quartile: {cm < bq1}")
+        print(f"{'':<12} every change run better than every base run: {sweep}")
         verdict = reading(base, change, bound, lower)
         print(f"{'':<12} reading: {verdict} (bound {bound:.0%}; base quartile spread "
               f"{(bq3 - bq1) / bm:.1%} of its median)")
         table[metric] = {"base": base, "change": change, "base_median": bm,
                          "base_quartiles": [bq1, bq3], "change_median": cm,
                          "change_quartiles": [cq1, cq3], "change_better": wins,
-                         "reading": verdict}
+                         "every_run_better": sweep, "reading": verdict}
+    print(f"{'op (median of op_median_s)':<32} {'base':>12} {'change':>12} {'change/base':>12}")
+    ops = {}
+    for op in runs[0][0]["op_median_s"]:
+        if not all(op in r[side]["op_median_s"] for r in runs for side in (0, 1)):
+            continue  # an op that failed in every pass of some run has no median there
+        b, c = (statistics.median(r[side]["op_median_s"][op] for r in runs) for side in (0, 1))
+        print(f"{op:<32} {b:>12.6f} {c:>12.6f} {c / b:>12.3f}")
+        ops[op] = {"base_median": b, "change_median": c}
+    table["op_median_s"] = ops
     return table
 
 

@@ -41,7 +41,8 @@ BLOCK_VALUES = 1 << 14
 class PackedSystem:
     """Closed loop folded into sparse affine maps of
     v = [s ; paper_psi(s[psi_idx]) ; 1], whose paper_psi values sit at
-    v[psi_cols] and whose length is width.
+    v[psi_cols] and whose length is width. psi_src reads s[psi_idx] off
+    v: a slice where psi_idx is one contiguous range, else psi_idx.
 
     (row, col, w) give the state derivative, the affine term c as the
     entries on v's last, constant column, placed after all others;
@@ -61,6 +62,7 @@ class PackedSystem:
     op: IncidenceOperator
     psi_cols: slice
     width: int
+    psi_src: slice | np.ndarray
 
 
 def rhs_buffer(pk):
@@ -73,19 +75,19 @@ def rhs_buffer(pk):
 def _packed_rhs(s, pk, v):
     """State derivative at s: the folded map applied to v, filled here.
 
-    v is a buffer from rhs_buffer(pk), reusable across calls. bincount
-    adds each row's products in COO order, so c, stored last, is added
-    after the sum, bit for bit as a trailing `+ c` would. No errstate is
-    entered: paper_psi underflows harmlessly beyond |eta| of about 708,
-    and the integration loops below enter np.errstate once around all
-    their calls.
+    v is a buffer from rhs_buffer(pk), reusable across calls. paper_psi
+    reads its input off v once s is in it, a view where psi_src is a
+    slice, and leaves it intact. bincount adds each row's products in
+    COO order, so c, stored last, is added after the sum, bit for bit as
+    a trailing `+ c` would. No errstate is entered: paper_psi_into's
+    flags near eta = 0 stand for exact values (see there), and the
+    integration loops below enter np.errstate once around all their
+    calls.
     """
     dim = pk.dim
     v[:dim] = s
-    paper_psi_into(s[pk.psi_idx], v[pk.psi_cols])
-    p = v[pk.col]
-    np.multiply(p, pk.w, p)
-    return np.bincount(pk.row, p, minlength=dim)
+    paper_psi_into(v[pk.psi_src], v[pk.psi_cols])
+    return np.bincount(pk.row, v[pk.col] * pk.w, dim)
 
 
 def packed_jacobian(pk, s):
@@ -157,14 +159,13 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0, settled=None):
     the last step lands exactly on rec_times[-1]. Returns (states, StepStats).
     settled(out, k), if given, is called after each step that records, with
     out's first k records filled; once True, the loop ends with those k.
-    np.errstate(under="ignore", over="ignore", invalid="ignore") is
-    entered once here, around every rhs call, so the packed kernel's
-    paper_psi tails stay quiet under a caller's raising errstate, and a
-    state that leaves the float range reaches the finite check below
-    instead of a numpy warning. Stages, the 5th-order state and the error
-    norm are computed into preallocated buffers by the same operations,
-    in the same order, as the plain `s + hdp[i, :i] @ K[:i]`, so they
-    agree with it bit for bit.
+    np.errstate(all="ignore") is entered once here, around every rhs
+    call, so the packed kernel's paper_psi stays quiet under a caller's
+    raising errstate, and a state that leaves the float range reaches
+    the finite check below instead of a numpy warning. Stages, the
+    5th-order state and the error norm are computed into preallocated
+    buffers by the same operations, in the same order, as the plain
+    `s + hdp[i, :i] @ K[:i]`, so they agree with it bit for bit.
 
     Raises
     ------
@@ -189,7 +190,7 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0, settled=None):
     stage, s5, abs_s5, scale, q = (np.empty(dim) for _ in range(5))
     nfev, accepted, rejected, h_min = 1, 0, 0, math.inf
     h = h0
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         K[0] = rhs(s)
         abs_s = np.abs(s)
         while t < t_end:
@@ -431,9 +432,13 @@ def pack(op, agents, groups, controllers) -> PackedSystem:
     sig_row = np.concatenate((const, sig_row))
     sig_col = np.concatenate((np.full(const.shape[0], one), sig_col))
     sig_w = np.concatenate((sig0[const], sig_w))
+    lo = int(psi_idx[0]) if psi_idx.size else 0  # psi_idx is one range when it is lo, ..., hi - 1
+    hi = lo + psi_idx.shape[0]
+    one_range = np.array_equal(psi_idx, np.arange(lo, hi))
     return PackedSystem(dim=dim, psi_idx=psi_idx, row=row, col=col, w=w,
                         sig_row=sig_row, sig_col=sig_col, sig_w=sig_w, op=op,
-                        psi_cols=slice(dim, one), width=one + 1)
+                        psi_cols=slice(dim, one), width=one + 1,
+                        psi_src=slice(lo, hi) if one_range else psi_idx)
 
 
 def block_rows(width: int) -> int:
@@ -441,30 +446,31 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_VALUES // max(width, 1))
 
 
-def packed_signals(packed: PackedSystem, states: np.ndarray):
-    """(u, y, zeta, mu) arrays for recorded packed states (rows = samples).
+def _signal_rows(packed: PackedSystem) -> int:
+    """Records per block of packed_outputs and packed_signals, sized by
+    the widest per-record temporary of either: v, the signal products or
+    E mu's bins."""
+    return block_rows(max(packed.width, packed.sig_row.shape[0], packed.op.edge_size))
 
-    The records go in blocks of block_rows records. In a block, v is
-    filled for every record, then each of [y ; mu] and E mu is one bincount whose bins are
-    (record, coordinate) pairs; zeta = E'y and u = -E mu come from the
-    operator's lifted tail and head indices, as its rmatvec and matvec
-    compute them. The bin indices are built once for a full block, and
-    the last block takes their leading records. Each bin sums its
-    entries in COO order, as one bincount over all records would, so the
-    outputs are the same bits.
+
+def packed_outputs(packed: PackedSystem, states: np.ndarray):
+    """(y, mu) arrays for recorded packed states (rows = samples).
+
+    The records go in blocks of _signal_rows records. In a block, v is
+    filled for every record, then [y ; mu] is one bincount whose bins
+    are (record, coordinate) pairs. The bin indices are built once for a
+    full block, and the last block takes their leading records. Each bin
+    sums its entries in COO order, as one bincount over all records
+    would, so the outputs are the same bits.
     """
-    op = packed.op
     records = states.shape[0]
-    n, m = op.node_size, op.edge_size
+    n, m = packed.op.node_size, packed.op.edge_size
     nnz = packed.sig_row.shape[0]
-    # sized by the widest per-record temporary: v, the signal products or E mu's bins
-    rows = block_rows(max(packed.width, nnz, m))
+    rows = _signal_rows(packed)
     rec = np.arange(min(rows, records))[:, None]
     sig_bins = (rec * (n + m) + packed.sig_row).ravel()
-    head_bins = (rec * n + op.head).ravel()
-    tail_bins = (rec * n + op.tail).ravel()
     ones = np.ones((rec.shape[0], 1))
-    u, y, zeta, mu = (np.empty((records, k)) for k in (n, n, m, m))
+    y, mu = np.empty((records, n)), np.empty((records, m))
     for lo in range(0, records, rows):
         hi = min(lo + rows, records)
         b = hi - lo
@@ -473,6 +479,29 @@ def packed_signals(packed: PackedSystem, states: np.ndarray):
         np.multiply(p, packed.sig_w, p)
         sig = np.bincount(sig_bins[:b * nnz], p.ravel(), b * (n + m)).reshape(b, n + m)
         y[lo:hi], mu[lo:hi] = sig[:, :n], sig[:, n:]
+    return y, mu
+
+
+def packed_signals(packed: PackedSystem, states: np.ndarray):
+    """(u, y, zeta, mu) arrays for recorded packed states (rows = samples).
+
+    y and mu are packed_outputs'. zeta = E'y and u = -E mu follow in
+    the same blocks: E mu is one bincount whose bins are
+    (record, node) pairs, from the operator's lifted tail and head
+    indices, as its rmatvec and matvec compute them.
+    """
+    op = packed.op
+    y, mu = packed_outputs(packed, states)
+    records = states.shape[0]
+    n, m = op.node_size, op.edge_size
+    rows = _signal_rows(packed)
+    rec = np.arange(min(rows, records))[:, None]
+    head_bins = (rec * n + op.head).ravel()
+    tail_bins = (rec * n + op.tail).ravel()
+    u, zeta = np.empty((records, n)), np.empty((records, m))
+    for lo in range(0, records, rows):
+        hi = min(lo + rows, records)
+        b = hi - lo
         flat_mu = mu[lo:hi].ravel()
         E_mu = (np.bincount(head_bins[:b * m], flat_mu, b * n)
                 - np.bincount(tail_bins[:b * m], flat_mu, b * n))

@@ -35,69 +35,95 @@ from .errors import (
 
 
 _LOG2 = math.log(2.0)
+# expm1 overflows beyond log(DBL_MAX) = 709.78; above 37, ell = x - log 2
+# in double precision
+_EXPM1_TOP = 709.0
+# paper_psi_into's operands and ufuncs, bound once: on a few values a ufunc
+# call costs about 0.35 us, a Python float operand about 0.2 us more than a
+# 0-d array, and each lookup on np about 30 ns
+_HALF, _TWO = np.array(0.5), np.array(2.0)
+_expm1, _log1p, _multiply, _reciprocal, _square, _add, _sqrt, _arctan2, _max = (
+    np.expm1, np.log1p, np.multiply, np.reciprocal, np.square, np.add, np.sqrt, np.arctan2,
+    np.maximum.reduce)
 
 
 def paper_psi(x):
     """Monotone saturating scalar map arcsin(L(x) sgn(x) / (L(x) + 1)).
 
-    Here L(x) = log((exp(x) + 1) / 2) squared, evaluated through
-    logaddexp(x, 0) = max(x, 0) + log1p(exp(-|x|)) so large arguments
-    do not overflow. Beyond |x| of about 708 that exp underflows to
-    zero, which is the exact limit, so the underflow is not reported:
-    arrays go through `paper_psi_into` inside np.errstate(under="ignore"),
-    entered here. Scalars take the same formula through libm, as numpy's
-    logaddexp does, which is faster on one value and agrees bit for bit.
-    The map is zero at zero, strictly increasing, and its range is the
-    open interval (PSI_RANGE[0], PSI_RANGE[1]). Arrays are handled
-    coordinatewise.
+    Here L(x) = ell(x) ** 2 with ell(x) = log((exp(x) + 1) / 2), both
+    evaluated as paper_psi_into does. The map is zero at zero, strictly
+    increasing, and its range is the open interval (PSI_RANGE[0],
+    PSI_RANGE[1]); saturated values take the limits correctly rounded,
+    pi / 2 and, below x of about -38, one ulp under PSI_RANGE[0], asin's
+    rounding of that limit. Arrays are handled coordinatewise; a scalar goes
+    through the same ufuncs as a one-entry array, so it agrees with the
+    array result bit for bit. np.errstate is entered here, so that
+    paper_psi_into's flags near 0, which stand for exact limits, are not
+    reported.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        t = float(x)
-        ell = max(t, 0.0) + math.log1p(math.exp(-abs(t))) - _LOG2
-        return float(_psi_tail(ell * ell, x, None, None))
-    with np.errstate(under="ignore"):
-        return paper_psi_into(x.copy(), np.empty_like(x))  # it overwrites x
+    flat = np.ascontiguousarray(x).reshape(-1)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        psi = paper_psi_into(flat, np.empty(flat.shape[0]))
+    return float(psi[0]) if x.ndim == 0 else psi.reshape(x.shape)
+
+
+def _ell_into(x, out):
+    """ell = log1p(expm1(x) / 2) of the float array x, written into out and
+    returned; x is left as it is.
+
+    The form has no cancellation near 0, and numpy runs both ufuncs as
+    SIMD loops. expm1 reads x capped at _EXPM1_TOP, below its overflow;
+    above the cap, ell = x - log 2, exact there.
+    """
+    np.expm1(np.minimum(x, _EXPM1_TOP), out)
+    np.multiply(out, _HALF, out)
+    np.log1p(out, out)
+    return np.subtract(x, _LOG2, out=out, where=x > _EXPM1_TOP)
 
 
 def paper_psi_into(x, out):
-    """paper_psi of the float array x, written into out and returned.
+    """paper_psi of the 1-d float array x, written into out and returned; x
+    is left as it is, so it may be a view of the caller's own buffer.
 
-    x is overwritten. The operations are paper_psi's, in its order, so
-    the result agrees with it bit for bit. No errstate is entered here:
-    a caller that may run under a raising errstate enters
-    np.errstate(under="ignore") around the call, as paper_psi and the
-    integration loops in _fastpath do.
+    ell is _ell_into's; where no entry exceeds _EXPM1_TOP, the same three
+    ufuncs run on x itself, without the cap. That guard finds the largest
+    entry by a Python max of the list on a few values (0.4 us at 8,
+    against 1.0 us for a reduction) and by a reduction on more (1.2 us
+    at 640, against 18 us). The map is then
+    arctan2(ell, sqrt(2 + 1 / ell ** 2)), the angle whose tangent is
+    sgn(x) L / sqrt(2 L + 1), so arcsin's angle. Unlike arcsin's
+    argument near 1, it loses no accuracy as paper_psi saturates. At
+    ell = 0, 1 / ell is infinite (numpy's divide flag) and arctan2 gives
+    the exact 0; below |x| of about 1e-154, 1 / ell ** 2 overflows (its
+    over flag) and the result, below 1e-308, is 0. No errstate is
+    entered here: callers enter it once around their calls, as
+    paper_psi and the integration loops in _fastpath do.
     """
-    np.logaddexp(x, 0.0, out)
-    np.subtract(out, _LOG2, out)  # ell
-    np.multiply(out, out, out)  # L = ell ** 2
-    return _psi_tail(out, x, x, out)
-
-
-def _psi_tail(big_l, sign, num, out):
-    """arcsin(copysign(L, sign) / (L + 1)), the tail of both branches.
-
-    For arrays, num and out are buffers: num gets the quotient, and L,
-    which may sit in out, is overwritten by L + 1 and then the result.
-    The scalar branch passes a float L and None for both, and the
-    in-place operators then rebind plain scalars, which keeps one value
-    about as cheap as the inline expression.
-    """
-    num = np.copysign(big_l, sign, num)
-    big_l += 1.0
-    num /= big_l
-    return np.arcsin(num, out)
+    if (max(x.tolist() or (0.0,)) if x.shape[0] <= 24 else _max(x)) > _EXPM1_TOP:
+        ell = _ell_into(x, out)
+    else:
+        _expm1(x, out)
+        _multiply(out, _HALF, out)
+        ell = _log1p(out, out)
+    den = _reciprocal(ell)
+    _square(den, den)
+    _add(den, _TWO, den)
+    _sqrt(den, den)
+    return _arctan2(ell, den, out)
 
 
 def paper_psi_prime(x):
-    """paper_psi's derivative 2|ell| s / ((L + 1) sqrt(2L + 1)), zero at zero: ell and L
-    are paper_psi's, s = exp(x - logaddexp(x, 0)) the logistic function."""
+    """paper_psi's derivative 2|ell| s / ((L + 1) sqrt(2L + 1)), zero at zero: ell
+    and L are paper_psi's, and s is the logistic function, evaluated as
+    1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below."""
+    x = np.asarray(x, dtype=float)
     with np.errstate(under="ignore"):
-        soft = np.logaddexp(x, 0.0)
-        ell = soft - _LOG2
+        ell = _ell_into(x, np.empty(x.shape))
         big_l = ell * ell
-        return 2.0 * np.abs(ell) * np.exp(x - soft) / ((big_l + 1.0) * np.sqrt(2.0 * big_l + 1.0))
+        tail = np.exp(-np.abs(x))
+        s = np.where(x < 0.0, tail, 1.0) / (1.0 + tail)
+        return 2.0 * np.abs(ell) * s / ((big_l + 1.0) * np.sqrt(2.0 * big_l + 1.0))
 
 
 _L_LIMIT = _LOG2 ** 2
@@ -296,8 +322,8 @@ def grad_of(f: IntegralFunction, x) -> np.ndarray:
     The closed-form gradient serves every kind but an indicator part:
     its min-norm subgradient is 0 at its point and OutsideDomain off it.
     """
-    free = np.zeros((1, f.dim), dtype=bool)
-    return np.where(free, 0.0, _row_grad(f, _check_dim(f, x)[None], free))[0]
+    free = np.zeros((f.dim, 1), dtype=bool)
+    return np.where(free, 0.0, _column_grad(f, _check_dim(f, x)[:, None], free))[:, 0]
 
 
 def as_quadratic(f: IntegralFunction):
@@ -454,27 +480,29 @@ class CmResult:
         return self.passed
 
 
-# Cycles drawn and summed together by check_cm.
+# Cycles drawn and summed together by check_cm. Larger chunks measured
+# slower: 4,096 cycles make arrays of about 260 KB, which leave the cache.
 _CM_CHUNK = 1024
 
 
-def _row_grad(f: IntegralFunction, x: np.ndarray, free=None) -> np.ndarray:
-    """Gradient of f at each row of x; only kinds with a closed form.
+def _column_grad(f: IntegralFunction, x: np.ndarray, free=None) -> np.ndarray:
+    """Gradient of f at each column of the (dim, n) array x; only kinds
+    with a closed form.
 
     Given free, a boolean array shaped as x, an indicator part sets free
     on its coordinates, where its subdifferential is everything, and
     gives 0 there (OutsideDomain off its point) instead of raising.
     """
     if f.kind is FunctionKind.QUADRATIC:
-        return x @ f.P.T + f.q
+        return f.P @ x + f.q[:, None]
     if f.kind is FunctionKind.SCALAR_SEPARABLE:
         return paper_psi(x)
     if f.kind is FunctionKind.SHIFTED:
-        return _row_grad(f.inner, x - f.shift, free) + f.linear
+        return _column_grad(f.inner, x - f.shift[:, None], free) + f.linear[:, None]
     if f.kind is FunctionKind.STACKED:
-        frees = [None] * len(f.children) if free is None else [fb.T for _, fb in _blocks(f, free.T)]
-        return np.concatenate([_row_grad(ch, xb.T, fb)
-                               for (ch, xb), fb in zip(_blocks(f, x.T), frees)], axis=1)
+        frees = [None] * len(f.children) if free is None else [fb for _, fb in _blocks(f, free)]
+        return np.concatenate([_column_grad(ch, xb, fb)
+                               for (ch, xb), fb in zip(_blocks(f, x), frees)])
     if free is None:
         raise RelationNotEvaluable(f"no closed-form gradient for kind {f.kind}")
     if np.any(x != 0.0):
@@ -484,25 +512,25 @@ def _row_grad(f: IntegralFunction, x: np.ndarray, free=None) -> np.ndarray:
 
 
 def _graph_points(rel: VectorRelation, rng, n: int, sampler: Sampler):
-    """n points (u, y) of the graph of rel, as two (n, dim) arrays."""
+    """n points (u, y) of the graph of rel, as two (dim, n) arrays: one
+    column per point, so every operation runs along the n points."""
     if rel.kind is RelationKind.AFFINE:
-        u = rng.uniform(sampler.low, sampler.high, size=(n, rel.dim))
-        return u, u @ rel.S.T + rel.v
+        u = rng.uniform(sampler.low, sampler.high, size=(rel.dim, n))
+        return u, rel.S @ u + rel.v[:, None]
     if rel.kind is RelationKind.GRADIENT_OF_CONVEX:
-        u = rng.uniform(sampler.low, sampler.high, size=(n, rel.dim))
-        return u, _row_grad(rel.chi, u)
+        u = rng.uniform(sampler.low, sampler.high, size=(rel.dim, n))
+        return u, _column_grad(rel.chi, u)
     if rel.kind is RelationKind.INTEGRATOR:
-        return np.zeros((n, rel.dim)), np.zeros((n, rel.dim))
+        return np.zeros((rel.dim, n)), np.zeros((rel.dim, n))
     if rel.kind is RelationKind.SHIFTED:
         u, y = _graph_points(rel.inner, rng, n, sampler)
-        return u + rel.input_offset, y + rel.output_offset
+        return u + rel.input_offset[:, None], y + rel.output_offset[:, None]
     if rel.kind is RelationKind.INVERTED:
         u, y = _graph_points(rel.inner, rng, n, sampler)
         return y, u
     if rel.kind is RelationKind.STACKED:
         parts = [_graph_points(ch, rng, n, sampler) for ch in rel.children]
-        return (np.concatenate([u for u, _ in parts], axis=1),
-                np.concatenate([y for _, y in parts], axis=1))
+        return np.concatenate([u for u, _ in parts]), np.concatenate([y for _, y in parts])
     raise UnsupportedKind(str(rel.kind))
 
 
@@ -523,9 +551,11 @@ def check_cm(
     exactly when its inverse is), and a shifted one moves its inner
     relation's points on both sides. Gradients need a closed form, so
     an indicator part raises RelationNotEvaluable. Cycles are drawn and
-    summed in chunks; the first one whose sum, recomputed by
-    cyclic_sum, is below -tol is the witness, and cycles_checked is its
-    position in draw order. A budget of no cycles, or cycles shorter
+    summed in chunks of _CM_CHUNK: one draw of the graph's points per
+    chunk, one column per point, with each cycle a run of consecutive
+    columns. The first cycle whose sum, recomputed by cyclic_sum, is
+    below -tol is the witness, and cycles_checked is its position in
+    draw order. A budget of no cycles, or cycles shorter
     than two pairs, raises EmptyList.
     """
     if cycles < 1:
@@ -537,19 +567,16 @@ def check_cm(
     while checked < cycles:
         count = min(_CM_CHUNK, cycles - checked)
         lengths = rng.integers(2, max_cycle_len + 1, size=count)
-        sums = np.empty(count)
-        batches = {}
-        for length in range(2, max_cycle_len + 1):
-            where = np.flatnonzero(lengths == length)
-            u, y = _graph_points(rel, rng, length * where.size, sampler)
-            u = u.reshape(where.size, length, rel.dim)
-            y = y.reshape(where.size, length, rel.dim)
-            sums[where] = np.einsum("cld,cld->c", y, u - np.roll(u, 1, axis=1))
-            batches[length] = (where, u, y)
+        ends = np.cumsum(lengths)  # cycle k is the points starts[k], ..., ends[k] - 1
+        starts = ends - lengths
+        u, y = _graph_points(rel, rng, int(ends[-1]), sampler)
+        prev = np.arange(-1, ends[-1] - 1)  # each point's predecessor in its cycle
+        prev[starts] = ends - 1
+        step = u.take(prev, axis=1)
+        np.subtract(u, step, out=step)  # u_i - u_{i-1}
+        sums = np.add.reduceat(np.einsum("dn,dn->n", y, step), starts)
         for pos in np.flatnonzero(sums < -tol):
-            where, u, y = batches[lengths[pos]]
-            k = int(np.searchsorted(where, pos))
-            pairs = tuple((ui.copy(), yi.copy()) for ui, yi in zip(u[k], y[k]))
+            pairs = tuple((u[:, j].copy(), y[:, j].copy()) for j in range(starts[pos], ends[pos]))
             s = cyclic_sum(pairs)
             if s < -tol:
                 return CmResult(False, witness=pairs, witness_sum=s,

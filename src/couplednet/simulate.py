@@ -81,16 +81,16 @@ def default_initial_state(system: ClosedLoopSystem) -> np.ndarray:
 def step_rhs(system: ClosedLoopSystem, full_state: np.ndarray) -> np.ndarray:
     """Stacked state derivative of the closed loop at full_state.
 
-    The packed kernel at one state, under np.errstate(under="ignore",
-    over="ignore", invalid="ignore") as in integrate: a state past the
-    float range gives a non-finite derivative, not a numpy warning.
+    The packed kernel at one state, under np.errstate(all="ignore") as
+    in integrate: a state past the float range gives a non-finite
+    derivative, not a numpy warning.
     """
     s = np.asarray(full_state, dtype=float).ravel()
     if s.size != system.state_dim:
         raise DimensionMismatch(
             f"state must have size {system.state_dim}, got {s.size}")
     packed = system.packed
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         return _fastpath._packed_rhs(s, packed, _fastpath.rhs_buffer(packed))
 
 
@@ -232,7 +232,7 @@ def _settled_test(system, certificate, times, window, conv_tol, verdict):
         if k < due:
             return False
         start = _window_start(times[:k], window)
-        _, y, _, mu = _fastpath.packed_signals(pk, out[start:k])
+        y, mu = _fastpath.packed_outputs(pk, out[start:k])
         win = np.hstack((y, mu))[::-1]
         spread = np.max(np.maximum.accumulate(win) - np.minimum.accumulate(win), axis=1)
         wide = ~(spread <= conv_tol)  # of each suffix; NaN counts as wide

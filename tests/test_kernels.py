@@ -89,8 +89,9 @@ def test_packed_rhs_bits_match_unfolded_formula(network):
 
 
 def test_saturated_psi_integrates_under_raising_errstate():
-    # exp(-|eta|) underflows in paper_psi at |eta| = 800; the loop must
-    # keep that quiet while a caller raises on every floating-point error
+    # eta = 800 takes paper_psi's capped expm1, and 1 / ell is infinite
+    # wherever eta passes 0; the loop must keep paper_psi's flags quiet
+    # while a caller raises on every floating-point error
     system = mixed_system()
     s0 = default_initial_state(system)
     eta0 = system.agent_dim
@@ -100,6 +101,25 @@ def test_saturated_psi_integrates_under_raising_errstate():
     with np.errstate(all="raise"):
         traj = integrate(system, s0, 2.0, opts)
     assert np.isfinite(traj.states).all()
+
+
+def test_psi_reads_its_input_off_the_rhs_buffer():
+    # formation's paper_psi states are one range, which the kernel reads as a
+    # view of v; every_kind_doc's are scattered, read through psi_idx
+    formation = cli._plan_segments(load_config(str(FORMATION)))[0][0].packed
+    lo = int(formation.psi_idx[0])
+    assert formation.psi_src == slice(lo, lo + formation.psi_idx.size)
+    cfg = parse_config(every_kind_doc())
+    scattered = closed_loop(cfg.graph, cfg.agents, cfg.controllers).packed
+    assert scattered.psi_src is scattered.psi_idx
+    rng = np.random.default_rng(23)
+    for pk in (formation, scattered):
+        v = _fastpath.rhs_buffer(pk)
+        for _ in range(5):
+            s = rng.normal(scale=3.0, size=pk.dim)
+            got = _fastpath._packed_rhs(s, pk, v)
+            assert np.array_equal(v[:pk.dim], s)  # paper_psi left its input as it was
+            assert np.array_equal(got.view(np.int64), unfolded_rhs(s, pk).view(np.int64))
 
 
 def test_nested_offsets_pack_like_summed_offsets():

@@ -106,19 +106,55 @@ def mp_psi_prime(x):
         return float(mpmath.diff(mp_psi, mpmath.mpf(x)))
 
 
+def psi_draws():
+    """2,000 seeded draws with |x| log-uniform from 1e-12 to 700, either sign,
+    then the points around and beyond expm1's overflow."""
+    rng = np.random.default_rng(44)
+    mag = 10.0 ** rng.uniform(-12.0, math.log10(700.0), 2000)
+    edges = np.array([709.7, 710.0, 800.0, 1e8])
+    return np.concatenate([mag * rng.choice([-1.0, 1.0], mag.size), edges, -edges])
+
+
+def test_paper_psi_matches_mpmath():
+    # ell = log1p(expm1(x) / 2) has no cancellation near 0, and the arctan2 form
+    # loses nothing as paper_psi saturates (arcsin's argument near 1 did)
+    x = psi_draws()
+    with mpmath.workdps(50):
+        ref = np.array([float(mp_psi(mpmath.mpf(xk))) for xk in x])
+    assert np.all(np.abs(paper_psi(x) - ref) <= 2e-15 * np.abs(ref))
+
+
+def test_paper_psi_scalar_is_the_array_bits():
+    x = psi_draws()
+    scalars = np.array([paper_psi(float(xk)) for xk in x])
+    assert np.array_equal(scalars.view(np.int64), paper_psi(x).view(np.int64))
+    # any shape or layout gives the same bits
+    assert np.array_equal(paper_psi(x[::3]), paper_psi(x)[::3])
+    assert np.array_equal(paper_psi(x.reshape(2, -1)), paper_psi(x).reshape(2, -1))
+
+
+def test_paper_psi_raises_nothing_on_finite_input():
+    big = np.finfo(float).max
+    tiny = np.array([0.0, 5e-324, 1e-310, 1e-200, 1e-160, 1e-150])
+    x = np.concatenate([psi_draws(), tiny, -tiny, [big, -big]])
+    with np.errstate(all="raise"):
+        psi = paper_psi(x)
+        assert paper_psi(0.0) == 0.0 and paper_psi(1e-200) == 0.0
+    assert np.all(np.isfinite(psi))
+    assert np.array_equal(np.signbit(psi), np.signbit(x))
+    # the limits, correctly rounded: pi / 2, and one ulp below PSI_RANGE[0],
+    # asin's rounding of the lower limit, inside which _psi_inverse stays finite
+    assert psi[-2] == PSI_RANGE[1] and psi[-1] == np.nextafter(PSI_RANGE[0], -1.0)
+
+
 def test_psi_prime_matches_mpmath():
-    mag = np.logspace(-3, math.log10(700.0), 21)
+    # relative down to |x| = 1e-12, where paper_psi' is about |x| / 2
+    mag = np.concatenate([np.logspace(-12, -3, 10), np.logspace(-3, math.log10(700.0), 21)[1:]])
     x = np.concatenate([-mag, mag])
     ref = np.array([mp_psi_prime(xk) for xk in x])
     assert np.all(np.abs(R.paper_psi_prime(x) - ref) <= 1e-12 * ref)
     assert R.paper_psi_prime(0.0) == 0.0
     assert np.array_equal(R.paper_psi_prime(np.array([0.0, -0.0])), [0.0, 0.0])
-    # below |x| = 1e-3, ell's cancellation (paper_psi's own) costs relative accuracy:
-    # paper_psi' is about |x| / 2 there, and its error stays at rounding's absolute size
-    mag = np.logspace(-12, -3, 10)
-    x = np.concatenate([-mag, mag])
-    ref = np.array([mp_psi_prime(xk) for xk in x])
-    assert np.all(np.abs(R.paper_psi_prime(x) - ref) <= 1e-15)
 
 
 def test_psi_inverse_is_empty_at_and_beyond_its_range():
@@ -400,3 +436,74 @@ def test_conjugate_value_unbounded():
     conj = conjugate(R.quadratic(np.zeros((1, 1)), np.array([2.0])))
     assert R.value(conj, [2.0]) == 0.0
     assert R.value(conj, [2.5]) == math.inf
+
+
+# -- the coordinate-major sampler -------------------------------------------
+
+def test_graph_points_lie_on_their_relation():
+    rng = np.random.default_rng(21)
+    S, v = rng.normal(size=(3, 3)), rng.normal(size=3)
+    u, y = R._graph_points(R.affine_relation(S, v), rng, 500, R.Sampler())
+    assert u.shape == y.shape == (3, 500)
+    assert np.all((u >= -3.0) & (u <= 3.0))
+    assert np.max(np.abs(y - (S @ u + v[:, None]))) <= 1e-12
+    shift, b = rng.normal(size=2), rng.normal(size=2)
+    chi = R.shifted(R.scalar_separable(paper_psi, 2), shift=shift, linear=b)
+    u, y = R._graph_points(R.gradient_relation(chi), rng, 500, R.Sampler())
+    assert u.shape == y.shape == (2, 500)
+    assert np.array_equal(y, paper_psi(u - shift[:, None]) + b[:, None])
+    # a stack takes its children's rows, an inverse swaps the sides
+    stack = R.stacked_relation([R.affine_relation(S, v),
+                                R.inverted_relation(R.gradient_relation(chi))])
+    u, y = R._graph_points(stack, rng, 50, R.Sampler())
+    assert u.shape == y.shape == (5, 50)
+    assert np.max(np.abs(y[:3] - (S @ u[:3] + v[:, None]))) <= 1e-12
+    assert np.array_equal(u[3:], paper_psi(y[3:] - shift[:, None]) + b[:, None])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_check_cm_refutes_indefinite_in_its_first_chunk(seed):
+    res = R.check_cm(R.affine_relation(np.diag([1.0, -1.0])), R.Sampler(seed=seed))
+    assert not res.passed and res.cycles_checked <= 1024
+
+
+def cm_relation_set(rng, d=2):
+    """(relation, expected verdict) pairs of each category in a cm benchmark
+    set: spd, indefinite and skew affine maps, and gradients of shifted,
+    tilted separable paper_psi potentials."""
+    def orth():
+        q, r = np.linalg.qr(rng.normal(size=(d, d)))
+        return q * np.sign(np.diag(r))
+
+    out = []
+    for category, count in (("spd", 3), ("indefinite", 2), ("skew", 2), ("gradient", 3)):
+        for _ in range(count):
+            b = rng.normal(size=d)
+            if category == "gradient":
+                chi = R.shifted(R.scalar_separable(paper_psi, d, PSI_RANGE),
+                                shift=rng.normal(0.0, 0.5, d), linear=b)
+                out.append((R.gradient_relation(chi), True))
+                continue
+            eigs = rng.uniform(0.3, 2.5, d)
+            if category == "indefinite":
+                eigs[int(rng.integers(0, d))] *= -1.0
+            q = orth()
+            S = q @ np.diag(eigs if category != "skew" else 0.2 * eigs) @ q.T
+            if category == "skew":
+                K = rng.normal(size=(d, d))
+                S += 3.0 * (K - K.T) / np.linalg.norm(K - K.T, 2)
+            out.append((R.affine_relation(S, b), category == "spd"))
+    return out
+
+
+def test_check_cm_verdicts_on_a_benchmark_like_set():
+    rng = np.random.default_rng(3)
+    for rel, expect in cm_relation_set(rng):
+        res = R.check_cm(rel, R.Sampler(seed=int(rng.integers(2 ** 31))))
+        assert res.passed is expect
+        if expect:
+            assert res.cycles_checked == 10_000
+            continue
+        assert res.witness_sum == R.cyclic_sum(res.witness) < -1e-9
+        for u, y in res.witness:
+            assert pair_residual(rel, u, y) <= 1e-9
