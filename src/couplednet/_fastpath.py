@@ -13,10 +13,11 @@ paper_psi enters as the output of a paper_psi integrator and as the
 damping or potential gradient of an agent whose psi is paper_psi
 coordinatewise. No controller output reads its input, so an agent's
 y = C x + T (u + z) with u = -E mu is affine in those columns, and so
-is zeta. W is stored as a COO triple, so one rhs call is a gather, a
-multiply and a bincount. The adaptive loop is Dormand-Prince 5(4) with
-the FSAL property and its continuous extension for recording (Hairer,
-Norsett & Wanner, Solving ODEs I, II.5-II.6).
+is zeta. W is a COO triple, and also dense up to DENSE_MAX entries: one
+rhs call is a np.dot, else a gather, a multiply and a bincount. The
+adaptive loop is Dormand-Prince 5(4) with the FSAL property and its
+continuous extension for recording (Hairer, Norsett & Wanner, Solving
+ODEs I, II.5-II.6).
 """
 from __future__ import annotations
 
@@ -35,6 +36,9 @@ from .relations import FunctionKind, as_quadratic, paper_psi, paper_psi_into, pa
 # convergence scans and CSV rows go a few records at a time, so no stage
 # holds a whole-trajectory temporary (2**14 float64 values are 128 KB).
 BLOCK_VALUES = 1 << 14
+# W is kept dense up to this many entries (64 KB), below which one np.dot costs
+# less than a bincount (benchmarks/bench_integrate.py --nodes times both)
+DENSE_MAX = 8192
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,7 @@ class PackedSystem:
 
     (row, col, w) give the state derivative, the affine term c as the
     entries on v's last, constant column, placed after all others;
+    dense is the same map as a (dim, width) array, or None above DENSE_MAX;
     (sig_row, sig_col, sig_w) give the stacked signals [y ; mu], their
     constant entries placed before all others; op is the incidence
     operator that turns them into zeta and u.
@@ -63,6 +68,14 @@ class PackedSystem:
     psi_cols: slice
     width: int
     psi_src: slice | np.ndarray
+    dense: np.ndarray | None
+
+
+def _dense_w(row, col, w, dim, width):
+    """The COO triple (row, col, w) as a dense (dim, width) array."""
+    W = np.zeros((dim, width))
+    np.add.at(W, (row, col), w)
+    return W
 
 
 def rhs_buffer(pk):
@@ -72,30 +85,30 @@ def rhs_buffer(pk):
     return v
 
 
-def _packed_rhs(s, pk, v):
-    """State derivative at s: the folded map applied to v, filled here.
+def _packed_rhs(v, pk, out):
+    """State derivative at s = v[:dim], written into out and returned.
 
-    v is a buffer from rhs_buffer(pk), reusable across calls. paper_psi
-    reads its input off v once s is in it, a view where psi_src is a
-    slice, and leaves it intact. bincount adds each row's products in
-    COO order, so c, stored last, is added after the sum, bit for bit as
-    a trailing `+ c` would. No errstate is entered: paper_psi_into's
-    flags near eta = 0 stand for exact values (see there), and the
-    integration loops below enter np.errstate once around all their
-    calls.
+    v is a buffer from rhs_buffer(pk) holding s; paper_psi reads its
+    input off v, a view where psi_src is a slice, fills v's paper_psi
+    columns and leaves s intact. A dense W sums each row in BLAS order;
+    else bincount adds each row's products in COO order, so c, stored
+    last, is added after the sum, bit for bit as a trailing `+ c` would.
+    No errstate is entered: paper_psi_into's flags near eta = 0 stand
+    for exact values (see there), and the integration loop below enters
+    np.errstate once around all its calls.
     """
-    dim = pk.dim
-    v[:dim] = s
     paper_psi_into(v[pk.psi_src], v[pk.psi_cols])
-    return np.bincount(pk.row, v[pk.col] * pk.w, dim)
+    if pk.dense is not None:
+        return np.dot(pk.dense, v, out)
+    out[:] = np.bincount(pk.row, v[pk.col] * pk.w, pk.dim)
+    return out
 
 
 def packed_jacobian(pk, s):
     """Dense Jacobian of the packed map at s: W's state columns, plus its
     paper_psi columns times paper_psi' at s[psi_idx] on the states they read."""
-    W = np.zeros((pk.dim, pk.width))
-    np.add.at(W, (pk.row, pk.col), pk.w)
-    J = W[:, :pk.dim]
+    W = pk.dense if pk.dense is not None else _dense_w(pk.row, pk.col, pk.w, pk.dim, pk.width)
+    J = W[:, :pk.dim].copy()
     np.add.at(J.T, pk.psi_idx, (W[:, pk.psi_cols] * paper_psi_prime(s[pk.psi_idx])).T)
     return J
 
@@ -152,11 +165,15 @@ _DP_P = np.array([
 ]).reshape(7, 4)
 
 
-def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0, settled=None):
+def _rk45_loop(rhs, buffer, pk, s0, t0, rec_times, tol, h0, settled=None):
     """Adaptive Dormand-Prince 5(4) recording the state at each rec_times entry.
 
-    Records inside a step come from the 4th-order continuous extension;
-    the last step lands exactly on rec_times[-1]. Returns (states, StepStats).
+    rhs(v, pk, out) writes the derivative at v[:dim] into out, and
+    buffer(pk) makes a v: the state, the 5th-order state and the stages
+    are each built in place in one v[:dim]. tol bounds the local error,
+    relative and absolute. Records inside a step come from the 4th-order continuous
+    extension; the last step lands exactly on rec_times[-1]. Returns
+    (states, StepStats).
     settled(out, k), if given, is called after each step that records, with
     out's first k records filled; once True, the loop ends with those k.
     np.errstate(all="ignore") is entered once here, around every rhs
@@ -177,7 +194,9 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0, settled=None):
     dim = s0.shape[0]
     nrec = rec_times.shape[0]
     out = np.empty((nrec, dim))
-    s = s0.copy()
+    s_buf, s5_buf, stage_buf = buffer(pk), buffer(pk), buffer(pk)
+    s, s5, stage = s_buf[:dim], s5_buf[:dim], stage_buf[:dim]
+    s[:] = s0
     t = float(t0)
     # the records at t0 hold s0
     idx = int(np.searchsorted(rec_times, t + 1e-12 * (1.0 + abs(t)), side="right"))
@@ -185,13 +204,13 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0, settled=None):
     t_end = float(rec_times[-1]) if nrec else t
     K = np.empty((7, dim))
     hdp = np.empty_like(_DP)  # h * _DP, refilled each step
-    stages = [(hdp[i, :i], K[:i]) for i in range(1, 6)]
+    stages = [(hdp[i, :i], K[:i], K[i]) for i in range(1, 6)]
     b5, K5 = hdp[6, :6], K[:6]
-    stage, s5, abs_s5, scale, q = (np.empty(dim) for _ in range(5))
+    abs_s5, scale, q = (np.empty(dim) for _ in range(3))
     nfev, accepted, rejected, h_min = 1, 0, 0, math.inf
     h = h0
     with np.errstate(all="ignore"):
-        K[0] = rhs(s)
+        rhs(s_buf, pk, K[0])
         abs_s = np.abs(s)
         while t < t_end:
             if h < 1e-13 * (1.0 + abs(t)):
@@ -199,18 +218,18 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0, settled=None):
             last = t + h >= t_end - 1e-14 * (1.0 + abs(t_end))
             h_use = t_end - t if last else h
             np.multiply(_DP, h_use, hdp)
-            for i, (a, k) in enumerate(stages, 1):
+            for a, k, k_out in stages:
                 np.dot(a, k, stage)
                 np.add(s, stage, stage)
-                K[i] = rhs(stage)
+                rhs(stage_buf, pk, k_out)
             np.dot(b5, K5, s5)
             np.add(s, s5, s5)
-            K[6] = rhs(s5)
+            rhs(s5_buf, pk, K[6])
             nfev += 6
             np.abs(s5, abs_s5)
             np.maximum(abs_s, abs_s5, out=scale)
-            np.multiply(scale, rtol, scale)
-            np.add(scale, atol, scale)
+            np.multiply(scale, tol, scale)
+            np.add(scale, tol, scale)
             np.dot(hdp[7], K, q)
             np.divide(q, scale, q)
             errn = math.sqrt(np.dot(q, q) / dim)
@@ -232,7 +251,7 @@ def _rk45_loop(rhs, s0, t0, rec_times, rtol, atol, h0, settled=None):
                 accepted += 1
                 h_min = min(h_min, h_use)
                 t = t_new
-                s, s5 = s5, s
+                s, s5, s_buf, s5_buf = s5, s, s5_buf, s_buf
                 abs_s, abs_s5 = abs_s5, abs_s
                 K[0] = K[6]
             else:
@@ -438,7 +457,9 @@ def pack(op, agents, groups, controllers) -> PackedSystem:
     return PackedSystem(dim=dim, psi_idx=psi_idx, row=row, col=col, w=w,
                         sig_row=sig_row, sig_col=sig_col, sig_w=sig_w, op=op,
                         psi_cols=slice(dim, one), width=one + 1,
-                        psi_src=slice(lo, hi) if one_range else psi_idx)
+                        psi_src=slice(lo, hi) if one_range else psi_idx,
+                        dense=_dense_w(row, col, w, dim, one + 1)
+                        if dim * (one + 1) <= DENSE_MAX else None)
 
 
 def block_rows(width: int) -> int:

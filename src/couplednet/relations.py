@@ -116,14 +116,16 @@ def paper_psi_into(x, out):
 def paper_psi_prime(x):
     """paper_psi's derivative 2|ell| s / ((L + 1) sqrt(2L + 1)), zero at zero: ell
     and L are paper_psi's, and s is the logistic function, evaluated as
-    1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below."""
+    1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below. As
+    sqrt(2) s / (a + 1 / a) / hypot(a, sqrt(1/2)) with a = |ell|, no term
+    overflows at any x; where 1 / a is infinite (a divide or over flag),
+    the result is the exact limit 0."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(under="ignore"):
-        ell = _ell_into(x, np.empty(x.shape))
-        big_l = ell * ell
+    with np.errstate(under="ignore", divide="ignore", over="ignore"):
+        a = np.abs(_ell_into(x, np.empty(x.shape)))
         tail = np.exp(-np.abs(x))
         s = np.where(x < 0.0, tail, 1.0) / (1.0 + tail)
-        return 2.0 * np.abs(ell) * s / ((big_l + 1.0) * np.sqrt(2.0 * big_l + 1.0))
+        return math.sqrt(2.0) * s / (a + 1.0 / a) / np.hypot(a, math.sqrt(0.5))
 
 
 _L_LIMIT = _LOG2 ** 2

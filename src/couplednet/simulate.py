@@ -90,8 +90,10 @@ def step_rhs(system: ClosedLoopSystem, full_state: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"state must have size {system.state_dim}, got {s.size}")
     packed = system.packed
+    v = _fastpath.rhs_buffer(packed)
+    v[:s.size] = s
     with np.errstate(all="ignore"):
-        return _fastpath._packed_rhs(s, packed, _fastpath.rhs_buffer(packed))
+        return _fastpath._packed_rhs(v, packed, np.empty(s.size))
 
 
 @dataclass(frozen=True)
@@ -183,20 +185,16 @@ def integrate(system: ClosedLoopSystem, init, T: float,
     rec = _record_grid(t0, T, opts.record_every)
 
     packed = system.packed
-    v = _fastpath.rhs_buffer(packed)
-
-    # looked up on the module per call, so a wrapper installed there
-    # (a call counter, a profiler) sees every evaluation; the buffer
-    # goes positionally, as such wrappers forward *args
-    def rhs_fn(s):
-        return _fastpath._packed_rhs(s, packed, v)
-
     window = WINDOW * T
     verdict = []  # the stop's, if the run settles
     settled = None if certificate is None else _settled_test(
         system, certificate, rec, window, conv_tol, verdict)
+    # the kernel is looked up on the module at each integrate call, so a
+    # wrapper installed there (a call counter, a profiler) sees every
+    # evaluation; the loop passes it positional arguments, as wrappers forward *args
     states, stats = _fastpath._rk45_loop(
-        rhs_fn, s0, t0, rec, opts.tol, opts.tol, min(1e-3, T / 100.0), settled)
+        _fastpath._packed_rhs, _fastpath.rhs_buffer, packed, s0, t0, rec, opts.tol,
+        min(1e-3, T / 100.0), settled)
     if not np.all(np.isfinite(states)):
         raise NonFiniteState("state became non-finite during integration")
 

@@ -50,6 +50,27 @@ def test_mixed_system_packs():
     assert pk.psi_idx.size == 2 and pk.width == pk.dim + 2 + 1 == pk.psi_cols.stop + 1
 
 
+def formation_segment():
+    return cli._plan_segments(load_config(str(FORMATION)))[0][0]
+
+
+def packed_rhs(pk, s, v):
+    """The packed kernel at s: s goes into the buffer v, the result into a new array."""
+    v[:pk.dim] = s
+    return _fastpath._packed_rhs(v, pk, np.empty(pk.dim))
+
+
+def test_small_maps_go_dense_and_large_ones_stay_sparse():
+    ring = bench_integrate().build_system
+    cfg = parse_config(every_kind_doc())
+    scattered = closed_loop(cfg.graph, cfg.agents, cfg.controllers)
+    for system, dense in ((formation_segment(), True), (mixed_system(), True), (scattered, True),
+                          (ring(16), False), (ring(256), False)):
+        pk = system.packed
+        assert (pk.dim * pk.width <= _fastpath.DENSE_MAX) == dense
+        assert (pk.dense is not None) == dense
+
+
 def test_packed_rhs_matches_step_rhs():
     system = mixed_system()
     v = _fastpath.rhs_buffer(system.packed)
@@ -57,7 +78,7 @@ def test_packed_rhs_matches_step_rhs():
     for _ in range(20):
         s = rng.normal(scale=2.0, size=system.state_dim)
         ref = oracle.step_rhs(system, s)
-        fast = _fastpath._packed_rhs(s, system.packed, v)
+        fast = packed_rhs(system.packed, s, v)
         assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(step_rhs(system, s), fast)
 
@@ -71,21 +92,36 @@ def unfolded_rhs(s, pk):
     return np.bincount(pk.row[body], pk.w[body] * v[pk.col[body]], minlength=pk.dim) + c
 
 
-@pytest.mark.parametrize("network", ["formation", "ring16"])
-def test_packed_rhs_bits_match_unfolded_formula(network):
-    if network == "formation":
-        system = cli._plan_segments(load_config(str(FORMATION)))[0][0]
-    else:
-        system = bench_integrate().build_system(16)
+def assert_matches_unfolded(pk, states):
+    """The kernel at each state against unfolded_rhs: bit for bit on the COO
+    side. The dense side sums in BLAS order, so a row of k terms t may differ
+    by the rounding of two summation orders, each within (k - 1) u sum|t|
+    plus u sum|t| for the products (u = eps / 2): k eps sum|t| in all.
+    paper_psi leaves the state in v intact."""
+    v = _fastpath.rhs_buffer(pk)
+    terms = np.bincount(pk.row, minlength=pk.dim)
+    for s in states:
+        got = packed_rhs(pk, s, v)
+        assert np.array_equal(v[:pk.dim], s)
+        ref = unfolded_rhs(s, pk)
+        if pk.dense is None:
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        else:
+            size = np.bincount(pk.row, np.abs(pk.w * v[pk.col]), pk.dim)
+            assert np.all(np.abs(got - ref) <= terms * np.finfo(float).eps * size)
+
+
+@pytest.mark.parametrize("network", ["formation", "ring16", "mixed"])
+def test_packed_rhs_matches_unfolded_formula(network):
+    system = {"formation": formation_segment, "mixed": mixed_system,
+              "ring16": lambda: bench_integrate().build_system(16)}[network]()
     pk = system.packed
     assert pk.psi_idx.size and (pk.col == pk.dim + pk.psi_idx.size).any()
     rng = np.random.default_rng(17)
-    v = _fastpath.rhs_buffer(pk)
-    for k in range(20):
-        s = rng.normal(scale=3.0, size=pk.dim)
-        s[pk.psi_idx] = rng.uniform(-1.0, 1.0, pk.psi_idx.size) * (3.0, 900.0)[k % 2]
-        ref = unfolded_rhs(s, pk).view(np.int64)
-        assert np.array_equal(_fastpath._packed_rhs(s, pk, v).view(np.int64), ref)
+    states = rng.normal(scale=3.0, size=(20, pk.dim))
+    states[:, pk.psi_idx] = (rng.uniform(-1.0, 1.0, (20, pk.psi_idx.size))
+                             * np.resize([3.0, 900.0], 20)[:, None])
+    assert_matches_unfolded(pk, states)
 
 
 def test_saturated_psi_integrates_under_raising_errstate():
@@ -106,7 +142,7 @@ def test_saturated_psi_integrates_under_raising_errstate():
 def test_psi_reads_its_input_off_the_rhs_buffer():
     # formation's paper_psi states are one range, which the kernel reads as a
     # view of v; every_kind_doc's are scattered, read through psi_idx
-    formation = cli._plan_segments(load_config(str(FORMATION)))[0][0].packed
+    formation = formation_segment().packed
     lo = int(formation.psi_idx[0])
     assert formation.psi_src == slice(lo, lo + formation.psi_idx.size)
     cfg = parse_config(every_kind_doc())
@@ -114,12 +150,7 @@ def test_psi_reads_its_input_off_the_rhs_buffer():
     assert scattered.psi_src is scattered.psi_idx
     rng = np.random.default_rng(23)
     for pk in (formation, scattered):
-        v = _fastpath.rhs_buffer(pk)
-        for _ in range(5):
-            s = rng.normal(scale=3.0, size=pk.dim)
-            got = _fastpath._packed_rhs(s, pk, v)
-            assert np.array_equal(v[:pk.dim], s)  # paper_psi left its input as it was
-            assert np.array_equal(got.view(np.int64), unfolded_rhs(s, pk).view(np.int64))
+        assert_matches_unfolded(pk, rng.normal(scale=3.0, size=(5, pk.dim)))
 
 
 def test_nested_offsets_pack_like_summed_offsets():
@@ -137,7 +168,7 @@ def test_nested_offsets_pack_like_summed_offsets():
         ref = oracle.step_rhs(summed, s)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(oracle.step_rhs(nested, s) - ref)) <= 1e-12 * scale
-        fast = _fastpath._packed_rhs(s, nested.packed, v)
+        fast = packed_rhs(nested.packed, s, v)
         assert np.max(np.abs(fast - ref)) <= 1e-12 * scale
 
 
@@ -171,12 +202,9 @@ def test_uneven_record_times_match_runs_ending_there():
     system = mixed_system()
     s0 = default_initial_state(system)
     rec = np.array([0.0, 1e-4, 0.013, 0.4, 0.41, 1.7, 1.7001, 3.0])
-    v = _fastpath.rhs_buffer(system.packed)
-
-    def rhs(s):
-        return _fastpath._packed_rhs(s, system.packed, v)
-
-    states, _ = _fastpath._rk45_loop(rhs, s0, 0.0, rec, 1e-10, 1e-10, 1e-3)
+    pk = system.packed
+    states, _ = _fastpath._rk45_loop(_fastpath._packed_rhs, _fastpath.rhs_buffer, pk, s0, 0.0,
+                                     rec, 1e-10, 1e-3)
     assert np.array_equal(states[0], s0)
     for k in range(1, len(rec)):
         ref = integrate(system, s0, rec[k], IntegrateOptions(
@@ -188,10 +216,11 @@ def oracle_states(system, s0, T, opts):
     """States _rk45_loop records on integrate's grid with the oracle rhs."""
     rec = np.linspace(0.0, T, int(round(T / opts.record_every)) + 1)
 
-    def rhs(s):
-        return oracle.step_rhs(system, s)
+    def rhs(s, system, out):
+        out[:] = oracle.step_rhs(system, s)
 
-    return _fastpath._rk45_loop(rhs, s0, 0.0, rec, opts.tol, opts.tol, min(1e-3, T / 100.0))[0]
+    return _fastpath._rk45_loop(rhs, lambda system: np.empty(s0.size), system, s0, 0.0, rec,
+                                opts.tol, min(1e-3, T / 100.0))[0]
 
 
 def test_packed_matches_oracle_path():
@@ -253,7 +282,7 @@ def assert_matches_the_oracle(system, seed):
     states = rng.normal(scale=2.0, size=(20, system.state_dim))
     for s in states:
         ref = oracle.step_rhs(system, s)
-        fast = _fastpath._packed_rhs(s, pk, v)
+        fast = packed_rhs(pk, s, v)
         assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
     for a, b in zip(_fastpath.packed_signals(pk, states), oracle.signals(system, states)):
         assert a.shape == b.shape

@@ -157,6 +157,20 @@ def test_psi_prime_matches_mpmath():
     assert np.array_equal(R.paper_psi_prime(np.array([0.0, -0.0])), [0.0, 0.0])
 
 
+def test_psi_prime_stays_in_the_float_range():
+    # (L + 1) sqrt(2L + 1) alone overflows past x of about 5.6e102; where
+    # x >> 0, ell = x - log 2 and s = 1, so mpmath's closed form is the reference
+    big = np.finfo(float).max
+    x = np.array([1e103, -1e103, 1e300, -1e300, big, -big])
+    with np.errstate(all="raise"):
+        got = R.paper_psi_prime(x)
+    assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+    a = mpmath.mpf(1e103) - mpmath.log(2)
+    ref = float(2 * a / ((a * a + 1) * mpmath.sqrt(2 * a * a + 1)))
+    assert abs(got[0] - ref) <= 1e-12 * ref
+    assert np.array_equal(got[1:], np.zeros(5))  # below the smallest subnormal
+
+
 def test_psi_inverse_is_empty_at_and_beyond_its_range():
     lo, hi = PSI_RANGE
     rel = R.gradient_relation(R.scalar_separable(paper_psi, 2))
