@@ -1,0 +1,71 @@
+"""Copy a table of benchmark pairs into the next record, BENCH_<n>.json.
+
+Run from the root of the working tree, on the table that
+`scripts/perf_pairs.py` wrote:
+
+    python3 scripts/bench_record.py .perfbench_out/pairs-<rev>.json
+
+The record goes to `BENCH_<n>.json` at the root, n one past the highest
+existing record (1 for the first). It holds the table as it is, plus:
+- `base_rev`: the commit the pairs ran against (the table's `rev`);
+- `change_rev`: the working tree's HEAD, with `-dirty` when tracked
+  files have changes, as perf_pairs.py times the working tree;
+- `host`: `nproc`, the Python and numpy versions;
+- `src_lines`: the line count of `src/couplednet/*.py`.
+"""
+import glob
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+
+import numpy as np
+
+
+def git(*args):
+    return subprocess.run(["git", *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def next_path():
+    """BENCH_<n>.json with n one past the highest existing."""
+    taken = [int(m.group(1)) for m in (re.fullmatch(r"BENCH_(\d+)\.json", p)
+                                       for p in glob.glob("BENCH_*.json")) if m]
+    return f"BENCH_{max(taken, default=0) + 1}.json"
+
+
+def src_lines():
+    """The line count of src/couplednet/*.py, as `wc -l` gives it."""
+    total = 0
+    for path in glob.glob(os.path.join("src", "couplednet", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
+def main():
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
+        sys.exit(__doc__)
+    if not os.path.isfile(os.path.join("scripts", "perf_pairs.py")):
+        sys.exit("run from the root of the working tree")
+    with open(sys.argv[1]) as fh:
+        pairs = json.load(fh)
+    record = {
+        "base_rev": git("rev-parse", "--verify", pairs["rev"] + "^{commit}"),
+        "change_rev": git("describe", "--always", "--dirty", "--abbrev=40"),
+        "host": {"nproc": len(os.sched_getaffinity(0)),
+                 "python": platform.python_version(), "numpy": np.__version__},
+        "src_lines": src_lines(),
+        **pairs,
+    }
+    path = next_path()
+    with open(path, "x") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    print(f"written: {path}")
+
+
+if __name__ == "__main__":
+    main()

@@ -39,8 +39,7 @@ from .netopt import (
     solve_opp,
     verify_steady_state,
 )
-from .plants import AgentKind, is_meicmp_linear, is_meicmp_oscillator, ss_relation
-from .relations import Sampler, check_cm
+from .plants import cm_verdicts
 from .simulate import (
     PREDICTION_TOL,
     WINDOW,
@@ -144,13 +143,6 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(f"{x:.6g}" for x in np.asarray(v).ravel()) + ")"
 
 
-def _load(config_path, seed):
-    cfg = cfgmod.load_config(config_path)
-    if seed is not None:
-        object.__setattr__(cfg, "seed", int(seed))
-    return cfg
-
-
 def _solve_options(cfg) -> SolveOptions:
     try:
         tol = float(cfg.solver.get("tol", SolveOptions.tol))
@@ -216,15 +208,14 @@ def cli():
 @click.option("--config", "config_path", required=True,
               type=click.Path(), help="Network config (JSON).")
 @click.option("--out", default=".", type=click.Path(), help="Output directory.")
-@click.option("--seed", default=None, type=int, help="Override config seed.")
-def cmd_predict(config_path, out, seed):
+def cmd_predict(config_path, out):
     """Solve for the steady state and write the certificate.
 
     An optimum whose certificate or duality gap fails is refused (exit 2).
     """
 
     def run():
-        cfg = _load(config_path, seed)
+        cfg = cfgmod.load_config(config_path)
         problem = assemble(cfg.graph, cfg.agents, cfg.controllers)
         y, zeta, trace = solve_opp(problem, opts=_solve_options(cfg))
         cert = recover_certificate(problem, y, zeta)
@@ -291,12 +282,11 @@ def _plan_segments(cfg):
 @cli.command("simulate")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", default=".", type=click.Path())
-@click.option("--seed", default=None, type=int)
-def cmd_simulate(config_path, out, seed):
+def cmd_simulate(config_path, out):
     """Integrate the closed loop and report convergence per segment."""
 
     def run():
-        cfg = _load(config_path, seed)
+        cfg = cfgmod.load_config(config_path)
         opts, conv_tol, horizon, init = _integrate_options(cfg)
         solve_opts = _solve_options(cfg)  # refused here, before any planning
         outdir = _outdir(out)
@@ -344,7 +334,6 @@ def cmd_simulate(config_path, out, seed):
 @cli.command("synthesize")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", default=".", type=click.Path())
-@click.option("--seed", default=None, type=int)
 @click.option("--target", default=None, type=str,
               help="Desired steady output y* as a JSON array "
                    "(defaults to the first objective target).")
@@ -352,11 +341,11 @@ def cmd_simulate(config_path, out, seed):
               type=click.Choice(["absolute", "relative"]))
 @click.option("--leader", default=None, type=int,
               help="Leading node index for plant augmentation.")
-def cmd_synthesize(config_path, out, seed, target, mode, leader):
+def cmd_synthesize(config_path, out, target, mode, leader):
     """Design linear controllers (and leader input) for a target output."""
 
     def run():
-        cfg = _load(config_path, seed)
+        cfg = cfgmod.load_config(config_path)
         d = cfg.agents[0].io_dim
         n = cfg.graph.node_count
         if target is not None:
@@ -405,24 +394,6 @@ def cmd_synthesize(config_path, out, seed, target, mode, leader):
     return _guard(run)
 
 
-def _classify_agent(agent, samples, seed):
-    if agent.kind is AgentKind.LINEAR:
-        res = is_meicmp_linear(agent.A, agent.B, agent.C, agent.T)
-        return {"verdict": res.verdict, "reason": res.reason, "exact": True}
-    if agent.kind is AgentKind.DAMPED_OSCILLATOR:
-        res = is_meicmp_oscillator(agent.M, agent.B)
-        return {"verdict": res.verdict, "reason": res.reason, "exact": True}
-    rel = ss_relation(agent)
-    cm = check_cm(rel, Sampler(seed=seed), cycles=samples)
-    out = {"verdict": "yes" if cm.passed else "no",
-           "reason": f"randomized cyclic-monotonicity check, "
-                     f"{cm.cycles_checked} cycles", "exact": False}
-    if not cm.passed:
-        out["witness"] = [[u.tolist(), y.tolist()] for u, y in cm.witness]
-        out["witness_sum"] = cm.witness_sum
-    return out
-
-
 def _classify_controller(ctrl):
     if ctrl.kind is ControllerKind.NONLINEAR_INTEGRATOR:
         return {"verdict": "yes",
@@ -436,27 +407,21 @@ def _classify_controller(ctrl):
 @cli.command("check-cm")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", default=".", type=click.Path())
-@click.option("--seed", default=None, type=int)
-@click.option("--samples", default=10_000, type=click.IntRange(min=1),
-              help="Cycles per randomized check.")
-def cmd_check_cm(config_path, out, seed, samples):
+def cmd_check_cm(config_path, out):
     """Classify every agent and controller for cyclic monotonicity."""
 
     def run():
-        cfg = _load(config_path, seed)
-        rng_seed = cfg.seed
-        agent_rows = [_classify_agent(a, samples, rng_seed + i)
-                      for i, a in enumerate(cfg.agents)]
+        cfg = cfgmod.load_config(config_path)
+        agent_rows = [{"verdict": verdict, "reason": reason, "exact": True}
+                      for verdict, reason in cm_verdicts(cfg.agents)]
         ctrl_rows = [_classify_controller(c) for c in cfg.controllers]
         outdir = _outdir(out)
         _write_json(os.path.join(outdir, "cm_report.json"),
                     {"agents": agent_rows, "controllers": ctrl_rows})
-        for i, row in enumerate(agent_rows):
-            note = f" ({row['reason']})" if row["reason"] else ""
-            click.echo(f"agent {i}: {row['verdict']}{note}")
-        for e, row in enumerate(ctrl_rows):
-            note = f" ({row['reason']})" if row["reason"] else ""
-            click.echo(f"controller {e}: {row['verdict']}{note}")
+        for name, rows in (("agent", agent_rows), ("controller", ctrl_rows)):
+            for i, row in enumerate(rows):
+                note = f" ({row['reason']})" if row["reason"] else ""
+                click.echo(f"{name} {i}: {row['verdict']}{note}")
 
     return _guard(run)
 
@@ -464,14 +429,13 @@ def cmd_check_cm(config_path, out, seed, samples):
 @cli.command("verify")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", default=".", type=click.Path())
-@click.option("--seed", default=None, type=int)
 @click.option("--tol", default=1e-6,
               type=click.FloatRange(min=0.0, min_open=True))
-def cmd_verify(config_path, out, seed, tol):
+def cmd_verify(config_path, out, tol):
     """Check a candidate steady state recorded in the config."""
 
     def run():
-        cfg = _load(config_path, seed)
+        cfg = cfgmod.load_config(config_path)
         if cfg.candidate is None:
             raise ConfigInvalid("config has no 'candidate' section to verify")
         problem = assemble(cfg.graph, cfg.agents, cfg.controllers)

@@ -128,6 +128,11 @@ def _optional(specs, names, key, ndim, size=None, fill=None):
     return arr if size is None else _sized(arr, names, key, size)
 
 
+def _integer(value) -> bool:
+    """Whether value is a JSON integer; JSON true is an int in Python, and is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _zeros(*shape) -> list:
     return np.zeros(shape).tolist()
 
@@ -158,7 +163,7 @@ def _function_group(specs, names) -> list:
         fns = {}
         for spec, name in zip(specs, names):
             dim = spec.get("dim")
-            if not isinstance(dim, int) or dim < 1:
+            if not _integer(dim) or dim < 1:
                 raise ConfigInvalid(f"{name}.dim: need a positive integer")
             if dim not in fns:
                 fns[dim] = scalar_separable(paper_psi, dim, PSI_RANGE)
@@ -393,7 +398,7 @@ def parse_config(doc: dict) -> NetworkConfig:
         raise ConfigInvalid("missing 'graph' section")
     nodes = gsec.get("nodes")
     edges = gsec.get("edges", [])
-    if not isinstance(nodes, int) or nodes < 1:
+    if not _integer(nodes) or nodes < 1:
         raise ConfigInvalid("graph.nodes must be a positive integer")
     try:
         edges = [(int(t), int(h)) for t, h in edges]
@@ -444,7 +449,7 @@ def parse_config(doc: dict) -> NetworkConfig:
         durations = tuple(float(T) for T in durations)
         leader = osec.get("leader")
         if leader is not None:
-            if not isinstance(leader, int) or not (0 <= leader < nodes):
+            if not _integer(leader) or not (0 <= leader < nodes):
                 raise ConfigInvalid("objective.leader must be a node index")
         objective = Objective(targets=tvecs, durations=durations, leader=leader)
 
@@ -453,7 +458,7 @@ def parse_config(doc: dict) -> NetworkConfig:
     if not isinstance(solver, dict) or not isinstance(simulation, dict):
         raise ConfigInvalid("'solver' and 'simulation' must be objects")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _integer(seed):
         raise ConfigInvalid("seed must be an integer")
     candidate = doc.get("candidate")
     if candidate is not None:

@@ -187,7 +187,7 @@ def _edge_side(controllers, d: int) -> EdgeSide:
     whose conjugate is Gamma_e*(mu - beta) + alpha'mu - alpha'beta.
     """
     m = len(controllers)
-    linear = np.array([c.kind is ControllerKind.LINEAR_SYNTHESIS for c in controllers])
+    linear = np.array([c.kind is ControllerKind.LINEAR_SYNTHESIS for c in controllers], dtype=bool)
     offset = np.array([c.offset if lin else np.zeros(d)
                        for c, lin in zip(controllers, linear)]).reshape(m, d)
     alpha = np.array([c.alpha for c in controllers]).reshape(m, d)
@@ -494,7 +494,7 @@ def edge_residual(problem: NetworkProblem, zeta, mu) -> float:
     pin = np.where(gamma.pinned, zeta - gamma.a, 0.0)
     excess = np.maximum(edges.lo - mu, 0.0) + np.maximum(mu - edges.hi, 0.0)
     off = np.where(gamma.pinned, 0.0, mu - (_block_apply(gamma.P, zeta) + gamma.q))
-    parts = np.stack([pin, excess, off]).reshape(3, len(gamma.P), -1)
+    parts = np.stack([pin, excess, off]).reshape(3, *gamma.P.shape[:2])
     return float(np.linalg.norm(parts, axis=2).max(initial=0.0))
 
 
@@ -552,7 +552,7 @@ class SolveTrace:
 
 def _block_apply(P: np.ndarray, x) -> np.ndarray:
     """The block-diagonal matrix with blocks P applied to x."""
-    return np.einsum("kij,kj->ki", P, np.reshape(x, (len(P), -1))).ravel()
+    return np.einsum("kij,kj->ki", P, np.reshape(x, P.shape[:2])).ravel()
 
 
 def solve_network_qp(op: IncidenceOperator, node, edge, y0, tol: float, objective):

@@ -1,10 +1,10 @@
 """Agent (node) dynamics and their steady-state input-output relations.
 
-Three concrete maximal equilibrium-independent cyclically monotone
-(MEICMP) classes are provided: linear state-space systems, convex
+Three agent kinds are provided: linear state-space systems, convex
 gradient systems with a skew (oscillatory) term, and damped MIMO
 oscillators. Each is stated once, as the form agent_form returns, and
-the steady-state gains and the packed kernel read that form.
+the steady-state gains, their cyclic monotonicity (cm_verdicts) and the
+packed kernel read that form.
 """
 from __future__ import annotations
 
@@ -349,13 +349,8 @@ def _group_form(kind, n, d, group):
 
 
 # ---------------------------------------------------------------------------
-# steady-state relations and MEICMP classification
+# steady-state relations and their cyclic monotonicity
 # ---------------------------------------------------------------------------
-
-
-def linear_ss_relation(A, B, C, T=None, w=None) -> VectorRelation:
-    """Affine relation y = (-C A^-1 B + T) u - C A^-1 w of a linear agent."""
-    return ss_relation(linear_agent(A, B, C, T=T, w=w))
 
 
 def _linear_gain(A, B, C, T, w):
@@ -375,73 +370,19 @@ def _linear_gain(A, B, C, T, w):
     return CA @ B + T, (CA @ w[..., None])[..., 0]
 
 
-@dataclass(frozen=True)
-class MeicmpResult:
-    """Outcome of an MEICMP classification.
-
-    verdict is "yes", "yes-strict", or "no". For linear agents "yes"
-    already implies the strict (positive-definite) case; oscillators
-    distinguish semi-definite from definite. reason is set when the
-    verdict is "no"; S is the steady-state gain that was examined.
-    """
-
-    verdict: str
-    reason: Optional[str] = None
-    S: Optional[np.ndarray] = None
-
-    def __bool__(self) -> bool:
-        return self.verdict != "no"
-
-
-def _symmetric_within(S: np.ndarray) -> bool:
-    return np.linalg.norm(S - S.T) <= 1e-8 * (1.0 + np.linalg.norm(S))
-
-
-def is_meicmp_linear(A, B, C, T=None, tol: float = 1e-8) -> MeicmpResult:
-    """MEICMP iff A is Hurwitz and -C A^-1 B + T is symmetric positive-definite."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    S = linear_ss_relation(A, B, C, T).S
-    if np.max(np.linalg.eigvals(A).real) >= 0.0:
-        return MeicmpResult("no", reason="not Hurwitz", S=S)
-    if not _symmetric_within(S):
-        return MeicmpResult("no", reason="asymmetric", S=S)
-    if np.min(np.linalg.eigvalsh(0.5 * (S + S.T))) <= tol:
-        return MeicmpResult("no", reason="not positive-definite", S=S)
-    return MeicmpResult("yes", S=S)
-
-
-def is_meicmp_oscillator(M, B, tol: float = 1e-8) -> MeicmpResult:
-    """Classify by the eigenvalues of the gain (M')^-1 B: PSD gives MEICMP, PD strict."""
-    S = ss_relation(damped_oscillator_agent(M, B)).S
-    if not _symmetric_within(S):
-        return MeicmpResult("no", reason="asymmetric", S=S)
-    eigmin = np.min(np.linalg.eigvalsh(0.5 * (S + S.T)))
-    if eigmin < -tol:
-        return MeicmpResult("no", reason="indefinite", S=S)
-    if eigmin > tol:
-        return MeicmpResult("yes-strict", S=S)
-    return MeicmpResult("yes", S=S)
-
-
 def ss_relation(model: AgentModel) -> VectorRelation:
     """Steady-state relation of an agent, exogenous and leader terms folded in.
 
     Linear and oscillator kinds are always affine. ConvexGradient kinds
     are affine when psi is quadratic; with identity B and C and no skew
     term the relation is the inverse of grad psi; anything else is
-    unsupported here (a paper_psi psi still simulates). The one-agent
-    case of ss_relations.
+    unsupported here (a paper_psi psi still simulates). See ss_groups.
     """
-    return ss_relations([model])[0]
-
-
-def ss_relations(models) -> tuple:
-    """ss_relation of each of models, in order (see ss_groups)."""
-    out, groups = ss_groups(models)
-    for idx, S, v in groups:
-        for i, S_i, v_i in zip(idx, S, v):
-            out[i] = affine_relation(S_i, v_i)
-    return tuple(out)
+    (rel,), gains = ss_groups([model])
+    if gains:
+        _, S, v = gains[0]
+        rel = affine_relation(S[0], v[0])
+    return rel
 
 
 def ss_groups(models):
@@ -485,6 +426,48 @@ def ss_groups(models):
         z = np.array([models[i].leader_offset for i in idx])
         gains.append((idx, S, (S @ z[:, :, None])[:, :, 0] + v))
     return out, gains
+
+
+def cm_verdicts(models) -> list:
+    """(verdict, reason) of each of models: is its steady-state relation
+    cyclically monotone? Passivity, MEICMP's other condition, is not decided.
+
+    Structure decides it: an affine y = S u + v is cyclically monotone
+    exactly when S is symmetric positive semi-definite, and the inverse
+    gradient of a convex potential always is (Rockafellar, Convex
+    Analysis, sec. 24). Per group of ss_groups, one batched symmetry test
+    and one eigvalsh of the symmetric parts give lambda, the least eigenvalue:
+
+    - a linear agent is "no" when A is not Hurwitz, S is asymmetric or
+      lambda <= 1e-8 ("not positive-definite"), else "yes";
+    - any other affine relation is "no" when S is asymmetric or
+      lambda < -1e-8 ("indefinite"), "yes-strict" when lambda > 1e-8,
+      else "yes";
+    - an inverse-gradient relation is "yes".
+
+    reason is None on an affine "yes" or "yes-strict". An agent with no
+    closed relation raises UnsupportedKind, as in ss_groups.
+    """
+    models = list(models)
+    relations, gains = ss_groups(models)
+    out = [None if rel is None else ("yes", "inverse gradient of a convex potential")
+           for rel in relations]
+    tol = 1e-8  # on the eigenvalues, and relative on the asymmetry
+    for idx, S, _ in gains:
+        St = np.swapaxes(S, 1, 2)
+        asym = np.linalg.norm(S - St, axis=(1, 2)) > tol * (1.0 + np.linalg.norm(S, axis=(1, 2)))
+        low = np.linalg.eigvalsh(0.5 * (S + St))[:, 0]
+        if models[idx[0]].kind is AgentKind.LINEAR:
+            A = np.array([models[i].A for i in idx])
+            rules = [(np.linalg.eigvals(A).real.max(axis=1) >= 0.0, ("no", "not Hurwitz")),
+                     (asym, ("no", "asymmetric")),
+                     (low <= tol, ("no", "not positive-definite"))]
+        else:
+            rules = [(asym, ("no", "asymmetric")), (low < -tol, ("no", "indefinite")),
+                     (low > tol, ("yes-strict", None))]
+        for j, i in enumerate(idx):
+            out[i] = next((row for hit, row in rules if hit[j]), ("yes", None))
+    return out
 
 
 def _stack(arrays, shape, what) -> np.ndarray:

@@ -286,21 +286,30 @@ def test_synthesize_leader_out_of_range_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "patch.json").exists()
 
 
-def test_check_cm_exact_and_randomized(tmp_path, capsys):
+def test_check_cm_is_exact_on_every_agent(tmp_path, capsys):
     doc = hand_doc()
     doc["agents"][1] = {"type": "convex_gradient",
                         "psi": {"kind": "quadratic", "P": [[2.0]]}}
     cfg = write_doc(tmp_path, doc)
-    code = run_cli("check-cm", "--config", cfg, "--out", str(tmp_path),
-                   "--samples", "200")
+    code = run_cli("check-cm", "--config", cfg, "--out", str(tmp_path))
     assert code == 0
     out = capsys.readouterr().out
-    assert "agent 0: yes" in out
-    assert "agent 1: yes" in out
+    assert "agent 0: yes\n" in out
+    assert "agent 1: yes-strict\n" in out
     assert "controller 0: yes-strict" in out
     report = json.loads((tmp_path / "cm_report.json").read_text())
-    assert report["agents"][0]["exact"] is True
-    assert report["agents"][1]["exact"] is False
+    assert [row["exact"] for row in report["agents"]] == [True, True]
+    # a quadratic psi with a skew J has an asymmetric gain: "no", decided exactly
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    doc = {"schema": SCHEMA, "graph": {"nodes": 2, "edges": [[0, 1]]},
+           "agents": [{"type": "convex_gradient", "psi": {"kind": "quadratic", "P": eye},
+                       "J": [[0.0, 0.5], [-0.5, 0.0]]},
+                      {"type": "linear", "A": [[-1.0, 0.0], [0.0, -1.0]], "B": eye, "C": eye}],
+           "controllers": [{"type": "linear_synthesis", "offset": [1.0, 0.0]}]}
+    assert run_cli("check-cm", "--config", write_doc(tmp_path, doc), "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "cm_report.json").read_text())
+    assert report["agents"] == [{"verdict": "no", "reason": "asymmetric", "exact": True},
+                                {"verdict": "yes", "reason": None, "exact": True}]
 
 
 def test_check_cm_paper_psi_agent(tmp_path, capsys):
@@ -317,15 +326,40 @@ def test_check_cm_paper_psi_agent(tmp_path, capsys):
     cfg = write_doc(tmp_path, doc)
     code = run_cli("check-cm", "--config", cfg, "--out", str(tmp_path))
     assert code == 0
-    assert "agent 1: yes" in capsys.readouterr().out
+    assert "agent 1: yes (inverse gradient of a convex potential)" in capsys.readouterr().out
+    report = json.loads((tmp_path / "cm_report.json").read_text())
+    assert report["agents"][1] == {"verdict": "yes", "exact": True,
+                                   "reason": "inverse gradient of a convex potential"}
 
 
-def test_check_cm_zero_samples_is_usage_error(tmp_path):
+def test_removed_options_are_usage_errors(tmp_path):
+    # check-cm samples nothing and no command reads a seed
     cfg = write_doc(tmp_path, hand_doc())
-    code = run_cli("check-cm", "--config", cfg, "--out", str(tmp_path),
-                   "--samples", "0")
-    assert code != 0
-    assert not (tmp_path / "cm_report.json").exists()
+    calls = [("check-cm", "--samples", "5")] + [
+        (command, "--seed", "3")
+        for command in ("predict", "simulate", "synthesize", "check-cm", "verify")]
+    for k, (command, *option) in enumerate(calls):
+        out = tmp_path / f"out{k}"
+        assert run_cli(command, "--config", cfg, "--out", str(out), *option) == 1
+        assert not out.exists()
+
+
+def test_edgeless_network_runs_every_command(tmp_path):
+    # one node and no edges: y = v, with empty zeta and mu
+    doc = {"schema": SCHEMA, "graph": {"nodes": 1, "edges": []},
+           "agents": [{"type": "linear", "A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "w": [2.0]}],
+           "simulation": {"horizon": 20.0}}
+    cfg = write_doc(tmp_path, doc)
+    for command, *extra in (("predict",), ("simulate",), ("check-cm",),
+                            ("synthesize", "--target", "[2.0]")):
+        assert run_cli(command, "--config", cfg, "--out", str(tmp_path), *extra) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["y"] == [2.0] and cert["zeta"] == [] and cert["mu"] == []
+    assert "prediction_pass = True" in (tmp_path / "summary.txt").read_text()
+    cand = write_doc(tmp_path, dict(doc, candidate={k: cert[k] for k in ("u", "y", "zeta", "mu")}),
+                     name="candidate.json")
+    assert run_cli("verify", "--config", cand, "--out", str(tmp_path)) == 0
+    assert json.loads((tmp_path / "verify.json").read_text())["valid"] is True
 
 
 def test_verify_accepts_true_candidate(tmp_path, capsys):

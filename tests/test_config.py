@@ -221,6 +221,25 @@ def test_invalid_documents_rejected(mutate):
         parse_config(doc)
 
 
+# keys that need an integer, each with a mutation that sets it to JSON true
+TRUE_FOR_INTEGER = {
+    "graph.nodes": lambda d: d["graph"].update(nodes=True),
+    "objective.leader": lambda d: d.update(objective={"targets": [[1.0, 1.0]], "leader": True}),
+    "agents[1].psi.dim": lambda d: d["agents"].__setitem__(
+        1, {"type": "convex_gradient", "psi": {"kind": "paper_psi", "dim": True}}),
+    "seed": lambda d: d.update(seed=True),
+}
+
+
+@pytest.mark.parametrize("key", TRUE_FOR_INTEGER)
+def test_json_true_is_no_integer(key):
+    # True is an int in Python; a config key that needs an integer refuses it
+    doc = base_doc()
+    TRUE_FOR_INTEGER[key](doc)
+    with pytest.raises(ConfigInvalid, match=re.escape(key)):
+        parse_config(doc)
+
+
 def test_unknown_potential_kind_rejected():
     doc = base_doc()
     doc["controllers"] = [{"type": "integrator",

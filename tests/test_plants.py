@@ -16,7 +16,7 @@ from couplednet.errors import (DimensionMismatch, NoConvergence,
                                SingularMatrix, UnsupportedKind)
 
 from closed_loop_oracle import output, rhs, solve_equilibrium
-from conftest import meicmp_linear_agent
+from conftest import meicmp_linear_agent, rand_spd
 from set_oracle import forward, inverse
 
 
@@ -140,9 +140,12 @@ def test_agent_forms_match_one_at_a_time():
         assert all(np.array_equal(a, b) for a, b in zip(form[:5], one[:5]))
         assert form[5] is one[5] and form[6] == one[6]
     affine = [m for m in models if m is not shifted_psi]
-    for model, rel in zip(affine, P.ss_relations(affine)):
-        one = P.ss_relation(model)
-        assert np.array_equal(rel.S, one.S) and np.array_equal(rel.v, one.v)
+    _, gains = P.ss_groups(affine)
+    assert sorted(i for idx, _, _ in gains for i in idx) == list(range(len(affine)))
+    for idx, S, v in gains:
+        for i, S_i, v_i in zip(idx, S, v):
+            one = P.ss_relation(affine[i])
+            assert np.array_equal(S_i, one.S) and np.array_equal(v_i, one.v)
 
 
 def test_zero_rho_is_not_feedthrough():
@@ -160,23 +163,88 @@ def test_strongly_damped_oscillator_keeps_its_gain():
 
 
 def test_meicmp_oscillator_classification():
-    assert P.is_meicmp_oscillator([[2.0, 0.0], [0.0, 1.0]], np.eye(2)).verdict == "yes-strict"
-    # (M')^-1 B skew: not a subgradient relation
-    res = P.is_meicmp_oscillator([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))
-    assert res.verdict == "no"
-    assert res.reason
+    # S = (M')^-1 B, so B = M' Q gives S = Q
+    M = np.array([[2.0, 0.5], [0.0, 1.0]])
+
+    def oscillator(Q):
+        return P.damped_oscillator_agent(M, M.T @ np.asarray(Q, dtype=float))
+
+    skew = [[0.0, 1.0], [-1.0, 0.0]]
+    assert P.cm_verdicts([oscillator(np.diag([2.0, 1.0])), oscillator(np.diag([1.0, 0.0])),
+                          oscillator(np.diag([1.0, -1.0])), oscillator(skew)]) == [
+        ("yes-strict", None), ("yes", None), ("no", "indefinite"), ("no", "asymmetric")]
 
 
 def test_meicmp_linear_classification():
-    assert P.is_meicmp_linear([[-1.0]], [[1.0]], [[1.0]]).verdict == "yes"
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert P.is_meicmp_linear(-np.eye(2), np.eye(2), rot).verdict == "no"
+    agents = [P.linear_agent(-np.eye(2), np.eye(2), np.eye(2)),
+              P.linear_agent(-np.eye(2), np.eye(2), rot),
+              P.linear_agent(np.diag([-1.0, 2.0]), np.eye(2), np.diag([-1.0, 2.0])),
+              P.linear_agent(-np.eye(2), np.eye(2), np.diag([1.0, 0.0]))]
+    # the third has S = I but an unstable A; the last S = diag(1, 0), only semi-definite
+    assert P.cm_verdicts(agents) == [("yes", None), ("no", "asymmetric"), ("no", "not Hurwitz"),
+                                     ("no", "not positive-definite")]
 
 
 def test_meicmp_linear_random_construction(rng):
-    for _ in range(5):
-        a = meicmp_linear_agent(rng, 2)
-        assert P.is_meicmp_linear(a.A, a.B, a.C).verdict == "yes"
+    agents = [meicmp_linear_agent(rng, 2) for _ in range(5)]
+    assert P.cm_verdicts(agents) == [("yes", None)] * 5
+
+
+def test_cm_verdicts_of_convex_gradient_agents():
+    J = [[0.0, 0.5], [-0.5, 0.0]]
+    agents = [P.convex_gradient_agent(R.quadratic([[2.0]])),
+              P.convex_gradient_agent(R.quadratic(np.eye(2)), J=J),
+              P.convex_gradient_agent(R.scalar_separable(paper_psi, 2, PSI_RANGE))]
+    assert P.cm_verdicts(agents) == [("yes-strict", None), ("no", "asymmetric"),
+                                     ("yes", "inverse gradient of a convex potential")]
+    # a paper_psi gradient with a skew term has no closed relation to decide
+    with pytest.raises(UnsupportedKind):
+        P.cm_verdicts([_psi_agent()])
+
+
+def _random_affine_agents(rng, d):
+    """Affine agents of every kind at io dimension d: linear ones built
+    covered and drawn at random, oscillators with random M and B (half of
+    them B = M' Q for a random symmetric Q, so S = Q), and quadratic-psi
+    convex-gradient agents with random P > 0, half with a skew J."""
+    def symmetric():
+        G = rng.normal(size=(d, d))
+        return G + G.T
+
+    def invertible():
+        while True:
+            G = rng.normal(size=(d, d))
+            if abs(np.linalg.det(G)) > 0.2:
+                return G
+
+    agents = [meicmp_linear_agent(rng, d),
+              P.linear_agent(rng.normal(size=(d, d)) - 1.5 * np.eye(d), rng.normal(size=(d, d)),
+                             rng.normal(size=(d, d)))]
+    for Q in (symmetric(), None):
+        M = invertible()
+        agents.append(P.damped_oscillator_agent(M, rng.normal(size=(d, d)) if Q is None else M.T @ Q))
+    for skew in (0.0, 1.0):
+        K = rng.normal(size=(d, d))
+        agents.append(P.convex_gradient_agent(R.quadratic(rand_spd(rng, d, 0.3, 2.0)),
+                                              J=skew * (K - K.T)))
+    return agents
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1), d=st.integers(min_value=1, max_value=3))
+def test_sampler_is_the_verdicts_oracle(seed, d):
+    # no sampled cycle refutes a "yes", and a clearly indefinite gain is "no" and refuted
+    agents = _random_affine_agents(np.random.default_rng(seed), d)
+    for agent, (verdict, _) in zip(agents, P.cm_verdicts(agents)):
+        rel = P.ss_relation(agent)
+        if verdict != "no":
+            res = R.check_cm(rel, R.Sampler(seed=seed), cycles=10_000)
+            assert res.passed and res.cycles_checked == 10_000
+        if np.linalg.eigvalsh(rel.S + rel.S.T)[0] / 2 < -0.1 * np.linalg.norm(rel.S, 2):
+            assert verdict == "no"
+            res = R.check_cm(rel, R.Sampler(seed=seed), cycles=10_000)
+            assert not res.passed and res.witness_sum < -1e-9
 
 
 def _psi_agent():
