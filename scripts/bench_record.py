@@ -11,7 +11,9 @@ existing record (1 for the first). It holds the table as it is, plus:
 - `change_rev`: the working tree's HEAD, with `-dirty` when tracked
   files have changes, as perf_pairs.py times the working tree;
 - `host`: `nproc`, the Python and numpy versions;
-- `src_lines`: the line count of `src/couplednet/*.py`.
+- `src_lines`: the line count of `src/couplednet/*.py`;
+- `reach`: per category of `scripts/reach.py`, the defs the commands
+  never enter and their lines.
 """
 import glob
 import json
@@ -22,6 +24,9 @@ import subprocess
 import sys
 
 import numpy as np
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import reach  # noqa: E402
 
 
 def git(*args):
@@ -58,6 +63,8 @@ def main():
         "host": {"nproc": len(os.sched_getaffinity(0)),
                  "python": platform.python_version(), "numpy": np.__version__},
         "src_lines": src_lines(),
+        "reach": {category: {"defs": len(rows), "lines": sum(n for _, _, n in rows)}
+                  for category, rows in reach.measure()[0].items()},
         **pairs,
     }
     path = next_path()

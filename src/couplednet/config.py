@@ -401,9 +401,11 @@ def parse_config(doc: dict) -> NetworkConfig:
     if not _integer(nodes) or nodes < 1:
         raise ConfigInvalid("graph.nodes must be a positive integer")
     try:
-        edges = [(int(t), int(h)) for t, h in edges]
+        pairs = all(_integer(t) and _integer(h) for t, h in edges)
     except (TypeError, ValueError):
-        raise ConfigInvalid("graph.edges must be pairs of node indices") from None
+        pairs = False
+    if not pairs:
+        raise ConfigInvalid("graph.edges must be pairs of node indices")
     try:
         graph = build_graph(nodes, edges)
     except CoupledNetError as ex:

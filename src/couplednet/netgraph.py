@@ -36,25 +36,27 @@ class DirectedGraph:
 
 @dataclass(frozen=True)
 class IncidenceOperator:
-    """Incidence matrix of a graph together with its Kronecker lift.
+    """Incidence matrix of a graph, lifted by kron with I_d.
 
     Attributes
     ----------
-    base : (n, m) ndarray with entries in {-1, 0, +1}
     dim : per-node signal dimension d
-    lifted : (n*d, m*d) ndarray, equal to kron(base, eye(d)); built on
-        first read
+    lifted : (n*d, m*d) ndarray, kron(E, eye(d)) for the (n, m)
+        incidence matrix E; built from tail and head on first read
     tail, head : (m*d,) int arrays; the stacked node coordinates that
         edge coordinate k*d + c leaves and enters
     """
 
     graph: DirectedGraph
-    base: np.ndarray
     dim: int
 
     @cached_property
     def lifted(self) -> np.ndarray:
-        return np.kron(self.base, np.eye(self.dim))
+        lifted = np.zeros((self.node_size, self.edge_size))
+        cols = np.arange(self.edge_size)
+        lifted[self.tail, cols] = -1.0
+        lifted[self.head, cols] = 1.0
+        return lifted
 
     @cached_property
     def tail(self) -> np.ndarray:
@@ -136,12 +138,7 @@ def incidence(graph: DirectedGraph, d: int) -> IncidenceOperator:
     """Incidence matrix (tail -1, head +1 per edge column) lifted by kron with I_d."""
     if d < 1:
         raise DimensionMismatch(f"dim must be positive, got {d}")
-    n, m = graph.node_count, graph.edge_count
-    base = np.zeros((n, m))
-    tail, head = np.array(graph.edges, dtype=np.intp).reshape(m, 2).T
-    base[tail, np.arange(m)] = -1.0
-    base[head, np.arange(m)] = 1.0
-    return IncidenceOperator(graph=graph, base=base, dim=d)
+    return IncidenceOperator(graph=graph, dim=d)
 
 
 def _check_size(v, size: int, what: str) -> np.ndarray:

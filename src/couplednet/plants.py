@@ -2,7 +2,7 @@
 
 Three agent kinds are provided: linear state-space systems, convex
 gradient systems with a skew (oscillatory) term, and damped MIMO
-oscillators. Each is stated once, as the form agent_form returns, and
+oscillators. Each is stated once, as the form agent_groups returns, and
 the steady-state gains, their cyclic monotonicity (cm_verdicts) and the
 packed kernel read that form.
 """
@@ -279,40 +279,21 @@ def oscillator_agents(M, B=None, psi=None, w=None, anchor=None, leader_offset=No
 # ---------------------------------------------------------------------------
 
 
-def agent_form(model: AgentModel):
-    """(A, B, C, T, w, psi, idx) of an agent.
+def agent_groups(models) -> list:
+    """models by groups of one kind and shape, each in one form.
 
-    Every kind reads, for the effective input u_eff,
+    Each group is (idx, A, B, C, T, w, psi, where): the positions of its
+    agents in models, in order, then their form's parts, A, B, C, T and
+    w stacked once for the group, psi a list. Every kind reads, for the
+    effective input u_eff,
 
-        x' = A x + B u_eff + w - grad psi(x[idx]),  y = C x + T u_eff.
+        x' = A x + B u_eff + w - grad psi(x[where]),  y = C x + T u_eff.
 
     A quadratic psi is folded into A and w, so psi is None then (and
     always for the linear kind). T is the d x d feedthrough: a linear
     agent's T, a convex-gradient agent's rho, zero for an oscillator.
-    idx is the slice psi acts on: every state, or an oscillator's
-    momentum p of x = (q, p). The arrays may be read-only views. The
-    one-agent case of agent_forms.
-    """
-    return agent_forms([model])[0]
-
-
-def agent_forms(models) -> tuple:
-    """agent_form of each of models, in order: views of agent_groups' stacks."""
-    models = list(models)
-    out = [None] * len(models)
-    for idx, A, B, C, T, w, psi, where in agent_groups(models):
-        for j, i in enumerate(idx):
-            out[i] = (A[j], B[j], C[j], T[j], w[j], psi[j], where)
-    return tuple(out)
-
-
-def agent_groups(models) -> list:
-    """models by groups of one kind and shape.
-
-    Each group is (idx, A, B, C, T, w, psi, where): the positions of its
-    agents in models, in order, then their agent_form parts with A, B,
-    C, T and w stacked once for the group, psi a list and where the
-    slice psi acts on.
+    where is the slice psi acts on: every state, or an oscillator's
+    momentum p of x = (q, p). The arrays may be read-only views.
     """
     positions = {}
     for i, model in enumerate(models):  # an Enum hashes in Python; its id does not
@@ -322,7 +303,7 @@ def agent_groups(models) -> list:
 
 
 def _group_form(kind, n, d, group):
-    """agent_form of a group of one kind and shape, its parts stacked."""
+    """The form of a group of one kind and shape, its parts stacked."""
     def stack(what, shape):
         return _stack([getattr(m, what) for m in group], shape, what)
 
@@ -435,11 +416,13 @@ def cm_verdicts(models) -> list:
     Structure decides it: an affine y = S u + v is cyclically monotone
     exactly when S is symmetric positive semi-definite, and the inverse
     gradient of a convex potential always is (Rockafellar, Convex
-    Analysis, sec. 24). Per group of ss_groups, one batched symmetry test
-    and one eigvalsh of the symmetric parts give lambda, the least eigenvalue:
+    Analysis, sec. 24). A linear agent whose A is not Hurwitz is "no"
+    before its gain is solved, so a singular A reads "no" too. For the
+    rest, per group of ss_groups, one batched symmetry test and one
+    eigvalsh of the symmetric parts give lambda, the least eigenvalue:
 
-    - a linear agent is "no" when A is not Hurwitz, S is asymmetric or
-      lambda <= 1e-8 ("not positive-definite"), else "yes";
+    - a linear agent is "no" when S is asymmetric or lambda <= 1e-8
+      ("not positive-definite"), else "yes";
     - any other affine relation is "no" when S is asymmetric or
       lambda < -1e-8 ("indefinite"), "yes-strict" when lambda > 1e-8,
       else "yes";
@@ -449,19 +432,21 @@ def cm_verdicts(models) -> list:
     closed relation raises UnsupportedKind, as in ss_groups.
     """
     models = list(models)
-    relations, gains = ss_groups(models)
-    out = [None if rel is None else ("yes", "inverse gradient of a convex potential")
-           for rel in relations]
+    out = [("no", "not Hurwitz") if model.kind is AgentKind.LINEAR
+           and np.linalg.eigvals(model.A).real.max() >= 0.0 else None for model in models]
+    rest = [i for i, row in enumerate(out) if row is None]
+    relations, gains = ss_groups([models[i] for i in rest])
+    for i, rel in zip(rest, relations):
+        if rel is not None:
+            out[i] = ("yes", "inverse gradient of a convex potential")
     tol = 1e-8  # on the eigenvalues, and relative on the asymmetry
     for idx, S, _ in gains:
+        idx = [rest[j] for j in idx]
         St = np.swapaxes(S, 1, 2)
         asym = np.linalg.norm(S - St, axis=(1, 2)) > tol * (1.0 + np.linalg.norm(S, axis=(1, 2)))
         low = np.linalg.eigvalsh(0.5 * (S + St))[:, 0]
         if models[idx[0]].kind is AgentKind.LINEAR:
-            A = np.array([models[i].A for i in idx])
-            rules = [(np.linalg.eigvals(A).real.max(axis=1) >= 0.0, ("no", "not Hurwitz")),
-                     (asym, ("no", "asymmetric")),
-                     (low <= tol, ("no", "not positive-definite"))]
+            rules = [(asym, ("no", "asymmetric")), (low <= tol, ("no", "not positive-definite"))]
         else:
             rules = [(asym, ("no", "asymmetric")), (low < -tol, ("no", "indefinite")),
                      (low > tol, ("yes-strict", None))]

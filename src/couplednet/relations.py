@@ -2,9 +2,9 @@
 
 Two layers live here, as trees that a config or a library caller builds:
 
-* IntegralFunction, extended-real convex functions with values and
-  gradients, the non-quadratic one built on the saturating nonlinearity
-  paper_psi of the formation example;
+* IntegralFunction, convex functions with values and gradients, the
+  non-quadratic one built on the saturating nonlinearity paper_psi of
+  the formation example;
 * VectorRelation, possibly set-valued input-output relations on R^d,
   with a randomized cyclic-monotonicity test (check_cm).
 
@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyList,
-    OutsideDomain,
     RelationNotEvaluable,
     UnsupportedKind,
 )
@@ -188,29 +187,23 @@ def _psi_integral(t: np.ndarray) -> np.ndarray:
 
 class FunctionKind(Enum):
     QUADRATIC = "quadratic"
-    INDICATOR_ZERO = "indicator_zero"
     SCALAR_SEPARABLE = "scalar_separable"
-    STACKED = "stacked"
     SHIFTED = "shifted"
 
 
 @dataclass(frozen=True)
 class IntegralFunction:
-    """Extended-real convex function, as a node or edge term of the network.
+    """Convex function, as a node or edge term of the network.
 
     Kinds
     -----
     Quadratic
         f(x) = x'Px/2 + q'x + c with P symmetric PSD.
-    IndicatorZero
-        0 at the origin, +inf elsewhere.
     ScalarSeparable
         f(x) = sum_j integral_0^{x_j} paper_psi(s) ds, the one
         non-quadratic function a config builds; values by Gauss-Legendre
         panels (see _psi_integral), the gradient's inverse in closed
         form (see _psi_inverse).
-    Stacked
-        block-separable sum; child j acts on its own slice of x.
     Shifted
         f(x) = inner(x - shift) + linear'x + constant.
     """
@@ -220,7 +213,6 @@ class IntegralFunction:
     P: Optional[np.ndarray] = None
     q: Optional[np.ndarray] = None
     c: float = 0.0
-    children: tuple = ()
     inner: Optional["IntegralFunction"] = None
     shift: Optional[np.ndarray] = None
     linear: Optional[np.ndarray] = None
@@ -243,10 +235,6 @@ def _quadratic(P: np.ndarray, q: np.ndarray, c) -> IntegralFunction:
     return IntegralFunction(dim=P.shape[0], kind=FunctionKind.QUADRATIC, P=P, q=q, c=float(c))
 
 
-def indicator_zero(dim: int) -> IntegralFunction:
-    return IntegralFunction(dim=dim, kind=FunctionKind.INDICATOR_ZERO)
-
-
 def scalar_separable(psi, dim: int, psi_range=None) -> IntegralFunction:
     """f(x) = sum_j integral_0^{x_j} paper_psi(s) ds on R^dim.
 
@@ -258,14 +246,6 @@ def scalar_separable(psi, dim: int, psi_range=None) -> IntegralFunction:
     return IntegralFunction(dim=dim, kind=FunctionKind.SCALAR_SEPARABLE)
 
 
-def stacked(children) -> IntegralFunction:
-    children = tuple(children)
-    if not children:
-        raise EmptyList("stack of no functions")
-    dim = sum(ch.dim for ch in children)
-    return IntegralFunction(dim=dim, kind=FunctionKind.STACKED, children=children)
-
-
 def shifted(inner: IntegralFunction, shift=None, linear=None, constant: float = 0.0) -> IntegralFunction:
     dim = inner.dim
     shift = np.zeros(dim) if shift is None else np.asarray(shift, dtype=float).ravel()
@@ -275,10 +255,6 @@ def shifted(inner: IntegralFunction, shift=None, linear=None, constant: float = 
     if inner.kind is FunctionKind.SHIFTED:  # one shift, so a pin evaluates exactly at its point
         return shifted(inner.inner, inner.shift + shift, inner.linear + linear,
                        inner.constant + constant - float(inner.linear @ shift))
-    if inner.kind is FunctionKind.STACKED:  # the same for a pin in a block; one takes the constant
-        blocks = zip(_blocks(inner, shift), _blocks(inner, linear))
-        return stacked([shifted(ch, s, b, constant if k == 0 else 0.0)
-                        for k, ((ch, s), (_, b)) in enumerate(blocks)])
     return IntegralFunction(
         dim=dim,
         kind=FunctionKind.SHIFTED,
@@ -289,14 +265,6 @@ def shifted(inner: IntegralFunction, shift=None, linear=None, constant: float = 
     )
 
 
-def _blocks(f, x: np.ndarray):
-    """Each child of a stacked function or relation with its slice of x."""
-    offset = 0
-    for ch in f.children:
-        yield ch, x[offset : offset + ch.dim]
-        offset += ch.dim
-
-
 def _check_dim(f, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.size != f.dim:
@@ -305,27 +273,18 @@ def _check_dim(f, x) -> np.ndarray:
 
 
 def value(f: IntegralFunction, x) -> float:
-    """Evaluate f(x); may return +inf."""
+    """f(x) of a quadratic, the paper_psi integral, or a shift of either."""
     x = _check_dim(f, x)
     if f.kind is FunctionKind.QUADRATIC:
         return float(0.5 * x @ f.P @ x + f.q @ x + f.c)
-    if f.kind is FunctionKind.INDICATOR_ZERO:
-        return math.inf if np.any(x != 0.0) else 0.0
     if f.kind is FunctionKind.SCALAR_SEPARABLE:
         return float(_psi_integral(x).sum())
-    if f.kind is FunctionKind.STACKED:
-        return float(sum(value(ch, xb) for ch, xb in _blocks(f, x)))
     return value(f.inner, x - f.shift) + float(f.linear @ x) + f.constant
 
 
 def grad_of(f: IntegralFunction, x) -> np.ndarray:
-    """Gradient for differentiable functions; min-norm subgradient otherwise.
-
-    The closed-form gradient serves every kind but an indicator part:
-    its min-norm subgradient is 0 at its point and OutsideDomain off it.
-    """
-    free = np.zeros((f.dim, 1), dtype=bool)
-    return np.where(free, 0.0, _column_grad(f, _check_dim(f, x)[:, None], free))[:, 0]
+    """Gradient of f at x, in closed form (see _column_grad)."""
+    return _column_grad(f, _check_dim(f, x)[:, None])[:, 0]
 
 
 def as_quadratic(f: IntegralFunction):
@@ -353,7 +312,6 @@ class RelationKind(Enum):
     AFFINE = "affine"
     GRADIENT_OF_CONVEX = "gradient_of_convex"
     INTEGRATOR = "integrator"
-    STACKED = "stacked"
     SHIFTED = "shifted"
     INVERTED = "inverted"
 
@@ -372,8 +330,6 @@ class VectorRelation:
         effective domain {0}; the value set is all of R^d, optionally
         restricted to a coordinatewise interval (closure of the range
         of a controller output map).
-    Stacked
-        children act on consecutive d-blocks.
     Shifted
         inner evaluated at (u - input_offset), output_offset added.
     Inverted
@@ -387,7 +343,6 @@ class VectorRelation:
     chi: Optional[IntegralFunction] = None
     out_lo: float = -math.inf
     out_hi: float = math.inf
-    children: tuple = ()
     inner: Optional["VectorRelation"] = None
     input_offset: Optional[np.ndarray] = None
     output_offset: Optional[np.ndarray] = None
@@ -414,14 +369,6 @@ def integrator_relation(dim: int, out_lo: float = -math.inf, out_hi: float = mat
 
 def inverted_relation(inner: VectorRelation) -> VectorRelation:
     return VectorRelation(dim=inner.dim, kind=RelationKind.INVERTED, inner=inner)
-
-
-def stacked_relation(children) -> VectorRelation:
-    children = tuple(children)
-    if not children:
-        raise EmptyList("stack of no relations")
-    dim = sum(ch.dim for ch in children)
-    return VectorRelation(dim=dim, kind=RelationKind.STACKED, children=children)
 
 
 def shifted_relation(inner: VectorRelation, input_offset=None, output_offset=None) -> VectorRelation:
@@ -487,30 +434,16 @@ class CmResult:
 _CM_CHUNK = 1024
 
 
-def _column_grad(f: IntegralFunction, x: np.ndarray, free=None) -> np.ndarray:
-    """Gradient of f at each column of the (dim, n) array x; only kinds
-    with a closed form.
-
-    Given free, a boolean array shaped as x, an indicator part sets free
-    on its coordinates, where its subdifferential is everything, and
-    gives 0 there (OutsideDomain off its point) instead of raising.
-    """
+def _column_grad(f: IntegralFunction, x: np.ndarray) -> np.ndarray:
+    """Gradient of f at each column of the (dim, n) array x; RelationNotEvaluable
+    for a function with no closed-form gradient."""
     if f.kind is FunctionKind.QUADRATIC:
         return f.P @ x + f.q[:, None]
     if f.kind is FunctionKind.SCALAR_SEPARABLE:
         return paper_psi(x)
     if f.kind is FunctionKind.SHIFTED:
-        return _column_grad(f.inner, x - f.shift[:, None], free) + f.linear[:, None]
-    if f.kind is FunctionKind.STACKED:
-        frees = [None] * len(f.children) if free is None else [fb for _, fb in _blocks(f, free)]
-        return np.concatenate([_column_grad(ch, xb, fb)
-                               for (ch, xb), fb in zip(_blocks(f, x), frees)])
-    if free is None:
-        raise RelationNotEvaluable(f"no closed-form gradient for kind {f.kind}")
-    if np.any(x != 0.0):
-        raise OutsideDomain("an indicator part has no subgradient off its point")
-    free[...] = True
-    return np.zeros_like(x)
+        return _column_grad(f.inner, x - f.shift[:, None]) + f.linear[:, None]
+    raise RelationNotEvaluable(f"no closed-form gradient for kind {f.kind}")
 
 
 def _graph_points(rel: VectorRelation, rng, n: int, sampler: Sampler):
@@ -530,9 +463,6 @@ def _graph_points(rel: VectorRelation, rng, n: int, sampler: Sampler):
     if rel.kind is RelationKind.INVERTED:
         u, y = _graph_points(rel.inner, rng, n, sampler)
         return y, u
-    if rel.kind is RelationKind.STACKED:
-        parts = [_graph_points(ch, rng, n, sampler) for ch in rel.children]
-        return np.concatenate([u for u, _ in parts]), np.concatenate([y for _, y in parts])
     raise UnsupportedKind(str(rel.kind))
 
 
@@ -551,14 +481,13 @@ def check_cm(
     each affine or gradient leaf, an inverted relation is sampled
     through its inner relation (a relation is cyclically monotone
     exactly when its inverse is), and a shifted one moves its inner
-    relation's points on both sides. Gradients need a closed form, so
-    an indicator part raises RelationNotEvaluable. Cycles are drawn and
-    summed in chunks of _CM_CHUNK: one draw of the graph's points per
-    chunk, one column per point, with each cycle a run of consecutive
-    columns. The first cycle whose sum, recomputed by cyclic_sum, is
-    below -tol is the witness, and cycles_checked is its position in
-    draw order. A budget of no cycles, or cycles shorter
-    than two pairs, raises EmptyList.
+    relation's points on both sides. Gradients need a closed form (see
+    _column_grad). Cycles are drawn and summed in chunks of _CM_CHUNK:
+    one draw of the graph's points per chunk, one column per point, with
+    each cycle a run of consecutive columns. The first cycle whose sum,
+    recomputed by cyclic_sum, is below -tol is the witness, and
+    cycles_checked is its position in draw order. A budget of no
+    cycles, or cycles shorter than two pairs, raises EmptyList.
     """
     if cycles < 1:
         raise EmptyList(f"check_cm needs at least one cycle, got {cycles}")

@@ -78,24 +78,6 @@ def default_initial_state(system: ClosedLoopSystem) -> np.ndarray:
         np.asarray(c.initial_state, dtype=float) for c in system.controllers])
 
 
-def step_rhs(system: ClosedLoopSystem, full_state: np.ndarray) -> np.ndarray:
-    """Stacked state derivative of the closed loop at full_state.
-
-    The packed kernel at one state, under np.errstate(all="ignore") as
-    in integrate: a state past the float range gives a non-finite
-    derivative, not a numpy warning.
-    """
-    s = np.asarray(full_state, dtype=float).ravel()
-    if s.size != system.state_dim:
-        raise DimensionMismatch(
-            f"state must have size {system.state_dim}, got {s.size}")
-    packed = system.packed
-    v = _fastpath.rhs_buffer(packed)
-    v[:s.size] = s
-    with np.errstate(all="ignore"):
-        return _fastpath._packed_rhs(v, packed, np.empty(s.size))
-
-
 @dataclass(frozen=True)
 class IntegrateOptions:
     """Integration controls: the local error per step stays <= tol.

@@ -1,7 +1,7 @@
 """Per-component closed-loop evaluation, for tests only.
 
 This is the closed loop stated one component at a time: every agent's
-output and derivative from its agent_form (rhs and output below), every
+output and derivative from its form (rhs and output below), every
 controller's from its kind (controller_rhs and controller_output), wired
 by mu, then u = -E mu, then y, then zeta = E^T y: no controller's output
 reads its input. couplednet folds the same loop into the packed kernel;
@@ -14,8 +14,23 @@ import numpy as np
 
 from couplednet.couplers import ControllerKind
 from couplednet.errors import DimensionMismatch, NoConvergence, UnsupportedKind
-from couplednet.plants import AgentKind, agent_form, agent_forms
+from couplednet.plants import AgentKind, agent_groups
 from couplednet.relations import grad_of
+
+
+def agent_forms(models):
+    """Each model's form (A, B, C, T, w, psi, where), as agent_groups states
+    it, read off the groups' stacks."""
+    models = list(models)
+    out = [None] * len(models)
+    for idx, A, B, C, T, w, psi, where in agent_groups(models):
+        for j, i in enumerate(idx):
+            out[i] = (A[j], B[j], C[j], T[j], w[j], psi[j], where)
+    return out
+
+
+def agent_form(model):
+    return agent_forms([model])[0]
 
 
 def _vector(v, size, what):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from couplednet import _fastpath
 from couplednet.couplers import linear_synthesis, nonlinear_integrator, reconfigured
 from couplednet.netgraph import build_graph
 from couplednet.plants import linear_agent
@@ -45,6 +46,16 @@ def meicmp_linear_agent(rng, d, anchor=None, T=None):
     w = np.zeros(d) if anchor is None else R @ np.linalg.solve(B.T, anchor)
     # w chosen so that y = anchor at u = 0: y = B'R^-1(Bu + w)
     return linear_agent(-R, B, B.T, T=T, w=w)
+
+
+def packed_rhs(pk, s, v=None):
+    """The packed kernel at the state s of the packed system pk: s goes into
+    the buffer v (a new one if None), the result into a new array. Under
+    np.errstate(all="ignore"), as in integrate."""
+    v = _fastpath.rhs_buffer(pk) if v is None else v
+    v[:pk.dim] = s
+    with np.errstate(all="ignore"):
+        return _fastpath._packed_rhs(v, pk, np.empty(pk.dim))
 
 
 def bench_integrate():

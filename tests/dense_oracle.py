@@ -19,9 +19,9 @@ from couplednet.couplers import ControllerKind, potential_output_interval
 from couplednet.errors import EmptyInverse, EmptySelection, Infeasible, NotForcible, Unbounded
 from couplednet.netopt import (EdgeSide, NetworkProblem, PinnedQuadratic, SolveTrace, node_side,
                                ofp_objective, opp_objective)
-from couplednet.relations import (FunctionKind, RelationKind, as_quadratic, indicator_zero,
-                                  quadratic, shifted)
-from set_oracle import ZERO_ATOL, SetDescriptor, block_diag, conjugate, solve_affine
+from couplednet.relations import FunctionKind, RelationKind, as_quadratic, quadratic, shifted
+from set_oracle import (ZERO_ATOL, OracleKind, SetDescriptor, block_diag, conjugate,
+                        indicator_zero, solve_affine)
 
 
 def agreement_basis(op):
@@ -33,12 +33,21 @@ def agreement_basis(op):
     return np.kron(np.ones((n, 1)), np.eye(d)) / np.sqrt(n)
 
 
+def incidence_matrix(graph):
+    """The (n, m) incidence matrix of graph: -1 at each edge's tail, +1 at its head."""
+    E = np.zeros((graph.node_count, graph.edge_count))
+    for k, (tail, head) in enumerate(graph.edges):
+        E[tail, k], E[head, k] = -1.0, 1.0
+    return E
+
+
 def cycle_basis(op):
     """Orthonormal basis of Ker(lifted), shape (m*d, r).
 
-    Equal to kron(C, I_d) for an orthonormal basis C of Ker(base).
+    Equal to kron(C, I_d) for an orthonormal basis C of Ker(E), E the
+    graph's incidence matrix.
     """
-    cycles = solve_affine(op.base, np.zeros(op.node_count)).directions
+    cycles = solve_affine(incidence_matrix(op.graph), np.zeros(op.node_count)).directions
     return np.kron(cycles, np.eye(op.dim))
 
 
@@ -61,7 +70,7 @@ def qp_parts(f):
     quad = as_quadratic(f)
     if quad is not None:
         return quad[0], quad[1], quad[2], np.zeros(f.dim, dtype=bool), np.zeros(f.dim)
-    if f.kind is FunctionKind.INDICATOR_ZERO:
+    if f.kind is OracleKind.INDICATOR_ZERO:
         return (np.zeros((f.dim, f.dim)), np.zeros(f.dim), 0.0, np.ones(f.dim, dtype=bool),
                 np.zeros(f.dim))
     if f.kind is FunctionKind.SHIFTED:
@@ -69,7 +78,7 @@ def qp_parts(f):
         s = f.shift
         return (P, q - P @ s + f.linear, c + 0.5 * s @ P @ s - q @ s + f.constant, pinned,
                 a + s)
-    if f.kind is FunctionKind.STACKED:
+    if f.kind is OracleKind.STACKED:
         P, q, c, pinned, a = zip(*(qp_parts(ch) for ch in f.children))
         return block_diag(P), np.concatenate(q), sum(c), np.concatenate(pinned), np.concatenate(a)
     raise AssertionError(f"no quadratic form with pins for kind {f.kind}")

@@ -6,6 +6,11 @@ that replaced: one relation or integral function at a time, through an
 algebra of set descriptors (translate, Cartesian product) that keeps
 general affine sets, and conjugates by the closed forms of each kind.
 The tests compare the two.
+
+The oracle also owns the two function kinds couplednet does not build,
+from which tests build networks: the indicator of {0} and stacked
+blocks. couplednet's shifted wraps them as it wraps its own kinds, and
+value and grad_of here evaluate every kind.
 """
 import math
 from dataclasses import dataclass
@@ -14,14 +19,63 @@ from typing import Optional
 
 import numpy as np
 
+from couplednet import relations
 from couplednet.errors import EmptySelection, OutsideDomain, UnsupportedKind
-from couplednet.relations import (FunctionKind, RelationKind, _blocks, _check_dim, _psi_inverse,
-                                  as_quadratic, gradient_relation, indicator_zero, paper_psi,
-                                  quadratic, shifted, stacked)
+from couplednet.relations import (FunctionKind, RelationKind, _check_dim, _psi_inverse,
+                                  as_quadratic, gradient_relation, paper_psi, quadratic, shifted)
 
 # The oracle's historical zero test: a vector within this of 0 is 0 at an
 # indicator or integrator. couplednet itself tests membership exactly.
 ZERO_ATOL = 1e-11
+
+
+class OracleKind(Enum):
+    INDICATOR_ZERO = "indicator_zero"
+    STACKED = "stacked"
+
+
+@dataclass(frozen=True)
+class OracleFunction:
+    """The indicator of {0}, 0 at the origin and +inf elsewhere, or a
+    block-separable sum whose child j acts on its own slice of x."""
+
+    dim: int
+    kind: OracleKind
+    children: tuple = ()
+
+
+def indicator_zero(dim: int) -> OracleFunction:
+    return OracleFunction(dim, OracleKind.INDICATOR_ZERO)
+
+
+def stacked(children) -> OracleFunction:
+    children = tuple(children)
+    return OracleFunction(sum(ch.dim for ch in children), OracleKind.STACKED, children)
+
+
+def blocks(f, x):
+    """Each child of a stacked function with its slice of x."""
+    offset = 0
+    for ch in f.children:
+        yield ch, x[offset : offset + ch.dim]
+        offset += ch.dim
+
+
+def value(f, x) -> float:
+    """f(x) of any kind, couplednet's or the oracle's, shifted or not; may be +inf."""
+    x = _check_dim(f, x)
+    if f.kind is OracleKind.INDICATOR_ZERO:
+        return math.inf if np.any(x != 0.0) else 0.0
+    if f.kind is OracleKind.STACKED:
+        return float(sum(value(ch, xb) for ch, xb in blocks(f, x)))
+    if f.kind is FunctionKind.SHIFTED:
+        return value(f.inner, x - f.shift) + float(f.linear @ x) + f.constant
+    return relations.value(f, x)
+
+
+def grad_of(f, x) -> np.ndarray:
+    """The min-norm subgradient of f at x; OutsideDomain off dom f."""
+    return subgradient(f, x).min_norm()
 
 
 class SetKind(Enum):
@@ -117,9 +171,9 @@ def conjugate(f):
     """f* as an IntegralFunction, kind by kind: a quadratic of invertible P
     gives the quadratic of P^-1, one of P = 0 the indicator of {q}, and
     the indicator of {0} the zero function. UnsupportedKind otherwise."""
-    if f.kind is FunctionKind.INDICATOR_ZERO:
+    if f.kind is OracleKind.INDICATOR_ZERO:
         return quadratic(np.zeros((f.dim, f.dim)))
-    if f.kind is FunctionKind.STACKED:
+    if f.kind is OracleKind.STACKED:
         return stacked([conjugate(ch) for ch in f.children])
     if f.kind is FunctionKind.SHIFTED:
         return shifted(conjugate(f.inner), shift=f.linear, linear=f.shift,
@@ -175,14 +229,14 @@ def subgradient(f, x):
     x = _check_dim(f, x)
     if f.kind is FunctionKind.QUADRATIC:
         return SetDescriptor.point(f.P @ x + f.q)
-    if f.kind is FunctionKind.INDICATOR_ZERO:
+    if f.kind is OracleKind.INDICATOR_ZERO:
         if np.max(np.abs(x), initial=0.0) > ZERO_ATOL:
             return SetDescriptor.empty(f.dim)
         return SetDescriptor.everything(f.dim)
     if f.kind is FunctionKind.SCALAR_SEPARABLE:
         return SetDescriptor.point(np.array([paper_psi(float(t)) for t in x]))
-    if f.kind is FunctionKind.STACKED:
-        return product([subgradient(ch, xb) for ch, xb in _blocks(f, x)])
+    if f.kind is OracleKind.STACKED:
+        return product([subgradient(ch, xb) for ch, xb in blocks(f, x)])
     if f.kind is FunctionKind.SHIFTED:
         return translate(subgradient(f.inner, x - f.shift), f.linear)
     raise UnsupportedKind(str(f.kind))
@@ -190,10 +244,10 @@ def subgradient(f, x):
 
 def grad_solve(chi, y):
     """Solution set of y in subdifferential(chi)(u)."""
-    if chi.kind is FunctionKind.INDICATOR_ZERO:
+    if chi.kind is OracleKind.INDICATOR_ZERO:
         return SetDescriptor.point(np.zeros(chi.dim))
-    if chi.kind is FunctionKind.STACKED:
-        return product([grad_solve(ch, yb) for ch, yb in _blocks(chi, y)])
+    if chi.kind is OracleKind.STACKED:
+        return product([grad_solve(ch, yb) for ch, yb in blocks(chi, y)])
     if chi.kind is FunctionKind.SHIFTED:
         return translate(grad_solve(chi.inner, y - chi.linear), chi.shift)
     quad = as_quadratic(chi)
@@ -218,8 +272,6 @@ def forward(rel, u):
         if np.max(np.abs(u), initial=0.0) > ZERO_ATOL:
             return SetDescriptor.empty(rel.dim)
         return SetDescriptor.everything(rel.dim)
-    if rel.kind is RelationKind.STACKED:
-        return product([forward(ch, ub) for ch, ub in _blocks(rel, u)])
     if rel.kind is RelationKind.SHIFTED:
         return translate(forward(rel.inner, u - rel.input_offset), rel.output_offset)
     if rel.kind is RelationKind.INVERTED:
@@ -238,8 +290,6 @@ def inverse(rel, y):
         if np.any(y < rel.out_lo - 1e-9) or np.any(y > rel.out_hi + 1e-9):
             return SetDescriptor.empty(rel.dim)
         return SetDescriptor.point(np.zeros(rel.dim))
-    if rel.kind is RelationKind.STACKED:
-        return product([inverse(ch, yb) for ch, yb in _blocks(rel, y)])
     if rel.kind is RelationKind.SHIFTED:
         return translate(inverse(rel.inner, y - rel.output_offset), rel.input_offset)
     if rel.kind is RelationKind.INVERTED:
@@ -250,22 +300,18 @@ def inverse(rel, y):
 def pair_residual(rel, u, y):
     """Distance of (u, y) to the graph of rel, one relation at a time.
 
-    A stacked relation reports its children's largest residual, and
-    an integrator also honors its output interval. The gradient of a
-    shifted or stacked function is measured as the shifted or stacked
-    relation it is. Any other relation gives the distance of y to its
+    An integrator also honors its output interval. The gradient of a
+    shifted function is measured as the shifted relation it is, that of
+    a stacked one by its blocks' largest residual. Any other relation gives the distance of y to its
     forward set, or, when that is empty, of u to its inverse set.
     """
     u, y = _check_dim(rel, u), _check_dim(rel, y)
     chi = rel.chi
     if rel.kind is RelationKind.GRADIENT_OF_CONVEX and chi.kind is FunctionKind.SHIFTED:
         return pair_residual(gradient_relation(chi.inner), u - chi.shift, y - chi.linear)
-    if rel.kind is RelationKind.GRADIENT_OF_CONVEX and chi.kind is FunctionKind.STACKED:
+    if rel.kind is RelationKind.GRADIENT_OF_CONVEX and chi.kind is OracleKind.STACKED:
         return max(pair_residual(gradient_relation(ch), ub, yb)
-                   for (ch, ub), (_, yb) in zip(_blocks(chi, u), _blocks(chi, y)))
-    if rel.kind is RelationKind.STACKED:
-        return max(pair_residual(ch, ub, yb)
-                   for (ch, ub), (_, yb) in zip(_blocks(rel, u), _blocks(rel, y)))
+                   for (ch, ub), (_, yb) in zip(blocks(chi, u), blocks(chi, y)))
     if rel.kind is RelationKind.INTEGRATOR:
         excess = np.maximum(rel.out_lo - y, 0.0) + np.maximum(y - rel.out_hi, 0.0)
         return max(float(np.linalg.norm(u)), float(np.linalg.norm(excess)))

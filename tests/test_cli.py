@@ -312,6 +312,20 @@ def test_check_cm_is_exact_on_every_agent(tmp_path, capsys):
                                 {"verdict": "yes", "reason": None, "exact": True}]
 
 
+def test_check_cm_decides_a_singular_agent_before_its_gain(tmp_path, capsys):
+    # a singular A has no gain to solve for, but it is not Hurwitz either
+    doc = hand_doc()
+    doc["agents"][0]["A"] = [[0.0]]
+    cfg = write_doc(tmp_path, doc)
+    assert run_cli("check-cm", "--config", cfg, "--out", str(tmp_path)) == 0
+    assert "agent 0: no (not Hurwitz)\nagent 1: yes\n" in capsys.readouterr().out
+    report = json.loads((tmp_path / "cm_report.json").read_text())
+    assert report["agents"][0] == {"verdict": "no", "reason": "not Hurwitz", "exact": True}
+    # predict needs the gain
+    assert run_cli("predict", "--config", cfg, "--out", str(tmp_path)) == cli.EXIT_NUMERIC
+    assert "SingularMatrix: A is numerically singular" in capsys.readouterr().err
+
+
 def test_check_cm_paper_psi_agent(tmp_path, capsys):
     doc = {
         "schema": SCHEMA,

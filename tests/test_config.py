@@ -10,7 +10,9 @@ from couplednet.couplers import (ControllerKind, controller_ss_relation, linear_
                                  nonlinear_integrator, reconfigured)
 from couplednet.errors import ConfigInvalid
 from couplednet.plants import AgentKind, convex_gradient_agent
-from couplednet.relations import PSI_RANGE, indicator_zero, paper_psi, quadratic, scalar_separable
+from couplednet.relations import PSI_RANGE, paper_psi, quadratic, scalar_separable
+
+from set_oracle import indicator_zero
 
 
 def base_doc():
@@ -237,6 +239,18 @@ def test_json_true_is_no_integer(key):
     doc = base_doc()
     TRUE_FOR_INTEGER[key](doc)
     with pytest.raises(ConfigInvalid, match=re.escape(key)):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("endpoint", [True, 0.7, "1"])
+def test_edge_endpoints_are_json_integers(endpoint):
+    # int() made [true, 0.7] the edge (1, 0); an endpoint must be a JSON integer
+    doc = base_doc()
+    doc["graph"]["edges"] = [[endpoint, 0.7 if endpoint is True else 0]]
+    with pytest.raises(ConfigInvalid, match=r"graph\.edges"):
+        parse_config(doc)
+    doc["graph"]["edges"] = [[0, endpoint]]
+    with pytest.raises(ConfigInvalid, match=r"graph\.edges"):
         parse_config(doc)
 
 

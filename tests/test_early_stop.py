@@ -22,13 +22,13 @@ from couplednet import _fastpath, cli
 from couplednet.config import load_config
 from couplednet.couplers import nonlinear_integrator
 from couplednet.netopt import assemble, recover_certificate, solve_opp
-from couplednet.plants import agent_forms
 from couplednet.relations import quadratic
 from couplednet.simulate import (PREDICTION_TOL, IntegrateOptions, closed_loop,
                                  default_initial_state, detect_convergence, integrate,
-                                 integrate_schedule, prediction_report, step_rhs)
+                                 integrate_schedule, prediction_report)
 
-from conftest import bench_integrate
+from closed_loop_oracle import agent_forms
+from conftest import bench_integrate, packed_rhs
 
 FORMATION = Path(__file__).resolve().parents[1] / "configs" / "formation.json"
 FULL_RHS_CALLS = 69_767  # formation's schedule with every segment run to its end
@@ -139,7 +139,7 @@ def test_certified_but_unstable_network_runs_its_full_duration(monkeypatch):
     x_star = [np.linalg.solve(A, -(B @ cert.u[i * d:(i + 1) * d] + w))
               for i, (A, B, _, _, w, _, _) in enumerate(agent_forms(system.agents))]
     s_star = np.concatenate(x_star + [cert.mu])
-    assert np.max(np.abs(step_rhs(system, s_star))) <= 1e-12
+    assert np.max(np.abs(packed_rhs(system.packed, s_star))) <= 1e-12
     spectra = []
     real = _fastpath.packed_jacobian
 

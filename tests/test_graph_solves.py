@@ -19,13 +19,13 @@ from couplednet.netgraph import incidence
 from couplednet.netopt import (assemble, duality_gap, inclusion_residual, ofp_objective,
                                opp_objective, recover_certificate, solve_ofp, solve_opp,
                                verify_steady_state)
-from couplednet.relations import (affine_relation, indicator_zero, quadratic, shifted,
-                                  stacked)
+from couplednet.relations import affine_relation, quadratic, shifted
 from couplednet.simulate import closed_loop, default_initial_state, integrate
 from couplednet.synthesis import (_agreement_shift, check_uniqueness_conditions, g_map,
                                   leader_input, reconfiguration_offsets, synthesize_linear)
 
 from conftest import anchored_network, meicmp_linear_agent, rand_connected_graph, rand_spd
+from set_oracle import indicator_zero, stacked
 
 REFUSALS = (Infeasible, Unbounded, EmptySelection, EmptyInverse, NotForcible)
 

@@ -8,7 +8,7 @@ from couplednet.errors import (Disconnected, DimensionMismatch, EmptyList,
 from couplednet.netgraph import build_graph, incidence, project_agreement
 
 from conftest import rand_connected_graph
-from dense_oracle import agreement_basis, cycle_basis
+from dense_oracle import agreement_basis, cycle_basis, incidence_matrix
 from set_oracle import solve_affine
 
 
@@ -45,7 +45,7 @@ def test_incidence_signs():
     # tail gets -1, head gets +1
     g = build_graph(2, [(0, 1)])
     op = incidence(g, 1)
-    assert op.base.tolist() == [[-1.0], [1.0]]
+    assert op.lifted.tolist() == [[-1.0], [1.0]]
 
 
 def test_incidence_matrix_diamond():
@@ -57,7 +57,8 @@ def test_incidence_matrix_diamond():
         [0, 1, -1, 1],
         [0, 0, 1, 0],
     ], dtype=float)
-    assert np.array_equal(op.base, expected)
+    assert np.array_equal(op.lifted, expected)
+    assert np.array_equal(incidence_matrix(g), expected)
 
 
 def test_incidence_lift_is_kron():
@@ -65,7 +66,7 @@ def test_incidence_lift_is_kron():
     op = incidence(g, 2)
     assert "lifted" not in vars(op)  # built on first read
     assert op.lifted.shape == (6, 4)
-    assert np.array_equal(op.lifted, np.kron(op.base, np.eye(2)))
+    assert np.array_equal(op.lifted, np.kron(incidence_matrix(g), np.eye(2)))
 
 
 def test_agreement_basis_spans_constants():
@@ -115,8 +116,8 @@ def test_incidence_invariants(n, d, seed):
     rng = np.random.default_rng(seed)
     g = rand_connected_graph(rng, n)
     op = incidence(g, d)
-    # columns of the base matrix sum to zero
-    assert np.allclose(op.base.sum(axis=0), 0.0)
+    # columns of the lift sum to zero
+    assert np.allclose(op.lifted.sum(axis=0), 0.0)
     # rank of E is n - 1 per component; cut and cycle spaces partition
     assert np.linalg.matrix_rank(op.lifted) == (n - 1) * d
     assert cycle_basis(op).shape[1] == (g.edge_count - n + 1) * d

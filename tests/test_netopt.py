@@ -13,9 +13,7 @@ from couplednet.netopt import (SolveOptions, assemble, duality_gap, inclusion_re
                                ofp_objective, opp_objective, recover_certificate,
                                solve_ofp, solve_opp, verify_steady_state)
 from couplednet.plants import linear_agent
-from couplednet.relations import (FunctionKind, affine_relation,
-                                  indicator_zero, quadratic, scalar_separable,
-                                  shifted, stacked, value)
+from couplednet.relations import affine_relation, quadratic, scalar_separable, shifted
 from couplednet.simulate import (IntegrateOptions, closed_loop,
                                  compare_prediction, default_initial_state,
                                  detect_convergence, integrate)
@@ -23,6 +21,7 @@ from couplednet.simulate import (IntegrateOptions, closed_loop,
 from conftest import (meicmp_linear_agent, mixed_network, rand_connected_graph,
                       rand_spd)
 from dense_oracle import cycle_basis, flow_residual, problem_from_relations
+from set_oracle import indicator_zero, stacked
 
 
 def hand_problem():
@@ -248,8 +247,7 @@ def test_nested_shifts_meet_their_pins_exactly():
     # Indicators test membership exactly, and the objectives evaluate them
     # at the pin the record sums: 0.1 + 0.2 here. Read back through two
     # shifts, (0.1 + 0.2 - 0.2) - 0.1 is 2.8e-17, not 0, so a shift of a
-    # shift must be stored as one, and a shift over a stack goes onto the
-    # stack's blocks. The second edge's Gamma* nests two shifts.
+    # shift must be stored as one. The second edge's Gamma* nests two shifts.
     g = build_graph(2, [(0, 1)])
     pinned_block = stacked([shifted(indicator_zero(1), [0.1]), quadratic(np.eye(1))])
     for edge in (shifted(shifted(indicator_zero(1), [0.1]), [0.2]),
@@ -262,16 +260,6 @@ def test_nested_shifts_meet_their_pins_exactly():
         cert = recover_certificate(prob, y, zeta)
         assert cert.valid(1e-9)
         assert abs(duality_gap(prob, cert.u, cert.mu, cert.y, cert.zeta)) <= 1e-12
-
-
-def test_shift_over_a_stack_is_the_stack_of_shifted_blocks():
-    inner = stacked([quadratic([[2.0]], [0.5], c=1.0), quadratic(np.eye(2))])
-    f = shifted(inner, shift=[0.3, -1.0, 2.0], linear=[1.0, 0.0, -0.5], constant=0.7)
-    assert f.kind is FunctionKind.STACKED
-    rng = np.random.default_rng(0)
-    for x in rng.normal(size=(5, 3)):
-        want = value(inner, x - [0.3, -1.0, 2.0]) + x @ [1.0, 0.0, -0.5] + 0.7
-        assert value(f, x) == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 def test_pinned_output_node():

@@ -15,7 +15,7 @@ from couplednet.couplers import PSI_RANGE, paper_psi
 from couplednet.errors import (DimensionMismatch, NoConvergence,
                                SingularMatrix, UnsupportedKind)
 
-from closed_loop_oracle import output, rhs, solve_equilibrium
+from closed_loop_oracle import agent_form, agent_forms, output, rhs, solve_equilibrium
 from conftest import meicmp_linear_agent, rand_spd
 from set_oracle import forward, inverse
 
@@ -36,10 +36,10 @@ def test_linear_agent_rhs_and_output():
 
 def test_linear_agent_feedthrough():
     a = P.linear_agent([[-1.0]], [[1.0]], [[1.0]], T=[[0.5]])
-    assert np.array_equal(P.agent_form(a)[3], [[0.5]])
+    assert np.array_equal(agent_form(a)[3], [[0.5]])
     assert np.allclose(output(a, [2.0], [4.0]), [4.0])
     b = P.linear_agent([[-1.0]], [[1.0]], [[1.0]])
-    assert not P.agent_form(b)[3].any()
+    assert not agent_form(b)[3].any()
 
 
 def test_oscillator_steady_state_gain():
@@ -121,7 +121,7 @@ def test_agent_form_folds_quadratic_psi():
     Pm = np.array([[3.0, 0.5], [0.5, 2.0]])
     J = np.array([[0.0, 0.5], [-0.5, 0.0]])
     agent = P.convex_gradient_agent(R.quadratic(Pm, [0.4, -0.6]), J=J, w=[1.0, 2.0])
-    A, B, C, T, w, psi, idx = P.agent_form(agent)
+    A, B, C, T, w, psi, idx = agent_form(agent)
     assert psi is None and idx == slice(None)
     assert np.array_equal(A, J - Pm) and np.array_equal(w, [0.6, 2.6])
     assert np.array_equal(T, np.zeros((2, 2)))
@@ -135,8 +135,8 @@ def test_agent_forms_match_one_at_a_time():
     models = [kinds["oscillator_quadratic"], P.linear_agent([[-3.0]], [[1.0]], [[2.0]]),
               kinds["linear_T_w"], kinds["gradient_quadratic_J_rho"],
               kinds["oscillator_paper_psi"], shifted_psi, kinds["oscillator_undamped"]]
-    for model, form in zip(models, P.agent_forms(models)):
-        one = P.agent_form(model)
+    for model, form in zip(models, agent_forms(models)):
+        one = agent_form(model)
         assert all(np.array_equal(a, b) for a, b in zip(form[:5], one[:5]))
         assert form[5] is one[5] and form[6] == one[6]
     affine = [m for m in models if m is not shifted_psi]
@@ -150,8 +150,8 @@ def test_agent_forms_match_one_at_a_time():
 
 def test_zero_rho_is_not_feedthrough():
     psi = R.quadratic(np.eye(2))
-    assert not P.agent_form(P.convex_gradient_agent(psi, rho=np.zeros((2, 2))))[3].any()
-    assert np.array_equal(P.agent_form(P.convex_gradient_agent(psi, rho=0.1 * np.eye(2)))[3],
+    assert not agent_form(P.convex_gradient_agent(psi, rho=np.zeros((2, 2))))[3].any()
+    assert np.array_equal(agent_form(P.convex_gradient_agent(psi, rho=0.1 * np.eye(2)))[3],
                           0.1 * np.eye(2))
 
 

@@ -16,9 +16,9 @@ from couplednet.relations import quadratic
 from couplednet.simulate import (ConvergenceResult, IntegrateOptions, closed_loop,
                                  compare_prediction, default_initial_state,
                                  detect_convergence, export_csv, integrate,
-                                 integrate_schedule, prediction_report, step_rhs)
+                                 integrate_schedule, prediction_report)
 
-from conftest import meicmp_linear_agent
+from conftest import meicmp_linear_agent, packed_rhs
 from dense_oracle import agreement_basis, cycle_basis
 
 
@@ -195,7 +195,7 @@ def test_step_rhs_vanishes_at_steady_state():
     g, agents, ctrls, system = pair_system()
     traj = integrate(system, default_initial_state(system), 60.0,
                      IntegrateOptions(tol=1e-10))
-    assert np.abs(step_rhs(system, traj.states[-1])).max() <= 1e-7
+    assert np.abs(packed_rhs(system.packed, traj.states[-1])).max() <= 1e-7
 
 
 def test_export_csv_format(tmp_path):

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, event, given, reject, settings
 from hypothesis import strategies as st
 
-import couplednet.simulate as sim
 from couplednet.couplers import PSI_RANGE, linear_synthesis, nonlinear_integrator, paper_psi
 from couplednet.errors import CoupledNetError
 from couplednet.netopt import assemble, recover_certificate, solve_opp
@@ -21,7 +20,7 @@ from couplednet.simulate import (IntegrateOptions, closed_loop, default_initial_
                                  detect_convergence, integrate, prediction_report)
 
 from conftest import (anchored_network, bench_integrate, meicmp_linear_agent, mixed_network,
-                      rand_connected_graph, rand_orth, rand_spd)
+                      packed_rhs, rand_connected_graph, rand_orth, rand_spd)
 
 HORIZON = 60.0  # integrated at tol 1e-10, so RK45's noise stays under SETTLED
 SETTLED = 1e-8  # largest drift of y over the last tenth, relative to 1 + max |y|
@@ -94,7 +93,8 @@ def linearly_unstable(system):
     eigenvalue in the open right half plane (central differences)."""
     s0 = default_initial_state(system)
     step = 1e-6 * np.eye(s0.size)
-    jac = np.column_stack([(sim.step_rhs(system, s0 + e) - sim.step_rhs(system, s0 - e)) / 2e-6
+    pk = system.packed
+    jac = np.column_stack([(packed_rhs(pk, s0 + e) - packed_rhs(pk, s0 - e)) / 2e-6
                            for e in step])
     return np.linalg.eigvals(jac).real.max() > 1e-6
 
