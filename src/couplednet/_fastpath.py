@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplers import ControllerKind
+from .couplers import controller_groups
 from .errors import NonFiniteState, StepUnderflow, UnsupportedKind
 from .netgraph import IncidenceOperator
-from .relations import FunctionKind, as_quadratic, paper_psi, paper_psi_into, paper_psi_prime
+from .relations import FunctionKind, paper_psi, paper_psi_into, paper_psi_prime
 
 
 # Values per block when recorded trajectories are post-processed: signals,
@@ -266,44 +266,6 @@ def _rk45_loop(rhs, buffer, pk, s0, t0, rec_times, tol, h0, settled=None):
 # ---------------------------------------------------------------------------
 
 
-def _controller_parts(controllers, d: int):
-    """Affine forms of the edge controllers, by groups of one kind and potential.
-
-    Returns (code, L, leak, mu0, eta0): code[e] is 1 for a paper_psi
-    integrator, where mu = paper_psi(eta) + mu0 and L[e] = I, and 2
-    where mu = L[e] eta + mu0; eta' = zeta + eta0, minus eta where leak
-    is set. L is an (m, d, d) array, mu0 and eta0 are (m, d) arrays.
-
-    Raises UnsupportedKind, naming the group's first member, for an
-    integrator whose potential is neither quadratic nor paper_psi.
-    """
-    m = len(controllers)
-    code, leak = np.zeros(m, dtype=np.intp), np.zeros(m, dtype=bool)
-    L, mu0, eta0 = np.empty((m, d, d)), np.zeros((m, d)), np.zeros((m, d))
-    groups = {}
-    for e, ctrl in enumerate(controllers):  # an Enum hashes in Python; its id does not
-        groups.setdefault((id(ctrl.kind), id(ctrl.potential)), []).append(e)
-    for idx in groups.values():
-        group = [controllers[e] for e in idx]
-        kind = group[0].kind
-        alpha, beta = np.array([c.alpha for c in group]), np.array([c.beta for c in group])
-        if kind is ControllerKind.LINEAR_SYNTHESIS:
-            code[idx], leak[idx] = 2, True
-            L[idx], mu0[idx], eta0[idx] = np.eye(d), beta, -alpha - np.array([c.offset for c in group])
-        else:
-            pot = group[0].potential
-            quad = as_quadratic(pot)
-            if pot.kind is FunctionKind.SCALAR_SEPARABLE:  # paper_psi, unshifted
-                code[idx], L[idx], mu0[idx] = 1, np.eye(d), beta
-            elif quad is not None:
-                code[idx], L[idx], mu0[idx] = 2, quad[0], quad[1] + beta
-            else:
-                raise UnsupportedKind(f"controllers[{idx[0]}].potential: neither quadratic nor "
-                                      "paper_psi, which no config builds")
-            eta0[idx] = -alpha
-    return code, L, leak, mu0, eta0
-
-
 def _coo(batches):
     """COO arrays of blocks placed by batches (key, r0, c0, blocks).
 
@@ -349,10 +311,11 @@ def pack(op, agents, groups, controllers) -> PackedSystem:
     """
     agents, controllers = list(agents), list(controllers)
     d, n, m = op.dim, len(agents), len(controllers)
-    code, L, leak, mu0, eta0 = _controller_parts(controllers, d)
+    leak, on_psi, L, q, offset, alpha, beta = controller_groups(controllers, d)
+    mu0, eta0 = q + beta, -alpha - offset
     ofs = np.cumsum([0] + [a.state_dim for a in agents] + [c.state_dim for c in controllers])
     dim = int(ofs[-1])
-    psi_edges = np.flatnonzero(code == 1)
+    psi_edges = np.flatnonzero(on_psi)
     psi_idx = (ofs[n + psi_edges][:, None] + np.arange(d)).ravel()
     psi_col = np.zeros(m, dtype=np.int64)
     psi_col[psi_edges] = dim + d * np.arange(psi_edges.size)
@@ -399,14 +362,14 @@ def pack(op, agents, groups, controllers) -> PackedSystem:
                       np.broadcast_to(-eye, (leaky.size, d, d))))
     sig.append(_batch(k_edge + psi_edges, op.node_size + psi_edges * d, psi_col[psi_edges],
                       np.broadcast_to(eye, (psi_edges.size, d, d))))
-    lin = np.flatnonzero(code == 2)
+    lin = np.flatnonzero(~on_psi)
     sig.append(_batch(k_edge + lin, op.node_size + lin * d, r[lin], L[lin]))
     # u_i = -sum_e E[i, e] mu_e drives agent i; zeta_e = sum_i E[i, e] y_i
     for slot, ends, sign in ((1, tail, -1.0), (3, head, 1.0)):
         key = k_edge + 5 * np.arange(m) + slot
         for size in B:  # one stack per shape of B and C
             at = sizes[ends] == size
-            psi = np.flatnonzero((code == 1) & at)
+            psi = np.flatnonzero(on_psi & at)
             rhs.append(_batch(key[psi], ofs[ends[psi]], psi_col[psi], -sign * B[size][ends[psi]]))
             both = np.flatnonzero(at)
             rhs.append(_batch(key[both] + 1, r[both], ofs[ends[both]], sign * C[size][ends[both]]))
@@ -428,7 +391,7 @@ def pack(op, agents, groups, controllers) -> PackedSystem:
     end_sign = np.repeat([-1.0, 1.0], m)
     by_node = np.argsort(end_node, kind="stable")
     start = np.searchsorted(end_node[by_node], np.arange(n + 1))
-    mu_col = np.where(code == 1, psi_col, r)  # the first column mu_f reads
+    mu_col = np.where(on_psi, psi_col, r)  # the first column mu_f reads
     for i in np.flatnonzero(T.reshape(n, -1).any(axis=1)):
         at = by_node[start[i]:start[i + 1]]
         f, s_f = end_edge[at], end_sign[at]

@@ -10,7 +10,7 @@ import click
 import numpy as np
 
 from . import config as cfgmod
-from .couplers import ControllerKind
+from . import couplers, plants
 from .errors import (
     ConfigInvalid,
     CoupledNetError,
@@ -39,7 +39,6 @@ from .netopt import (
     solve_opp,
     verify_steady_state,
 )
-from .plants import cm_verdicts
 from .simulate import (
     PREDICTION_TOL,
     WINDOW,
@@ -394,16 +393,6 @@ def cmd_synthesize(config_path, out, target, mode, leader):
     return _guard(run)
 
 
-def _classify_controller(ctrl):
-    if ctrl.kind is ControllerKind.NONLINEAR_INTEGRATOR:
-        return {"verdict": "yes",
-                "reason": "integrator relation: domain {0}, any cycle sum is 0",
-                "exact": True}
-    return {"verdict": "yes-strict",
-            "reason": "affine relation with S = I (positive definite)",
-            "exact": True}
-
-
 @cli.command("check-cm")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", default=".", type=click.Path())
@@ -413,8 +402,9 @@ def cmd_check_cm(config_path, out):
     def run():
         cfg = cfgmod.load_config(config_path)
         agent_rows = [{"verdict": verdict, "reason": reason, "exact": True}
-                      for verdict, reason in cm_verdicts(cfg.agents)]
-        ctrl_rows = [_classify_controller(c) for c in cfg.controllers]
+                      for verdict, reason in plants.cm_verdicts(cfg.agents)]
+        ctrl_rows = [{"verdict": verdict, "reason": reason, "exact": True}
+                     for verdict, reason in couplers.cm_verdicts(cfg.controllers)]
         outdir = _outdir(out)
         _write_json(os.path.join(outdir, "cm_report.json"),
                     {"agents": agent_rows, "controllers": ctrl_rows})

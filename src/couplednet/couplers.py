@@ -3,7 +3,9 @@
 Controllers live on edges of the coupling graph, take the relative
 output zeta_e as input, and emit the coupling signal mu_e. Two
 concrete kinds cover the constructions used by the solvers. Every kind
-carries the reconfiguration offsets alpha and beta.
+carries the reconfiguration offsets alpha and beta. controller_groups
+states them all in one stacked form, which the network problem, the
+packed closed loop and check-cm read.
 """
 from __future__ import annotations
 
@@ -14,13 +16,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, UnsupportedKind
 from .relations import (  # paper_psi is imported from here as well
     PSI_RANGE,
     FunctionKind,
     IntegralFunction,
     VectorRelation,
     affine_relation,
+    as_quadratic,
     integrator_relation,
     paper_psi,
     shifted_relation,
@@ -111,27 +114,73 @@ def reconfigured(c: ControllerModel, alpha, beta) -> ControllerModel:
                    beta=c.beta + _vec(beta, d, "beta"))
 
 
-def potential_output_interval(potential: IntegralFunction) -> tuple[float, float]:
-    """Coordinatewise closure of the range of grad potential, when known:
-    PSI_RANGE for the scalar-separable paper_psi potential."""
-    if potential.kind is FunctionKind.SCALAR_SEPARABLE:
-        return PSI_RANGE
-    return (-math.inf, math.inf)
+def controller_groups(controllers, d: int):
+    """The controllers in one stacked form (leak, psi, L, q, offset, alpha, beta).
+
+    Every kind reads
+
+        eta' = zeta - alpha - offset - leak eta,  mu = L eta + q + beta,
+
+    with paper_psi(eta) in place of L eta where psi is set. leak and psi
+    are (m,) masks, L is (m, d, d), and q, offset, alpha and beta are
+    (m, d). A linear-synthesis edge has leak, L = I and q = 0; an
+    integrator has offset 0 and its quadratic potential's (P, q) as
+    (L, q), or psi with L = I. The controllers are read by groups of one
+    kind and potential, as agent_groups reads the agents.
+
+    Raises UnsupportedKind, naming the group's first member, for an
+    integrator whose potential is neither quadratic nor paper_psi.
+    """
+    m = len(controllers)
+    leak, psi = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    L, q, offset = np.empty((m, d, d)), np.zeros((m, d)), np.zeros((m, d))
+    groups = {}
+    for e, ctrl in enumerate(controllers):  # an Enum hashes in Python; its id does not
+        groups.setdefault((id(ctrl.kind), id(ctrl.potential)), []).append(e)
+    for idx in groups.values():
+        first = controllers[idx[0]]
+        L[idx] = np.eye(d)
+        if first.kind is ControllerKind.LINEAR_SYNTHESIS:
+            leak[idx] = True
+            offset[idx] = [controllers[e].offset for e in idx]
+        elif first.potential.kind is FunctionKind.SCALAR_SEPARABLE:  # paper_psi, unshifted
+            psi[idx] = True
+        else:
+            quad = as_quadratic(first.potential)
+            if quad is None:
+                raise UnsupportedKind(f"controllers[{idx[0]}].potential: neither quadratic nor "
+                                      "paper_psi, which no config builds")
+            L[idx], q[idx] = quad[0], quad[1]
+    alpha = np.array([c.alpha for c in controllers]).reshape(m, d)
+    beta = np.array([c.beta for c in controllers]).reshape(m, d)
+    return leak, psi, L, q, offset, alpha, beta
+
+
+def cm_verdicts(controllers) -> list:
+    """(verdict, reason) of each controller: is its steady-state relation
+    cyclically monotone? The form of controller_groups decides it: a
+    leaky edge settles on an affine relation of gain L = I, and an
+    integrator only at zeta = alpha, where every cycle sum is 0."""
+    controllers = list(controllers)
+    leak = controller_groups(controllers, controllers[0].io_dim)[0] if controllers else ()
+    return [("yes-strict", "affine relation with S = I (positive definite)") if lk
+            else ("yes", "integrator relation: domain {0}, any cycle sum is 0") for lk in leak]
 
 
 def controller_ss_relation(c: ControllerModel) -> VectorRelation:
     """Steady-state relation zeta -> mu of a controller.
 
     NonlinearIntegrator: steady state forces zeta = 0 with mu anywhere
-    in the closure of the range of grad potential. LinearSynthesis:
-    mu = zeta - offset. Nonzero offsets shift the input by alpha and
-    the output by beta.
+    in the closure of the range of grad potential, PSI_RANGE where the
+    form's psi is set. LinearSynthesis: mu = zeta - offset. Nonzero
+    offsets shift the input by alpha and the output by beta.
     """
     d = c.io_dim
-    if c.kind is ControllerKind.NONLINEAR_INTEGRATOR:
-        rel = integrator_relation(d, *potential_output_interval(c.potential))
-    else:
+    leak, psi = controller_groups([c], d)[:2]
+    if leak[0]:
         rel = affine_relation(np.eye(d), -c.offset)
+    else:
+        rel = integrator_relation(d, *(PSI_RANGE if psi[0] else (-math.inf, math.inf)))
     if c.has_offsets:
         rel = shifted_relation(rel, input_offset=c.alpha, output_offset=c.beta)
     return rel

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .couplers import ControllerKind, ControllerModel, potential_output_interval
+from .couplers import ControllerModel, controller_groups
 from .errors import (
     DimensionMismatch,
     EmptySelection,
@@ -35,6 +35,7 @@ from .errors import (
 )
 from .netgraph import DirectedGraph, IncidenceOperator, incidence
 from .plants import ss_groups
+from .relations import PSI_RANGE
 
 # ---------------------------------------------------------------------------
 # problem assembly
@@ -132,68 +133,61 @@ def _node_gains(relations, gains, d: int):
 def node_side(S: np.ndarray, v: np.ndarray) -> NodeSide:
     """The node record of gains S (n, d, d) and offsets v (n, d).
 
-    K_i(u) = u'S_i u/2 + v_i'u. Its conjugate is a quadratic of the
+    K_i(u) = u'S_i u/2 + v_i'u. Its conjugate is the quadratic of the
     inverse gain, or for a zero gain the indicator of {v_i}; one batched
-    eigh decides all (see _quadratic_conjugates). UnsupportedKind if a
-    gain is not symmetric, or singular but not zero.
+    eigh decides all (see _psd_pinv). UnsupportedKind names the first
+    agent whose gain is not symmetric, not positive semi-definite, or
+    singular but not zero.
     """
     St = S.transpose(0, 2, 1)
-    if np.any(np.linalg.norm(S - St, axis=(1, 2))
-              > 1e-8 * (1.0 + np.linalg.norm(S, axis=(1, 2)))):
-        raise UnsupportedKind("steady-state gain must be symmetric to integrate")
+    _refuse(np.linalg.norm(S - St, axis=(1, 2)) > 1e-8 * (1.0 + np.linalg.norm(S, axis=(1, 2))),
+            "must be symmetric to integrate")
     P, c, q = 0.5 * (S + St), np.zeros(len(S)), v.ravel()
-    affine, pinv, lin, const = _quadratic_conjugates(P, v, c)
+    affine = np.all(np.abs(P) <= 1e-8, axis=(1, 2))
+    pinv, rank, indefinite = _psd_pinv(P)
+    _refuse(~affine & indefinite, "is not positive semi-definite")
+    _refuse(~affine & (rank < S.shape[1]), "is singular but not zero")
     pins = np.repeat(affine, S.shape[1])
     Kstar = PinnedQuadratic(np.where(affine[:, None, None], 0.0, pinv),
-                            np.where(pins, 0.0, lin.ravel()), np.where(affine, 0.0, const),
+                            np.where(pins, 0.0, -np.einsum("kij,kj->ki", pinv, v).ravel()),
+                            np.where(affine, 0.0, 0.5 * np.einsum("ki,kij,kj->k", v, pinv, v)),
                             pins, np.where(pins, q + 0.0, 0.0))
     return NodeSide(S, v, PinnedQuadratic(P, q, c, np.zeros(q.size, dtype=bool),
                                           np.zeros(q.size)), Kstar)
 
 
+def _refuse(bad: np.ndarray, what: str) -> None:
+    """UnsupportedKind naming the first agent where bad is set, if any."""
+    if bad.any():
+        raise UnsupportedKind(f"agents[{np.flatnonzero(bad)[0]}]: steady-state gain {what}")
+
+
 def _psd_pinv(P: np.ndarray, tol: float = 1e-10):
-    """Eigen-decomposition pseudo-inverse of a stack of symmetric PSD
-    matrices (..., d, d). Returns (pinv, rank), each per matrix.
-    Eigenvalues up to tol * max(1, largest) count as zero.
+    """Eigen-decomposition pseudo-inverse of a stack of symmetric
+    matrices (..., d, d). Returns (pinv, rank, indefinite), each per
+    matrix. Eigenvalues up to tol * max(1, largest) in magnitude count
+    as zero; indefinite is set where one lies below that.
     """
     vals, vecs = np.linalg.eigh(0.5 * (P + np.swapaxes(P, -1, -2)))
     cutoff = tol * np.fmax(1.0, vals.max(axis=-1, initial=0.0))
     kept = vals > cutoff[..., None]
     inv = np.where(kept, 1.0 / np.where(kept, vals, 1.0), 0.0)
-    return (vecs * inv[..., None, :]) @ np.swapaxes(vecs, -1, -2), kept.sum(axis=-1)
-
-
-def _quadratic_conjugates(P: np.ndarray, q: np.ndarray, c: np.ndarray):
-    """(affine, pinv, lin, const) of the quadratics of stacks P, q, c: the
-    conjugate of quadratic k is the quadratic of pinv[k], lin[k] and
-    const[k], unless affine[k] (P[k] near zero), when it is the
-    indicator of {q[k]} minus c[k]. One batched eigh covers them; a
-    P[k] neither near zero nor of full rank raises UnsupportedKind."""
-    affine = np.all(np.abs(P) <= 1e-8, axis=(1, 2))
-    pinv, rank = _psd_pinv(P)
-    if np.any(rank[~affine] < P.shape[1]):
-        raise UnsupportedKind("conjugate object of a degenerate quadratic")
-    lin = -np.einsum("kij,kj->ki", pinv, q)
-    const = 0.5 * np.einsum("ki,kij,kj->k", q, pinv, q) - c
-    return affine, pinv, lin, const
+    return ((vecs * inv[..., None, :]) @ np.swapaxes(vecs, -1, -2), kept.sum(axis=-1),
+            vals[..., 0] < -cutoff)
 
 
 def _edge_side(controllers, d: int) -> EdgeSide:
-    """The edge record of the controllers, each kind in closed form.
+    """The edge record of the controllers' form (see controller_groups).
 
-    A linear-synthesis edge has Gamma_e(x) = |x|^2/2 - offset'x, and an
-    integrator the indicator of {0}, whose relation is the potential's
-    output range. Offsets move each to Gamma_e(x - alpha) + beta'x,
-    whose conjugate is Gamma_e*(mu - beta) + alpha'mu - alpha'beta.
+    A leaky (linear-synthesis) edge has Gamma_e(x) = |x|^2/2 - offset'x,
+    and an integrator the indicator of {0}, with mu on its pin in
+    PSI_RANGE where psi is set and unbounded elsewhere. Offsets move
+    each to Gamma_e(x - alpha) + beta'x, whose conjugate is
+    Gamma_e*(mu - beta) + alpha'mu - alpha'beta.
     """
     m = len(controllers)
-    linear = np.array([c.kind is ControllerKind.LINEAR_SYNTHESIS for c in controllers], dtype=bool)
-    offset = np.array([c.offset if lin else np.zeros(d)
-                       for c, lin in zip(controllers, linear)]).reshape(m, d)
-    alpha = np.array([c.alpha for c in controllers]).reshape(m, d)
-    beta = np.array([c.beta for c in controllers]).reshape(m, d)
-    ranges = np.array([(-math.inf, math.inf) if lin else potential_output_interval(c.potential)
-                       for c, lin in zip(controllers, linear)]).reshape(m, 2)
+    linear, psi, _, _, offset, alpha, beta = controller_groups(controllers, d)
+    ranges = np.where(psi[:, None], PSI_RANGE, (-math.inf, math.inf))
     P = linear[:, None, None] * np.eye(d)
     coords = np.repeat(linear, d)
     moved = np.repeat(alpha.any(axis=1) | beta.any(axis=1), d)

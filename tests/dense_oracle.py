@@ -15,11 +15,12 @@ import math
 
 import numpy as np
 
-from couplednet.couplers import ControllerKind, potential_output_interval
+from couplednet.couplers import ControllerKind
 from couplednet.errors import EmptyInverse, EmptySelection, Infeasible, NotForcible, Unbounded
 from couplednet.netopt import (EdgeSide, NetworkProblem, PinnedQuadratic, SolveTrace, node_side,
                                ofp_objective, opp_objective)
-from couplednet.relations import FunctionKind, RelationKind, as_quadratic, quadratic, shifted
+from couplednet.relations import (PSI_RANGE, FunctionKind, RelationKind, as_quadratic, quadratic,
+                                  shifted)
 from set_oracle import (ZERO_ATOL, OracleKind, SetDescriptor, block_diag, conjugate,
                         indicator_zero, solve_affine)
 
@@ -109,9 +110,10 @@ def problem_from_relations(op, node_rels, edge_fns, lo=None, hi=None):
 def controller_problem(op, node_rels, controllers):
     """problem_from_relations of node relations and the controllers' edge
     terms, mu on an integrator's pin bounded by its potential's range
-    moved by its beta."""
-    ranges = [potential_output_interval(c.potential)
-              if c.kind is ControllerKind.NONLINEAR_INTEGRATOR else (-math.inf, math.inf)
+    moved by its beta: PSI_RANGE for an unshifted paper_psi potential,
+    else unbounded."""
+    ranges = [PSI_RANGE if c.kind is ControllerKind.NONLINEAR_INTEGRATOR
+              and c.potential.kind is FunctionKind.SCALAR_SEPARABLE else (-math.inf, math.inf)
               for c in controllers]
     lo = np.concatenate([r[0] + c.beta for r, c in zip(ranges, controllers)])
     hi = np.concatenate([r[1] + c.beta for r, c in zip(ranges, controllers)])

@@ -326,6 +326,33 @@ def test_check_cm_decides_a_singular_agent_before_its_gain(tmp_path, capsys):
     assert "SingularMatrix: A is numerically singular" in capsys.readouterr().err
 
 
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+PAIR2 = {"type": "linear", "A": [[-1.0, 0.0], [0.0, -1.0]], "B": EYE2, "C": EYE2}
+# (agents, the refusal naming the one whose gain no network potential covers)
+NO_POTENTIAL = {
+    "indefinite": ([dict(hand_doc()["agents"][0], A=[[1.0]]), hand_doc()["agents"][1]],
+                   "agents[0]: steady-state gain is not positive semi-definite"),
+    "asymmetric": ([PAIR2, {"type": "convex_gradient", "psi": {"kind": "quadratic", "P": EYE2},
+                            "J": [[0.0, 0.5], [-0.5, 0.0]]}],
+                   "agents[1]: steady-state gain must be symmetric to integrate"),
+    "singular": ([PAIR2, dict(PAIR2, C=[[1.0, 0.0], [0.0, 0.0]])],
+                 "agents[1]: steady-state gain is singular but not zero"),
+}
+
+
+@pytest.mark.parametrize("case", NO_POTENTIAL)
+def test_a_gain_with_no_potential_is_refused_by_name(tmp_path, capsys, case):
+    # A = 1 settles at the gain -1: predict once called it a degenerate quadratic
+    agents, message = NO_POTENTIAL[case]
+    d = len(agents[0]["C"])
+    cfg = write_doc(tmp_path, hand_doc(agents=agents, controllers=[
+        {"type": "linear_synthesis", "offset": [1.0] * d}]))
+    for command, *extra in (("predict",), ("synthesize", "--target", json.dumps([0.0] * 2 * d))):
+        assert run_cli(command, "--config", cfg, "--out", str(tmp_path),
+                       *extra) == cli.EXIT_UNSUPPORTED
+        assert f"UnsupportedKind: {message}\n" in capsys.readouterr().err
+
+
 def test_check_cm_paper_psi_agent(tmp_path, capsys):
     doc = {
         "schema": SCHEMA,

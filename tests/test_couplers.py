@@ -1,14 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from couplednet import couplers as C
 from couplednet import relations as R
-from couplednet.errors import DimensionMismatch
+from couplednet.errors import DimensionMismatch, UnsupportedKind
 from couplednet.netgraph import build_graph
 from couplednet.netopt import assemble
 from couplednet.plants import linear_agent
+from couplednet.simulate import closed_loop
 
 from closed_loop_oracle import controller_output, controller_rhs
 from set_oracle import forward, inverse
@@ -109,6 +111,43 @@ def test_plain_controllers_have_zero_offsets():
     assert not ic.has_offsets
     assert C.controller_ss_relation(ic).kind is R.RelationKind.INTEGRATOR
     assert edge_side(ic).Gamma.pinned.all()
+
+
+def test_controller_groups_reads_each_model():
+    # every kind, bare and reconfigured, interleaved so that each group's rows
+    # land at their own edges: (controller, leak, psi, L, q, offset)
+    P, q = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.1])
+    kinds = [(C.linear_synthesis([1.0, -2.0]), True, False, np.eye(2), [0.0, 0.0], [1.0, -2.0]),
+             (C.nonlinear_integrator(R.quadratic(P, q)), False, False, P, q, [0.0, 0.0]),
+             (C.nonlinear_integrator(psi_pot()), False, True, np.eye(2), [0.0, 0.0], [0.0, 0.0])]
+    rows = kinds + [(C.reconfigured(c, [0.5, -0.25], [0.1, 0.2]), *form) for c, *form in kinds]
+    rows = rows[::2] + rows[1::2]
+    form = C.controller_groups([row[0] for row in rows], 2)
+    rng = np.random.default_rng(8)
+    for e, (c, *want) in enumerate(rows):
+        leak, psi, L, q_e, offset, alpha, beta = (part[e] for part in form)
+        assert (leak, psi) == tuple(want[:2])
+        for got, expect in zip((L, q_e, offset, alpha, beta), (*want[2:], c.alpha, c.beta)):
+            assert np.array_equal(got, expect)
+        # the form's dynamics are the controller's
+        eta, zeta = rng.normal(size=(2, 2))
+        assert np.allclose(zeta - alpha - offset - leak * eta, controller_rhs(c, eta, zeta),
+                           rtol=0.0, atol=1e-15)
+        mu = (C.paper_psi(eta) if psi else L @ eta) + q_e + beta
+        assert np.allclose(mu, controller_output(c, eta, zeta), rtol=0.0, atol=1e-15)
+
+
+def test_a_shifted_paper_psi_potential_is_refused_by_both():
+    # the network problem and the packed loop read one form, so they refuse
+    # the same potentials with the same message
+    c = C.nonlinear_integrator(R.shifted(psi_pot(), shift=[0.3, -0.2]))
+    node = linear_agent(-np.eye(2), np.eye(2), np.eye(2))
+    messages = []
+    for build in (assemble, closed_loop):
+        with pytest.raises(UnsupportedKind, match=re.escape("controllers[0].potential:")) as ex:
+            build(build_graph(2, [(0, 1)]), [node, node], [c])
+        messages.append(str(ex.value))
+    assert messages[0] == messages[1]
 
 
 def test_paper_psi_vector_and_scalar_agree():
