@@ -13,7 +13,11 @@ existing record (1 for the first). It holds the table as it is, plus:
 - `host`: `nproc`, the Python and numpy versions;
 - `src_lines`: the line count of `src/couplednet/*.py`;
 - `reach`: per category of `scripts/reach.py`, the defs the commands
-  never enter and their lines.
+  never enter and their lines;
+- `traced`: for each workload of the table, the per-layer metrics of one
+  `perfbench/run.py --seed 1 --trace 1` run on the working tree (as the
+  pairs, without bytecode writes), among them the counters no host can
+  move, such as `simulate.rhs_calls`.
 """
 import glob
 import json
@@ -50,6 +54,18 @@ def src_lines():
     return total
 
 
+def traced(workloads):
+    """{workload: the per-layer metrics of one traced run} for each of workloads."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    metrics = {}
+    for workload in workloads:
+        run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                              "--seed", "1", "--trace", "1"], check=True, capture_output=True,
+                             text=True, env=env)
+        metrics[workload] = json.loads(run.stdout.strip().splitlines()[-1])["metrics"]
+    return metrics
+
+
 def main():
     if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
         sys.exit(__doc__)
@@ -65,6 +81,7 @@ def main():
         "src_lines": src_lines(),
         "reach": {category: {"defs": len(rows), "lines": sum(n for _, _, n in rows)}
                   for category, rows in reach.measure()[0].items()},
+        "traced": traced(pairs["workloads"]),
         **pairs,
     }
     path = next_path()

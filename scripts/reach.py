@@ -11,7 +11,8 @@ Under sys.setprofile it runs, in-process and in a temporary directory:
    certificate) on configs/formation.json, the ring-with-chords at n = 64
    and the 3-node mixed networks of seeds 1 and 3 (as
    perfbench/workloads.py writes them), `every_kind_doc()` of
-   tests/test_kernels.py, and one refused document per exit code 1-4;
+   tests/test_kernels.py, a certified network the Lyapunov proof cannot
+   take (`unstable_doc()`), and one refused document per exit code 1-4;
 2. the set-up, every op and every probe of each workload in
    perfbench/workloads.SETUP, at seed 1;
 3. the names perfbench/tracer.py wraps that nothing above calls, once
@@ -51,8 +52,7 @@ from test_kernels import every_kind_doc  # noqa: E402
 
 SEED = 1
 RING_NODES = 64
-AWAITING = {"relations._psi_inverse", "relations._psi_integral", "relations._gauss_legendre",
-            "relations.value"}
+AWAITING = {"relations._psi_integral", "relations._gauss_legendre", "relations.value"}
 CATEGORIES = ("pinned by perfbench/workloads.py", "pinned by perfbench/tracer.py",
               "awaiting items 4/31", "tests-only")
 
@@ -98,6 +98,23 @@ def refused_docs():
     }
 
 
+def unstable_doc():
+    """The 3-node oscillators of bench_integrate coupled by quadratic
+    integrators, one objective segment at their natural steady state,
+    started at an equilibrium: certified, but the packed Jacobian there is
+    not Hurwitz, so no proof is set up and the trailing window judges it."""
+    small = bench_integrate.build_system(3, seed=SEED)
+    integ = {"type": "integrator", "potential": {"kind": "quadratic", "P": np.eye(2).tolist()}}
+    doc = workloads.network_doc(SEED, 3, small.graph.edges, small.agents,
+                                [integ] * small.graph.edge_count)
+    cfg = config.parse_config(doc)
+    target = netopt.solve_opp(netopt.assemble(cfg.graph, cfg.agents, cfg.controllers))[0]
+    W = simulate.closed_loop(cfg.graph, cfg.agents, cfg.controllers).packed.dense
+    start = np.linalg.lstsq(W[:, :-1], -W[:, -1], rcond=None)[0]  # no paper_psi columns
+    return dict(doc, objective={"targets": [target.tolist()], "durations": [30.0]},
+                simulation={"initial_state": start.tolist()})
+
+
 def corpus():
     """(name, document) of every document the commands run on."""
     ring = bench_integrate.build_system(RING_NODES, seed=SEED)
@@ -107,7 +124,7 @@ def corpus():
                 [config.controller_to_spec(c) for c in ring.controllers],
                 simulation=workloads.RING_SIMULATION)),
             ("mixed1", workloads.mixed_doc(1)), ("mixed3", workloads.mixed_doc(3)),
-            ("every_kind", every_kind_doc())]
+            ("every_kind", every_kind_doc()), ("unstable", unstable_doc())]
     return docs + [(f"refused{code}", doc) for code, doc in refused_docs().items()]
 
 

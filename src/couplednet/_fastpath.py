@@ -29,7 +29,8 @@ import numpy as np
 from .couplers import controller_groups
 from .errors import NonFiniteState, StepUnderflow, UnsupportedKind
 from .netgraph import IncidenceOperator
-from .relations import FunctionKind, paper_psi, paper_psi_into, paper_psi_prime
+from .relations import (FunctionKind, _psi_inverse, paper_psi, paper_psi_curvature_bound,
+                        paper_psi_into, paper_psi_prime)
 
 
 # Values per block when recorded trajectories are post-processed: signals,
@@ -111,6 +112,116 @@ def packed_jacobian(pk, s):
     J = W[:, :pk.dim].copy()
     np.add.at(J.T, pk.psi_idx, (W[:, pk.psi_cols] * paper_psi_prime(s[pk.psi_idx])).T)
     return J
+
+
+@dataclass(frozen=True)
+class Region:
+    """A proven region of attraction {V < c} of the equilibrium s_star on
+    its conserved level, V(s) = z'Pz with z = N'(s - s_star): the loop
+    started in it converges to s_star (see attraction_region)."""
+
+    s_star: np.ndarray
+    N: np.ndarray
+    P: np.ndarray
+    c: float
+
+    def value(self, s) -> float:
+        """V(s)."""
+        z = (s - self.s_star) @ self.N
+        return float(z @ self.P @ z)
+
+
+def attraction_region(pk, s0, signals):
+    """The Region of the equilibrium with stacked signals [y ; mu] =
+    signals on s0's conserved level, or None where it cannot be proven.
+
+    Only a dense map (DENSE_MAX) is tried. The steps (Khalil, Nonlinear
+    Systems, 3rd ed., 8.2):
+
+    1. s_c, the signals as a state: one least-squares solve of W v = 0
+       and the signal map at v = signals, in s and the paper_psi values
+       p, then s_c[psi_idx] = paper_psi^-1(p). The signals must be an
+       equilibrium: |W v| at most 1e-6 of the size of its terms.
+    2. The member s* the loop reaches: each l with l'W = 0 keeps l's
+       constant, so N, the left singular vectors of W off its null
+       space, spans the level's directions. From s_c moved onto s0's
+       level, Newton steps on N' rhs(s) = 0 along N, until |rhs(s*)| is
+       at most 1e-10 of the size of its terms.
+    3. J_r = N'JN, the Jacobian on the level, must be Hurwitz, its
+       eigenvalues' real parts below -1e-9 times its spectral radius, and P
+       solves J_r'P + P J_r = -I by J_r's eigendecomposition, with a
+       relative residual at most 1e-8 and P positive definite.
+    4. paper_psi's second-order remainder is at most M/2 times the square
+       of each of its inputs' moves, M = paper_psi_curvature_bound(). So
+       V' <= -q V + a M b^2 V^(3/2), with q = 1 / lambda_max(P),
+       a = |P^1/2 N'W_psi| and b = |N[psi_idx] P^-1/2|, and V decreases
+       on {V < c}, c = (q / (a M b^2))^2; c is infinite without paper_psi.
+    """
+    W = pk.dense
+    if W is None:
+        return None
+    dim, one = pk.dim, pk.width - 1
+    n_sig = pk.op.node_size + pk.op.edge_size
+    S = _dense_w(pk.sig_row, pk.sig_col, pk.sig_w, n_sig, pk.width)
+    A = np.vstack((W[:, :one], S[:, :one]))
+    b = np.concatenate((-W[:, one], signals - S[:, one]))
+    # pinv, not lstsq: it runs the SVD the level's basis runs below, where
+    # lstsq would load LAPACK's gelsd, about 0.3 MB of peak RSS
+    sol = np.linalg.pinv(A) @ b
+    s, (x, inside) = sol[:dim], _psi_inverse(sol[dim:])
+    if not inside.all():
+        return None
+    s[pk.psi_idx] = x
+    absW = np.abs(W)
+
+    def residual(s):
+        """(rhs at s, the size of its terms: the largest row of |W| |v|)."""
+        v = np.concatenate((s, paper_psi(s[pk.psi_idx]), [1.0]))
+        return W @ v, float(np.max(absW @ np.abs(v), initial=0.0))
+
+    r, size = residual(s)
+    if not np.max(np.abs(r), initial=0.0) <= 1e-6 * size:
+        return None
+    U, sv, _ = np.linalg.svd(W)
+    N = U[:, :int(np.sum(sv > dim * np.finfo(float).eps * sv[0]))]
+    s = s0 + N @ (N.T @ (s - s0))
+    W_psi, N_psi = W[:, pk.psi_cols], N[pk.psi_idx]
+    WN = W[:, :dim] @ N
+
+    def jacobian(s):
+        """J_r at s."""
+        return N.T @ (WN + (W_psi * paper_psi_prime(s[pk.psi_idx])) @ N_psi)
+
+    with np.errstate(all="ignore"):
+        try:  # a singular J_r or eigenvector basis raises LinAlgError
+            for _ in range(12):
+                r, size = residual(s)
+                if np.max(np.abs(r), initial=0.0) <= 1e-13 * size:
+                    break
+                s = s - N @ np.linalg.solve(jacobian(s), N.T @ r)
+            r, size = residual(s)
+            if not np.max(np.abs(r), initial=0.0) <= 1e-10 * size:
+                return None
+            J_r = jacobian(s)
+            lam, V = np.linalg.eig(J_r)
+            if not lam.real.max(initial=-math.inf) < -1e-9 * np.abs(lam).max(initial=0.0):
+                return None
+            V_inv = np.linalg.inv(V)
+            X = -(V.conj().T @ V) / (lam.conj()[:, None] + lam)
+            P = (V_inv.conj().T @ X @ V_inv).real
+            P = 0.5 * (P + P.T)
+            w, Up = np.linalg.eigh(P)
+        except np.linalg.LinAlgError:
+            return None
+        if not (np.linalg.norm(J_r.T @ P + P @ J_r + np.eye(P.shape[0]))
+                <= 1e-8 * math.sqrt(P.shape[0]) and w.min(initial=math.inf) > 0.0):
+            return None
+        c = math.inf
+        if pk.psi_idx.size:
+            a = np.linalg.norm((Up * np.sqrt(w)) @ Up.T @ N.T @ W_psi, 2)
+            b = np.linalg.norm(N_psi @ (Up / np.sqrt(w)) @ Up.T, 2)
+            c = (1.0 / w.max() / (a * paper_psi_curvature_bound() * b * b)) ** 2
+    return Region(s_star=s, N=N, P=P, c=float(c))
 
 
 @dataclass(frozen=True)

@@ -210,7 +210,8 @@ def cli():
 def cmd_predict(config_path, out):
     """Solve for the steady state and write the certificate.
 
-    An optimum whose certificate or duality gap fails is refused (exit 2).
+    An optimum whose certificate or duality gap fails is refused (exit 2),
+    as is an effort an integrator's quadratic potential cannot emit.
     """
 
     def run():
@@ -226,6 +227,12 @@ def cmd_predict(config_path, out):
                 f"consistency {cert.residual_consistency:.3e}, "
                 f"relations {cert.residual_relations:.3e}, "
                 f"inclusion {cert.residual_inclusion:.3e}")
+        unreachable = couplers.unreachable_efforts(cfg.controllers, cert.mu, _CERT_TOL)
+        if unreachable.size:
+            e = int(unreachable[0])
+            raise Infeasible(f"controllers[{e}]: the certified effort "
+                             f"{_fmt_vec(cert.mu.reshape(-1, cfg.agents[0].io_dim)[e])} is "
+                             "outside its potential's output range q + beta + range(P)")
         gap = duality_gap(problem, cert.u, cert.mu, cert.y, cert.zeta)
         scale = 1.0 + abs(opp_objective(problem, cert.y)) + abs(ofp_objective(problem, cert.mu))
         if not abs(gap) <= 1e-8 * scale:
@@ -304,6 +311,8 @@ def cmd_simulate(config_path, out):
             conv = traj.convergence
             if y_star is not None:
                 line = f"segment {k}: converged = {conv.converged}"
+                if conv.proof:
+                    line += f", proof = {conv.proof}"
                 if conv.converged:
                     err = float(np.max(np.abs(conv.y_ss - y_star)))
                     line += (f", y_ss = {_fmt_vec(conv.y_ss)}"

@@ -156,6 +156,22 @@ def controller_groups(controllers, d: int):
     return leak, psi, L, q, offset, alpha, beta
 
 
+def unreachable_efforts(controllers, mu, tol: float) -> np.ndarray:
+    """The edges e whose effort mu_e an integrator with a quadratic potential
+    (P, q) cannot emit: mu = P eta + q + beta reaches q + beta + range(P)
+    only, and mu_e - q - beta lies off it by more than tol * (1 + |mu_e|)."""
+    controllers = list(controllers)
+    if not controllers:
+        return np.zeros(0, dtype=np.int64)
+    d = controllers[0].io_dim
+    leak, psi, L, q, _, _, beta = controller_groups(controllers, d)
+    quad = np.flatnonzero(~leak & ~psi)
+    mu = np.asarray(mu, dtype=float).reshape(-1, d)[quad]
+    r = (mu - q[quad] - beta[quad])[..., None]
+    off = np.linalg.norm((r - L[quad] @ (np.linalg.pinv(L[quad]) @ r))[..., 0], axis=1)
+    return quad[off > tol * (1.0 + np.linalg.norm(mu, axis=1))]
+
+
 def cm_verdicts(controllers) -> list:
     """(verdict, reason) of each controller: is its steady-state relation
     cyclically monotone? The form of controller_groups decides it: a

@@ -131,20 +131,77 @@ _L_LIMIT = _LOG2 ** 2
 PSI_RANGE = (-math.asin(_L_LIMIT / (_L_LIMIT + 1.0)), math.pi / 2.0)
 
 
-def _psi_inverse(m: np.ndarray):
-    """(x, inside): paper_psi(x) = m wherever inside, which marks the
-    entries of m in the open PSI_RANGE; x is 0 elsewhere.
+# paper_psi(x) takes its smallest and largest values, its saturated
+# limits, for |x| at most this: below about -38 and above about 1.3e16
+_PSI_SATURATED = 1e17
 
-    With s = |sin m| = L / (L + 1) and ell = sgn(m) sqrt(s / (1 - s)),
-    x = log(2 exp(ell) - 1) = ell + log(2 - exp(-ell)). It is written
-    without cancellation: 1 - s as 2 sin((pi/2 - |m|) / 2)^2, and the
-    logarithm as log1p(-expm1(-ell)).
+
+def _psi_inverse(m: np.ndarray):
+    """(x, inside): inside marks the entries of m from paper_psi(-inf) to
+    paper_psi(inf), the least and the greatest value paper_psi returns,
+    and there x is finite; x is 0 elsewhere.
+
+    x is the point nearest 0 with paper_psi(x) >= m (m > 0) or <= m
+    (m < 0), so paper_psi(x) = m wherever m is a value paper_psi
+    returns: the saturated values too, which the closed form x =
+    log(2 exp(ell) - 1) cannot reach. It is found by bisection on the
+    bits of |x| in [0, _PSI_SATURATED], an ordered integer key there:
+    63 halvings, each one paper_psi call on all entries.
     """
-    inside = (PSI_RANGE[0] < m) & (m < PSI_RANGE[1])
-    m = np.where(inside, m, 0.0)
-    a = np.abs(m)
-    ell = np.copysign(np.sqrt(np.sin(a) / (2.0 * np.sin(0.5 * (0.5 * math.pi - a)) ** 2)), m)
-    return ell + np.log1p(-np.expm1(-ell)), inside
+    m = np.asarray(m, dtype=float)
+    top = paper_psi(np.array([-_PSI_SATURATED, _PSI_SATURATED]))
+    inside = (top[0] <= m) & (m <= top[1])
+    sign = np.where(inside & (m < 0.0), -1.0, 1.0)
+    target = np.where(inside, np.abs(m), 0.0).ravel()
+    flat_sign = sign.ravel()
+    # keys of |x|: sign psi(sign |x|) < |m| at below, >= |m| at above
+    below = np.zeros(target.shape, dtype=np.int64)
+    above = np.where(target > 0.0, np.float64(_PSI_SATURATED).view(np.int64), 0)
+    psi = np.empty(target.shape)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        for _ in range(int(above.max(initial=0)).bit_length()):
+            mid = below + (above - below) // 2
+            reached = flat_sign * paper_psi_into(flat_sign * mid.view(np.float64), psi) >= target
+            above, below = np.where(reached, mid, above), np.where(reached, below, mid)
+    return sign * above.view(np.float64).reshape(m.shape), inside
+
+
+@cache
+def paper_psi_curvature_bound() -> float:
+    """An upper bound on sup |paper_psi''| over the real line (about 0.6476,
+    1.1% over the supremum near x = 0.325).
+
+    With ell and the logistic s of paper_psi_prime, a = |ell| and
+    g(a) = 2a / ((a^2 + 1) sqrt(2a^2 + 1)), paper_psi' = g(a) s and
+
+        paper_psi'' = sgn(ell) g'(a) s^2 + g(a) s (1 - s),
+        g'(a) = 2 (1 - a^2 - 4a^4) / ((a^2 + 1)^2 (2a^2 + 1)^(3/2)).
+
+    ell and s increase with x, and ell changes sign at 0, so on each
+    interval of the grid -inf, -40, -39.5, ..., -8, -7.99, ..., 8, 8.5,
+    ..., 40 (0 among its points) a and s lie between their values at the
+    ends. There |g'| is at most the larger of its numerator's magnitudes
+    at the ends (it is monotone) over its denominator at the smaller a,
+    g at most 2a over its denominator at the smaller a, and s (1 - s) at
+    most 1/4 if s passes 1/2, else its larger end value. Beyond 40, with
+    a >= 1, |g'| <= 5 / (sqrt(2) a^3), g <= sqrt(2) / a^2 and s (1 - s)
+    <= exp(-40).
+    """
+    x = np.concatenate([[-math.inf], np.arange(-80, -16) / 2, np.arange(-800, 801) / 100,
+                        np.arange(17, 81) / 2])
+    with np.errstate(over="ignore"):
+        ell = np.log1p(np.expm1(x) * 0.5)
+        s = 1.0 / (1.0 + np.exp(-x))
+    a = np.abs(ell)
+    lo, hi = np.minimum(a[:-1], a[1:]), np.maximum(a[:-1], a[1:])
+    den = (lo * lo + 1.0) * np.sqrt(2.0 * lo * lo + 1.0)
+    num = np.abs(2.0 * (1.0 - a * a - 4.0 * a ** 4))
+    g1 = np.maximum(num[:-1], num[1:]) / (den * (lo * lo + 1.0) * (2.0 * lo * lo + 1.0))
+    spread = np.where((s[:-1] <= 0.5) & (0.5 <= s[1:]), 0.25,
+                      np.maximum(s[:-1] * (1.0 - s[:-1]), s[1:] * (1.0 - s[1:])))
+    inner = g1 * s[1:] ** 2 + 2.0 * hi / den * spread
+    tail = 5.0 / (math.sqrt(2.0) * a[-1] ** 3) + math.sqrt(2.0) * math.exp(-x[-1]) / a[-1] ** 2
+    return float(max(inner.max(), tail))
 
 
 @cache
@@ -202,8 +259,8 @@ class IntegralFunction:
     ScalarSeparable
         f(x) = sum_j integral_0^{x_j} paper_psi(s) ds, the one
         non-quadratic function a config builds; values by Gauss-Legendre
-        panels (see _psi_integral), the gradient's inverse in closed
-        form (see _psi_inverse).
+        panels (see _psi_integral), the gradient's inverse by bisection
+        (see _psi_inverse).
     Shifted
         f(x) = inner(x - shift) + linear'x + constant.
     """

@@ -2,7 +2,8 @@
 
 Wires agents and edge controllers through the incidence operator
 (zeta = E^T y, u = -E mu), integrates the stacked ODE with adaptive
-Dormand-Prince 5(4) steps, detects empirical convergence, and
+Dormand-Prince 5(4) steps, proves convergence to a certificate by a
+Lyapunov function where it can or else detects it empirically, and
 compares the settled output against steady-state certificates.
 """
 from __future__ import annotations
@@ -140,11 +141,13 @@ def integrate(system: ClosedLoopSystem, init, T: float,
     horizon (finite, positive) and t0 the start time (finite); opts sets
     the adaptive Dormand-Prince 5(4) steps' local error tol and the
     record spacing. With a certificate the run ends at the first record
-    block where it has settled on it (_settled_test, at conv_tol), else
-    at t0+T; metadata records the end as t_stop and T as horizon. The
-    run is judged once, at its stop or else at its end: convergence is
-    detect_convergence's at conv_tol, and prediction prediction_report's
-    at PREDICTION_TOL, or None without a certificate or convergence.
+    block where it has settled on it (_settled_test: by a Lyapunov proof
+    where one can be set up, else by the trailing window at conv_tol),
+    else at t0+T; metadata records the end as t_stop and T as horizon.
+    The run is judged once, at its stop or else at its end: convergence
+    is the proof's, or detect_convergence's at conv_tol, and prediction
+    prediction_report's at PREDICTION_TOL, or None without a certificate
+    or convergence.
 
     Raises
     ------
@@ -170,7 +173,7 @@ def integrate(system: ClosedLoopSystem, init, T: float,
     window = WINDOW * T
     verdict = []  # the stop's, if the run settles
     settled = None if certificate is None else _settled_test(
-        system, certificate, rec, window, conv_tol, verdict)
+        system, certificate, s0, rec, window, conv_tol, verdict)
     # the kernel is looked up on the module at each integrate call, so a
     # wrapper installed there (a call counter, a profiler) sees every
     # evaluation; the loop passes it positional arguments, as wrappers forward *args
@@ -194,17 +197,39 @@ def integrate(system: ClosedLoopSystem, init, T: float,
                       convergence=verdict[0], prediction=verdict[1])
 
 
-def _settled_test(system, certificate, times, window, conv_tol, verdict):
-    """The settled(out, k) test of _rk45_loop: the trailing window of the
-    first k records converges at conv_tol and passes prediction_report
-    at PREDICTION_TOL, and the packed Jacobian at the last record has no
-    eigenvalue with real part above 1e-9 times its spectral radius; verdict
-    then holds the two results. While a suffix of the window's [y ; mu]
+def _settled_test(system, certificate, s0, times, window, conv_tol, verdict):
+    """The settled(out, k) test of _rk45_loop, for a run from s0; verdict
+    then holds the stop's (ConvergenceResult, PredictionReport), judged
+    once.
+
+    Where _fastpath.attraction_region proves a region {V < c} around the
+    certificate's member s* on s0's conserved level, the run stops at
+    the first record block whose last record has V <= c / 4, a margin
+    for the integration error, converged on s* by proof: y_ss and mu_ss
+    are the signals at s*, and variation is V at the stop. Else the
+    trailing window of the first k records must converge at conv_tol and
+    pass prediction_report at PREDICTION_TOL, and the packed Jacobian at
+    the last record must have no eigenvalue with real part above 1e-9
+    times its spectral radius. While a suffix of the window's [y ; mu]
     spreads more than conv_tol, no window holding its first record can
-    pass, so the next check waits until the window has left it. The
-    judgement is made once.
+    pass, so the next check waits until the window has left it.
     """
     pk = system.packed
+    region = _fastpath.attraction_region(pk, s0, np.concatenate(
+        [np.ravel(certificate.y), np.ravel(certificate.mu)]).astype(float))
+    if region is not None:
+        def proven(out, k):
+            V = region.value(out[k - 1])
+            if not V <= 0.25 * region.c:
+                return False
+            y, mu = _fastpath.packed_outputs(pk, region.s_star[None])
+            conv = ConvergenceResult(converged=True, y_ss=y[0], mu_ss=mu[0], variation=V,
+                                     proof="lyapunov")
+            verdict[:] = conv, prediction_report(system, conv, certificate, PREDICTION_TOL)
+            return True
+
+        return proven
+
     due = int(np.searchsorted(times, times[0] + window, "right")) + 1  # a window fits
 
     def settled(out, k):
@@ -266,12 +291,17 @@ def integrate_schedule(segments, init,
 
 @dataclass(frozen=True)
 class ConvergenceResult:
-    """Outcome of trailing-window convergence detection."""
+    """Outcome of convergence detection: by the trailing window, where
+    variation is the window's spread in (y, mu) and y_ss, mu_ss its
+    means; or by a proof, named in proof ("lyapunov", see _settled_test),
+    where y_ss and mu_ss are the proven limit's and variation is V at
+    the stop."""
 
     converged: bool
     y_ss: Optional[np.ndarray] = None
     mu_ss: Optional[np.ndarray] = None
     variation: float = np.inf
+    proof: Optional[str] = None
 
     def __bool__(self) -> bool:
         return self.converged
@@ -285,7 +315,8 @@ def detect_convergence(traj: Trajectory, window: Optional[float] = None,
     "horizon", else the span), so a run that ended early keeps its
     window. On success y_ss and mu_ss are the window means. At the
     default window and tol = conv_tol this is integrate's verdict, bit
-    for bit.
+    for bit, on a run the window judged (convergence.proof None); a run
+    that ended on a proof carries the proof's verdict instead.
 
     Raises
     ------

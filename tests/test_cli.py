@@ -353,6 +353,25 @@ def test_a_gain_with_no_potential_is_refused_by_name(tmp_path, capsys, case):
         assert f"UnsupportedKind: {message}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("P, code", [([[0.0]], cli.EXIT_MATH), ([[2.0]], cli.EXIT_OK)],
+                         ids=["singular", "regular"])
+def test_an_effort_a_singular_integrator_cannot_emit_is_refused_by_name(tmp_path, capsys,
+                                                                         P, code):
+    # mu = P eta + q is 0.5 whatever eta: the optimum's mu = 2 is no steady state
+    # (simulate settles at mu = 0.5); with P = 2 the same mu is P eta + q at eta = 0.75
+    cfg = write_doc(tmp_path, hand_doc(controllers=[
+        {"type": "integrator", "potential": {"kind": "quadratic", "P": P, "q": [0.5]}}]))
+    assert run_cli("predict", "--config", cfg, "--out", str(tmp_path)) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("infeasible: Infeasible: controllers[0]: the certified effort (2) is "
+                       "outside its potential's output range q + beta + range(P)\n")
+        assert not (tmp_path / "certificate.json").exists()
+    else:
+        mu = json.loads((tmp_path / "certificate.json").read_text())["mu"]
+        assert mu == pytest.approx([2.0], abs=1e-12)
+
+
 def test_check_cm_paper_psi_agent(tmp_path, capsys):
     doc = {
         "schema": SCHEMA,

@@ -1,0 +1,163 @@
+"""A certified segment stops on a Lyapunov proof.
+
+_fastpath.attraction_region turns a certificate into the packed state
+s* the loop reaches from its start, solves J_r'P + P J_r = -I on the
+conserved level, and bounds paper_psi's remainder by
+relations.paper_psi_curvature_bound, so V = e'Pe decreases on {V < c}.
+These tests check the region on a hand example, the member s* against a
+long accurate run, the stop itself, and each case that keeps the window
+test instead.
+"""
+import dataclasses
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from couplednet import _fastpath, cli
+from couplednet.config import load_config
+from couplednet.couplers import nonlinear_integrator
+from couplednet.netgraph import DirectedGraph
+from couplednet.netopt import assemble, recover_certificate, solve_opp
+from couplednet.plants import linear_agent
+from couplednet.relations import paper_psi, paper_psi_curvature_bound, quadratic, scalar_separable
+from couplednet.simulate import (IntegrateOptions, closed_loop, default_initial_state,
+                                 integrate)
+
+from conftest import packed_rhs
+from test_early_stop import FORMATION
+
+
+def signals(cert):
+    return np.concatenate([cert.y, cert.mu])
+
+
+def hand_network(potential, w=3.0):
+    """Two linear agents x' = -a x + u (+ w), y = x, joined by one integrator
+    edge: three states. With w = 3 and paper_psi the loop settles at y = mu = 1."""
+    graph = DirectedGraph(2, ((0, 1),))
+    agents = [linear_agent([[-1.0]], [[1.0]], [[1.0]]),
+              linear_agent([[-2.0]], [[1.0]], [[1.0]], w=[w])]
+    ctrls = [nonlinear_integrator(potential)]
+    problem = assemble(graph, agents, ctrls)
+    cert = recover_certificate(problem, *solve_opp(problem)[:2])
+    return closed_loop(graph, agents, ctrls), cert
+
+
+def test_v_decreases_on_every_sampled_point_of_the_region():
+    system, cert = hand_network(scalar_separable(paper_psi, 1))
+    assert cert.mu == pytest.approx([1.0], abs=1e-9)
+    pk = system.packed
+    region = _fastpath.attraction_region(pk, np.zeros(3), signals(cert))
+    assert region is not None and 0.0 < region.c < math.inf
+    assert region.N.shape == (3, 3)  # no conserved quantity: a tree of stable agents
+    # points of {V <= c}: radii r sqrt(c) along P^-1/2 u, u on the unit sphere
+    w, U = np.linalg.eigh(region.P)
+    rng = np.random.default_rng(33)
+    u = rng.normal(size=(4000, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    r = np.concatenate([rng.uniform(1e-3, 1.0, 3000), np.ones(1000)])
+    z = (r[:, None] * math.sqrt(region.c) * u) @ (U / np.sqrt(w)) @ U.T
+    for zk in z:
+        s = region.s_star + region.N @ zk
+        assert region.value(s) <= region.c * (1.0 + 1e-12)
+        dV = 2.0 * zk @ region.P @ (region.N.T @ packed_rhs(pk, s))
+        assert dV < 0.0
+
+
+def mp_psi(x):
+    ell = mpmath.log((mpmath.exp(x) + 1) / 2)
+    return mpmath.asin(mpmath.sign(x) * ell ** 2 / (ell ** 2 + 1))
+
+
+def test_the_curvature_bound_holds_against_mpmath():
+    bound = paper_psi_curvature_bound()
+    x = np.concatenate([np.linspace(-12.0, 12.0, 241), np.linspace(0.25, 0.4, 31)])
+    with mpmath.workdps(30):
+        second = np.array([float(mpmath.diff(mp_psi, mpmath.mpf(xk), 2)) for xk in x])
+    assert np.max(np.abs(second)) <= bound <= 1.02 * np.max(np.abs(second))
+    # the tails: paper_psi'' is about exp(x) below and 2 sqrt(2) / x^3 above, so
+    # each derivative needs the digits beyond paper_psi's own (cf. mp_psi_prime)
+    with mpmath.workdps(400):
+        tails = [float(mpmath.diff(mp_psi, mpmath.mpf(xk), 2))
+                 for xk in (-745.0, -100.0, -40.0, 40.0, 100.0, 1e4, 1e8)]
+    assert all(abs(t) <= bound for t in tails)
+    assert 0.0 <= tails[0] < 1e-300 and tails[3] < 0.0
+
+
+@pytest.fixture(scope="module")
+def formation_segment():
+    cfg = load_config(FORMATION)
+    system, T, cert, y_star = cli._plan_segments(cfg)[0]
+    return system, T, cert, y_star, default_initial_state(system)
+
+
+def test_the_member_is_where_a_long_accurate_run_ends(formation_segment):
+    system, T, cert, _, s0 = formation_segment
+    pk = system.packed
+    region = _fastpath.attraction_region(pk, s0, signals(cert))
+    assert region is not None
+    v = np.concatenate([region.s_star, paper_psi(region.s_star[pk.psi_idx]), [1.0]])
+    size = np.max(np.abs(pk.dense) @ np.abs(v))
+    assert np.max(np.abs(packed_rhs(pk, region.s_star))) <= 1e-10 * size
+    assert region.N.shape == (24, 22)  # one cycle, d = 2: two conserved quantities
+    end = integrate(system, s0, 4 * T, IntegrateOptions(tol=1e-11)).states[-1]
+    assert np.max(np.abs(region.s_star - end)) <= 1e-9
+
+
+def test_a_segment_that_starts_in_its_region_stops_at_its_first_record_block():
+    system, cert = hand_network(scalar_separable(paper_psi, 1))
+    region = _fastpath.attraction_region(system.packed, np.zeros(3), signals(cert))
+    start = region.s_star + 1e-3 * region.N[:, 0]
+    assert region.value(start) <= 0.25 * region.c
+    traj = integrate(system, start, 10.0, certificate=cert)
+    assert traj.times.shape[0] == 2 and traj.metadata["t_stop"] == traj.times[1] < 10.0
+    conv = traj.convergence
+    assert conv.proof == "lyapunov" and conv.variation <= 0.25 * region.c
+    region = _fastpath.attraction_region(system.packed, start, signals(cert))
+    y, mu = _fastpath.packed_outputs(system.packed, region.s_star[None])
+    assert np.array_equal(conv.y_ss, y[0]) and np.array_equal(conv.mu_ss, mu[0])
+    assert traj.prediction.passed
+
+
+def no_region(system, cert, s0):
+    return _fastpath.attraction_region(system.packed, s0, signals(cert)) is None
+
+
+def test_a_coo_map_keeps_the_window_test(formation_segment):
+    system, T, cert, _, s0 = formation_segment
+    coo = dataclasses.replace(system, packed=dataclasses.replace(system.packed, dense=None))
+    assert no_region(coo, cert, s0)
+    traj = integrate(coo, s0, T, certificate=cert)
+    assert traj.convergence.converged and traj.convergence.proof is None
+    assert traj.prediction.passed and traj.metadata["t_stop"] > 15.0
+
+
+def test_a_singular_integrator_is_proven_only_where_its_effort_is_reached():
+    # mu = 0 eta + q reads no eta, so eta' = y1 - y0 has no pull of its own. With
+    # q = 2 the optimum's mu = 2 is reached, and eta = x0 - x1 / 2 - (its start)
+    # is conserved, which fixes eta on the level: the member is (2, 2, 1)
+    system, cert = hand_network(quadratic([[0.0]], [2.0]), w=6.0)
+    assert cert.mu == pytest.approx([2.0])
+    region = _fastpath.attraction_region(system.packed, np.zeros(3), signals(cert))
+    assert region.N.shape == (3, 2) and region.c == math.inf  # linear: the whole level
+    assert region.s_star == pytest.approx([2.0, 2.0, 1.0], abs=1e-12)
+    # with q = 0.5 the optimum's mu = 2 is no steady state (predict refuses it), and
+    # the window test stays
+    system, cert = hand_network(quadratic([[0.0]], [0.5]), w=6.0)
+    assert cert.mu == pytest.approx([2.0])
+    assert no_region(system, cert, np.zeros(3))
+
+
+def test_an_effort_outside_psi_s_range_keeps_the_window_test():
+    # w = 6 asks the paper_psi edge for mu = 2, above pi / 2
+    system, cert = hand_network(scalar_separable(paper_psi, 1), w=6.0)
+    assert cert.mu == pytest.approx([2.0])
+    assert no_region(system, cert, np.zeros(3))
+
+
+def test_another_segment_s_certificate_is_no_equilibrium(formation_segment):
+    system, _, _, _, s0 = formation_segment
+    cert1 = cli._plan_segments(load_config(FORMATION))[1][2]
+    assert no_region(system, cert1, s0)

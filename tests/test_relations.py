@@ -144,7 +144,7 @@ def test_paper_psi_raises_nothing_on_finite_input():
     assert np.all(np.isfinite(psi))
     assert np.array_equal(np.signbit(psi), np.signbit(x))
     # the limits, correctly rounded: pi / 2, and one ulp below PSI_RANGE[0],
-    # asin's rounding of the lower limit, inside which _psi_inverse stays finite
+    # asin's rounding of the lower limit; _psi_inverse gives both a finite x
     assert psi[-2] == PSI_RANGE[1] and psi[-1] == np.nextafter(PSI_RANGE[0], -1.0)
 
 
@@ -172,15 +172,46 @@ def test_psi_prime_stays_in_the_float_range():
     assert np.array_equal(got[1:], np.zeros(5))  # below the smallest subnormal
 
 
-def test_psi_inverse_is_empty_at_and_beyond_its_range():
+def test_psi_inverse_is_empty_beyond_the_values_psi_returns():
+    # paper_psi's saturated values, one ulp under PSI_RANGE[0] and pi / 2
+    # itself, have finite preimages; one ulp beyond them the preimage is empty
     lo, hi = PSI_RANGE
+    least = paper_psi(-1e300)
+    assert least == np.nextafter(lo, -1.0) and paper_psi(1e300) == hi
     rel = R.gradient_relation(R.scalar_separable(paper_psi, 2))
-    for m in (lo, np.nextafter(lo, -np.inf), lo - 1.0, -np.inf,
-              hi, np.nextafter(hi, np.inf), hi + 1.0, np.inf, np.nan):
+    for m in (np.nextafter(least, -np.inf), lo - 1.0, -np.inf,
+              np.nextafter(hi, np.inf), hi + 1.0, np.inf, np.nan):
         assert inverse(rel, [0.1, m]).is_empty
         assert inverse(rel, [m, -0.1]).is_empty
-    inner = inverse(rel, [np.nextafter(lo, 0.0), np.nextafter(hi, 0.0)]).min_norm()
-    assert inner[0] < -30.0 and inner[1] > 1e7
+    inner = inverse(rel, [least, hi]).min_norm()
+    assert -40.0 < inner[0] < -30.0 and 1e15 < inner[1] < 1e17
+    assert np.array_equal(paper_psi(inner), [least, hi])
+
+
+def test_psi_inverse_round_trips_every_value_psi_returns():
+    # x from -745 to 1e8: log-spaced magnitudes of either sign, the saturated
+    # tail below -36 densely, and the points near 0
+    mag = np.logspace(-12, 8, 1500)
+    x = np.concatenate([-mag[mag <= 745.0], mag, np.linspace(-745.0, -30.0, 1500),
+                        [0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, -745.0]])
+    m = paper_psi(x)
+    with np.errstate(all="raise"):  # no divide flag at the limits
+        back, inside = R._psi_inverse(m)
+    assert inside.all() and np.all(np.isfinite(back))
+    assert np.array_equal(paper_psi(back), m)
+    # the preimage nearest 0: back lies between 0 and x
+    assert np.all(np.abs(back) <= np.abs(x)) and np.all(back * x >= 0.0)
+
+
+def test_psi_inverse_of_saturated_values_matches_mpmath():
+    # where paper_psi is flat, many x share a value; the one returned is a
+    # true preimage to paper_psi's own accuracy (test_paper_psi_matches_mpmath)
+    x = np.concatenate([np.linspace(-745.0, -20.0, 60), np.logspace(6, 8, 9)])
+    m = paper_psi(x)
+    back = R._psi_inverse(m)[0]
+    with mpmath.workdps(50):
+        ref = np.array([float(mp_psi(mpmath.mpf(b))) for b in back])
+    assert np.all(np.abs(ref - m) <= 2e-15 * np.abs(m))
 
 
 def test_paper_psi_frozen_values():
