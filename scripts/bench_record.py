@@ -12,6 +12,7 @@ existing record (1 for the first). It holds the table as it is, plus:
   files have changes, as perf_pairs.py times the working tree;
 - `host`: `nproc`, the Python and numpy versions;
 - `src_lines`: the line count of `src/couplednet/*.py`;
+- `src_lines_by_module`: the line count of each `src/couplednet/*.py`;
 - `reach`: per category of `scripts/reach.py`, the defs the commands
   never enter and their lines;
 - `traced`: for each workload of the table, the per-layer metrics of one
@@ -45,13 +46,13 @@ def next_path():
     return f"BENCH_{max(taken, default=0) + 1}.json"
 
 
-def src_lines():
-    """The line count of src/couplednet/*.py, as `wc -l` gives it."""
-    total = 0
-    for path in glob.glob(os.path.join("src", "couplednet", "*.py")):
+def src_lines_by_module():
+    """{file name: its line count} for src/couplednet/*.py, as `wc -l` gives it."""
+    lines = {}
+    for path in sorted(glob.glob(os.path.join("src", "couplednet", "*.py"))):
         with open(path, "rb") as fh:
-            total += fh.read().count(b"\n")
-    return total
+            lines[os.path.basename(path)] = fh.read().count(b"\n")
+    return lines
 
 
 def traced(workloads):
@@ -73,12 +74,14 @@ def main():
         sys.exit("run from the root of the working tree")
     with open(sys.argv[1]) as fh:
         pairs = json.load(fh)
+    by_module = src_lines_by_module()
     record = {
         "base_rev": git("rev-parse", "--verify", pairs["rev"] + "^{commit}"),
         "change_rev": git("describe", "--always", "--dirty", "--abbrev=40"),
         "host": {"nproc": len(os.sched_getaffinity(0)),
                  "python": platform.python_version(), "numpy": np.__version__},
-        "src_lines": src_lines(),
+        "src_lines": sum(by_module.values()),
+        "src_lines_by_module": by_module,
         "reach": {category: {"defs": len(rows), "lines": sum(n for _, _, n in rows)}
                   for category, rows in reach.measure()[0].items()},
         "traced": traced(pairs["workloads"]),

@@ -6,18 +6,18 @@ values its pieces need:
 
     s' = W [s ; paper_psi(s[psi_idx]) ; 1]
 
-W carries the agents' blocks A, B, C and feedthrough T, the controllers'
-affine parts, the reconfiguration offsets and the wiring zeta = E^T y,
-u = -E mu; its last column, on the constant 1, is the affine term c.
-paper_psi enters as the output of a paper_psi integrator and as the
-damping or potential gradient of an agent whose psi is paper_psi
-coordinatewise. No controller output reads its input, so an agent's
-y = C x + T (u + z) with u = -E mu is affine in those columns, and so
-is zeta. W is a COO triple, and also dense up to DENSE_MAX entries: one
-rhs call is a np.dot, else a gather, a multiply and a bincount. The
-adaptive loop is Dormand-Prince 5(4) with the FSAL property and its
-continuous extension for recording (Hairer, Norsett & Wanner, Solving
-ODEs I, II.5-II.6).
+pack composes W from sparse maps as the loop is wired: the edge efforts
+mu, u = -E mu, the agents' y = C x + T u and rows A x + B u, and the
+edges' rows zeta = E'y less their leak. No controller output reads its
+input, so each map is affine. W's last column, on the constant 1, is
+the affine term c: the agents' w and leader offsets and the controllers'
+offsets. paper_psi enters as the output of a paper_psi integrator and as
+the damping or potential gradient of an agent whose psi is paper_psi
+coordinatewise. W is a COO triple, and also dense up to DENSE_MAX
+entries: one rhs call is a np.dot, else a gather, a multiply and a
+bincount. The adaptive loop is Dormand-Prince 5(4) with the FSAL
+property and its continuous extension for recording (Hairer, Norsett &
+Wanner, Solving ODEs I, II.5-II.6).
 """
 from __future__ import annotations
 
@@ -377,40 +377,52 @@ def _rk45_loop(rhs, buffer, pk, s0, t0, rec_times, tol, h0, settled=None):
 # ---------------------------------------------------------------------------
 
 
-def _coo(batches):
-    """COO arrays of blocks placed by batches (key, r0, c0, blocks).
-
-    blocks is a (k, h, w) stack placed with its upper-left corners at
-    (r0, c0). The blocks go by shape, the shapes in the order of their
-    least key, and within a shape in key order; zeros are dropped.
-    """
-    shapes = {}
-    for batch in batches:
-        if len(batch[0]):
-            shapes.setdefault(batch[3].shape[1:], []).append(batch)
-    order = sorted(shapes, key=lambda shape: min(b[0].min() for b in shapes[shape]))
-    rows, cols, vals = [], [], []
-    for h, w in order:
-        key, r0, c0, blk = (np.concatenate(part) for part in zip(*shapes[h, w]))
-        perm = np.argsort(key, kind="stable")
-        blk, r0, c0 = blk[perm], r0[perm, None, None], c0[perm, None, None]
-        rows.append(np.broadcast_to(r0 + np.arange(h)[:, None], blk.shape).ravel())
-        cols.append(np.broadcast_to(c0 + np.arange(w), blk.shape).ravel())
-        vals.append(blk.ravel())
-    row, col, val = (np.concatenate(a) for a in (rows, cols, vals))
-    keep = val != 0.0
-    return row[keep], col[keep], val[keep]
+def _blocks(r0, c0, blocks):
+    """COO triple of the nonzeros of the (k, h, w) stack blocks, block j
+    with its upper-left corner at (r0[j], c0[j]), row-major in each block."""
+    at = np.flatnonzero(blocks)
+    j, ij = np.divmod(at, blocks.shape[1] * blocks.shape[2])
+    return r0[j] + ij // blocks.shape[2], c0[j] + ij % blocks.shape[2], blocks.ravel()[at]
 
 
-def _batch(key, r0, c0, blocks):
-    """One _coo batch, its keys and corners as integer arrays."""
-    return (*(np.asarray(x, dtype=np.int64).reshape(-1) for x in (key, r0, c0)), blocks)
+def _coalesce(*maps):
+    """The sum of COO triples as one: an entry per (row, col), ordered by
+    row then column, zeros dropped. Entries that share a (row, col) add
+    from 0 in the order given, as np.add.at would."""
+    row, col, val = map(np.concatenate, zip(*maps))
+    key = row.astype(np.int64) << 32 | col
+    by_key = np.argsort(key, kind="stable")  # timsort: the maps come in sorted runs
+    key = key[by_key]
+    first = np.diff(key, prepend=-1) != 0
+    val = np.bincount(np.cumsum(first) - 1, val[by_key])
+    key = key[first][val != 0.0]
+    return key >> 32, key & 0xFFFFFFFF, val[val != 0.0]
+
+
+def _compose(P, Q):
+    """The COO product P Q, not coalesced: each entry (i, k) of P meets
+    every entry of Q in row k, in P's order, then in Q's."""
+    (p_row, p_col, p_val), (q_row, q_col, q_val) = P, Q
+    by_row = np.argsort(q_row, kind="stable")
+    lo, hi = (np.searchsorted(q_row[by_row], p_col, side) for side in ("left", "right"))
+    p = np.repeat(np.arange(p_col.size), hi - lo)  # (i, k) once per entry of Q's row k
+    q = by_row[np.arange(p.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)]
+    return p_row[p], q_col[q], p_val[p] * q_val[q]
 
 
 def pack(op, agents, groups, controllers) -> PackedSystem:
-    """Fold the closed loop into sparse affine maps. groups are the
-    agents' agent_groups, and the maps are filled a group of blocks at
-    a time.
+    """Fold the closed loop into sparse affine maps of v = [s ; paper_psi(s[psi_idx]) ; 1].
+
+    groups are the agents' agent_groups, x' = A x + B u_eff + w -
+    grad psi(x[where]) and y = C x + T u_eff, and controller_groups gives
+    the edges' form. The maps compose as the loop is wired:
+
+        mu = M v,  u = -E mu,  y = C x + T u,
+        s' = [A x - paper_psi + B u ; E'y - leak eta].
+
+    The constants, evaluated at mu = mu0 = q + beta with u_eff = u +
+    the leader offsets, are kept apart from the composition: c goes
+    last in the rhs map and [y0 ; mu0] first in the signal map.
 
     Raises
     ------
@@ -423,115 +435,62 @@ def pack(op, agents, groups, controllers) -> PackedSystem:
     agents, controllers = list(agents), list(controllers)
     d, n, m = op.dim, len(agents), len(controllers)
     leak, on_psi, L, q, offset, alpha, beta = controller_groups(controllers, d)
-    mu0, eta0 = q + beta, -alpha - offset
+    mu0 = q + beta
+    u_eff = (np.array([a.leader_offset for a in agents]).reshape(n, d)
+             - op.matvec(mu0.ravel()).reshape(n, d))  # at mu = mu0
     ofs = np.cumsum([0] + [a.state_dim for a in agents] + [c.state_dim for c in controllers])
     dim = int(ofs[-1])
-    psi_edges = np.flatnonzero(on_psi)
-    psi_idx = (ofs[n + psi_edges][:, None] + np.arange(d)).ravel()
-    psi_col = np.zeros(m, dtype=np.int64)
-    psi_col[psi_edges] = dim + d * np.arange(psi_edges.size)
-    tail, head = np.array(op.graph.edges, dtype=np.int64).reshape(m, 2).T
-    r = ofs[n:n + m]
-    sizes = np.array([a.state_dim for a in agents])
-    eye = np.eye(d)
-
-    # x' = A x + B u_eff + w - paper_psi(x[where]), y = C x + T u_eff; B[size]
-    # and C[size] hold those of the agents with size states, by node
-    B, C, T = {}, {}, np.zeros((n, d, d))
-    psi_agents = []  # (node, the states its paper_psi acts on), in group order
-    rhs, sig = [], []  # _coo batches
-    # keys follow the order of placement: agents, then edge by edge
-    k_edge = n
-    c = np.zeros(dim)
+    eta = ofs[n] + np.arange(m * d)  # edge coordinate j is state eta[j]
+    c, y0 = np.zeros(dim), np.zeros((n, d))
+    c[eta] = (-alpha - offset).ravel()
+    A, B, C, T = [], [], [], []
+    parts = [eta.reshape(m, d)[on_psi].ravel()]  # paper_psi reads the edges', then the agents'
     for idx, A_g, B_g, C_g, T_g, w_g, psi_g, where in groups:
         idx = np.asarray(idx)
-        size = A_g.shape[1]
-        B.setdefault(size, np.zeros((n, size, d)))[idx] = B_g
-        C.setdefault(size, np.zeros((n, d, size)))[idx] = C_g
-        T[idx] = T_g
-        rhs.append(_batch(idx, ofs[idx], ofs[idx], A_g))
-        sig.append(_batch(idx, idx * d, ofs[idx], C_g))
+        at, size = ofs[idx], A_g.shape[1]
+        A.append(_blocks(at, at, A_g))
+        B.append(_blocks(at, idx * d, B_g))
+        C.append(_blocks(idx * d, at, C_g))
+        T.append(_blocks(idx * d, idx * d, T_g))
+        u_g = u_eff[idx][:, :, None]
+        c[(at[:, None] + np.arange(size)).ravel()] = (w_g + (B_g @ u_g)[:, :, 0]).ravel()
+        y0[idx] = (T_g @ u_g)[:, :, 0]
         for j in np.flatnonzero([psi is not None for psi in psi_g]):
             if psi_g[j].kind is not FunctionKind.SCALAR_SEPARABLE:
                 raise UnsupportedKind(f"agents[{idx[j]}].psi: neither quadratic nor paper_psi, "
                                       "which no config builds")
-            psi_agents.append((idx[j], np.arange(size)[where]))
-
-    # an agent's paper_psi columns follow the controllers', its states' rows read them
-    first, parts = dim + psi_idx.shape[0], [psi_idx]
-    for i, at in psi_agents:
-        parts.append(ofs[i] + at)
-        rhs.append(_batch(i, ofs[i] + at[0], first, -np.eye(at.size)[None]))
-        first += at.size
+            parts.append(at[j] + np.arange(size)[where])
     psi_idx = np.concatenate(parts)
-    one = dim + psi_idx.shape[0]  # v's constant column follows them
+    one = dim + psi_idx.shape[0]  # v's constant column follows the paper_psi columns
 
-    # mu_e = L_e eta_e (or paper_psi(eta_e)) + mu0_e; eta_e' = zeta_e + eta0_e (- eta_e)
-    c[(r[:, None] + np.arange(d)).ravel()] = eta0.ravel()
-    leaky = np.flatnonzero(leak)
-    rhs.append(_batch(k_edge + 5 * leaky, r[leaky], r[leaky],
-                      np.broadcast_to(-eye, (leaky.size, d, d))))
-    sig.append(_batch(k_edge + psi_edges, op.node_size + psi_edges * d, psi_col[psi_edges],
-                      np.broadcast_to(eye, (psi_edges.size, d, d))))
-    lin = np.flatnonzero(~on_psi)
-    sig.append(_batch(k_edge + lin, op.node_size + lin * d, r[lin], L[lin]))
-    # u_i = -sum_e E[i, e] mu_e drives agent i; zeta_e = sum_i E[i, e] y_i
-    for slot, ends, sign in ((1, tail, -1.0), (3, head, 1.0)):
-        key = k_edge + 5 * np.arange(m) + slot
-        for size in B:  # one stack per shape of B and C
-            at = sizes[ends] == size
-            psi = np.flatnonzero(on_psi & at)
-            rhs.append(_batch(key[psi], ofs[ends[psi]], psi_col[psi], -sign * B[size][ends[psi]]))
-            both = np.flatnonzero(at)
-            rhs.append(_batch(key[both] + 1, r[both], ofs[ends[both]], sign * C[size][ends[both]]))
-        for e in lin:
-            rhs.append(_batch(key[e], ofs[ends[e]], r[e],
-                              (-sign * (B[sizes[ends[e]]][ends[e]] @ L[e]))[None]))
-
-    u0 = -op.matvec(mu0.ravel()).reshape(n, d)
-    u_eff = np.array([a.leader_offset for a in agents]).reshape(n, d) + u0  # at mu = mu0
-    for idx, A_g, B_g, C_g, T_g, w_g, psi_g, where in groups:
-        drive = (B_g @ u_eff[idx][:, :, None])[:, :, 0]
-        c[(ofs[idx][:, None] + np.arange(A_g.shape[1])).ravel()] = (w_g + drive).ravel()
-
-    # feedthrough: y_i = C_i x_i + T_i u_eff_i - sum_f E[i, f] T_i L_f (eta_f or
-    # paper_psi(eta_f)), and zeta_e takes E[i, e] times each of those terms
-    y0 = np.zeros((n, d))  # T_i u_eff_i, y's constant
-    # edge end k joins edge end_edge[k] to node end_node[k], with E = end_sign[k] there
-    end_node, end_edge = np.concatenate((tail, head)), np.tile(np.arange(m), 2)
-    end_sign = np.repeat([-1.0, 1.0], m)
-    by_node = np.argsort(end_node, kind="stable")
-    start = np.searchsorted(end_node[by_node], np.arange(n + 1))
-    mu_col = np.where(on_psi, psi_col, r)  # the first column mu_f reads
-    for i in np.flatnonzero(T.reshape(n, -1).any(axis=1)):
-        at = by_node[start[i]:start[i + 1]]
-        f, s_f = end_edge[at], end_sign[at]
-        blocks = -s_f[:, None, None] * (T[i] @ L[f])
-        sig.append(_batch(np.full(f.size, i), np.full(f.size, i * d), mu_col[f], blocks))
-        rhs.append(_batch(np.full(f.size ** 2, i), np.repeat(r[f], f.size),
-                          np.tile(mu_col[f], f.size),
-                          (s_f[:, None, None, None] * blocks).reshape(-1, d, d)))
-        y0[i] = T[i] @ u_eff[i]
-        c[(r[f][:, None] + np.arange(d)).ravel()] += (s_f[:, None] * y0[i]).ravel()
-
-    row, col, w = _coo(rhs)
+    # mu = M v: L eta, or (L = I) paper_psi(eta) in the edge's paper_psi columns
+    e = np.arange(m)
+    M = _blocks(d * e, np.where(on_psi, dim + d * (np.cumsum(on_psi) - 1), eta[d * e]), L)
+    # E, lifted: -1 at (tail, edge) and +1 at (head, edge)
+    node, edge = np.concatenate((op.tail, op.head)), np.tile(np.arange(m * d), 2)
+    sign = np.repeat([-1.0, 1.0], m * d)
+    tail, head, first = y0.ravel()[op.tail], y0.ravel()[op.head], op.tail < op.head
+    c[eta] += np.where(first, -tail, head)  # zeta's constant E'y0 adds y0 node by node
+    c[eta] += np.where(first, head, -tail)
+    A, B, C, T = (tuple(map(np.concatenate, zip(*maps))) for maps in (A, B, C, T))
+    u = _compose((node, edge, -sign), M)  # u = -E mu
+    y = _coalesce(C, _compose(T, u))  # summed first: each end's y enters zeta as one term
+    k = np.arange(parts[0].shape[0], psi_idx.shape[0])  # the agents' paper_psi columns
+    lk = eta.reshape(m, d)[leak].ravel()
+    rhs = _coalesce(A, (psi_idx[k], dim + k, -np.ones(k.shape[0])), _compose(B, u),
+                    _compose((eta[edge], node, sign), y), (lk, lk, -np.ones(lk.shape[0])))
     const = np.flatnonzero(c)  # c goes last
-    row = np.concatenate((row, const))
-    col = np.concatenate((col, np.full(const.shape[0], one)))
-    w = np.concatenate((w, c[const]))
-    sig_row, sig_col, sig_w = _coo(sig)
+    row, col, w = map(np.concatenate, zip(rhs, (const, np.full(const.shape[0], one), c[const])))
     sig0 = np.concatenate((y0.ravel(), mu0.ravel()))
     const = np.flatnonzero(sig0)  # y's and mu's constants go first: each signal adds onto them
-    sig_row = np.concatenate((const, sig_row))
-    sig_col = np.concatenate((np.full(const.shape[0], one), sig_col))
-    sig_w = np.concatenate((sig0[const], sig_w))
-    lo = int(psi_idx[0]) if psi_idx.size else 0  # psi_idx is one range when it is lo, ..., hi - 1
-    hi = lo + psi_idx.shape[0]
-    one_range = np.array_equal(psi_idx, np.arange(lo, hi))
+    sig_row, sig_col, sig_w = map(np.concatenate, zip(  # y's rows, then mu's: each in order, once
+        (const, np.full(const.shape[0], one), sig0[const]), y, (n * d + M[0], *M[1:])))
+    lo = int(psi_idx[0]) if psi_idx.size else 0  # psi_idx is one range when it is lo, lo + 1, ...
+    one_range = np.array_equal(psi_idx, lo + np.arange(psi_idx.shape[0]))
     return PackedSystem(dim=dim, psi_idx=psi_idx, row=row, col=col, w=w,
                         sig_row=sig_row, sig_col=sig_col, sig_w=sig_w, op=op,
                         psi_cols=slice(dim, one), width=one + 1,
-                        psi_src=slice(lo, hi) if one_range else psi_idx,
+                        psi_src=slice(lo, lo + psi_idx.shape[0]) if one_range else psi_idx,
                         dense=_dense_w(row, col, w, dim, one + 1)
                         if dim * (one + 1) <= DENSE_MAX else None)
 

@@ -5,7 +5,8 @@ the incidence matrix E has E[i, k] = -1 (tail) and E[j, k] = +1 (head),
 and the lifted operator is E kron I_d acting on stacked node vectors
 (node-major layout: coordinates of node 0, then node 1, ...). The
 operator applies the lift by indexing (matvec, rmatvec); the dense lift
-is built only when it is read.
+is built only when it is read. _join is the one union-find: it decides
+connectivity here and the classes of netopt's graph flows.
 """
 from __future__ import annotations
 
@@ -114,24 +115,66 @@ def build_graph(node_count: int, edges) -> DirectedGraph:
             raise SelfLoop(f"self-loop at node {tail}")
         normalized.append((tail, head))
 
-    # union-find connectivity over the undirected skeleton
-    parent = list(range(node_count))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for tail, head in normalized:
-        ra, rb = find(tail), find(head)
-        if ra != rb:
-            parent[ra] = rb
-    roots = {find(i) for i in range(node_count)}
-    if len(roots) > 1:
-        raise Disconnected(f"graph has {len(roots)} components")
+    ends = np.array(normalized, dtype=np.intp).reshape(-1, 2).T
+    components = np.unique(_join(node_count, *ends, np.zeros(ends.shape[1]), 0)[0]).size
+    if components > 1:
+        raise Disconnected(f"graph has {components} components")
 
     return DirectedGraph(node_count=node_count, edges=tuple(normalized))
+
+
+def _join(count: int, tails, heads, offsets, ground: int):
+    """Union-find over count vertices joined by y[head] - y[tail] = offset.
+
+    ground stays the root of its class. Returns (root, value, imbalance):
+    root[v] is the root of v's class, value[v] = y_v - y_root along the
+    spanning forest the joins grow, and imbalance holds (y_h - y_t) -
+    offset for every join that closed a cycle instead. Only the joins
+    walk the forest one vertex at a time; root and value are read off it
+    a level at a time, each value summed from the root down, as find
+    sums it.
+    """
+    parent = list(range(count))
+    diff = [0.0] * count  # y_v - y_parent[v]
+
+    def find(v):
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        acc = 0.0
+        for w in reversed(path):
+            acc = diff[w] + acc
+            diff[w], parent[w] = acc, v
+        return v, acc
+
+    imbalance = []
+    for t, h, off in zip(tails.tolist(), heads.tolist(), offsets.tolist()):
+        rt, ot = find(t)
+        rh, oh = find(h)
+        if rt == rh:
+            imbalance.append((oh - ot) - off)
+        elif rh == ground:
+            parent[rt], diff[rt] = rh, oh - off - ot
+        else:
+            parent[rh], diff[rh] = rt, off + ot - oh
+    parent, diff = np.array(parent, dtype=np.intp), np.array(diff)
+    root, value = parent.copy(), np.zeros(count)
+    done = parent == np.arange(count)
+    while not done.all():
+        level = np.flatnonzero(~done & done[parent])
+        value[level] = diff[level] + value[parent[level]]
+        root[level] = root[parent[level]]
+        done[level] = True
+    return root, value, np.array(imbalance)
+
+
+def _classes(root: np.ndarray, count: int):
+    """(roots, cls): the distinct entries of root, all below count, in
+    ascending order, and the position of each entry among them."""
+    seen = np.zeros(count, dtype=bool)
+    seen[root] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[root]
 
 
 def incidence(graph: DirectedGraph, d: int) -> IncidenceOperator:

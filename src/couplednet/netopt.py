@@ -33,9 +33,11 @@ from .errors import (
     Unbounded,
     UnsupportedKind,
 )
-from .netgraph import DirectedGraph, IncidenceOperator, incidence
+from .netgraph import DirectedGraph, IncidenceOperator, _classes, _join, incidence
 from .plants import ss_groups
 from .relations import PSI_RANGE
+
+SELECTION_TOL = 1e-6  # relative residual a recovered (u, mu) selection may leave
 
 # ---------------------------------------------------------------------------
 # problem assembly
@@ -246,60 +248,6 @@ def assemble(graph: DirectedGraph, agents, controllers) -> NetworkProblem:
 # ---------------------------------------------------------------------------
 # coordinate sets and graph flows
 # ---------------------------------------------------------------------------
-
-
-def _join(count: int, tails, heads, offsets, ground: int):
-    """Union-find over count vertices joined by y[head] - y[tail] = offset.
-
-    ground stays the root of its class. Returns (root, value, imbalance):
-    root[v] is the root of v's class, value[v] = y_v - y_root along the
-    spanning forest the joins grow, and imbalance holds (y_h - y_t) -
-    offset for every join that closed a cycle instead. Only the joins
-    walk the forest one vertex at a time; root and value are read off it
-    a level at a time, each value summed from the root down, as find
-    sums it.
-    """
-    parent = list(range(count))
-    diff = [0.0] * count  # y_v - y_parent[v]
-
-    def find(v):
-        path = []
-        while parent[v] != v:
-            path.append(v)
-            v = parent[v]
-        acc = 0.0
-        for w in reversed(path):
-            acc = diff[w] + acc
-            diff[w], parent[w] = acc, v
-        return v, acc
-
-    imbalance = []
-    for t, h, off in zip(tails.tolist(), heads.tolist(), offsets.tolist()):
-        rt, ot = find(t)
-        rh, oh = find(h)
-        if rt == rh:
-            imbalance.append((oh - ot) - off)
-        elif rh == ground:
-            parent[rt], diff[rt] = rh, oh - off - ot
-        else:
-            parent[rh], diff[rh] = rt, off + ot - oh
-    parent, diff = np.array(parent, dtype=np.intp), np.array(diff)
-    root, value = parent.copy(), np.zeros(count)
-    done = parent == np.arange(count)
-    while not done.all():
-        level = np.flatnonzero(~done & done[parent])
-        value[level] = diff[level] + value[parent[level]]
-        root[level] = root[parent[level]]
-        done[level] = True
-    return root, value, np.array(imbalance)
-
-
-def _classes(root: np.ndarray, count: int):
-    """(roots, cls): the distinct entries of root, all below count, in
-    ascending order, and the position of each entry among them."""
-    seen = np.zeros(count, dtype=bool)
-    seen[root] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[root]
 
 
 @dataclass(frozen=True)
@@ -723,7 +671,7 @@ class SteadyStateCertificate:
         )
 
 
-def recover_certificate(problem: NetworkProblem, y, zeta, tol: float = 1e-6) -> SteadyStateCertificate:
+def recover_certificate(problem: NetworkProblem, y, zeta) -> SteadyStateCertificate:
     """Recover (u, mu) from an OPP solution (y, zeta).
 
     Selects u from k^-1(y) and mu from gamma(zeta) subject to
@@ -731,14 +679,14 @@ def recover_certificate(problem: NetworkProblem, y, zeta, tol: float = 1e-6) -> 
     choices, by one min-norm flow on the graph (see _selection_flow).
     Its least-squares residual is residual_inclusion. Raises
     EmptySelection when a set is empty or no consistent pair exists at
-    tol * (1 + ||E b + a||).
+    SELECTION_TOL * (1 + ||E b + a||).
     """
     y = np.asarray(y, dtype=float).ravel()
     zeta = np.asarray(zeta, dtype=float).ravel()
     op = problem.op
     u, mu, residual, scale = _selection_flow(problem, y, zeta)
     residual = float(np.linalg.norm(residual))
-    if residual > tol * (1.0 + scale):
+    if residual > SELECTION_TOL * (1.0 + scale):
         raise EmptySelection("no consistent (u, mu) pair at tolerance")
     res_cons = max(
         float(np.linalg.norm(zeta - op.rmatvec(y))), float(np.linalg.norm(u + op.matvec(mu)))

@@ -18,6 +18,12 @@ from .errors import EmptyInverse, EmptySelection, IndexOutOfRange, NotForcible, 
 from .netopt import (NetworkProblem, PinnedQuadratic, min_norm_flow, node_inverse,
                      solve_network_qp)
 
+# A flow routes when its residual is at most FORCIBLE_TOL * (1 + |rhs|), and y*
+# is forcible when 0 lies within FORCIBLE_TOL of sum_i k_i^-1(y*_i); relative
+# mode's shifted target must come within SHIFT_TOL.
+FORCIBLE_TOL = 1e-8
+SHIFT_TOL = 1e-6
+
 
 def _node_set(problem: NetworkProblem, y):
     """k^-1(y), the product of the node inverse sets k_i^-1(y_i).
@@ -31,7 +37,7 @@ def _node_set(problem: NetworkProblem, y):
         raise EmptyInverse("a node relation has no input mapping to y*") from None
 
 
-def _min_flow(problem: NetworkProblem, cat, tol: float = 1e-8):
+def _min_flow(problem: NetworkProblem, cat):
     """(mu, z): min-norm flow with -E mu in cat, min-norm z in S = sum_i cat_i.
 
     For cat = a + span(e_J), mu routes -a into every node coordinate
@@ -40,7 +46,7 @@ def _min_flow(problem: NetworkProblem, cat, tol: float = 1e-8):
     residual r = E mu + a is the mean of a when no node is free there
     and 0 otherwise, and z = sum_i r_i is the min-norm element of S;
     ||z|| is the distance of 0 to S. mu is None unless ||r|| is at most
-    max(tol, 1e-8) * (1 + ||rhs||), so a NaN residual routes nothing.
+    FORCIBLE_TOL * (1 + ||rhs||), so a NaN residual routes nothing.
     """
     a, free = cat
     rhs = np.where(free, 0.0, -a)
@@ -49,7 +55,7 @@ def _min_flow(problem: NetworkProblem, cat, tol: float = 1e-8):
     r = flow.residual
     z = r.reshape(problem.op.node_count, problem.op.dim).sum(axis=0)
     mu = flow.mu
-    if not np.linalg.norm(r) <= max(tol, 1e-8) * (1.0 + np.linalg.norm(rhs)):
+    if not np.linalg.norm(r) <= FORCIBLE_TOL * (1.0 + np.linalg.norm(rhs)):
         mu = None
     return mu, z
 
@@ -76,16 +82,16 @@ class ForcibilityReport:
         return self.forcible
 
 
-def _report(problem: NetworkProblem, mu, z, tol: float) -> ForcibilityReport:
+def _report(problem: NetworkProblem, mu, z) -> ForcibilityReport:
     residual = float(np.linalg.norm(z))
-    if not residual <= tol or mu is None:
+    if not residual <= FORCIBLE_TOL or mu is None:
         return ForcibilityReport(False, None, residual)
     return ForcibilityReport(True, -problem.op.matvec(mu), residual)
 
 
-def check_forcible(problem: NetworkProblem, y_star, tol: float = 1e-8) -> ForcibilityReport:
+def check_forcible(problem: NetworkProblem, y_star) -> ForcibilityReport:
     """Test whether y* is forcible as a steady state by pure coupling."""
-    return _report(problem, *_min_flow(problem, _node_set(problem, y_star), tol), tol)
+    return _report(problem, *_min_flow(problem, _node_set(problem, y_star)))
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,7 @@ class SynthesisResult:
     leader: Optional[int] = None
 
 
-def _agreement_shift(problem: NetworkProblem, y_star: np.ndarray, tol: float) -> np.ndarray:
+def _agreement_shift(problem: NetworkProblem, y_star: np.ndarray) -> np.ndarray:
     """beta minimizing A(beta) = sum_i K*_i(y*_i + beta), by one exact solve.
 
     That is the potential problem with every edge pinned to E'y*, whose
@@ -112,14 +118,13 @@ def _agreement_shift(problem: NetworkProblem, y_star: np.ndarray, tol: float) ->
     Kstar = problem.nodes.Kstar
     pins = PinnedQuadratic(np.zeros((m, d, d)), np.zeros(op.edge_size), np.zeros(m),
                            np.ones(op.edge_size, dtype=bool), op.rmatvec(y_star) + 0.0)
-    y, _ = solve_network_qp(op, Kstar, pins, y_star, tol, Kstar.value)
+    y, _ = solve_network_qp(op, Kstar, pins, y_star, FORCIBLE_TOL, Kstar.value)
     return (y - y_star).reshape(op.node_count, d).mean(axis=0)
 
 
 def synthesize_linear(
     problem: NetworkProblem,
     y_star,
-    tol: float = 1e-8,
     mode: str = "absolute",
     leader: Optional[int] = None,
 ) -> SynthesisResult:
@@ -150,19 +155,19 @@ def synthesize_linear(
     y_target = y_star
 
     cat = _node_set(problem, y_star)
-    mu, z = _min_flow(problem, cat, tol)
-    fr = _report(problem, mu, z, tol)
+    mu, z = _min_flow(problem, cat)
+    fr = _report(problem, mu, z)
     if not fr.forcible:
         if leader is not None:
             leader_z = z
             shift = np.kron(np.eye(n)[leader], -z)
-            mu, _ = _min_flow(problem, (cat[0] + shift, cat[1]), tol)
+            mu, _ = _min_flow(problem, (cat[0] + shift, cat[1]))
         elif mode == "relative":
-            beta = _agreement_shift(problem, y_star, tol)
+            beta = _agreement_shift(problem, y_star)
             y_target = y_star + np.tile(beta, n)
-            mu, z = _min_flow(problem, _node_set(problem, y_target), tol)
+            mu, z = _min_flow(problem, _node_set(problem, y_target))
             residual = np.linalg.norm(z)
-            if not residual <= max(tol, 1e-6):
+            if not residual <= SHIFT_TOL:
                 raise NotForcible(
                     f"no agreement shift of y* is forcible (residual {residual:.3e})"
                 )
@@ -215,17 +220,17 @@ def check_uniqueness_conditions(problem: NetworkProblem, y_star) -> UniquenessRe
     return UniquenessReport(outer, inner, float(np.linalg.norm(z)))
 
 
-def g_map(problem: NetworkProblem, y, tol: float = 1e-8) -> np.ndarray:
+def g_map(problem: NetworkProblem, y) -> np.ndarray:
     """Minimum-norm mu with -E mu in k^-1(y); the reconfiguration selection."""
-    return _routed(_min_flow(problem, _node_set(problem, y), tol)[0])
+    return _routed(_min_flow(problem, _node_set(problem, y))[0])
 
 
-def reconfiguration_offsets(problem: NetworkProblem, y0, y_star, tol: float = 1e-8):
+def reconfiguration_offsets(problem: NetworkProblem, y0, y_star):
     """(alpha, beta) retargeting controllers from steady output y0 to y*."""
     y0 = np.asarray(y0, dtype=float).ravel()
     y_star = np.asarray(y_star, dtype=float).ravel()
     alpha = problem.op.rmatvec(y_star) - problem.op.rmatvec(y0)
-    beta = g_map(problem, y_star, tol) - g_map(problem, y0, tol)
+    beta = g_map(problem, y_star) - g_map(problem, y0)
     return alpha, beta
 
 
@@ -239,11 +244,11 @@ def wrap_reconfigured(controllers, alpha, beta, d: int):
     return tuple(out)
 
 
-def leader_input(problem: NetworkProblem, y_star, i0: int, tol: float = 1e-8) -> np.ndarray:
+def leader_input(problem: NetworkProblem, y_star, i0: int) -> np.ndarray:
     """Constant input z at node i0 making y* forcible: z in sum_i k_i^-1(y*_i)."""
     if not (0 <= i0 < problem.op.node_count):
         raise IndexOutOfRange(f"node index {i0} out of range")
-    return _min_flow(problem, _node_set(problem, y_star), tol)[1]
+    return _min_flow(problem, _node_set(problem, y_star))[1]
 
 
 def apply_leader(agents, i0: int, z) -> list:

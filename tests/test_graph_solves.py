@@ -102,7 +102,7 @@ def test_graph_path_matches_dense_oracle(seed, n, d, offsets):
         for i, (S, v) in enumerate(zip(prob.nodes.S, prob.nodes.v)):
             if not S.any():
                 target[i * d:(i + 1) * d] = v
-    assert_agree(lambda: _agreement_shift(prob, target, 1e-8),
+    assert_agree(lambda: _agreement_shift(prob, target),
                  lambda: dense.agreement_shift(prob, target, 1e-8), "agreement shift")
     assert_agree(lambda: [g_map(prob, target)], lambda: [dense.g_map(prob, target)],
                  "g_map at a target")
@@ -122,7 +122,7 @@ def test_graph_path_matches_dense_oracle(seed, n, d, offsets):
     assert_agree(lambda: [g_map(prob, y)], lambda: [dense.g_map(prob, y)], "g_map")
     assert_agree(lambda: [leader_input(prob, y, 0)], lambda: [dense.min_flow(prob, y)[1]],
                  "leader_input")
-    assert_agree(lambda: _agreement_shift(prob, y, 1e-8),
+    assert_agree(lambda: _agreement_shift(prob, y),
                  lambda: dense.agreement_shift(prob, y, 1e-8), "agreement shift at y")
 
 

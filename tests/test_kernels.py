@@ -359,6 +359,15 @@ def every_kind_doc():
             "agents": agents, "controllers": controllers}
 
 
+def both_ends_doc():
+    """every_kind_doc with feedthrough at node 1 too, so edge 0's zeta reads
+    its own state through the outputs at both of its ends."""
+    doc = every_kind_doc()
+    doc["agents"][1] = dict(doc["agents"][0], T=[[0.3, -0.2], [0.15, 0.4]],
+                            leader_offset=[0.1, 0.3])
+    return doc
+
+
 @pytest.mark.parametrize("command", ["predict", "check-cm"])
 def test_every_kind_doc_is_outside_the_theory(tmp_path, capsys, command):
     # a valid document: its convex-gradient agents have no closed steady-state
@@ -372,13 +381,51 @@ def test_every_kind_doc_is_outside_the_theory(tmp_path, capsys, command):
 
 
 def test_every_config_kind_packs_whole():
-    cfg = parse_config(every_kind_doc())
-    system = closed_loop(cfg.graph, cfg.agents, cfg.controllers)
-    pk = system.packed
-    # no component columns: v is [s ; paper_psi(s[psi_idx]) ; 1], here three paper_psi
-    # integrators and two paper_psi agents
-    assert pk.width == pk.psi_cols.stop + 1 and pk.psi_idx.size == 3 * 2 + 2 + 2
-    assert_matches_the_oracle(system, zlib.crc32(b"every_kind"))
+    for name, doc in (("every_kind", every_kind_doc()), ("both_ends", both_ends_doc())):
+        cfg = parse_config(doc)
+        system = closed_loop(cfg.graph, cfg.agents, cfg.controllers)
+        pk = system.packed
+        # no component columns: v is [s ; paper_psi(s[psi_idx]) ; 1], here three paper_psi
+        # integrators and two paper_psi agents
+        assert pk.width == pk.psi_cols.stop + 1 and pk.psi_idx.size == 3 * 2 + 2 + 2
+        assert_matches_the_oracle(system, zlib.crc32(name.encode()))
+
+
+def test_each_packed_map_holds_an_entry_once():
+    # every_kind_doc's node 0 has feedthrough, so its output reads edge 2's state,
+    # which edge 2's leak reads too: one entry sums both
+    docs = [parse_config(doc) for doc in (every_kind_doc(), both_ends_doc())]
+    for system in [closed_loop(c.graph, c.agents, c.controllers) for c in docs] + [
+            mixed_system(), formation_segment()]:
+        pk = system.packed
+        for row, col in ((pk.row, pk.col), (pk.sig_row, pk.sig_col)):
+            key = row * pk.width + col
+            assert np.unique(key).size == key.size
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compose_matches_dense_products(seed):
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.integers(1, 7, size=3)
+
+    def coo(rows, cols):  # 20 entries on at most 36 places: rows, columns and places repeat
+        return rng.integers(rows, size=20), rng.integers(cols, size=20), rng.normal(size=20)
+
+    def dense(m, rows, cols):
+        D = np.zeros((rows, cols))
+        np.add.at(D, (m[0], m[1]), m[2])
+        return D
+
+    P, Q = coo(a, b), coo(b, c)
+    PQ = _fastpath._compose(P, Q)
+    row, col, val = _fastpath._coalesce(PQ)
+    assert np.all(np.diff(row * c + col) > 0) and np.all(val != 0.0)  # once each, in order
+    for product in (PQ, (row, col, val)):
+        assert np.allclose(dense(product, a, c), dense(P, a, b) @ dense(Q, b, c),
+                           rtol=1e-12, atol=1e-12)
+    empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+    for X, Y in ((empty, Q), (P, empty), (empty, empty)):
+        assert all(part.size == 0 for part in _fastpath._compose(X, Y))
 
 
 def two_node(agent0, agent1=None, ctrl=None):
