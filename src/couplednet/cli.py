@@ -40,7 +40,6 @@ from .netopt import (
     verify_steady_state,
 )
 from .simulate import (
-    PREDICTION_TOL,
     WINDOW,
     IntegrateOptions,
     _record_grid,
@@ -49,7 +48,6 @@ from .simulate import (
     default_initial_state,
     export_csv,
     integrate_schedule,
-    prediction_report,
 )
 from .synthesis import (
     apply_leader,
@@ -74,25 +72,30 @@ _NUMERIC_ERRORS = (NoConvergence, StepUnderflow, NonFiniteState,
                    SingularMatrix, InfiniteValue)
 
 
+# each error's exit code and stderr prefix: the first row that holds it
+_EXITS = (
+    ((ConfigInvalid,), EXIT_CONFIG, "config error"),
+    (_MATH_ERRORS, EXIT_MATH, "infeasible"),
+    (_NUMERIC_ERRORS, EXIT_NUMERIC, "numerical failure"),
+    ((UnsupportedKind,), EXIT_UNSUPPORTED, "outside the theory"),
+    ((CoupledNetError,), EXIT_CONFIG, "error"),
+)
+
+
+def _refusal(ex: CoupledNetError):
+    _, code, prefix = next(row for row in _EXITS if isinstance(ex, row[0]))
+    named = "" if isinstance(ex, ConfigInvalid) else f"{type(ex).__name__}: "
+    return code, f"{prefix}: {named}{ex}"
+
+
 def _guard(fn) -> int:
     try:
         fn()
-        return EXIT_OK
-    except ConfigInvalid as ex:
-        click.echo(f"config error: {ex}", err=True)
-        return EXIT_CONFIG
-    except _MATH_ERRORS as ex:
-        click.echo(f"infeasible: {type(ex).__name__}: {ex}", err=True)
-        return EXIT_MATH
-    except _NUMERIC_ERRORS as ex:
-        click.echo(f"numerical failure: {type(ex).__name__}: {ex}", err=True)
-        return EXIT_NUMERIC
-    except UnsupportedKind as ex:
-        click.echo(f"outside the theory: {type(ex).__name__}: {ex}", err=True)
-        return EXIT_UNSUPPORTED
     except CoupledNetError as ex:
-        click.echo(f"error: {type(ex).__name__}: {ex}", err=True)
-        return EXIT_CONFIG
+        code, line = _refusal(ex)
+        click.echo(line, err=True)
+        return code
+    return EXIT_OK
 
 
 def _outdir(out) -> str:
@@ -153,10 +156,10 @@ def _solve_options(cfg) -> SolveOptions:
 
 
 def _integrate_options(cfg):
-    """(options, conv_tol, horizon, initial state or None), checked up front.
+    """(options, conv_tol, segment durations, initial state or None), checked up front.
 
-    The horizon is read only without an objective, whose schedule sets
-    the durations. A refusal names its key: `simulation: <key>: <reason>`.
+    The horizon, the one duration, is read only without an objective, whose
+    schedule sets the durations. A refusal names its key: `simulation: <key>: <reason>`.
     """
     sec = cfg.simulation
 
@@ -180,14 +183,11 @@ def _integrate_options(cfg):
     conv_tol = number("conv_tol", 1e-6)
     if not 0.0 < conv_tol < math.inf:
         raise ConfigInvalid(f"simulation: conv_tol: must be finite and positive, got {conv_tol}")
-    horizon = None
-    if cfg.objective is None:
-        horizon = number("horizon", 0.0)
-        if not 0.0 < horizon < math.inf:
-            raise ConfigInvalid(
-                f"simulation: horizon: must be finite and positive, got {horizon}")
+    durations = (number("horizon", 0.0),) if cfg.objective is None else cfg.objective.durations
+    if not 0.0 < durations[0] < math.inf:  # a horizon: the config checked the schedule's
+        raise ConfigInvalid(f"simulation: horizon: must be finite and positive, got {durations[0]}")
     t0 = 0.0  # on the record grids of integrate_schedule
-    for T in (horizon,) if cfg.objective is None else cfg.objective.durations:
+    for T in durations:
         times = _record_grid(t0, T, opts.record_every)
         if times.shape[0] - _window_start(times, WINDOW * T) < 2:
             raise ConfigInvalid("simulation: record_every: a window holds fewer than two records")
@@ -195,7 +195,33 @@ def _integrate_options(cfg):
     init = sec.get("initial_state")
     if init is not None:
         init = cfgmod.vector(init, "simulation: initial_state")
-    return opts, conv_tol, horizon, init
+    return opts, conv_tol, durations, init
+
+
+def _certify(cfg):
+    """(certificate, duality gap, solve trace) of cfg's network, or predict's refusal."""
+    problem = assemble(cfg.graph, cfg.agents, cfg.controllers)
+    y, zeta, trace = solve_opp(problem, opts=_solve_options(cfg))
+    cert = recover_certificate(problem, y, zeta)
+    if not cert.valid(_CERT_TOL):
+        # e.g. a saturating integrator asked for an effort outside
+        # its output range: the optimum is no steady state
+        raise Infeasible(
+            "optimum fails its certificate: residuals "
+            f"consistency {cert.residual_consistency:.3e}, "
+            f"relations {cert.residual_relations:.3e}, "
+            f"inclusion {cert.residual_inclusion:.3e}")
+    unreachable = couplers.unreachable_efforts(cfg.controllers, cert.mu, _CERT_TOL)
+    if unreachable.size:
+        e = int(unreachable[0])
+        raise Infeasible(f"controllers[{e}]: the certified effort "
+                         f"{_fmt_vec(cert.mu.reshape(-1, cfg.agents[0].io_dim)[e])} is "
+                         "outside its potential's output range q + beta + range(P)")
+    gap = duality_gap(problem, cert.u, cert.mu, cert.y, cert.zeta)
+    scale = 1.0 + abs(opp_objective(problem, cert.y)) + abs(ofp_objective(problem, cert.mu))
+    if not abs(gap) <= 1e-8 * scale:
+        raise Infeasible(f"duality gap {gap:.3e} exceeds 1e-8 * {scale:.3e}")
+    return cert, gap, trace
 
 
 @click.group()
@@ -215,28 +241,7 @@ def cmd_predict(config_path, out):
     """
 
     def run():
-        cfg = cfgmod.load_config(config_path)
-        problem = assemble(cfg.graph, cfg.agents, cfg.controllers)
-        y, zeta, trace = solve_opp(problem, opts=_solve_options(cfg))
-        cert = recover_certificate(problem, y, zeta)
-        if not cert.valid(_CERT_TOL):
-            # e.g. a saturating integrator asked for an effort outside
-            # its output range: the optimum is no steady state
-            raise Infeasible(
-                "optimum fails its certificate: residuals "
-                f"consistency {cert.residual_consistency:.3e}, "
-                f"relations {cert.residual_relations:.3e}, "
-                f"inclusion {cert.residual_inclusion:.3e}")
-        unreachable = couplers.unreachable_efforts(cfg.controllers, cert.mu, _CERT_TOL)
-        if unreachable.size:
-            e = int(unreachable[0])
-            raise Infeasible(f"controllers[{e}]: the certified effort "
-                             f"{_fmt_vec(cert.mu.reshape(-1, cfg.agents[0].io_dim)[e])} is "
-                             "outside its potential's output range q + beta + range(P)")
-        gap = duality_gap(problem, cert.u, cert.mu, cert.y, cert.zeta)
-        scale = 1.0 + abs(opp_objective(problem, cert.y)) + abs(ofp_objective(problem, cert.mu))
-        if not abs(gap) <= 1e-8 * scale:
-            raise Infeasible(f"duality gap {gap:.3e} exceeds 1e-8 * {scale:.3e}")
+        cert, gap, trace = _certify(cfgmod.load_config(config_path))
         outdir = _outdir(out)
         trace.write_csv(os.path.join(outdir, "opp_trace.csv"))
         _write_json(os.path.join(outdir, "certificate.json"), {
@@ -293,43 +298,38 @@ def cmd_simulate(config_path, out):
 
     def run():
         cfg = cfgmod.load_config(config_path)
-        opts, conv_tol, horizon, init = _integrate_options(cfg)
-        solve_opts = _solve_options(cfg)  # refused here, before any planning
-        outdir = _outdir(out)
+        opts, conv_tol, durations, init = _integrate_options(cfg)
+        _solve_options(cfg)  # refused here, before any planning
+        summary = []
         if cfg.objective is not None:
             plan = _plan_segments(cfg)
         else:
-            # one segment with no target; its certificate waits for convergence
-            plan = [(closed_loop(cfg.graph, cfg.agents, cfg.controllers), horizon,
-                     None, None)]
-        if init is None:
-            init = default_initial_state(plan[0][0])
+            # one segment with predict's certificate; a network predict
+            # refuses with exit 2 or 4 is simulated without one
+            try:
+                cert = _certify(cfg)[0]
+            except CoupledNetError as ex:
+                code, line = _refusal(ex)
+                if code not in (EXIT_MATH, EXIT_UNSUPPORTED):
+                    raise
+                cert = None
+                summary.append(f"certificate refused: {line} (predict exits {code})")
+            plan = [(closed_loop(cfg.graph, cfg.agents, cfg.controllers), *durations, cert, None)]
+        init = default_initial_state(plan[0][0]) if init is None else init
+        outdir = _outdir(out)
         trajs = integrate_schedule([(system, T, cert) for system, T, cert, _ in plan], init,
                                    opts, conv_tol)
-        summary = []
-        for k, ((system, _, _, y_star), traj) in enumerate(zip(plan, trajs)):
+        for k, ((_, _, _, y_star), traj) in enumerate(zip(plan, trajs)):
             conv = traj.convergence
-            if y_star is not None:
-                line = f"segment {k}: converged = {conv.converged}"
-                if conv.proof:
-                    line += f", proof = {conv.proof}"
-                if conv.converged:
-                    err = float(np.max(np.abs(conv.y_ss - y_star)))
-                    line += (f", y_ss = {_fmt_vec(conv.y_ss)}"
-                             f", target_err_inf = {err:.3e}"
-                             f", prediction_pass = {traj.prediction.passed}")
-                summary.append(line + f", t_stop = {traj.metadata['t_stop']:.6g}")
-            else:
-                summary.append(f"converged = {conv.converged}")
-                if conv.converged:
-                    summary.append(f"y_ss = {_fmt_vec(conv.y_ss)}")
-                    problem = assemble(cfg.graph, cfg.agents, cfg.controllers)
-                    y, zeta, _ = solve_opp(problem, opts=solve_opts)
-                    cert = recover_certificate(problem, y, zeta)
-                    rep = prediction_report(system, conv, cert, PREDICTION_TOL)
-                    summary.append(f"y_error_aligned = {rep.y_error_aligned:.6e}")
-                    summary.append(f"mu_error_aligned = {rep.mu_error_aligned:.6e}")
-                    summary.append(f"prediction_pass = {rep.passed}")
+            line = f"segment {k}: converged = {conv.converged}"
+            if conv.proof:
+                line += f", proof = {conv.proof}"
+            if conv.converged:
+                line += f", y_ss = {_fmt_vec(conv.y_ss)}"
+                if y_star is not None:
+                    line += f", target_err_inf = {float(np.max(np.abs(conv.y_ss - y_star))):.3e}"
+                line += f", prediction_pass = {getattr(traj.prediction, 'passed', None)}"
+            summary.append(line + f", t_stop = {traj.metadata['t_stop']:.6g}")
         export_csv(trajs, os.path.join(outdir, "trajectory.csv"))
         text = "\n".join(summary)
         with open(os.path.join(outdir, "summary.txt"), "w") as fh:

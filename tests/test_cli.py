@@ -66,7 +66,29 @@ def test_simulate_plain_horizon(tmp_path, capsys):
     assert "converged = True" in out
     assert "prediction_pass = True" in out
     assert (tmp_path / "trajectory.csv").exists()
-    assert (tmp_path / "summary.txt").read_text().startswith("converged")
+    # one segment that carries predict's certificate, so the dense map's proof ends it
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("segment 0: converged = True, proof = lyapunov, ")
+    assert float(lines[0].rsplit(", t_stop = ", 1)[1]) < 40.0
+
+
+def test_plain_run_of_a_refused_network_is_simulated(tmp_path):
+    # paper_psi agents have no affine relation, so predict refuses them (exit 4)
+    agent = {"type": "convex_gradient", "psi": {"kind": "paper_psi", "dim": 1}}
+    doc = hand_doc(agents=[dict(agent, w=[0.3]), dict(agent, w=[-0.1])],
+                   controllers=[{"type": "linear_synthesis", "offset": [0.2]}],
+                   simulation={"horizon": 400.0, "conv_tol": 1e-4})
+    cfg = write_doc(tmp_path, doc)
+    assert run_cli("predict", "--config", cfg, "--out", str(tmp_path / "predict")) == 4
+    out = tmp_path / "simulate"
+    assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 0
+    assert (out / "trajectory.csv").exists()
+    summary = (out / "summary.txt").read_text()
+    assert "segment 0: converged = True, y_ss = " in summary
+    assert "prediction_pass = None" in summary  # no certificate to pass
+    assert any(line.startswith("certificate refused: outside the theory: UnsupportedKind: ")
+               and line.endswith("(predict exits 4)") for line in summary.splitlines())
 
 
 def test_simulate_requires_horizon(tmp_path):
