@@ -102,7 +102,8 @@ def unstable_doc():
     """The 3-node oscillators of bench_integrate coupled by quadratic
     integrators, one objective segment at their natural steady state,
     started at an equilibrium: certified, but the packed Jacobian there is
-    not Hurwitz, so no proof is set up and the trailing window judges it."""
+    not Hurwitz, so no proof is set up and its trailing window is judged at
+    its horizon."""
     small = bench_integrate.build_system(3, seed=SEED)
     integ = {"type": "integrator", "potential": {"kind": "quadratic", "P": np.eye(2).tolist()}}
     doc = workloads.network_doc(SEED, 3, small.graph.edges, small.agents,

@@ -105,15 +105,6 @@ def _packed_rhs(v, pk, out):
     return out
 
 
-def packed_jacobian(pk, s):
-    """Dense Jacobian of the packed map at s: W's state columns, plus its
-    paper_psi columns times paper_psi' at s[psi_idx] on the states they read."""
-    W = pk.dense if pk.dense is not None else _dense_w(pk.row, pk.col, pk.w, pk.dim, pk.width)
-    J = W[:, :pk.dim].copy()
-    np.add.at(J.T, pk.psi_idx, (W[:, pk.psi_cols] * paper_psi_prime(s[pk.psi_idx])).T)
-    return J
-
-
 @dataclass(frozen=True)
 class Region:
     """A proven region of attraction {V < c} of the equilibrium s_star on
@@ -285,8 +276,8 @@ def _rk45_loop(rhs, buffer, pk, s0, t0, rec_times, tol, h0, settled=None):
     relative and absolute. Records inside a step come from the 4th-order continuous
     extension; the last step lands exactly on rec_times[-1]. Returns
     (states, StepStats).
-    settled(out, k), if given, is called after each step that records, with
-    out's first k records filled; once True, the loop ends with those k.
+    settled(s), if given, is called after each step that records, with s
+    the last record; once True, the loop ends with the records so far.
     np.errstate(all="ignore") is entered once here, around every rhs
     call, so the packed kernel's paper_psi stays quiet under a caller's
     raising errstate, and a state that leaves the float range reaches
@@ -357,7 +348,7 @@ def _rk45_loop(rhs, buffer, pk, s0, t0, rec_times, tol, h0, settled=None):
                     idx = stop
                 if last:
                     out[-1] = s5
-                if wrote and settled is not None and settled(out, idx):
+                if wrote and settled is not None and settled(out[idx - 1]):
                     t_end = t_new  # ends the loop after this step's bookkeeping
                 accepted += 1
                 h_min = min(h_min, h_use)

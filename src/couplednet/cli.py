@@ -328,7 +328,8 @@ def cmd_simulate(config_path, out):
                 line += f", y_ss = {_fmt_vec(conv.y_ss)}"
                 if y_star is not None:
                     line += f", target_err_inf = {float(np.max(np.abs(conv.y_ss - y_star))):.3e}"
-                line += f", prediction_pass = {getattr(traj.prediction, 'passed', None)}"
+                rep = traj.prediction  # None without a certificate; falsy when it fails
+                line += f", prediction_pass = {None if rep is None else bool(rep)}"
             summary.append(line + f", t_stop = {traj.metadata['t_stop']:.6g}")
         export_csv(trajs, os.path.join(outdir, "trajectory.csv"))
         text = "\n".join(summary)

@@ -2,9 +2,10 @@
 
 Wires agents and edge controllers through the incidence operator
 (zeta = E^T y, u = -E mu), integrates the stacked ODE with adaptive
-Dormand-Prince 5(4) steps, proves convergence to a certificate by a
-Lyapunov function where it can or else detects it empirically, and
-compares the settled output against steady-state certificates.
+Dormand-Prince 5(4) steps, ends a run early only where a Lyapunov
+function proves it converges to its certificate, else judges the
+trailing window at its horizon, and compares the settled output against
+steady-state certificates.
 """
 from __future__ import annotations
 
@@ -140,14 +141,16 @@ def integrate(system: ClosedLoopSystem, init, T: float,
     init is the stacked initial state (agents then controllers), T the
     horizon (finite, positive) and t0 the start time (finite); opts sets
     the adaptive Dormand-Prince 5(4) steps' local error tol and the
-    record spacing. With a certificate the run ends at the first record
-    block where it has settled on it (_settled_test: by a Lyapunov proof
-    where one can be set up, else by the trailing window at conv_tol),
-    else at t0+T; metadata records the end as t_stop and T as horizon.
-    The run is judged once, at its stop or else at its end: convergence
-    is the proof's, or detect_convergence's at conv_tol, and prediction
-    prediction_report's at PREDICTION_TOL, or None without a certificate
-    or convergence.
+    record spacing. With a certificate whose member s* on s0's conserved
+    level _fastpath.attraction_region proves a region {V < c} around, the
+    run ends at the first record block whose last record has V <= c / 4,
+    a margin for the integration error; else it runs to t0+T. metadata
+    records the end as t_stop and T as horizon. The run is judged once,
+    at its end: convergence is the proof's where V <= c / 4 there (y_ss
+    and mu_ss the signals at s*, variation V, proof "lyapunov"), else
+    the trailing window's (WINDOW of T) at conv_tol, as
+    detect_convergence's; prediction is prediction_report's at
+    PREDICTION_TOL, or None without a certificate or convergence.
 
     Raises
     ------
@@ -170,10 +173,9 @@ def integrate(system: ClosedLoopSystem, init, T: float,
     rec = _record_grid(t0, T, opts.record_every)
 
     packed = system.packed
-    window = WINDOW * T
-    verdict = []  # the stop's, if the run settles
-    settled = None if certificate is None else _settled_test(
-        system, certificate, s0, rec, window, conv_tol, verdict)
+    region = None if certificate is None else _fastpath.attraction_region(
+        packed, s0, np.concatenate([np.ravel(certificate.y), np.ravel(certificate.mu)]))
+    settled = None if region is None else lambda s: region.value(s) <= 0.25 * region.c
     # the kernel is looked up on the module at each integrate call, so a
     # wrapper installed there (a call counter, a profiler) sees every
     # evaluation; the loop passes it positional arguments, as wrappers forward *args
@@ -185,78 +187,19 @@ def integrate(system: ClosedLoopSystem, init, T: float,
 
     times = rec[:states.shape[0]]
     u, y, zeta, mu = _fastpath.packed_signals(packed, states)
-    if not verdict:  # ran its full duration
-        start = _window_start(times, window)
+    if region is not None and (V := region.value(states[-1])) <= 0.25 * region.c:
+        y_star, mu_star = _fastpath.packed_outputs(packed, region.s_star[None])
+        conv = ConvergenceResult(converged=True, y_ss=y_star[0], mu_ss=mu_star[0], variation=V,
+                                 proof="lyapunov")
+    else:
+        start = _window_start(times, WINDOW * T)
         conv = _window_convergence(y[start:], mu[start:], conv_tol)
-        verdict = conv, (prediction_report(system, conv, certificate, PREDICTION_TOL)
-                         if conv and certificate is not None else None)
     meta = {"tol": opts.tol, "record_every": float(rec[1] - rec[0]), **asdict(stats),
             "t_stop": float(times[-1]), "horizon": float(T)}
     return Trajectory(system=system, times=times, states=states,
-                      u=u, y=y, zeta=zeta, mu=mu, metadata=meta,
-                      convergence=verdict[0], prediction=verdict[1])
-
-
-def _settled_test(system, certificate, s0, times, window, conv_tol, verdict):
-    """The settled(out, k) test of _rk45_loop, for a run from s0; verdict
-    then holds the stop's (ConvergenceResult, PredictionReport), judged
-    once.
-
-    Where _fastpath.attraction_region proves a region {V < c} around the
-    certificate's member s* on s0's conserved level, the run stops at
-    the first record block whose last record has V <= c / 4, a margin
-    for the integration error, converged on s* by proof: y_ss and mu_ss
-    are the signals at s*, and variation is V at the stop. Else the
-    trailing window of the first k records must converge at conv_tol and
-    pass prediction_report at PREDICTION_TOL, and the packed Jacobian at
-    the last record must have no eigenvalue with real part above 1e-9
-    times its spectral radius. While a suffix of the window's [y ; mu]
-    spreads more than conv_tol, no window holding its first record can
-    pass, so the next check waits until the window has left it.
-    """
-    pk = system.packed
-    region = _fastpath.attraction_region(pk, s0, np.concatenate(
-        [np.ravel(certificate.y), np.ravel(certificate.mu)]).astype(float))
-    if region is not None:
-        def proven(out, k):
-            V = region.value(out[k - 1])
-            if not V <= 0.25 * region.c:
-                return False
-            y, mu = _fastpath.packed_outputs(pk, region.s_star[None])
-            conv = ConvergenceResult(converged=True, y_ss=y[0], mu_ss=mu[0], variation=V,
-                                     proof="lyapunov")
-            verdict[:] = conv, prediction_report(system, conv, certificate, PREDICTION_TOL)
-            return True
-
-        return proven
-
-    due = int(np.searchsorted(times, times[0] + window, "right")) + 1  # a window fits
-
-    def settled(out, k):
-        nonlocal due
-        if k < due:
-            return False
-        start = _window_start(times[:k], window)
-        y, mu = _fastpath.packed_outputs(pk, out[start:k])
-        win = np.hstack((y, mu))[::-1]
-        spread = np.max(np.maximum.accumulate(win) - np.minimum.accumulate(win), axis=1)
-        wide = ~(spread <= conv_tol)  # of each suffix; NaN counts as wide
-        if wide.any() or k - start < 2:
-            r = k - int(np.argmax(wide))  # the records from r on spread at most conv_tol
-            due = int(np.searchsorted(times, times[r - 1] + window, "right")) + 1
-            return False
-        due = times.shape[0] + 1
-        conv = _window_convergence(y, mu, conv_tol)  # converged, as no suffix is wide
-        rep = prediction_report(system, conv, certificate, PREDICTION_TOL)
-        if not rep:
-            return False
-        eigs = np.linalg.eigvals(_fastpath.packed_jacobian(pk, out[k - 1]))
-        stable = eigs.real.max() <= 1e-9 * np.abs(eigs).max()
-        if stable:
-            verdict[:] = conv, rep
-        return stable
-
-    return settled
+                      u=u, y=y, zeta=zeta, mu=mu, metadata=meta, convergence=conv,
+                      prediction=prediction_report(system, conv, certificate, PREDICTION_TOL)
+                      if conv and certificate is not None else None)
 
 
 def integrate_schedule(segments, init,
@@ -293,7 +236,7 @@ def integrate_schedule(segments, init,
 class ConvergenceResult:
     """Outcome of convergence detection: by the trailing window, where
     variation is the window's spread in (y, mu) and y_ss, mu_ss its
-    means; or by a proof, named in proof ("lyapunov", see _settled_test),
+    means; or by a proof, named in proof ("lyapunov", see integrate),
     where y_ss and mu_ss are the proven limit's and variation is V at
     the stop."""
 

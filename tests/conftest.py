@@ -8,7 +8,7 @@ from couplednet import _fastpath
 from couplednet.couplers import linear_synthesis, nonlinear_integrator, reconfigured
 from couplednet.netgraph import build_graph
 from couplednet.plants import linear_agent
-from couplednet.relations import quadratic
+from couplednet.relations import paper_psi_prime, quadratic
 
 
 def rand_orth(rng, k):
@@ -56,6 +56,16 @@ def packed_rhs(pk, s, v=None):
     v[:pk.dim] = s
     with np.errstate(all="ignore"):
         return _fastpath._packed_rhs(v, pk, np.empty(pk.dim))
+
+
+def packed_jacobian(pk, s):
+    """Dense Jacobian of the packed map at s: W's state columns, plus its
+    paper_psi columns times paper_psi' at s[psi_idx] on the states they read."""
+    W = pk.dense if pk.dense is not None else _fastpath._dense_w(
+        pk.row, pk.col, pk.w, pk.dim, pk.width)
+    J = W[:, :pk.dim].copy()
+    np.add.at(J.T, pk.psi_idx, (W[:, pk.psi_cols] * paper_psi_prime(s[pk.psi_idx])).T)
+    return J
 
 
 def bench_integrate():

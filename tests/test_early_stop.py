@@ -1,16 +1,15 @@
-"""A segment with a certificate ends once it has settled on it.
+"""A segment with a certificate ends on its proof, or else at its horizon.
 
 Where _fastpath.attraction_region proves a region of attraction around
 the certificate's member, integrate stops at the first record block
 inside a quarter of it (tests/test_lyapunov_stop.py checks the proof).
-Elsewhere it stops at the first record block where the trailing window
-(a tenth of the scheduled duration) spreads at most conv_tol, its mean
-passes prediction_report against the certificate, and the packed
-Jacobian there has no eigenvalue with a positive real part. These tests
-check that the stop keeps the formation schedule's verdicts, that the
-verdict each Trajectory carries is the public functions', that a wrong
-certificate and a certified but unstable network run their full
-duration, and how the stop is reported.
+Elsewhere the segment runs to its horizon, and its trailing window (a
+tenth of the scheduled duration) is judged there, at conv_tol and by
+prediction_report against the certificate. These tests check that the
+stop keeps the formation schedule's verdicts, that the verdict each
+Trajectory carries is the public functions', that a wrong certificate
+and a certified but unstable network run their full duration and are
+judged once at their end, and how the stop is reported.
 """
 import dataclasses
 import json
@@ -31,7 +30,7 @@ from couplednet.simulate import (PREDICTION_TOL, IntegrateOptions, closed_loop,
                                  integrate_schedule, prediction_report)
 
 from closed_loop_oracle import agent_forms
-from conftest import bench_integrate, packed_rhs
+from conftest import bench_integrate, packed_jacobian, packed_rhs
 
 FORMATION = Path(__file__).resolve().parents[1] / "configs" / "formation.json"
 FULL_RHS_CALLS = 69_767  # formation's schedule with every segment run to its end
@@ -123,9 +122,9 @@ def test_wrong_certificate_runs_its_full_duration(formation, monkeypatch):
                      conv_tol=conv_tol)
     assert traj.metadata["t_stop"] == 30.0
     assert np.array_equal(traj.states, full[0].states)
-    # judged when its window first settled, and refused; then once at its end
-    assert len(calls) == 2 and not any(rep.passed for rep in calls)
-    assert traj.prediction is calls[-1]
+    # judged once, at its end, and refused
+    assert len(calls) == 1 and not calls[0].passed
+    assert traj.prediction is calls[0]
 
 
 def test_a_record_grid_too_coarse_to_judge_reads_not_converged(formation):
@@ -143,7 +142,7 @@ def test_a_record_grid_too_coarse_to_judge_reads_not_converged(formation):
     assert traj.convergence.proof == "lyapunov" and traj.prediction.passed
 
 
-def test_certified_but_unstable_network_runs_its_full_duration(monkeypatch):
+def test_certified_but_unstable_network_runs_its_full_duration():
     # the oscillators' output is their position, so quadratic integrators
     # make the loop unstable at its certified steady state
     small = bench_integrate().build_system(3, seed=1)
@@ -157,22 +156,15 @@ def test_certified_but_unstable_network_runs_its_full_duration(monkeypatch):
               for i, (A, B, _, _, w, _, _) in enumerate(agent_forms(system.agents))]
     s_star = np.concatenate(x_star + [cert.mu])
     assert np.max(np.abs(packed_rhs(system.packed, s_star))) <= 1e-12
-    spectra = []
-    real = _fastpath.packed_jacobian
-
-    def recorded(pk, s):
-        J = real(pk, s)
-        spectra.append(np.linalg.eigvals(J))
-        return J
-
-    monkeypatch.setattr(_fastpath, "packed_jacobian", recorded)
+    eigs = np.linalg.eigvals(packed_jacobian(system.packed, s_star))
+    assert eigs.real.max() == pytest.approx(0.137, abs=1e-3)
     traj = integrate(system, s_star, 30.0, certificate=cert)
     assert traj.metadata["t_stop"] == traj.times[-1] == 30.0
-    # its window settled on the certificate, and only the guard refused the stop
+    # no proof, so no early stop: its window at the end settles on the certificate
     conv = detect_convergence(traj)
-    assert conv and prediction_report(system, conv, cert, PREDICTION_TOL)
-    assert len(spectra) == 1
-    assert spectra[0].real.max() == pytest.approx(0.137, abs=1e-3)
+    same_fields(traj.convergence, conv)
+    assert conv and conv.proof is None
+    assert traj.prediction and prediction_report(system, conv, cert, PREDICTION_TOL)
 
 
 def test_summary_and_csv_end_each_segment_at_its_stop(tmp_path):

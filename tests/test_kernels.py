@@ -21,7 +21,7 @@ from couplednet.simulate import (IntegrateOptions, closed_loop,
                                  integrate_schedule)
 
 import closed_loop_oracle as oracle
-from conftest import bench_integrate, packed_rhs
+from conftest import bench_integrate, packed_jacobian, packed_rhs
 from set_oracle import stacked
 
 FORMATION = Path(__file__).resolve().parents[1] / "configs" / "formation.json"
@@ -304,7 +304,7 @@ def test_packed_jacobian_matches_central_differences(network):
         pk = system.packed
         fd = np.column_stack([(packed_rhs(pk, s + e) - packed_rhs(pk, s - e)) / (2 * h)
                               for e in h * np.eye(s.size)])
-        assert np.max(np.abs(_fastpath.packed_jacobian(system.packed, s) - fd)) <= 1e-7
+        assert np.max(np.abs(packed_jacobian(system.packed, s) - fd)) <= 1e-7
 
 
 @pytest.mark.parametrize("kind", ["feedthrough", "psi_agent", "psi_damping", "one_node"])
