@@ -109,12 +109,15 @@ def _packed_rhs(v, pk, out):
 class Region:
     """A proven region of attraction {V < c} of the equilibrium s_star on
     its conserved level, V(s) = z'Pz with z = N'(s - s_star): the loop
-    started in it converges to s_star (see attraction_region)."""
+    started in it converges to s_star (see attraction_region). p_max is
+    P's largest eigenvalue, so V's norm |N'e|_P stretches an error e in
+    the state at most sqrt(p_max) times (N's columns are orthonormal)."""
 
     s_star: np.ndarray
     N: np.ndarray
     P: np.ndarray
     c: float
+    p_max: float
 
     def value(self, s) -> float:
         """V(s)."""
@@ -142,11 +145,16 @@ def attraction_region(pk, s0, signals):
        eigenvalues' real parts below -1e-9 times its spectral radius, and P
        solves J_r'P + P J_r = -I by J_r's eigendecomposition, with a
        relative residual at most 1e-8 and P positive definite.
-    4. paper_psi's second-order remainder is at most M/2 times the square
-       of each of its inputs' moves, M = paper_psi_curvature_bound(). So
-       V' <= -q V + a M b^2 V^(3/2), with q = 1 / lambda_max(P),
-       a = |P^1/2 N'W_psi| and b = |N[psi_idx] P^-1/2|, and V decreases
-       on {V < c}, c = (q / (a M b^2))^2; c is infinite without paper_psi.
+    4. A sector bound on paper_psi's remainder, input by input, with
+       z = N'(s - s*), n_i row i of N[psi_idx] and u_i column i of
+       N'W_psi. On {V <= c} input i moves at most rho_i sqrt(c),
+       rho_i^2 = n_i'P^-1 n_i, so its secant slope is within
+       (M/2) rho_i sqrt(c) of paper_psi' at s*, M =
+       paper_psi_curvature_bound(). By AM-GM, with t_i = |P u_i| / |n_i|,
+       V' <= -|z|^2 + M sqrt(c) z'Sz, S = 1/2 sum_i rho_i (t_i n_i n_i'
+       + P u_i u_i'P / t_i), and V decreases on {V < c}, c =
+       (M lambda_max(S))^-2; c is infinite without paper_psi, or where
+       no input moves on the level.
     """
     W = pk.dense
     if W is None:
@@ -209,10 +217,15 @@ def attraction_region(pk, s0, signals):
             return None
         c = math.inf
         if pk.psi_idx.size:
-            a = np.linalg.norm((Up * np.sqrt(w)) @ Up.T @ N.T @ W_psi, 2)
-            b = np.linalg.norm(N_psi @ (Up / np.sqrt(w)) @ Up.T, 2)
-            c = (1.0 / w.max() / (a * paper_psi_curvature_bound() * b * b)) ** 2
-    return Region(s_star=s, N=N, P=P, c=float(c))
+            rho = np.linalg.norm(N_psi @ (Up / np.sqrt(w)), axis=1)
+            PU = P @ N.T @ W_psi
+            a, b = np.linalg.norm(N_psi, axis=1), np.linalg.norm(PU, axis=0)
+            on = rho * a * b > 0.0  # the inputs that move on the level and drive it
+            t = b[on] / a[on]
+            S = 0.5 * ((N_psi[on].T * (rho[on] * t)) @ N_psi[on]
+                       + (PU[:, on] * (rho[on] / t)) @ PU[:, on].T)
+            c = (paper_psi_curvature_bound() * np.linalg.eigvalsh(S)[-1]) ** -2.0
+    return Region(s_star=s, N=N, P=P, c=float(c), p_max=float(w.max()))
 
 
 @dataclass(frozen=True)
@@ -220,14 +233,16 @@ class StepStats:
     """Work done by one integration of _rk45_loop.
 
     nfev counts rhs evaluations, accepted counts the steps that advanced
-    time, rejected the steps retried after an error above tolerance, and
-    h_min is the smallest accepted step.
+    time, rejected the steps retried after an error above tolerance,
+    h_min is the smallest accepted step, and local_error sums the
+    accepted steps' local error estimates, each a Euclidean norm.
     """
 
     nfev: int
     accepted: int
     rejected: int
     h_min: float
+    local_error: float
 
 
 # Dormand-Prince 5(4): rows 1-5 of _DP build stages 2-6, row 6 holds the
@@ -276,8 +291,11 @@ def _rk45_loop(rhs, buffer, pk, s0, t0, rec_times, tol, h0, settled=None):
     relative and absolute. Records inside a step come from the 4th-order continuous
     extension; the last step lands exactly on rec_times[-1]. Returns
     (states, StepStats).
-    settled(s), if given, is called after each step that records, with s
-    the last record; once True, the loop ends with the records so far.
+    settled(s, local_error), if given, is called after each step that
+    records, with s the last record and local_error the sum of the
+    Euclidean norms of the local error estimates of the steps accepted
+    so far, this one included; once True, the loop ends with the records
+    so far.
     np.errstate(all="ignore") is entered once here, around every rhs
     call, so the packed kernel's paper_psi stays quiet under a caller's
     raising errstate, and a state that leaves the float range reaches
@@ -308,8 +326,8 @@ def _rk45_loop(rhs, buffer, pk, s0, t0, rec_times, tol, h0, settled=None):
     hdp = np.empty_like(_DP)  # h * _DP, refilled each step
     stages = [(hdp[i, :i], K[:i], K[i]) for i in range(1, 6)]
     b5, K5 = hdp[6, :6], K[:6]
-    abs_s5, scale, q = (np.empty(dim) for _ in range(3))
-    nfev, accepted, rejected, h_min = 1, 0, 0, math.inf
+    abs_s5, scale, q, q_scaled = (np.empty(dim) for _ in range(4))
+    nfev, accepted, rejected, h_min, local_error = 1, 0, 0, math.inf, 0.0
     h = h0
     with np.errstate(all="ignore"):
         rhs(s_buf, pk, K[0])
@@ -333,11 +351,12 @@ def _rk45_loop(rhs, buffer, pk, s0, t0, rec_times, tol, h0, settled=None):
             np.multiply(scale, tol, scale)
             np.add(scale, tol, scale)
             np.dot(hdp[7], K, q)
-            np.divide(q, scale, q)
-            errn = math.sqrt(np.dot(q, q) / dim)
+            np.divide(q, scale, q_scaled)
+            errn = math.sqrt(np.dot(q_scaled, q_scaled) / dim)
             if not math.isfinite(errn):
                 raise NonFiniteState("state became non-finite during integration")
             if errn <= 1.0:
+                local_error += math.sqrt(np.dot(q, q))
                 t_new = t_end if last else t + h_use
                 wrote = idx < nrec and rec_times[idx] <= t_new
                 if wrote:
@@ -348,7 +367,7 @@ def _rk45_loop(rhs, buffer, pk, s0, t0, rec_times, tol, h0, settled=None):
                     idx = stop
                 if last:
                     out[-1] = s5
-                if wrote and settled is not None and settled(out[idx - 1]):
+                if wrote and settled is not None and settled(out[idx - 1], local_error):
                     t_end = t_new  # ends the loop after this step's bookkeeping
                 accepted += 1
                 h_min = min(h_min, h_use)
@@ -360,7 +379,7 @@ def _rk45_loop(rhs, buffer, pk, s0, t0, rec_times, tol, h0, settled=None):
                 rejected += 1
             factor = 5.0 if errn == 0.0 else min(5.0, max(0.2, 0.9 * errn ** -0.2))
             h = h_use * factor
-    return out[:idx], StepStats(nfev, accepted, rejected, h_min)
+    return out[:idx], StepStats(nfev, accepted, rejected, h_min, local_error)
 
 
 # ---------------------------------------------------------------------------

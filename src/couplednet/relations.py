@@ -134,6 +134,9 @@ PSI_RANGE = (-math.asin(_L_LIMIT / (_L_LIMIT + 1.0)), math.pi / 2.0)
 # paper_psi(x) takes its smallest and largest values, its saturated
 # limits, for |x| at most this: below about -38 and above about 1.3e16
 _PSI_SATURATED = 1e17
+# half the relative width of _psi_inverse's bracket around its closed form:
+# 2**-40 of |x| is about 2**13 keys, so 14 halvings
+_PSI_BRACKET = 2.0 ** -40
 
 
 def _psi_inverse(m: np.ndarray):
@@ -143,10 +146,15 @@ def _psi_inverse(m: np.ndarray):
 
     x is the point nearest 0 with paper_psi(x) >= m (m > 0) or <= m
     (m < 0), so paper_psi(x) = m wherever m is a value paper_psi
-    returns: the saturated values too, which the closed form x =
-    log(2 exp(ell) - 1) cannot reach. It is found by bisection on the
-    bits of |x| in [0, _PSI_SATURATED], an ordered integer key there:
-    63 halvings, each one paper_psi call on all entries.
+    returns: the saturated values too, which the closed form cannot
+    reach. It is found by bisection on the bits of |x|, an ordered
+    integer key, each halving one paper_psi call on all entries. The
+    bisection starts from a bracket of relative width 2 _PSI_BRACKET
+    around the closed form x = log(2 exp(ell) - 1), as ell + log1p(1 -
+    exp(-ell)) and ell^2 = t (t + sqrt(t^2 + 1)), t = tan |m|, checked by
+    one paper_psi call at each end; where the check fails (the saturated
+    tails, where the closed form is inaccurate or not finite) it starts
+    from [0, _PSI_SATURATED], and the bisection takes 63 halvings.
     """
     m = np.asarray(m, dtype=float)
     top = paper_psi(np.array([-_PSI_SATURATED, _PSI_SATURATED]))
@@ -154,15 +162,27 @@ def _psi_inverse(m: np.ndarray):
     sign = np.where(inside & (m < 0.0), -1.0, 1.0)
     target = np.where(inside, np.abs(m), 0.0).ravel()
     flat_sign = sign.ravel()
-    # keys of |x|: sign psi(sign |x|) < |m| at below, >= |m| at above
-    below = np.zeros(target.shape, dtype=np.int64)
-    above = np.where(target > 0.0, np.float64(_PSI_SATURATED).view(np.int64), 0)
     psi = np.empty(target.shape)
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        for _ in range(int(above.max(initial=0)).bit_length()):
+
+    def reached(key):
+        """Where sign psi(sign |x|) >= |m| at the keys of |x|."""
+        return flat_sign * paper_psi_into(flat_sign * key.view(np.float64), psi) >= target
+
+    with np.errstate(all="ignore"):
+        t = np.tan(target)
+        ell = flat_sign * np.sqrt(t * (t + np.hypot(t, 1.0)))
+        x = np.abs(ell + np.log1p(-np.expm1(-ell)))
+        below = (x * (1.0 - _PSI_BRACKET)).view(np.int64)
+        above = (x * (1.0 + _PSI_BRACKET)).view(np.int64)
+        bracket = (target > 0.0) & (x < _PSI_SATURATED) & ~reached(below) & reached(above)
+        # keys of |x|: sign psi(sign |x|) < |m| at below, >= |m| at above
+        below = np.where(bracket, below, 0)
+        above = np.where(bracket, above,
+                         np.where(target > 0.0, np.float64(_PSI_SATURATED).view(np.int64), 0))
+        for _ in range(int((above - below).max(initial=0)).bit_length()):
             mid = below + (above - below) // 2
-            reached = flat_sign * paper_psi_into(flat_sign * mid.view(np.float64), psi) >= target
-            above, below = np.where(reached, mid, above), np.where(reached, below, mid)
+            hit = reached(mid)
+            above, below = np.where(hit, mid, above), np.where(hit, below, mid)
     return sign * above.view(np.float64).reshape(m.shape), inside
 
 

@@ -133,6 +133,22 @@ def _window_start(times, window: float) -> int:
     return int(np.searchsorted(times, times[-1] - window))
 
 
+def stop_level(region, local_error: float) -> float:
+    """The level of V at or below which a record stands for a run inside
+    the region {V < c}: (sqrt(c) - eps)^2, eps = sqrt(p_max) local_error,
+    with local_error the sum of the Euclidean norms of the run's local
+    error estimates up to the record (_rk45_loop's).
+
+    eps bounds the record's error in V's norm where the flow stretches
+    no error in that norm, as on the part of the run inside the region,
+    and the estimates bound the steps' true local errors; it is an
+    estimate, not a bound, over a transient that stretches errors.
+    tests/test_lyapunov_stop.py checks it against runs at tol 1e-11.
+    """
+    eps = math.sqrt(region.p_max) * local_error
+    return max(math.sqrt(region.c) - eps, 0.0) ** 2
+
+
 def integrate(system: ClosedLoopSystem, init, T: float,
               opts: Optional[IntegrateOptions] = None,
               t0: float = 0.0, certificate=None, conv_tol: float = 1e-6) -> Trajectory:
@@ -143,12 +159,13 @@ def integrate(system: ClosedLoopSystem, init, T: float,
     the adaptive Dormand-Prince 5(4) steps' local error tol and the
     record spacing. With a certificate whose member s* on s0's conserved
     level _fastpath.attraction_region proves a region {V < c} around, the
-    run ends at the first record block whose last record has V <= c / 4,
-    a margin for the integration error; else it runs to t0+T. metadata
-    records the end as t_stop and T as horizon. The run is judged once,
-    at its end: convergence is the proof's where V <= c / 4 there (y_ss
-    and mu_ss the signals at s*, variation V, proof "lyapunov"), else
-    the trailing window's (WINDOW of T) at conv_tol, as
+    run ends at the first record block whose last record has V at most
+    stop_level(region, local_error), a margin for the record's
+    integration error; else it runs to t0+T. metadata records the end as
+    t_stop, T as horizon and the loop's StepStats. The run is judged
+    once, at its end: convergence is the proof's where V is at most that
+    level there (y_ss and mu_ss the signals at s*, variation V, proof
+    "lyapunov"), else the trailing window's (WINDOW of T) at conv_tol, as
     detect_convergence's; prediction is prediction_report's at
     PREDICTION_TOL, or None without a certificate or convergence.
 
@@ -175,7 +192,8 @@ def integrate(system: ClosedLoopSystem, init, T: float,
     packed = system.packed
     region = None if certificate is None else _fastpath.attraction_region(
         packed, s0, np.concatenate([np.ravel(certificate.y), np.ravel(certificate.mu)]))
-    settled = None if region is None else lambda s: region.value(s) <= 0.25 * region.c
+    settled = None if region is None else (
+        lambda s, local_error: region.value(s) <= stop_level(region, local_error))
     # the kernel is looked up on the module at each integrate call, so a
     # wrapper installed there (a call counter, a profiler) sees every
     # evaluation; the loop passes it positional arguments, as wrappers forward *args
@@ -187,7 +205,8 @@ def integrate(system: ClosedLoopSystem, init, T: float,
 
     times = rec[:states.shape[0]]
     u, y, zeta, mu = _fastpath.packed_signals(packed, states)
-    if region is not None and (V := region.value(states[-1])) <= 0.25 * region.c:
+    if region is not None and settled(states[-1], stats.local_error):
+        V = region.value(states[-1])
         y_star, mu_star = _fastpath.packed_outputs(packed, region.s_star[None])
         conv = ConvergenceResult(converged=True, y_ss=y_star[0], mu_ss=mu_star[0], variation=V,
                                  proof="lyapunov")
@@ -259,12 +278,15 @@ def detect_convergence(traj: Trajectory, window: Optional[float] = None,
     window. On success y_ss and mu_ss are the window means. At the
     default window and tol = conv_tol this is integrate's verdict, bit
     for bit, on a run the window judged (convergence.proof None); a run
-    that ended on a proof carries the proof's verdict instead.
+    that ended on a proof carries the proof's verdict instead, and
+    where the window does not fit such a run (it stopped within the
+    window), that verdict is returned.
 
     Raises
     ------
     DimensionMismatch
-        tol is NaN or negative, or the window does not fit the trajectory.
+        tol is NaN or negative, or the window does not fit a trajectory
+        that did not end on a proof.
     """
     if not tol >= 0.0:
         raise DimensionMismatch(f"tol: must be non-negative, got {tol}")
@@ -272,10 +294,12 @@ def detect_convergence(traj: Trajectory, window: Optional[float] = None,
     span = times[-1] - times[0]
     if window is None:
         window = WINDOW * traj.metadata.get("horizon", span)
-    if window >= span:
-        raise DimensionMismatch("trajectory shorter than the window")
     start = _window_start(times, window)
-    if times.shape[0] - start < 2:
+    if window >= span or times.shape[0] - start < 2:
+        if traj.convergence is not None and traj.convergence.proof is not None:
+            return traj.convergence
+        if window >= span:
+            raise DimensionMismatch("trajectory shorter than the window")
         raise DimensionMismatch("window contains fewer than two samples")
     return _window_convergence(traj.y[start:], traj.mu[start:], tol)
 

@@ -2,7 +2,8 @@
 
 Where _fastpath.attraction_region proves a region of attraction around
 the certificate's member, integrate stops at the first record block
-inside a quarter of it (tests/test_lyapunov_stop.py checks the proof).
+inside it, less a margin for the integration error (simulate.stop_level;
+tests/test_lyapunov_stop.py checks the proof and the margin).
 Elsewhere the segment runs to its horizon, and its trailing window (a
 tenth of the scheduled duration) is judged there, at conv_tol and by
 prediction_report against the certificate. These tests check that the
@@ -23,11 +24,13 @@ import couplednet.simulate as sim
 from couplednet import _fastpath, cli
 from couplednet.config import load_config
 from couplednet.couplers import nonlinear_integrator
+from couplednet.errors import DimensionMismatch
 from couplednet.netopt import assemble, recover_certificate, solve_opp
 from couplednet.relations import quadratic
-from couplednet.simulate import (PREDICTION_TOL, IntegrateOptions, closed_loop,
-                                 default_initial_state, detect_convergence, integrate,
-                                 integrate_schedule, prediction_report)
+from couplednet.simulate import (PREDICTION_TOL, WINDOW, IntegrateOptions, closed_loop,
+                                 compare_prediction, default_initial_state,
+                                 detect_convergence, integrate, integrate_schedule,
+                                 prediction_report)
 
 from closed_loop_oracle import agent_forms
 from conftest import bench_integrate, packed_jacobian, packed_rhs
@@ -61,7 +64,7 @@ def same_fields(got, want):
 
 
 def test_formation_verdicts_survive_the_early_stop(formation):
-    # each segment ends by proof, at its first record inside {V <= c / 4}
+    # each segment ends by proof, at its first record at or below stop_level
     plan, conv_tol, stopped, full = formation
     for (system, T, cert, y_star), early, whole in zip(plan, stopped, full):
         assert early.metadata["t_stop"] < whole.metadata["t_stop"] == whole.times[-1]
@@ -70,7 +73,8 @@ def test_formation_verdicts_survive_the_early_stop(formation):
         region = _fastpath.attraction_region(system.packed, early.states[0],
                                              np.concatenate([cert.y, cert.mu]))
         V = np.array([region.value(s) for s in early.states])
-        assert V[-1] <= 0.25 * region.c and np.all(V[:-1] > 0.25 * region.c)
+        level = sim.stop_level(region, early.metadata["local_error"])
+        assert V[-1] <= level and np.all(V[:-1] > level)
         assert conv.variation == V[-1]
         y, mu = _fastpath.packed_outputs(system.packed, region.s_star[None])
         assert np.array_equal(conv.y_ss, y[0]) and np.array_equal(conv.mu_ss, mu[0])
@@ -87,7 +91,7 @@ def test_formation_verdicts_survive_the_early_stop(formation):
         assert np.max(np.abs(whole.states[-1] - region.s_star)) <= 1e-6
         assert np.max(np.abs(conv.y_ss - y_star)) <= 1e-6
     nfev = sum(traj.metadata["nfev"] for traj in stopped)
-    assert nfev <= 33_000 < 0.5 * FULL_RHS_CALLS
+    assert nfev <= 24_500 < 0.5 * FULL_RHS_CALLS
     assert nfev <= 0.5 * sum(traj.metadata["nfev"] for traj in full)
 
 
@@ -105,6 +109,22 @@ def test_stop_is_reported_and_the_schedule_keeps_its_times(formation):
                           for w in (None, 0.1 * T))
         same_fields(default, tenth)
         t_k += T
+
+
+def test_a_run_too_short_for_its_window_keeps_its_proof_verdict(formation):
+    # segment 2 stops 3.0 s into its 30 s, within the default window
+    plan, conv_tol, stopped, _ = formation
+    traj, cert = stopped[2], plan[2][2]
+    span = traj.times[-1] - traj.times[0]
+    assert span <= WINDOW * traj.metadata["horizon"]
+    for w in (None, 2.0 * span):
+        assert detect_convergence(traj, window=w, tol=conv_tol) is traj.convergence
+    same_fields(compare_prediction(traj, cert, PREDICTION_TOL, conv_tol=conv_tol),
+                traj.prediction)
+    # without a proof, the window still has to fit
+    bare = dataclasses.replace(traj, convergence=None)
+    with pytest.raises(DimensionMismatch, match="shorter than the window"):
+        detect_convergence(bare, tol=conv_tol)
 
 
 def test_wrong_certificate_runs_its_full_duration(formation, monkeypatch):
@@ -138,7 +158,7 @@ def test_a_record_grid_too_coarse_to_judge_reads_not_converged(formation):
     assert traj.times.shape[0] == 6 and traj.metadata["t_stop"] == T
     assert not traj.convergence and traj.prediction is None
     traj = integrate(system, stopped[0].states[0], T, opts, certificate=cert, conv_tol=conv_tol)
-    assert traj.times.tolist() == [0.0, 6.0, 12.0] and traj.metadata["t_stop"] == 12.0
+    assert traj.times.tolist() == [0.0, 6.0] and traj.metadata["t_stop"] == 6.0
     assert traj.convergence.proof == "lyapunov" and traj.prediction.passed
 
 

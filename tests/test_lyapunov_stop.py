@@ -3,10 +3,12 @@
 _fastpath.attraction_region turns a certificate into the packed state
 s* the loop reaches from its start, solves J_r'P + P J_r = -I on the
 conserved level, and bounds paper_psi's remainder by
-relations.paper_psi_curvature_bound, so V = e'Pe decreases on {V < c}.
-These tests check the region on a hand example, the member s* against a
-long accurate run, the stop itself, and each case with no proof: that
-segment runs to its horizon and its trailing window is judged there.
+relations.paper_psi_curvature_bound, input by input, so V = e'Pe
+decreases on {V < c}. These tests check the region on a hand example and
+on formation's segments, against the operator-norm bound it replaced,
+the member s* and each stop against accurate runs, the stop itself, and
+each case with no proof: that segment runs to its horizon and its
+trailing window is judged there.
 """
 import dataclasses
 import math
@@ -24,7 +26,7 @@ from couplednet.netopt import assemble, recover_certificate, solve_opp
 from couplednet.plants import linear_agent
 from couplednet.relations import paper_psi, paper_psi_curvature_bound, quadratic, scalar_separable
 from couplednet.simulate import (IntegrateOptions, closed_loop, default_initial_state,
-                                 detect_convergence, integrate)
+                                 detect_convergence, integrate, integrate_schedule, stop_level)
 
 from conftest import packed_rhs
 from test_early_stop import FORMATION
@@ -46,25 +48,103 @@ def hand_network(potential, w=3.0):
     return closed_loop(graph, agents, ctrls), cert
 
 
-def test_v_decreases_on_every_sampled_point_of_the_region():
-    system, cert = hand_network(scalar_separable(paper_psi, 1))
-    assert cert.mu == pytest.approx([1.0], abs=1e-9)
-    pk = system.packed
-    region = _fastpath.attraction_region(pk, np.zeros(3), signals(cert))
-    assert region is not None and 0.0 < region.c < math.inf
-    assert region.N.shape == (3, 3)  # no conserved quantity: a tree of stable agents
-    # points of {V <= c}: radii r sqrt(c) along P^-1/2 u, u on the unit sphere
+def operator_norm_c(pk, region):
+    """The region's c as an operator-norm bound on paper_psi's remainder
+    gives it: V' <= -q V + a M b^2 V^(3/2), with q = 1 / lambda_max(P),
+    a = |P^1/2 N'W_psi| and b = |N[psi_idx] P^-1/2|, so c = (q / (a M b^2))^2."""
     w, U = np.linalg.eigh(region.P)
-    rng = np.random.default_rng(33)
-    u = rng.normal(size=(4000, 3))
+    a = np.linalg.norm((U * np.sqrt(w)) @ U.T @ region.N.T @ pk.dense[:, pk.psi_cols], 2)
+    b = np.linalg.norm(region.N[pk.psi_idx] @ (U / np.sqrt(w)) @ U.T, 2)
+    return (1.0 / w.max() / (a * paper_psi_curvature_bound() * b * b)) ** 2
+
+
+def hand_regions():
+    """(packed system, region from the origin) of the paper_psi hand network at
+    w = 1, 2, 3 and 4: efforts mu = w / 3 inside paper_psi's range."""
+    for w in (1.0, 2.0, 3.0, 4.0):
+        system, cert = hand_network(scalar_separable(paper_psi, 1), w=w)
+        yield system.packed, _fastpath.attraction_region(system.packed, np.zeros(3),
+                                                          signals(cert))
+
+
+@pytest.fixture(scope="module")
+def formation_regions():
+    """(plan, stopped, regions): the CLI's segment plan, its schedule run
+    with the certificates, and each segment's region from its start."""
+    cfg = load_config(FORMATION)
+    opts, conv_tol, _, _ = cli._integrate_options(cfg)
+    plan = cli._plan_segments(cfg)
+    stopped = integrate_schedule([(system, T, cert) for system, T, cert, _ in plan],
+                                 default_initial_state(plan[0][0]), opts, conv_tol)
+    regions = [_fastpath.attraction_region(system.packed, traj.states[0], signals(cert))
+               for (system, _, cert, _), traj in zip(plan, stopped)]
+    return plan, stopped, regions
+
+
+def assert_v_decreases(pk, region, count, rng):
+    """V' < 0 at count points of {V <= c}, a quarter of them on its boundary:
+    radii r sqrt(c) along P^-1/2 u, u on the unit sphere."""
+    assert 0.0 < region.c < math.inf
+    w, U = np.linalg.eigh(region.P)
+    u = rng.normal(size=(count, w.shape[0]))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    r = np.concatenate([rng.uniform(1e-3, 1.0, 3000), np.ones(1000)])
+    r = np.concatenate([rng.uniform(1e-3, 1.0, count - count // 4), np.ones(count // 4)])
     z = (r[:, None] * math.sqrt(region.c) * u) @ (U / np.sqrt(w)) @ U.T
+    v = _fastpath.rhs_buffer(pk)
     for zk in z:
         s = region.s_star + region.N @ zk
         assert region.value(s) <= region.c * (1.0 + 1e-12)
-        dV = 2.0 * zk @ region.P @ (region.N.T @ packed_rhs(pk, s))
+        dV = 2.0 * zk @ region.P @ (region.N.T @ packed_rhs(pk, s, v))
         assert dV < 0.0
+
+
+def test_v_decreases_on_every_sampled_point_of_the_region(formation_regions):
+    system, cert = hand_network(scalar_separable(paper_psi, 1))
+    assert cert.mu == pytest.approx([1.0], abs=1e-9)
+    region = _fastpath.attraction_region(system.packed, np.zeros(3), signals(cert))
+    assert region.N.shape == (3, 3)  # no conserved quantity: a tree of stable agents
+    rng = np.random.default_rng(33)
+    assert_v_decreases(system.packed, region, 4000, rng)
+    plan, _, regions = formation_regions
+    for (system, _, _, _), region in zip(plan, regions):
+        assert_v_decreases(system.packed, region, 2000, rng)
+
+
+def test_the_sector_bound_is_no_smaller_than_the_operator_norm_bound(formation_regions):
+    plan, _, regions = formation_regions
+    packs = [system.packed for system, *_ in plan]
+    for pk, region in [*zip(packs, regions), *hand_regions()]:
+        assert region.c >= operator_norm_c(pk, region)
+    # formation's regions grow over a hundredfold
+    assert min(r.c / operator_norm_c(pk, r) for pk, r in zip(packs, regions)) >= 100.0
+
+
+def assert_inside_at_the_stop(system, traj, region):
+    """The record that stopped traj is within stop_level's margin, in V's
+    norm, of a run at tol 1e-11 from traj's start, so that run is inside
+    {V < c} there."""
+    meta, t0 = traj.metadata, traj.times[0]
+    assert traj.convergence.proof == "lyapunov"
+    accurate = integrate(system, traj.states[0], meta["t_stop"] - t0,
+                         IntegrateOptions(tol=1e-11, record_every=meta["record_every"]),
+                         t0).states[-1]
+    z = (accurate - traj.states[-1]) @ region.N
+    eps = math.sqrt(region.c) - math.sqrt(stop_level(region, meta["local_error"]))
+    assert 0.0 < math.sqrt(z @ region.P @ z) <= eps
+    assert region.value(accurate) < region.c
+
+
+def test_an_accurate_run_is_inside_the_region_at_each_stop(formation_regions):
+    plan, stopped, regions = formation_regions
+    for (system, _, _, _), traj, region in zip(plan, stopped, regions):
+        assert_inside_at_the_stop(system, traj, region)
+    for w in (1.0, 2.0, 3.0):  # at w = 4 the run does not reach its small region in 10 s
+        system, cert = hand_network(scalar_separable(paper_psi, 1), w=w)
+        s0 = np.zeros(3)
+        traj = integrate(system, s0, 10.0, certificate=cert)
+        assert traj.metadata["t_stop"] < 10.0
+        assert_inside_at_the_stop(system, traj, _fastpath.attraction_region(
+            system.packed, s0, signals(cert)))
 
 
 def mp_psi(x):
@@ -115,7 +195,8 @@ def test_a_segment_that_starts_in_its_region_stops_at_its_first_record_block():
     traj = integrate(system, start, 10.0, certificate=cert)
     assert traj.times.shape[0] == 2 and traj.metadata["t_stop"] == traj.times[1] < 10.0
     conv = traj.convergence
-    assert conv.proof == "lyapunov" and conv.variation <= 0.25 * region.c
+    assert conv.proof == "lyapunov"
+    assert conv.variation <= stop_level(region, traj.metadata["local_error"])
     region = _fastpath.attraction_region(system.packed, start, signals(cert))
     y, mu = _fastpath.packed_outputs(system.packed, region.s_star[None])
     assert np.array_equal(conv.y_ss, y[0]) and np.array_equal(conv.mu_ss, mu[0])
