@@ -245,52 +245,60 @@ class StepStats:
     local_error: float
 
 
-# Dormand-Prince 5(4): rows 1-5 of _DP build stages 2-6, row 6 holds the
-# 5th-order weights (stage 7 is the rhs there, reused as the next stage 1),
-# row 7 the error weights b5 - b4. The continuous extension's weights are
-# b_j(theta) = sum_k _DP_P[j, k] theta^(k+1). Both are written one row per
+# Dormand-Prince 5(4) on the stage matrix X = [s ; k1 ; ... ; k7]: row i of
+# h _DP times X is stage i + 1's state (rows 1-5), the 5th-order state (row
+# 6; stage 7 is the rhs there, reused as the next k1) and the error
+# estimate (row 7, the weights b5 - b4). Column 0 multiplies s and is not
+# scaled by h. A record at theta is ([1, h theta, ..., h theta^4] @ _DP_P.T) @ X:
+# row 0 keeps s, and row j the continuous extension's weight
+# b_j(theta) = sum_k _DP_P[j, k] theta^k. Both are written one row per
 # line but built flat: converting a nested list makes numpy allocate a
 # transient buffer that, at import time, adds about 128 KB to peak RSS.
 _DP = np.array([
-    0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-    0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-    3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-    44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0, 0.0,
-    19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0,
+    0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    1.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    1.0, 3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    1.0, 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0, 0.0,
+    1.0, 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0,
     0.0, 0.0, 0.0,
-    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+    1.0, 9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
     -5103.0 / 18656.0, 0.0, 0.0,
-    35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+    1.0, 35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
     11.0 / 84.0, 0.0,
-    71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
+    0.0, 71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
     22.0 / 525.0, -1.0 / 40.0,
-]).reshape(8, 7)
+]).reshape(8, 8)
 _DP_P = np.array([
-    1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
+    1.0, 0.0, 0.0, 0.0, 0.0,
+    0.0, 1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
     -12715105075.0 / 11282082432.0,
-    0.0, 0.0, 0.0, 0.0,
-    0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
+    0.0, 0.0, 0.0, 0.0, 0.0,
+    0.0, 0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
     87487479700.0 / 32700410799.0,
-    0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
+    0.0, 0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
     -10690763975.0 / 1880347072.0,
-    0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
+    0.0, 0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
     701980252875.0 / 199316789632.0,
-    0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
+    0.0, 0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
     -1453857185.0 / 822651844.0,
-    0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
+    0.0, 0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
     69997945.0 / 29380423.0,
-]).reshape(7, 4)
+]).reshape(8, 5)
 
 
 def _rk45_loop(rhs, buffer, pk, s0, t0, rec_times, tol, h0, settled=None):
     """Adaptive Dormand-Prince 5(4) recording the state at each rec_times entry.
 
     rhs(v, pk, out) writes the derivative at v[:dim] into out, and
-    buffer(pk) makes a v: the state, the 5th-order state and the stages
-    are each built in place in one v[:dim]. tol bounds the local error,
-    relative and absolute. Records inside a step come from the 4th-order continuous
-    extension; the last step lands exactly on rec_times[-1]. Returns
-    (states, StepStats).
+    buffer(pk) makes the one v. The step keeps the stage matrix
+    X = [s ; k1 ; ... ; k7]: each stage's state and the 5th-order state
+    are one product of a row of h _DP with X, written into v[:dim] and
+    evaluated there, the error estimate is one more, and a record inside
+    the step one product with X from the 4th-order continuous extension
+    (_DP_P); the last step lands exactly on rec_times[-1]. tol bounds
+    the local error, relative and absolute: the step is accepted where
+    the RMS of the estimate over 1 + max(|s|, |s5|) is at most tol.
+    Returns (states, StepStats).
     settled(s, local_error), if given, is called after each step that
     records, with s the last record and local_error the sum of the
     Euclidean norms of the local error estimates of the steps accepted
@@ -299,10 +307,7 @@ def _rk45_loop(rhs, buffer, pk, s0, t0, rec_times, tol, h0, settled=None):
     np.errstate(all="ignore") is entered once here, around every rhs
     call, so the packed kernel's paper_psi stays quiet under a caller's
     raising errstate, and a state that leaves the float range reaches
-    the finite check below instead of a numpy warning. Stages, the
-    5th-order state and the error norm are computed into preallocated
-    buffers by the same operations, in the same order, as the plain
-    `s + hdp[i, :i] @ K[:i]`, so they agree with it bit for bit.
+    the finite check below instead of a numpy warning.
 
     Raises
     ------
@@ -314,45 +319,40 @@ def _rk45_loop(rhs, buffer, pk, s0, t0, rec_times, tol, h0, settled=None):
     dim = s0.shape[0]
     nrec = rec_times.shape[0]
     out = np.empty((nrec, dim))
-    s_buf, s5_buf, stage_buf = buffer(pk), buffer(pk), buffer(pk)
-    s, s5, stage = s_buf[:dim], s5_buf[:dim], stage_buf[:dim]
-    s[:] = s0
+    v = buffer(pk)
+    stage = v[:dim]  # each stage's state, then the 5th-order state
+    X = np.empty((8, dim))
+    s = X[0]
+    s[:] = stage[:] = s0
     t = float(t0)
     # the records at t0 hold s0
     idx = int(np.searchsorted(rec_times, t + 1e-12 * (1.0 + abs(t)), side="right"))
     out[:idx] = s
     t_end = float(rec_times[-1]) if nrec else t
-    K = np.empty((7, dim))
-    hdp = np.empty_like(_DP)  # h * _DP, refilled each step
-    stages = [(hdp[i, :i], K[:i], K[i]) for i in range(1, 6)]
-    b5, K5 = hdp[6, :6], K[:6]
-    abs_s5, scale, q, q_scaled = (np.empty(dim) for _ in range(4))
+    hdp = _DP.copy()  # column 0 stays; h * _DP in the others, refilled each step
+    stages = [(hdp[i, :i + 1], X[:i + 1], X[i + 1]) for i in range(1, 7)]
+    abs_s5, scale, q = (np.empty(dim) for _ in range(3))
     nfev, accepted, rejected, h_min, local_error = 1, 0, 0, math.inf, 0.0
     h = h0
     with np.errstate(all="ignore"):
-        rhs(s_buf, pk, K[0])
+        rhs(v, pk, X[1])
         abs_s = np.abs(s)
         while t < t_end:
             if h < 1e-13 * (1.0 + abs(t)):
                 raise StepUnderflow("adaptive step size underflow")
             last = t + h >= t_end - 1e-14 * (1.0 + abs(t_end))
             h_use = t_end - t if last else h
-            np.multiply(_DP, h_use, hdp)
-            for a, k, k_out in stages:
-                np.dot(a, k, stage)
-                np.add(s, stage, stage)
-                rhs(stage_buf, pk, k_out)
-            np.dot(b5, K5, s5)
-            np.add(s, s5, s5)
-            rhs(s5_buf, pk, K[6])
+            np.multiply(_DP[:, 1:], h_use, hdp[:, 1:])
+            for a, x, k_out in stages:
+                np.dot(a, x, stage)
+                rhs(v, pk, k_out)
             nfev += 6
-            np.abs(s5, abs_s5)
+            np.dot(hdp[7], X, q)
+            np.abs(stage, abs_s5)
             np.maximum(abs_s, abs_s5, out=scale)
-            np.multiply(scale, tol, scale)
-            np.add(scale, tol, scale)
-            np.dot(hdp[7], K, q)
-            np.divide(q, scale, q_scaled)
-            errn = math.sqrt(np.dot(q_scaled, q_scaled) / dim)
+            np.add(scale, 1.0, scale)
+            np.divide(q, scale, scale)  # the scaled error, in scale's buffer
+            errn = math.sqrt(np.dot(scale, scale) / dim) / tol
             if not math.isfinite(errn):
                 raise NonFiniteState("state became non-finite during integration")
             if errn <= 1.0:
@@ -361,20 +361,20 @@ def _rk45_loop(rhs, buffer, pk, s0, t0, rec_times, tol, h0, settled=None):
                 wrote = idx < nrec and rec_times[idx] <= t_new
                 if wrote:
                     stop = int(np.searchsorted(rec_times, t_new, side="right"))
-                    theta = (rec_times[idx:stop] - t) / h_use
-                    weights = (theta[:, None] ** np.arange(1, 5)) @ _DP_P.T
-                    out[idx:stop] = s + h_use * (weights @ K)
+                    powers = ((rec_times[idx:stop, None] - t) / h_use) ** np.arange(5)
+                    powers[:, 1:] *= h_use
+                    out[idx:stop] = (powers @ _DP_P.T) @ X
                     idx = stop
                 if last:
-                    out[-1] = s5
+                    out[-1] = stage
                 if wrote and settled is not None and settled(out[idx - 1], local_error):
                     t_end = t_new  # ends the loop after this step's bookkeeping
                 accepted += 1
                 h_min = min(h_min, h_use)
                 t = t_new
-                s, s5, s_buf, s5_buf = s5, s, s5_buf, s_buf
+                s[:] = stage
+                X[1] = X[7]
                 abs_s, abs_s5 = abs_s5, abs_s
-                K[0] = K[6]
             else:
                 rejected += 1
             factor = 5.0 if errn == 0.0 else min(5.0, max(0.2, 0.9 * errn ** -0.2))
@@ -510,31 +510,30 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_VALUES // max(width, 1))
 
 
-def _signal_rows(packed: PackedSystem) -> int:
-    """Records per block of packed_outputs and packed_signals, sized by
-    the widest per-record temporary of either: v, the signal products or
-    E mu's bins."""
-    return block_rows(max(packed.width, packed.sig_row.shape[0], packed.op.edge_size))
+def packed_signals(packed: PackedSystem, states: np.ndarray):
+    """(u, y, zeta, mu) arrays for recorded packed states (rows = samples).
 
-
-def packed_outputs(packed: PackedSystem, states: np.ndarray):
-    """(y, mu) arrays for recorded packed states (rows = samples).
-
-    The records go in blocks of _signal_rows records. In a block, v is
-    filled for every record, then [y ; mu] is one bincount whose bins
-    are (record, coordinate) pairs. The bin indices are built once for a
-    full block, and the last block takes their leading records. Each bin
-    sums its entries in COO order, as one bincount over all records
-    would, so the outputs are the same bits.
+    The records go in one pass of blocks, block_rows sized by the widest
+    per-record temporary: v, the signal products or E mu's bins. In a
+    block, v is filled for every record, then [y ; mu] is one bincount
+    whose bins are (record, coordinate) pairs, E mu one bincount whose
+    bins are (record, node) pairs, from the operator's lifted tail and
+    head indices as its rmatvec and matvec compute them, and zeta = E'y.
+    The bin indices are built once for a full block, and the last block
+    takes their leading records. Each bin sums its entries in COO order,
+    as one bincount over all records would, so the signals are the same
+    bits whatever the block size.
     """
+    op = packed.op
     records = states.shape[0]
-    n, m = packed.op.node_size, packed.op.edge_size
+    n, m = op.node_size, op.edge_size
     nnz = packed.sig_row.shape[0]
-    rows = _signal_rows(packed)
+    rows = block_rows(max(packed.width, nnz, m))
     rec = np.arange(min(rows, records))[:, None]
     sig_bins = (rec * (n + m) + packed.sig_row).ravel()
+    head_bins, tail_bins = ((rec * n + end).ravel() for end in (op.head, op.tail))
     ones = np.ones((rec.shape[0], 1))
-    y, mu = np.empty((records, n)), np.empty((records, m))
+    u, y, zeta, mu = (np.empty((records, k)) for k in (n, n, m, m))
     for lo in range(0, records, rows):
         hi = min(lo + rows, records)
         b = hi - lo
@@ -543,29 +542,7 @@ def packed_outputs(packed: PackedSystem, states: np.ndarray):
         np.multiply(p, packed.sig_w, p)
         sig = np.bincount(sig_bins[:b * nnz], p.ravel(), b * (n + m)).reshape(b, n + m)
         y[lo:hi], mu[lo:hi] = sig[:, :n], sig[:, n:]
-    return y, mu
-
-
-def packed_signals(packed: PackedSystem, states: np.ndarray):
-    """(u, y, zeta, mu) arrays for recorded packed states (rows = samples).
-
-    y and mu are packed_outputs'. zeta = E'y and u = -E mu follow in
-    the same blocks: E mu is one bincount whose bins are
-    (record, node) pairs, from the operator's lifted tail and head
-    indices, as its rmatvec and matvec compute them.
-    """
-    op = packed.op
-    y, mu = packed_outputs(packed, states)
-    records = states.shape[0]
-    n, m = op.node_size, op.edge_size
-    rows = _signal_rows(packed)
-    rec = np.arange(min(rows, records))[:, None]
-    head_bins = (rec * n + op.head).ravel()
-    tail_bins = (rec * n + op.tail).ravel()
-    u, zeta = np.empty((records, n)), np.empty((records, m))
-    for lo in range(0, records, rows):
-        hi = min(lo + rows, records)
-        b = hi - lo
+        del v, p, sig  # so E mu's temporaries do not add to them at the block's peak
         flat_mu = mu[lo:hi].ravel()
         E_mu = (np.bincount(head_bins[:b * m], flat_mu, b * n)
                 - np.bincount(tail_bins[:b * m], flat_mu, b * n))

@@ -156,7 +156,8 @@ def _solve_options(cfg) -> SolveOptions:
 
 
 def _integrate_options(cfg):
-    """(options, conv_tol, segment durations, initial state or None), checked up front.
+    """(options, conv_tol, segment durations, initial state or None), checked up front;
+    an initial state holds one entry per agent and controller state.
 
     The horizon, the one duration, is read only without an objective, whose
     schedule sets the durations. A refusal names its key: `simulation: <key>: <reason>`.
@@ -194,7 +195,8 @@ def _integrate_options(cfg):
         t0 += T
     init = sec.get("initial_state")
     if init is not None:
-        init = cfgmod.vector(init, "simulation: initial_state")
+        init = cfgmod.vector(init, "simulation: initial_state", sum(
+            part.state_dim for part in (*cfg.agents, *cfg.controllers)))
     return opts, conv_tol, durations, init
 
 

@@ -207,7 +207,7 @@ def integrate(system: ClosedLoopSystem, init, T: float,
     u, y, zeta, mu = _fastpath.packed_signals(packed, states)
     if region is not None and settled(states[-1], stats.local_error):
         V = region.value(states[-1])
-        y_star, mu_star = _fastpath.packed_outputs(packed, region.s_star[None])
+        _, y_star, _, mu_star = _fastpath.packed_signals(packed, region.s_star[None])
         conv = ConvergenceResult(converged=True, y_ss=y_star[0], mu_ss=mu_star[0], variation=V,
                                  proof="lyapunov")
     else:
@@ -394,11 +394,14 @@ def export_csv(traj, path) -> None:
     Raises
     ------
     DimensionMismatch
-        The segments differ in (nodes, edges, io_dim); nothing is written.
+        There is no segment, or the segments differ in (nodes, edges,
+        io_dim); nothing is written.
     """
     import orjson  # loaded by the first export, not by set-up or predict
 
     segs = (traj,) if isinstance(traj, Trajectory) else tuple(traj)
+    if not segs:
+        raise DimensionMismatch("no trajectory to export")
     layouts = {(seg.system.graph.node_count, seg.system.graph.edge_count, seg.system.io_dim)
                for seg in segs}
     if len(layouts) > 1:

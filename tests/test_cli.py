@@ -107,6 +107,7 @@ def test_simulate_requires_horizon(tmp_path):
     pytest.param("simulation", {"conv_tol": "tight"}, id="conv_tol_text"),
     pytest.param("simulation", {"initial_state": "abc"}, id="initial_state_text"),
     pytest.param("simulation", {"initial_state": [float("nan")]}, id="initial_state_nan"),
+    pytest.param("simulation", {"initial_state": [0.0, 1.0, 2.0]}, id="initial_state_length"),
     pytest.param("solver", {"tol": "x"}, id="solver_tol_text"),
     pytest.param("solver", {"tol": -1.0}, id="solver_tol"),
     pytest.param("solver", {"tol": float("nan")}, id="solver_tol_nan"),

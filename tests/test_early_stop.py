@@ -76,7 +76,7 @@ def test_formation_verdicts_survive_the_early_stop(formation):
         level = sim.stop_level(region, early.metadata["local_error"])
         assert V[-1] <= level and np.all(V[:-1] > level)
         assert conv.variation == V[-1]
-        y, mu = _fastpath.packed_outputs(system.packed, region.s_star[None])
+        _, y, _, mu = _fastpath.packed_signals(system.packed, region.s_star[None])
         assert np.array_equal(conv.y_ss, y[0]) and np.array_equal(conv.mu_ss, mu[0])
         # the verdict integrate made is the public function's on that limit
         same_fields(early.prediction, prediction_report(system, conv, cert, PREDICTION_TOL))

@@ -1,6 +1,7 @@
 import json
 import re
 import zlib
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,54 @@ def test_uneven_record_times_match_runs_ending_there():
         ref = integrate(system, s0, rec[k], IntegrateOptions(
             tol=1e-10, record_every=rec[k] / 2)).states[-1]
         assert np.allclose(states[k], ref, rtol=0.0, atol=1e-8), rec[k]
+
+
+def test_one_step_is_the_textbook_dormand_prince_step():
+    # Hairer, Norsett & Wanner, Solving ODEs I, II.5 (Table 5.2) and the
+    # dense output of their DOPRI5 (II.6), written out apart from _DP and
+    # _DP_P: one accepted step of x' = Mx from x0, recorded inside it. M is
+    # fast enough that the error estimate, near tol, is not a sum that
+    # cancels to a few digits, so the stages' last bits move it well below
+    # rtol 1e-12 (at M / 5, an estimate of 1e-7, they move it by 8e-12)
+    M = np.array([[-5.0, 10.0, 0.0], [-10.0, -5.0, 2.5], [1.5, 0.0, -15.0]])
+    x0, h = np.array([1.0, -0.5, 2.0]), 0.05
+    c = [0, F(1, 5), F(3, 10), F(4, 5), F(8, 9), 1, 1]
+    a = [[], [F(1, 5)], [F(3, 40), F(9, 40)], [F(44, 45), F(-56, 15), F(32, 9)],
+         [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
+         [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)],
+         [F(35, 384), 0, F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)]]
+    b5 = a[6] + [0]
+    b4 = [F(5179, 57600), 0, F(7571, 16695), F(393, 640), F(-92097, 339200),
+          F(187, 2100), F(1, 40)]
+    error = np.array([float(p - q) for p, q in zip(b5, b4)])  # b5 - b4, exact
+    d = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                  -10690763975 / 1880347072, 701980252875 / 199316789632,
+                  -1453857185 / 822651844, 69997945 / 29380423])
+    k = []
+    for i in range(7):
+        assert sum(a[i]) == c[i]  # the tableau's row sums
+        k.append(M @ (x0 + h * sum(float(aij) * kj for aij, kj in zip(a[i], k))))
+    k = np.array(k)
+    x1 = x0 + h * np.array(b5, dtype=float) @ k
+
+    def dense(theta):
+        diff = x1 - x0
+        bspl = h * k[0] - diff
+        return x0 + theta * (diff + (1 - theta) * (
+            bspl + theta * (diff - h * k[6] - bspl + (1 - theta) * h * d @ k)))
+
+    def rhs(v, pk, out):
+        out[:] = M @ v[:3]
+
+    rec = np.array([0.0, 0.3 * h, 0.7 * h, h])
+    states, stats = _fastpath._rk45_loop(rhs, lambda pk: np.empty(3), None, x0, 0.0, rec,
+                                         1e-3, h)
+    assert (stats.nfev, stats.accepted, stats.rejected, stats.h_min) == (7, 1, 0, h)
+    assert np.array_equal(states[0], x0)
+    for got, want in zip(states[1:], (dense(0.3), dense(0.7), x1)):
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    assert np.isclose(stats.local_error, np.linalg.norm(h * error @ k),
+                      rtol=1e-12, atol=0.0)
 
 
 def oracle_states(system, s0, T, opts):

@@ -198,7 +198,7 @@ def test_a_segment_that_starts_in_its_region_stops_at_its_first_record_block():
     assert conv.proof == "lyapunov"
     assert conv.variation <= stop_level(region, traj.metadata["local_error"])
     region = _fastpath.attraction_region(system.packed, start, signals(cert))
-    y, mu = _fastpath.packed_outputs(system.packed, region.s_star[None])
+    _, y, _, mu = _fastpath.packed_signals(system.packed, region.s_star[None])
     assert np.array_equal(conv.y_ss, y[0]) and np.array_equal(conv.mu_ss, mu[0])
     assert traj.prediction.passed
 
@@ -215,16 +215,16 @@ def test_a_coo_map_runs_to_its_horizon(formation_segment, monkeypatch):
     assert no_region(coo, cert, s0)
     conv_tol = cli._integrate_options(load_config(FORMATION))[1]
     callers = []
-    real = _fastpath.packed_outputs
+    real = _fastpath.packed_signals
 
     def counted(*args):
         callers.append(sys._getframe(1).f_code.co_name)
         return real(*args)
 
-    monkeypatch.setattr(_fastpath, "packed_outputs", counted)
+    monkeypatch.setattr(_fastpath, "packed_signals", counted)
     traj = integrate(coo, s0, T, certificate=cert, conv_tol=conv_tol)
     assert traj.metadata["t_stop"] == traj.times[-1] == T
-    assert callers == ["packed_signals"]
+    assert callers == ["integrate"]
     want = detect_convergence(traj, tol=conv_tol)
     for f in dataclasses.fields(want):
         assert np.array_equal(getattr(traj.convergence, f.name), getattr(want, f.name)), f.name

@@ -212,6 +212,13 @@ def test_export_csv_format(tmp_path):
         [traj.times, traj.y, traj.u, traj.zeta, traj.mu]))
 
 
+def test_export_csv_refuses_an_empty_schedule(tmp_path):
+    path = tmp_path / "traj.csv"
+    with pytest.raises(DimensionMismatch, match="no trajectory"):
+        export_csv([], path)
+    assert not path.exists()
+
+
 def test_export_csv_special_values_parse_back_to_their_bits(tmp_path):
     _, _, _, system = pair_system()
     traj = integrate(system, default_initial_state(system), 1.0,
