@@ -10,7 +10,12 @@ existing record (1 for the first). It holds the table as it is, plus:
 - `base_rev`: the commit the pairs ran against (the table's `rev`);
 - `change_rev`: the working tree's HEAD, with `-dirty` when tracked
   files have changes, as perf_pairs.py times the working tree;
-- `host`: `nproc`, the Python and numpy versions;
+- `host`: `nproc`, the Python and numpy versions, plus:
+  - `blas`: the name and version of numpy's BLAS, from
+    `numpy.show_config(mode="dicts")`;
+  - `cli_modules`: the sorted names of the modules that
+    `import couplednet.cli` loads beyond `import numpy, click`, submodules
+    included, taken in a fresh process without bytecode writes;
 - `src_lines`: the line count of `src/couplednet/*.py`;
 - `src_lines_by_module`: the line count of each `src/couplednet/*.py`;
 - `reach`: per category of `scripts/reach.py`, the defs the commands
@@ -55,6 +60,18 @@ def src_lines_by_module():
     return lines
 
 
+def cli_modules():
+    """Sorted names of the modules `import couplednet.cli` adds to `import numpy, click`."""
+    code = ("import sys, numpy, click\n"
+            "before = set(sys.modules)\n"
+            "import couplednet.cli\n"
+            "print('\\n'.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.path.abspath("src"))
+    run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=env)
+    return run.stdout.split()
+
+
 def traced(workloads):
     """{workload: the per-layer metrics of one traced run} for each of workloads."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -75,11 +92,14 @@ def main():
     with open(sys.argv[1]) as fh:
         pairs = json.load(fh)
     by_module = src_lines_by_module()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record = {
         "base_rev": git("rev-parse", "--verify", pairs["rev"] + "^{commit}"),
         "change_rev": git("describe", "--always", "--dirty", "--abbrev=40"),
         "host": {"nproc": len(os.sched_getaffinity(0)),
-                 "python": platform.python_version(), "numpy": np.__version__},
+                 "python": platform.python_version(), "numpy": np.__version__,
+                 "blas": {key: blas[key] for key in ("name", "version")},
+                 "cli_modules": cli_modules()},
         "src_lines": sum(by_module.values()),
         "src_lines_by_module": by_module,
         "reach": {category: {"defs": len(rows), "lines": sum(n for _, _, n in rows)}

@@ -200,10 +200,12 @@ def _integrate_options(cfg):
     return opts, conv_tol, durations, init
 
 
-def _certify(cfg):
-    """(certificate, duality gap, solve trace) of cfg's network, or predict's refusal."""
-    problem = assemble(cfg.graph, cfg.agents, cfg.controllers)
-    y, zeta, trace = solve_opp(problem, opts=_solve_options(cfg))
+def _certify(graph, agents, controllers, solve_opts, point=None):
+    """(certificate, duality gap, solve trace or None) of the network, or predict's refusal:
+    of solve_opp's optimum, or of (y, E'y) at a point y, with no solve."""
+    problem = assemble(graph, agents, controllers)
+    y, zeta, trace = (solve_opp(problem, opts=solve_opts) if point is None
+                      else (point, problem.op.rmatvec(point), None))
     cert = recover_certificate(problem, y, zeta)
     if not cert.valid(_CERT_TOL):
         # e.g. a saturating integrator asked for an effort outside
@@ -213,11 +215,11 @@ def _certify(cfg):
             f"consistency {cert.residual_consistency:.3e}, "
             f"relations {cert.residual_relations:.3e}, "
             f"inclusion {cert.residual_inclusion:.3e}")
-    unreachable = couplers.unreachable_efforts(cfg.controllers, cert.mu, _CERT_TOL)
+    unreachable = couplers.unreachable_efforts(controllers, cert.mu, _CERT_TOL)
     if unreachable.size:
         e = int(unreachable[0])
         raise Infeasible(f"controllers[{e}]: the certified effort "
-                         f"{_fmt_vec(cert.mu.reshape(-1, cfg.agents[0].io_dim)[e])} is "
+                         f"{_fmt_vec(cert.mu.reshape(-1, problem.op.dim)[e])} is "
                          "outside its potential's output range q + beta + range(P)")
     gap = duality_gap(problem, cert.u, cert.mu, cert.y, cert.zeta)
     scale = 1.0 + abs(opp_objective(problem, cert.y)) + abs(ofp_objective(problem, cert.mu))
@@ -243,7 +245,8 @@ def cmd_predict(config_path, out):
     """
 
     def run():
-        cert, gap, trace = _certify(cfgmod.load_config(config_path))
+        cfg = cfgmod.load_config(config_path)
+        cert, gap, trace = _certify(cfg.graph, cfg.agents, cfg.controllers, _solve_options(cfg))
         outdir = _outdir(out)
         trace.write_csv(os.path.join(outdir, "opp_trace.csv"))
         _write_json(os.path.join(outdir, "certificate.json"), {
@@ -262,33 +265,40 @@ def cmd_predict(config_path, out):
 
 
 def _plan_segments(cfg):
-    """Per-target systems for the objective schedule.
+    """(system, duration, certificate or None, target or None, refusal or None)
+    per objective target, or one untargeted segment over a plain run's horizon.
 
-    For each target: inject the leader input when a leader is declared,
-    then wrap the base controllers with the reconfiguration offsets
-    computed against the segment plant's natural steady state. Returns
-    (system, duration, certificate, target) tuples.
+    A target injects the leader input when a leader is declared, then wraps
+    the base controllers with the reconfiguration offsets computed against
+    the segment plant's natural steady state. Each certificate, (y*, E'y*)'s
+    or predict's optimum's, passes `_certify`, or predict's refusal with
+    exit 2 or 4 is named (its stderr line and code) and the segment has none.
     """
     obj = cfg.objective
-    d = cfg.agents[0].io_dim
     solve_opts = _solve_options(cfg)
-    base_problem = assemble(cfg.graph, cfg.agents, cfg.controllers)
+    schedule = (zip(obj.targets, obj.durations) if obj is not None
+                else [(None, float(cfg.simulation["horizon"]))])
+    base_problem = None if obj is None else assemble(cfg.graph, cfg.agents, cfg.controllers)
     segments = []
-    for y_star, T in zip(obj.targets, obj.durations):
-        agents_k = cfg.agents
-        problem_k = base_problem
-        if obj.leader is not None:
-            z = leader_input(base_problem, y_star, obj.leader)
-            agents_k = apply_leader(cfg.agents, obj.leader, z)
-            problem_k = assemble(cfg.graph, agents_k, cfg.controllers)
-        y0, _, _ = solve_opp(problem_k, opts=solve_opts)
-        alpha, beta = reconfiguration_offsets(problem_k, y0, y_star)
-        ctrls_k = wrap_reconfigured(cfg.controllers, alpha, beta, d)
-        problem_w = assemble(cfg.graph, agents_k, ctrls_k)
-        zeta_star = problem_w.op.rmatvec(y_star)
-        cert = recover_certificate(problem_w, y_star, zeta_star)
-        system = closed_loop(cfg.graph, agents_k, ctrls_k)
-        segments.append((system, T, cert, y_star))
+    for y_star, T in schedule:
+        agents_k, ctrls_k = cfg.agents, cfg.controllers
+        if y_star is not None:
+            problem_k = base_problem
+            if obj.leader is not None:
+                z = leader_input(base_problem, y_star, obj.leader)
+                agents_k = apply_leader(cfg.agents, obj.leader, z)
+                problem_k = assemble(cfg.graph, agents_k, cfg.controllers)
+            y0, _, _ = solve_opp(problem_k, opts=solve_opts)
+            alpha, beta = reconfiguration_offsets(problem_k, y0, y_star)
+            ctrls_k = wrap_reconfigured(cfg.controllers, alpha, beta, problem_k.op.dim)
+        try:
+            cert, refusal = _certify(cfg.graph, agents_k, ctrls_k, solve_opts, y_star)[0], None
+        except CoupledNetError as ex:
+            code, line = _refusal(ex)
+            if code not in (EXIT_MATH, EXIT_UNSUPPORTED):
+                raise
+            cert, refusal = None, f"{line} (predict exits {code})"
+        segments.append((closed_loop(cfg.graph, agents_k, ctrls_k), T, cert, y_star, refusal))
     return segments
 
 
@@ -300,28 +310,16 @@ def cmd_simulate(config_path, out):
 
     def run():
         cfg = cfgmod.load_config(config_path)
-        opts, conv_tol, durations, init = _integrate_options(cfg)
+        opts, conv_tol, _, init = _integrate_options(cfg)
         _solve_options(cfg)  # refused here, before any planning
-        summary = []
-        if cfg.objective is not None:
-            plan = _plan_segments(cfg)
-        else:
-            # one segment with predict's certificate; a network predict
-            # refuses with exit 2 or 4 is simulated without one
-            try:
-                cert = _certify(cfg)[0]
-            except CoupledNetError as ex:
-                code, line = _refusal(ex)
-                if code not in (EXIT_MATH, EXIT_UNSUPPORTED):
-                    raise
-                cert = None
-                summary.append(f"certificate refused: {line} (predict exits {code})")
-            plan = [(closed_loop(cfg.graph, cfg.agents, cfg.controllers), *durations, cert, None)]
+        plan = _plan_segments(cfg)
         init = default_initial_state(plan[0][0]) if init is None else init
         outdir = _outdir(out)
-        trajs = integrate_schedule([(system, T, cert) for system, T, cert, _ in plan], init,
-                                   opts, conv_tol)
-        for k, ((_, _, _, y_star), traj) in enumerate(zip(plan, trajs)):
+        trajs = integrate_schedule([seg[:3] for seg in plan], init, opts, conv_tol)
+        summary = []
+        for k, ((_, _, _, y_star, refusal), traj) in enumerate(zip(plan, trajs)):
+            if refusal is not None:
+                summary.append(f"segment {k}: certificate refused: {refusal}")
             conv = traj.convergence
             line = f"segment {k}: converged = {conv.converged}"
             if conv.proof:

@@ -116,7 +116,8 @@ def build_graph(node_count: int, edges) -> DirectedGraph:
         normalized.append((tail, head))
 
     ends = np.array(normalized, dtype=np.intp).reshape(-1, 2).T
-    components = np.unique(_join(node_count, *ends, np.zeros(ends.shape[1]), 0)[0]).size
+    root = _join(node_count, *ends, np.zeros(ends.shape[1]), 0)[0]
+    components = _classes(root, node_count)[0].size
     if components > 1:
         raise Disconnected(f"graph has {components} components")
 

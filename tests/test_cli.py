@@ -87,7 +87,8 @@ def test_plain_run_of_a_refused_network_is_simulated(tmp_path):
     summary = (out / "summary.txt").read_text()
     assert "segment 0: converged = True, y_ss = " in summary
     assert "prediction_pass = None" in summary  # no certificate to pass
-    assert any(line.startswith("certificate refused: outside the theory: UnsupportedKind: ")
+    assert any(line.startswith("segment 0: certificate refused: outside the theory: "
+                               "UnsupportedKind: ")
                and line.endswith("(predict exits 4)") for line in summary.splitlines())
 
 
@@ -106,7 +107,9 @@ def test_simulate_requires_horizon(tmp_path):
     pytest.param("simulation", {"conv_tol": -1.0}, id="conv_tol"),
     pytest.param("simulation", {"conv_tol": "tight"}, id="conv_tol_text"),
     pytest.param("simulation", {"initial_state": "abc"}, id="initial_state_text"),
-    pytest.param("simulation", {"initial_state": [float("nan")]}, id="initial_state_nan"),
+    # formation's 24 states, one NaN: refused as non-finite, not for its length
+    pytest.param("simulation", {"initial_state": [0.0] * 23 + [float("nan")]},
+                 id="initial_state_nan"),
     pytest.param("simulation", {"initial_state": [0.0, 1.0, 2.0]}, id="initial_state_length"),
     pytest.param("solver", {"tol": "x"}, id="solver_tol_text"),
     pytest.param("solver", {"tol": -1.0}, id="solver_tol"),
@@ -168,6 +171,40 @@ def test_simulate_objective_schedule(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("converged = True") == 2
     assert out.count("prediction_pass = True") == 2
+
+
+def formation_schedule(tmp_path, targets):
+    """summary.txt lines and exit code of formation's simulate on targets, 30 s each."""
+    doc = json.loads(FORMATION.read_text())
+    doc["objective"].update(targets=targets, durations=[30.0] * len(targets))
+    out = tmp_path / "out"
+    code = run_cli("simulate", "--config", write_doc(tmp_path, doc), "--out", str(out))
+    return (out / "summary.txt").read_text().splitlines(), code
+
+
+# the reconfigured paper_psi edges cannot emit the efforts this target asks
+FAR_TARGET = [0, 0, 0, 0, 0, 0, 50, 50]
+
+
+def test_a_scheduled_target_s_refused_certificate_is_named(tmp_path):
+    lines, code = formation_schedule(tmp_path, [FAR_TARGET])
+    assert code == 0
+    assert len(lines) == 2
+    assert lines[0].startswith("segment 0: certificate refused: infeasible: Infeasible: "
+                               "optimum fails its certificate: residuals ")
+    assert lines[0].endswith(" (predict exits 2)")
+    assert lines[1].startswith("segment 0: converged = ")
+    assert "prediction_pass = None" in lines[1]  # no certificate to pass
+
+
+def test_each_refusal_comes_before_its_segment_s_line(tmp_path):
+    lines, code = formation_schedule(tmp_path, [[1, 1, 2, 2, 3, 3, 4, 4], FAR_TARGET])
+    assert code == 0
+    assert len(lines) == 3
+    assert lines[0].startswith("segment 0: converged = True, proof = lyapunov, ")
+    assert lines[0].count("prediction_pass = True") == 1
+    assert lines[1].startswith("segment 1: certificate refused: infeasible: ")
+    assert lines[2].startswith("segment 1: converged = ")
 
 
 def counting(monkeypatch, name):

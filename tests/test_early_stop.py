@@ -50,9 +50,9 @@ def formation():
     opts, conv_tol, _, _ = cli._integrate_options(cfg)
     plan = cli._plan_segments(cfg)
     init = default_initial_state(plan[0][0])
-    stopped = integrate_schedule([(system, T, cert) for system, T, cert, _ in plan], init,
+    stopped = integrate_schedule([(system, T, cert) for system, T, cert, *_ in plan], init,
                                  opts, conv_tol)
-    full = integrate_schedule([(system, T) for system, T, _, _ in plan], init, opts)
+    full = integrate_schedule([(system, T) for system, T, *_ in plan], init, opts)
     return plan, conv_tol, stopped, full
 
 
@@ -66,7 +66,7 @@ def same_fields(got, want):
 def test_formation_verdicts_survive_the_early_stop(formation):
     # each segment ends by proof, at its first record at or below stop_level
     plan, conv_tol, stopped, full = formation
-    for (system, T, cert, y_star), early, whole in zip(plan, stopped, full):
+    for (system, T, cert, y_star, _), early, whole in zip(plan, stopped, full):
         assert early.metadata["t_stop"] < whole.metadata["t_stop"] == whole.times[-1]
         conv = early.convergence
         assert conv.converged and conv.proof == "lyapunov"
@@ -98,7 +98,7 @@ def test_formation_verdicts_survive_the_early_stop(formation):
 def test_stop_is_reported_and_the_schedule_keeps_its_times(formation):
     plan, conv_tol, stopped, _ = formation
     t_k = 0.0
-    for k, ((_, T, _, _), traj) in enumerate(zip(plan, stopped)):
+    for k, ((_, T, *_), traj) in enumerate(zip(plan, stopped)):
         assert traj.times[0] == t_k  # scheduled, not the previous stop
         if k:
             assert np.array_equal(traj.states[0], stopped[k - 1].states[-1])
@@ -152,7 +152,7 @@ def test_a_record_grid_too_coarse_to_judge_reads_not_converged(formation):
     # certificate reads not converged; the proof needs no window, and ends the
     # certified run at its first record inside the region
     plan, conv_tol, stopped, _ = formation
-    system, T, cert, _ = plan[0]
+    system, T, cert, *_ = plan[0]
     opts = IntegrateOptions(record_every=6.0)
     traj = integrate(system, stopped[0].states[0], T, opts, conv_tol=conv_tol)
     assert traj.times.shape[0] == 6 and traj.metadata["t_stop"] == T

@@ -204,7 +204,8 @@ def test_predict_leaves_scipy_unimported(tmp_path):
     # orjson is for simulate's trajectory.csv only
     root = Path(__file__).resolve().parent.parent
     # nor numpy.polynomial, about 1.5 MB: the Gauss-Legendre nodes of the
-    # paper_psi integral are made without it
+    # paper_psi integral are made without it; nor numpy.ma, about 0.7 MB,
+    # which the first np.unique call imports
     code = ("import sys\n"
             "from couplednet import cli, relations as R\n"
             "assert 'numpy.polynomial' not in sys.modules\n"
@@ -214,6 +215,7 @@ def test_predict_leaves_scipy_unimported(tmp_path):
             "    assert rc in (0, None), rc\n"
             "    loaded = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'orjson')]\n"
             "    assert not loaded, (command, loaded)\n"
+            "    assert 'numpy.ma' not in sys.modules, command\n"
             "R.value(R.scalar_separable(R.paper_psi, 2), [1.0, -1.0])\n"
             "assert 'numpy.polynomial' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -74,10 +74,10 @@ def formation_regions():
     cfg = load_config(FORMATION)
     opts, conv_tol, _, _ = cli._integrate_options(cfg)
     plan = cli._plan_segments(cfg)
-    stopped = integrate_schedule([(system, T, cert) for system, T, cert, _ in plan],
+    stopped = integrate_schedule([(system, T, cert) for system, T, cert, *_ in plan],
                                  default_initial_state(plan[0][0]), opts, conv_tol)
     regions = [_fastpath.attraction_region(system.packed, traj.states[0], signals(cert))
-               for (system, _, cert, _), traj in zip(plan, stopped)]
+               for (system, _, cert, *_), traj in zip(plan, stopped)]
     return plan, stopped, regions
 
 
@@ -106,7 +106,7 @@ def test_v_decreases_on_every_sampled_point_of_the_region(formation_regions):
     rng = np.random.default_rng(33)
     assert_v_decreases(system.packed, region, 4000, rng)
     plan, _, regions = formation_regions
-    for (system, _, _, _), region in zip(plan, regions):
+    for (system, *_), region in zip(plan, regions):
         assert_v_decreases(system.packed, region, 2000, rng)
 
 
@@ -136,7 +136,7 @@ def assert_inside_at_the_stop(system, traj, region):
 
 def test_an_accurate_run_is_inside_the_region_at_each_stop(formation_regions):
     plan, stopped, regions = formation_regions
-    for (system, _, _, _), traj, region in zip(plan, stopped, regions):
+    for (system, *_), traj, region in zip(plan, stopped, regions):
         assert_inside_at_the_stop(system, traj, region)
     for w in (1.0, 2.0, 3.0):  # at w = 4 the run does not reach its small region in 10 s
         system, cert = hand_network(scalar_separable(paper_psi, 1), w=w)
@@ -170,7 +170,7 @@ def test_the_curvature_bound_holds_against_mpmath():
 @pytest.fixture(scope="module")
 def formation_segment():
     cfg = load_config(FORMATION)
-    system, T, cert, y_star = cli._plan_segments(cfg)[0]
+    system, T, cert, y_star, _ = cli._plan_segments(cfg)[0]
     return system, T, cert, y_star, default_initial_state(system)
 
 

@@ -293,7 +293,7 @@ def formation_schedule():
     opts = IntegrateOptions(tol=1e-8)
     # each segment records 501 records whatever its duration, so short
     # segments hold formation's whole schedule of arrays
-    segments = [(system, 3.0) for system, _, _, _ in plan]
+    segments = [(system, 3.0) for system, *_ in plan]
     integrate_schedule(segments[:1], init, opts)
     trajs, peak = traced_peak(lambda: integrate_schedule(segments, init, opts))
     return plan, trajs, peak
@@ -312,7 +312,7 @@ def test_integrate_schedule_holds_no_second_copy_of_the_segments(formation_sched
 def test_schedule_segments_start_from_the_last_state_with_their_own_signals(
         formation_schedule):
     plan, trajs, _ = formation_schedule
-    for (system, _, _, _), prev, seg in zip(plan[1:], trajs, trajs[1:]):
+    for (system, *_), prev, seg in zip(plan[1:], trajs, trajs[1:]):
         assert seg.system is system and seg.times[0] == prev.times[-1]
         assert np.array_equal(seg.states[0], prev.states[-1])
         # the reconfigured controllers' output offsets differ at the boundary
